@@ -9,7 +9,8 @@ from .cone import (ConeRegion, classify, in_normal_cone, jacobian_project_polar,
 from .diagnostics import (ErrorBoundReport, GrowthReport, certify_growth,
                           dist_to_multiplier_set, estimate_rate, example32_ratio,
                           solvability_estimate, verify_error_bound)
-from .lagrangian import AugEval, aug_hessian, aug_lagrangian, lagrangian_l, residual
+from .lagrangian import (AugEval, NonFiniteError, aug_hessian, aug_lagrangian,
+                         lagrangian_l, residual)
 from .model import (KktPoint, SocpProblem, builtin, generate_planted, load_problem,
                     quadratic_problem)
 from .variational import (CriticalCone, CriticalConeCase, SoscReport,
@@ -23,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmConfig", "AlmStatus", "AlmTrace", "AugEval", "ConeRegion", "CriticalCone",
     "CriticalConeCase", "EpsRule", "ErrorBoundReport", "Exact", "FixedSequence",
-    "GrowthReport", "InnerConfig", "InnerFailure", "KktPoint", "Proportional",
-    "SocpProblem", "SoscReport", "aug_hessian", "aug_lagrangian", "builtin",
+    "GrowthReport", "InnerConfig", "InnerFailure", "KktPoint", "NonFiniteError",
+    "Proportional", "SocpProblem", "SoscReport", "aug_hessian", "aug_lagrangian", "builtin",
     "certify_growth", "check_dual_qualification", "check_sosc", "classify",
     "critical_cone", "d2_aug_lagrangian", "d2_indicator_q", "dist2_critical",
     "difference_quotient_oracle", "dist_to_multiplier_set", "estimate_rate",

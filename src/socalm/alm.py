@@ -11,14 +11,15 @@ it grows only when the KKT residual fails to halve.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .cone import project_polar
-from .lagrangian import aug_hessian, aug_lagrangian, residual
+from .cone import as_cone_vec
+from .lagrangian import AugEval, NonFiniteError, shift
 from .model import KktPoint, SocpProblem
 
 
@@ -95,7 +96,8 @@ class AlmStatus(enum.Enum):
 
 
 class InnerFailure(RuntimeError):
-    """Inner solver exhausted its iteration budget."""
+    """Inner solver stopped short of its tolerance: iteration budget spent,
+    line search failed or a non-finite oracle result."""
 
     def __init__(self, message, x, grad_norm, iters):
         super().__init__(message)
@@ -118,6 +120,7 @@ class AlmTrace:
     grad_norms: List[float] = field(default_factory=list)
     values: List[float] = field(default_factory=list)
     status: Optional[AlmStatus] = None
+    message: str = ""   # why the run stopped early (InnerFailure)
 
     def append(self, x, lam, rho, eps, sigma, inner, grad_norm, value):
         self.xs.append(np.array(x, dtype=float))
@@ -135,17 +138,71 @@ class AlmTrace:
 
 def _newton_direction(H: np.ndarray, g: np.ndarray, mu0: float) -> np.ndarray:
     """Solve (H + mu I) d = -g, doubling mu from mu0 until the
-    factorization is positive definite."""
+    factorization is positive definite.  H and g must be finite."""
     n = g.size
     eye = np.eye(n)
     mu = 0.0
     for _ in range(80):
         try:
-            factor = cho_factor(H + mu * eye, lower=True)
-            return cho_solve(factor, -g)
+            factor = cho_factor(H + mu * eye, lower=True, check_finite=False)
+            return cho_solve(factor, -g, check_finite=False)
         except LinAlgError:
             mu = mu0 if mu == 0.0 else 2.0 * mu
     return -g
+
+
+def _inner_solve(ev: AugEval, eps_k: float, cfg: InnerConfig):
+    """Minimize x -> L_rho(x, lam) from the evaluation ev at the start.
+
+    Returns (evaluation at the final x, grad_norm, iters); each accepted
+    point is evaluated once.  A non-finite evaluation ends the solve
+    with InnerFailure.
+    """
+    p, lam, rho = ev.p, ev.lam, ev.rho
+    floor = max(eps_k, GRAD_FLOOR)
+    ev.complete()
+    for it in range(cfg.max_inner + 1):
+        x = ev.x
+        grad_norm = float(np.linalg.norm(ev.grad_x))
+        if grad_norm <= floor:
+            return ev, grad_norm, it
+        if not math.isfinite(grad_norm):
+            raise InnerFailure(f"non-finite gradient (iteration {it})", x, grad_norm, it)
+        if it == cfg.max_inner:
+            raise InnerFailure(
+                f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
+                x, grad_norm, it)
+        H = ev.hessian()
+        if not np.isfinite(H).all():
+            raise InnerFailure(f"non-finite Hessian (iteration {it})", x, grad_norm, it)
+        d = _newton_direction(H, ev.grad_x, cfg.mu0)
+        # allowance for roundoff in the value: near the minimum the true
+        # decrease is below machine noise and a strict Armijo test stalls
+        noise = 8.0 * np.finfo(float).eps * max(1.0, abs(ev.value))
+        accepted = None
+        for direction in (d, -ev.grad_x):
+            slope = float(ev.grad_x @ direction)
+            if slope >= 0.0:
+                continue
+            step = 1.0
+            for _ in range(cfg.max_linesearch):
+                try:
+                    cand = AugEval(p, x + step * direction, lam, rho)
+                except NonFiniteError as exc:
+                    raise InnerFailure(f"{exc} in the line search (iteration {it})",
+                                       x, grad_norm, it) from exc
+                if cand.value <= ev.value + cfg.armijo * step * slope + noise:
+                    accepted = cand
+                    break
+                step *= cfg.backtrack
+            if accepted is not None:
+                break
+        if accepted is None:
+            raise InnerFailure(
+                f"line search failed at ||grad||={grad_norm:.3e} (iteration {it})",
+                x, grad_norm, it)
+        ev = accepted.complete()
+    raise AssertionError("unreachable")
 
 
 def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
@@ -161,53 +218,20 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
         raise ValueError("eps_k must be nonnegative")
     if rho_k <= 0:
         raise ValueError("rho_k must be positive")
+    p.check_dims(x_start, lambda_k)
     lam = np.asarray(lambda_k, dtype=float)
     x = np.array(x_start, dtype=float)
-    floor = max(eps_k, GRAD_FLOOR)
-    ev = aug_lagrangian(p, x, lam, rho_k)
-    for it in range(cfg.max_inner + 1):
-        grad_norm = float(np.linalg.norm(ev.grad_x))
-        if grad_norm <= floor:
-            return x, grad_norm, it
-        if it == cfg.max_inner:
-            raise InnerFailure(
-                f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
-                x, grad_norm, it)
-        H = aug_hessian(p, x, lam, rho_k)
-        d = _newton_direction(H, ev.grad_x, cfg.mu0)
-        # allowance for roundoff in the value: near the minimum the true
-        # decrease is below machine noise and a strict Armijo test stalls
-        noise = 8.0 * np.finfo(float).eps * max(1.0, abs(ev.value))
-        accepted = None
-        for direction in (d, -ev.grad_x):
-            slope = float(ev.grad_x @ direction)
-            if slope >= 0.0:
-                continue
-            step = 1.0
-            for _ in range(cfg.max_linesearch):
-                cand = x + step * direction
-                cand_ev = aug_lagrangian(p, cand, lam, rho_k)
-                if cand_ev.value <= ev.value + cfg.armijo * step * slope + noise:
-                    accepted = (cand, cand_ev)
-                    break
-                step *= cfg.backtrack
-            if accepted is not None:
-                break
-        if accepted is None:
-            raise InnerFailure(
-                f"line search failed at ||grad||={grad_norm:.3e} (iteration {it})",
-                x, grad_norm, it)
-        x, ev = accepted
-    raise AssertionError("unreachable")
+    ev, grad_norm, iters = _inner_solve(AugEval(p, x, lam, rho_k), eps_k, cfg)
+    return ev.x, grad_norm, iters
 
 
 def update_multiplier(phi_x_next, lambda_k, rho_k: float) -> np.ndarray:
     """Multiplier update: project rho_k * Phi(x_next) + lambda_k onto -Q."""
     if rho_k <= 0:
         raise ValueError("rho_k must be positive")
-    phi = np.asarray(phi_x_next, dtype=float)
+    phi = as_cone_vec(phi_x_next)
     lam = np.asarray(lambda_k, dtype=float)
-    return project_polar(rho_k * phi + lam)
+    return shift(phi, lam, rho_k)[1]
 
 
 def _eps_for(rule: EpsRule, k: int, sigma: float) -> float:
@@ -224,36 +248,47 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
 
     Stops when the KKT residual drops to cfg.outer_tol (Converged), the
     outer budget is exhausted (MaxIterations) or an inner solve fails
-    (InnerFailure, with the partial trace).  The penalty is raised by
-    rho_growth, capped at rho_max, whenever the residual fails to halve.
+    (InnerFailure, with the partial trace and trace.message), including
+    on a non-finite oracle result.  The penalty is raised by rho_growth,
+    capped at rho_max, whenever the residual fails to halve.  A
+    non-finite start (x0, lambda0 or the shifted point there) raises
+    NonFiniteError, a ValueError.
+
+    Each outer iteration reuses the inner solve's final evaluation: its
+    polar projection is the multiplier update, its oracle results give
+    the residual and start the next inner solve.
     """
     p.check_dims(x0, lambda0)
     x = np.array(x0, dtype=float)
     lam = np.array(lambda0, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(lam).all()):
+        raise NonFiniteError("x0 and lambda0 must be finite")
     rho = cfg.rho0
     trace = AlmTrace()
-    sigma = residual(p, x, lam)
+    ev = AugEval(p, x, lam, rho)
+    sigma = ev.kkt_residual(lam)
     for k in range(cfg.max_outer + 1):
-        value = aug_lagrangian(p, x, lam, rho).value
         if sigma <= cfg.outer_tol:
-            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, value)
+            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value)
             trace.status = AlmStatus.CONVERGED
             break
         if k == cfg.max_outer:
-            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, value)
+            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value)
             trace.status = AlmStatus.MAX_ITERATIONS
             break
         eps_k = _eps_for(cfg.eps_rule, k, sigma)
         try:
-            x_next, grad_norm, iters = inner_solve(p, lam, rho, x, eps_k, cfg.inner)
+            end, grad_norm, iters = _inner_solve(ev, eps_k, cfg.inner)
         except InnerFailure as failure:
-            trace.append(x, lam, rho, eps_k, sigma, failure.iters, failure.grad_norm, value)
+            trace.append(x, lam, rho, eps_k, sigma, failure.iters, failure.grad_norm, ev.value)
             trace.status = AlmStatus.INNER_FAILURE
+            trace.message = str(failure)
             break
-        trace.append(x, lam, rho, eps_k, sigma, iters, grad_norm, value)
-        lam_next = update_multiplier(p.phi_value(x_next), lam, rho)
-        sigma_next = residual(p, x_next, lam_next)
+        trace.append(x, lam, rho, eps_k, sigma, iters, grad_norm, ev.value)
+        lam_next = end.polar_proj
+        sigma_next = end.kkt_residual(lam_next)
         if sigma_next > 0.5 * sigma:
             rho = min(cfg.rho_max, rho * cfg.rho_growth)
-        x, lam, sigma = x_next, lam_next, sigma_next
+        x, lam, sigma = end.x, lam_next, sigma_next
+        ev = end.at(lam, rho)
     return KktPoint(x, lam), trace

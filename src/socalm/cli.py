@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import alm, diagnostics
-from .lagrangian import residual
+from .lagrangian import NonFiniteError, residual
 from .model import SocpProblem, builtin, load_problem
 from .variational import check_dual_qualification, check_sosc, multiplier_calmness
 
@@ -59,13 +59,32 @@ def _load_problem(args) -> SocpProblem:
 
 
 def _point(args, problem: SocpProblem):
-    """Reference point for the check commands: explicit flags win over
-    the problem's known solution."""
-    if getattr(args, "x", None) is not None and getattr(args, "lam", None) is not None:
+    """Reference point for the check commands: explicit flags (both of
+    them) win over the problem's known solution."""
+    if (args.x is None) != (args.lam is None):
+        raise CliError("--x and --lambda must be given together")
+    if args.x is not None:
         return _parse_vector(args.x), _parse_vector(args.lam)
     if problem.known_solution is None:
         raise CliError("problem has no known solution; pass --x and --lambda")
     return problem.known_solution.x, problem.known_solution.lam
+
+
+def _checked(fn, *args, **kwargs):
+    """Call a check function; a ValueError from its input validation
+    (wrong dimensions, not a KKT pair, bad sample counts) is a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _solve(problem, x0, lam0, cfg):
+    """alm.solve with a non-finite start reported as a usage error."""
+    try:
+        return alm.solve(problem, x0, lam0, cfg)
+    except NonFiniteError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _write_json(path, payload) -> None:
@@ -129,7 +148,7 @@ def cmd_solve(args) -> int:
     if x0.shape != (problem.n,) or lam0.shape != (problem.m + 1,):
         raise CliError(f"start point dimensions do not match problem "
                        f"(n={problem.n}, m+1={problem.m + 1})")
-    point, trace = alm.solve(problem, x0, lam0, cfg)
+    point, trace = _solve(problem, x0, lam0, cfg)
     _write_trace_csv(args.trace, trace, problem)
     _write_json(args.report, {
         "command": "solve",
@@ -142,6 +161,8 @@ def cmd_solve(args) -> int:
         "lambda": point.lam.tolist(),
     })
     print(f"status={trace.status.value} sigma={trace.sigmas[-1]:.6e} iters={len(trace) - 1}")
+    if trace.message:
+        print(f"failure: {trace.message}", file=sys.stderr)
     return 0 if trace.status is alm.AlmStatus.CONVERGED else 1
 
 
@@ -165,8 +186,8 @@ def cmd_check(args) -> int:
         return 0
 
     if args.check == "errorbound":
-        report = diagnostics.verify_error_bound(problem, args.radius, args.samples,
-                                                args.seed or 0)
+        report = _checked(diagnostics.verify_error_bound, problem, args.radius,
+                          args.samples, args.seed or 0)
         payload = {"command": "check errorbound", "problem": problem.name}
         payload.update(report.to_json_dict())
         _write_json(args.report, payload)
@@ -178,8 +199,8 @@ def cmd_check(args) -> int:
         rho_list = _parse_float_list(args.rho_list)
         if not rho_list:
             raise CliError("--rho-list needs at least one value")
-        report = diagnostics.certify_growth(problem, rho_list, args.x_samples,
-                                            args.lambda_samples, args.seed or 0)
+        report = _checked(diagnostics.certify_growth, problem, rho_list, args.x_samples,
+                          args.lambda_samples, args.seed or 0)
         payload = {"command": "check growth", "problem": problem.name}
         payload.update(report.to_json_dict())
         _write_json(args.report, payload)
@@ -189,7 +210,7 @@ def cmd_check(args) -> int:
 
     x, lam = _point(args, problem)
     if args.check == "sosc":
-        report = check_sosc(problem, x, lam, seed=args.seed or 0)
+        report = _checked(check_sosc, problem, x, lam, seed=args.seed or 0)
         payload = {"command": "check sosc", "problem": problem.name}
         payload.update(report.to_json_dict())
         _write_json(args.report, payload)
@@ -198,8 +219,9 @@ def cmd_check(args) -> int:
         return 0 if report.holds else 1
 
     if args.check == "dualqual":
-        holds, witness = check_dual_qualification(problem, x, lam, seed=args.seed or 0)
-        calmness = multiplier_calmness(problem, x, lam, holds)
+        holds, witness = _checked(check_dual_qualification, problem, x, lam,
+                                  seed=args.seed or 0)
+        calmness = _checked(multiplier_calmness, problem, x, lam, holds)
         payload = {
             "command": "check dualqual",
             "problem": problem.name,
@@ -236,7 +258,7 @@ def cmd_rate(args) -> int:
         cfg = alm.AlmConfig(rho0=rho, rho_bar=rho, rho_growth=1.0,
                             rho_max=rho, eps_rule=alm.Proportional(args.eps_eta),
                             outer_tol=args.tol, max_outer=args.max_outer)
-        point, trace = alm.solve(problem, x0, lam0, cfg)
+        point, trace = _solve(problem, x0, lam0, cfg)
         converged = trace.status is alm.AlmStatus.CONVERGED
         any_failure = any_failure or not converged
         if len(trace) >= 3:

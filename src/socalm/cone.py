@@ -4,6 +4,11 @@ The cone lives in R^(m+1) with m >= 1 and consists of the vectors
 y = (y0, yr) with ||yr|| <= y0.  Vectors are plain 1-D numpy arrays of
 length m+1; the first entry is the "time" component y0 and the rest is
 the "space" block yr.  Everything here is a pure function of its inputs.
+
+The public kernels validate their input through `as_cone_vec` and then
+delegate to unchecked twins (leading underscore) that expect a finite
+float vector of length >= 2; the solver's hot path, which checks each
+evaluated point once, calls the twins directly.
 """
 
 from __future__ import annotations
@@ -55,7 +60,10 @@ def classify(y, tol: float = TAU_CONE) -> ConeRegion:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    y = as_cone_vec(y)
+    return _classify(as_cone_vec(y), tol)
+
+
+def _classify(y: np.ndarray, tol: float = TAU_CONE) -> ConeRegion:
     nrm = np.linalg.norm(y)
     t = tol * max(1.0, nrm)
     if nrm <= t:
@@ -80,7 +88,10 @@ def project_q(y) -> np.ndarray:
     Returns y inside Q, 0 inside -Q and otherwise the boundary point
     ((y0 + ||yr||) / 2) * (1, yr / ||yr||).
     """
-    y = as_cone_vec(y)
+    return _project_q(as_cone_vec(y))
+
+
+def _project_q(y: np.ndarray) -> np.ndarray:
     rnorm = np.linalg.norm(y[1:])
     if rnorm <= y[0]:
         return y.copy()
@@ -95,8 +106,11 @@ def project_q(y) -> np.ndarray:
 
 def project_polar(y) -> np.ndarray:
     """Euclidean projection onto -Q, computed as y - project_q(y)."""
-    y = as_cone_vec(y)
-    return y - project_q(y)
+    return _project_polar(as_cone_vec(y))
+
+
+def _project_polar(y: np.ndarray) -> np.ndarray:
+    return y - _project_q(y)
 
 
 def dist2_q(y) -> float:
@@ -113,10 +127,13 @@ def jacobian_project_polar(y) -> np.ndarray:
     when ||yr|| <= TAU_CONE the formula degenerates and the adjacent
     interior-region matrix is used instead.
     """
-    y = as_cone_vec(y)
+    return _jacobian_project_polar(as_cone_vec(y))
+
+
+def _jacobian_project_polar(y: np.ndarray) -> np.ndarray:
     n = y.size
     m = n - 1
-    region = classify(y, TAU_CONE)
+    region = _classify(y, TAU_CONE)
     if region is ConeRegion.INTERIOR_POLAR:
         return np.eye(n)
     if region is ConeRegion.INTERIOR_Q:

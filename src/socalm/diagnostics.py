@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import InnerConfig, inner_solve
-from .lagrangian import aug_lagrangian, lagrangian_l, residual
+from .lagrangian import AugEval, lagrangian_l, residual
 from .model import SocpProblem, builtin
 from .variational import check_sosc
 
@@ -182,6 +182,8 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
     sol = _require_solution(p)
     if not rho_list:
         raise ValueError("rho_list must not be empty")
+    if min(rho_list) <= 0:
+        raise ValueError("rho must be positive")
     rng = np.random.default_rng(seed)
     radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
     x_steps = {gamma: [_uniform_ball(rng, p.n, gamma) for _ in range(x_samples)]
@@ -197,7 +199,7 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
                 r2 = float(step @ step)
                 if r2 < 1e-24:
                     continue
-                val = aug_lagrangian(p, sol.x + step, lam, rho).value
+                val = AugEval(p, sol.x + step, lam, rho).value  # value only
                 worst = min(worst, (val - f_bar) / r2)
             per_lam.append(worst)
         return per_lam

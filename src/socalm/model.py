@@ -39,7 +39,10 @@ class SocpProblem:
 
     phi_hess_contract(x, lam) must return the n x n matrix of second
     derivatives of x -> <lam, Phi(x)>.  Oracles must be pure so that a
-    problem instance can be shared between concurrent solves.
+    problem instance can be shared between concurrent solves.  An oracle
+    may return the same read-only array on every call (the quadratic and
+    builtin problems do so for constant Jacobians and Hessians); the
+    solver and the diagnostics never write into an oracle result.
     """
 
     n: int
@@ -70,12 +73,21 @@ class SocpProblem:
                 raise ValueError(f"multiplier must have shape ({self.m + 1},), got {lam.shape}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None,
                       multiplier_ray=None) -> SocpProblem:
-    """Problem with f(x) = x'Px/2 + q'x + c and Phi(x) = Ax + b."""
+    """Problem with f(x) = x'Px/2 + q'x + c and Phi(x) = Ax + b.
+
+    f_hess, phi_jac and phi_hess_contract return the same read-only
+    arrays P, A and 0 on every call.
+    """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
-    A = np.asarray(A, dtype=float)
+    A = np.array(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("P must be square")
@@ -89,16 +101,17 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None,
     if b.shape != (A.shape[0],):
         raise ValueError("b has wrong length for A")
     m = A.shape[0] - 1
-    P = 0.5 * (P + P.T)
-    zero_h = np.zeros((n, n))
+    P = _read_only(0.5 * (P + P.T))
+    _read_only(A)
+    zero_h = _read_only(np.zeros((n, n)))
     return SocpProblem(
         n=n, m=m,
         f_value=lambda x: float(0.5 * x @ P @ x + q @ x + c),
         f_grad=lambda x: P @ x + q,
-        f_hess=lambda x: P.copy(),
+        f_hess=lambda x: P,
         phi_value=lambda x: A @ x + b,
-        phi_jac=lambda x: A.copy(),
-        phi_hess_contract=lambda x, lam: zero_h.copy(),
+        phi_jac=lambda x: A,
+        phi_hess_contract=lambda x, lam: zero_h,
         name=name,
         known_solution=known_solution,
         multiplier_ray=multiplier_ray,
@@ -113,6 +126,7 @@ def _example_3_2() -> SocpProblem:
     x_t = (0, (1 - t)/2) as t -> 1.
     """
     hess0 = np.array([[-2.0, 0.0], [0.0, 0.0]])
+    f_hess = _read_only(np.array([[0.0, 0.0], [0.0, 2.0]]))
     lam_bar = np.array([-1.0, 1.0, 0.0])
 
     def hard_path(scale: float):
@@ -127,7 +141,7 @@ def _example_3_2() -> SocpProblem:
         n=2, m=2,
         f_value=lambda x: float(x[1] ** 2),
         f_grad=lambda x: np.array([0.0, 2.0 * x[1]]),
-        f_hess=lambda x: np.array([[0.0, 0.0], [0.0, 2.0]]),
+        f_hess=lambda x: f_hess,
         phi_value=lambda x: np.array([-x[0] ** 2 + x[1], x[1], 0.0]),
         phi_jac=lambda x: np.array([[-2.0 * x[0], 1.0], [0.0, 1.0], [0.0, 0.0]]),
         phi_hess_contract=lambda x, lam: lam[0] * hess0,
@@ -144,15 +158,16 @@ def _projection_problem(a) -> SocpProblem:
     n = a.size
     x_star = project_q(a)
     lam_star = a - x_star  # stationarity x - a + lam = 0
-    eye = np.eye(n)
+    eye = _read_only(np.eye(n))
+    zero = _read_only(np.zeros((n, n)))
     return SocpProblem(
         n=n, m=n - 1,
         f_value=lambda x: float(0.5 * np.sum((x - a) ** 2)),
         f_grad=lambda x: x - a,
-        f_hess=lambda x: eye.copy(),
+        f_hess=lambda x: eye,
         phi_value=lambda x: x.copy(),
-        phi_jac=lambda x: eye.copy(),
-        phi_hess_contract=lambda x, lam: np.zeros((n, n)),
+        phi_jac=lambda x: eye,
+        phi_hess_contract=lambda x, lam: zero,
         name="projection",
         known_solution=KktPoint(x_star, lam_star),
     )
@@ -162,15 +177,18 @@ def _interior_trivial(n: int = 2, m: int = 1) -> SocpProblem:
     """f(x) = ||x||^2 / 2 with a constant, strictly feasible Phi."""
     e0 = np.zeros(m + 1)
     e0[0] = 1.0
-    eye = np.eye(n)
+    _read_only(e0)
+    eye = _read_only(np.eye(n))
+    jac = _read_only(np.zeros((m + 1, n)))
+    zero = _read_only(np.zeros((n, n)))
     return SocpProblem(
         n=n, m=m,
         f_value=lambda x: float(0.5 * np.sum(x ** 2)),
         f_grad=lambda x: x.copy(),
-        f_hess=lambda x: eye.copy(),
-        phi_value=lambda x: e0.copy(),
-        phi_jac=lambda x: np.zeros((m + 1, n)),
-        phi_hess_contract=lambda x, lam: np.zeros((n, n)),
+        f_hess=lambda x: eye,
+        phi_value=lambda x: e0,
+        phi_jac=lambda x: jac,
+        phi_hess_contract=lambda x, lam: zero,
         name="interior_trivial",
         known_solution=KktPoint(np.zeros(n), np.zeros(m + 1)),
     )

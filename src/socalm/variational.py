@@ -359,8 +359,7 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
 
 
 def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
-                             margin: float = 1e-6, starts: int = 32, seed: int = 0,
-                             cone_tol: float = 1e-8):
+                             starts: int = 32, seed: int = 0, cone_tol: float = 1e-8):
     """Test whether the polar of the critical cone meets ker JPhi(xbar)'
     only at the origin.
 
@@ -431,8 +430,6 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
     if best <= tol:
         witness = kernel @ c_best
         return False, witness / np.linalg.norm(witness)
-    # best > margin is a comfortable numerical "holds"; a value in the gray
-    # band (tol, margin] is still reported as holding, without a witness.
     return True, None
 
 

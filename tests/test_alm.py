@@ -1,8 +1,13 @@
 """ALM driver: inner solves, multiplier updates, the outer loop and its
 trace invariants."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
@@ -10,6 +15,8 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
                     generate_planted, inner_solve, solve, update_multiplier)
 from socalm.cone import project_q
 from socalm.lagrangian import aug_lagrangian, residual
+
+ORACLES = ("f_value", "f_grad", "f_hess", "phi_value", "phi_jac", "phi_hess_contract")
 
 
 def perturbed_start(p, scale, seed):
@@ -200,3 +207,79 @@ def test_penalty_growth_when_residual_stalls():
     assert trace.status is AlmStatus.CONVERGED
     assert max(trace.rhos) <= 1e6
     assert all(trace.rhos[k + 1] >= trace.rhos[k] for k in range(len(trace) - 1))
+
+
+def counted(p):
+    """Copy of p whose six oracles count their calls."""
+    calls = Counter()
+
+    def wrap(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(p, **{o: wrap(o, getattr(p, o)) for o in ORACLES}), calls
+
+
+def test_one_jacobian_and_gradient_call_per_accepted_iterate():
+    total = 0
+    for seed in range(20):
+        p, calls = counted(generate_planted(20, 10, ConeRegion.BOUNDARY_Q_NONZERO, seed))
+        _, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1))
+        steps = sum(trace.inner_iters)
+        assert calls["phi_jac"] == calls["f_grad"] == steps + 1
+        assert calls["f_hess"] == calls["phi_hess_contract"] == steps
+        # line-search trials evaluate Phi and f only
+        assert calls["phi_value"] == calls["f_value"] >= steps + 1
+        total += sum(calls.values())
+    # 4,696 oracle calls when every public function re-evaluated its point
+    assert total <= 1700
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**20),
+       region=st.sampled_from([ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                               ConeRegion.INTERIOR_Q]),
+       n=st.integers(1, 6), m=st.integers(1, 4))
+def test_trace_rows_equal_the_public_functions_exactly(seed, region, n, m):
+    p = generate_planted(n, m, region, seed)
+    _, trace = solve(p, np.zeros(n), np.zeros(m + 1))
+    for k in range(len(trace)):
+        assert trace.sigmas[k] == residual(p, trace.xs[k], trace.lams[k])
+        assert trace.values[k] == aug_lagrangian(p, trace.xs[k], trace.lams[k],
+                                                 trace.rhos[k]).value
+    for k in range(len(trace) - 1):
+        lam_next = update_multiplier(p.phi_value(trace.xs[k + 1]), trace.lams[k],
+                                     trace.rhos[k])
+        assert lam_next.tobytes() == trace.lams[k + 1].tobytes()
+
+
+def test_non_finite_hessian_is_inner_failure():
+    p = dataclasses.replace(builtin("projection"), f_hess=lambda x: np.full((3, 3), np.nan))
+    _, trace = solve(p, np.zeros(3), np.zeros(3))
+    assert trace.status is AlmStatus.INNER_FAILURE
+    assert len(trace) == 1
+    assert "non-finite Hessian" in trace.message
+
+
+def test_non_finite_constraint_value_is_inner_failure():
+    base = builtin("projection")
+
+    def phi_value(x):
+        return np.full(3, np.nan) if x[0] > 0.3 else base.phi_value(x)
+
+    p = dataclasses.replace(base, phi_value=phi_value)
+    _, trace = solve(p, np.zeros(3), np.zeros(3))
+    assert trace.status is AlmStatus.INNER_FAILURE
+    assert len(trace) >= 1
+    assert all(np.all(x[0] <= 0.3) for x in trace.xs)
+    assert "non-finite" in trace.message
+
+
+def test_non_finite_start_raises():
+    p = builtin("projection")
+    with pytest.raises(ValueError):
+        solve(p, [np.nan, 0.0, 0.0], np.zeros(3))
+    with pytest.raises(ValueError):
+        solve(p, np.zeros(3), [0.0, np.inf, 0.0])

@@ -1,12 +1,14 @@
 """End-to-end CLI runs: exit codes, file outputs and determinism."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from socalm import AlmConfig, Proportional, builtin, solve
+from socalm import cli
 from socalm.cli import _write_trace_csv, main
 from socalm.lagrangian import residual
 
@@ -168,3 +170,34 @@ def test_trace_csv_sigma_roundtrip(tmp_path):
     for k, row in enumerate(rows):
         recomputed = residual(p, trace.xs[k], trace.lams[k])
         assert abs(float(row["sigma"]) - recomputed) <= 1e-12
+
+
+def test_check_sosc_not_a_kkt_pair_exit_two(capsys):
+    code = run_cli("check", "sosc", "--problem", "builtin:projection",
+                   "--x", "0,0,0", "--lambda", "1,0,0")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "not a KKT pair" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["--x", "5,0,0"], ["--lambda", "0,0,0"]])
+def test_check_point_flags_must_come_together(flag, capsys):
+    code = run_cli("check", "sosc", "--problem", "builtin:projection", *flag)
+    assert code == 2
+    assert "--x and --lambda" in capsys.readouterr().err
+
+
+def test_solve_non_finite_oracle_exit_one(monkeypatch, capsys):
+    broken = dataclasses.replace(builtin("projection"),
+                                 f_hess=lambda x: np.full((3, 3), np.nan))
+    monkeypatch.setattr(cli, "builtin", lambda name, **params: broken)
+    assert run_cli("solve", "--problem", "builtin:projection") == 1
+    captured = capsys.readouterr()
+    assert "status=InnerFailure" in captured.out
+    assert "failure: non-finite Hessian" in captured.err
+
+
+def test_solve_non_finite_start_exit_two(capsys):
+    assert run_cli("solve", "--problem", "builtin:projection", "--x0", "nan,0,0") == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from socalm import ConeRegion, builtin, generate_planted, in_normal_cone, load_problem
+from socalm import (ConeRegion, builtin, generate_planted, in_normal_cone, load_problem,
+                    quadratic_problem)
 from socalm.cone import classify, tilde
 from socalm.lagrangian import lagrangian_l, residual
 
@@ -162,3 +163,14 @@ def test_load_problem_missing_field(tmp_path):
     path.write_text("{}")
     with pytest.raises(ValueError, match="builtin"):
         load_problem(path)
+
+
+def test_quadratic_oracle_arrays_are_read_only():
+    A = np.ones((3, 2))
+    p = quadratic_problem(np.eye(2), np.zeros(2), 0.0, A, np.array([1.0, 0.0, 0.0]))
+    x = np.zeros(2)
+    for out in (p.phi_jac(x), p.f_hess(x), p.phi_hess_contract(x, np.zeros(3))):
+        with pytest.raises(ValueError):
+            out[0, 0] = 5.0
+    A[0, 0] = 2.0  # the caller's array stays writable and is not shared
+    assert p.phi_jac(x)[0, 0] == 1.0
