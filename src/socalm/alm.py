@@ -138,16 +138,23 @@ class AlmTrace:
 
 def _newton_direction(H: np.ndarray, g: np.ndarray, mu0: float) -> np.ndarray:
     """Solve (H + mu I) d = -g, doubling mu from mu0 until the
-    factorization is positive definite.  H and g must be finite."""
-    n = g.size
-    eye = np.eye(n)
-    mu = 0.0
+    factorization is positive definite.  H and g must be finite.
+
+    H itself is factored first; only a regularized retry copies it, once,
+    and then rewrites the copy's diagonal for each mu.  H is symmetric, so
+    its transpose, a Fortran-ordered view, is factored: LAPACK then needs
+    no transposing copy.
+    """
+    A, mu = H, 0.0
     for _ in range(80):
         try:
-            factor = cho_factor(H + mu * eye, lower=True, check_finite=False)
+            factor = cho_factor(A.T, lower=True, check_finite=False)
             return cho_solve(factor, -g, check_finite=False)
         except LinAlgError:
             mu = mu0 if mu == 0.0 else 2.0 * mu
+            if A is H:
+                A, diag = H.copy(), H.diagonal()
+            np.fill_diagonal(A, diag + mu)
     return -g
 
 
@@ -187,7 +194,7 @@ def _inner_solve(ev: AugEval, eps_k: float, cfg: InnerConfig):
             step = 1.0
             for _ in range(cfg.max_linesearch):
                 try:
-                    cand = AugEval(p, x + step * direction, lam, rho)
+                    cand = AugEval(p, x + step * direction, lam, rho, gram=ev.gram)
                 except NonFiniteError as exc:
                     raise InnerFailure(f"{exc} in the line search (iteration {it})",
                                        x, grad_norm, it) from exc

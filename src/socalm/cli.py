@@ -80,7 +80,11 @@ def _checked(fn, *args, **kwargs):
 
 
 def _solve(problem, x0, lam0, cfg):
-    """alm.solve with a non-finite start reported as a usage error."""
+    """alm.solve with a wrong-sized or non-finite start reported as a
+    usage error."""
+    if x0.shape != (problem.n,) or lam0.shape != (problem.m + 1,):
+        raise CliError(f"start point dimensions do not match problem "
+                       f"(n={problem.n}, m+1={problem.m + 1})")
     try:
         return alm.solve(problem, x0, lam0, cfg)
     except NonFiniteError as exc:
@@ -145,9 +149,6 @@ def cmd_solve(args) -> int:
     cfg = _alm_config(args)
     x0 = _parse_vector(args.x0) if args.x0 else np.zeros(problem.n)
     lam0 = _parse_vector(args.lambda0) if args.lambda0 else np.zeros(problem.m + 1)
-    if x0.shape != (problem.n,) or lam0.shape != (problem.m + 1,):
-        raise CliError(f"start point dimensions do not match problem "
-                       f"(n={problem.n}, m+1={problem.m + 1})")
     point, trace = _solve(problem, x0, lam0, cfg)
     _write_trace_csv(args.trace, trace, problem)
     _write_json(args.report, {

@@ -8,7 +8,10 @@ the "space" block yr.  Everything here is a pure function of its inputs.
 The public kernels validate their input through `as_cone_vec` and then
 delegate to unchecked twins (leading underscore) that expect a finite
 float vector of length >= 2; the solver's hot path, which checks each
-evaluated point once, calls the twins directly.
+evaluated point once, calls the twins directly.  The generalized
+Jacobian of the polar projection is also available by structure
+(`_polar_jacobian_parts`: a multiple of the identity plus a rank-2 term),
+from which the dense matrix is built.
 """
 
 from __future__ import annotations
@@ -125,31 +128,51 @@ def jacobian_project_polar(y) -> np.ndarray:
     matrix elsewhere.  On the cone boundaries the limit from the outside
     region is returned, which keeps semismooth Newton steps reproducible;
     when ||yr|| <= TAU_CONE the formula degenerates and the adjacent
-    interior-region matrix is used instead.
+    interior-region matrix is used instead.  The region split is made by
+    `_polar_jacobian_parts`, which also gives the matrix's
+    identity-plus-rank-2 structure to the Hessian assembly.
     """
     return _jacobian_project_polar(as_cone_vec(y))
 
 
-def _jacobian_project_polar(y: np.ndarray) -> np.ndarray:
-    n = y.size
-    m = n - 1
+def _polar_jacobian_parts(y: np.ndarray):
+    """The generalized Jacobian V of the polar projection at y, returned
+    by structure as (alpha, u, r).
+
+    When u is None, V = alpha I and r is None too: alpha = 1 inside -Q,
+    0 inside Q, and on the axis fallback (||yr|| <= TAU_CONE max(1, ||y||))
+    the value of the adjacent interior.  Otherwise (outside both cones
+    and, as their outside limit, on the boundaries) u = yr / ||yr||,
+    r = y0 / ||yr||, alpha = (1 - r)/2 and
+
+        V = alpha I + [e0, (0, u)] C [e0, (0, u)]',  C = (1/2) [[r, -1], [-1, r]],
+
+    an identity-plus-rank-2 matrix (Kanzow, Ferenczi and Fukushima, SIAM
+    J. Optim. 20, 2009).  This is the one place where the region split and
+    the kink selection are decided.
+    """
     region = _classify(y, TAU_CONE)
     if region is ConeRegion.INTERIOR_POLAR:
-        return np.eye(n)
+        return 1.0, None, None
     if region is ConeRegion.INTERIOR_Q:
-        return np.zeros((n, n))
+        return 0.0, None, None
     rnorm = np.linalg.norm(y[1:])
     if rnorm <= TAU_CONE * max(1.0, np.linalg.norm(y)):
         # y ~ (y0, 0): the outside region is not adjacent, fall back to
         # the interior selection on either side of the axis.
-        return np.zeros((n, n)) if y[0] >= 0 else np.eye(n)
-    u = y[1:] / rnorm
-    ratio = y[0] / rnorm
-    out = np.empty((n, n))
-    out[0, 0] = 0.5
-    out[0, 1:] = -0.5 * u
-    out[1:, 0] = -0.5 * u
-    out[1:, 1:] = 0.5 * ((1.0 - ratio) * np.eye(m) + ratio * np.outer(u, u))
+        return (0.0 if y[0] >= 0 else 1.0), None, None
+    r = y[0] / rnorm
+    return 0.5 * (1.0 - r), y[1:] / rnorm, r
+
+
+def _jacobian_project_polar(y: np.ndarray) -> np.ndarray:
+    alpha, u, r = _polar_jacobian_parts(y)
+    out = alpha * np.eye(y.size)
+    if u is not None:
+        out[0, 0] = 0.5
+        out[0, 1:] = -0.5 * u
+        out[1:, 0] = -0.5 * u
+        out[1:, 1:] += (0.5 * r) * np.outer(u, u)
     return out
 
 

@@ -201,3 +201,15 @@ def test_solve_non_finite_oracle_exit_one(monkeypatch, capsys):
 def test_solve_non_finite_start_exit_two(capsys):
     assert run_cli("solve", "--problem", "builtin:projection", "--x0", "nan,0,0") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10", "--x0", "1,2"],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10", "--lambda0", "1"],
+    ["solve", "--problem", "builtin:projection", "--x0", "1,2"],
+])
+def test_wrong_start_length_exit_two(argv, capsys):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "start point dimensions" in err
+    assert err.count("\n") == 1

@@ -2,13 +2,18 @@
 KKT residual, checked against finite differences and the fixed-point
 characterization of KKT pairs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from socalm import ConeRegion, builtin, generate_planted
-from socalm.cone import project_q
-from socalm.lagrangian import aug_hessian, aug_lagrangian, lagrangian_l, residual
+from socalm import ConeRegion, SocpProblem, builtin, generate_planted, solve
+from socalm.cone import TAU_CONE, classify, jacobian_project_polar, project_q
+from socalm.lagrangian import (AugEval, aug_hessian, aug_lagrangian, lagrangian_l,
+                               residual)
 
 from _util import constant_phi_problem, fd_grad, fd_jac
 
@@ -207,3 +212,155 @@ def test_aug_hessian_documented_cases():
     sol = e32.known_solution
     H = aug_hessian(e32, sol.x, sol.lam, 1.0)
     assert_allclose(H, 2.0 * np.eye(2), atol=1e-12)
+
+
+def _nonlinear_problem(n, m, seed):
+    """f(x) = x'Px/2 + q'x with a slightly asymmetric Hessian oracle and
+    Phi_i(x) = (Ax + b)_i + x'Q_i x/2, so that phi_hess_contract is not
+    zero and phi_jac returns a fresh writeable array on every call."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    P = R @ R.T + np.eye(n)
+    f_hess = P + 1e-3 * rng.standard_normal((n, n))
+    q = rng.standard_normal(n)
+    A = rng.standard_normal((m + 1, n))
+    b = rng.standard_normal(m + 1)
+    Q = rng.standard_normal((m + 1, n, n))
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    return SocpProblem(
+        n=n, m=m,
+        f_value=lambda x: float(0.5 * x @ P @ x + q @ x),
+        f_grad=lambda x: P @ x + q,
+        f_hess=lambda x: f_hess,
+        phi_value=lambda x: A @ x + b + 0.5 * np.einsum("i,kij,j->k", x, Q, x),
+        phi_jac=lambda x: A + Q @ x,
+        phi_hess_contract=lambda x, lam: np.einsum("k,kij->ij", lam, Q),
+        name="nonlinear")
+
+
+# Shifted points y = (y0, a w), ||w|| = 1, in each region of the cone
+# module's case split; c in (-0.9, 0.9) and g >= 0.1 keep them clear of
+# the classification tolerance.  The two axis points have ||yr|| below
+# TAU_CONE on a cone boundary, where V falls back to 0 (y0 > 0) or I.
+SHIFTED = {
+    ConeRegion.INTERIOR_Q: lambda a, w, c, g: np.r_[a * (1.0 + g), a * w],
+    ConeRegion.BOUNDARY_Q_NONZERO: lambda a, w, c, g: np.r_[a, a * w],
+    ConeRegion.ZERO: lambda a, w, c, g: np.zeros(w.size + 1),
+    ConeRegion.INTERIOR_POLAR: lambda a, w, c, g: np.r_[-a * (1.0 + g), a * w],
+    ConeRegion.BOUNDARY_POLAR_NONZERO: lambda a, w, c, g: np.r_[-a, a * w],
+    ConeRegion.OUTSIDE: lambda a, w, c, g: np.r_[c * a, a * w],
+    "axis+": lambda a, w, c, g: np.r_[1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
+    "axis-": lambda a, w, c, g: np.r_[-1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
+}
+USES_GRAM = {ConeRegion.INTERIOR_POLAR, ConeRegion.BOUNDARY_POLAR_NONZERO,
+             ConeRegion.OUTSIDE, "axis-"}
+AXIS_REGION = {"axis+": ConeRegion.BOUNDARY_Q_NONZERO,
+               "axis-": ConeRegion.BOUNDARY_POLAR_NONZERO}
+
+
+def _eval_with_shift(p, case, x, rho, a, w, c, g):
+    """AugEval at x whose shifted point rho Phi(x) + lam is SHIFTED[case]."""
+    target = SHIFTED[case](a, w, c, g)
+    lam = target - rho * p.phi_value(x)
+    ev = AugEval(p, x, lam, rho).complete()
+    assert classify(ev.shifted) is AXIS_REGION.get(case, case)
+    return ev
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       nonlinear=st.booleans(), case=st.sampled_from(list(SHIFTED)),
+       log_rho=st.floats(-1.0, 1.0), log_a=st.floats(-2.0, 2.0),
+       c=st.floats(-0.9, 0.9), g=st.floats(0.1, 10.0))
+def test_structured_hessian_equals_dense_triple_product(seed, n, m, nonlinear, case,
+                                                        log_rho, log_a, c, g):
+    if nonlinear:
+        p = _nonlinear_problem(n, m, seed)
+    else:
+        p = generate_planted(n, m, ConeRegion.BOUNDARY_Q_NONZERO, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    rho = 10.0 ** log_rho
+    ev = _eval_with_shift(p, case, x, rho, 10.0 ** log_a, w, c, g)
+    H = aug_hessian(p, x, ev.lam, rho)
+    assert np.array_equal(H, H.T)
+    assert np.array_equal(ev.hessian(), H)
+
+    J = p.phi_jac(x)
+    f_hess, phi_hess = p.f_hess(x), p.phi_hess_contract(x, ev.polar_proj)
+    dense = f_hess + phi_hess + rho * (J.T @ jacobian_project_polar(ev.shifted) @ J)
+    dense = 0.5 * (dense + dense.T)
+    scale = 1.0 + np.abs(f_hess).max() + np.abs(phi_hess).max() + rho * np.sum(J * J)
+    assert np.abs(H - dense).max() <= 1e-12 * scale
+
+
+def _writeable_twin(p):
+    """p with phi_jac returning a fresh writeable copy on every call."""
+    return dataclasses.replace(p, phi_jac=lambda x: np.array(p.phi_jac(x)))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       case=st.sampled_from(list(SHIFTED)), log_rho=st.floats(-1.0, 1.0))
+def test_gram_matrix_reuse_matches_a_writeable_jacobian(seed, n, m, case, log_rho):
+    p = generate_planted(n, m, ConeRegion.BOUNDARY_Q_NONZERO, seed)
+    twin = _writeable_twin(p)
+    rng = np.random.default_rng(seed)
+    x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    rho = 10.0 ** log_rho
+    hessians = []
+    for q in (p, twin):
+        # the Gram pair of an evaluation at x0 (inside -Q, where G is
+        # used) is handed to the evaluation at x1, as the line search does
+        start = _eval_with_shift(q, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0)
+        start.hessian()
+        ev = _eval_with_shift(q, case, x1, rho, 1.0, w, 0.3, 1.0)
+        ev = AugEval(q, x1, ev.lam, rho, gram=start.gram).complete()
+        hessians.append(ev.hessian())
+        if q is p:  # one read-only Jacobian: G is never formed again
+            assert ev.gram is start.gram
+        elif case in USES_GRAM:  # formed again from this Jacobian
+            assert ev.gram is not start.gram and ev.gram[0] is ev.jac
+    assert np.array_equal(hessians[0], hessians[1])
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       case=st.sampled_from(sorted(USES_GRAM, key=str)))
+def test_gram_matrix_follows_a_jacobian_buffer_rewritten_in_place(seed, n, m, case):
+    base = _nonlinear_problem(n, m, seed)
+    buf = np.empty((m + 1, n))
+
+    def phi_jac(x):
+        buf[...] = base.phi_jac(x)
+        return buf
+
+    p = dataclasses.replace(base, phi_jac=phi_jac)
+    rng = np.random.default_rng(seed)
+    x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0)
+    start.hessian()
+    ev = _eval_with_shift(p, case, x1, 1.0, 1.0, w, 0.3, 1.0)
+    H = AugEval(p, x1, ev.lam, 1.0, gram=start.gram).hessian()
+    assert np.array_equal(H, aug_hessian(base, x1, ev.lam, 1.0))
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       region=st.sampled_from([ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                               ConeRegion.INTERIOR_Q]))
+def test_solve_with_a_writeable_jacobian_is_identical(seed, n, m, region):
+    p = generate_planted(n, m, region, seed)
+    results = [solve(q, np.zeros(n), np.zeros(m + 1)) for q in (p, _writeable_twin(p))]
+    (pt_a, tr_a), (pt_b, tr_b) = results
+    assert tr_a.status is tr_b.status
+    assert tr_a.sigmas == tr_b.sigmas and tr_a.values == tr_b.values
+    assert tr_a.inner_iters == tr_b.inner_iters
+    assert pt_a.x.tobytes() == pt_b.x.tobytes()
+    assert pt_a.lam.tobytes() == pt_b.lam.tobytes()
