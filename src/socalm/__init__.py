@@ -2,8 +2,7 @@
 for second-order cone programs."""
 
 from .alm import (AlmConfig, AlmStatus, AlmTrace, EpsRule, Exact, FixedSequence,
-                  InnerConfig, InnerFailure, Proportional, inner_solve, solve,
-                  update_multiplier)
+                  InnerFailure, Proportional, inner_solve, solve, update_multiplier)
 from .cone import (ConeRegion, classify, in_normal_cone, jacobian_project_polar,
                    project_polar, project_q, tilde)
 from .diagnostics import (ErrorBoundReport, GrowthReport, certify_growth,
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmConfig", "AlmStatus", "AlmTrace", "AugEval", "ConeRegion", "CriticalCone",
     "CriticalConeCase", "EpsRule", "ErrorBoundReport", "Exact", "FixedSequence",
-    "GrowthReport", "InnerConfig", "InnerFailure", "KktPoint", "NonFiniteError",
+    "GrowthReport", "InnerFailure", "KktPoint", "NonFiniteError",
     "Proportional", "SocpProblem", "SoscReport", "aug_hessian", "aug_lagrangian", "builtin",
     "certify_growth", "check_dual_qualification", "check_sosc", "classify",
     "critical_cone", "d2_aug_lagrangian", "d2_indicator_q", "dist2_critical",

@@ -4,8 +4,9 @@ penalty scheduling and a per-iteration trace.
 Each outer iteration minimizes the augmented Lagrangian in x down to a
 gradient tolerance eps_k (regularized semismooth Newton with Armijo
 backtracking), then projects the shifted constraint value onto the polar
-cone to update the multiplier.  The penalty never drops below its floor;
-it grows only when the KKT residual fails to halve.
+cone to update the multiplier.  The penalty starts at rho0 and never
+decreases; it grows, up to rho_max, only when the KKT residual fails to
+halve.
 """
 
 from __future__ import annotations
@@ -50,43 +51,43 @@ class FixedSequence:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("need at least one tolerance value")
+        if not all(v >= 0.0 for v in self.values):
+            raise ValueError("tolerance values must be nonnegative")
 
 
 EpsRule = Union[Exact, Proportional, FixedSequence]
 
-GRAD_FLOOR = 1e-13
-
-
-@dataclass(frozen=True)
-class InnerConfig:
-    mu0: float = 1e-8          # initial Newton regularization
-    armijo: float = 1e-4       # sufficient-decrease constant
-    backtrack: float = 0.5     # step shrink factor
-    max_inner: int = 200
-    max_linesearch: int = 60
+GRAD_FLOOR = 1e-13        # inner tolerances below this are raised to it
+MU0 = 1e-8                # initial Newton regularization
+ARMIJO = 1e-4             # sufficient-decrease constant
+BACKTRACK = 0.5           # step shrink factor
+MAX_LINESEARCH = 60       # backtracking steps per search direction
 
 
 @dataclass(frozen=True)
 class AlmConfig:
+    """Penalty schedule, inner-tolerance rule and iteration budgets."""
+
     rho0: float = 10.0
-    rho_bar: float = 1.0       # penalty floor
     rho_growth: float = 10.0
     rho_max: float = 1e8
     eps_rule: EpsRule = Proportional(0.1)
     outer_tol: float = 1e-9
     max_outer: int = 100
-    inner: InnerConfig = InnerConfig()
-    seed: int = 0
+    max_inner: int = 200      # Newton steps per inner solve
 
     def __post_init__(self):
-        if self.rho_bar <= 0 or self.rho0 < self.rho_bar:
-            raise ValueError("need rho0 >= rho_bar > 0")
-        if self.rho_growth < 1.0:
-            raise ValueError("rho_growth must be >= 1")
-        if self.rho_max < self.rho0:
-            raise ValueError("rho_max must be >= rho0")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
+        # written as `not <valid>` so that a NaN setting is rejected too
+        if not 0.0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0!r}")
+        if not self.rho_growth >= 1.0:
+            raise ValueError(f"rho_growth must be >= 1, got {self.rho_growth!r}")
+        if not self.rho_max >= self.rho0:
+            raise ValueError(f"rho_max must be >= rho0, got {self.rho_max!r}")
+        if not 0.0 < self.outer_tol < math.inf:
+            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol!r}")
+        if self.max_outer < 0 or self.max_inner < 0:
+            raise ValueError("max_outer and max_inner must be nonnegative")
 
 
 class AlmStatus(enum.Enum):
@@ -136,8 +137,8 @@ class AlmTrace:
         return len(self.sigmas)
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray, mu0: float) -> np.ndarray:
-    """Solve (H + mu I) d = -g, doubling mu from mu0 until the
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve (H + mu I) d = -g, doubling mu from MU0 until the
     factorization is positive definite.  H and g must be finite.
 
     H itself is factored first; only a regularized retry copies it, once,
@@ -151,14 +152,14 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, mu0: float) -> np.ndarray:
             factor = cho_factor(A.T, lower=True, check_finite=False)
             return cho_solve(factor, -g, check_finite=False)
         except LinAlgError:
-            mu = mu0 if mu == 0.0 else 2.0 * mu
+            mu = MU0 if mu == 0.0 else 2.0 * mu
             if A is H:
                 A, diag = H.copy(), H.diagonal()
             np.fill_diagonal(A, diag + mu)
     return -g
 
 
-def _inner_solve(ev: AugEval, eps_k: float, cfg: InnerConfig):
+def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
     """Minimize x -> L_rho(x, lam) from the evaluation ev at the start.
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
@@ -168,21 +169,21 @@ def _inner_solve(ev: AugEval, eps_k: float, cfg: InnerConfig):
     p, lam, rho = ev.p, ev.lam, ev.rho
     floor = max(eps_k, GRAD_FLOOR)
     ev.complete()
-    for it in range(cfg.max_inner + 1):
+    for it in range(max_inner + 1):
         x = ev.x
         grad_norm = float(np.linalg.norm(ev.grad_x))
         if grad_norm <= floor:
             return ev, grad_norm, it
         if not math.isfinite(grad_norm):
             raise InnerFailure(f"non-finite gradient (iteration {it})", x, grad_norm, it)
-        if it == cfg.max_inner:
+        if it == max_inner:
             raise InnerFailure(
                 f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
                 x, grad_norm, it)
         H = ev.hessian()
         if not np.isfinite(H).all():
             raise InnerFailure(f"non-finite Hessian (iteration {it})", x, grad_norm, it)
-        d = _newton_direction(H, ev.grad_x, cfg.mu0)
+        d = _newton_direction(H, ev.grad_x)
         # allowance for roundoff in the value: near the minimum the true
         # decrease is below machine noise and a strict Armijo test stalls
         noise = 8.0 * np.finfo(float).eps * max(1.0, abs(ev.value))
@@ -192,16 +193,16 @@ def _inner_solve(ev: AugEval, eps_k: float, cfg: InnerConfig):
             if slope >= 0.0:
                 continue
             step = 1.0
-            for _ in range(cfg.max_linesearch):
+            for _ in range(MAX_LINESEARCH):
                 try:
                     cand = AugEval(p, x + step * direction, lam, rho, gram=ev.gram)
                 except NonFiniteError as exc:
                     raise InnerFailure(f"{exc} in the line search (iteration {it})",
                                        x, grad_norm, it) from exc
-                if cand.value <= ev.value + cfg.armijo * step * slope + noise:
+                if cand.value <= ev.value + ARMIJO * step * slope + noise:
                     accepted = cand
                     break
-                step *= cfg.backtrack
+                step *= BACKTRACK
             if accepted is not None:
                 break
         if accepted is None:
@@ -213,9 +214,9 @@ def _inner_solve(ev: AugEval, eps_k: float, cfg: InnerConfig):
 
 
 def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
-                cfg: InnerConfig = InnerConfig()):
+                max_inner: int = 200):
     """Minimize x -> L_rho(x, lambda_k) until its gradient norm is below
-    max(eps_k, GRAD_FLOOR).
+    max(eps_k, GRAD_FLOOR), in at most max_inner Newton steps.
 
     Returns (x, grad_norm, iters).  The step is regularized Newton on the
     generalized Hessian with Armijo backtracking on the value; steepest
@@ -225,10 +226,12 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
         raise ValueError("eps_k must be nonnegative")
     if rho_k <= 0:
         raise ValueError("rho_k must be positive")
+    if max_inner < 0:
+        raise ValueError("max_inner must be nonnegative")
     p.check_dims(x_start, lambda_k)
     lam = np.asarray(lambda_k, dtype=float)
     x = np.array(x_start, dtype=float)
-    ev, grad_norm, iters = _inner_solve(AugEval(p, x, lam, rho_k), eps_k, cfg)
+    ev, grad_norm, iters = _inner_solve(AugEval(p, x, lam, rho_k), eps_k, max_inner)
     return ev.x, grad_norm, iters
 
 
@@ -285,7 +288,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
             break
         eps_k = _eps_for(cfg.eps_rule, k, sigma)
         try:
-            end, grad_norm, iters = _inner_solve(ev, eps_k, cfg.inner)
+            end, grad_norm, iters = _inner_solve(ev, eps_k, cfg.max_inner)
         except InnerFailure as failure:
             trace.append(x, lam, rho, eps_k, sigma, failure.iters, failure.grad_norm, ev.value)
             trace.status = AlmStatus.INNER_FAILURE

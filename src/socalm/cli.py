@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -118,43 +119,29 @@ def _write_trace_csv(path, trace: alm.AlmTrace, problem: SocpProblem) -> None:
             writer.writerow(row)
 
 
-def _alm_config(args) -> alm.AlmConfig:
-    if args.exact:
-        rule = alm.Exact()
-    else:
-        rule = alm.Proportional(args.eps_eta)
-    return alm.AlmConfig(
-        rho0=args.rho0, rho_bar=args.rho_bar, rho_growth=args.rho_growth,
-        rho_max=args.rho_max, eps_rule=rule, outer_tol=args.tol,
-        max_outer=args.max_outer, seed=args.seed or 0,
-    )
-
-
-def _config_dict(cfg: alm.AlmConfig) -> dict:
-    if isinstance(cfg.eps_rule, alm.Exact):
-        rule = {"kind": "Exact"}
-    elif isinstance(cfg.eps_rule, alm.Proportional):
-        rule = {"kind": "Proportional", "eta": cfg.eps_rule.eta}
-    else:
-        rule = {"kind": "FixedSequence", "values": list(cfg.eps_rule.values)}
-    return {
-        "rho0": cfg.rho0, "rho_bar": cfg.rho_bar, "rho_growth": cfg.rho_growth,
-        "rho_max": cfg.rho_max, "eps_rule": rule, "outer_tol": cfg.outer_tol,
-        "max_outer": cfg.max_outer, "seed": cfg.seed,
-    }
+def _alm_config(args, rho0: float, rho_growth: float, rho_max: float) -> alm.AlmConfig:
+    """The solver settings of a command; an invalid one is a usage error."""
+    try:
+        rule = alm.Exact() if getattr(args, "exact", False) else alm.Proportional(args.eps_eta)
+        return alm.AlmConfig(rho0=rho0, rho_growth=rho_growth, rho_max=rho_max, eps_rule=rule,
+                             outer_tol=args.tol, max_outer=args.max_outer)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
-    cfg = _alm_config(args)
+    cfg = _alm_config(args, args.rho0, args.rho_growth, args.rho_max)
     x0 = _parse_vector(args.x0) if args.x0 else np.zeros(problem.n)
     lam0 = _parse_vector(args.lambda0) if args.lambda0 else np.zeros(problem.m + 1)
     point, trace = _solve(problem, x0, lam0, cfg)
     _write_trace_csv(args.trace, trace, problem)
+    config = dataclasses.asdict(cfg)
+    config["eps_rule"]["kind"] = type(cfg.eps_rule).__name__
     _write_json(args.report, {
         "command": "solve",
         "problem": problem.name,
-        "config": _config_dict(cfg),
+        "config": config,
         "status": trace.status.value,
         "iters": len(trace) - 1,
         "sigma": trace.sigmas[-1],
@@ -189,9 +176,8 @@ def cmd_check(args) -> int:
     if args.check == "errorbound":
         report = _checked(diagnostics.verify_error_bound, problem, args.radius,
                           args.samples, args.seed or 0)
-        payload = {"command": "check errorbound", "problem": problem.name}
-        payload.update(report.to_json_dict())
-        _write_json(args.report, payload)
+        _write_json(args.report, {"command": "check errorbound", "problem": problem.name,
+                                  **dataclasses.asdict(report)})
         print(f"errorbound kappa1_hat={report.kappa1_hat:.6e} "
               f"kappa2_hat={report.kappa2_hat:.6e} failed={report.failed}")
         return 1 if report.failed else 0
@@ -202,9 +188,8 @@ def cmd_check(args) -> int:
             raise CliError("--rho-list needs at least one value")
         report = _checked(diagnostics.certify_growth, problem, rho_list, args.x_samples,
                           args.lambda_samples, args.seed or 0)
-        payload = {"command": "check growth", "problem": problem.name}
-        payload.update(report.to_json_dict())
-        _write_json(args.report, payload)
+        _write_json(args.report, {"command": "check growth", "problem": problem.name,
+                                  **dataclasses.asdict(report)})
         print(f"growth ell_hat={report.ell_hat:.6e} gamma_hat={report.gamma_hat:g} "
               f"rho={report.rho_used:g} uniform={report.uniform}")
         return 0 if report.ell_hat > 0 else 1
@@ -212,9 +197,8 @@ def cmd_check(args) -> int:
     x, lam = _point(args, problem)
     if args.check == "sosc":
         report = _checked(check_sosc, problem, x, lam, seed=args.seed or 0)
-        payload = {"command": "check sosc", "problem": problem.name}
-        payload.update(report.to_json_dict())
-        _write_json(args.report, payload)
+        _write_json(args.report, {"command": "check sosc", "problem": problem.name,
+                                  **dataclasses.asdict(report)})
         print(f"sosc holds={report.holds} modulus={report.modulus:.6e} "
               f"method={report.method}")
         return 0 if report.holds else 1
@@ -244,6 +228,7 @@ def cmd_rate(args) -> int:
     rho_list = _parse_float_list(args.rho_list)
     if not rho_list:
         raise CliError("--rho-list needs at least one value")
+    configs = [_alm_config(args, rho, 1.0, rho) for rho in rho_list]
     if problem.known_solution is None:
         raise CliError("rate estimation needs a problem with a known solution")
     sol = problem.known_solution
@@ -255,10 +240,7 @@ def cmd_rate(args) -> int:
 
     rows = []
     any_failure = False
-    for rho in rho_list:
-        cfg = alm.AlmConfig(rho0=rho, rho_bar=rho, rho_growth=1.0,
-                            rho_max=rho, eps_rule=alm.Proportional(args.eps_eta),
-                            outer_tol=args.tol, max_outer=args.max_outer)
+    for rho, cfg in zip(rho_list, configs):
         point, trace = _solve(problem, x0, lam0, cfg)
         converged = trace.status is alm.AlmStatus.CONVERGED
         any_failure = any_failure or not converged
@@ -304,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="run the ALM on a problem")
     _add_problem_args(solve_p)
     solve_p.add_argument("--rho0", type=float, default=10.0)
-    solve_p.add_argument("--rho-bar", dest="rho_bar", type=float, default=1.0)
     solve_p.add_argument("--rho-growth", dest="rho_growth", type=float, default=10.0)
     solve_p.add_argument("--rho-max", dest="rho_max", type=float, default=1e8)
     solve_p.add_argument("--eps-eta", dest="eps_eta", type=float, default=0.1,

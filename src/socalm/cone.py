@@ -116,11 +116,6 @@ def _project_polar(y: np.ndarray) -> np.ndarray:
     return y - _project_q(y)
 
 
-def dist2_q(y) -> float:
-    """Squared distance of y to Q; equals ||project_polar(y)||^2."""
-    return float(np.dot(*(2 * [project_polar(y)])))
-
-
 def jacobian_project_polar(y) -> np.ndarray:
     """A generalized Jacobian of the polar projection at y.
 

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .alm import InnerConfig, inner_solve
+from .alm import inner_solve
 from .lagrangian import AugEval, lagrangian_l, residual
 from .model import SocpProblem, builtin
 from .variational import check_sosc
@@ -28,15 +28,6 @@ class ErrorBoundReport:
     samples: int
     failed: bool        # kappa1 grew by > 10x when the radius shrank 10x
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa1_hat": self.kappa1_hat,
-            "kappa2_hat": self.kappa2_hat,
-            "ball_radius": self.ball_radius,
-            "samples": self.samples,
-            "failed": self.failed,
-        }
-
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -45,15 +36,6 @@ class GrowthReport:
     gamma_hat: float
     multiplier_samples: int
     uniform: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho_used": self.rho_used,
-            "ell_hat": self.ell_hat,
-            "gamma_hat": self.gamma_hat,
-            "multiplier_samples": self.multiplier_samples,
-            "uniform": self.uniform,
-        }
 
 
 def _require_solution(p: SocpProblem):
@@ -118,6 +100,8 @@ def verify_error_bound(p: SocpProblem, radius: float, samples: int, seed: int) -
     as a failure of the bound (a heuristic, not a theorem).
     """
     _require_solution(p)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     if samples == 0:
@@ -182,8 +166,10 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
     sol = _require_solution(p)
     if not rho_list:
         raise ValueError("rho_list must not be empty")
-    if min(rho_list) <= 0:
-        raise ValueError("rho must be positive")
+    if not all(0.0 < rho < math.inf for rho in rho_list):
+        raise ValueError("rho must be positive and finite")
+    if x_samples < 1 or lambda_samples < 1:
+        raise ValueError("x_samples and lambda_samples must be at least 1")
     rng = np.random.default_rng(seed)
     radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
     x_steps = {gamma: [_uniform_ball(rng, p.n, gamma) for _ in range(x_samples)]
@@ -261,14 +247,13 @@ def solvability_estimate(p: SocpProblem, rho: float, lambda_samples: int, seed: 
     if not report.holds:
         return float("nan")
     rng = np.random.default_rng(seed)
-    cfg = InnerConfig(max_inner=400)
     sup = 0.0
     for _ in range(lambda_samples):
         lam = sol.lam + _uniform_ball(rng, p.m + 1, radius)
         gap = float(np.linalg.norm(lam - sol.lam))
         if gap < 1e-14:
             continue
-        x_lam, _, _ = inner_solve(p, lam, rho, sol.x, 1e-10, cfg)
+        x_lam, _, _ = inner_solve(p, lam, rho, sol.x, 1e-10, max_inner=400)
         ratio = float(np.linalg.norm(x_lam - sol.x)) / gap
         if not math.isfinite(ratio):
             raise AssertionError("unbounded subproblem solution ratio")

@@ -146,6 +146,14 @@ class AugEval:
         return _kkt_residual(self.phi, self.jac, self.fgrad, lam)
 
 
+def hessian_lagrangian(p: SocpProblem, xbar, lam_bar) -> np.ndarray:
+    """Symmetric Hessian of the ordinary Lagrangian in x."""
+    x = np.asarray(xbar, dtype=float)
+    lam = np.asarray(lam_bar, dtype=float)
+    H = p.f_hess(x) + p.phi_hess_contract(x, lam)
+    return 0.5 * (H + H.T)
+
+
 def lagrangian_l(p: SocpProblem, x, lam):
     """Ordinary Lagrangian: value, x-gradient and x-Hessian."""
     p.check_dims(x, lam)
@@ -154,8 +162,7 @@ def lagrangian_l(p: SocpProblem, x, lam):
     phi = p.phi_value(x)
     value = p.f_value(x) + float(lam @ phi)
     grad_x = p.f_grad(x) + p.phi_jac(x).T @ lam
-    hess_xx = p.f_hess(x) + p.phi_hess_contract(x, lam)
-    return value, grad_x, 0.5 * (hess_xx + hess_xx.T)
+    return value, grad_x, hessian_lagrangian(p, x, lam)
 
 
 def aug_lagrangian(p: SocpProblem, x, lam, rho: float) -> AugEval:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .cone import ConeRegion, as_cone_vec, classify, in_normal_cone, project_polar, project_q, tilde
-from .lagrangian import aug_lagrangian, residual
+from .lagrangian import aug_lagrangian, hessian_lagrangian, residual
 from .model import SocpProblem
 
 
@@ -120,14 +120,6 @@ def d2_indicator_q(phi_xbar, lambda_bar, w, member_tol: float = 1e-10,
     return 0.0
 
 
-def hessian_lagrangian(p: SocpProblem, xbar, lam_bar) -> np.ndarray:
-    """Symmetric Hessian of the ordinary Lagrangian in x."""
-    x = np.asarray(xbar, dtype=float)
-    lam = np.asarray(lam_bar, dtype=float)
-    H = p.f_hess(x) + p.phi_hess_contract(x, lam)
-    return 0.5 * (H + H.T)
-
-
 def quad_form_q(p: SocpProblem, xbar, lambda_bar, rho: float, w,
                 cone_tol: float = 1e-8) -> float:
     """Penalized quadratic form of the augmented Lagrangian at a KKT pair.
@@ -200,15 +192,6 @@ class SoscReport:
     rho_used: float
     method: str  # ExactEigen | PiecewiseEigen | SampledPenalty
     certificate_detail: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "modulus": self.modulus,
-            "rho_used": self.rho_used,
-            "method": self.method,
-            "certificate_detail": self.certificate_detail,
-        }
 
 
 def _reduced_min_eig(S: np.ndarray, basis: np.ndarray) -> float:

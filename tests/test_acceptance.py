@@ -258,7 +258,7 @@ def test_criterion_7_alm_rate():
         x0, lam0 = _perturbed_start(p)
 
         def run(rho, rule):
-            cfg = AlmConfig(rho0=rho, rho_bar=rho, rho_growth=1.0, rho_max=rho,
+            cfg = AlmConfig(rho0=rho, rho_growth=1.0, rho_max=rho,
                             eps_rule=rule, outer_tol=1e-9, max_outer=50)
             return solve(p, x0, lam0, cfg)
 

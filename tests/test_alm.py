@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
-                    InnerConfig, InnerFailure, Proportional, builtin,
-                    generate_planted, inner_solve, solve, update_multiplier)
+                    InnerFailure, Proportional, builtin, generate_planted,
+                    inner_solve, solve, update_multiplier)
 from socalm.cone import project_q
 from socalm.lagrangian import aug_lagrangian, residual
 
@@ -56,7 +56,7 @@ def test_inner_solve_quadratic_interior_single_newton_step():
 def test_inner_solve_failure_budget():
     p = builtin("projection", a=(0.0, 2.0, 0.0))
     with pytest.raises(InnerFailure):
-        inner_solve(p, np.zeros(3), 10.0, np.zeros(3), 1e-8, InnerConfig(max_inner=0))
+        inner_solve(p, np.zeros(3), 10.0, np.zeros(3), 1e-8, max_inner=0)
 
 
 def test_inner_solve_rejects_bad_arguments():
@@ -82,7 +82,14 @@ def test_update_multiplier_examples():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AlmConfig(rho0=0.5, rho_bar=1.0)
+        AlmConfig(rho0=0.0)
+    for bad in ({"rho0": float("nan")}, {"rho0": float("inf")},
+                {"rho_growth": float("nan")}, {"rho_max": float("nan")},
+                {"outer_tol": float("nan")}, {"outer_tol": float("inf")},
+                {"max_outer": -1}, {"max_inner": -1}):
+        with pytest.raises(ValueError):
+            AlmConfig(**bad)
+    AlmConfig(rho0=0.5)  # no penalty floor: any positive rho0 is valid
     with pytest.raises(ValueError):
         AlmConfig(rho_growth=0.5)
     with pytest.raises(ValueError):
@@ -91,6 +98,9 @@ def test_config_validation():
         Proportional(1.5)
     with pytest.raises(ValueError):
         FixedSequence(())
+    for values in ((1e-4, float("nan")), (-1e-4,)):
+        with pytest.raises(ValueError):
+            FixedSequence(values)
 
 
 def test_solve_starting_at_solution_stops_immediately():
@@ -118,7 +128,7 @@ def test_solve_projection_documented_run():
 def test_solve_planted_boundary_problem():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
     x0, lam0 = perturbed_start(p, 1e-2, seed=42)
-    cfg = AlmConfig(rho0=100.0, rho_bar=100.0, rho_growth=1.0, rho_max=100.0,
+    cfg = AlmConfig(rho0=100.0, rho_growth=1.0, rho_max=100.0,
                     eps_rule=Proportional(0.1), outer_tol=1e-9, max_outer=60)
     point, trace = solve(p, x0, lam0, cfg)
     sol = p.known_solution
@@ -162,7 +172,7 @@ def test_kkt_fixed_point_invariant():
 def test_solve_max_iterations():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=4)
     x0, lam0 = perturbed_start(p, 10.0, seed=5)
-    cfg = AlmConfig(rho0=1.0, rho_bar=1.0, rho_growth=1.0, rho_max=1.0,
+    cfg = AlmConfig(rho0=1.0, rho_growth=1.0, rho_max=1.0,
                     eps_rule=Proportional(0.5), outer_tol=1e-14, max_outer=2)
     _, trace = solve(p, x0, lam0, cfg)
     assert trace.status is AlmStatus.MAX_ITERATIONS
@@ -172,7 +182,7 @@ def test_solve_max_iterations():
 def test_solve_inner_failure_partial_trace():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=4)
     x0, lam0 = perturbed_start(p, 1.0, seed=6)
-    cfg = AlmConfig(rho0=10.0, inner=InnerConfig(max_inner=0), outer_tol=1e-12)
+    cfg = AlmConfig(rho0=10.0, max_inner=0, outer_tol=1e-12)
     _, trace = solve(p, x0, lam0, cfg)
     assert trace.status is AlmStatus.INNER_FAILURE
     assert len(trace) >= 1
@@ -201,7 +211,7 @@ def test_fixed_sequence_rule():
 def test_penalty_growth_when_residual_stalls():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=7)
     x0, lam0 = perturbed_start(p, 5.0, seed=8)
-    cfg = AlmConfig(rho0=1.0, rho_bar=1.0, rho_growth=10.0, rho_max=1e6,
+    cfg = AlmConfig(rho0=1.0, rho_growth=10.0, rho_max=1e6,
                     eps_rule=Proportional(0.1), outer_tol=1e-9, max_outer=60)
     _, trace = solve(p, x0, lam0, cfg)
     assert trace.status is AlmStatus.CONVERGED

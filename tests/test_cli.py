@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from socalm import AlmConfig, Proportional, builtin, solve
+from socalm import AlmConfig, Exact, FixedSequence, Proportional, alm, builtin, solve
 from socalm import cli
 from socalm.cli import _write_trace_csv, main
 from socalm.lagrangian import residual
@@ -28,7 +28,8 @@ def test_solve_projection_exit_zero(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["status"] == "Converged"
     assert payload["sigma"] <= 1e-9
-    rows = list(csv.DictReader(trace.open()))
+    with trace.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows and float(rows[-1]["sigma"]) <= 1e-9
     assert set(rows[0]) == {"k", "sigma", "eps_k", "rho_k", "inner_iters",
                             "grad_norm", "value", "dist_x", "dist_lambda"}
@@ -57,7 +58,7 @@ def test_solve_bad_vector_exit_two():
 def test_solve_failure_exit_one(tmp_path):
     # tiny penalty cap plus one outer iteration cannot reach the tolerance
     code = run_cli("solve", "--problem", "builtin:projection", "--a", "0,2,0",
-                   "--rho0", "1", "--rho-bar", "1", "--rho-max", "1",
+                   "--rho0", "1", "--rho-max", "1",
                    "--max-outer", "1", "--tol", "1e-12",
                    "--x0", "5,5,5", "--lambda0", "0,0,0")
     assert code == 1
@@ -127,7 +128,8 @@ def test_rate_table(tmp_path):
     code = run_cli("rate", "--problem", "builtin:scaled_quadratic", "--seed", "1",
                    "--rho-list", "100,200,400", "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [row["status"] for row in rows] == ["Converged"] * 3
     qs = [float(row["q_geomean"]) for row in rows]
     assert qs[0] > qs[1] > qs[2]
@@ -143,7 +145,8 @@ def test_rate_partial_table_on_failure(tmp_path):
                    "--rho-list", "100", "--offset", "100.0", "--max-outer", "2",
                    "--out", str(out))
     assert code == 1
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["status"] != "Converged"
 
@@ -165,7 +168,8 @@ def test_trace_csv_sigma_roundtrip(tmp_path):
     _, trace = solve(p, np.array([0.1, 0.9, 0.05]), np.array([-0.9, 1.1, 0.0]), cfg)
     path = tmp_path / "trace.csv"
     _write_trace_csv(str(path), trace, p)
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == len(trace)
     for k, row in enumerate(rows):
         recomputed = residual(p, trace.xs[k], trace.lams[k])
@@ -213,3 +217,58 @@ def test_wrong_start_length_exit_two(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "start point dimensions" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "builtin:projection", "--rho0", "0"],
+    ["solve", "--problem", "builtin:projection", "--eps-eta", "1.5"],
+    ["solve", "--problem", "builtin:projection", "--rho-growth", "0.5"],
+    ["solve", "--problem", "builtin:projection", "--tol", "0"],
+    ["solve", "--problem", "builtin:projection", "--tol", "nan"],
+    ["solve", "--problem", "builtin:projection", "--tol", "inf"],
+    ["solve", "--problem", "builtin:projection", "--rho0", "inf", "--rho-max", "inf"],
+    ["solve", "--problem", "builtin:projection", "--max-outer", "-1"],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list=-1"],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10,nan"],
+    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--x-samples", "0"],
+    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--x-samples", "-1"],
+    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--lambda-samples", "0"],
+    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--rho-list", "1,inf"],
+    ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "0"],
+    ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "-1"],
+])
+def test_invalid_settings_exit_two(argv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run_cli(*argv, "--report", str(report)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not report.exists()
+
+
+RULES = {rule.__name__: rule for rule in (Exact, Proportional, FixedSequence)}
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--exact"], AlmConfig(eps_rule=Exact())),
+    (["--eps-eta", "0.25", "--rho0", "0.5", "--rho-growth", "3", "--rho-max", "1e4",
+      "--tol", "1e-8", "--max-outer", "50"],
+     AlmConfig(rho0=0.5, rho_growth=3.0, rho_max=1e4, eps_rule=Proportional(0.25),
+               outer_tol=1e-8, max_outer=50)),
+])
+def test_solve_report_config_round_trips(flags, expected, tmp_path, monkeypatch):
+    built = []
+    real_solve = alm.solve
+
+    def spy(p, x0, lam0, cfg):
+        built.append(cfg)
+        return real_solve(p, x0, lam0, cfg)
+
+    monkeypatch.setattr(alm, "solve", spy)
+    report = tmp_path / "report.json"
+    run_cli("solve", "--problem", "builtin:projection", *flags, "--report", str(report))
+    config = json.loads(report.read_text())["config"]
+    assert set(config) == {f.name for f in dataclasses.fields(AlmConfig)}
+    rule = dict(config["eps_rule"])
+    rebuilt = AlmConfig(**{**config, "eps_rule": RULES[rule.pop("kind")](**rule)})
+    assert rebuilt == built[0] == expected

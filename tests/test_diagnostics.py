@@ -1,5 +1,7 @@
 """Error-bound, growth, rate and solvability diagnostics."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Proportional, builtin,
                     certify_growth, dist_to_multiplier_set, estimate_rate,
                     example32_ratio, generate_planted, solvability_estimate, solve,
                     verify_error_bound)
+from socalm.cli import main
 from socalm.lagrangian import residual
 
 from _util import negative_curvature_problem
@@ -135,7 +138,7 @@ def test_estimate_rate_linear_regime():
     step = rng.standard_normal(p.n + p.m + 1)
     step *= 1e-2 / np.linalg.norm(step)
     sol = p.known_solution
-    cfg = AlmConfig(rho0=100.0, rho_bar=100.0, rho_growth=1.0, rho_max=100.0,
+    cfg = AlmConfig(rho0=100.0, rho_growth=1.0, rho_max=100.0,
                     eps_rule=Proportional(0.1), outer_tol=1e-9, max_outer=50)
     _, trace = solve(p, sol.x + step[:p.n], sol.lam + step[p.n:], cfg)
     assert trace.status is AlmStatus.CONVERGED
@@ -157,12 +160,41 @@ def test_solvability_estimate_not_applicable_without_sosc():
     assert math.isnan(solvability_estimate(negative_curvature_problem(), 10.0, 5, seed=1))
 
 
-def test_reports_serialize():
+def test_reports_serialize(tmp_path):
+    """A check report is the report's fields after the command and problem."""
+    # builtin:scaled_quadratic with seed 1 is the planted (3, 2) problem below
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
-    eb = verify_error_bound(p, 1e-2, 50, seed=1).to_json_dict()
-    assert set(eb) == {"kappa1_hat", "kappa2_hat", "ball_radius", "samples", "failed"}
-    gr = certify_growth(p, [1.0], 20, 1, seed=1).to_json_dict()
-    assert set(gr) == {"rho_used", "ell_hat", "gamma_hat", "multiplier_samples", "uniform"}
+    problem = ["--problem", "builtin:scaled_quadratic", "--seed", "1"]
+    eb_path, gr_path = tmp_path / "eb.json", tmp_path / "gr.json"
+    main(["check", "errorbound", *problem, "--radius", "1e-2", "--samples", "50",
+          "--report", str(eb_path)])
+    main(["check", "growth", *problem, "--rho-list", "1", "--x-samples", "20",
+          "--lambda-samples", "1", "--report", str(gr_path)])
+    eb = json.loads(eb_path.read_text())
+    assert set(eb) == {"command", "problem",
+                       "kappa1_hat", "kappa2_hat", "ball_radius", "samples", "failed"}
+    assert eb == {"command": "check errorbound", "problem": "scaled_quadratic_1",
+                  **dataclasses.asdict(verify_error_bound(p, 1e-2, 50, seed=1))}
+    gr = json.loads(gr_path.read_text())
+    assert set(gr) == {"command", "problem",
+                       "rho_used", "ell_hat", "gamma_hat", "multiplier_samples", "uniform"}
+    assert gr == {"command": "check growth", "problem": "scaled_quadratic_1",
+                  **dataclasses.asdict(certify_growth(p, [1.0], 20, 1, seed=1))}
+
+
+@pytest.mark.parametrize("x_samples, lambda_samples", [(0, 1), (-2, 1), (20, 0)])
+def test_growth_rejects_empty_samples(x_samples, lambda_samples):
+    p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
+    with pytest.raises(ValueError, match="samples"):
+        certify_growth(p, [1.0], x_samples, lambda_samples, seed=1)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1e-2, math.inf, math.nan])
+@pytest.mark.parametrize("samples", [0, 50])
+def test_error_bound_rejects_degenerate_radius(radius, samples):
+    p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
+    with pytest.raises(ValueError, match="radius"):
+        verify_error_bound(p, radius, samples, seed=1)
 
 
 def test_kappa2_matches_lipschitz_bound_locally():
