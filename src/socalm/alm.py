@@ -253,6 +253,7 @@ def _eps_for(rule: EpsRule, k: int, sigma: float) -> float:
     return values[k] if k < len(values) else values[-1]
 
 
+@np.errstate(all="ignore")
 def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     """Run the ALM from (x0, lambda0); returns (KktPoint, AlmTrace).
 
@@ -262,7 +263,8 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     on a non-finite oracle result.  The penalty is raised by rho_growth,
     capped at rho_max, whenever the residual fails to halve.  A
     non-finite start (x0, lambda0 or the shifted point there) raises
-    NonFiniteError, a ValueError.
+    NonFiniteError, a ValueError.  No floating-point warning is printed:
+    every overflow or invalid value surfaces as one of these outcomes.
 
     Each outer iteration reuses the inner solve's final evaluation: its
     polar projection is the multiplier update, its oracle results give

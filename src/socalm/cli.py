@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -204,8 +205,7 @@ def cmd_check(args) -> int:
         return 0 if report.holds else 1
 
     if args.check == "dualqual":
-        holds, witness = _checked(check_dual_qualification, problem, x, lam,
-                                  seed=args.seed or 0)
+        holds, witness = _checked(check_dual_qualification, problem, x, lam)
         calmness = _checked(multiplier_calmness, problem, x, lam, holds)
         payload = {
             "command": "check dualqual",
@@ -276,7 +276,10 @@ def _add_problem_args(parser) -> None:
     parser.add_argument("--seed", type=int, help="seed (problem generation and sampling)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call in it; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="socalm",
         description="Augmented Lagrangian method and second-order diagnostics "

@@ -8,10 +8,11 @@ the "space" block yr.  Everything here is a pure function of its inputs.
 The public kernels validate their input through `as_cone_vec` and then
 delegate to unchecked twins (leading underscore) that expect a finite
 float vector of length >= 2; the solver's hot path, which checks each
-evaluated point once, calls the twins directly.  The generalized
-Jacobian of the polar projection is also available by structure
-(`_polar_jacobian_parts`: a multiple of the identity plus a rank-2 term),
-from which the dense matrix is built.
+evaluated point once, calls the twins directly; the `_*_rows` twins take
+the rows of a (k, m+1) array.  The generalized Jacobian of the polar
+projection is also available by structure (`_polar_jacobian_parts`: a
+multiple of the identity plus a rank-2 term), from which the dense matrix
+is built.
 """
 
 from __future__ import annotations
@@ -114,6 +115,24 @@ def project_polar(y) -> np.ndarray:
 
 def _project_polar(y: np.ndarray) -> np.ndarray:
     return y - _project_q(y)
+
+
+def _project_q_rows(Y: np.ndarray) -> np.ndarray:
+    """`_project_q` applied to every row of a finite (k, m+1) array."""
+    y0 = Y[:, 0]
+    rnorm = np.linalg.norm(Y[:, 1:], axis=1)
+    out = Y.copy()
+    out[(rnorm > y0) & (rnorm <= -y0)] = 0.0
+    outside = rnorm > np.abs(y0)
+    coef = 0.5 * (y0[outside] + rnorm[outside])
+    out[outside, 0] = coef
+    out[outside, 1:] = (coef / rnorm[outside])[:, None] * Y[outside, 1:]
+    return out
+
+
+def _project_polar_rows(Y: np.ndarray) -> np.ndarray:
+    """`_project_polar` applied to every row of a finite (k, m+1) array."""
+    return Y - _project_q_rows(Y)
 
 
 def jacobian_project_polar(y) -> np.ndarray:

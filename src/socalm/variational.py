@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .cone import ConeRegion, as_cone_vec, classify, in_normal_cone, project_polar, project_q, tilde
+from .cone import (ConeRegion, _project_polar_rows, as_cone_vec, classify, in_normal_cone,
+                   project_polar, tilde)
 from .lagrangian import aug_lagrangian, hessian_lagrangian, residual
 from .model import SocpProblem
 
@@ -206,42 +207,41 @@ def _row_null_space(row: np.ndarray) -> np.ndarray:
     return null_space(row.reshape(1, -1))
 
 
-def _minimize_on_sphere(fun_grad, dim: int, starts: int, rng,
-                        extra_starts=(), iters: int = 200) -> tuple:
-    """Multi-start projected gradient descent over the unit sphere.
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
 
-    fun_grad maps a unit vector to (value, gradient).  Deterministic for
-    a given rng state and start list; returns (best value, best point).
+
+def _minimize_on_sphere(fun_grad, points: np.ndarray, iters: int = 200) -> np.ndarray:
+    """Projected gradient descent on the unit sphere from each row of
+    `points` (k, dim), all rows in one lockstep batch; returns the final
+    value of each row.  fun_grad maps unit rows (j, dim) to values (j,)
+    and gradients (j, dim), and is called on the running rows only.  Each
+    row has its own step: a strict decrease is accepted and doubles it
+    (capped at 1), anything else halves it; a row stops at a tangential
+    gradient norm <= 1e-14, a step <= 1e-16 or after `iters` moves.
     """
-    best_val = np.inf
-    best_pt = None
-    points = [np.asarray(s, dtype=float) for s in extra_starts if np.linalg.norm(s) > 0]
-    points += [rng.standard_normal(dim) for _ in range(starts)]
-    for pt in points:
-        w = pt / np.linalg.norm(pt)
-        val, grad = fun_grad(w)
-        step = 1.0
-        for _ in range(iters):
-            # gradient on the sphere: remove the radial component
-            tangential = grad - (grad @ w) * w
-            if np.linalg.norm(tangential) <= 1e-14:
-                break
-            moved = False
-            while step > 1e-16:
-                cand = w - step * tangential
-                cand /= np.linalg.norm(cand)
-                cand_val, cand_grad = fun_grad(cand)
-                if cand_val < val - 1e-16:
-                    w, val, grad = cand, cand_val, cand_grad
-                    step = min(step * 2.0, 1.0)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if val < best_val:
-            best_val, best_pt = val, w
-    return best_val, best_pt
+    W = points / np.linalg.norm(points, axis=1, keepdims=True)
+    val, grad = fun_grad(W)
+    step = np.ones(W.shape[0])
+    moves = np.zeros(W.shape[0], dtype=int)
+    # gradient on the sphere: remove the radial component
+    tang = grad - _rowdot(grad, W)[:, None] * W
+    running = (np.linalg.norm(tang, axis=1) > 1e-14) & (iters > 0)
+    while running.any():
+        idx = np.flatnonzero(running)
+        cand = W[idx] - step[idx, None] * tang[idx]
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cand_val, cand_grad = fun_grad(cand)
+        accept = cand_val < val[idx] - 1e-16
+        acc, rej = idx[accept], idx[~accept]
+        W[acc], val[acc], grad[acc] = cand[accept], cand_val[accept], cand_grad[accept]
+        step[acc] = np.minimum(step[acc] * 2.0, 1.0)
+        moves[acc] += 1
+        tang[acc] = grad[acc] - _rowdot(grad[acc], W[acc])[:, None] * W[acc]
+        running[acc] = (moves[acc] < iters) & (np.linalg.norm(tang[acc], axis=1) > 1e-14)
+        step[rej] *= 0.5
+        running[rej] = step[rej] > 1e-16
+    return val
 
 
 def check_sosc(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
@@ -254,7 +254,9 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
     the (limit) curvature form; halfspace/ray cases are handled piecewise
     (the quadratic is even, so the piece minima are still eigenvalues).
     The vertex case with zero multiplier is a genuine copositivity
-    problem and falls back to a sampled, non-certifying penalty sweep.
+    problem and falls back to a sampled, non-certifying penalty sweep: at
+    each penalty rho0 * 2^j, one seeded block of `starts` normal starts
+    descends on the unit sphere as a lockstep batch (`_minimize_on_sphere`).
     """
     x = np.asarray(xbar, dtype=float)
     lam = np.asarray(lambda_bar, dtype=float)
@@ -317,41 +319,37 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
     # whole-cone case: copositivity of <w, H w> + rho dist^2(Jw; Q); sampled.
     rng = np.random.default_rng(seed)
 
-    def make_objective(rho):
-        def fun_grad(w):
-            polar = project_polar(J @ w)
-            val = float(w @ H @ w + rho * (polar @ polar))
-            grad = 2.0 * (H @ w) + 2.0 * rho * (J.T @ polar)
-            return val, grad
-        return fun_grad
+    def objective(W, rho):
+        polar = _project_polar_rows(W @ J.T)
+        HW = W @ H
+        return (_rowdot(W, HW) + rho * _rowdot(polar, polar),
+                2.0 * HW + (2.0 * rho) * (polar @ J))
 
-    best = -np.inf
-    rho_used = rho0
+    best, rho = -np.inf, rho0
     for j in range(doublings):
         rho = rho0 * (2.0 ** j)
-        val, _ = _minimize_on_sphere(make_objective(rho), n, starts, rng)
-        rho_used = rho
-        best = val
-        if val > tol:
-            return SoscReport(True, val, rho, "SampledPenalty",
-                              f"WholeConeQ: sampled sphere minimum {val:.3e} at "
+        best = float(_minimize_on_sphere(lambda W: objective(W, rho),
+                                         rng.standard_normal((starts, n))).min())
+        if best > tol:
+            return SoscReport(True, best, rho, "SampledPenalty",
+                              f"WholeConeQ: sampled sphere minimum {best:.3e} at "
                               f"rho={rho:g} ({starts} starts, non-certifying)")
-    return SoscReport(False, best, rho_used, "SampledPenalty",
+    return SoscReport(False, best, rho, "SampledPenalty",
                       f"WholeConeQ: sampled sphere minimum stayed <= {tol:.1e} "
-                      f"up to rho={rho_used:g} ({starts} starts, non-certifying)")
+                      f"up to rho={rho:g} ({starts} starts, non-certifying)")
 
 
 def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
-                             starts: int = 32, seed: int = 0, cone_tol: float = 1e-8):
+                             cone_tol: float = 1e-8):
     """Test whether the polar of the critical cone meets ker JPhi(xbar)'
     only at the origin.
 
-    Returns (holds, witness); the witness is a unit vector in the
-    intersection when one is found.  Subspace and ray polars are decided
-    by exact linear algebra; the halfspace and -Q polars are searched by
-    seeded multi-start descent over the unit sphere of the kernel, with
-    the multiplier direction tried first (it certifies the degenerate
-    ray configuration outright).
+    Returns (holds, witness), the witness a unit vector in the
+    intersection when the condition fails.  Every case is exact linear
+    algebra on a kernel basis K: a ray's polar is a halfspace, which any
+    nonzero subspace meets; the whole cone's polar -Q meets span K iff
+    M = K[1:]'K[1:] - K[0]K[0]' has an eigenvalue <= tol (c'Mc is
+    ||v_r||^2 - v_0^2 at v = K c), whose eigenvector gives the witness.
     """
     x = np.asarray(xbar, dtype=float)
     lam = np.asarray(lambda_bar, dtype=float)
@@ -365,8 +363,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
         return True, None  # polar is {0}
 
     kernel = null_space(J.T)  # subspace of R^(m+1)
-    kdim = kernel.shape[1]
-    if kdim == 0:
+    if kernel.shape[1] == 0:
         return True, None
 
     if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
@@ -380,40 +377,28 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
         # polar is all of R^(m+1): any kernel direction violates the condition
         return False, kernel[:, 0]
 
-    # Cone-valued polars searched on the kernel sphere.
-    rng = np.random.default_rng(seed)
     if K.case is CriticalConeCase.RAY:
-        d = K.vector
+        # polar is the halfspace {v : <K.vector, v> <= 0}
         lam_norm = np.linalg.norm(lam)
         if lam_norm > 0 and np.linalg.norm(J.T @ lam) <= tol * jac_scale * lam_norm:
             # the multiplier direction itself lies in the halfspace polar
             return False, lam / lam_norm
-
-        def fun_grad_c(c):
-            v = kernel @ c
-            viol = max(0.0, float(d @ v))
-            val = viol * viol / float(d @ d)
-            grad = (2.0 * viol / float(d @ d)) * (kernel.T @ d)
-            if viol == 0.0:
-                grad = np.zeros_like(c)
-            return val, grad
-
-        feasible_start = -kernel.T @ d
-        extra = [feasible_start] if np.linalg.norm(feasible_start) > 0 else []
-    else:  # WHOLE_CONE_Q: polar is -Q
-
-        def fun_grad_c(c):
-            v = kernel @ c
-            pos = project_q(v)
-            return float(pos @ pos), 2.0 * (kernel.T @ pos)
-
-        extra = []
-
-    best, c_best = _minimize_on_sphere(fun_grad_c, kdim, starts, rng, extra_starts=extra)
-    if best <= tol:
-        witness = kernel @ c_best
+        c = -kernel.T @ K.vector
+        c_norm = np.linalg.norm(c)
+        if c_norm == 0.0:
+            return False, kernel[:, 0]  # the kernel lies in the boundary hyperplane
+        witness = kernel @ (c / c_norm)
         return False, witness / np.linalg.norm(witness)
-    return True, None
+
+    # WHOLE_CONE_Q: polar is -Q
+    M = kernel[1:].T @ kernel[1:] - np.outer(kernel[0], kernel[0])
+    eigvals, eigvecs = np.linalg.eigh(M)
+    if eigvals[0] > tol:
+        return True, None
+    witness = kernel @ eigvecs[:, 0]
+    if witness[0] > 0:
+        witness = -witness
+    return False, witness / np.linalg.norm(witness)
 
 
 def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool,

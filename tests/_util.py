@@ -3,7 +3,23 @@ and a couple of hand-rolled problems used across modules."""
 
 import numpy as np
 
-from socalm import KktPoint, SocpProblem
+from socalm import ConeRegion, KktPoint, SocpProblem
+from socalm.cone import TAU_CONE
+
+# Shifted points y = (y0, a w), ||w|| = 1, in each region of the cone
+# module's case split; c in (-0.9, 0.9) and g >= 0.1 keep them clear of
+# the classification tolerance.  The two axis points have ||yr|| below
+# TAU_CONE on a cone boundary, where V falls back to 0 (y0 > 0) or I.
+SHIFTED = {
+    ConeRegion.INTERIOR_Q: lambda a, w, c, g: np.r_[a * (1.0 + g), a * w],
+    ConeRegion.BOUNDARY_Q_NONZERO: lambda a, w, c, g: np.r_[a, a * w],
+    ConeRegion.ZERO: lambda a, w, c, g: np.zeros(w.size + 1),
+    ConeRegion.INTERIOR_POLAR: lambda a, w, c, g: np.r_[-a * (1.0 + g), a * w],
+    ConeRegion.BOUNDARY_POLAR_NONZERO: lambda a, w, c, g: np.r_[-a, a * w],
+    ConeRegion.OUTSIDE: lambda a, w, c, g: np.r_[c * a, a * w],
+    "axis+": lambda a, w, c, g: np.r_[1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
+    "axis-": lambda a, w, c, g: np.r_[-1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
+}
 
 
 def fd_grad(fun, x, h=1e-6):

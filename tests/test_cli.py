@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -272,3 +273,49 @@ def test_solve_report_config_round_trips(flags, expected, tmp_path, monkeypatch)
     rule = dict(config["eps_rule"])
     rebuilt = AlmConfig(**{**config, "eps_rule": RULES[rule.pop("kind")](**rule)})
     assert rebuilt == built[0] == expected
+
+
+def test_penalty_overflow_ends_in_inner_failure_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("solve", "--problem", "builtin:projection", "--a", "0,2,0",
+                       "--rho0", "1", "--rho-growth", "1e300", "--rho-max", "inf",
+                       "--x0", "5,5,5", "--tol", "1e-15")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("status=InnerFailure")
+    assert captured.err.startswith("failure: non-finite") and captured.err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypatch):
+    """main() reuses one parser; each parse equals a fresh parser's, so no
+    flag or default of one call shows up in the next."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed = []
+    real_parse = parser.parse_args
+
+    def spy(argv):
+        parsed.append((argv, real_parse(argv)))
+        return parsed[-1][1]
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    report = str(tmp_path / "report.json")
+    e32 = ["--problem", "builtin:example_3_2"]
+    calls = [
+        (["check", "sosc", *e32, "--seed", "5", "--report", report], 0),
+        (["check", "dualqual", *e32], 1),
+        (["check", "example32", *e32, "--t", "0.3,0.6"], 0),
+        (["check", "growth", *e32, "--rho-list", "5", "--x-samples", "3"], 0),
+        (["solve", "--problem", "builtin:projection", "--a", "0,2,0", "--exact",
+          "--rho0", "100", "--report", report], 0),
+        (["solve", "--problem", "builtin:projection", "--a", "0,2,0"], 0),
+        (["solve", "--rho0", "1"], 2),  # usage error: --problem is missing
+        (["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10"], 0),
+        (["check", "sosc", *e32], 0),
+    ]
+    for argv, code in calls:
+        assert main(argv) == code
+    assert [argv for argv, _ in parsed] == [argv for argv, code in calls if code != 2]
+    for argv, namespace in parsed:
+        assert namespace == cli.build_parser.__wrapped__().parse_args(argv)

@@ -3,12 +3,14 @@ defining properties and against finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from socalm import cone
 from socalm.cone import ConeRegion
 
-from _util import fd_jac
+from _util import SHIFTED, fd_jac
 
 
 def test_classify_examples():
@@ -139,3 +141,44 @@ def test_in_normal_cone_examples():
     assert not cone.in_normal_cone([-1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         cone.in_normal_cone([0.0, 0.0, 0.0], [0.0, 2.0, 0.0])  # base not in Q
+
+
+# every region, zero, near-axis and exact axis rows (yr = 0)
+ROW_CASES = {
+    **SHIFTED,
+    "exact axis+": lambda a, w, c, g: np.r_[a, np.zeros(w.size)],
+    "exact axis-": lambda a, w, c, g: np.r_[-a, np.zeros(w.size)],
+}
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**20), m=st.integers(1, 6), k=st.integers(1, 24),
+       log_a=st.floats(-3.0, 3.0))
+def test_row_kernels_match_the_vector_kernels(seed, m, k, log_a):
+    """Every row of a mixed batch is projected as the vector kernels
+    project it alone; the rows satisfy Moreau's decomposition and
+    projecting twice changes nothing."""
+    rng = np.random.default_rng(seed)
+    cases = list(ROW_CASES)
+    rows = []
+    for i in range(k):
+        w = rng.standard_normal(m)
+        w /= np.linalg.norm(w)
+        a = 10.0 ** log_a * rng.uniform(0.5, 2.0)
+        case = cases[i] if i < len(cases) else cases[int(rng.integers(len(cases)))]
+        rows.append(ROW_CASES[case](a, w, rng.uniform(-0.9, 0.9), rng.uniform(0.1, 10.0)))
+    Y = np.array(rows)
+    Pq, Pp = cone._project_q_rows(Y), cone._project_polar_rows(Y)
+    for y, pq, pp, pq2, pp2 in zip(Y, Pq, Pp, cone._project_q_rows(Pq),
+                                   cone._project_polar_rows(Pp)):
+        scale = max(1.0, float(np.linalg.norm(y)))
+        assert np.abs(pq - cone._project_q(y)).max() <= 1e-15 * scale
+        assert np.abs(pp - cone._project_polar(y)).max() <= 1e-15 * scale
+        # Moreau decomposition: y = pq + pp, pq in Q, pp in -Q, orthogonal
+        assert np.abs(pq + pp - y).max() <= 1e-15 * scale
+        assert np.linalg.norm(pq[1:]) - pq[0] <= 1e-14 * scale
+        assert np.linalg.norm(pp[1:]) + pp[0] <= 1e-14 * scale
+        assert abs(pq @ pp) <= 1e-14 * scale * scale
+        # idempotence
+        assert np.abs(pq2 - pq).max() <= 1e-14 * scale
+        assert np.abs(pp2 - pp).max() <= 1e-14 * scale

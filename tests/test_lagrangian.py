@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from socalm import ConeRegion, SocpProblem, builtin, generate_planted, solve
-from socalm.cone import TAU_CONE, classify, jacobian_project_polar, project_q
+from socalm.cone import classify, jacobian_project_polar, project_q
 from socalm.lagrangian import (AugEval, aug_hessian, aug_lagrangian, lagrangian_l,
                                residual)
 
-from _util import constant_phi_problem, fd_grad, fd_jac
+from _util import SHIFTED, constant_phi_problem, fd_grad, fd_jac
 
 
 BUILTINS = [
@@ -238,20 +238,6 @@ def _nonlinear_problem(n, m, seed):
         name="nonlinear")
 
 
-# Shifted points y = (y0, a w), ||w|| = 1, in each region of the cone
-# module's case split; c in (-0.9, 0.9) and g >= 0.1 keep them clear of
-# the classification tolerance.  The two axis points have ||yr|| below
-# TAU_CONE on a cone boundary, where V falls back to 0 (y0 > 0) or I.
-SHIFTED = {
-    ConeRegion.INTERIOR_Q: lambda a, w, c, g: np.r_[a * (1.0 + g), a * w],
-    ConeRegion.BOUNDARY_Q_NONZERO: lambda a, w, c, g: np.r_[a, a * w],
-    ConeRegion.ZERO: lambda a, w, c, g: np.zeros(w.size + 1),
-    ConeRegion.INTERIOR_POLAR: lambda a, w, c, g: np.r_[-a * (1.0 + g), a * w],
-    ConeRegion.BOUNDARY_POLAR_NONZERO: lambda a, w, c, g: np.r_[-a, a * w],
-    ConeRegion.OUTSIDE: lambda a, w, c, g: np.r_[c * a, a * w],
-    "axis+": lambda a, w, c, g: np.r_[1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
-    "axis-": lambda a, w, c, g: np.r_[-1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
-}
 USES_GRAM = {ConeRegion.INTERIOR_POLAR, ConeRegion.BOUNDARY_POLAR_NONZERO,
              ConeRegion.OUTSIDE, "axis-"}
 AXIS_REGION = {"axis+": ConeRegion.BOUNDARY_Q_NONZERO,

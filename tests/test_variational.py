@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from socalm import ConeRegion, builtin, generate_planted
-from socalm.variational import (CriticalConeCase, check_dual_qualification, check_sosc,
-                                critical_cone, d2_aug_lagrangian, d2_indicator_q,
+from socalm import ConeRegion, builtin, generate_planted, quadratic_problem
+from socalm.cone import _project_polar_rows
+from socalm.variational import (CriticalConeCase, _minimize_on_sphere,
+                                check_dual_qualification, check_sosc, critical_cone,
+                                d2_aug_lagrangian, d2_indicator_q,
                                 difference_quotient_oracle, dist2_critical,
                                 multiplier_calmness, quad_form_q)
 
@@ -296,3 +300,115 @@ def test_multiplier_calmness_classification():
     vertex = generate_planted(4, 2, ConeRegion.ZERO, seed=3)
     sol = vertex.known_solution  # strict complementarity: interior multiplier
     assert multiplier_calmness(vertex, sol.x, sol.lam, False) == "calm"
+
+
+def _whole_cone_objective(H, J, rho):
+    """Batched <w, H w> + rho dist^2(Jw; Q) and its gradient, built from
+    elementwise products and sums only: unlike a BLAS product, each row's
+    bits then do not depend on how many rows are evaluated together."""
+    def fun_grad(W):
+        JW = (W[:, None, :] * J).sum(axis=2)
+        polar = _project_polar_rows(JW)
+        HW = (W[:, None, :] * H).sum(axis=2)
+        value = (W * HW).sum(axis=1) + rho * (polar * polar).sum(axis=1)
+        return value, 2.0 * HW + (2.0 * rho) * (polar[:, :, None] * J).sum(axis=1)
+    return fun_grad
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _minimize_one_start_at_a_time(fun_grad, points, iters):
+    """The one-start projected descent `_minimize_on_sphere` runs in
+    lockstep, start by start, with each point held as a 1-row batch so
+    that the arithmetic per row is the lockstep's."""
+    values = []
+    for pt in points:
+        w = pt[None] / np.linalg.norm(pt[None], axis=1, keepdims=True)
+        val, grad = fun_grad(w)
+        step = 1.0
+        for _ in range(iters):
+            tangential = grad - _rowdot(grad, w)[:, None] * w
+            if np.linalg.norm(tangential, axis=1)[0] <= 1e-14:
+                break
+            moved = False
+            while step > 1e-16:
+                cand = w - step * tangential
+                cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+                cand_val, cand_grad = fun_grad(cand)
+                if cand_val[0] < val[0] - 1e-16:
+                    w, val, grad = cand, cand_val, cand_grad
+                    step = min(step * 2.0, 1.0)
+                    moved = True
+                    break
+                step *= 0.5
+            if not moved:
+                break
+        values.append(val[0])
+    return np.array(values)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       k=st.integers(1, 12), iters=st.sampled_from([0, 1, 7, 200]),
+       log_rho=st.floats(-1.0, 1.0))
+def test_lockstep_sphere_search_matches_one_start_at_a_time(seed, n, m, k, iters, log_rho):
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    H = R + R.T
+    J = rng.standard_normal((m + 1, n))
+    fun_grad = _whole_cone_objective(H, J, 10.0 ** log_rho)
+    points = rng.standard_normal((k, n))
+    values = _minimize_on_sphere(fun_grad, points, iters)
+    ref_values = _minimize_one_start_at_a_time(fun_grad, points, iters)
+    assert np.argmin(values) == np.argmin(ref_values)
+    assert np.all(np.abs(values - ref_values) <= 1e-12 * np.maximum(1.0, np.abs(ref_values)))
+
+
+def test_dual_qualification_whole_cone_regression():
+    """ker A' meets -Q outside 0 at this vertex, by a margin
+    (lambda_min = -7.4e-3) that a sampled search of the kernel sphere
+    with 32 starts misses at most seeds."""
+    rng = np.random.default_rng(2)
+    for trial in range(68):
+        n = int(rng.integers(1, 5))
+        m1 = int(rng.integers(n + 1, n + 5))
+        A = rng.standard_normal((m1, n))
+        if trial % 3 == 0:
+            A[0] *= 0.1
+    assert (n, m1) == (4, 7)
+    p = quadratic_problem(np.eye(n), np.zeros(n), 0.0, A, np.zeros(m1))
+    holds, witness = check_dual_qualification(p, np.zeros(n), np.zeros(m1))
+    assert not holds
+    assert np.linalg.norm(A.T @ witness) <= 1e-12
+    assert witness[0] <= -0.7
+    assert np.linalg.norm(witness[1:]) <= -witness[0]
+    assert abs(np.linalg.norm(witness) - 1.0) <= 1e-15
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 5), m1=st.integers(2, 8),
+       ray=st.booleans(), log_scale=st.floats(-3.0, 3.0))
+def test_dual_qualification_witness_and_scale_invariance(seed, n, m1, ray, log_scale):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m1, n))
+    lam = np.zeros(m1)
+    if ray:  # a boundary multiplier of -Q: the critical cone is a ray
+        u = rng.standard_normal(m1 - 1)
+        lam = rng.uniform(0.5, 2.0) * np.r_[-1.0, u / np.linalg.norm(u)]
+    verdicts = []
+    for scale in (1.0, 10.0 ** log_scale):
+        p = quadratic_problem(np.eye(n), np.zeros(n), 0.0, scale * A, np.zeros(m1))
+        holds, witness = check_dual_qualification(p, np.zeros(n), lam)
+        verdicts.append(holds)
+        if holds:
+            assert witness is None
+            continue
+        assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
+        assert np.linalg.norm(A.T @ witness) <= 1e-10 * np.linalg.norm(A)
+        if ray:  # polar of the ray R_+ tilde(lam): the halfspace tilde(lam)'v <= 0
+            assert np.r_[-lam[0], lam[1:]] @ witness <= 1e-10
+        else:  # polar of Q is -Q
+            assert np.linalg.norm(witness[1:]) + witness[0] <= 1e-8
+    assert verdicts[0] == verdicts[1]
