@@ -2,8 +2,12 @@
 constants, second-order growth, subproblem stability and linear rates.
 
 Every sampler is seeded and records its sample counts, so reports are
-reproducible bit for bit.  These checks are evidence, not proofs: they
-bound constants over finite samples and flag instability heuristically.
+reproducible bit for bit.  A sample is drawn row by row in the
+generator's order, the oracles are called once per sampled point, and the
+rest is reduced over all rows at once, so a constant can differ from a
+one-point-at-a-time evaluation in its last bits (about 1e-14 relative).
+These checks are evidence, not proofs: they bound constants over finite
+samples and flag instability heuristically.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve
-from .lagrangian import AugEval, lagrangian_l, residual
+from .cone import _project_polar_rows, _project_q_rows
+from .lagrangian import NonFiniteError, lagrangian_l
 from .model import SocpProblem, builtin
 from .variational import check_sosc
 
@@ -44,52 +49,66 @@ def _require_solution(p: SocpProblem):
     return p.known_solution
 
 
-def dist_to_multiplier_set(p: SocpProblem, lam) -> float:
+def dist_to_multiplier_set(p: SocpProblem, lam):
     """Exact distance of lam to the multiplier set of the known solution.
 
     Supports the two structures the cone geometry produces: a single
-    multiplier, or a ray recorded as a direction on the problem.
+    multiplier, or a ray recorded as a direction on the problem.  lam is
+    one vector (a float) or the rows of a (k, m+1) array (one per row).
     """
     sol = _require_solution(p)
     lam = np.asarray(lam, dtype=float)
     if p.multiplier_ray is None:
-        return float(np.linalg.norm(lam - sol.lam))
-    d = np.asarray(p.multiplier_ray, dtype=float)
-    coef = max(0.0, float(lam @ d) / float(d @ d))
-    return float(np.linalg.norm(lam - coef * d))
+        diff = lam - sol.lam
+    else:
+        d = np.asarray(p.multiplier_ray, dtype=float)
+        coef = np.maximum(0.0, np.vecdot(lam, d) / (d @ d))
+        diff = lam - coef[..., None] * d
+    dist = np.sqrt(np.vecdot(diff, diff))
+    return dist if dist.ndim else float(dist)
 
 
-def _uniform_ball(rng, dim: int, radius: float) -> np.ndarray:
-    """Uniform draw from the ball of the given radius around the origin."""
-    g = rng.standard_normal(dim)
-    nrm = np.linalg.norm(g)
-    if nrm == 0.0:
-        return np.zeros(dim)
-    return (radius * rng.random() ** (1.0 / dim) / nrm) * g
+def _ball_rows(rng, k: int, dim: int, radius: float) -> np.ndarray:
+    """k uniform draws from the ball of the given radius around the origin,
+    as the rows of a (k, dim) array.  Each row draws a normal direction and
+    then, unless that is zero (the zero row), one uniform for its length."""
+    rows, scale = np.empty((k, dim)), np.zeros(k)
+    for i, row in enumerate(rows):
+        rng.standard_normal(out=row)
+        nrm = math.sqrt(row @ row)
+        if nrm > 0.0:
+            scale[i] = radius * rng.random() ** (1.0 / dim) / nrm
+    rows *= scale[:, None]
+    return rows
+
+
+def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """max(0, largest num/den over den > 1e-15), skipping NaN ratios."""
+    ratio = np.divide(num, den, out=np.zeros_like(den), where=den > 1e-15)
+    return float(np.fmax.reduce(ratio, initial=0.0))
 
 
 def _kappa_sups(p: SocpProblem, radius: float, samples: int, rng) -> Tuple[float, float]:
     sol = p.known_solution
-    dim = p.n + p.m + 1
-    points = []
-    for _ in range(samples):
-        step = _uniform_ball(rng, dim, radius)
-        points.append((sol.x + step[:p.n], sol.lam + step[p.n:]))
+    steps = _ball_rows(rng, samples, p.n + p.m + 1, radius)
+    xs, lams = sol.x + steps[:, :p.n], sol.lam + steps[:, p.n:]
     if p.hard_path is not None:
         # include the problem's adversarial primal-dual family at scales
         # inside the current ball; this is where known failures live.
-        for scale in (radius, radius / 2.0, radius / 4.0):
-            points.append(p.hard_path(scale))
-    kappa1 = 0.0
-    kappa2 = 0.0
-    for x, lam in points:
-        sigma = residual(p, x, lam)
-        dist_sum = float(np.linalg.norm(np.asarray(x) - sol.x)) + dist_to_multiplier_set(p, lam)
-        if sigma > 1e-15:
-            kappa1 = max(kappa1, dist_sum / sigma)
-        if dist_sum > 1e-15:
-            kappa2 = max(kappa2, sigma / dist_sum)
-    return kappa1, kappa2
+        path = [p.hard_path(scale) for scale in (radius, radius / 2.0, radius / 4.0)]
+        xs = np.vstack([xs, [x for x, _ in path]])
+        lams = np.vstack([lams, [lam for _, lam in path]])
+    phis = np.array([p.phi_value(x) for x in xs])
+    jacs = [p.phi_jac(x) for x in xs]
+    fgrads = np.array([p.f_grad(x) for x in xs])
+    pushed = phis + lams
+    if not np.isfinite(pushed).all():
+        raise NonFiniteError("non-finite point Phi(x)+lam")
+    shared = all(jac is jacs[0] for jac in jacs)  # then no (k, m+1, n) stack
+    grads = fgrads + (lams @ jacs[0] if shared else np.einsum("ki,kij->kj", lams, np.array(jacs)))
+    sigmas = np.linalg.norm(grads, axis=1) + np.linalg.norm(phis - _project_q_rows(pushed), axis=1)
+    dist_sums = np.linalg.norm(xs - sol.x, axis=1) + dist_to_multiplier_set(p, lams)
+    return _sup_ratio(dist_sums, sigmas), _sup_ratio(sigmas, dist_sums)
 
 
 def verify_error_bound(p: SocpProblem, radius: float, samples: int, seed: int) -> ErrorBoundReport:
@@ -102,14 +121,12 @@ def verify_error_bound(p: SocpProblem, radius: float, samples: int, seed: int) -
     _require_solution(p)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
-    if samples == 0:
-        return ErrorBoundReport(0.0, 0.0, radius, 0, False)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     kappa1, kappa2 = _kappa_sups(p, radius, samples, rng)
     kappa1_small, _ = _kappa_sups(p, radius / 10.0, samples, rng)
-    failed = bool(kappa1_small > 10.0 * kappa1) if kappa1 > 0 else bool(kappa1_small > 0 and samples > 0)
+    failed = bool(kappa1_small > 10.0 * kappa1 if kappa1 > 0 else kappa1_small > 0)
     return ErrorBoundReport(kappa1, kappa2, radius, samples, failed)
 
 
@@ -145,11 +162,8 @@ def _multiplier_samples(p: SocpProblem, count: int, rng) -> List[np.ndarray]:
     d_norm = float(np.linalg.norm(d))
     c_bar = max(0.0, float(sol.lam @ d) / float(d @ d))
     eps = max(0.5 * float(np.linalg.norm(sol.lam)), 0.25) / d_norm
-    out = [sol.lam.copy()]
-    for _ in range(count - 1):
-        c = max(0.0, c_bar + rng.uniform(-eps, eps))
-        out.append(c * d)
-    return out
+    cs = np.maximum(0.0, c_bar + rng.uniform(-eps, eps, count - 1))
+    return [sol.lam.copy()] + [c * d for c in cs]
 
 
 def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
@@ -172,22 +186,27 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
         raise ValueError("x_samples and lambda_samples must be at least 1")
     rng = np.random.default_rng(seed)
     radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
-    x_steps = {gamma: [_uniform_ball(rng, p.n, gamma) for _ in range(x_samples)]
-               for gamma in radii}
+    x_steps = {gamma: _ball_rows(rng, x_samples, p.n, gamma) for gamma in radii}
     lams = _multiplier_samples(p, lambda_samples, rng)
     f_bar = p.f_value(sol.x)
+    evaluated = {}  # gamma -> (squared step norms, Phi and f at xbar + step)
 
     def moduli_at(rho, gamma):
+        if gamma not in evaluated:
+            steps = x_steps[gamma][np.vecdot(x_steps[gamma], x_steps[gamma]) >= 1e-24]
+            xs = sol.x + steps
+            evaluated[gamma] = (np.vecdot(steps, steps), np.array([p.phi_value(x) for x in xs]),
+                                np.array([p.f_value(x) for x in xs]))
+        r2, phis, fs = evaluated[gamma]
         per_lam = []
         for lam in lams:
-            worst = math.inf
-            for step in x_steps[gamma]:
-                r2 = float(step @ step)
-                if r2 < 1e-24:
-                    continue
-                val = AugEval(p, sol.x + step, lam, rho).value  # value only
-                worst = min(worst, (val - f_bar) / r2)
-            per_lam.append(worst)
+            shifted = rho * phis + lam
+            if not np.isfinite(shifted).all():
+                raise NonFiniteError("non-finite shifted point rho*Phi(x)+lam")
+            polar = _project_polar_rows(shifted)
+            # L_rho = f + (||polar||^2 - ||lam||^2) / (2 rho), as in AugEval
+            vals = fs + (np.vecdot(polar, polar) - lam @ lam) / (2.0 * rho)
+            per_lam.append(float(np.fmin.reduce((vals - f_bar) / r2, initial=math.inf)))
         return per_lam
 
     best = None  # (rho, gamma, ell, uniform)
@@ -248,8 +267,7 @@ def solvability_estimate(p: SocpProblem, rho: float, lambda_samples: int, seed: 
         return float("nan")
     rng = np.random.default_rng(seed)
     sup = 0.0
-    for _ in range(lambda_samples):
-        lam = sol.lam + _uniform_ball(rng, p.m + 1, radius)
+    for lam in sol.lam + _ball_rows(rng, lambda_samples, p.m + 1, radius):
         gap = float(np.linalg.norm(lam - sol.lam))
         if gap < 1e-14:
             continue

@@ -1,5 +1,9 @@
-"""Shared helpers for the test suite: finite differences, ball sampling
-and a couple of hand-rolled problems used across modules."""
+"""Shared helpers for the test suite: finite differences, ball sampling,
+oracle call counting and a couple of hand-rolled problems used across
+modules."""
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 
@@ -46,8 +50,29 @@ def fd_jac(fun, x, h=1e-6):
 
 
 def uniform_ball(rng, dim, radius):
+    """One uniform draw from the ball around the origin, one point at a
+    time: the reference for the diagnostics' row sampler."""
     g = rng.standard_normal(dim)
-    return (radius * rng.random() ** (1.0 / dim) / np.linalg.norm(g)) * g
+    nrm = np.linalg.norm(g)
+    if nrm == 0.0:
+        return np.zeros(dim)
+    return (radius * rng.random() ** (1.0 / dim) / nrm) * g
+
+
+ORACLES = ("f_value", "f_grad", "f_hess", "phi_value", "phi_jac", "phi_hess_contract")
+
+
+def counted(p):
+    """Copy of p whose six oracles count their calls."""
+    calls = Counter()
+
+    def wrap(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(p, **{o: wrap(o, getattr(p, o)) for o in ORACLES}), calls
 
 
 def negative_curvature_problem(n=2, m=2):

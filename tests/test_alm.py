@@ -2,7 +2,6 @@
 trace invariants."""
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +12,10 @@ from numpy.testing import assert_allclose
 from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
                     InnerFailure, Proportional, builtin, generate_planted,
                     inner_solve, solve, update_multiplier)
-from socalm.cone import project_q
+from socalm.cone import classify, project_q
 from socalm.lagrangian import aug_lagrangian, residual
 
-ORACLES = ("f_value", "f_grad", "f_hess", "phi_value", "phi_jac", "phi_hess_contract")
+from _util import counted
 
 
 def perturbed_start(p, scale, seed):
@@ -219,19 +218,6 @@ def test_penalty_growth_when_residual_stalls():
     assert all(trace.rhos[k + 1] >= trace.rhos[k] for k in range(len(trace) - 1))
 
 
-def counted(p):
-    """Copy of p whose six oracles count their calls."""
-    calls = Counter()
-
-    def wrap(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    return dataclasses.replace(p, **{o: wrap(o, getattr(p, o)) for o in ORACLES}), calls
-
-
 def test_one_jacobian_and_gradient_call_per_accepted_iterate():
     total = 0
     for seed in range(20):
@@ -293,3 +279,36 @@ def test_non_finite_start_raises():
         solve(p, [np.nan, 0.0, 0.0], np.zeros(3))
     with pytest.raises(ValueError):
         solve(p, np.zeros(3), [0.0, np.inf, 0.0])
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**20), size=st.sampled_from([(3, 2), (20, 10)]),
+       region=st.sampled_from([ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                               ConeRegion.INTERIOR_Q]),
+       log_scale=st.floats(-3.0, 1.0), rho0=st.sampled_from([0.5, 10.0]),
+       rho_growth=st.sampled_from([1.0, 10.0]), rho_max=st.sampled_from([10.0, 1e6]),
+       max_outer=st.integers(0, 12), max_inner=st.sampled_from([1, 3, 200]))
+def test_solver_trace_properties(seed, size, region, log_scale, rho0, rho_growth, rho_max,
+                                 max_outer, max_inner):
+    """Every updated multiplier lies in -Q, the penalty never falls and
+    never passes rho_max, and the trace length agrees with the status."""
+    p = generate_planted(*size, region, seed)
+    x0, lam0 = perturbed_start(p, 10.0 ** log_scale, seed)
+    cfg = AlmConfig(rho0=min(rho0, rho_max), rho_growth=rho_growth, rho_max=rho_max,
+                    eps_rule=Proportional(0.1), outer_tol=1e-9, max_outer=max_outer,
+                    max_inner=max_inner)
+    _, trace = solve(p, x0, lam0, cfg)
+    for lam in trace.lams[1:]:
+        assert classify(lam) in (ConeRegion.INTERIOR_POLAR,
+                                 ConeRegion.BOUNDARY_POLAR_NONZERO, ConeRegion.ZERO)
+    assert all(a <= b for a, b in zip(trace.rhos, trace.rhos[1:]))
+    assert max(trace.rhos) <= rho_max
+    assert 1 <= len(trace) <= max_outer + 1
+    if trace.status is AlmStatus.CONVERGED:
+        assert trace.sigmas[-1] <= cfg.outer_tol
+    elif trace.status is AlmStatus.MAX_ITERATIONS:
+        assert len(trace) == max_outer + 1
+        assert trace.sigmas[-1] > cfg.outer_tol
+    else:
+        assert trace.status is AlmStatus.INNER_FAILURE
+        assert trace.message

@@ -237,6 +237,7 @@ def test_wrong_start_length_exit_two(argv, capsys):
     ["check", "growth", "--problem", "builtin:scaled_quadratic", "--rho-list", "1,inf"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "0"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "-1"],
+    ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--samples", "0"],
 ])
 def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     report = tmp_path / "report.json"

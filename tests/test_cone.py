@@ -182,3 +182,46 @@ def test_row_kernels_match_the_vector_kernels(seed, m, k, log_a):
         # idempotence
         assert np.abs(pq2 - pq).max() <= 1e-14 * scale
         assert np.abs(pp2 - pp).max() <= 1e-14 * scale
+
+
+# near-boundary rows: a boundary point of Q or -Q moved by less than the
+# classification tolerance, off the boundary in either direction
+NEAR_BOUNDARY = {
+    "near bd Q": lambda a, w, d: np.r_[a + d, a * w],
+    "near bd -Q": lambda a, w, d: np.r_[-a + d, a * w],
+}
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**20), m=st.integers(1, 6), log_a=st.floats(-3.0, 3.0),
+       log_t=st.floats(-6.0, 6.0), nudge=st.floats(-0.9, 0.9))
+def test_project_q_is_homogeneous_and_agrees_with_classify(seed, m, log_a, log_t, nudge):
+    """Pi_Q(t y) = t Pi_Q(y) for t > 0; inside Q the projection is y,
+    inside -Q it is 0, within the classification tolerance of the
+    boundary of Q (of -Q) it lies within that tolerance of y (of 0), and
+    outside both cones it is a nonzero point of the boundary of Q."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    a = 10.0 ** log_a
+    rows = [make(a, w, rng.uniform(-0.9, 0.9), rng.uniform(0.1, 10.0))
+            for make in SHIFTED.values()]
+    tol = cone.TAU_CONE * max(1.0, a)
+    rows += [make(a, w, nudge * tol) for make in NEAR_BOUNDARY.values()]
+    t = 10.0 ** log_t
+    for y in rows:
+        p = cone.project_q(y)
+        ynorm = float(np.linalg.norm(y))
+        assert np.linalg.norm(cone.project_q(t * y) - t * p) <= 1e-14 * t * ynorm
+        region = cone.classify(y)
+        bound = cone.TAU_CONE * max(1.0, ynorm)
+        if region is ConeRegion.INTERIOR_Q:
+            assert np.array_equal(p, y)
+        elif region is ConeRegion.INTERIOR_POLAR:
+            assert not p.any()
+        elif region is ConeRegion.BOUNDARY_Q_NONZERO:
+            assert np.linalg.norm(p - y) <= bound
+        elif region in (ConeRegion.BOUNDARY_POLAR_NONZERO, ConeRegion.ZERO):
+            assert np.linalg.norm(p) <= bound
+        else:
+            assert cone.classify(p) is ConeRegion.BOUNDARY_Q_NONZERO

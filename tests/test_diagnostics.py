@@ -12,9 +12,10 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Proportional, builtin,
                     example32_ratio, generate_planted, solvability_estimate, solve,
                     verify_error_bound)
 from socalm.cli import main
-from socalm.lagrangian import residual
+from socalm.diagnostics import _ball_rows, _multiplier_samples
+from socalm.lagrangian import AugEval, residual
 
-from _util import negative_curvature_problem
+from _util import counted, negative_curvature_problem, uniform_ball
 
 
 def test_dist_to_multiplier_set_point_case():
@@ -77,8 +78,9 @@ def test_error_bound_fails_on_example32():
 
 def test_error_bound_degenerate_report():
     p = generate_planted(3, 2, ConeRegion.INTERIOR_Q, seed=1)
-    rep = verify_error_bound(p, 1e-2, 0, seed=0)
-    assert rep.kappa1_hat == 0.0 and rep.kappa2_hat == 0.0 and not rep.failed
+    for samples in (0, -3):  # an empty sample would pass vacuously
+        with pytest.raises(ValueError, match="samples"):
+            verify_error_bound(p, 1e-2, samples, seed=0)
 
 
 def test_growth_positive_on_planted_sosc_problem():
@@ -204,3 +206,169 @@ def test_kappa2_matches_lipschitz_bound_locally():
     sol = p.known_solution
     assert residual(p, sol.x, sol.lam) <= 1e-10
     assert rep.kappa2_hat <= 1e3
+
+
+# The per-point samplers the batched ones replaced, kept as the reference:
+# one draw, one residual or one augmented-Lagrangian value at a time.
+
+def _kappa_sups_one_point_at_a_time(p, radius, samples, rng):
+    sol = p.known_solution
+    draws = [uniform_ball(rng, p.n + p.m + 1, radius) for _ in range(samples)]
+    points = [(sol.x + step[:p.n], sol.lam + step[p.n:]) for step in draws]
+    if p.hard_path is not None:
+        points += [p.hard_path(scale) for scale in (radius, radius / 2.0, radius / 4.0)]
+    kappa1 = kappa2 = 0.0
+    for x, lam in points:
+        sigma = residual(p, x, lam)
+        dist_sum = float(np.linalg.norm(np.asarray(x) - sol.x)) + dist_to_multiplier_set(p, lam)
+        if sigma > 1e-15:
+            kappa1 = max(kappa1, dist_sum / sigma)
+        if dist_sum > 1e-15:
+            kappa2 = max(kappa2, sigma / dist_sum)
+    return draws, kappa1, kappa2
+
+
+def _error_bound_one_point_at_a_time(p, radius, samples, seed):
+    rng = np.random.default_rng(seed)
+    draws, kappa1, kappa2 = _kappa_sups_one_point_at_a_time(p, radius, samples, rng)
+    draws_small, kappa1_small, _ = _kappa_sups_one_point_at_a_time(p, radius / 10.0,
+                                                                   samples, rng)
+    failed = kappa1_small > 10.0 * kappa1 if kappa1 > 0 else kappa1_small > 0
+    return np.array(draws + draws_small), (kappa1, kappa2, failed)
+
+
+def _growth_one_point_at_a_time(p, rho_list, x_samples, lambda_samples, seed):
+    sol = p.known_solution
+    rng = np.random.default_rng(seed)
+    radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
+    x_steps = {gamma: [uniform_ball(rng, p.n, gamma) for _ in range(x_samples)]
+               for gamma in radii}
+    lams = _multiplier_samples(p, lambda_samples, rng)
+    f_bar = p.f_value(sol.x)
+
+    def moduli_at(rho, gamma):
+        per_lam = []
+        for lam in lams:
+            worst = math.inf
+            for step in x_steps[gamma]:
+                r2 = float(step @ step)
+                if r2 < 1e-24:
+                    continue
+                worst = min(worst, (AugEval(p, sol.x + step, lam, rho).value - f_bar) / r2)
+            per_lam.append(worst)
+        return per_lam
+
+    best = None
+    for rho in rho_list:
+        chosen = None
+        for gamma in radii:
+            per_lam = moduli_at(rho, gamma)
+            ell = min(per_lam)
+            if ell > 0.0:
+                chosen = (rho, gamma, ell, all(v > 0.0 for v in per_lam))
+                break
+            if chosen is None or ell > chosen[2]:
+                chosen = (rho, gamma, ell, False)
+        if best is None or chosen[2] > best[2]:
+            best = chosen
+        if best[2] > 0.0:
+            break
+    draws = np.array([step for gamma in radii for step in x_steps[gamma]])
+    return draws, lams, best
+
+
+SAMPLER_CASES = [
+    *[("planted", n, m, region) for n, m in ((3, 2), (20, 10))
+      for region in (ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO, ConeRegion.INTERIOR_Q)],
+    ("example_3_2",), ("negative_curvature",),
+]
+
+
+def _sampler_problem(case, seed):
+    if case[0] == "planted":
+        return generate_planted(case[1], case[2], case[3], seed)
+    return builtin("example_3_2") if case[0] == "example_3_2" else negative_curvature_problem()
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_batched_samplers_match_one_point_at_a_time(case, seed):
+    """Same draws bit for bit, same verdicts, constants within 1e-12."""
+    p = _sampler_problem(case, seed)
+    dim = p.n + p.m + 1
+    draws, (kappa1, kappa2, failed) = _error_bound_one_point_at_a_time(p, 1e-2, 60, seed)
+    rng = np.random.default_rng(seed)
+    rows = np.vstack([_ball_rows(rng, 60, dim, 1e-2), _ball_rows(rng, 60, dim, 1e-3)])
+    assert rows.tobytes() == draws.tobytes()
+    rep = verify_error_bound(p, 1e-2, 60, seed)
+    assert rep.failed == failed
+    assert _close(rep.kappa1_hat, kappa1) and _close(rep.kappa2_hat, kappa2)
+
+    rho_list = [1.0, 10.0, 100.0]
+    draws, lams, (rho, gamma, ell, uniform) = _growth_one_point_at_a_time(p, rho_list, 40, 4,
+                                                                         seed)
+    rng = np.random.default_rng(seed)
+    rows = np.vstack([_ball_rows(rng, 40, p.n, gamma) for gamma in (0.2, 0.1, 0.05, 0.025,
+                                                                    0.0125)])
+    assert rows.tobytes() == draws.tobytes()
+    assert [v.tobytes() for v in _multiplier_samples(p, 4, rng)] == [v.tobytes() for v in lams]
+    rep = certify_growth(p, rho_list, 40, 4, seed)
+    assert (rep.rho_used, rep.gamma_hat, rep.multiplier_samples, rep.uniform) == \
+        (rho, gamma, len(lams), uniform)
+    assert _close(rep.ell_hat, ell)
+
+
+class _ZeroFirstNormal:
+    """Generator stand-in whose first normal draw is the zero vector."""
+
+    def __init__(self, seed):
+        self.rng, self.uniforms, self.first = np.random.default_rng(seed), 0, True
+
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
+        if self.first:
+            out[...] = 0.0
+            self.first = False
+        return out
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+
+def test_zero_normal_draw_gives_the_zero_row_and_no_radius_draw():
+    rows, gen = _ball_rows(_ZeroFirstNormal(3), 5, 4, 0.5), _ZeroFirstNormal(3)
+    ref = np.array([uniform_ball(gen, 4, 0.5) for _ in range(5)])
+    assert rows.tobytes() == ref.tobytes()
+    assert np.all(rows[0] == 0.0) and gen.uniforms == 4
+
+
+@pytest.mark.parametrize("problem, hard_points", [
+    (generate_planted(20, 10, ConeRegion.BOUNDARY_Q_NONZERO, 1), 0),
+    (builtin("example_3_2"), 3),
+])
+def test_error_bound_evaluates_each_sampled_point_once(problem, hard_points):
+    p, calls = counted(problem)
+    verify_error_bound(p, 1e-2, 50, seed=4)
+    points = 2 * (50 + hard_points)  # both radii, each with the hard path
+    assert calls == {"phi_value": points, "phi_jac": points, "f_grad": points}
+
+
+@pytest.mark.parametrize("problem, rho_list, lambda_samples", [
+    (negative_curvature_problem(), [1.0, 1e2, 1e4, 1e6], 1),   # every radius of every rho
+    (builtin("example_3_2"), [1e-3, 1.0, 10.0, 100.0], 5),
+    (generate_planted(20, 10, ConeRegion.BOUNDARY_Q_NONZERO, 1), [1.0, 10.0], 1),
+])
+def test_growth_evaluates_each_step_once_per_visited_radius(problem, rho_list,
+                                                            lambda_samples):
+    p, calls = counted(problem)
+    certify_growth(p, rho_list, 30, lambda_samples, seed=2)
+    assert set(calls) == {"phi_value", "f_value"}
+    assert calls["phi_value"] == calls["f_value"] - 1  # and f(xbar) once
+    assert calls["phi_value"] in (30, 60, 90, 120, 150)  # 30 steps per radius, 5 radii
+    if problem.name == "negative_curvature":
+        assert calls["phi_value"] == 150
