@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .cone import as_cone_vec
 from .lagrangian import AugEval, NonFiniteError, shift
@@ -62,6 +63,7 @@ MU0 = 1e-8                # initial Newton regularization
 ARMIJO = 1e-4             # sufficient-decrease constant
 BACKTRACK = 0.5           # step shrink factor
 MAX_LINESEARCH = 60       # backtracking steps per search direction
+EPS = np.finfo(float).eps  # machine epsilon, scales the Armijo noise allowance
 
 
 @dataclass(frozen=True)
@@ -137,20 +139,44 @@ class AlmTrace:
         return len(self.sigmas)
 
 
+def cho_factor(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric matrix A (LAPACK potrf);
+    raises LinAlgError when A is not positive definite.
+
+    LAPACK reads A's transpose, a Fortran-ordered view of a C-ordered A,
+    so it needs no transposing copy; the factor's upper triangle keeps
+    A's entries.  LAPACK is called directly: scipy's `cho_factor` and
+    `cho_solve` wrappers convert and check their input first, which costs
+    more than the factorization at n <= 20.  This and `cho_solve` stay
+    module-level functions that `_newton_direction` looks up by name, so
+    that a profiler or the benchmark's tracer (`perfbench/tracer.py`) can
+    wrap them in place and count raised calls as failed factorizations.
+    """
+    c, info = dpotrf(A.T, lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b from the factor c = cho_factor(A) (LAPACK potrs)."""
+    return dpotrs(c, b, lower=1)[0]
+
+
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve (H + mu I) d = -g, doubling mu from MU0 until the
-    factorization is positive definite.  H and g must be finite.
+    factorization is positive definite; -g after 80 failed attempts.
+    H must be finite and exactly symmetric.
 
     H itself is factored first; only a regularized retry copies it, once,
-    and then rewrites the copy's diagonal for each mu.  H is symmetric, so
-    its transpose, a Fortran-ordered view, is factored: LAPACK then needs
-    no transposing copy.
+    and then rewrites the copy's diagonal for each mu.  Each attempt is
+    one call of the module-level `cho_factor`, looked up by name so that
+    a wrapper installed on the module (the benchmark's tracer) sees it.
     """
     A, mu = H, 0.0
     for _ in range(80):
         try:
-            factor = cho_factor(A.T, lower=True, check_finite=False)
-            return cho_solve(factor, -g, check_finite=False)
+            return cho_solve(cho_factor(A), -g)
         except LinAlgError:
             mu = MU0 if mu == 0.0 else 2.0 * mu
             if A is H:
@@ -171,7 +197,7 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
     ev.complete()
     for it in range(max_inner + 1):
         x = ev.x
-        grad_norm = float(np.linalg.norm(ev.grad_x))
+        grad_norm = math.sqrt(ev.grad_x @ ev.grad_x)
         if grad_norm <= floor:
             return ev, grad_norm, it
         if not math.isfinite(grad_norm):
@@ -186,7 +212,7 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
         d = _newton_direction(H, ev.grad_x)
         # allowance for roundoff in the value: near the minimum the true
         # decrease is below machine noise and a strict Armijo test stalls
-        noise = 8.0 * np.finfo(float).eps * max(1.0, abs(ev.value))
+        noise = 8.0 * EPS * max(1.0, abs(ev.value))
         accepted = None
         for direction in (d, -ev.grad_x):
             slope = float(ev.grad_x @ direction)

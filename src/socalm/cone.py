@@ -18,6 +18,7 @@ is built.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -64,26 +65,30 @@ def classify(y, tol: float = TAU_CONE) -> ConeRegion:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return _classify(as_cone_vec(y), tol)
+    return _classify(as_cone_vec(y), tol)[0]
 
 
-def _classify(y: np.ndarray, tol: float = TAU_CONE) -> ConeRegion:
-    nrm = np.linalg.norm(y)
+def _classify(y: np.ndarray, tol: float):
+    """(region, ||y||, ||yr||): the region with the two norms it is
+    decided from.  Norms of 1-D vectors are taken as sqrt(v @ v), numpy's
+    own `norm` computation without its dispatch."""
+    nrm = math.sqrt(y @ y)
+    yr = y[1:]
+    rnorm = math.sqrt(yr @ yr)
     t = tol * max(1.0, nrm)
     if nrm <= t:
-        return ConeRegion.ZERO
-    rnorm = np.linalg.norm(y[1:])
+        return ConeRegion.ZERO, nrm, rnorm
     a = rnorm - y[0]  # <= 0 inside Q
     b = rnorm + y[0]  # <= 0 inside -Q
     if a < -t:
-        return ConeRegion.INTERIOR_Q
+        return ConeRegion.INTERIOR_Q, nrm, rnorm
     if a <= t:
-        return ConeRegion.BOUNDARY_Q_NONZERO
+        return ConeRegion.BOUNDARY_Q_NONZERO, nrm, rnorm
     if b < -t:
-        return ConeRegion.INTERIOR_POLAR
+        return ConeRegion.INTERIOR_POLAR, nrm, rnorm
     if b <= t:
-        return ConeRegion.BOUNDARY_POLAR_NONZERO
-    return ConeRegion.OUTSIDE
+        return ConeRegion.BOUNDARY_POLAR_NONZERO, nrm, rnorm
+    return ConeRegion.OUTSIDE, nrm, rnorm
 
 
 def project_q(y) -> np.ndarray:
@@ -96,7 +101,8 @@ def project_q(y) -> np.ndarray:
 
 
 def _project_q(y: np.ndarray) -> np.ndarray:
-    rnorm = np.linalg.norm(y[1:])
+    yr = y[1:]
+    rnorm = math.sqrt(yr @ yr)
     if rnorm <= y[0]:
         return y.copy()
     if rnorm <= -y[0]:
@@ -165,13 +171,12 @@ def _polar_jacobian_parts(y: np.ndarray):
     J. Optim. 20, 2009).  This is the one place where the region split and
     the kink selection are decided.
     """
-    region = _classify(y, TAU_CONE)
+    region, nrm, rnorm = _classify(y, TAU_CONE)
     if region is ConeRegion.INTERIOR_POLAR:
         return 1.0, None, None
     if region is ConeRegion.INTERIOR_Q:
         return 0.0, None, None
-    rnorm = np.linalg.norm(y[1:])
-    if rnorm <= TAU_CONE * max(1.0, np.linalg.norm(y)):
+    if rnorm <= TAU_CONE * max(1.0, nrm):
         # y ~ (y0, 0): the outside region is not adjacent, fall back to
         # the interior selection on either side of the axis.
         return (0.0 if y[0] >= 0 else 1.0), None, None

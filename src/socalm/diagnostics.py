@@ -83,11 +83,19 @@ def _ball_rows(rng, k: int, dim: int, radius: float) -> np.ndarray:
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    """max(0, largest num/den over den > 1e-15), skipping NaN ratios."""
-    ratio = np.divide(num, den, out=np.zeros_like(den), where=den > 1e-15)
+    """max(0, largest num/den over den > 1e-15), skipping NaN ratios.
+
+    Raises ValueError when none of those ratios is finite: a sup over no
+    sampled point would pass vacuously."""
+    kept = den > 1e-15
+    ratio = np.divide(num, den, out=np.zeros_like(den), where=kept)
+    if not np.isfinite(ratio[kept]).any():
+        raise ValueError("no sampled error-bound ratio is finite: the residuals and "
+                         "distances overflow or vanish at this radius")
     return float(np.fmax.reduce(ratio, initial=0.0))
 
 
+@np.errstate(all="ignore")
 def _kappa_sups(p: SocpProblem, radius: float, samples: int, rng) -> Tuple[float, float]:
     sol = p.known_solution
     steps = _ball_rows(rng, samples, p.n + p.m + 1, radius)
@@ -116,7 +124,10 @@ def verify_error_bound(p: SocpProblem, radius: float, samples: int, seed: int) -
 
     The ratio sup is recomputed at one tenth of the radius; growth of the
     primal-dual constant by more than 10x across that decade is flagged
-    as a failure of the bound (a heuristic, not a theorem).
+    as a failure of the bound (a heuristic, not a theorem).  A sample in
+    which no ratio is finite (every residual and distance overflowed or
+    fell below 1e-15) raises ValueError, as does a non-finite sampled
+    Phi(x) + lam (NonFiniteError); no floating-point warning is printed.
     """
     _require_solution(p)
     if not 0.0 < radius < math.inf:

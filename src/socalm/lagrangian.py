@@ -35,6 +35,8 @@ problem, which may be shared between concurrent solves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cone import _polar_jacobian_parts, _project_polar, _project_q
@@ -58,7 +60,8 @@ def _kkt_residual(phi, jac, fgrad, lam) -> float:
     pushed = phi + lam
     if not np.isfinite(pushed).all():
         raise NonFiniteError("non-finite point Phi(x)+lam")
-    return float(np.linalg.norm(grad_l) + np.linalg.norm(phi - _project_q(pushed)))
+    gap = phi - _project_q(pushed)
+    return math.sqrt(grad_l @ grad_l) + math.sqrt(gap @ gap)
 
 
 class AugEval:

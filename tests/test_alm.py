@@ -2,17 +2,21 @@
 trace invariants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
                     InnerFailure, Proportional, builtin, generate_planted,
                     inner_solve, solve, update_multiplier)
-from socalm.cone import classify, project_q
+from socalm import alm
+from socalm.cone import _classify, classify, project_q
 from socalm.lagrangian import aug_lagrangian, residual
 
 from _util import counted
@@ -312,3 +316,95 @@ def test_solver_trace_properties(seed, size, region, log_scale, rho0, rho_growth
     else:
         assert trace.status is AlmStatus.INNER_FAILURE
         assert trace.message
+
+
+def random_spd(n, seed):
+    """An exactly symmetric positive definite matrix."""
+    M = np.random.default_rng(seed).standard_normal((n, n))
+    S = M @ M.T + n * np.eye(n)
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 100, 400])
+def test_cholesky_equals_scipy_bitwise(n):
+    A = random_spd(n, n)
+    b = np.random.default_rng(n + 1).standard_normal(n)
+    c = alm.cho_factor(A)
+    ref = scipy.linalg.cho_factor(A, lower=True)
+    assert c.tobytes() == ref[0].tobytes()
+    assert alm.cho_solve(c, b).tobytes() == scipy.linalg.cho_solve(ref, b).tobytes()
+
+
+def test_cholesky_raises_on_indefinite_matrix():
+    with pytest.raises(scipy.linalg.LinAlgError):
+        alm.cho_factor(np.diag([1.0, -1.0, 1.0]))
+
+
+def rotated(eigenvalues, seed):
+    """Q diag(eigenvalues) Q' for a random orthogonal Q."""
+    n = len(eigenvalues)
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    return Q @ np.diag(eigenvalues) @ Q.T
+
+
+def reference_direction(H, g):
+    """The regularized Newton direction through scipy's wrappers: factor
+    H + mu I, doubling mu from MU0, for at most 80 attempts.  Returns
+    (direction, attempts)."""
+    mu = 0.0
+    for attempt in range(1, 81):
+        A = H.copy()
+        np.fill_diagonal(A, H.diagonal() + mu)
+        try:
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), -g), attempt
+        except scipy.linalg.LinAlgError:
+            mu = alm.MU0 if mu == 0.0 else 2.0 * mu
+    return -g, 80
+
+
+def counted_factorizations(monkeypatch):
+    """Count the calls of alm.cho_factor made through the module global."""
+    calls = []
+
+    def factor(A):
+        calls.append(A)
+        return cho_factor(A)
+
+    cho_factor = alm.cho_factor
+    monkeypatch.setattr(alm, "cho_factor", factor)
+    return calls
+
+
+@pytest.mark.parametrize("H, attempts", [
+    (random_spd(5, 0), 1),
+    # attempt k >= 2 adds MU0 * 2**(k-2); that passes 1e-3 at k = 19
+    (rotated([3.0, -1e-3, 1.0, 2.0, 5.0], 1), 19),
+    # mu reaches only MU0 * 2**78 ~ 3e15: every attempt fails
+    (-1e20 * np.eye(4), 80),
+])
+def test_newton_direction_matches_the_reference_doubling_loop(H, attempts, monkeypatch):
+    H = 0.5 * (H + H.T)
+    g = np.random.default_rng(2).standard_normal(H.shape[0])
+    calls = counted_factorizations(monkeypatch)
+    d = alm._newton_direction(H, g)
+    ref, ref_attempts = reference_direction(H, g)
+    assert d.tobytes() == ref.tobytes()
+    assert len(calls) == ref_attempts == attempts
+    if attempts == 80:
+        assert d.tobytes() == (-g).tobytes()
+
+
+@settings(max_examples=200)
+@given(v=arrays(np.float64, st.integers(2, 40),
+                elements=st.floats(-1e300, 1e300, allow_nan=False)))
+@example(v=np.array([1e200, -1e200, 3.0]))   # v @ v overflows to inf
+@example(v=np.array([0.0, -0.0]))
+def test_dispatch_free_norms_equal_numpy_bitwise(v):
+    """sqrt(v @ v), the hot path's norm, is np.linalg.norm bit for bit,
+    overflow included; the cone classification returns both norms."""
+    with np.errstate(over="ignore"):
+        nrm, rnorm = np.linalg.norm(v), np.linalg.norm(v[1:])
+        assert math.sqrt(v @ v).hex() == float(nrm).hex()
+        assert math.sqrt(v[1:] @ v[1:]).hex() == float(rnorm).hex()
+        _, got_nrm, got_rnorm = _classify(v, 0.0)
+    assert (got_nrm.hex(), got_rnorm.hex()) == (float(nrm).hex(), float(rnorm).hex())

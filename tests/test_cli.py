@@ -238,6 +238,11 @@ def test_wrong_start_length_exit_two(argv, capsys):
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "0"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "-1"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--samples", "0"],
+    # every sampled residual and distance overflows, or falls below 1e-15
+    ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--seed", "1",
+     "--radius", "1e300"],
+    ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--seed", "1",
+     "--radius", "1e-300"],
 ])
 def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     report = tmp_path / "report.json"

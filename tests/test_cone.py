@@ -1,10 +1,13 @@
 """Projection calculus on the Lorentz cone: closed forms against the
 defining properties and against finite differences."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from socalm import cone
@@ -126,6 +129,39 @@ def test_jacobian_matches_finite_differences_away_from_kinks():
         Jfd = fd_jac(cone.project_polar, y, h=1e-6)
         assert np.abs(J - Jfd).max() <= 1e-6
         checked += 1
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**20), m=st.integers(1, 6), log_a=st.floats(-3.0, 3.0),
+       c=st.floats(-50.0, 50.0))
+def test_jacobian_matches_central_differences_of_the_projection(seed, m, log_a, c):
+    """Away from the kinks (the two cone boundaries and the axis yr = 0)
+    the polar projection is smooth and jacobian_project_polar is its
+    derivative.  y = a (c, w) with ||w|| = 1 reaches every region: inside
+    Q for c > 1, inside -Q for c < -1, outside both in between."""
+    w = np.random.default_rng(seed).standard_normal(m)
+    w /= np.linalg.norm(w)
+    y = 10.0 ** log_a * np.r_[c, w]
+    ynorm, rnorm = float(np.linalg.norm(y)), float(np.linalg.norm(y[1:]))
+    kink = min(abs(rnorm - y[0]) / math.sqrt(2.0), abs(rnorm + y[0]) / math.sqrt(2.0), rnorm)
+    assume(kink >= 1e-2 * ynorm)
+    Jfd = fd_jac(cone.project_polar, y, h=1e-6 * ynorm)
+    assert np.abs(cone.jacobian_project_polar(y) - Jfd).max() <= 1e-6
+
+
+@settings(max_examples=300)
+@given(y=arrays(np.float64, st.integers(2, 8), elements=st.floats(-1e6, 1e6)),
+       log_t=st.floats(-6.0, 6.0))
+def test_vector_kernels_give_the_moreau_decomposition(y, log_t):
+    """project_q(y) + project_polar(y) = y, the two parts are orthogonal,
+    and each lies in its cone (Q and -Q), for the public vector kernels."""
+    y = y * 10.0 ** log_t
+    pq, pp = cone.project_q(y), cone.project_polar(y)
+    scale = max(1.0, float(np.linalg.norm(y)))
+    assert np.abs(pq + pp - y).max() <= 1e-15 * scale
+    assert abs(pq @ pp) <= 1e-14 * scale * scale
+    assert np.linalg.norm(pq[1:]) - pq[0] <= 1e-14 * scale
+    assert np.linalg.norm(pp[1:]) + pp[0] <= 1e-14 * scale
 
 
 def test_tilde_is_involution():
