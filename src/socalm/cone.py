@@ -51,7 +51,10 @@ def as_cone_vec(y) -> np.ndarray:
 
 def tilde(y) -> np.ndarray:
     """Reflection (y0, yr) -> (-y0, yr); an involution."""
-    y = as_cone_vec(y)
+    return _tilde(as_cone_vec(y))
+
+
+def _tilde(y: np.ndarray) -> np.ndarray:
     out = y.copy()
     out[0] = -out[0]
     return out
@@ -205,7 +208,14 @@ def in_normal_cone(lam, y, tol: float = 1e-10) -> bool:
     y = as_cone_vec(y)
     if lam.size != y.size:
         raise ValueError("dimension mismatch between lam and y")
-    scale = max(1.0, float(np.linalg.norm(y)))
-    if np.linalg.norm(y - project_q(y)) > tol * scale:
+    return _in_normal_cone(lam, y, tol)
+
+
+def _in_normal_cone(lam: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """`in_normal_cone` for two finite float vectors of one length."""
+    scale = max(1.0, math.sqrt(y @ y))
+    gap = y - _project_q(y)
+    if math.sqrt(gap @ gap) > tol * scale:
         raise ValueError("base point is not in the cone within tolerance")
-    return bool(np.linalg.norm(project_q(y + lam) - y) <= tol * max(scale, float(np.linalg.norm(lam))))
+    gap = _project_q(y + lam) - y
+    return math.sqrt(gap @ gap) <= tol * max(scale, math.sqrt(lam @ lam))

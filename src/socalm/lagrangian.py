@@ -159,9 +159,7 @@ def hessian_lagrangian(p: SocpProblem, xbar, lam_bar) -> np.ndarray:
 
 def lagrangian_l(p: SocpProblem, x, lam):
     """Ordinary Lagrangian: value, x-gradient and x-Hessian."""
-    p.check_dims(x, lam)
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+    x, lam = p.check_dims(x, lam)
     phi = p.phi_value(x)
     value = p.f_value(x) + float(lam @ phi)
     grad_x = p.f_grad(x) + p.phi_jac(x).T @ lam
@@ -172,8 +170,7 @@ def aug_lagrangian(p: SocpProblem, x, lam, rho: float) -> AugEval:
     """Evaluate the augmented Lagrangian and its first derivatives."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    p.check_dims(x, lam)
-    return AugEval(p, np.asarray(x, dtype=float), np.asarray(lam, dtype=float), rho).complete()
+    return AugEval(p, *p.check_dims(x, lam), rho).complete()
 
 
 def aug_hessian(p: SocpProblem, x, lam, rho: float) -> np.ndarray:
@@ -188,7 +185,5 @@ def aug_hessian(p: SocpProblem, x, lam, rho: float) -> np.ndarray:
 
 def residual(p: SocpProblem, x, lam) -> float:
     """KKT residual ||grad_x L(x, lam)|| + ||Phi(x) - Pi_Q(Phi(x) + lam)||."""
-    p.check_dims(x, lam)
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+    x, lam = p.check_dims(x, lam)
     return _kkt_residual(p.phi_value(x), p.phi_jac(x), p.f_grad(x), lam)

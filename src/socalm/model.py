@@ -63,7 +63,8 @@ class SocpProblem:
     # error-bound diagnostic to probe known failure paths).
     hard_path: Optional[Callable[[float], tuple]] = None
 
-    def check_dims(self, x, lam=None) -> None:
+    def check_dims(self, x, lam=None):
+        """(x, lam) as float arrays of checked shapes; lam may be None."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"primal point must have shape ({self.n},), got {x.shape}")
@@ -71,6 +72,7 @@ class SocpProblem:
             lam = np.asarray(lam, dtype=float)
             if lam.shape != (self.m + 1,):
                 raise ValueError(f"multiplier must have shape ({self.m + 1},), got {lam.shape}")
+        return x, lam
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

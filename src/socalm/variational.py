@@ -3,11 +3,11 @@ sufficiency certificates and the dual qualification test.
 
 The critical cone to Q at a feasible point for a normal direction is one
 of six exactly-representable sets, enumerated from the joint location of
-the constraint value and the multiplier.  On top of that enumeration sit
-closed-form squared distances, the second subderivative of the cone
-indicator, the penalized quadratic form and the second subderivative of
-the augmented Lagrangian, plus a brute-force difference-quotient oracle
-used to cross-check all of them.
+the constraint value and the multiplier in `critical_cone`, the one
+place that makes the split.  On top of it sit closed-form squared
+distances, the second subderivative of the cone indicator, the penalized
+quadratic form and the second subderivative of the augmented Lagrangian,
+plus a brute-force difference-quotient oracle used to cross-check them.
 """
 
 from __future__ import annotations
@@ -19,10 +19,19 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .cone import (ConeRegion, _project_polar_rows, as_cone_vec, classify, in_normal_cone,
-                   project_polar, tilde)
-from .lagrangian import aug_lagrangian, hessian_lagrangian, residual
+from .cone import (ConeRegion, _classify, _in_normal_cone, _project_polar_rows, _tilde,
+                   as_cone_vec, project_polar)
+from .lagrangian import _kkt_residual, aug_lagrangian, hessian_lagrangian
 from .model import SocpProblem
+
+# Tolerances and the size of the whole-cone sphere search.
+CONE_TOL = 1e-8     # normal-cone test and region split of a KKT pair
+KKT_TOL = 1e-8      # relative KKT residual check_sosc accepts
+TOL = 1e-8          # certificate threshold: moduli, eigenvalues, the whole-ray test
+MEMBER_TOL = 1e-10  # distance to the critical cone that counts as membership
+STARTS = 64         # sphere-search starts per penalty
+RHO0 = 1.0          # first penalty of the sphere search, doubled up to
+DOUBLINGS = 8       # DOUBLINGS times
 
 
 class CriticalConeCase(enum.Enum):
@@ -48,24 +57,26 @@ class CriticalCone:
     multiplier: np.ndarray
 
 
-def critical_cone(phi_xbar, lambda_bar, tol: float = 1e-8) -> CriticalCone:
+def critical_cone(phi_xbar, lambda_bar) -> CriticalCone:
     """Enumerate the critical cone from the locations of the two vectors.
 
-    Requires lambda_bar in N_Q(phi_xbar) within tol (projection test);
-    the same tol drives the region classification so that approximate
-    KKT data lands in the intended case.
+    Requires lambda_bar in N_Q(phi_xbar) within CONE_TOL (projection
+    test); the same tolerance drives the region classification so that
+    approximate KKT data lands in the intended case.
     """
     phi = as_cone_vec(phi_xbar)
     lam = as_cone_vec(lambda_bar)
-    if not in_normal_cone(lam, phi, tol):
+    if lam.size != phi.size:
+        raise ValueError("dimension mismatch between lam and y")
+    if not _in_normal_cone(lam, phi, CONE_TOL):
         raise ValueError("multiplier is not in the normal cone at the base point")
-    region_phi = classify(phi, tol)
-    region_lam = classify(lam, tol)
+    region_phi = _classify(phi, CONE_TOL)[0]
+    region_lam = _classify(lam, CONE_TOL)[0]
     if region_phi is ConeRegion.INTERIOR_Q:
         return CriticalCone(CriticalConeCase.FULL_SPACE, None, phi, lam)
     if region_phi is ConeRegion.BOUNDARY_Q_NONZERO:
         if region_lam is ConeRegion.ZERO:
-            return CriticalCone(CriticalConeCase.HALF_SPACE, tilde(phi), phi, lam)
+            return CriticalCone(CriticalConeCase.HALF_SPACE, _tilde(phi), phi, lam)
         return CriticalCone(CriticalConeCase.HYPERPLANE, lam.copy(), phi, lam)
     # vertex: phi = 0
     if region_lam is ConeRegion.ZERO:
@@ -73,7 +84,7 @@ def critical_cone(phi_xbar, lambda_bar, tol: float = 1e-8) -> CriticalCone:
     if region_lam is ConeRegion.INTERIOR_POLAR:
         return CriticalCone(CriticalConeCase.ZERO_ONLY, None, phi, lam)
     if region_lam is ConeRegion.BOUNDARY_POLAR_NONZERO:
-        return CriticalCone(CriticalConeCase.RAY, tilde(lam), phi, lam)
+        return CriticalCone(CriticalConeCase.RAY, _tilde(lam), phi, lam)
     raise ValueError("multiplier location is inconsistent with the normal cone")
 
 
@@ -100,58 +111,58 @@ def dist2_critical(K: CriticalCone, v) -> float:
     return float(w @ w)
 
 
-def d2_indicator_q(phi_xbar, lambda_bar, w, member_tol: float = 1e-10,
-                   cone_tol: float = 1e-8) -> float:
+def _pair(p: SocpProblem, xbar, lambda_bar, w=None):
+    """(x, lam, w, Phi(x), JPhi(x)): the inputs checked against p's
+    dimensions once, as float arrays, and each constraint oracle called once."""
+    x, lam = p.check_dims(xbar, lambda_bar)
+    if w is not None:
+        w = p.check_dims(w)[0]
+    return x, lam, w, p.phi_value(x), p.phi_jac(x)
+
+
+def d2_indicator_q(phi_xbar, lambda_bar, w) -> float:
     """Second subderivative of the indicator of Q at phi_xbar for lambda_bar.
 
     Returns the curvature term (||lam|| / ||phi||) (||w_r||^2 - w_0^2)
-    on the boundary case, 0 on the interior/vertex cases, and +inf when
-    w falls outside the critical cone (distance > member_tol).
+    on the boundary cases, 0 on the interior/vertex cases, and +inf when
+    w falls outside the critical cone (distance > MEMBER_TOL).
     """
-    phi = as_cone_vec(phi_xbar)
+    K = critical_cone(phi_xbar, lambda_bar)
     w = as_cone_vec(w)
-    K = critical_cone(phi, lambda_bar, cone_tol)
-    if np.sqrt(dist2_critical(K, w)) > member_tol:
+    if np.sqrt(dist2_critical(K, w)) > MEMBER_TOL:
         return float("inf")
-    region = classify(phi, cone_tol)
-    if region is ConeRegion.BOUNDARY_Q_NONZERO:
-        lam = as_cone_vec(lambda_bar)
-        coeff = np.linalg.norm(lam) / np.linalg.norm(phi)
+    if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
+        coeff = np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point)
         return float(coeff * (w[1:] @ w[1:] - w[0] ** 2))
     return 0.0
 
 
-def quad_form_q(p: SocpProblem, xbar, lambda_bar, rho: float, w,
-                cone_tol: float = 1e-8) -> float:
-    """Penalized quadratic form of the augmented Lagrangian at a KKT pair.
-
-    Equals <w, Hess_xx L w> plus, in the boundary case with a nonzero
-    multiplier, the rho-weighted tangential curvature of the cone.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    p.check_dims(w)
-    x = np.asarray(xbar, dtype=float)
-    lam = np.asarray(lambda_bar, dtype=float)
-    w = np.asarray(w, dtype=float)
-    H = hessian_lagrangian(p, x, lam)
-    base = float(w @ H @ w)
-    phi = p.phi_value(x)
-    region = classify(phi, cone_tol)
-    lam_zero = np.linalg.norm(lam) <= cone_tol * max(1.0, float(np.linalg.norm(lam)))
-    if region is not ConeRegion.BOUNDARY_Q_NONZERO or lam_zero:
+def _quad_form(p: SocpProblem, x, lam, w, J, K: CriticalCone, rho: float) -> float:
+    base = float(w @ hessian_lagrangian(p, x, lam) @ w)
+    if K.case is not CriticalConeCase.HYPERPLANE:
         return base
-    v = p.phi_jac(x) @ w
+    v = J @ w
     lam_r = lam[1:]
     lam_norm = np.linalg.norm(lam)
-    phi_norm = np.linalg.norm(phi)
+    phi_norm = np.linalg.norm(K.base_point)
     coeff = rho * lam_norm / (rho * phi_norm + lam_norm)
     tang = v[1:] @ v[1:] - (lam_r @ v[1:]) ** 2 / (lam_r @ lam_r)
     return base + float(coeff * tang)
 
 
-def d2_aug_lagrangian(p: SocpProblem, xbar, lambda_bar, rho: float, w,
-                      cone_tol: float = 1e-8) -> float:
+def quad_form_q(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
+    """Penalized quadratic form of the augmented Lagrangian at a KKT pair.
+
+    Equals <w, Hess_xx L w> plus, in the hyperplane case (boundary point,
+    nonzero multiplier), the rho-weighted tangential curvature of the cone.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
+    return _quad_form(p, x, lam, w, J, critical_cone(phi, lam), rho)
+
+
+def d2_aug_lagrangian(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
     """Second subderivative of x -> L_rho(x, lambda_bar) at xbar for 0.
 
     quad_form_q plus rho times the squared distance of JPhi(xbar) w to
@@ -159,12 +170,9 @@ def d2_aug_lagrangian(p: SocpProblem, xbar, lambda_bar, rho: float, w,
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    p.check_dims(w)
-    x = np.asarray(xbar, dtype=float)
-    w = np.asarray(w, dtype=float)
-    K = critical_cone(p.phi_value(x), lambda_bar, cone_tol)
-    v = p.phi_jac(x) @ w
-    return quad_form_q(p, x, lambda_bar, rho, w, cone_tol) + rho * dist2_critical(K, v)
+    x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
+    K = critical_cone(phi, lam)
+    return _quad_form(p, x, lam, w, J, K, rho) + rho * dist2_critical(K, J @ w)
 
 
 def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) -> float:
@@ -244,79 +252,37 @@ def _minimize_on_sphere(fun_grad, points: np.ndarray, iters: int = 200) -> np.nd
     return val
 
 
-def check_sosc(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
-               kkt_tol: float = 1e-8, starts: int = 64, rho0: float = 1.0,
-               doublings: int = 8, seed: int = 0,
-               cone_tol: float = 1e-8) -> SoscReport:
-    """Certify the second-order sufficient condition at a KKT pair.
+def _sosc_pieces(K: CriticalCone, H, J, n: int):
+    """(label, form, basis) pieces of the critical cone on whose unit
+    spheres the sufficiency modulus is the smallest eigenvalue of the
+    reduced form; one unlabelled piece in the subspace cases."""
+    if K.case is CriticalConeCase.FULL_SPACE:
+        return [(None, H, np.eye(n))]
+    if K.case is CriticalConeCase.ZERO_ONLY:
+        return [(None, H, null_space(J))]
+    if K.case is CriticalConeCase.HYPERPLANE:
+        # rho -> infinity limit of the penalized form: the curvature
+        # coefficient of the cone indicator's second subderivative.
+        coeff = np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point)
+        sign = np.r_[-1.0, np.ones(J.shape[0] - 1)]
+        return [(None, H + coeff * (J.T @ (sign[:, None] * J)),
+                 _row_null_space(J.T @ K.vector))]
+    # Halfspace and ray have zero cone curvature (zero multiplier or
+    # vertex), so the form is plain <w, H w> on a halfspace slice of a
+    # subspace; evenness makes each piece minimum an eigenvalue problem.
+    if K.case is CriticalConeCase.HALF_SPACE:
+        return [("inactive inequality", H, np.eye(n)),
+                ("boundary", H, _row_null_space(J.T @ K.vector))]
+    d = K.vector
+    proj_perp = np.eye(J.shape[0]) - np.outer(d, d) / (d @ d)
+    return [("ray span", H, null_space(proj_perp @ J)), ("ray origin", H, null_space(J))]
 
-    Subspace-constrained cases reduce to an exact eigenvalue problem of
-    the (limit) curvature form; halfspace/ray cases are handled piecewise
-    (the quadratic is even, so the piece minima are still eigenvalues).
-    The vertex case with zero multiplier is a genuine copositivity
-    problem and falls back to a sampled, non-certifying penalty sweep: at
-    each penalty rho0 * 2^j, one seeded block of `starts` normal starts
-    descends on the unit sphere as a lockstep batch (`_minimize_on_sphere`).
-    """
-    x = np.asarray(xbar, dtype=float)
-    lam = np.asarray(lambda_bar, dtype=float)
-    p.check_dims(x, lam)
-    res = residual(p, x, lam)
-    if res > kkt_tol * max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(lam))):
-        raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {kkt_tol:.1e}")
-    phi = p.phi_value(x)
-    J = p.phi_jac(x)
-    H = hessian_lagrangian(p, x, lam)
-    n = p.n
-    K = critical_cone(phi, lam, cone_tol)
 
-    if K.case in (CriticalConeCase.FULL_SPACE, CriticalConeCase.ZERO_ONLY,
-                  CriticalConeCase.HYPERPLANE):
-        S = H.copy()
-        if K.case is CriticalConeCase.HYPERPLANE:
-            # rho -> infinity limit of the penalized form: the curvature
-            # coefficient of the cone indicator's second subderivative.
-            coeff = np.linalg.norm(lam) / np.linalg.norm(phi)
-            sign = np.ones(p.m + 1)
-            sign[0] = -1.0
-            S = S + coeff * (J.T @ (sign[:, None] * J))
-            basis = _row_null_space(J.T @ K.vector)
-        elif K.case is CriticalConeCase.ZERO_ONLY:
-            basis = null_space(J)
-        else:
-            basis = np.eye(n)
-        if basis.shape[1] == 0:
-            return SoscReport(True, float("inf"), float("inf"), "ExactEigen",
-                              f"critical subspace is trivial ({K.case.value})")
-        modulus = _reduced_min_eig(S, basis)
-        return SoscReport(modulus > tol, modulus, float("inf"), "ExactEigen",
-                          f"{K.case.value}: min eigenvalue on a "
-                          f"{basis.shape[1]}-dim subspace of R^{n}")
-
-    if K.case in (CriticalConeCase.HALF_SPACE, CriticalConeCase.RAY):
-        # Both cases have zero cone curvature (zero multiplier or vertex),
-        # so the form is plain <w, H w> on a halfspace slice of a subspace;
-        # evenness makes each piece minimum an eigenvalue problem.
-        pieces = []
-        if K.case is CriticalConeCase.HALF_SPACE:
-            pieces.append(("inactive inequality", np.eye(n)))
-            pieces.append(("boundary", _row_null_space(J.T @ K.vector)))
-        else:
-            d = K.vector
-            proj_perp = np.eye(p.m + 1) - np.outer(d, d) / (d @ d)
-            pieces.append(("ray span", null_space(proj_perp @ J)))
-            pieces.append(("ray origin", null_space(J)))
-        moduli = [(_reduced_min_eig(H, B), label, B.shape[1])
-                  for label, B in pieces if B.shape[1] > 0]
-        if not moduli:
-            return SoscReport(True, float("inf"), float("inf"), "PiecewiseEigen",
-                              f"critical subspace is trivial ({K.case.value})")
-        modulus, label, dim = min(moduli)
-        return SoscReport(modulus > tol, modulus, float("inf"), "PiecewiseEigen",
-                          f"{K.case.value}: min over pieces attained on "
-                          f"'{label}' ({dim}-dim)")
-
-    # whole-cone case: copositivity of <w, H w> + rho dist^2(Jw; Q); sampled.
+def _whole_cone_search(H, J, seed: int) -> SoscReport:
+    """Sampled, non-certifying sufficiency test on the whole cone Q:
+    copositivity of <w, H w> + rho dist^2(Jw; Q).  At each penalty
+    RHO0 * 2^j, one seeded block of STARTS normal starts descends on the
+    unit sphere as a lockstep batch (`_minimize_on_sphere`)."""
     rng = np.random.default_rng(seed)
 
     def objective(W, rho):
@@ -325,22 +291,52 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
         return (_rowdot(W, HW) + rho * _rowdot(polar, polar),
                 2.0 * HW + (2.0 * rho) * (polar @ J))
 
-    best, rho = -np.inf, rho0
-    for j in range(doublings):
-        rho = rho0 * (2.0 ** j)
+    for j in range(DOUBLINGS):
+        rho = RHO0 * (2.0 ** j)
         best = float(_minimize_on_sphere(lambda W: objective(W, rho),
-                                         rng.standard_normal((starts, n))).min())
-        if best > tol:
+                                         rng.standard_normal((STARTS, H.shape[0]))).min())
+        if best > TOL:
             return SoscReport(True, best, rho, "SampledPenalty",
                               f"WholeConeQ: sampled sphere minimum {best:.3e} at "
-                              f"rho={rho:g} ({starts} starts, non-certifying)")
+                              f"rho={rho:g} ({STARTS} starts, non-certifying)")
     return SoscReport(False, best, rho, "SampledPenalty",
-                      f"WholeConeQ: sampled sphere minimum stayed <= {tol:.1e} "
-                      f"up to rho={rho:g} ({starts} starts, non-certifying)")
+                      f"WholeConeQ: sampled sphere minimum stayed <= {TOL:.1e} "
+                      f"up to rho={rho:g} ({STARTS} starts, non-certifying)")
 
 
-def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8,
-                             cone_tol: float = 1e-8):
+def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
+    """Certify the second-order sufficient condition at a KKT pair.
+
+    Subspace-constrained cases reduce to an exact eigenvalue problem of
+    the (limit) curvature form; halfspace/ray cases are handled piecewise
+    (the quadratic is even, so the piece minima are still eigenvalues).
+    The vertex case with zero multiplier is a genuine copositivity
+    problem and falls back to a sampled, non-certifying penalty sweep
+    (`_whole_cone_search`, seeded by `seed`).
+    """
+    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
+    res = _kkt_residual(phi, J, p.f_grad(x), lam)
+    if res > KKT_TOL * max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(lam))):
+        raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
+    H = hessian_lagrangian(p, x, lam)
+    K = critical_cone(phi, lam)
+    if K.case is CriticalConeCase.WHOLE_CONE_Q:
+        return _whole_cone_search(H, J, seed)
+
+    pieces = _sosc_pieces(K, H, J, p.n)
+    method = "ExactEigen" if len(pieces) == 1 else "PiecewiseEigen"
+    moduli = [(_reduced_min_eig(S, B), label, B.shape[1])
+              for label, S, B in pieces if B.shape[1] > 0]
+    if not moduli:
+        return SoscReport(True, float("inf"), float("inf"), method,
+                          f"critical subspace is trivial ({K.case.value})")
+    modulus, label, dim = min(moduli)
+    detail = (f"min eigenvalue on a {dim}-dim subspace of R^{p.n}" if len(pieces) == 1
+              else f"min over pieces attained on '{label}' ({dim}-dim)")
+    return SoscReport(modulus > TOL, modulus, float("inf"), method, f"{K.case.value}: {detail}")
+
+
+def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
     """Test whether the polar of the critical cone meets ker JPhi(xbar)'
     only at the origin.
 
@@ -348,15 +344,11 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
     intersection when the condition fails.  Every case is exact linear
     algebra on a kernel basis K: a ray's polar is a halfspace, which any
     nonzero subspace meets; the whole cone's polar -Q meets span K iff
-    M = K[1:]'K[1:] - K[0]K[0]' has an eigenvalue <= tol (c'Mc is
+    M = K[1:]'K[1:] - K[0]K[0]' has an eigenvalue <= TOL (c'Mc is
     ||v_r||^2 - v_0^2 at v = K c), whose eigenvector gives the witness.
     """
-    x = np.asarray(xbar, dtype=float)
-    lam = np.asarray(lambda_bar, dtype=float)
-    p.check_dims(x, lam)
-    phi = p.phi_value(x)
-    J = p.phi_jac(x)
-    K = critical_cone(phi, lam, cone_tol)
+    _, lam, _, phi, J = _pair(p, xbar, lambda_bar)
+    K = critical_cone(phi, lam)
     jac_scale = max(1.0, float(np.linalg.norm(J)))
 
     if K.case is CriticalConeCase.FULL_SPACE:
@@ -369,7 +361,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
     if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
         # polar is span{u} (hyperplane) or the ray R_+ u (halfspace)
         u = K.vector
-        if np.linalg.norm(J.T @ u) <= tol * jac_scale * np.linalg.norm(u):
+        if np.linalg.norm(J.T @ u) <= TOL * jac_scale * np.linalg.norm(u):
             return False, u / np.linalg.norm(u)
         return True, None
 
@@ -380,7 +372,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
     if K.case is CriticalConeCase.RAY:
         # polar is the halfspace {v : <K.vector, v> <= 0}
         lam_norm = np.linalg.norm(lam)
-        if lam_norm > 0 and np.linalg.norm(J.T @ lam) <= tol * jac_scale * lam_norm:
+        if lam_norm > 0 and np.linalg.norm(J.T @ lam) <= TOL * jac_scale * lam_norm:
             # the multiplier direction itself lies in the halfspace polar
             return False, lam / lam_norm
         c = -kernel.T @ K.vector
@@ -393,7 +385,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
     # WHOLE_CONE_Q: polar is -Q
     M = kernel[1:].T @ kernel[1:] - np.outer(kernel[0], kernel[0])
     eigvals, eigvecs = np.linalg.eigh(M)
-    if eigvals[0] > tol:
+    if eigvals[0] > TOL:
         return True, None
     witness = kernel @ eigvecs[:, 0]
     if witness[0] > 0:
@@ -401,8 +393,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, tol: float = 1e-8
     return False, witness / np.linalg.norm(witness)
 
 
-def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool,
-                        tol: float = 1e-8, cone_tol: float = 1e-8) -> str:
+def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool) -> str:
     """Classify the calmness of the multiplier mapping: 'calm',
     'not_calm' or 'unknown'.
 
@@ -410,23 +401,15 @@ def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool,
     multiplier sets); at the vertex, strict complementarity or a holding
     dual qualification give calmness, a boundary multiplier whose whole
     ray consists of multipliers is the open configuration and is reported
-    as 'unknown' rather than guessed.
+    as 'unknown' rather than guessed, as is a zero multiplier.
     """
-    x = np.asarray(xbar, dtype=float)
-    lam = np.asarray(lambda_bar, dtype=float)
-    p.check_dims(x, lam)
-    region_phi = classify(p.phi_value(x), cone_tol)
-    if region_phi in (ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO):
+    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
+    case = critical_cone(phi, lam).case
+    if duq_holds or case not in (CriticalConeCase.RAY, CriticalConeCase.WHOLE_CONE_Q):
         return "calm"
-    region_lam = classify(lam, cone_tol)
-    if region_lam is ConeRegion.INTERIOR_POLAR:
-        return "calm"
-    if duq_holds:
-        return "calm"  # isolated calmness in particular
-    if region_lam is ConeRegion.BOUNDARY_POLAR_NONZERO:
-        J = p.phi_jac(x)
+    if case is CriticalConeCase.RAY:
         scale = max(1.0, float(np.linalg.norm(J)), float(np.linalg.norm(lam)))
-        whole_ray = (np.linalg.norm(J.T @ lam) <= tol * scale
-                     and np.linalg.norm(p.f_grad(x)) <= tol * scale)
+        whole_ray = (np.linalg.norm(J.T @ lam) <= TOL * scale
+                     and np.linalg.norm(p.f_grad(x)) <= TOL * scale)
         return "unknown" if whole_ray else "not_calm"
     return "unknown"

@@ -17,7 +17,7 @@ from socalm.variational import (CriticalConeCase, _minimize_on_sphere,
                                 difference_quotient_oracle, dist2_critical,
                                 multiplier_calmness, quad_form_q)
 
-from _util import negative_curvature_problem, vertex_problem
+from _util import constant_phi_problem, counted, negative_curvature_problem, vertex_problem
 
 
 def test_critical_cone_case_table():
@@ -229,12 +229,12 @@ def test_check_sosc_rejects_non_kkt():
 def test_check_sosc_vertex_sampled_cases():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     good = vertex_problem(A, sign=1.0, name="vertex_psd")
-    report = check_sosc(good, np.zeros(2), np.zeros(3), starts=16, doublings=4)
+    report = check_sosc(good, np.zeros(2), np.zeros(3))
     assert report.method == "SampledPenalty"
     assert report.holds and report.modulus > 0.9
 
     bad = vertex_problem(np.array([[1.0, 0.0], [0.0, 0.0]]), sign=-1.0, name="vertex_neg")
-    report = check_sosc(bad, np.zeros(2), np.zeros(2), starts=16, doublings=6)
+    report = check_sosc(bad, np.zeros(2), np.zeros(2))
     assert report.method == "SampledPenalty"
     assert not report.holds
     assert report.modulus <= 0.0
@@ -300,6 +300,83 @@ def test_multiplier_calmness_classification():
     vertex = generate_planted(4, 2, ConeRegion.ZERO, seed=3)
     sol = vertex.known_solution  # strict complementarity: interior multiplier
     assert multiplier_calmness(vertex, sol.x, sol.lam, False) == "calm"
+
+
+def _ray_pair(kernel):
+    """Vertex KKT pair (0, lam) of a quadratic with a boundary multiplier
+    lam of -Q, so the critical cone is a ray; with `kernel` J' lam = 0 and
+    grad f(0) = 0, so every point of the ray R_+ lam is a multiplier."""
+    lam = np.array([-1.0, 0.6, 0.8])
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    if kernel:
+        A = A - np.outer(lam, lam @ A) / (lam @ lam)
+    return quadratic_problem(np.eye(2), -A.T @ lam, 0.0, A, np.zeros(3)), np.zeros(2), lam
+
+
+def _calmness_case(case):
+    """(problem, x, lam) whose critical cone is `case`."""
+    if case == "RayWholeRay":
+        return _ray_pair(kernel=True)
+    if case == "Ray":
+        return _ray_pair(kernel=False)
+    phi, lam = {
+        "FullSpace": ([2.0, 1.0, 0.0], [0.0, 0.0, 0.0]),
+        "Hyperplane": ([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]),
+        "HalfSpace": ([1.0, 1.0, 0.0], [0.0, 0.0, 0.0]),
+        "ZeroOnly": ([0.0, 0.0, 0.0], [-2.0, 1.0, 0.0]),
+        "WholeConeQ": ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    }[case]
+    return constant_phi_problem(phi), np.zeros(2), np.array(lam)
+
+
+@pytest.mark.parametrize("case, duq_holds, expected", [
+    ("FullSpace", True, "calm"), ("FullSpace", False, "calm"),
+    ("Hyperplane", True, "calm"), ("Hyperplane", False, "calm"),
+    ("HalfSpace", True, "calm"), ("HalfSpace", False, "calm"),
+    ("ZeroOnly", True, "calm"), ("ZeroOnly", False, "calm"),
+    ("Ray", True, "calm"), ("Ray", False, "not_calm"),
+    ("RayWholeRay", True, "calm"), ("RayWholeRay", False, "unknown"),
+    ("WholeConeQ", True, "calm"), ("WholeConeQ", False, "unknown"),
+])
+def test_multiplier_calmness_over_the_critical_cone_cases(case, duq_holds, expected):
+    p, x, lam = _calmness_case(case)
+    assert critical_cone(p.phi_value(x), lam).case.value == case.replace("WholeRay", "")
+    assert multiplier_calmness(p, x, lam, duq_holds) == expected
+
+
+@pytest.mark.parametrize("duq_holds", [True, False])
+def test_multiplier_outside_the_normal_cone_raises(duq_holds):
+    # Phi(0) = 0 is the vertex, whose normal cone is -Q; (1, 0, 0) lies in Q
+    p = builtin("projection")
+    x, lam = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not in the normal cone"):
+        multiplier_calmness(p, x, lam, duq_holds)
+    with pytest.raises(ValueError, match="not in the normal cone"):
+        quad_form_q(p, x, lam, 1.0, np.array([0.0, 1.0, 0.0]))
+
+
+def _pairs_for_counting():
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    e32 = builtin("example_3_2")
+    proj = builtin("projection", a=(0.0, 2.0, 0.0))
+    boundary = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=5)
+    yield e32, e32.known_solution.x, e32.known_solution.lam
+    yield proj, proj.known_solution.x, proj.known_solution.lam
+    yield boundary, boundary.known_solution.x, boundary.known_solution.lam
+    yield vertex_problem(A), np.zeros(2), np.zeros(3)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p, x, lam: check_sosc(p, x, lam),
+    lambda p, x, lam: d2_aug_lagrangian(p, x, lam, 2.0, np.ones(p.n)),
+    lambda p, x, lam: quad_form_q(p, x, lam, 2.0, np.ones(p.n)),
+    lambda p, x, lam: check_dual_qualification(p, x, lam),
+], ids=["check_sosc", "d2_aug_lagrangian", "quad_form_q", "check_dual_qualification"])
+def test_one_constraint_evaluation_per_call(fn):
+    for p, x, lam in _pairs_for_counting():
+        p, calls = counted(p)
+        fn(p, x, lam)
+        assert calls["phi_value"] <= 1 and calls["phi_jac"] <= 1, (p.name, dict(calls))
 
 
 def _whole_cone_objective(H, J, rho):
