@@ -267,6 +267,8 @@ def update_multiplier(phi_x_next, lambda_k, rho_k: float) -> np.ndarray:
         raise ValueError("rho_k must be positive")
     phi = as_cone_vec(phi_x_next)
     lam = np.asarray(lambda_k, dtype=float)
+    if lam.shape != phi.shape:
+        raise ValueError(f"lambda_k has shape {lam.shape}, Phi(x_next) has {phi.shape}")
     return shift(phi, lam, rho_k)[1]
 
 
@@ -286,10 +288,12 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     Stops when the KKT residual drops to cfg.outer_tol (Converged), the
     outer budget is exhausted (MaxIterations) or an inner solve fails
     (InnerFailure, with the partial trace and trace.message), including
-    on a non-finite oracle result.  The penalty is raised by rho_growth,
-    capped at rho_max, whenever the residual fails to halve.  A
-    non-finite start (x0, lambda0 or the shifted point there) raises
-    NonFiniteError, a ValueError.  No floating-point warning is printed:
+    on a non-finite oracle result and on a shifted point that overflows
+    at a new iterate; that iterate is the last trace row, with a NaN
+    value.  The penalty is raised by rho_growth, capped at rho_max,
+    whenever the residual fails to halve.  A non-finite start (x0,
+    lambda0 or the shifted point there) raises NonFiniteError, a
+    ValueError.  No floating-point warning is printed:
     every overflow or invalid value surfaces as one of these outcomes.
 
     Each outer iteration reuses the inner solve's final evaluation: its
@@ -328,5 +332,12 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
         if sigma_next > 0.5 * sigma:
             rho = min(cfg.rho_max, rho * cfg.rho_growth)
         x, lam, sigma = end.x, lam_next, sigma_next
-        ev = end.at(lam, rho)
+        try:
+            ev = end.at(lam, rho)
+        except NonFiniteError as exc:
+            # the value at the new (lam, rho) is what overflowed
+            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, math.nan)
+            trace.status = AlmStatus.INNER_FAILURE
+            trace.message = f"{exc} at outer iteration {k + 1} (rho={rho:g})"
+            break
     return KktPoint(x, lam), trace

@@ -246,13 +246,26 @@ def generate_planted(n: int, m: int, region: ConeRegion, seed: int) -> SocpProbl
     )
 
 
+# the parameters each builtin problem takes
+_BUILTIN_PARAMS = {"example_3_2": (), "projection": ("a",), "interior_trivial": ("n", "m"),
+                  "scaled_quadratic": ("seed", "n", "m", "region")}
+
+
 def builtin(name: str, **params) -> SocpProblem:
     """Look up a registered problem by name.
 
     Supported names: example_3_2, projection (param a, default (0, 2, 0)),
     interior_trivial (params n, m), scaled_quadratic (params seed, n, m,
-    region -- a seeded planted quadratic).
+    region -- a seeded planted quadratic).  An unknown name raises
+    KeyError; a parameter the problem does not take raises ValueError.
     """
+    accepted = _BUILTIN_PARAMS.get(name) if isinstance(name, str) else None
+    if accepted is None:
+        raise KeyError(f"unknown builtin problem {name!r}")
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"builtin problem {name!r} takes no parameter "
+                         f"{', '.join(unknown)} (it takes: {', '.join(accepted) or 'none'})")
     if name == "example_3_2":
         return _example_3_2()
     if name == "projection":
@@ -268,7 +281,6 @@ def builtin(name: str, **params) -> SocpProblem:
         planted = generate_planted(
             int(params.get("n", 3)), int(params.get("m", 2)), region, seed)
         return replace(planted, name=f"scaled_quadratic_{seed}")
-    raise KeyError(f"unknown builtin problem {name!r}")
 
 
 def load_problem(path) -> SocpProblem:
@@ -289,7 +301,10 @@ def load_problem(path) -> SocpProblem:
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("field 'params' must be an object")
-        return builtin(data["builtin"], **params)
+        try:
+            return builtin(data["builtin"], **params)
+        except KeyError as exc:
+            raise ValueError(f"field 'builtin': {exc.args[0]}") from exc
     if "quadratic" in data:
         spec = data["quadratic"]
         if not isinstance(spec, dict):

@@ -83,6 +83,13 @@ def test_update_multiplier_examples():
     assert_allclose(update_multiplier([0.0, 2.0, 0.0], np.zeros(3), 1.0), [-1.0, 1.0, 0.0])
 
 
+def test_update_multiplier_rejects_a_wrong_length_multiplier():
+    with pytest.raises(ValueError, match="shape"):
+        update_multiplier([1.0, 2.0, 0.0], [0.5], 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        update_multiplier([1.0, 2.0, 0.0], np.zeros((1, 3)), 1.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AlmConfig(rho0=0.0)
@@ -275,6 +282,21 @@ def test_non_finite_constraint_value_is_inner_failure():
     assert len(trace) >= 1
     assert all(np.all(x[0] <= 0.3) for x in trace.xs)
     assert "non-finite" in trace.message
+
+
+def test_shift_overflow_after_penalty_increase_is_inner_failure():
+    # the second outer step does not halve the residual, so the penalty
+    # jumps from 1 to 1e300 and rho*Phi(x)+lam overflows at the new iterate
+    p = builtin("projection", a=(0.0, 1e10, 0.0))
+    cfg = AlmConfig(rho0=1.0, rho_growth=1e300, rho_max=math.inf, outer_tol=1e-15)
+    point, trace = solve(p, np.zeros(3), np.zeros(3), cfg)
+    assert trace.status is AlmStatus.INNER_FAILURE
+    assert trace.message.startswith("non-finite shifted point")
+    assert trace.rhos[-1] == 1e300 and math.isnan(trace.values[-1])
+    assert (trace.epss[-1], trace.inner_iters[-1], trace.grad_norms[-1]) == (0.0, 0, 0.0)
+    assert point.x.tobytes() == trace.xs[-1].tobytes()
+    assert point.lam.tobytes() == trace.lams[-1].tobytes()
+    assert np.isfinite(trace.sigmas).all()
 
 
 def test_non_finite_start_raises():

@@ -253,10 +253,52 @@ def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "builtin:projection", "--n", "7", "--region", "Zero"],
+    ["check", "sosc", "--problem", "builtin:example_3_2", "--a", "1,0,0"],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10", "--a", "1,0,0"],
+])
+def test_builtin_parameter_the_problem_does_not_take_exit_two(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: builtin problem ")
+    assert "takes no parameter" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace", "--out"])
+def test_unwritable_output_path_exit_two(flag, tmp_path, capsys):
+    path = str(tmp_path / "missing-dir" / "out")
+    command = (["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10"]
+               if flag == "--out" else ["solve", "--problem", "builtin:projection"])
+    assert run_cli(*command, flag, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+    assert err.count("\n") == 1
+
+
+def test_shift_overflow_after_penalty_increase_exit_one(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    trace = tmp_path / "trace.csv"
+    code = run_cli("solve", "--problem", "builtin:projection", "--a", "0,1e10,0",
+                   "--rho0", "1", "--rho-growth", "1e300", "--rho-max", "inf",
+                   "--tol", "1e-15", "--report", str(report), "--trace", str(trace))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("status=InnerFailure")
+    assert captured.err.startswith("failure: non-finite shifted point")
+    assert captured.err.count("\n") == 1
+    assert json.loads(report.read_text())["status"] == "InnerFailure"
+    with trace.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[-1]["rho_k"] == "1e+300" and rows[-1]["value"] == "nan"
+
+
 RULES = {rule.__name__: rule for rule in (Exact, Proportional, FixedSequence)}
 
 
 @pytest.mark.parametrize("flags, expected", [
+    ([], AlmConfig()),
     (["--exact"], AlmConfig(eps_rule=Exact())),
     (["--eps-eta", "0.25", "--rho0", "0.5", "--rho-growth", "3", "--rho-max", "1e4",
       "--tol", "1e-8", "--max-outer", "50"],

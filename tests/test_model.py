@@ -51,6 +51,35 @@ def test_unknown_builtin_rejected():
         builtin("nonsense")
 
 
+@pytest.mark.parametrize("name, params, unknown", [
+    ("projection", {"n": 7, "region": "Zero"}, "n, region"),
+    ("example_3_2", {"seed": 1}, "seed"),
+    ("interior_trivial", {"a": (1.0, 0.0)}, "a"),
+    ("scaled_quadratic", {"seed": 1, "eta": 0.5}, "eta"),
+])
+def test_builtin_rejects_parameters_it_does_not_take(name, params, unknown, tmp_path):
+    with pytest.raises(ValueError, match=f"takes no parameter {unknown} "):
+        builtin(name, **params)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"builtin": name, "params": params}))
+    with pytest.raises(ValueError, match=f"takes no parameter {unknown} "):
+        load_problem(path)
+
+
+def test_builtin_accepts_each_documented_parameter():
+    assert builtin("projection", a=(0.0, 3.0, 0.0)).known_solution is not None
+    assert builtin("interior_trivial", n=3, m=2).n == 3
+    p = builtin("scaled_quadratic", seed=4, n=5, m=3, region="Zero")
+    assert (p.n, p.m, p.name) == (5, 3, "scaled_quadratic_4")
+
+
+def test_load_problem_unknown_builtin_is_a_value_error(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"builtin": "nonsense"}))
+    with pytest.raises(ValueError, match="field 'builtin': unknown builtin problem 'nonsense'"):
+        load_problem(path)
+
+
 @pytest.mark.parametrize("p", all_reference_problems(), ids=lambda p: p.name)
 def test_known_solutions_satisfy_kkt(p):
     sol = p.known_solution
