@@ -310,13 +310,10 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     ev = AugEval(p, x, lam, rho)
     sigma = ev.kkt_residual(lam)
     for k in range(cfg.max_outer + 1):
-        if sigma <= cfg.outer_tol:
+        converged = sigma <= cfg.outer_tol
+        if converged or k == cfg.max_outer:
             trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value)
-            trace.status = AlmStatus.CONVERGED
-            break
-        if k == cfg.max_outer:
-            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value)
-            trace.status = AlmStatus.MAX_ITERATIONS
+            trace.status = AlmStatus.CONVERGED if converged else AlmStatus.MAX_ITERATIONS
             break
         eps_k = _eps_for(cfg.eps_rule, k, sigma)
         try:

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -79,31 +80,37 @@ def _start(args, problem: SocpProblem, x0, lam0):
     return x0, lam0
 
 
+def _finite_json(value):
+    """value with each non-finite float as None (null): RFC 8259 has no inf or NaN."""
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path, payload) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(_finite_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
 def _write_trace_csv(path, trace: alm.AlmTrace, problem: SocpProblem) -> None:
     if not path:
         return
-    have_solution = problem.known_solution is not None
     header = ["k", "sigma", "eps_k", "rho_k", "inner_iters", "grad_norm", "value"]
-    if have_solution:
+    columns = [range(len(trace)), trace.sigmas, trace.epss, trace.rhos, trace.inner_iters,
+               trace.grad_norms, trace.values]
+    sol = problem.known_solution
+    if sol is not None:
         header += ["dist_x", "dist_lambda"]
+        columns += [[float(np.linalg.norm(x - sol.x)) for x in trace.xs],
+                    [diagnostics.dist_to_multiplier_set(problem, lam) for lam in trace.lams]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(len(trace)):
-            row = [k, repr(trace.sigmas[k]), repr(trace.epss[k]), repr(trace.rhos[k]),
-                   trace.inner_iters[k], repr(trace.grad_norms[k]), repr(trace.values[k])]
-            if have_solution:
-                dx = float(np.linalg.norm(trace.xs[k] - problem.known_solution.x))
-                dl = diagnostics.dist_to_multiplier_set(problem, trace.lams[k])
-                row += [repr(dx), repr(dl)]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def _alm_config(args, rho0: float, rho_growth: float, rho_max: float) -> alm.AlmConfig:

@@ -5,14 +5,14 @@ y = (y0, yr) with ||yr|| <= y0.  Vectors are plain 1-D numpy arrays of
 length m+1; the first entry is the "time" component y0 and the rest is
 the "space" block yr.  Everything here is a pure function of its inputs.
 
-The public kernels validate their input through `as_cone_vec` and then
-delegate to unchecked twins (leading underscore) that expect a finite
-float vector of length >= 2; the solver's hot path, which checks each
-evaluated point once, calls the twins directly; the `_*_rows` twins take
-the rows of a (k, m+1) array.  The generalized Jacobian of the polar
-projection is also available by structure (`_polar_jacobian_parts`: a
-multiple of the identity plus a rank-2 term), from which the dense matrix
-is built.
+The public kernels validate their input through `as_cone_vec`.  Only
+where an internal caller needs it (the solver's hot path, which checks
+each evaluated point once, and the certificates) does a kernel have an
+unchecked twin (leading underscore) that expects a finite float vector of
+length >= 2; the `_*_rows` twins take the rows of a (k, m+1) array.  The
+generalized Jacobian of the polar projection is also available by
+structure (`_polar_jacobian_parts`: a multiple of the identity plus a
+rank-2 term), from which the dense matrix is built.
 """
 
 from __future__ import annotations
@@ -155,7 +155,15 @@ def jacobian_project_polar(y) -> np.ndarray:
     `_polar_jacobian_parts`, which also gives the matrix's
     identity-plus-rank-2 structure to the Hessian assembly.
     """
-    return _jacobian_project_polar(as_cone_vec(y))
+    y = as_cone_vec(y)
+    alpha, u, r = _polar_jacobian_parts(y)
+    out = alpha * np.eye(y.size)
+    if u is not None:
+        out[0, 0] = 0.5
+        out[0, 1:] = -0.5 * u
+        out[1:, 0] = -0.5 * u
+        out[1:, 1:] += (0.5 * r) * np.outer(u, u)
+    return out
 
 
 def _polar_jacobian_parts(y: np.ndarray):
@@ -185,17 +193,6 @@ def _polar_jacobian_parts(y: np.ndarray):
         return (0.0 if y[0] >= 0 else 1.0), None, None
     r = y[0] / rnorm
     return 0.5 * (1.0 - r), y[1:] / rnorm, r
-
-
-def _jacobian_project_polar(y: np.ndarray) -> np.ndarray:
-    alpha, u, r = _polar_jacobian_parts(y)
-    out = alpha * np.eye(y.size)
-    if u is not None:
-        out[0, 0] = 0.5
-        out[0, 1:] = -0.5 * u
-        out[1:, 0] = -0.5 * u
-        out[1:, 1:] += (0.5 * r) * np.outer(u, u)
-    return out
 
 
 def in_normal_cone(lam, y, tol: float = 1e-10) -> bool:

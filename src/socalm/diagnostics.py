@@ -12,6 +12,7 @@ samples and flag instability heuristically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -184,9 +185,9 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
     For each penalty value the growth modulus is the smallest sampled
     value of (L_rho(x, lam) - f(xbar)) / ||x - xbar||^2 over shrinking
     balls around xbar and over multipliers near the known one (the whole
-    segment when the multiplier set is a ray).  The first penalty with a
-    positive modulus is reported; uniform means one modulus works for
-    every sampled multiplier at the reported radius.
+    segment when the multiplier set is a ray).  Over (penalty, radius) in
+    order, the first positive modulus is reported, else the first largest;
+    as a minimum over the multipliers it is uniform iff ell_hat > 0.
     """
     sol = _require_solution(p)
     if not rho_list:
@@ -202,7 +203,7 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
     f_bar = p.f_value(sol.x)
     evaluated = {}  # gamma -> (squared step norms, Phi and f at xbar + step)
 
-    def moduli_at(rho, gamma):
+    def modulus_at(rho, gamma):
         if gamma not in evaluated:
             steps = x_steps[gamma][np.vecdot(x_steps[gamma], x_steps[gamma]) >= 1e-24]
             xs = sol.x + steps
@@ -218,26 +219,17 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
             # L_rho = f + (||polar||^2 - ||lam||^2) / (2 rho), as in AugEval
             vals = fs + (np.vecdot(polar, polar) - lam @ lam) / (2.0 * rho)
             per_lam.append(float(np.fmin.reduce((vals - f_bar) / r2, initial=math.inf)))
-        return per_lam
+        return min(per_lam)
 
-    best = None  # (rho, gamma, ell, uniform)
-    for rho in rho_list:
-        chosen = None
-        for gamma in radii:
-            per_lam = moduli_at(rho, gamma)
-            ell = min(per_lam)
-            if ell > 0.0:
-                chosen = (rho, gamma, ell, all(v > 0.0 for v in per_lam))
-                break
-            if chosen is None or ell > chosen[2]:
-                chosen = (rho, gamma, ell, False)
-        if best is None or chosen[2] > best[2]:
-            best = chosen
-        if best[2] > 0.0:
+    best = None  # (ell, rho, gamma)
+    for rho, gamma in itertools.product(rho_list, radii):
+        ell = modulus_at(rho, gamma)
+        if best is None or ell > best[0]:
+            best = (ell, rho, gamma)
+        if ell > 0.0:
             break
-    rho_used, gamma_hat, ell_hat, uniform = best
-    return GrowthReport(float(rho_used), float(ell_hat), float(gamma_hat),
-                        len(lams), bool(uniform))
+    ell_hat, rho_used, gamma_hat = best
+    return GrowthReport(float(rho_used), ell_hat, float(gamma_hat), len(lams), ell_hat > 0.0)
 
 
 def estimate_rate(trace, p: SocpProblem) -> Tuple[List[float], float]:

@@ -13,12 +13,13 @@ problems with a known KKT pair in a requested cone region.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cone import ConeRegion, as_cone_vec, project_polar, project_q, tilde
+from .cone import ConeRegion, as_cone_vec, project_q, tilde
 
 
 @dataclass(frozen=True)
@@ -80,15 +81,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None,
-                      multiplier_ray=None) -> SocpProblem:
+def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> SocpProblem:
     """Problem with f(x) = x'Px/2 + q'x + c and Phi(x) = Ax + b.
 
     f_hess, phi_jac and phi_hess_contract return the same read-only
-    arrays P, A and 0 on every call.
+    arrays P, A and 0 on every call.  Non-finite data raises ValueError.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
+    c = float(c)
     A = np.array(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -102,6 +103,9 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None,
         raise ValueError("A must have at least 2 rows (m >= 1)")
     if b.shape != (A.shape[0],):
         raise ValueError("b has wrong length for A")
+    for field, value in (("P", P), ("q", q), ("c", c), ("A", A), ("b", b)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{field} has non-finite entries")
     m = A.shape[0] - 1
     P = _read_only(0.5 * (P + P.T))
     _read_only(A)
@@ -116,7 +120,6 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None,
         phi_hess_contract=lambda x, lam: zero_h,
         name=name,
         known_solution=known_solution,
-        multiplier_ray=multiplier_ray,
     )
 
 
@@ -226,16 +229,9 @@ def generate_planted(n: int, m: int, region: ConeRegion, seed: int) -> SocpProbl
         lam_bar = t * tilde(z)
     else:  # vertex: Phi(xbar) = 0, lambar strictly inside -Q
         z = np.zeros(m + 1)
-        lam_bar = None
-        for _ in range(100):
-            v = rng.standard_normal(m)
-            s = 0.5 + abs(rng.standard_normal())
-            cand = np.concatenate(([-(np.linalg.norm(v) + s)], v))
-            if np.linalg.norm(cand) > 1e-8:
-                lam_bar = cand
-                break
-        if lam_bar is None:
-            raise RuntimeError("could not draw a multiplier inside -Q after 100 attempts")
+        v = rng.standard_normal(m)
+        s = 0.5 + abs(rng.standard_normal())
+        lam_bar = np.concatenate(([-(np.linalg.norm(v) + s)], v))
 
     b = z - A @ x_bar
     q = -P @ x_bar - A.T @ lam_bar
@@ -257,7 +253,8 @@ def builtin(name: str, **params) -> SocpProblem:
     Supported names: example_3_2, projection (param a, default (0, 2, 0)),
     interior_trivial (params n, m), scaled_quadratic (params seed, n, m,
     region -- a seeded planted quadratic).  An unknown name raises
-    KeyError; a parameter the problem does not take raises ValueError.
+    KeyError; a parameter the problem does not take, or a non-integer
+    n, m or seed, raises ValueError.
     """
     accepted = _BUILTIN_PARAMS.get(name) if isinstance(name, str) else None
     if accepted is None:
@@ -266,6 +263,9 @@ def builtin(name: str, **params) -> SocpProblem:
     if unknown:
         raise ValueError(f"builtin problem {name!r} takes no parameter "
                          f"{', '.join(unknown)} (it takes: {', '.join(accepted) or 'none'})")
+    for key in sorted(set(params) & {"n", "m", "seed"}):
+        if isinstance(params[key], bool) or not isinstance(params[key], numbers.Integral):
+            raise ValueError(f"parameter {key!r} must be an integer, got {params[key]!r}")
     if name == "example_3_2":
         return _example_3_2()
     if name == "projection":
@@ -288,7 +288,8 @@ def load_problem(path) -> SocpProblem:
 
     The file holds either {"builtin": name, "params": {...}} or
     {"quadratic": {"P": [[...]], "q": [...], "c": 0.0, "A": [[...]], "b": [...]}}
-    with row-major matrices.  Errors name the offending field.
+    with row-major matrices and an optional "name".  Errors, an unknown
+    key among them, name the offending field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -297,6 +298,11 @@ def load_problem(path) -> SocpProblem:
             raise ValueError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("problem file must hold a JSON object")
+    allowed = {"builtin", "params"} if "builtin" in data else {"quadratic"}
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"problem file takes no field {', '.join(unknown)} "
+                         f"(it takes: {', '.join(sorted(allowed))})")
     if "builtin" in data:
         params = data.get("params", {})
         if not isinstance(params, dict):
@@ -312,9 +318,12 @@ def load_problem(path) -> SocpProblem:
         for key in ("P", "q", "A", "b"):
             if key not in spec:
                 raise ValueError(f"field 'quadratic.{key}' is missing")
+        unknown = sorted(set(spec) - {"P", "q", "c", "A", "b", "name"})
+        if unknown:
+            raise ValueError(f"field 'quadratic' takes no key {', '.join(unknown)}")
         try:
-            return quadratic_problem(spec["P"], spec["q"], float(spec.get("c", 0.0)),
+            return quadratic_problem(spec["P"], spec["q"], spec.get("c", 0.0),
                                      spec["A"], spec["b"], name=spec.get("name", "quadratic"))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"field 'quadratic': {exc}") from exc
     raise ValueError("problem file needs a 'builtin' or 'quadratic' field")

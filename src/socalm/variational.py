@@ -209,12 +209,6 @@ def _reduced_min_eig(S: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
 
 
-def _row_null_space(row: np.ndarray) -> np.ndarray:
-    if np.linalg.norm(row) == 0.0:
-        return np.eye(row.size)
-    return null_space(row.reshape(1, -1))
-
-
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
@@ -266,13 +260,13 @@ def _sosc_pieces(K: CriticalCone, H, J, n: int):
         coeff = np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point)
         sign = np.r_[-1.0, np.ones(J.shape[0] - 1)]
         return [(None, H + coeff * (J.T @ (sign[:, None] * J)),
-                 _row_null_space(J.T @ K.vector))]
+                 null_space((J.T @ K.vector)[None]))]
     # Halfspace and ray have zero cone curvature (zero multiplier or
     # vertex), so the form is plain <w, H w> on a halfspace slice of a
     # subspace; evenness makes each piece minimum an eigenvalue problem.
     if K.case is CriticalConeCase.HALF_SPACE:
         return [("inactive inequality", H, np.eye(n)),
-                ("boundary", H, _row_null_space(J.T @ K.vector))]
+                ("boundary", H, null_space((J.T @ K.vector)[None]))]
     d = K.vector
     proj_perp = np.eye(J.shape[0]) - np.outer(d, d) / (d @ d)
     return [("ray span", H, null_space(proj_perp @ J)), ("ray origin", H, null_space(J))]
@@ -316,7 +310,7 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
     """
     x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
     res = _kkt_residual(phi, J, p.f_grad(x), lam)
-    if res > KKT_TOL * max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(lam))):
+    if not res <= KKT_TOL * max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(lam))):
         raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
     H = hessian_lagrangian(p, x, lam)
     K = critical_cone(phi, lam)

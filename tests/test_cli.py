@@ -367,3 +367,53 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypa
     assert [argv for argv, _ in parsed] == [argv for argv, code in calls if code != 2]
     for argv, namespace in parsed:
         assert namespace == cli.build_parser.__wrapped__().parse_args(argv)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "builtin:projection", "--a", "0,1e10,0", "--rho0", "1",
+     "--rho-growth", "1e300", "--rho-max", "inf", "--tol", "1e-15"],
+    ["check", "sosc", "--problem", "builtin:scaled_quadratic", "--seed", "3"],
+    ["check", "sosc", "--problem", "builtin:interior_trivial"],
+    ["check", "dualqual", "--problem", "builtin:example_3_2"],
+    ["check", "growth", "--problem", "builtin:example_3_2", "--rho-list", "5"],
+    ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--samples", "20"],
+    ["check", "example32", "--problem", "builtin:example_3_2"],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10"],
+])
+def test_every_report_is_strict_json(argv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run_cli(*argv, "--report", str(report)) in (0, 1)
+    capsys.readouterr()
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    if argv[:2] == ["check", "sosc"]:
+        assert payload["rho_used"] is None  # exact certificates use no penalty (inf)
+    if argv[0] == "solve":
+        assert payload["config"]["rho_max"] is None
+
+
+QUADRATIC = '"q": [0, 0], "A": [[1, 0], [0, 1], [0, 0]], "b": [0, 0, 0]'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"quadratic": {"P": [[1e400, 0], [0, 1]], ' + QUADRATIC + '}}', "P has non-finite"),
+    ('{"quadratic": {"P": [[NaN, 0], [0, 1]], ' + QUADRATIC + '}}', "P has non-finite"),
+    ('{"quadratic": {"P": [[1, 0], [0, 1]], ' + QUADRATIC + ', "xbar": [0, 0]}}',
+     "takes no key xbar"),
+    ('{"builtin": "scaled_quadratic", "params": {"n": 3.5}}', "'n' must be an integer"),
+])
+@pytest.mark.parametrize("command", [["solve"], ["check", "sosc", "--x", "0,0",
+                                                  "--lambda", "0,0,0"]])
+def test_bad_problem_file_exit_two_without_warnings(text, message, command, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*command, "--problem", str(path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""

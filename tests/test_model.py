@@ -1,6 +1,7 @@
 """Built-in problems, the planted generator and the file loader."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def test_builtin_accepts_each_documented_parameter():
     assert builtin("interior_trivial", n=3, m=2).n == 3
     p = builtin("scaled_quadratic", seed=4, n=5, m=3, region="Zero")
     assert (p.n, p.m, p.name) == (5, 3, "scaled_quadratic_4")
+
+
+@pytest.mark.parametrize("key", ["n", "m", "seed"])
+@pytest.mark.parametrize("value", [3.5, 3.0, "3", True])
+def test_builtin_integer_parameters_must_be_integers(key, value, tmp_path):
+    name = "interior_trivial" if key != "seed" else "scaled_quadratic"
+    with pytest.raises(ValueError, match=f"parameter '{key}' must be an integer"):
+        builtin(name, **{key: value})
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"builtin": name, "params": {key: value}}))
+    with pytest.raises(ValueError, match=f"parameter '{key}' must be an integer"):
+        load_problem(path)
+    assert builtin(name, **{key: np.int64(3)}).name.startswith(name)
 
 
 def test_load_problem_unknown_builtin_is_a_value_error(tmp_path):
@@ -184,6 +198,49 @@ def test_load_problem_dimension_mismatch(tmp_path):
     }}
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="quadratic"):
+        load_problem(path)
+
+
+def test_load_problem_rejects_an_unknown_quadratic_key(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"quadratic": {
+        "P": np.eye(2).tolist(), "q": [0.0, 0.0], "A": np.eye(3, 2).tolist(),
+        "b": [0.0, 0.0, 0.0], "xbar": [0.0, 0.0]}}))
+    with pytest.raises(ValueError, match="field 'quadratic' takes no key xbar"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("field", ["P", "q", "c", "A", "b"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_quadratic_problem_rejects_non_finite_data(field, bad):
+    data = {"P": np.eye(2), "q": np.zeros(2), "c": 0.0, "A": np.eye(3, 2), "b": np.zeros(3)}
+    if field == "c":
+        data["c"] = bad
+    else:
+        data[field] = data[field].copy()
+        data[field].flat[0] = bad
+    with pytest.raises(ValueError, match=f"^{field} "):
+        quadratic_problem(**data)
+
+
+@pytest.mark.parametrize("data, unknown", [
+    ({"builtin": "projection", "parms": {"a": [0.0, 5.0, 0.0]}}, "parms"),
+    ({"builtin": "projection", "quadratic": {}}, "quadratic"),
+    ({"quadratic": {}, "params": {}}, "params"),
+])
+def test_load_problem_rejects_an_unknown_top_level_field(data, unknown, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"problem file takes no field {unknown} "):
+        load_problem(path)
+
+
+def test_load_problem_wrongly_typed_quadratic_field_is_a_value_error(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"quadratic": {
+        "P": np.eye(2).tolist(), "q": [0.0, 0.0], "c": [1.0], "A": np.eye(3, 2).tolist(),
+        "b": [0.0, 0.0, 0.0]}}))
+    with pytest.raises(ValueError, match="field 'quadratic': "):
         load_problem(path)
 
 

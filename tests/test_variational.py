@@ -1,6 +1,7 @@
 """Critical cones, second subderivatives and the two certificates,
 cross-checked against the difference-quotient oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,6 +227,26 @@ def test_check_sosc_rejects_non_kkt():
         check_sosc(p, np.array([5.0, 0.0, 0.0]), np.zeros(3))
 
 
+def test_check_sosc_rejects_a_nan_gradient():
+    # a NaN residual compares false against any tolerance; it must not pass
+    base = builtin("projection", a=(0.0, 2.0, 0.0))
+    p = dataclasses.replace(base, f_grad=lambda x: np.full(3, np.nan))
+    sol = base.known_solution
+    with pytest.raises(ValueError, match="not a KKT pair"):
+        check_sosc(p, sol.x, sol.lam)
+
+
+def test_check_sosc_halfspace_pieces():
+    # a = (1, 1, 0) lies on the boundary of Q: zero multiplier, HalfSpace cone
+    p = builtin("projection", a=(1.0, 1.0, 0.0))
+    sol = p.known_solution
+    assert critical_cone(p.phi_value(sol.x), sol.lam).case is CriticalConeCase.HALF_SPACE
+    report = check_sosc(p, sol.x, sol.lam)
+    assert report.holds and report.method == "PiecewiseEigen"
+    assert report.modulus == pytest.approx(1.0)
+    assert report.certificate_detail.startswith("HalfSpace: ")
+
+
 def test_check_sosc_vertex_sampled_cases():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     good = vertex_problem(A, sign=1.0, name="vertex_psd")
@@ -270,6 +291,24 @@ def test_dual_qualification_cases():
     sol = boundary.known_solution
     holds, _ = check_dual_qualification(boundary, sol.x, sol.lam)
     assert holds
+
+
+def test_dual_qualification_hyperplane_with_a_nontrivial_kernel():
+    # n = 1 < m + 1 leaves ker J' two-dimensional, so the polar span{u}
+    # of the hyperplane cone is tested against it
+    p = generate_planted(1, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=0)
+    sol = p.known_solution
+    assert (critical_cone(p.phi_value(sol.x), sol.lam).case
+            is CriticalConeCase.HYPERPLANE)
+    assert check_dual_qualification(p, sol.x, sol.lam) == (True, None)
+
+    # J'lam = 0: the multiplier direction itself lies in ker J'
+    p = quadratic_problem([[1.0]], [0.0], 0.0, [[1.0], [1.0], [0.0]], [1.0, 1.0, 0.0])
+    lam = np.array([-1.0, 1.0, 0.0])
+    assert critical_cone(p.phi_value(np.zeros(1)), lam).case is CriticalConeCase.HYPERPLANE
+    holds, witness = check_dual_qualification(p, np.zeros(1), lam)
+    assert not holds
+    assert_allclose(witness, lam / np.linalg.norm(lam))
 
 
 def test_dual_qualification_rank_deficient_vertex():
