@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -62,7 +62,7 @@ GRAD_FLOOR = 1e-13        # inner tolerances below this are raised to it
 MU0 = 1e-8                # initial Newton regularization
 ARMIJO = 1e-4             # sufficient-decrease constant
 BACKTRACK = 0.5           # step shrink factor
-MAX_LINESEARCH = 60       # backtracking steps per search direction
+MAX_LINESEARCH = 60       # backtracking steps per Newton step
 EPS = np.finfo(float).eps  # machine epsilon, scales the Armijo noise allowance
 
 
@@ -100,7 +100,7 @@ class AlmStatus(enum.Enum):
 
 class InnerFailure(RuntimeError):
     """Inner solver stopped short of its tolerance: iteration budget spent,
-    line search failed or a non-finite oracle result."""
+    no Newton descent direction, failed line search or non-finite oracle."""
 
     def __init__(self, message, x, grad_norm, iters):
         super().__init__(message)
@@ -163,9 +163,9 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=1)[0]
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
     """Solve (H + mu I) d = -g, doubling mu from MU0 until the
-    factorization is positive definite; -g after 80 failed attempts.
+    factorization is positive definite; None after 80 failed attempts.
     H must be finite and exactly symmetric.
 
     H itself is factored first; only a regularized retry copies it, once,
@@ -182,15 +182,15 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
             if A is H:
                 A, diag = H.copy(), H.diagonal()
             np.fill_diagonal(A, diag + mu)
-    return -g
+    return None
 
 
 def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
     """Minimize x -> L_rho(x, lam) from the evaluation ev at the start.
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
-    point is evaluated once.  A non-finite evaluation ends the solve
-    with InnerFailure.
+    point is evaluated once.  A non-finite evaluation, no Newton descent
+    direction or a failed line search ends the solve with InnerFailure.
     """
     p, lam, rho = ev.p, ev.lam, ev.rho
     floor = max(eps_k, GRAD_FLOOR)
@@ -210,32 +210,27 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
         if not np.isfinite(H).all():
             raise InnerFailure(f"non-finite Hessian (iteration {it})", x, grad_norm, it)
         d = _newton_direction(H, ev.grad_x)
+        slope = math.nan if d is None else float(ev.grad_x @ d)
+        if not slope < 0.0:
+            raise InnerFailure(f"no Newton descent direction (iteration {it})", x, grad_norm, it)
         # allowance for roundoff in the value: near the minimum the true
         # decrease is below machine noise and a strict Armijo test stalls
         noise = 8.0 * EPS * max(1.0, abs(ev.value))
-        accepted = None
-        for direction in (d, -ev.grad_x):
-            slope = float(ev.grad_x @ direction)
-            if slope >= 0.0:
-                continue
-            step = 1.0
-            for _ in range(MAX_LINESEARCH):
-                try:
-                    cand = AugEval(p, x + step * direction, lam, rho, gram=ev.gram)
-                except NonFiniteError as exc:
-                    raise InnerFailure(f"{exc} in the line search (iteration {it})",
-                                       x, grad_norm, it) from exc
-                if cand.value <= ev.value + ARMIJO * step * slope + noise:
-                    accepted = cand
-                    break
-                step *= BACKTRACK
-            if accepted is not None:
+        step = 1.0
+        for _ in range(MAX_LINESEARCH):
+            try:
+                cand = AugEval(p, x + step * d, lam, rho, gram=ev.gram)
+            except NonFiniteError as exc:
+                raise InnerFailure(f"{exc} in the line search (iteration {it})",
+                                   x, grad_norm, it) from exc
+            if cand.value <= ev.value + ARMIJO * step * slope + noise:
                 break
-        if accepted is None:
+            step *= BACKTRACK
+        else:
             raise InnerFailure(
                 f"line search failed at ||grad||={grad_norm:.3e} (iteration {it})",
                 x, grad_norm, it)
-        ev = accepted.complete()
+        ev = cand.complete()
     raise AssertionError("unreachable")
 
 
@@ -245,8 +240,8 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
     max(eps_k, GRAD_FLOOR), in at most max_inner Newton steps.
 
     Returns (x, grad_norm, iters).  The step is regularized Newton on the
-    generalized Hessian with Armijo backtracking on the value; steepest
-    descent takes over whenever Newton fails to produce descent.
+    generalized Hessian with Armijo backtracking on the value; a step that
+    is not a descent direction ends the solve with InnerFailure.
     """
     if eps_k < 0:
         raise ValueError("eps_k must be nonnegative")

@@ -49,7 +49,7 @@ def _load_problem(args) -> SocpProblem:
         try:
             return builtin(name, **params)
         except KeyError as exc:
-            raise ValueError(str(exc)) from exc
+            raise ValueError(exc.args[0]) from exc
     try:
         return load_problem(spec)
     except (OSError, ValueError) as exc:

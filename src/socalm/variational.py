@@ -62,7 +62,8 @@ def critical_cone(phi_xbar, lambda_bar) -> CriticalCone:
 
     Requires lambda_bar in N_Q(phi_xbar) within CONE_TOL (projection
     test); the same tolerance drives the region classification so that
-    approximate KKT data lands in the intended case.
+    approximate KKT data lands in the intended case; a pair no case fits
+    raises ValueError.
     """
     phi = as_cone_vec(phi_xbar)
     lam = as_cone_vec(lambda_bar)
@@ -78,14 +79,16 @@ def critical_cone(phi_xbar, lambda_bar) -> CriticalCone:
         if region_lam is ConeRegion.ZERO:
             return CriticalCone(CriticalConeCase.HALF_SPACE, _tilde(phi), phi, lam)
         return CriticalCone(CriticalConeCase.HYPERPLANE, lam.copy(), phi, lam)
-    # vertex: phi = 0
-    if region_lam is ConeRegion.ZERO:
-        return CriticalCone(CriticalConeCase.WHOLE_CONE_Q, None, phi, lam)
-    if region_lam is ConeRegion.INTERIOR_POLAR:
-        return CriticalCone(CriticalConeCase.ZERO_ONLY, None, phi, lam)
-    if region_lam is ConeRegion.BOUNDARY_POLAR_NONZERO:
-        return CriticalCone(CriticalConeCase.RAY, _tilde(lam), phi, lam)
-    raise ValueError("multiplier location is inconsistent with the normal cone")
+    if region_phi is ConeRegion.ZERO:  # the vertex
+        if region_lam is ConeRegion.ZERO:
+            return CriticalCone(CriticalConeCase.WHOLE_CONE_Q, None, phi, lam)
+        if region_lam is ConeRegion.INTERIOR_POLAR:
+            return CriticalCone(CriticalConeCase.ZERO_ONLY, None, phi, lam)
+        if region_lam is ConeRegion.BOUNDARY_POLAR_NONZERO:
+            return CriticalCone(CriticalConeCase.RAY, _tilde(lam), phi, lam)
+    # e.g. a base point outside Q by less than the normal-cone test's sqrt(2) CONE_TOL
+    raise ValueError(f"no critical cone case for a base point in {region_phi.value} "
+                     f"and a multiplier in {region_lam.value}")
 
 
 def dist2_critical(K: CriticalCone, v) -> float:
@@ -113,11 +116,15 @@ def dist2_critical(K: CriticalCone, v) -> float:
 
 def _pair(p: SocpProblem, xbar, lambda_bar, w=None):
     """(x, lam, w, Phi(x), JPhi(x)): the inputs checked against p's
-    dimensions once, as float arrays, and each constraint oracle called once."""
+    dimensions once, as float arrays, each constraint oracle called once
+    and a non-finite JPhi(x) rejected (`critical_cone` checks Phi(x))."""
     x, lam = p.check_dims(xbar, lambda_bar)
     if w is not None:
         w = p.check_dims(w)[0]
-    return x, lam, w, p.phi_value(x), p.phi_jac(x)
+    phi, J = p.phi_value(x), p.phi_jac(x)
+    if not np.isfinite(J).all():
+        raise ValueError("phi_jac has non-finite entries")
+    return x, lam, w, phi, J
 
 
 def d2_indicator_q(phi_xbar, lambda_bar, w) -> float:
@@ -313,6 +320,8 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
     if not res <= KKT_TOL * max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(lam))):
         raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
     H = hessian_lagrangian(p, x, lam)
+    if not np.isfinite(H).all():
+        raise ValueError("Hessian of the Lagrangian has non-finite entries")
     K = critical_cone(phi, lam)
     if K.case is CriticalConeCase.WHOLE_CONE_Q:
         return _whole_cone_search(H, J, seed)
@@ -395,7 +404,8 @@ def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool) -> st
     multiplier sets); at the vertex, strict complementarity or a holding
     dual qualification give calmness, a boundary multiplier whose whole
     ray consists of multipliers is the open configuration and is reported
-    as 'unknown' rather than guessed, as is a zero multiplier.
+    as 'unknown' rather than guessed, as is a zero multiplier.  A
+    non-finite JPhi(x) or gradient raises ValueError.
     """
     x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
     case = critical_cone(phi, lam).case
@@ -403,7 +413,10 @@ def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool) -> st
         return "calm"
     if case is CriticalConeCase.RAY:
         scale = max(1.0, float(np.linalg.norm(J)), float(np.linalg.norm(lam)))
-        whole_ray = (np.linalg.norm(J.T @ lam) <= TOL * scale
-                     and np.linalg.norm(p.f_grad(x)) <= TOL * scale)
-        return "unknown" if whole_ray else "not_calm"
+        if not np.linalg.norm(J.T @ lam) <= TOL * scale:
+            return "not_calm"
+        grad_norm = np.linalg.norm(p.f_grad(x))
+        if not np.isfinite(grad_norm):
+            raise ValueError("f_grad has non-finite entries")
+        return "unknown" if grad_norm <= TOL * scale else "not_calm"
     return "unknown"

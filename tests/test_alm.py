@@ -372,7 +372,7 @@ def rotated(eigenvalues, seed):
 def reference_direction(H, g):
     """The regularized Newton direction through scipy's wrappers: factor
     H + mu I, doubling mu from MU0, for at most 80 attempts.  Returns
-    (direction, attempts)."""
+    (direction, attempts), the direction None when every attempt fails."""
     mu = 0.0
     for attempt in range(1, 81):
         A = H.copy()
@@ -381,7 +381,7 @@ def reference_direction(H, g):
             return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), -g), attempt
         except scipy.linalg.LinAlgError:
             mu = alm.MU0 if mu == 0.0 else 2.0 * mu
-    return -g, 80
+    return None, 80
 
 
 def counted_factorizations(monkeypatch):
@@ -410,10 +410,41 @@ def test_newton_direction_matches_the_reference_doubling_loop(H, attempts, monke
     calls = counted_factorizations(monkeypatch)
     d = alm._newton_direction(H, g)
     ref, ref_attempts = reference_direction(H, g)
-    assert d.tobytes() == ref.tobytes()
-    assert len(calls) == ref_attempts == attempts
     if attempts == 80:
-        assert d.tobytes() == (-g).tobytes()
+        assert d is None and ref is None
+    else:
+        assert d.tobytes() == ref.tobytes()
+    assert len(calls) == ref_attempts == attempts
+
+
+def test_solve_without_a_factorizable_hessian_ends_in_inner_failure(monkeypatch):
+    # mu stops at MU0 * 2**78 ~ 3e15, far short of the -1e20 eigenvalue
+    p = dataclasses.replace(builtin("projection"), f_hess=lambda x: np.diag([-1e20, 1.0, 1.0]))
+    calls = counted_factorizations(monkeypatch)
+    _, trace = solve(p, np.zeros(3), np.zeros(3))
+    assert trace.status is AlmStatus.INNER_FAILURE
+    assert trace.message == "no Newton descent direction (iteration 0)"
+    assert len(calls) == 80
+    assert len(trace) == 1
+
+
+def steep_sideways(c, b):
+    """-g (b = -g) plus 1e12 times a unit vector orthogonal to g: the
+    slope is -g'g < 0, but even the 2**-59 trial step raises the value."""
+    v = np.roll(b, 1)
+    v -= (v @ b) / (b @ b) * b
+    return b + 1e12 * v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("newton_solve, message", [
+    (lambda c, b: -b, "no Newton descent direction (iteration 0)"),  # g itself: ascent
+    (steep_sideways, "line search failed at ||grad||="),
+], ids=["ascent", "no-decrease"])
+def test_solve_ends_in_inner_failure_on_a_bad_newton_step(newton_solve, message, monkeypatch):
+    monkeypatch.setattr(alm, "cho_solve", newton_solve)
+    _, trace = solve(builtin("projection"), np.zeros(3), np.zeros(3))
+    assert trace.status is AlmStatus.INNER_FAILURE
+    assert trace.message.startswith(message)
 
 
 @settings(max_examples=200)

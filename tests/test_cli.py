@@ -243,6 +243,9 @@ def test_wrong_start_length_exit_two(argv, capsys):
      "--radius", "1e300"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--seed", "1",
      "--radius", "1e-300"],
+    ["check", "sosc", "--problem", "builtin:nope"],
+    ["check", "sosc", "--problem", "builtin:projection", "--x=1,2", "--lambda=0,0,0"],
+    ["check", "sosc", "--problem", "builtin:projection", "--x=0,0,0", "--lambda=1"],
 ])
 def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -404,6 +407,19 @@ QUADRATIC = '"q": [0, 0], "A": [[1, 0], [0, 1], [0, 0]], "b": [0, 0, 0]'
     ('{"quadratic": {"P": [[1, 0], [0, 1]], ' + QUADRATIC + ', "xbar": [0, 0]}}',
      "takes no key xbar"),
     ('{"builtin": "scaled_quadratic", "params": {"n": 3.5}}', "'n' must be an integer"),
+    ('{"quadratic": {"P": [[1, 0]], ' + QUADRATIC + '}}', "P must be square"),
+    ('{"quadratic": {"P": [[1, 0], [0, 1]], "q": [0], "A": [[1, 0], [0, 1], [0, 0]], '
+     '"b": [0, 0, 0]}}', "q has wrong length"),
+    ('{"quadratic": {"P": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1], [0], [0]], '
+     '"b": [0, 0, 0]}}', "A column count"),
+    ('{"quadratic": {"P": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, 0], [0, 1], [0, 0]], '
+     '"b": [0, 0]}}', "b has wrong length"),
+    ('{"quadratic": ', "invalid JSON"),
+    ('[1, 2]', "must hold a JSON object"),
+    ('{"builtin": "projection", "params": [0, 2, 0]}', "'params' must be an object"),
+    ('{"quadratic": [1, 2]}', "'quadratic' must be an object"),
+    ('{"quadratic": {"P": [[1, 0], [0, 1]], "q": [0, 0], "b": [0, 0, 0]}}',
+     "'quadratic.A' is missing"),
 ])
 @pytest.mark.parametrize("command", [["solve"], ["check", "sosc", "--x", "0,0",
                                                   "--lambda", "0,0,0"]])
@@ -415,5 +431,28 @@ def test_bad_problem_file_exit_two_without_warnings(text, message, command, tmp_
         code = run_cli(*command, "--problem", str(path))
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+BAND_FILE = ('{"quadratic": {"P": [[1, 0, 0], [0, 1, 0], [0, 0, -2]], '
+             '"q": [0, -2.0000000169705627, 0], "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+             '"b": [0, 0, 0]}}')
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ('{"quadratic": {"P": [[1, 0], [0, 1]], ' + QUADRATIC + '}}', ["check", "sosc"],
+     "problem has no known solution"),
+    ('{"quadratic": {"P": [[1, 0], [0, 1]], ' + QUADRATIC + '}}',
+     ["rate", "--rho-list", "10"], "needs a problem with a known solution"),
+    # a KKT pair just outside Q, inside the normal-cone test's tolerance
+    (BAND_FILE, ["check", "sosc", "--x=1.0,1.0000000169705627,0.0", "--lambda=-1,1,0"],
+     "no critical cone case for a base point in Outside"),
+], ids=["sosc-no-solution", "rate-no-solution", "sosc-outside-q"])
+def test_problem_file_the_command_cannot_use_exit_two(text, argv, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert run_cli(*argv, "--problem", str(path)) == 2
+    captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""

@@ -49,6 +49,30 @@ def test_critical_cone_requires_normal_direction():
         critical_cone([2.0, 1.0, 0.0], [1.0, 0.0, 0.0])  # interior, nonzero lam
 
 
+# Phi = x of a quadratic whose KKT pair sits just outside Q: the normal-cone
+# test (sqrt(2) CONE_TOL) accepts it, the region split (CONE_TOL) calls it
+# Outside; taken for the vertex it was certified as a Ray
+BAND_SHIFT = 1.0000000169705627
+
+
+def _band_problem(shift):
+    """KKT pair (x, lam) = ((1, shift, 0), (-1, 1, 0)), Phi(x) = x."""
+    return quadratic_problem(np.diag([1.0, 1.0, -2.0]), [0.0, -(1.0 + shift), 0.0], 0.0,
+                             np.eye(3), np.zeros(3))
+
+
+def test_critical_cone_rejects_a_base_point_outside_q_in_the_tolerance_band():
+    lam = np.array([-1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="base point in Outside and a multiplier in Bound"):
+        critical_cone([1.0, BAND_SHIFT, 0.0], lam)
+    with pytest.raises(ValueError, match="no critical cone case"):
+        check_sosc(_band_problem(BAND_SHIFT), [1.0, BAND_SHIFT, 0.0], lam)
+    # the exact boundary pair is a Hyperplane, where sufficiency fails
+    assert critical_cone([1.0, 1.0, 0.0], lam).case is CriticalConeCase.HYPERPLANE
+    report = check_sosc(_band_problem(1.0), [1.0, 1.0, 0.0], lam)
+    assert not report.holds and report.modulus == pytest.approx(-1.0)
+
+
 def test_dist2_examples():
     hyper = critical_cone([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0])
     assert dist2_critical(hyper, [1.0, 1.0, 0.0]) == 0.0
@@ -236,6 +260,14 @@ def test_check_sosc_rejects_a_nan_gradient():
         check_sosc(p, sol.x, sol.lam)
 
 
+def test_check_sosc_rejects_a_nan_hessian():
+    base = builtin("projection", a=(0.0, 2.0, 0.0))
+    p = dataclasses.replace(base, f_hess=lambda x: np.full((3, 3), np.nan))
+    sol = base.known_solution
+    with pytest.raises(ValueError, match="Hessian of the Lagrangian has non-finite"):
+        check_sosc(p, sol.x, sol.lam)
+
+
 def test_check_sosc_halfspace_pieces():
     # a = (1, 1, 0) lies on the boundary of Q: zero multiplier, HalfSpace cone
     p = builtin("projection", a=(1.0, 1.0, 0.0))
@@ -392,6 +424,17 @@ def test_multiplier_outside_the_normal_cone_raises(duq_holds):
         multiplier_calmness(p, x, lam, duq_holds)
     with pytest.raises(ValueError, match="not in the normal cone"):
         quad_form_q(p, x, lam, 1.0, np.array([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("oracle, shape", [("f_grad", (2,)), ("phi_jac", (3, 2))])
+def test_multiplier_calmness_rejects_a_nan_oracle(oracle, shape):
+    # example_3_2 is a Ray whose whole ray consists of multipliers ('unknown')
+    base = builtin("example_3_2")
+    p = dataclasses.replace(base, **{oracle: lambda x: np.full(shape, np.nan)})
+    sol = base.known_solution
+    assert multiplier_calmness(base, sol.x, sol.lam, False) == "unknown"
+    with pytest.raises(ValueError, match=f"{oracle} has non-finite"):
+        multiplier_calmness(p, sol.x, sol.lam, False)
 
 
 def _pairs_for_counting():
