@@ -127,20 +127,24 @@ def _pair(p: SocpProblem, xbar, lambda_bar, w=None):
     return x, lam, w, phi, J
 
 
+def _curvature(K: CriticalCone) -> float:
+    """||lam|| / ||Phi(xbar)||, the cone's curvature in the Hyperplane case."""
+    return float(np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point))
+
+
 def d2_indicator_q(phi_xbar, lambda_bar, w) -> float:
     """Second subderivative of the indicator of Q at phi_xbar for lambda_bar.
 
-    Returns the curvature term (||lam|| / ||phi||) (||w_r||^2 - w_0^2)
-    on the boundary cases, 0 on the interior/vertex cases, and +inf when
-    w falls outside the critical cone (distance > MEMBER_TOL).
+    Returns the curvature term (||lam|| / ||phi||) (||w_r||^2 - w_0^2) in
+    the Hyperplane case, 0 in the others, and +inf when w falls outside
+    the critical cone (distance > MEMBER_TOL).
     """
     K = critical_cone(phi_xbar, lambda_bar)
     w = as_cone_vec(w)
     if np.sqrt(dist2_critical(K, w)) > MEMBER_TOL:
         return float("inf")
-    if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
-        coeff = np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point)
-        return float(coeff * (w[1:] @ w[1:] - w[0] ** 2))
+    if K.case is CriticalConeCase.HYPERPLANE:
+        return float(_curvature(K) * (w[1:] @ w[1:] - w[0] ** 2))
     return 0.0
 
 
@@ -203,16 +207,19 @@ def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) 
 
 @dataclass(frozen=True)
 class SoscReport:
+    """check_sosc's verdict, holds iff modulus > TOL; method ExactEigen or SampledPenalty."""
     holds: bool
     modulus: float
     rho_used: float
-    method: str  # ExactEigen | PiecewiseEigen | SampledPenalty
+    method: str
     certificate_detail: str
 
 
 def _reduced_min_eig(S: np.ndarray, basis: np.ndarray) -> float:
     """Smallest eigenvalue of basis' S basis (basis columns orthonormal)."""
     reduced = basis.T @ S @ basis
+    if not np.isfinite(reduced).all():
+        raise ValueError("sufficiency form has non-finite entries")
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
 
 
@@ -253,30 +260,21 @@ def _minimize_on_sphere(fun_grad, points: np.ndarray, iters: int = 200) -> np.nd
     return val
 
 
-def _sosc_pieces(K: CriticalCone, H, J, n: int):
-    """(label, form, basis) pieces of the critical cone on whose unit
-    spheres the sufficiency modulus is the smallest eigenvalue of the
-    reduced form; one unlabelled piece in the subspace cases."""
-    if K.case is CriticalConeCase.FULL_SPACE:
-        return [(None, H, np.eye(n))]
+def _sosc_form(K: CriticalCone, H, J, n: int):
+    """(form, orthonormal basis of span C) for the critical cone C; outside the whole
+    cone span C = C u -C, on which the even form has the same minimum as on C."""
+    if K.case in (CriticalConeCase.FULL_SPACE, CriticalConeCase.HALF_SPACE):
+        return H, np.eye(n)
     if K.case is CriticalConeCase.ZERO_ONLY:
-        return [(None, H, null_space(J))]
+        return H, null_space(J)
     if K.case is CriticalConeCase.HYPERPLANE:
-        # rho -> infinity limit of the penalized form: the curvature
-        # coefficient of the cone indicator's second subderivative.
-        coeff = np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point)
+        # rho -> infinity limit of the penalized form: the indicator's curvature
         sign = np.r_[-1.0, np.ones(J.shape[0] - 1)]
-        return [(None, H + coeff * (J.T @ (sign[:, None] * J)),
-                 null_space((J.T @ K.vector)[None]))]
-    # Halfspace and ray have zero cone curvature (zero multiplier or
-    # vertex), so the form is plain <w, H w> on a halfspace slice of a
-    # subspace; evenness makes each piece minimum an eigenvalue problem.
-    if K.case is CriticalConeCase.HALF_SPACE:
-        return [("inactive inequality", H, np.eye(n)),
-                ("boundary", H, null_space((J.T @ K.vector)[None]))]
-    d = K.vector
+        return (H + _curvature(K) * (J.T @ (sign[:, None] * J)),
+                null_space((J.T @ K.vector)[None]))
+    d = K.vector  # Ray: C u -C = {w : Jw in span d}
     proj_perp = np.eye(J.shape[0]) - np.outer(d, d) / (d @ d)
-    return [("ray span", H, null_space(proj_perp @ J)), ("ray origin", H, null_space(J))]
+    return H, null_space(proj_perp @ J)
 
 
 def _whole_cone_search(H, J, seed: int) -> SoscReport:
@@ -305,15 +303,15 @@ def _whole_cone_search(H, J, seed: int) -> SoscReport:
                       f"up to rho={rho:g} ({STARTS} starts, non-certifying)")
 
 
+@np.errstate(all="ignore")
 def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
     """Certify the second-order sufficient condition at a KKT pair.
 
-    Subspace-constrained cases reduce to an exact eigenvalue problem of
-    the (limit) curvature form; halfspace/ray cases are handled piecewise
-    (the quadratic is even, so the piece minima are still eigenvalues).
-    The vertex case with zero multiplier is a genuine copositivity
-    problem and falls back to a sampled, non-certifying penalty sweep
-    (`_whole_cone_search`, seeded by `seed`).
+    Outside the whole cone the modulus is one exact eigenvalue of the
+    (limit) curvature form on the span of the critical cone (ExactEigen).
+    The vertex case with zero multiplier is a genuine copositivity problem
+    and falls back to a sampled, non-certifying penalty sweep
+    (`_whole_cone_search`, seeded by `seed`; SampledPenalty).
     """
     x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
     res = _kkt_residual(phi, J, p.f_grad(x), lam)
@@ -326,19 +324,21 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
     if K.case is CriticalConeCase.WHOLE_CONE_Q:
         return _whole_cone_search(H, J, seed)
 
-    pieces = _sosc_pieces(K, H, J, p.n)
-    method = "ExactEigen" if len(pieces) == 1 else "PiecewiseEigen"
-    moduli = [(_reduced_min_eig(S, B), label, B.shape[1])
-              for label, S, B in pieces if B.shape[1] > 0]
-    if not moduli:
-        return SoscReport(True, float("inf"), float("inf"), method,
+    S, B = _sosc_form(K, H, J, p.n)
+    if B.shape[1] == 0:
+        return SoscReport(True, float("inf"), float("inf"), "ExactEigen",
                           f"critical subspace is trivial ({K.case.value})")
-    modulus, label, dim = min(moduli)
-    detail = (f"min eigenvalue on a {dim}-dim subspace of R^{p.n}" if len(pieces) == 1
-              else f"min over pieces attained on '{label}' ({dim}-dim)")
-    return SoscReport(modulus > TOL, modulus, float("inf"), method, f"{K.case.value}: {detail}")
+    modulus = _reduced_min_eig(S, B)
+    return SoscReport(modulus > TOL, modulus, float("inf"), "ExactEigen",
+                      f"{K.case.value}: min eigenvalue on a {B.shape[1]}-dim subspace of R^{p.n}")
 
 
+def _kernel_tol(J: np.ndarray, v: np.ndarray) -> float:
+    """TOL max(1, ||J||) ||v||, below which J'v (and grad f for v = lam) is 0."""
+    return TOL * max(1.0, float(np.linalg.norm(J))) * float(np.linalg.norm(v))
+
+
+@np.errstate(all="ignore")
 def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
     """Test whether the polar of the critical cone meets ker JPhi(xbar)'
     only at the origin.
@@ -352,7 +352,6 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
     """
     _, lam, _, phi, J = _pair(p, xbar, lambda_bar)
     K = critical_cone(phi, lam)
-    jac_scale = max(1.0, float(np.linalg.norm(J)))
 
     if K.case is CriticalConeCase.FULL_SPACE:
         return True, None  # polar is {0}
@@ -364,7 +363,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
     if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
         # polar is span{u} (hyperplane) or the ray R_+ u (halfspace)
         u = K.vector
-        if np.linalg.norm(J.T @ u) <= TOL * jac_scale * np.linalg.norm(u):
+        if np.linalg.norm(J.T @ u) <= _kernel_tol(J, u):
             return False, u / np.linalg.norm(u)
         return True, None
 
@@ -374,10 +373,9 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
 
     if K.case is CriticalConeCase.RAY:
         # polar is the halfspace {v : <K.vector, v> <= 0}
-        lam_norm = np.linalg.norm(lam)
-        if lam_norm > 0 and np.linalg.norm(J.T @ lam) <= TOL * jac_scale * lam_norm:
+        if np.linalg.norm(J.T @ lam) <= _kernel_tol(J, lam):
             # the multiplier direction itself lies in the halfspace polar
-            return False, lam / lam_norm
+            return False, lam / np.linalg.norm(lam)
         c = -kernel.T @ K.vector
         c_norm = np.linalg.norm(c)
         if c_norm == 0.0:
@@ -396,6 +394,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
     return False, witness / np.linalg.norm(witness)
 
 
+@np.errstate(all="ignore")
 def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool) -> str:
     """Classify the calmness of the multiplier mapping: 'calm',
     'not_calm' or 'unknown'.
@@ -412,11 +411,11 @@ def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool) -> st
     if duq_holds or case not in (CriticalConeCase.RAY, CriticalConeCase.WHOLE_CONE_Q):
         return "calm"
     if case is CriticalConeCase.RAY:
-        scale = max(1.0, float(np.linalg.norm(J)), float(np.linalg.norm(lam)))
-        if not np.linalg.norm(J.T @ lam) <= TOL * scale:
+        tol = _kernel_tol(J, lam)  # the whole ray R_+ lam: J'lam = 0 = grad f
+        if not np.linalg.norm(J.T @ lam) <= tol:
             return "not_calm"
         grad_norm = np.linalg.norm(p.f_grad(x))
         if not np.isfinite(grad_norm):
             raise ValueError("f_grad has non-finite entries")
-        return "unknown" if grad_norm <= TOL * scale else "not_calm"
+        return "unknown" if grad_norm <= tol else "not_calm"
     return "unknown"

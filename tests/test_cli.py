@@ -246,6 +246,14 @@ def test_wrong_start_length_exit_two(argv, capsys):
     ["check", "sosc", "--problem", "builtin:nope"],
     ["check", "sosc", "--problem", "builtin:projection", "--x=1,2", "--lambda=0,0,0"],
     ["check", "sosc", "--problem", "builtin:projection", "--x=0,0,0", "--lambda=1"],
+    # an overflow inside a certificate, or a non-finite point, is a usage
+    # error with no floating-point warning
+    ["check", "sosc", "--problem", "builtin:scaled_quadratic", "--region", "Zero",
+     "--x=1e200,0,0", "--lambda=-1,1,0"],
+    ["check", "dualqual", "--problem", "builtin:projection", "--x=1e308,1e308,1e308",
+     "--lambda=0,0,0"],
+    ["check", "sosc", "--problem", "builtin:example_3_2", "--x=1e200,0", "--lambda=-1,1,0"],
+    ["check", "sosc", "--problem", "builtin:projection", "--x=nan,0,0", "--lambda=inf,0,0"],
 ])
 def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     report = tmp_path / "report.json"

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import null_space
 
 from socalm import ConeRegion, builtin, generate_planted, quadratic_problem
 from socalm.cone import _project_polar_rows
-from socalm.variational import (CriticalConeCase, _minimize_on_sphere,
+from socalm.variational import (CriticalConeCase, _minimize_on_sphere, _reduced_min_eig,
+                                _sosc_form,
                                 check_dual_qualification, check_sosc, critical_cone,
                                 d2_aug_lagrangian, d2_indicator_q,
                                 difference_quotient_oracle, dist2_critical,
@@ -231,7 +233,7 @@ def test_check_sosc_builtin_cases():
     e32 = builtin("example_3_2")
     sol = e32.known_solution
     report = check_sosc(e32, sol.x, sol.lam)
-    assert report.holds and report.method == "PiecewiseEigen"
+    assert report.holds and report.method == "ExactEigen"
     assert 1.9 <= report.modulus <= 2.1
 
     trivial = builtin("interior_trivial")
@@ -274,7 +276,7 @@ def test_check_sosc_halfspace_pieces():
     sol = p.known_solution
     assert critical_cone(p.phi_value(sol.x), sol.lam).case is CriticalConeCase.HALF_SPACE
     report = check_sosc(p, sol.x, sol.lam)
-    assert report.holds and report.method == "PiecewiseEigen"
+    assert report.holds and report.method == "ExactEigen"
     assert report.modulus == pytest.approx(1.0)
     assert report.certificate_detail.startswith("HalfSpace: ")
 
@@ -301,6 +303,91 @@ def test_check_sosc_planted_problems():
         assert report.holds
         assert report.modulus > 0.5  # P = R'R + I gives at least unit curvature
 
+
+
+def _span_case_pair(case, P, A, rng):
+    """(problem, lam) with Phi(x) = A x + b and the KKT pair (0, lam) in
+    critical cone `case`: b and lam are placed in the regions of the case
+    split, and q = -A'lam makes the Lagrangian's gradient vanish at 0."""
+    m1 = A.shape[0]
+    u = rng.standard_normal(m1 - 1)
+    u /= np.linalg.norm(u)
+    r, t = rng.uniform(0.5, 2.0, size=2)
+    zero = np.zeros(m1)
+    b, lam = {
+        "FullSpace": (np.r_[2.0 * r, r * u], zero),
+        "HalfSpace": (np.r_[r, r * u], zero),
+        "Hyperplane": (np.r_[r, r * u], t * np.r_[-1.0, u]),
+        "ZeroOnly": (zero, t * np.r_[-2.0, u]),
+        "Ray": (zero, t * np.r_[-1.0, u]),
+    }[case]
+    return quadratic_problem(P, -A.T @ lam, 0.0, A, b), lam
+
+
+SPAN_CASES = ["FullSpace", "HalfSpace", "Hyperplane", "ZeroOnly", "Ray"]
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       case=st.sampled_from(SPAN_CASES))
+def test_sosc_modulus_is_attained_on_the_critical_cone(seed, n, m, case):
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    A = rng.standard_normal((m + 1, n))
+    p, lam = _span_case_pair(case, R + R.T, A, rng)
+    x = np.zeros(n)
+    K = critical_cone(p.phi_value(x), lam)
+    assert K.case.value == case
+    report = check_sosc(p, x, lam)
+    assert report.method == "ExactEigen" and report.holds == (report.modulus > 1e-8)
+    S, basis = _sosc_form(K, p.f_hess(x), A, n)
+    if basis.shape[1] == 0:
+        assert report.modulus == math.inf
+        return
+    assert report.modulus == _reduced_min_eig(S, basis)
+    if case in ("HalfSpace", "Ray"):
+        # the halfspace's boundary and the ray's origin are subspaces of the span
+        piece = null_space((A.T @ K.vector)[None]) if case == "HalfSpace" else null_space(A)
+        if piece.shape[1] > 0:
+            piece_min = _reduced_min_eig(S, piece)
+            assert report.modulus <= piece_min + 1e-12 * max(1.0, abs(piece_min))
+    # the bottom eigenvector, up to sign, is a witness in the critical cone
+    reduced = basis.T @ S @ basis
+    w = basis @ np.linalg.eigh(0.5 * (reduced + reduced.T))[1][:, 0]
+    v = A @ w
+    assert (min(dist2_critical(K, v), dist2_critical(K, -v))
+            <= 1e-12 * max(1.0, float(v @ v)))
+    scale = max(1.0, float(np.linalg.norm(S, 2)))
+    assert abs(w @ S @ w / (w @ w) - report.modulus) <= 1e-12 * scale
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       case=st.sampled_from(["FullSpace", "HalfSpace", "ZeroOnly", "Ray"]),
+       log_c=st.floats(-3.0, 3.0))
+def test_sosc_modulus_scales_with_the_hessian_without_cone_curvature(seed, n, m, case,
+                                                                       log_c):
+    c = 10.0 ** log_c
+    R = np.random.default_rng(seed).standard_normal((n, n))
+    A = np.random.default_rng(seed + 1).standard_normal((m + 1, n))
+    moduli = []
+    for P in (R + R.T, c * (R + R.T)):
+        p, lam = _span_case_pair(case, P, A, np.random.default_rng(seed + 2))
+        moduli.append(check_sosc(p, np.zeros(n), lam).modulus)
+    if math.isinf(moduli[0]):
+        assert moduli[1] == math.inf
+    else:
+        scale = c * max(1.0, float(np.linalg.norm(R + R.T, 2)))
+        assert abs(moduli[1] - c * moduli[0]) <= 1e-12 * scale
+
+
+def test_check_sosc_rejects_an_overflowing_form():
+    # finite data whose Hyperplane curvature term J' diag(-1, 1, 1) J overflows
+    A = 1e155 * np.eye(3)
+    lam = np.array([-1.0, 1.0, 0.0])
+    p = quadratic_problem(np.eye(3), -A.T @ lam, 0.0, A, [1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="sufficiency form has non-finite entries"):
+        check_sosc(p, np.zeros(3), lam)
 
 def test_dual_qualification_cases():
     e32 = builtin("example_3_2")
@@ -354,6 +441,20 @@ def test_dual_qualification_rank_deficient_vertex():
     J = p.phi_jac(sol.x)
     assert np.linalg.norm(J.T @ witness) <= 1e-8
 
+
+
+def test_dual_qualification_and_calmness_share_the_kernel_threshold():
+    # ||J'lam|| = 5e-7 lies below TOL max(1, ||J||) ||lam|| = 2.4e-6, the
+    # threshold by which dualqual returns lam/||lam|| as a witness in
+    # ker J'; calmness decides J'lam = 0 and grad f = 0 against the same one
+    lam = 10.0 * np.array([-1.0, 1.0, 0.0])
+    A = np.array([[10.0, 0.0], [10.0 + 5e-8, 0.0], [0.0, 10.0]])
+    p = quadratic_problem(np.eye(2), -A.T @ lam, 0.0, A, np.zeros(3))
+    x = np.zeros(2)
+    holds, witness = check_dual_qualification(p, x, lam)
+    assert not holds
+    assert_allclose(witness, lam / np.linalg.norm(lam))
+    assert multiplier_calmness(p, x, lam, holds) == "unknown"
 
 def test_multiplier_calmness_classification():
     e32 = builtin("example_3_2")
