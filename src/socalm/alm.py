@@ -140,19 +140,22 @@ class AlmTrace:
 
 
 def cho_factor(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric matrix A (LAPACK potrf);
-    raises LinAlgError when A is not positive definite.
+    """Lower Cholesky factor of the symmetric matrix A (LAPACK potrf),
+    computed in place: overwrites A; raises LinAlgError when A is not
+    positive definite, with A's upper triangle partly overwritten.
 
     LAPACK reads A's transpose, a Fortran-ordered view of a C-ordered A,
-    so it needs no transposing copy; the factor's upper triangle keeps
-    A's entries.  LAPACK is called directly: scipy's `cho_factor` and
-    `cho_solve` wrappers convert and check their input first, which costs
-    more than the factorization at n <= 20.  This and `cho_solve` stay
-    module-level functions that `_newton_direction` looks up by name, so
-    that a profiler or the benchmark's tracer (`perfbench/tracer.py`) can
-    wrap them in place and count raised calls as failed factorizations.
+    and of that only the lower triangle, which is A's upper triangle; the
+    returned factor is that view, whose strict upper triangle keeps A's
+    strict lower triangle.  LAPACK is called directly: scipy's
+    `cho_factor` and `cho_solve` wrappers convert and check their input
+    first, which costs more than the factorization at n <= 20.  This and
+    `cho_solve` stay module-level functions that `_newton_direction`
+    looks up by name, so that a profiler or the benchmark's tracer
+    (`perfbench/tracer.py`) can wrap them in place and count raised
+    calls as failed factorizations.
     """
-    c, info = dpotrf(A.T, lower=1, clean=0)
+    c, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c
@@ -163,25 +166,31 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=1)[0]
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+def _newton_direction(H: np.ndarray, rebuild, g: np.ndarray) -> Optional[np.ndarray]:
     """Solve (H + mu I) d = -g, doubling mu from MU0 until the
     factorization is positive definite; None after 80 failed attempts.
-    H must be finite and exactly symmetric.
+    Only H's upper triangle is read, and it must be finite.
 
-    H itself is factored first; only a regularized retry copies it, once,
-    and then rewrites the copy's diagonal for each mu.  Each attempt is
-    one call of the module-level `cho_factor`, looked up by name so that
-    a wrapper installed on the module (the benchmark's tracer) sees it.
+    H itself is factored first, in place.  A failed attempt has
+    overwritten it, so `rebuild()` returns H afresh, once, and each
+    regularized retry copies that into one work array and rewrites its
+    diagonal for its mu.  Each attempt is one call of the module-level
+    `cho_factor`, looked up by name so that a wrapper installed on the
+    module (the benchmark's tracer) sees it.
     """
-    A, mu = H, 0.0
-    for _ in range(80):
+    try:
+        return cho_solve(cho_factor(H), -g)
+    except LinAlgError:
+        pass
+    H = rebuild()
+    diag, A, mu = H.diagonal(), np.empty_like(H), MU0
+    for _ in range(79):
+        np.copyto(A, H)
+        np.fill_diagonal(A, diag + mu)
         try:
             return cho_solve(cho_factor(A), -g)
         except LinAlgError:
-            mu = MU0 if mu == 0.0 else 2.0 * mu
-            if A is H:
-                A, diag = H.copy(), H.diagonal()
-            np.fill_diagonal(A, diag + mu)
+            mu *= 2.0
     return None
 
 
@@ -206,10 +215,11 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
             raise InnerFailure(
                 f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
                 x, grad_norm, it)
-        H = ev.hessian()
+        H = ev.hessian_upper()
+        # the strict lower triangle is finite wherever the upper one is
         if not np.isfinite(H).all():
             raise InnerFailure(f"non-finite Hessian (iteration {it})", x, grad_norm, it)
-        d = _newton_direction(H, ev.grad_x)
+        d = _newton_direction(H, ev.hessian_upper, ev.grad_x)
         slope = math.nan if d is None else float(ev.grad_x @ d)
         if not slope < 0.0:
             raise InnerFailure(f"no Newton descent direction (iteration {it})", x, grad_norm, it)
@@ -219,7 +229,7 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
         step = 1.0
         for _ in range(MAX_LINESEARCH):
             try:
-                cand = AugEval(p, x + step * d, lam, rho, gram=ev.gram)
+                cand = AugEval(p, x + step * d, lam, rho, gram=ev.gram, curv=ev.curv)
             except NonFiniteError as exc:
                 raise InnerFailure(f"{exc} in the line search (iteration {it})",
                                    x, grad_norm, it) from exc

@@ -13,6 +13,11 @@ length >= 2; the `_*_rows` twins take the rows of a (k, m+1) array.  The
 generalized Jacobian of the polar projection is also available by
 structure (`_polar_jacobian_parts`: a multiple of the identity plus a
 rank-2 term), from which the dense matrix is built.
+
+Norms are finite for every finite vector: where the square of a norm
+overflows, the kernels scale by the largest entry (`_norm`).  The public
+kernels run with numpy's overflow warning off, since forming that
+square is how the overflow is detected.
 """
 
 from __future__ import annotations
@@ -49,6 +54,19 @@ def as_cone_vec(y) -> np.ndarray:
     return arr
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a finite 1-D v: sqrt(v @ v), numpy's own `norm`
+    computation without its dispatch, bit for bit, whenever v @ v is
+    finite; when it overflows, the norm scaled by the largest absolute
+    entry, which is finite."""
+    sq = v @ v
+    if sq != math.inf:
+        return math.sqrt(sq)
+    s = np.abs(v).max()
+    w = v / s
+    return float(s * math.sqrt(w @ w))
+
+
 def tilde(y) -> np.ndarray:
     """Reflection (y0, yr) -> (-y0, yr); an involution."""
     return _tilde(as_cone_vec(y))
@@ -60,6 +78,7 @@ def _tilde(y: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")
 def classify(y, tol: float = TAU_CONE) -> ConeRegion:
     """Locate y relative to the cone Q and its polar -Q.
 
@@ -73,11 +92,9 @@ def classify(y, tol: float = TAU_CONE) -> ConeRegion:
 
 def _classify(y: np.ndarray, tol: float):
     """(region, ||y||, ||yr||): the region with the two norms it is
-    decided from.  Norms of 1-D vectors are taken as sqrt(v @ v), numpy's
-    own `norm` computation without its dispatch."""
-    nrm = math.sqrt(y @ y)
-    yr = y[1:]
-    rnorm = math.sqrt(yr @ yr)
+    decided from."""
+    nrm = _norm(y)
+    rnorm = _norm(y[1:])
     t = tol * max(1.0, nrm)
     if nrm <= t:
         return ConeRegion.ZERO, nrm, rnorm
@@ -94,6 +111,7 @@ def _classify(y: np.ndarray, tol: float):
     return ConeRegion.OUTSIDE, nrm, rnorm
 
 
+@np.errstate(over="ignore")
 def project_q(y) -> np.ndarray:
     """Euclidean projection onto Q (closed form).
 
@@ -104,8 +122,7 @@ def project_q(y) -> np.ndarray:
 
 
 def _project_q(y: np.ndarray) -> np.ndarray:
-    yr = y[1:]
-    rnorm = math.sqrt(yr @ yr)
+    rnorm = _norm(y[1:])
     if rnorm <= y[0]:
         return y.copy()
     if rnorm <= -y[0]:
@@ -117,6 +134,7 @@ def _project_q(y: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")
 def project_polar(y) -> np.ndarray:
     """Euclidean projection onto -Q, computed as y - project_q(y)."""
     return _project_polar(as_cone_vec(y))
@@ -144,6 +162,7 @@ def _project_polar_rows(Y: np.ndarray) -> np.ndarray:
     return Y - _project_q_rows(Y)
 
 
+@np.errstate(over="ignore")
 def jacobian_project_polar(y) -> np.ndarray:
     """A generalized Jacobian of the polar projection at y.
 
@@ -195,6 +214,7 @@ def _polar_jacobian_parts(y: np.ndarray):
     return 0.5 * (1.0 - r), y[1:] / rnorm, r
 
 
+@np.errstate(over="ignore")
 def in_normal_cone(lam, y, tol: float = 1e-10) -> bool:
     """Whether lam lies in the normal cone to Q at y (projection test).
 
@@ -210,9 +230,7 @@ def in_normal_cone(lam, y, tol: float = 1e-10) -> bool:
 
 def _in_normal_cone(lam: np.ndarray, y: np.ndarray, tol: float) -> bool:
     """`in_normal_cone` for two finite float vectors of one length."""
-    scale = max(1.0, math.sqrt(y @ y))
-    gap = y - _project_q(y)
-    if math.sqrt(gap @ gap) > tol * scale:
+    scale = max(1.0, _norm(y))
+    if _norm(y - _project_q(y)) > tol * scale:
         raise ValueError("base point is not in the cone within tolerance")
-    gap = _project_q(y + lam) - y
-    return math.sqrt(gap @ gap) <= tol * max(scale, math.sqrt(lam @ lam))
+    return _norm(_project_q(y + lam) - y) <= tol * max(scale, _norm(lam))

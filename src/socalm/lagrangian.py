@@ -21,16 +21,23 @@ moves the evaluation to a new (lam, rho) without calling an oracle
 again.  The shifted point is checked for finiteness once, when it is
 formed; the cone kernels below that check run unchecked.
 
-The penalty term rho JPhi' V JPhi of the generalized Hessian is
-assembled from the structure of V (a multiple of the identity plus a
-rank-2 term) as rho (alpha G + B C B') with the Gram matrix
-G = JPhi' JPhi, so a Newton step costs O(n^2) beyond the oracles and the
-Cholesky factorization instead of the O(n^2 m) triple product.  An
-evaluation hands its (JPhi, G) pair on to `at` and to line-search trials,
-and G is formed again only when `phi_jac` returns a different array or a
-writeable one; for the quadratic and builtin problems, which return one
-read-only JPhi, that is once per solve.  Nothing is cached on the
-problem, which may be shared between concurrent solves.
+The generalized Hessian Hess_xx L(x, mu) + rho JPhi' V JPhi, with mu the
+polar projection of the shifted point and V a generalized Jacobian of
+Pi_{-Q} there, is assembled from the structure of V (a multiple alpha of
+the identity plus a rank-2 term) as (rho alpha) G + S + rho B C B', with
+the Gram matrix G = JPhi' JPhi and S = sym(Hess f + <mu, Hess Phi>).
+The first two terms are exactly symmetric; the rank-2 term is added in
+place, by one BLAS syr2k, to the upper triangle only, which is the
+triangle the Cholesky factorization reads.  So a Newton step costs about
+two n x n passes beyond the oracles and the factorization instead of the
+O(n^2 m) triple product.  An evaluation hands two values
+on to `at` and to line-search trials: the (JPhi, G) pair and the
+(Hess f, <mu, Hess Phi>, S) triple.  G is formed again only when
+`phi_jac` returns a different array or a writeable one, and S only when
+either Hessian oracle does; for the quadratic and builtin problems,
+which return the same read-only arrays, each is formed once per solve.
+Nothing is cached on the problem, which may be shared between
+concurrent solves.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import dsyr2k
 
 from .cone import _polar_jacobian_parts, _project_polar, _project_q
 from .model import SocpProblem
@@ -69,19 +77,20 @@ class AugEval:
 
     Oracle results (phi, f, jac, fgrad) are computed once and shared with
     every quantity derived at x.  `jac`, `fgrad` and `grad_x` are None
-    until `complete` runs.  `gram` is the last (JPhi, JPhi' JPhi) pair
-    formed along the solve, or None.  Nothing here writes into an oracle
-    result.
+    until `complete` runs.  `gram` is the last (JPhi, JPhi' JPhi) pair and
+    `curv` the last (Hess f, <mu, Hess Phi>, S) triple formed along the
+    solve, or None; `sym` is S at this evaluation, None until the first
+    Hessian.  Nothing here writes into an oracle result.
     """
 
     __slots__ = ("p", "x", "lam", "rho", "phi", "f", "jac", "fgrad",
-                 "shifted", "polar_proj", "value", "grad_x", "gram")
+                 "shifted", "polar_proj", "value", "grad_x", "gram", "curv", "sym")
 
     def __init__(self, p: SocpProblem, x, lam, rho: float,
-                 phi=None, f=None, jac=None, fgrad=None, gram=None):
+                 phi=None, f=None, jac=None, fgrad=None, gram=None, curv=None):
         """Value-only evaluation; oracle results known at x are reused,
-        and so is the Gram pair `gram` if JPhi(x) turns out to be its
-        read-only Jacobian."""
+        and so are the Gram pair `gram` and the curvature triple `curv` if
+        the oracles at x turn out to return their read-only arrays."""
         self.p, self.x, self.lam, self.rho = p, x, lam, rho
         self.phi = p.phi_value(x) if phi is None else phi
         self.shifted, polar = shift(self.phi, lam, rho)
@@ -89,7 +98,8 @@ class AugEval:
         self.f = p.f_value(x) if f is None else f
         # (rho/2) dist^2(Phi + lam/rho; Q) = ||polar||^2 / (2 rho)
         self.value = float(self.f + (polar @ polar - lam @ lam) / (2.0 * rho))
-        self.jac, self.fgrad, self.grad_x, self.gram = jac, fgrad, None, gram
+        self.jac, self.fgrad, self.grad_x = jac, fgrad, None
+        self.gram, self.curv, self.sym = gram, curv, None
 
     def complete(self) -> "AugEval":
         """Add JPhi(x), grad f(x) and grad_x (once); returns self."""
@@ -104,44 +114,66 @@ class AugEval:
     def at(self, lam, rho: float) -> "AugEval":
         """The evaluation at the same x for a new (lam, rho)."""
         return AugEval(self.p, self.x, lam, rho, self.phi, self.f, self.jac, self.fgrad,
-                       self.gram)
+                       self.gram, self.curv)
 
     @property
     def grad_lam(self) -> np.ndarray:
         return (self.polar_proj - self.lam) / self.rho
 
-    def hessian(self) -> np.ndarray:
-        """Generalized Hessian of x -> L_rho(x, lam) at x, exactly symmetric.
+    def hessian_upper(self) -> np.ndarray:
+        """A new array whose upper triangle is that of the generalized
+        Hessian of x -> L_rho(x, lam) at x: the triangle `alm.cho_factor`
+        reads.  Its strict lower triangle lacks the rank-2 term.
 
         H = Hess_xx L(x, mu) + rho * JPhi(x)' V JPhi(x) with mu the polar
         projection of the shifted point and V a generalized Jacobian of
         Pi_{-Q} there (the cone module's selection).  With V = alpha I +
-        [e0, (0, u)] C [e0, (0, u)]', the penalty term is
-        rho (alpha G + B C B') with G = JPhi' JPhi and
-        B = [JPhi[0], JPhi[1:]' u].  It is absent inside Q and rho G inside
-        -Q and on the axis fallback with y0 < 0.  G comes from `gram` when
-        JPhi(x) is its read-only Jacobian.
+        [e0, (0, u)] C [e0, (0, u)]', H = (rho alpha) G + S + rho B C B'
+        with G = JPhi' JPhi, S = sym(Hess f + <mu, Hess Phi>) and
+        B = [JPhi[0], JPhi[1:]' u].  The penalty term is absent inside Q
+        and rho G inside -Q and on the axis fallback with y0 < 0.  The
+        Hessian oracles are called on the first call only; G and S come
+        from `gram` and `curv` when the oracles return their read-only
+        arrays again.
         """
-        x, jac = self.x, self.complete().jac
-        f_hess = self.p.f_hess(x)
-        phi_hess = self.p.phi_hess_contract(x, self.polar_proj)
+        jac = self.complete().jac
+        if self.sym is None:
+            self.sym = self._curvature()
         alpha, u, r = _polar_jacobian_parts(self.shifted)
-        # sums are formed in place, so each term costs no n x n temporary
         if alpha:
             if self.gram is None or self.gram[0] is not jac or jac.flags.writeable:
                 self.gram = (jac, jac.T @ jac)
             H = (self.rho * alpha) * self.gram[1]
-            H += f_hess
-            H += phi_hess
+            H += self.sym
         else:
-            H = np.add(f_hess, phi_hess, dtype=float)
+            H = self.sym.copy()
         if u is not None:
             Bt = np.stack((jac[0], jac[1:].T @ u))
             C = (0.5 * self.rho) * np.array([[r, -1.0], [-1.0, r]])
-            H += Bt.T @ (C @ Bt)
-        H = H + H.T
-        H *= 0.5
+            # 0.5 (B (C B') + (C B')' B') = B C B' into the lower triangle
+            # of the Fortran-ordered view H.T, which is H's upper triangle
+            dsyr2k(0.5, Bt, C @ Bt, beta=1.0, c=H.T, trans=1, lower=1, overwrite_c=1)
         return H
+
+    def _curvature(self) -> np.ndarray:
+        """S = sym(Hess f(x) + <mu, Hess Phi(x)>), taken from `curv` when
+        both oracles return its read-only arrays."""
+        f_hess = self.p.f_hess(self.x)
+        phi_hess = self.p.phi_hess_contract(self.x, self.polar_proj)
+        c = self.curv
+        if (c is None or c[0] is not f_hess or c[1] is not phi_hess
+                or f_hess.flags.writeable or phi_hess.flags.writeable):
+            S = np.add(f_hess, phi_hess, dtype=float)
+            S = S + S.T
+            S *= 0.5
+            self.curv = c = (f_hess, phi_hess, S)
+        return c[2]
+
+    def hessian(self) -> np.ndarray:
+        """Generalized Hessian of x -> L_rho(x, lam) at x, exactly
+        symmetric: the upper triangle of `hessian_upper`, mirrored."""
+        T = self.hessian_upper()
+        return np.triu(T) + np.triu(T, 1).T
 
     def kkt_residual(self, lam) -> float:
         """KKT residual at (x, lam) from the oracle results held here."""

@@ -57,6 +57,7 @@ class CriticalCone:
     multiplier: np.ndarray
 
 
+@np.errstate(over="ignore")
 def critical_cone(phi_xbar, lambda_bar) -> CriticalCone:
     """Enumerate the critical cone from the locations of the two vectors.
 

@@ -346,6 +346,21 @@ def test_penalty_overflow_ends_in_inner_failure_without_warnings(capsys):
     assert captured.err.startswith("failure: non-finite") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, line", [
+    ("sosc", "sosc holds=True modulus=1.000000e+00 method=ExactEigen"),
+    ("dualqual", "dualqual holds=True calmness=calm"),
+])
+def test_check_a_point_whose_squared_norm_overflows(command, line, capsys):
+    # a = (2e160, 1e160, 0) lies inside Q, but a @ a overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("check", command, "--problem", "builtin:projection",
+                       "--a", "2e160,1e160,0")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == [line] and captured.err == ""
+
+
 def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypatch):
     """main() reuses one parser; each parse equals a fresh parser's, so no
     flag or default of one call shows up in the next."""

@@ -179,6 +179,40 @@ def test_in_normal_cone_examples():
         cone.in_normal_cone([0.0, 0.0, 0.0], [0.0, 2.0, 0.0])  # base not in Q
 
 
+@pytest.mark.parametrize("y, region, expected", [
+    ([2e160, 1e160, 0.0], ConeRegion.INTERIOR_Q, [2e160, 1e160, 0.0]),
+    ([-2e160, 1e160, 0.0], ConeRegion.INTERIOR_POLAR, [0.0, 0.0, 0.0]),
+    ([0.0, 2e160, 0.0], ConeRegion.OUTSIDE, [1e160, 1e160, 0.0]),
+    ([1e300, 1e300, 0.0], ConeRegion.BOUNDARY_Q_NONZERO, [1e300, 1e300, 0.0]),
+])
+def test_public_kernels_where_the_squared_norm_overflows(y, region, expected):
+    """Each y @ y overflows; the kernels still classify and project y,
+    without a warning (the test suite turns warnings into errors)."""
+    assert cone.classify(y) is region
+    assert_allclose(cone.project_q(y), expected, rtol=1e-15)
+    assert_allclose(cone.project_polar(y), np.subtract(y, expected), rtol=1e-15, atol=1e145)
+    assert np.isfinite(cone.jacobian_project_polar(y)).all()
+    assert cone.in_normal_cone(np.zeros(3), expected)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**20), m=st.integers(1, 6),
+       case=st.sampled_from([c for c in SHIFTED if c not in ("axis+", "axis-")]),
+       k=st.integers(520, 1000))
+def test_kernels_commute_with_a_huge_power_of_two(seed, m, case, k):
+    """Scaling by 2**k is exact; where it makes y @ y overflow, the region
+    is unchanged and the projection scales with y.  (The two axis points
+    are left out: their norm is below 1, where the classification
+    tolerance does not scale.)"""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    y = SHIFTED[case](1.0, w, rng.uniform(-0.9, 0.9), rng.uniform(0.1, 10.0))
+    t = 2.0 ** k
+    assert cone.classify(t * y) is cone.classify(y)
+    assert_allclose(cone.project_q(t * y) / t, cone.project_q(y), rtol=1e-14, atol=1e-15)
+
+
 # every region, zero, near-axis and exact axis rows (yr = 0)
 ROW_CASES = {
     **SHIFTED,

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import LinAlgError
 
-from socalm import ConeRegion, SocpProblem, builtin, generate_planted, solve
+from socalm import ConeRegion, SocpProblem, alm, builtin, generate_planted, solve
 from socalm.cone import classify, jacobian_project_polar, project_q
 from socalm.lagrangian import (AugEval, aug_hessian, aug_lagrangian, lagrangian_l,
                                residual)
+from socalm.model import _read_only
 
 from _util import SHIFTED, constant_phi_problem, fd_grad, fd_jac
 
@@ -280,6 +282,88 @@ def test_structured_hessian_equals_dense_triple_product(seed, n, m, nonlinear, c
     dense = 0.5 * (dense + dense.T)
     scale = 1.0 + np.abs(f_hess).max() + np.abs(phi_hess).max() + rho * np.sum(J * J)
     assert np.abs(H - dense).max() <= 1e-12 * scale
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       nonlinear=st.booleans(), case=st.sampled_from(list(SHIFTED)),
+       log_rho=st.floats(-1.0, 1.0), log_a=st.floats(-2.0, 2.0),
+       c=st.floats(-0.9, 0.9), g=st.floats(0.1, 10.0))
+def test_solver_triangle_is_the_upper_triangle_of_the_hessian(seed, n, m, nonlinear, case,
+                                                               log_rho, log_a, c, g):
+    """The triangle the Newton step factors is that of the exactly
+    symmetric hessian(), also when G and S are handed on from another
+    evaluation, and it is built again with the same bits after a
+    factorization has overwritten it."""
+    if nonlinear:
+        p = _nonlinear_problem(n, m, seed)
+    else:
+        p = generate_planted(n, m, ConeRegion.BOUNDARY_Q_NONZERO, seed)
+    rng = np.random.default_rng(seed)
+    x0, x = rng.standard_normal(n), rng.standard_normal(n)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    rho = 10.0 ** log_rho
+    start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0)
+    start.hessian_upper()
+    lam = _eval_with_shift(p, case, x, rho, 10.0 ** log_a, w, c, g).lam
+    ev = AugEval(p, x, lam, rho, gram=start.gram, curv=start.curv)
+    T = ev.hessian_upper()
+    if not nonlinear:  # read-only oracle results: S is formed once
+        assert ev.curv is start.curv
+    H = aug_hessian(p, x, lam, rho)
+    assert np.array_equal(H, H.T)
+    assert np.array_equal(np.triu(T), np.triu(H))
+    assert np.array_equal(ev.hessian(), H)
+    kept = T.copy()
+    try:
+        alm.cho_factor(T)
+    except LinAlgError:
+        pass
+    assert np.array_equal(ev.hessian_upper(), kept)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
+       case=st.sampled_from(list(SHIFTED)), oracle=st.sampled_from(["f_hess", "phi_hess_contract"]),
+       in_place=st.booleans())
+def test_curvature_follows_a_hessian_buffer_rewritten_in_place(seed, n, m, case, oracle,
+                                                               in_place):
+    """S is formed again when a Hessian oracle returns a writeable array,
+    whether a fresh one or one buffer rewritten in place, while the other
+    oracle returns its one read-only array."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    P = _read_only(R @ R.T + np.eye(n))
+    Q0 = rng.standard_normal((n, n))
+    Q0 = Q0 + Q0.T
+    zero = _read_only(np.zeros((n, n)))
+    if oracle == "f_hess":
+        def fresh(x):
+            return P + np.outer(x, x)
+    else:
+        def fresh(x, lam):
+            return lam[0] * Q0
+    buf = np.empty((n, n))
+
+    def rewritten(*args):
+        buf[...] = fresh(*args)
+        return buf
+
+    base = dataclasses.replace(generate_planted(n, m, ConeRegion.BOUNDARY_Q_NONZERO, seed),
+                               f_hess=lambda x: P, phi_hess_contract=lambda x, lam: zero)
+    ref = dataclasses.replace(base, **{oracle: fresh})
+    p = dataclasses.replace(base, **{oracle: rewritten if in_place else fresh})
+    x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0)
+    start.hessian()
+    ev = _eval_with_shift(p, case, x1, 1.0, 1.0, w, 0.3, 1.0)
+    ev = AugEval(p, x1, ev.lam, 1.0, gram=start.gram, curv=start.curv)
+    H = ev.hessian()
+    assert ev.curv is not start.curv
+    assert np.array_equal(H, aug_hessian(ref, x1, ev.lam, 1.0))
 
 
 def _writeable_twin(p):

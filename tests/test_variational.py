@@ -45,6 +45,12 @@ def test_critical_cone_case_table():
     assert ray.case is CriticalConeCase.RAY
     assert_allclose(ray.vector, [1.0, 1.0, 0.0])
 
+    # each case again at a scale where the squared norms overflow
+    assert critical_cone([2e160, 1e160, 0.0], [0.0, 0.0, 0.0]).case is CriticalConeCase.FULL_SPACE
+    big = critical_cone([1e300, 1e300, 0.0], [-1e300, 1e300, 0.0])
+    assert big.case is CriticalConeCase.HYPERPLANE
+    assert critical_cone([0.0, 0.0, 0.0], [-1e300, 1e300, 0.0]).case is CriticalConeCase.RAY
+
 
 def test_critical_cone_requires_normal_direction():
     with pytest.raises(ValueError):
