@@ -166,10 +166,12 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=1)[0]
 
 
-def _newton_direction(H: np.ndarray, rebuild, g: np.ndarray) -> Optional[np.ndarray]:
+def _newton_direction(H: np.ndarray, rebuild, g: np.ndarray):
     """Solve (H + mu I) d = -g, doubling mu from MU0 until the
-    factorization is positive definite; None after 80 failed attempts.
-    Only H's upper triangle is read, and it must be finite.
+    factorization is positive definite.  Returns (d, factor of H + mu I),
+    so that the caller can keep the factor for a later step with the same
+    H; (None, None) after 80 failed attempts.  Only H's upper triangle is
+    read, and it must be finite.
 
     H itself is factored first, in place.  A failed attempt has
     overwritten it, so `rebuild()` returns H afresh, once, and each
@@ -179,7 +181,8 @@ def _newton_direction(H: np.ndarray, rebuild, g: np.ndarray) -> Optional[np.ndar
     module (the benchmark's tracer) sees it.
     """
     try:
-        return cho_solve(cho_factor(H), -g)
+        c = cho_factor(H)
+        return cho_solve(c, -g), c
     except LinAlgError:
         pass
     H = rebuild()
@@ -188,10 +191,11 @@ def _newton_direction(H: np.ndarray, rebuild, g: np.ndarray) -> Optional[np.ndar
         np.copyto(A, H)
         np.fill_diagonal(A, diag + mu)
         try:
-            return cho_solve(cho_factor(A), -g)
+            c = cho_factor(A)
+            return cho_solve(c, -g), c
         except LinAlgError:
             mu *= 2.0
-    return None
+    return None, None
 
 
 def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
@@ -200,6 +204,13 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
     Returns (evaluation at the final x, grad_norm, iters); each accepted
     point is evaluated once.  A non-finite evaluation, no Newton descent
     direction or a failed line search ends the solve with InnerFailure.
+
+    The last factor of a step where V = alpha I is kept with its key
+    (`AugEval.newton_key`) and handed on with the evaluations.  A step
+    whose key is the kept one has the same Hessian, bit for bit, so it
+    solves with the kept factor, regularized or not, and neither
+    assembles nor factors: inside -Q and inside Q a solve refactors only
+    when rho, G or S changes.
     """
     p, lam, rho = ev.p, ev.lam, ev.rho
     floor = max(eps_k, GRAD_FLOOR)
@@ -215,11 +226,18 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
             raise InnerFailure(
                 f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
                 x, grad_norm, it)
-        H = ev.hessian_upper()
-        # the strict lower triangle is finite wherever the upper one is
-        if not np.isfinite(H).all():
-            raise InnerFailure(f"non-finite Hessian (iteration {it})", x, grad_norm, it)
-        d = _newton_direction(H, ev.hessian_upper, ev.grad_x)
+        key, kept = ev.newton_key(), ev.chol
+        if (key is not None and kept is not None and kept[0] == key[0]
+                and kept[1] is key[1] and kept[2] is key[2]):
+            d = cho_solve(kept[3], -ev.grad_x)
+        else:
+            H = ev.hessian_upper()
+            # the strict lower triangle is finite wherever the upper one is
+            if not np.isfinite(H).all():
+                raise InnerFailure(f"non-finite Hessian (iteration {it})", x, grad_norm, it)
+            d, c = _newton_direction(H, ev.hessian_upper, ev.grad_x)
+            if key is not None and c is not None:
+                ev.chol = (*key, c)
         slope = math.nan if d is None else float(ev.grad_x @ d)
         if not slope < 0.0:
             raise InnerFailure(f"no Newton descent direction (iteration {it})", x, grad_norm, it)
@@ -229,7 +247,8 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
         step = 1.0
         for _ in range(MAX_LINESEARCH):
             try:
-                cand = AugEval(p, x + step * d, lam, rho, gram=ev.gram, curv=ev.curv)
+                cand = AugEval(p, x + step * d, lam, rho, gram=ev.gram, curv=ev.curv,
+                               chol=ev.chol)
             except NonFiniteError as exc:
                 raise InnerFailure(f"{exc} in the line search (iteration {it})",
                                    x, grad_norm, it) from exc

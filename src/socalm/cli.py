@@ -21,7 +21,8 @@ import numpy as np
 
 from . import alm, diagnostics
 from .model import SocpProblem, builtin, load_problem
-from .variational import check_dual_qualification, check_sosc, multiplier_calmness
+from .variational import (check_dual_qualification, check_sosc, critical_pair,
+                          multiplier_calmness)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -185,8 +186,9 @@ def cmd_check(args) -> int:
         code = 0 if r.holds else 1
     else:  # dualqual
         x, lam = _point(args, problem)
-        holds, witness = check_dual_qualification(problem, x, lam)
-        calmness = multiplier_calmness(problem, x, lam, holds)
+        pair = critical_pair(problem, x, lam)
+        holds, witness = check_dual_qualification(problem, x, lam, pair)
+        calmness = multiplier_calmness(problem, x, lam, holds, pair)
         witness = None if witness is None else [float(v) for v in witness]
         fields = {"holds": holds, "witness": witness, "multiplier_calmness": calmness}
         line = (f"dualqual holds={holds} calmness={calmness}"

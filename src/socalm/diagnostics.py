@@ -178,6 +178,7 @@ def _multiplier_samples(p: SocpProblem, count: int, rng) -> List[np.ndarray]:
     return [sol.lam.copy()] + [c * d for c in cs]
 
 
+@np.errstate(over="ignore")  # the row kernels detect an overflowing squared norm
 def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
                    lambda_samples: int, seed: int) -> GrowthReport:
     """Sampled second-order growth certificate for the augmented Lagrangian.

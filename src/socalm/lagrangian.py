@@ -30,14 +30,19 @@ The first two terms are exactly symmetric; the rank-2 term is added in
 place, by one BLAS syr2k, to the upper triangle only, which is the
 triangle the Cholesky factorization reads.  So a Newton step costs about
 two n x n passes beyond the oracles and the factorization instead of the
-O(n^2 m) triple product.  An evaluation hands two values
-on to `at` and to line-search trials: the (JPhi, G) pair and the
-(Hess f, <mu, Hess Phi>, S) triple.  G is formed again only when
-`phi_jac` returns a different array or a writeable one, and S only when
-either Hessian oracle does; for the quadratic and builtin problems,
-which return the same read-only arrays, each is formed once per solve.
-Nothing is cached on the problem, which may be shared between
-concurrent solves.
+O(n^2 m) triple product.  An evaluation hands three values on to `at`
+and to line-search trials: the (JPhi, G) pair, the
+(Hess f, <mu, Hess Phi>, S) triple and the last Newton factor with its
+key (rho alpha, G, S).  G is formed again only when `phi_jac` returns a
+different array or a writeable one, and S only when either Hessian
+oracle does; for the quadratic and builtin problems, which return the
+same read-only arrays, each is formed once per solve.  Where V = alpha I
+(inside either cone and on the axis fallback) the Hessian is
+(rho alpha) G + S, fixed by its key, so a Newton step whose key is the
+carried one costs one triangular solve with the carried factor and no
+assembly or factorization; the key changes with rho, with a new G or S,
+and with alpha.  Nothing is cached on the problem, which may be shared
+between concurrent solves.
 """
 
 from __future__ import annotations
@@ -79,18 +84,23 @@ class AugEval:
     every quantity derived at x.  `jac`, `fgrad` and `grad_x` are None
     until `complete` runs.  `gram` is the last (JPhi, JPhi' JPhi) pair and
     `curv` the last (Hess f, <mu, Hess Phi>, S) triple formed along the
-    solve, or None; `sym` is S at this evaluation, None until the first
-    Hessian.  Nothing here writes into an oracle result.
+    solve, or None; `sym` is S at this evaluation and `parts` the
+    (alpha, u, r) of V at its shifted point, both None until the first
+    Hessian or `newton_key`.  `chol` is the last Newton factor kept along
+    the solve with its key, (rho alpha, G, S, factor), or None: the
+    solver reuses the factor for a step whose `newton_key` matches it.
+    Nothing here writes into an oracle result.
     """
 
-    __slots__ = ("p", "x", "lam", "rho", "phi", "f", "jac", "fgrad",
-                 "shifted", "polar_proj", "value", "grad_x", "gram", "curv", "sym")
+    __slots__ = ("p", "x", "lam", "rho", "phi", "f", "jac", "fgrad", "shifted",
+                 "polar_proj", "value", "grad_x", "gram", "curv", "sym", "parts", "chol")
 
-    def __init__(self, p: SocpProblem, x, lam, rho: float,
-                 phi=None, f=None, jac=None, fgrad=None, gram=None, curv=None):
+    def __init__(self, p: SocpProblem, x, lam, rho: float, phi=None, f=None,
+                 jac=None, fgrad=None, gram=None, curv=None, chol=None):
         """Value-only evaluation; oracle results known at x are reused,
         and so are the Gram pair `gram` and the curvature triple `curv` if
-        the oracles at x turn out to return their read-only arrays."""
+        the oracles at x turn out to return their read-only arrays; `chol`
+        is handed on as it is."""
         self.p, self.x, self.lam, self.rho = p, x, lam, rho
         self.phi = p.phi_value(x) if phi is None else phi
         self.shifted, polar = shift(self.phi, lam, rho)
@@ -99,7 +109,7 @@ class AugEval:
         # (rho/2) dist^2(Phi + lam/rho; Q) = ||polar||^2 / (2 rho)
         self.value = float(self.f + (polar @ polar - lam @ lam) / (2.0 * rho))
         self.jac, self.fgrad, self.grad_x = jac, fgrad, None
-        self.gram, self.curv, self.sym = gram, curv, None
+        self.gram, self.curv, self.sym, self.parts, self.chol = gram, curv, None, None, chol
 
     def complete(self) -> "AugEval":
         """Add JPhi(x), grad f(x) and grad_x (once); returns self."""
@@ -114,7 +124,7 @@ class AugEval:
     def at(self, lam, rho: float) -> "AugEval":
         """The evaluation at the same x for a new (lam, rho)."""
         return AugEval(self.p, self.x, lam, rho, self.phi, self.f, self.jac, self.fgrad,
-                       self.gram, self.curv)
+                       self.gram, self.curv, self.chol)
 
     @property
     def grad_lam(self) -> np.ndarray:
@@ -136,13 +146,9 @@ class AugEval:
         from `gram` and `curv` when the oracles return their read-only
         arrays again.
         """
-        jac = self.complete().jac
-        if self.sym is None:
-            self.sym = self._curvature()
-        alpha, u, r = _polar_jacobian_parts(self.shifted)
+        alpha, u, r = self._penalty_parts()
+        jac = self.jac
         if alpha:
-            if self.gram is None or self.gram[0] is not jac or jac.flags.writeable:
-                self.gram = (jac, jac.T @ jac)
             H = (self.rho * alpha) * self.gram[1]
             H += self.sym
         else:
@@ -154,6 +160,32 @@ class AugEval:
             # of the Fortran-ordered view H.T, which is H's upper triangle
             dsyr2k(0.5, Bt, C @ Bt, beta=1.0, c=H.T, trans=1, lower=1, overwrite_c=1)
         return H
+
+    def newton_key(self):
+        """(rho alpha, G, S) where V = alpha I at the shifted point, the
+        three values that fix the Hessian (rho alpha) G + S, with G None
+        when alpha = 0; None outside both cones, where the Hessian also
+        has the rank-2 term.  Compared with `==` on rho alpha and `is` on
+        G and S: G and S are new arrays whenever their oracles' results
+        may have changed."""
+        alpha, u, _ = self._penalty_parts()
+        if u is not None:
+            return None
+        return self.rho * alpha, (self.gram[1] if alpha else None), self.sym
+
+    def _penalty_parts(self):
+        """(alpha, u, r) of V at the shifted point, computed once per
+        evaluation, with S and, where alpha is nonzero, the Gram pair
+        brought up to date for it."""
+        if self.parts is None:
+            jac = self.complete().jac
+            if self.sym is None:
+                self.sym = self._curvature()
+            self.parts = _polar_jacobian_parts(self.shifted)
+            if self.parts[0] and (self.gram is None or self.gram[0] is not jac
+                                  or jac.flags.writeable):
+                self.gram = (jac, jac.T @ jac)
+        return self.parts
 
     def _curvature(self) -> np.ndarray:
         """S = sym(Hess f(x) + <mu, Hess Phi(x)>), taken from `curv` when

@@ -128,6 +128,15 @@ def _pair(p: SocpProblem, xbar, lambda_bar, w=None):
     return x, lam, w, phi, J
 
 
+@np.errstate(all="ignore")
+def critical_pair(p: SocpProblem, xbar, lambda_bar):
+    """(x, lam, JPhi(x), critical cone) of a KKT pair, from one `_pair`:
+    what `check_dual_qualification` and `multiplier_calmness` read, built
+    once by a caller that runs both."""
+    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
+    return x, lam, J, critical_cone(phi, lam)
+
+
 def _curvature(K: CriticalCone) -> float:
     """||lam|| / ||Phi(xbar)||, the cone's curvature in the Hyperplane case."""
     return float(np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point))
@@ -340,7 +349,7 @@ def _kernel_tol(J: np.ndarray, v: np.ndarray) -> float:
 
 
 @np.errstate(all="ignore")
-def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
+def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     """Test whether the polar of the critical cone meets ker JPhi(xbar)'
     only at the origin.
 
@@ -350,9 +359,10 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
     nonzero subspace meets; the whole cone's polar -Q meets span K iff
     M = K[1:]'K[1:] - K[0]K[0]' has an eigenvalue <= TOL (c'Mc is
     ||v_r||^2 - v_0^2 at v = K c), whose eigenvector gives the witness.
+    `pair` is `critical_pair(p, xbar, lambda_bar)` where the caller has
+    built it; otherwise it is built here.
     """
-    _, lam, _, phi, J = _pair(p, xbar, lambda_bar)
-    K = critical_cone(phi, lam)
+    _, lam, J, K = critical_pair(p, xbar, lambda_bar) if pair is None else pair
 
     if K.case is CriticalConeCase.FULL_SPACE:
         return True, None  # polar is {0}
@@ -396,7 +406,8 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar):
 
 
 @np.errstate(all="ignore")
-def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool) -> str:
+def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool,
+                        pair=None) -> str:
     """Classify the calmness of the multiplier mapping: 'calm',
     'not_calm' or 'unknown'.
 
@@ -405,10 +416,11 @@ def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool) -> st
     dual qualification give calmness, a boundary multiplier whose whole
     ray consists of multipliers is the open configuration and is reported
     as 'unknown' rather than guessed, as is a zero multiplier.  A
-    non-finite JPhi(x) or gradient raises ValueError.
+    non-finite JPhi(x) or gradient raises ValueError.  `pair` is
+    `critical_pair(p, xbar, lambda_bar)` where the caller has built it.
     """
-    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
-    case = critical_cone(phi, lam).case
+    x, lam, J, K = critical_pair(p, xbar, lambda_bar) if pair is None else pair
+    case = K.case
     if duq_holds or case not in (CriticalConeCase.RAY, CriticalConeCase.WHOLE_CONE_Q):
         return "calm"
     if case is CriticalConeCase.RAY:

@@ -75,6 +75,12 @@ def counted(p):
     return dataclasses.replace(p, **{o: wrap(o, getattr(p, o)) for o in ORACLES}), calls
 
 
+def writeable_twin(p):
+    """p with phi_jac returning a fresh writeable copy on every call, so
+    that no evaluation can reuse the Gram matrix of another."""
+    return dataclasses.replace(p, phi_jac=lambda x: np.array(p.phi_jac(x)))
+
+
 def negative_curvature_problem(n=2, m=2):
     """f(x) = -||x||^2 with a constant strictly feasible constraint;
     the origin is a KKT point where sufficiency fails outright."""

@@ -18,8 +18,9 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
 from socalm import alm
 from socalm.cone import _classify, classify, project_q
 from socalm.lagrangian import aug_lagrangian, residual
+from socalm.model import _read_only
 
-from _util import counted
+from _util import counted, writeable_twin
 
 
 def perturbed_start(p, scale, seed):
@@ -410,12 +411,14 @@ def test_newton_direction_matches_the_reference_doubling_loop(H, attempts, monke
     H = 0.5 * (H + H.T)
     g = np.random.default_rng(2).standard_normal(H.shape[0])
     calls = counted_factorizations(monkeypatch)
-    d = alm._newton_direction(H.copy(), H.copy, g)
+    d, c = alm._newton_direction(H.copy(), H.copy, g)
     ref, ref_attempts = reference_direction(H, g)
     if attempts == 80:
-        assert d is None and ref is None
+        assert d is None and ref is None and c is None
     else:
         assert d.tobytes() == ref.tobytes()
+        # the returned factor is the one the direction was solved with
+        assert alm.cho_solve(c, -g).tobytes() == d.tobytes()
     assert len(calls) == ref_attempts == attempts
 
 
@@ -447,6 +450,108 @@ def test_solve_ends_in_inner_failure_on_a_bad_newton_step(newton_solve, message,
     _, trace = solve(builtin("projection"), np.zeros(3), np.zeros(3))
     assert trace.status is AlmStatus.INNER_FAILURE
     assert trace.message.startswith(message)
+
+
+def fresh_twin(p):
+    """p with phi_jac and f_hess returning fresh writeable copies, so that
+    no Newton step can reuse a factor: G and S are new arrays at every
+    evaluation."""
+    return dataclasses.replace(writeable_twin(p), f_hess=lambda x: np.array(p.f_hess(x)))
+
+
+def solve_bytes(point, trace):
+    """(status, message, x, lam, every trace row) of a solve, as bytes."""
+    rows = zip(trace.xs, trace.lams, trace.rhos, trace.epss, trace.sigmas,
+               trace.inner_iters, trace.grad_norms, trace.values)
+    return (trace.status, trace.message, point.x.tobytes(), point.lam.tobytes(),
+            [(x.tobytes(), lam.tobytes(), np.array(rest, dtype=float).tobytes())
+             for x, lam, *rest in rows])
+
+
+def zero_solve():
+    """A planted (20,10) vertex solve from the origin: the shifted point
+    stays inside -Q (V = I) for most Newton steps, and rho grows from 0.1
+    to 10, which changes the Newton matrix rho G + S."""
+    p = generate_planted(20, 10, ConeRegion.ZERO, 1)
+    return p, np.zeros(20), np.zeros(11), AlmConfig(rho0=0.1)
+
+
+def interior_solve():
+    """A planted (20,10) InteriorQ solve from near its solution, with
+    f_hess returning twice Hess f as one read-only array: inside Q (V = 0)
+    each step halves the gradient, so the inner solve takes many steps on
+    one Newton matrix."""
+    p = generate_planted(20, 10, ConeRegion.INTERIOR_Q, 1)
+    double = _read_only(2.0 * p.f_hess(p.known_solution.x))
+    x0, _ = perturbed_start(p, 0.1, 1)
+    return dataclasses.replace(p, f_hess=lambda x: double), x0, np.zeros(11), AlmConfig()
+
+
+@pytest.mark.parametrize("make", [zero_solve, interior_solve], ids=["Zero", "InteriorQ"])
+def test_a_repeated_newton_matrix_is_factored_once(make, monkeypatch):
+    """Where V = alpha I and rho, G and S repeat, a Newton step solves
+    with the kept factor; the solve is the one that factors every step."""
+    p, x0, lam0, cfg = make()
+    calls = counted_factorizations(monkeypatch)
+    kept = solve(p, x0, lam0, cfg)
+    steps = sum(kept[1].inner_iters)
+    assert kept[1].status is AlmStatus.CONVERGED
+    assert 0 < len(calls) < steps
+    calls.clear()
+    fresh = solve(fresh_twin(p), x0, lam0, cfg)
+    assert len(calls) == steps
+    assert solve_bytes(*kept) == solve_bytes(*fresh)
+
+
+def test_a_curvature_oracle_with_new_arrays_is_factored_every_step(monkeypatch):
+    """example_3_2's phi_hess_contract returns a new array at every call,
+    so S is formed again and no factor is reused."""
+    calls = counted_factorizations(monkeypatch)
+    _, trace = solve(builtin("example_3_2"), np.array([0.5, 0.5]), np.zeros(3))
+    assert trace.status is AlmStatus.CONVERGED
+    assert len(calls) == sum(trace.inner_iters) > 0
+
+
+def test_a_kept_regularized_factor_gives_the_directions_of_a_new_one(monkeypatch):
+    """f_hess returns one read-only matrix 30 below Hess f, so rho G + S
+    is indefinite on ker JPhi at rho = 10 and every factor is of
+    H + mu I with mu > 0; the kept factors give, bit for bit, the
+    directions of the doubling loop run again at every step."""
+    base = generate_planted(20, 10, ConeRegion.ZERO, 1)
+    shifted_down = _read_only(base.f_hess(np.zeros(20)) - 30.0 * np.eye(20))
+    p = dataclasses.replace(base, f_hess=lambda x: shifted_down)
+    cfg = AlmConfig(max_outer=4, max_inner=30)
+    cho_factor, cho_solve = alm.cho_factor, alm.cho_solve
+
+    def run(q):
+        outcomes, directions = [], []
+
+        def factor(A):
+            try:
+                c = cho_factor(A)
+            except scipy.linalg.LinAlgError:
+                outcomes.append(False)
+                raise
+            outcomes.append(True)
+            return c
+
+        def solve_with(c, b):
+            d = cho_solve(c, b)
+            directions.append(d.tobytes())
+            return d
+
+        monkeypatch.setattr(alm, "cho_factor", factor)
+        monkeypatch.setattr(alm, "cho_solve", solve_with)
+        return outcomes, directions, solve(q, np.zeros(20), np.zeros(11), cfg)
+
+    outcomes, directions, kept = run(p)
+    fresh_outcomes, fresh_directions, fresh = run(fresh_twin(p))
+    # every factorization succeeds only after H itself failed: mu > 0
+    assert outcomes[0] is False
+    assert all(not prev for prev, ok in zip(outcomes, outcomes[1:]) if ok)
+    assert sum(outcomes) < len(directions) == sum(fresh_outcomes)
+    assert directions == fresh_directions
+    assert solve_bytes(*kept) == solve_bytes(*fresh)
 
 
 @settings(max_examples=200)

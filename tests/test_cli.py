@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from socalm import AlmConfig, Exact, FixedSequence, Proportional, alm, builtin, 
 from socalm import cli
 from socalm.cli import _write_trace_csv, main
 from socalm.lagrangian import residual
+
+from _util import counted
 
 
 def run_cli(*argv):
@@ -34,6 +37,21 @@ def test_solve_projection_exit_zero(tmp_path, capsys):
     assert rows and float(rows[-1]["sigma"]) <= 1e-9
     assert set(rows[0]) == {"k", "sigma", "eps_k", "rho_k", "inner_iters",
                             "grad_norm", "value", "dist_x", "dist_lambda"}
+
+
+@pytest.mark.parametrize("region", ["Zero", "BoundaryQNonzero"])
+def test_check_dualqual_evaluates_its_pair_once(region, monkeypatch, capsys):
+    """`check dualqual` runs the dual qualification and the calmness test
+    on one evaluation of its KKT pair."""
+    argv = ["check", "dualqual", "--problem", "builtin:scaled_quadratic", "--seed", "1",
+            "--n", "20", "--m", "10", "--region", region]
+    assert run_cli(*argv) in (0, 1)
+    expected = capsys.readouterr().out
+    p, calls = counted(builtin("scaled_quadratic", seed=1, n=20, m=10, region=region))
+    monkeypatch.setattr(cli, "builtin", lambda name, **params: p)
+    assert run_cli(*argv) in (0, 1)
+    assert capsys.readouterr().out == expected
+    assert calls["phi_value"] == 1 and calls["phi_jac"] == 1, dict(calls)
 
 
 def test_solve_interior_trivial_converges_at_start(tmp_path):
@@ -359,6 +377,19 @@ def test_check_a_point_whose_squared_norm_overflows(command, line, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.splitlines() == [line] and captured.err == ""
+
+
+def test_check_growth_where_a_sample_row_norm_overflows(capsys):
+    """The growth samples near a = (2e160, 1e160, 0) have squared norms
+    that overflow; their projections stay finite, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("check", "growth", "--problem", "builtin:projection",
+                       "--a", "2e160,1e160,0", "--rho-list", "1")
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    ell_hat = float(captured.out.split()[1].removeprefix("ell_hat="))
+    assert 0.0 < ell_hat < math.inf
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypatch):

@@ -223,11 +223,13 @@ ROW_CASES = {
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**20), m=st.integers(1, 6), k=st.integers(1, 24),
-       log_a=st.floats(-3.0, 3.0))
+       # beyond 1e154 a row's squared norm overflows
+       log_a=st.floats(-3.0, 3.0) | st.floats(150.0, 300.0))
 def test_row_kernels_match_the_vector_kernels(seed, m, k, log_a):
     """Every row of a mixed batch is projected as the vector kernels
     project it alone; the rows satisfy Moreau's decomposition and
-    projecting twice changes nothing."""
+    projecting twice changes nothing.  Norms are the kernels' `_norm`
+    (numpy's where the square is finite), so the scale stays finite."""
     rng = np.random.default_rng(seed)
     cases = list(ROW_CASES)
     rows = []
@@ -238,20 +240,35 @@ def test_row_kernels_match_the_vector_kernels(seed, m, k, log_a):
         case = cases[i] if i < len(cases) else cases[int(rng.integers(len(cases)))]
         rows.append(ROW_CASES[case](a, w, rng.uniform(-0.9, 0.9), rng.uniform(0.1, 10.0)))
     Y = np.array(rows)
-    Pq, Pp = cone._project_q_rows(Y), cone._project_polar_rows(Y)
-    for y, pq, pp, pq2, pp2 in zip(Y, Pq, Pp, cone._project_q_rows(Pq),
-                                   cone._project_polar_rows(Pp)):
-        scale = max(1.0, float(np.linalg.norm(y)))
-        assert np.abs(pq - cone._project_q(y)).max() <= 1e-15 * scale
-        assert np.abs(pp - cone._project_polar(y)).max() <= 1e-15 * scale
-        # Moreau decomposition: y = pq + pp, pq in Q, pp in -Q, orthogonal
-        assert np.abs(pq + pp - y).max() <= 1e-15 * scale
-        assert np.linalg.norm(pq[1:]) - pq[0] <= 1e-14 * scale
-        assert np.linalg.norm(pp[1:]) + pp[0] <= 1e-14 * scale
-        assert abs(pq @ pp) <= 1e-14 * scale * scale
-        # idempotence
-        assert np.abs(pq2 - pq).max() <= 1e-14 * scale
-        assert np.abs(pp2 - pp).max() <= 1e-14 * scale
+    with np.errstate(over="ignore"):  # how the kernels detect an overflowing square
+        Pq, Pp = cone._project_q_rows(Y), cone._project_polar_rows(Y)
+        for y, pq, pp, pq2, pp2 in zip(Y, Pq, Pp, cone._project_q_rows(Pq),
+                                       cone._project_polar_rows(Pp)):
+            scale = max(1.0, cone._norm(y))
+            assert np.abs(pq - cone._project_q(y)).max() <= 1e-15 * scale
+            assert np.abs(pp - cone._project_polar(y)).max() <= 1e-15 * scale
+            # Moreau decomposition: y = pq + pp, pq in Q, pp in -Q, orthogonal
+            assert np.abs(pq + pp - y).max() <= 1e-15 * scale
+            assert cone._norm(pq[1:]) - pq[0] <= 1e-14 * scale
+            assert cone._norm(pp[1:]) + pp[0] <= 1e-14 * scale
+            assert abs((pq / scale) @ (pp / scale)) <= 1e-14
+            # idempotence
+            assert np.abs(pq2 - pq).max() <= 1e-14 * scale
+            assert np.abs(pp2 - pp).max() <= 1e-14 * scale
+
+
+def test_row_kernels_where_the_squared_norm_overflows():
+    """Rows whose squared space norm overflows are projected as the
+    vector kernels project them, with the bits of the vector kernels,
+    beside a row of ordinary size."""
+    Y = np.array([[2e160, 1e160, 0.0], [0.0, 2e160, 0.0], [-3e200, 1e200, 2e200],
+                  [0.5, 2.0, -1.0]])
+    with np.errstate(over="ignore"):
+        Pq, Pp = cone._project_q_rows(Y), cone._project_polar_rows(Y)
+        for y, pq, pp in zip(Y, Pq, Pp):
+            assert pq.tobytes() == cone._project_q(y).tobytes()
+            assert pp.tobytes() == cone._project_polar(y).tobytes()
+    assert_allclose(Pq[:2], [[2e160, 1e160, 0.0], [1e160, 1e160, 0.0]], rtol=1e-15)
 
 
 # near-boundary rows: a boundary point of Q or -Q moved by less than the

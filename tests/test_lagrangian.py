@@ -17,7 +17,7 @@ from socalm.lagrangian import (AugEval, aug_hessian, aug_lagrangian, lagrangian_
                                residual)
 from socalm.model import _read_only
 
-from _util import SHIFTED, constant_phi_problem, fd_grad, fd_jac
+from _util import SHIFTED, constant_phi_problem, fd_grad, fd_jac, writeable_twin
 
 
 BUILTINS = [
@@ -366,17 +366,12 @@ def test_curvature_follows_a_hessian_buffer_rewritten_in_place(seed, n, m, case,
     assert np.array_equal(H, aug_hessian(ref, x1, ev.lam, 1.0))
 
 
-def _writeable_twin(p):
-    """p with phi_jac returning a fresh writeable copy on every call."""
-    return dataclasses.replace(p, phi_jac=lambda x: np.array(p.phi_jac(x)))
-
-
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
        case=st.sampled_from(list(SHIFTED)), log_rho=st.floats(-1.0, 1.0))
 def test_gram_matrix_reuse_matches_a_writeable_jacobian(seed, n, m, case, log_rho):
     p = generate_planted(n, m, ConeRegion.BOUNDARY_Q_NONZERO, seed)
-    twin = _writeable_twin(p)
+    twin = writeable_twin(p)
     rng = np.random.default_rng(seed)
     x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
     w = rng.standard_normal(m)
@@ -427,7 +422,7 @@ def test_gram_matrix_follows_a_jacobian_buffer_rewritten_in_place(seed, n, m, ca
                                ConeRegion.INTERIOR_Q]))
 def test_solve_with_a_writeable_jacobian_is_identical(seed, n, m, region):
     p = generate_planted(n, m, region, seed)
-    results = [solve(q, np.zeros(n), np.zeros(m + 1)) for q in (p, _writeable_twin(p))]
+    results = [solve(q, np.zeros(n), np.zeros(m + 1)) for q in (p, writeable_twin(p))]
     (pt_a, tr_a), (pt_b, tr_b) = results
     assert tr_a.status is tr_b.status
     assert tr_a.sigmas == tr_b.sigmas and tr_a.values == tr_b.values
