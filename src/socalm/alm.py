@@ -166,51 +166,57 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=1)[0]
 
 
-def _newton_direction(H: np.ndarray, rebuild, g: np.ndarray):
-    """Solve (H + mu I) d = -g, doubling mu from MU0 until the
-    factorization is positive definite.  Returns (d, factor of H + mu I),
-    so that the caller can keep the factor for a later step with the same
-    H; (None, None) after 80 failed attempts.  Only H's upper triangle is
-    read, and it must be finite.
+def _newton_direction(ev: AugEval):
+    """The regularized Newton direction at ev: the solution d of
+    (H + mu I) d = -grad_x for the generalized Hessian H, with mu = 0
+    first and then doubling from MU0, for at most 80 attempts; None when
+    every attempt fails.  Raises NonFiniteError on a non-finite Hessian.
 
-    H itself is factored first, in place.  A failed attempt has
-    overwritten it, so `rebuild()` returns H afresh, once, and each
-    regularized retry copies that into one work array and rewrites its
-    diagonal for its mu.  Each attempt is one call of the module-level
-    `cho_factor`, looked up by name so that a wrapper installed on the
-    module (the benchmark's tracer) sees it.
+    Where `ev.newton_key()` is the kept factor's rho alpha, H is that
+    factor's matrix (the module `lagrangian`'s hand-on rule), so d is
+    solved with the kept factor and nothing is assembled or factored;
+    otherwise H is assembled, and where the key is not None the factor
+    found is kept on ev.  The first attempt factors H in place; a failed
+    attempt has overwritten it, so H is assembled again once, and each
+    regularized attempt copies it into one work array and adds mu to the
+    diagonal.  Each attempt is one call of the module-level `cho_factor`,
+    looked up by name so that a wrapper installed on the module (the
+    benchmark's tracer) sees it.
     """
-    try:
-        c = cho_factor(H)
-        return cho_solve(c, -g), c
-    except LinAlgError:
-        pass
-    H = rebuild()
-    diag, A, mu = H.diagonal(), np.empty_like(H), MU0
-    for _ in range(79):
-        np.copyto(A, H)
-        np.fill_diagonal(A, diag + mu)
+    key, kept = ev.newton_key(), ev.chol
+    if kept is not None and kept[0] == key:
+        return cho_solve(kept[1], -ev.grad_x)
+    H = ev.hessian_upper()
+    # the strict lower triangle is finite wherever the upper one is
+    if not np.isfinite(H).all():
+        raise NonFiniteError("non-finite Hessian")
+    A, mu = H, 0.0
+    for _ in range(80):
+        if mu:
+            np.copyto(A, H)
+            A.flat[::A.shape[0] + 1] += mu
         try:
             c = cho_factor(A)
-            return cho_solve(c, -g), c
+            break
         except LinAlgError:
-            mu *= 2.0
-    return None, None
+            if A is H:
+                H, A = ev.hessian_upper(), np.empty_like(H)
+            mu = 2.0 * mu if mu else MU0
+    else:
+        return None
+    if key is not None:
+        ev.chol = (key, c)
+    return cho_solve(c, -ev.grad_x)
 
 
 def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
     """Minimize x -> L_rho(x, lam) from the evaluation ev at the start.
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
-    point is evaluated once.  A non-finite evaluation, no Newton descent
-    direction or a failed line search ends the solve with InnerFailure.
-
-    The last factor of a step where V = alpha I is kept with its key
-    (`AugEval.newton_key`) and handed on with the evaluations.  A step
-    whose key is the kept one has the same Hessian, bit for bit, so it
-    solves with the kept factor, regularized or not, and neither
-    assembles nor factors: inside -Q and inside Q a solve refactors only
-    when rho, G or S changes.
+    point is evaluated once, and each evaluation follows the one before
+    it by the module `lagrangian`'s hand-on rule.  A non-finite
+    evaluation, no Newton descent direction or a failed line search ends
+    the solve with InnerFailure.
     """
     p, lam, rho = ev.p, ev.lam, ev.rho
     floor = max(eps_k, GRAD_FLOOR)
@@ -226,18 +232,10 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
             raise InnerFailure(
                 f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
                 x, grad_norm, it)
-        key, kept = ev.newton_key(), ev.chol
-        if (key is not None and kept is not None and kept[0] == key[0]
-                and kept[1] is key[1] and kept[2] is key[2]):
-            d = cho_solve(kept[3], -ev.grad_x)
-        else:
-            H = ev.hessian_upper()
-            # the strict lower triangle is finite wherever the upper one is
-            if not np.isfinite(H).all():
-                raise InnerFailure(f"non-finite Hessian (iteration {it})", x, grad_norm, it)
-            d, c = _newton_direction(H, ev.hessian_upper, ev.grad_x)
-            if key is not None and c is not None:
-                ev.chol = (*key, c)
+        try:
+            d = _newton_direction(ev)
+        except NonFiniteError as exc:
+            raise InnerFailure(f"{exc} (iteration {it})", x, grad_norm, it) from exc
         slope = math.nan if d is None else float(ev.grad_x @ d)
         if not slope < 0.0:
             raise InnerFailure(f"no Newton descent direction (iteration {it})", x, grad_norm, it)
@@ -247,8 +245,7 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
         step = 1.0
         for _ in range(MAX_LINESEARCH):
             try:
-                cand = AugEval(p, x + step * d, lam, rho, gram=ev.gram, curv=ev.curv,
-                               chol=ev.chol)
+                cand = AugEval(p, x + step * d, lam, rho, ev)
             except NonFiniteError as exc:
                 raise InnerFailure(f"{exc} in the line search (iteration {it})",
                                    x, grad_norm, it) from exc
@@ -354,7 +351,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
             rho = min(cfg.rho_max, rho * cfg.rho_growth)
         x, lam, sigma = end.x, lam_next, sigma_next
         try:
-            ev = end.at(lam, rho)
+            ev = AugEval(p, x, lam, rho, end)
         except NonFiniteError as exc:
             # the value at the new (lam, rho) is what overflowed
             trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, math.nan)

@@ -83,6 +83,15 @@ def _ball_rows(rng, k: int, dim: int, radius: float) -> np.ndarray:
     return rows
 
 
+def _oracle_rows(oracle, xs, shape) -> np.ndarray:
+    """oracle(x) for each row x of xs, written into one new array as it
+    returns: an oracle may hand back one buffer that it rewrites."""
+    rows = np.empty((len(xs),) + shape)
+    for i, x in enumerate(xs):
+        rows[i] = oracle(x)
+    return rows
+
+
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
     """max(0, largest num/den over den > 1e-15), skipping NaN ratios.
 
@@ -107,9 +116,10 @@ def _kappa_sups(p: SocpProblem, radius: float, samples: int, rng) -> Tuple[float
         path = [p.hard_path(scale) for scale in (radius, radius / 2.0, radius / 4.0)]
         xs = np.vstack([xs, [x for x, _ in path]])
         lams = np.vstack([lams, [lam for _, lam in path]])
-    phis = np.array([p.phi_value(x) for x in xs])
-    jacs = [p.phi_jac(x) for x in xs]
-    fgrads = np.array([p.f_grad(x) for x in xs])
+    phis = _oracle_rows(p.phi_value, xs, (p.m + 1,))
+    # a writeable Jacobian may be one buffer that the next call rewrites
+    jacs = [jac.copy() if jac.flags.writeable else jac for jac in map(p.phi_jac, xs)]
+    fgrads = _oracle_rows(p.f_grad, xs, (p.n,))
     pushed = phis + lams
     if not np.isfinite(pushed).all():
         raise NonFiniteError("non-finite point Phi(x)+lam")
@@ -189,6 +199,9 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
     segment when the multiplier set is a ray).  Over (penalty, radius) in
     order, the first positive modulus is reported, else the first largest;
     as a minimum over the multipliers it is uniform iff ell_hat > 0.
+    x - xbar is the step that xbar + step realizes in floating point;
+    sampled points it moves by less than 1e-12 are dropped, and a radius
+    at which none is left raises ValueError.
     """
     sol = _require_solution(p)
     if not rho_list:
@@ -206,10 +219,18 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
 
     def modulus_at(rho, gamma):
         if gamma not in evaluated:
-            steps = x_steps[gamma][np.vecdot(x_steps[gamma], x_steps[gamma]) >= 1e-24]
-            xs = sol.x + steps
-            evaluated[gamma] = (np.vecdot(steps, steps), np.array([p.phi_value(x) for x in xs]),
-                                np.array([p.f_value(x) for x in xs]))
+            xs = sol.x + x_steps[gamma]
+            # the step xbar + step realizes, which rounding shrinks where
+            # xbar is large against the radius
+            realized = xs - sol.x
+            r2 = np.vecdot(realized, realized)
+            kept = r2 >= 1e-24
+            if not kept.any():
+                raise ValueError(f"no sampled step of radius {gamma:g} moves xbar: its entries "
+                                 "are too large for the radius")
+            xs = xs[kept]
+            evaluated[gamma] = (r2[kept], _oracle_rows(p.phi_value, xs, (p.m + 1,)),
+                                _oracle_rows(p.f_value, xs, ()))
         r2, phis, fs = evaluated[gamma]
         per_lam = []
         for lam in lams:

@@ -16,10 +16,9 @@ rho Phi(x) + lam, its polar projection, the value and grad_x, so the
 value, the derivatives, the generalized Hessian and the KKT residual at
 x all come from one call of each oracle.  An evaluation starts
 value-only (Phi and f, which is all a line-search trial needs);
-`complete` adds JPhi(x), grad f(x) and grad_x on acceptance, and `at`
-moves the evaluation to a new (lam, rho) without calling an oracle
-again.  The shifted point is checked for finiteness once, when it is
-formed; the cone kernels below that check run unchecked.
+`complete` adds JPhi(x), grad f(x) and grad_x on acceptance.  The
+shifted point is checked for finiteness once, when it is formed; the
+cone kernels below that check run unchecked.
 
 The generalized Hessian Hess_xx L(x, mu) + rho JPhi' V JPhi, with mu the
 polar projection of the shifted point and V a generalized Jacobian of
@@ -30,19 +29,24 @@ The first two terms are exactly symmetric; the rank-2 term is added in
 place, by one BLAS syr2k, to the upper triangle only, which is the
 triangle the Cholesky factorization reads.  So a Newton step costs about
 two n x n passes beyond the oracles and the factorization instead of the
-O(n^2 m) triple product.  An evaluation hands three values on to `at`
-and to line-search trials: the (JPhi, G) pair, the
-(Hess f, <mu, Hess Phi>, S) triple and the last Newton factor with its
-key (rho alpha, G, S).  G is formed again only when `phi_jac` returns a
-different array or a writeable one, and S only when either Hessian
-oracle does; for the quadratic and builtin problems, which return the
-same read-only arrays, each is formed once per solve.  Where V = alpha I
-(inside either cone and on the axis fallback) the Hessian is
-(rho alpha) G + S, fixed by its key, so a Newton step whose key is the
-carried one costs one triangular solve with the carried factor and no
-assembly or factorization; the key changes with rho, with a new G or S,
-and with alpha.  Nothing is cached on the problem, which may be shared
-between concurrent solves.
+O(n^2 m) triple product.  Where V = alpha I (inside either cone and on
+the axis fallback) the Hessian is (rho alpha) G + S, so a Newton step
+with the G, S and rho alpha of the last factor kept costs one triangular
+solve with that factor and no assembly or factorization.
+
+The hand-on rule.  `AugEval(p, x, lam, rho, prev)` is the evaluation
+that follows `prev` along a solve: the next outer iteration at the same
+x, or a line-search trial.  It takes prev's oracle results when prev.x
+is x, and always takes prev's (JPhi, G) pair, (Hess f, <mu, Hess Phi>, S)
+triple and kept Newton factor (rho alpha, factor).  G is formed again
+only when `phi_jac` returns a different array or a writeable one, and S
+only when either Hessian oracle does; for the quadratic and builtin
+problems, which return the same read-only arrays, each is formed once
+per solve.  Forming S again drops the kept factor, and so does forming
+G again unless the factor's rho alpha is 0, so a kept factor is that of
+(rho alpha) G + S for the G and S held, and a step reuses it exactly
+when its rho alpha is the kept one.  Nothing is cached on the problem,
+which may be shared between concurrent solves.
 """
 
 from __future__ import annotations
@@ -78,38 +82,35 @@ def _kkt_residual(phi, jac, fgrad, lam) -> float:
 
 
 class AugEval:
-    """The augmented Lagrangian at x for fixed (lam, rho).
+    """The augmented Lagrangian at x for fixed (lam, rho), following
+    `prev` by the module's hand-on rule.
 
     Oracle results (phi, f, jac, fgrad) are computed once and shared with
     every quantity derived at x.  `jac`, `fgrad` and `grad_x` are None
-    until `complete` runs.  `gram` is the last (JPhi, JPhi' JPhi) pair and
-    `curv` the last (Hess f, <mu, Hess Phi>, S) triple formed along the
-    solve, or None; `sym` is S at this evaluation and `parts` the
-    (alpha, u, r) of V at its shifted point, both None until the first
-    Hessian or `newton_key`.  `chol` is the last Newton factor kept along
-    the solve with its key, (rho alpha, G, S, factor), or None: the
-    solver reuses the factor for a step whose `newton_key` matches it.
-    Nothing here writes into an oracle result.
+    until `complete` runs.  `gram` is the (JPhi, G) pair, `curv` the
+    (Hess f, <mu, Hess Phi>, S) triple and `chol` the kept Newton factor
+    (rho alpha, factor), each None until formed; `parts` is the
+    (alpha, u, r) of V at the shifted point, None until the first
+    Hessian or `newton_key`.  Nothing here writes into an oracle result.
     """
 
     __slots__ = ("p", "x", "lam", "rho", "phi", "f", "jac", "fgrad", "shifted",
-                 "polar_proj", "value", "grad_x", "gram", "curv", "sym", "parts", "chol")
+                 "polar_proj", "value", "grad_x", "gram", "curv", "parts", "chol")
 
-    def __init__(self, p: SocpProblem, x, lam, rho: float, phi=None, f=None,
-                 jac=None, fgrad=None, gram=None, curv=None, chol=None):
-        """Value-only evaluation; oracle results known at x are reused,
-        and so are the Gram pair `gram` and the curvature triple `curv` if
-        the oracles at x turn out to return their read-only arrays; `chol`
-        is handed on as it is."""
+    def __init__(self, p: SocpProblem, x, lam, rho: float, prev: AugEval | None = None):
+        """Value-only evaluation."""
+        same = prev is not None and prev.x is x
         self.p, self.x, self.lam, self.rho = p, x, lam, rho
-        self.phi = p.phi_value(x) if phi is None else phi
+        self.phi = prev.phi if same else p.phi_value(x)
         self.shifted, polar = shift(self.phi, lam, rho)
         self.polar_proj = polar
-        self.f = p.f_value(x) if f is None else f
+        self.f = prev.f if same else p.f_value(x)
         # (rho/2) dist^2(Phi + lam/rho; Q) = ||polar||^2 / (2 rho)
         self.value = float(self.f + (polar @ polar - lam @ lam) / (2.0 * rho))
-        self.jac, self.fgrad, self.grad_x = jac, fgrad, None
-        self.gram, self.curv, self.sym, self.parts, self.chol = gram, curv, None, None, chol
+        self.jac, self.fgrad = (prev.jac, prev.fgrad) if same else (None, None)
+        self.gram, self.curv, self.chol = ((None, None, None) if prev is None
+                                           else (prev.gram, prev.curv, prev.chol))
+        self.grad_x, self.parts = None, None
 
     def complete(self) -> "AugEval":
         """Add JPhi(x), grad f(x) and grad_x (once); returns self."""
@@ -120,11 +121,6 @@ class AugEval:
                 self.fgrad = self.p.f_grad(self.x)
             self.grad_x = self.fgrad + self.jac.T @ self.polar_proj
         return self
-
-    def at(self, lam, rho: float) -> "AugEval":
-        """The evaluation at the same x for a new (lam, rho)."""
-        return AugEval(self.p, self.x, lam, rho, self.phi, self.f, self.jac, self.fgrad,
-                       self.gram, self.curv, self.chol)
 
     @property
     def grad_lam(self) -> np.ndarray:
@@ -142,17 +138,15 @@ class AugEval:
         with G = JPhi' JPhi, S = sym(Hess f + <mu, Hess Phi>) and
         B = [JPhi[0], JPhi[1:]' u].  The penalty term is absent inside Q
         and rho G inside -Q and on the axis fallback with y0 < 0.  The
-        Hessian oracles are called on the first call only; G and S come
-        from `gram` and `curv` when the oracles return their read-only
-        arrays again.
+        Hessian oracles are called on the first call only.
         """
         alpha, u, r = self._penalty_parts()
-        jac = self.jac
+        jac, S = self.jac, self.curv[2]
         if alpha:
             H = (self.rho * alpha) * self.gram[1]
-            H += self.sym
+            H += S
         else:
-            H = self.sym.copy()
+            H = S.copy()
         if u is not None:
             Bt = np.stack((jac[0], jac[1:].T @ u))
             C = (0.5 * self.rho) * np.array([[r, -1.0], [-1.0, r]])
@@ -162,16 +156,11 @@ class AugEval:
         return H
 
     def newton_key(self):
-        """(rho alpha, G, S) where V = alpha I at the shifted point, the
-        three values that fix the Hessian (rho alpha) G + S, with G None
-        when alpha = 0; None outside both cones, where the Hessian also
-        has the rank-2 term.  Compared with `==` on rho alpha and `is` on
-        G and S: G and S are new arrays whenever their oracles' results
-        may have changed."""
+        """rho alpha where V = alpha I at the shifted point, which with
+        the G and S held fixes the Hessian (rho alpha) G + S; None outside
+        both cones, where the Hessian also has the rank-2 term."""
         alpha, u, _ = self._penalty_parts()
-        if u is not None:
-            return None
-        return self.rho * alpha, (self.gram[1] if alpha else None), self.sym
+        return None if u is not None else self.rho * alpha
 
     def _penalty_parts(self):
         """(alpha, u, r) of V at the shifted point, computed once per
@@ -179,17 +168,19 @@ class AugEval:
         brought up to date for it."""
         if self.parts is None:
             jac = self.complete().jac
-            if self.sym is None:
-                self.sym = self._curvature()
+            self._update_curvature()
             self.parts = _polar_jacobian_parts(self.shifted)
             if self.parts[0] and (self.gram is None or self.gram[0] is not jac
                                   or jac.flags.writeable):
                 self.gram = (jac, jac.T @ jac)
+                if self.chol is not None and self.chol[0]:
+                    self.chol = None
         return self.parts
 
-    def _curvature(self) -> np.ndarray:
-        """S = sym(Hess f(x) + <mu, Hess Phi(x)>), taken from `curv` when
-        both oracles return its read-only arrays."""
+    def _update_curvature(self):
+        """Keep `curv` unless either Hessian oracle returns a different
+        array or a writeable one; then form S = sym(Hess f(x) +
+        <mu, Hess Phi(x)>) again and drop the kept factor."""
         f_hess = self.p.f_hess(self.x)
         phi_hess = self.p.phi_hess_contract(self.x, self.polar_proj)
         c = self.curv
@@ -198,8 +189,7 @@ class AugEval:
             S = np.add(f_hess, phi_hess, dtype=float)
             S = S + S.T
             S *= 0.5
-            self.curv = c = (f_hess, phi_hess, S)
-        return c[2]
+            self.curv, self.chol = (f_hess, phi_hess, S), None
 
     def hessian(self) -> np.ndarray:
         """Generalized Hessian of x -> L_rho(x, lam) at x, exactly

@@ -157,7 +157,7 @@ def _example_3_2() -> SocpProblem:
     )
 
 
-def _projection_problem(a) -> SocpProblem:
+def _projection_problem(a=(0.0, 2.0, 0.0)) -> SocpProblem:
     """f(x) = ||x - a||^2 / 2 with Phi(x) = x; solution is the projection."""
     a = as_cone_vec(a)
     n = a.size
@@ -179,24 +179,12 @@ def _projection_problem(a) -> SocpProblem:
 
 
 def _interior_trivial(n: int = 2, m: int = 1) -> SocpProblem:
-    """f(x) = ||x||^2 / 2 with a constant, strictly feasible Phi."""
+    """f(x) = ||x||^2 / 2 with a constant, strictly feasible Phi = e0."""
     e0 = np.zeros(m + 1)
     e0[0] = 1.0
-    _read_only(e0)
-    eye = _read_only(np.eye(n))
-    jac = _read_only(np.zeros((m + 1, n)))
-    zero = _read_only(np.zeros((n, n)))
-    return SocpProblem(
-        n=n, m=m,
-        f_value=lambda x: float(0.5 * np.sum(x ** 2)),
-        f_grad=lambda x: x.copy(),
-        f_hess=lambda x: eye,
-        phi_value=lambda x: e0,
-        phi_jac=lambda x: jac,
-        phi_hess_contract=lambda x, lam: zero,
-        name="interior_trivial",
-        known_solution=KktPoint(np.zeros(n), np.zeros(m + 1)),
-    )
+    return quadratic_problem(np.eye(n), np.zeros(n), 0.0, np.zeros((m + 1, n)), e0,
+                             name="interior_trivial",
+                             known_solution=KktPoint(np.zeros(n), np.zeros(m + 1)))
 
 
 def generate_planted(n: int, m: int, region: ConeRegion, seed: int) -> SocpProblem:
@@ -242,9 +230,16 @@ def generate_planted(n: int, m: int, region: ConeRegion, seed: int) -> SocpProbl
     )
 
 
-# the parameters each builtin problem takes
-_BUILTIN_PARAMS = {"example_3_2": (), "projection": ("a",), "interior_trivial": ("n", "m"),
-                  "scaled_quadratic": ("seed", "n", "m", "region")}
+def _scaled_quadratic(seed=0, n=3, m=2, region=ConeRegion.BOUNDARY_Q_NONZERO) -> SocpProblem:
+    """A seeded planted quadratic (`generate_planted`) named by its seed."""
+    return replace(generate_planted(n, m, ConeRegion(region), seed),
+                   name=f"scaled_quadratic_{seed}")
+
+
+# name -> (constructor, the parameters it takes)
+_BUILTINS = {"example_3_2": (_example_3_2, ()), "projection": (_projection_problem, ("a",)),
+             "interior_trivial": (_interior_trivial, ("n", "m")),
+             "scaled_quadratic": (_scaled_quadratic, ("seed", "n", "m", "region"))}
 
 
 def builtin(name: str, **params) -> SocpProblem:
@@ -256,9 +251,9 @@ def builtin(name: str, **params) -> SocpProblem:
     KeyError; a parameter the problem does not take, or a non-integer
     n, m or seed, raises ValueError.
     """
-    accepted = _BUILTIN_PARAMS.get(name) if isinstance(name, str) else None
-    if accepted is None:
+    if not isinstance(name, str) or name not in _BUILTINS:
         raise KeyError(f"unknown builtin problem {name!r}")
+    make, accepted = _BUILTINS[name]
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ValueError(f"builtin problem {name!r} takes no parameter "
@@ -266,21 +261,7 @@ def builtin(name: str, **params) -> SocpProblem:
     for key in sorted(set(params) & {"n", "m", "seed"}):
         if isinstance(params[key], bool) or not isinstance(params[key], numbers.Integral):
             raise ValueError(f"parameter {key!r} must be an integer, got {params[key]!r}")
-    if name == "example_3_2":
-        return _example_3_2()
-    if name == "projection":
-        a = params.get("a", (0.0, 2.0, 0.0))
-        return _projection_problem(a)
-    if name == "interior_trivial":
-        return _interior_trivial(int(params.get("n", 2)), int(params.get("m", 1)))
-    if name == "scaled_quadratic":
-        region = params.get("region", ConeRegion.BOUNDARY_Q_NONZERO)
-        if isinstance(region, str):
-            region = ConeRegion(region)
-        seed = int(params.get("seed", 0))
-        planted = generate_planted(
-            int(params.get("n", 3)), int(params.get("m", 2)), region, seed)
-        return replace(planted, name=f"scaled_quadratic_{seed}")
+    return make(**params)
 
 
 def load_problem(path) -> SocpProblem:

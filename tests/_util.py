@@ -81,6 +81,21 @@ def writeable_twin(p):
     return dataclasses.replace(p, phi_jac=lambda x: np.array(p.phi_jac(x)))
 
 
+def rewritten_twin(p, oracle):
+    """p with the named one-argument oracle writing every result into one
+    writeable buffer, rewritten in place at the next call."""
+    inner, buf = getattr(p, oracle), []
+
+    def rewritten(x):
+        value = inner(x)
+        if not buf:
+            buf.append(np.empty_like(value, dtype=float))
+        buf[0][...] = value
+        return buf[0]
+
+    return dataclasses.replace(p, **{oracle: rewritten})
+
+
 def negative_curvature_problem(n=2, m=2):
     """f(x) = -||x||^2 with a constant strictly feasible constraint;
     the origin is a KKT point where sufficiency fails outright."""

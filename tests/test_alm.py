@@ -17,8 +17,8 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
                     inner_solve, solve, update_multiplier)
 from socalm import alm
 from socalm.cone import _classify, classify, project_q
-from socalm.lagrangian import aug_lagrangian, residual
-from socalm.model import _read_only
+from socalm.lagrangian import AugEval, aug_lagrangian, residual
+from socalm.model import _read_only, quadratic_problem
 
 from _util import counted, writeable_twin
 
@@ -409,16 +409,23 @@ def counted_factorizations(monkeypatch):
 ])
 def test_newton_direction_matches_the_reference_doubling_loop(H, attempts, monkeypatch):
     H = 0.5 * (H + H.T)
-    g = np.random.default_rng(2).standard_normal(H.shape[0])
+    n = H.shape[0]
+    g = np.random.default_rng(2).standard_normal(n)
+    # f = x'Hx/2 + g'x with Phi = e0 inside Q: at x = 0 the gradient is
+    # g and the Hessian is H, bit for bit
+    e0 = np.eye(1, 2)[0]
+    ev = AugEval(quadratic_problem(H, g, 0.0, np.zeros((2, n)), e0), np.zeros(n),
+                 np.zeros(2), 1.0).complete()
+    assert ev.grad_x.tobytes() == g.tobytes()
     calls = counted_factorizations(monkeypatch)
-    d, c = alm._newton_direction(H.copy(), H.copy, g)
+    d = alm._newton_direction(ev)
     ref, ref_attempts = reference_direction(H, g)
     if attempts == 80:
-        assert d is None and ref is None and c is None
+        assert d is None and ref is None and ev.chol is None
     else:
         assert d.tobytes() == ref.tobytes()
-        # the returned factor is the one the direction was solved with
-        assert alm.cho_solve(c, -g).tobytes() == d.tobytes()
+        # the kept factor is the one the direction was solved with
+        assert alm.cho_solve(ev.chol[1], -g).tobytes() == d.tobytes()
     assert len(calls) == ref_attempts == attempts
 
 
@@ -501,6 +508,39 @@ def test_a_repeated_newton_matrix_is_factored_once(make, monkeypatch):
     fresh = solve(fresh_twin(p), x0, lam0, cfg)
     assert len(calls) == steps
     assert solve_bytes(*kept) == solve_bytes(*fresh)
+
+
+def test_a_gram_matrix_formed_again_drops_the_kept_factor(monkeypatch):
+    """A writeable Jacobian forms G again at every evaluation, so each
+    step inside -Q, where the Newton matrix is rho G + S, factors again,
+    though S is one read-only matrix throughout."""
+    p, x0, lam0, cfg = zero_solve()
+    calls = counted_factorizations(monkeypatch)
+    twin = solve(writeable_twin(p), x0, lam0, cfg)
+    assert len(calls) == sum(twin[1].inner_iters) > 0
+    assert solve_bytes(*twin) == solve_bytes(*solve(p, x0, lam0, cfg))
+
+
+def test_a_factor_without_the_penalty_term_outlives_a_new_gram_matrix(monkeypatch):
+    """Inside Q the Newton matrix is S alone, so the factor kept there
+    still serves after a step outside both cones has formed G."""
+    p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, 0)
+    x = np.zeros(3)
+
+    def evaluation(shifted, prev):
+        lam = np.array(shifted) - p.phi_value(x)
+        return AugEval(p, x.copy(), lam, 1.0, prev).complete()
+
+    calls = counted_factorizations(monkeypatch)
+    inside = evaluation([2.0, 0.5, 0.0], None)
+    d = alm._newton_direction(inside)
+    outside = evaluation([0.5, 2.0, 0.0], inside)
+    alm._newton_direction(outside)
+    assert outside.gram is not None and outside.chol is inside.chol
+    again = evaluation([3.0, 0.0, 1.0], outside)
+    # inside Q the polar projection is 0: the same gradient, the same step
+    assert alm._newton_direction(again).tobytes() == d.tobytes()
+    assert len(calls) == 2
 
 
 def test_a_curvature_oracle_with_new_arrays_is_factored_every_step(monkeypatch):

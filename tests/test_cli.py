@@ -392,6 +392,28 @@ def test_check_growth_where_a_sample_row_norm_overflows(capsys):
     assert 0.0 < ell_hat < math.inf
 
 
+@pytest.mark.parametrize("a, code, out", [
+    ("2,1,0", 0, "ell_hat=5.000000e-01"),
+    ("2e10,1e10,0", 0, "ell_hat=5.000000e-01"),
+    ("2e100,1e100,0", 0, "ell_hat=5.000000e-01"),
+    ("2e160,1e160,0", 0, "ell_hat=5.000000e-01"),
+    # no sampled step moves xbar at all: no growth can be measured
+    ("2e100,1e100,1e100", 2, ""),
+])
+def test_check_growth_divides_by_the_realized_step(a, code, out, capsys):
+    """The projection problem grows with modulus 1/2 at every scale of a;
+    where rounding absorbs part of a step into xbar the quotient uses
+    what is left of it."""
+    assert run_cli("check", "growth", "--problem", "builtin:projection", "--a", a,
+                   "--rho-list", "1") == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.split()[1] == out and captured.err == ""
+    else:
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
 def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypatch):
     """main() reuses one parser; each parse equals a fresh parser's, so no
     flag or default of one call shows up in the next."""

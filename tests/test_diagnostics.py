@@ -15,7 +15,7 @@ from socalm.cli import main
 from socalm.diagnostics import _ball_rows, _multiplier_samples
 from socalm.lagrangian import AugEval, residual
 
-from _util import counted, negative_curvature_problem, uniform_ball
+from _util import counted, negative_curvature_problem, rewritten_twin, uniform_ball
 
 
 def test_dist_to_multiplier_set_point_case():
@@ -251,10 +251,12 @@ def _growth_one_point_at_a_time(p, rho_list, x_samples, lambda_samples, seed):
         for lam in lams:
             worst = math.inf
             for step in x_steps[gamma]:
-                r2 = float(step @ step)
+                x = sol.x + step
+                realized = x - sol.x
+                r2 = float(realized @ realized)
                 if r2 < 1e-24:
                     continue
-                worst = min(worst, (AugEval(p, sol.x + step, lam, rho).value - f_bar) / r2)
+                worst = min(worst, (AugEval(p, x, lam, rho).value - f_bar) / r2)
             per_lam.append(worst)
         return per_lam
 
@@ -320,6 +322,15 @@ def test_batched_samplers_match_one_point_at_a_time(case, seed):
     assert (rep.rho_used, rep.gamma_hat, rep.multiplier_samples, rep.uniform) == \
         (rho, gamma, len(lams), uniform)
     assert _close(rep.ell_hat, ell)
+
+
+@pytest.mark.parametrize("oracle", ["phi_value", "phi_jac", "f_grad"])
+def test_samplers_keep_each_result_of_an_oracle_that_rewrites_one_buffer(oracle):
+    p = builtin("example_3_2")
+    twin = rewritten_twin(p, oracle)
+    assert verify_error_bound(twin, 1e-2, 200, 0) == verify_error_bound(p, 1e-2, 200, 0)
+    assert (certify_growth(twin, [1.0, 10.0], 60, 5, seed=3)
+            == certify_growth(p, [1.0, 10.0], 60, 5, seed=3))
 
 
 class _ZeroFirstNormal:

@@ -307,7 +307,7 @@ def test_solver_triangle_is_the_upper_triangle_of_the_hessian(seed, n, m, nonlin
     start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0)
     start.hessian_upper()
     lam = _eval_with_shift(p, case, x, rho, 10.0 ** log_a, w, c, g).lam
-    ev = AugEval(p, x, lam, rho, gram=start.gram, curv=start.curv)
+    ev = AugEval(p, x, lam, rho, start)
     T = ev.hessian_upper()
     if not nonlinear:  # read-only oracle results: S is formed once
         assert ev.curv is start.curv
@@ -360,7 +360,7 @@ def test_curvature_follows_a_hessian_buffer_rewritten_in_place(seed, n, m, case,
     start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0)
     start.hessian()
     ev = _eval_with_shift(p, case, x1, 1.0, 1.0, w, 0.3, 1.0)
-    ev = AugEval(p, x1, ev.lam, 1.0, gram=start.gram, curv=start.curv)
+    ev = AugEval(p, x1, ev.lam, 1.0, start)
     H = ev.hessian()
     assert ev.curv is not start.curv
     assert np.array_equal(H, aug_hessian(ref, x1, ev.lam, 1.0))
@@ -384,7 +384,7 @@ def test_gram_matrix_reuse_matches_a_writeable_jacobian(seed, n, m, case, log_rh
         start = _eval_with_shift(q, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0)
         start.hessian()
         ev = _eval_with_shift(q, case, x1, rho, 1.0, w, 0.3, 1.0)
-        ev = AugEval(q, x1, ev.lam, rho, gram=start.gram).complete()
+        ev = AugEval(q, x1, ev.lam, rho, start).complete()
         hessians.append(ev.hessian())
         if q is p:  # one read-only Jacobian: G is never formed again
             assert ev.gram is start.gram
@@ -412,7 +412,7 @@ def test_gram_matrix_follows_a_jacobian_buffer_rewritten_in_place(seed, n, m, ca
     start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0)
     start.hessian()
     ev = _eval_with_shift(p, case, x1, 1.0, 1.0, w, 0.3, 1.0)
-    H = AugEval(p, x1, ev.lam, 1.0, gram=start.gram).hessian()
+    H = AugEval(p, x1, ev.lam, 1.0, start).hessian()
     assert np.array_equal(H, aug_hessian(base, x1, ev.lam, 1.0))
 
 
