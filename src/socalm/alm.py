@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .cone import as_cone_vec
-from .lagrangian import AugEval, NonFiniteError, shift
+from .cone import _polar_jacobian_parts, as_cone_vec
+from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
 from .model import KktPoint, SocpProblem
 
 
@@ -166,57 +166,88 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=1)[0]
 
 
-def _newton_direction(ev: AugEval):
-    """The regularized Newton direction at ev: the solution d of
-    (H + mu I) d = -grad_x for the generalized Hessian H, with mu = 0
-    first and then doubling from MU0, for at most 80 attempts; None when
-    every attempt fails.  Raises NonFiniteError on a non-finite Hessian.
+class NewtonState:
+    """The Newton data one solve keeps from step to step: the Gram pair
+    (JPhi, G = JPhi' JPhi), the curvature triple (Hess f, <mu, Hess Phi>,
+    S = sym(Hess f + <mu, Hess Phi>)) and the kept factor (rho alpha,
+    Cholesky factor of (rho alpha) G + S), each None until formed.
+    `_newton_direction` alone reads and writes them."""
 
-    Where `ev.newton_key()` is the kept factor's rho alpha, H is that
-    factor's matrix (the module `lagrangian`'s hand-on rule), so d is
-    solved with the kept factor and nothing is assembled or factored;
-    otherwise H is assembled, and where the key is not None the factor
-    found is kept on ev.  The first attempt factors H in place; a failed
-    attempt has overwritten it, so H is assembled again once, and each
-    regularized attempt copies it into one work array and adds mu to the
-    diagonal.  Each attempt is one call of the module-level `cho_factor`,
-    looked up by name so that a wrapper installed on the module (the
-    benchmark's tracer) sees it.
+    __slots__ = ("gram", "curv", "chol")
+
+    def __init__(self):
+        self.gram = self.curv = self.chol = None
+
+
+def _newton_direction(ev: AugEval, state: NewtonState):
+    """The regularized Newton direction at the evaluation ev: the
+    solution d of (H + mu I) d = -grad_x for the generalized Hessian H,
+    with mu = 0 first and then doubling from MU0, for at most 80
+    attempts; None when every attempt fails.  Raises NonFiniteError on a
+    non-finite Hessian.
+
+    H = (rho alpha) G + S + rho B C B' (`lagrangian.hessian_upper`) is
+    built from the G and S held in state.  S is formed again when either
+    Hessian oracle returns a different array or a writeable one, and G
+    under the same rule for `phi_jac` where alpha is nonzero; for the
+    quadratic and builtin problems, which return the same read-only
+    arrays, each is formed once per solve.  Forming S again drops the
+    kept factor, and so does forming G again unless the factor's rho
+    alpha is 0, so the kept factor is that of (rho alpha) G + S for the G
+    and S held.  Where V = alpha I with that rho alpha, d is solved with
+    the kept factor and nothing is assembled or factored.  Otherwise H is
+    assembled and factored in place; each regularized attempt assembles
+    it again and adds mu to the diagonal, and where V = alpha I the
+    factor found is kept.  Each attempt is one call of the module-level
+    `cho_factor`, looked up by name so that a wrapper installed on the
+    module (the benchmark's tracer) sees it.
     """
-    key, kept = ev.newton_key(), ev.chol
-    if kept is not None and kept[0] == key:
-        return cho_solve(kept[1], -ev.grad_x)
-    H = ev.hessian_upper()
+    p, x, jac = ev.p, ev.x, ev.complete().jac
+    f_hess, phi_hess = p.f_hess(x), p.phi_hess_contract(x, ev.polar_proj)
+    parts = alpha, u, _ = _polar_jacobian_parts(ev.shifted)
+    curv = state.curv
+    if (curv is None or curv[0] is not f_hess or curv[1] is not phi_hess
+            or f_hess.flags.writeable or phi_hess.flags.writeable):
+        state.curv = curv = (f_hess, phi_hess, curvature(f_hess, phi_hess))
+        state.chol = None
+    gram = state.gram
+    if alpha and (gram is None or gram[0] is not jac or jac.flags.writeable):
+        state.gram = gram = (jac, jac.T @ jac)
+        if state.chol is not None and state.chol[0]:
+            state.chol = None
+    key = None if u is not None else ev.rho * alpha
+    if state.chol is not None and state.chol[0] == key:
+        return cho_solve(state.chol[1], -ev.grad_x)
+    G, S = gram[1] if alpha else None, curv[2]
+    H = hessian_upper(ev.rho, parts, jac, G, S)
     # the strict lower triangle is finite wherever the upper one is
     if not np.isfinite(H).all():
         raise NonFiniteError("non-finite Hessian")
-    A, mu = H, 0.0
+    mu = 0.0
     for _ in range(80):
         if mu:
-            np.copyto(A, H)
-            A.flat[::A.shape[0] + 1] += mu
+            H = hessian_upper(ev.rho, parts, jac, G, S)
+            H.flat[::H.shape[0] + 1] += mu
         try:
-            c = cho_factor(A)
+            c = cho_factor(H)
             break
         except LinAlgError:
-            if A is H:
-                H, A = ev.hessian_upper(), np.empty_like(H)
             mu = 2.0 * mu if mu else MU0
     else:
         return None
     if key is not None:
-        ev.chol = (key, c)
+        state.chol = (key, c)
     return cho_solve(c, -ev.grad_x)
 
 
-def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
-    """Minimize x -> L_rho(x, lam) from the evaluation ev at the start.
+def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
+    """Minimize x -> L_rho(x, lam) from the evaluation ev at the start,
+    with Newton steps that keep their G, S and factor in state.
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
-    point is evaluated once, and each evaluation follows the one before
-    it by the module `lagrangian`'s hand-on rule.  A non-finite
-    evaluation, no Newton descent direction or a failed line search ends
-    the solve with InnerFailure.
+    point is evaluated once, and a line-search trial only by value.  A
+    non-finite evaluation, no Newton descent direction or a failed line
+    search ends the solve with InnerFailure.
     """
     p, lam, rho = ev.p, ev.lam, ev.rho
     floor = max(eps_k, GRAD_FLOOR)
@@ -233,7 +264,7 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
                 f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
                 x, grad_norm, it)
         try:
-            d = _newton_direction(ev)
+            d = _newton_direction(ev, state)
         except NonFiniteError as exc:
             raise InnerFailure(f"{exc} (iteration {it})", x, grad_norm, it) from exc
         slope = math.nan if d is None else float(ev.grad_x @ d)
@@ -245,7 +276,7 @@ def _inner_solve(ev: AugEval, eps_k: float, max_inner: int):
         step = 1.0
         for _ in range(MAX_LINESEARCH):
             try:
-                cand = AugEval(p, x + step * d, lam, rho, ev)
+                cand = AugEval(p, x + step * d, lam, rho)
             except NonFiniteError as exc:
                 raise InnerFailure(f"{exc} in the line search (iteration {it})",
                                    x, grad_norm, it) from exc
@@ -278,7 +309,8 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
     p.check_dims(x_start, lambda_k)
     lam = np.asarray(lambda_k, dtype=float)
     x = np.array(x_start, dtype=float)
-    ev, grad_norm, iters = _inner_solve(AugEval(p, x, lam, rho_k), eps_k, max_inner)
+    ev, grad_norm, iters = _inner_solve(AugEval(p, x, lam, rho_k), NewtonState(), eps_k,
+                                        max_inner)
     return ev.x, grad_norm, iters
 
 
@@ -319,7 +351,8 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
 
     Each outer iteration reuses the inner solve's final evaluation: its
     polar projection is the multiplier update, its oracle results give
-    the residual and start the next inner solve.
+    the residual and start the next inner solve.  One NewtonState serves
+    every inner solve, so G, S and a kept factor outlive an outer step.
     """
     p.check_dims(x0, lambda0)
     x = np.array(x0, dtype=float)
@@ -328,7 +361,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
         raise NonFiniteError("x0 and lambda0 must be finite")
     rho = cfg.rho0
     trace = AlmTrace()
-    ev = AugEval(p, x, lam, rho)
+    ev, state = AugEval(p, x, lam, rho), NewtonState()
     sigma = ev.kkt_residual(lam)
     for k in range(cfg.max_outer + 1):
         converged = sigma <= cfg.outer_tol
@@ -338,7 +371,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
             break
         eps_k = _eps_for(cfg.eps_rule, k, sigma)
         try:
-            end, grad_norm, iters = _inner_solve(ev, eps_k, cfg.max_inner)
+            end, grad_norm, iters = _inner_solve(ev, state, eps_k, cfg.max_inner)
         except InnerFailure as failure:
             trace.append(x, lam, rho, eps_k, sigma, failure.iters, failure.grad_norm, ev.value)
             trace.status = AlmStatus.INNER_FAILURE

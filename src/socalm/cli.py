@@ -151,6 +151,10 @@ def cmd_check(args) -> int:
     problem = _load_problem(args)
 
     if args.check == "example32":
+        # the table is Example 3.2's closed form: no other problem has one
+        if args.problem != "builtin:example_3_2":
+            raise ValueError(f"check example32 takes --problem builtin:example_3_2 only, "
+                             f"not {args.problem!r}")
         ts = _parse_float_list(args.t)
         if not ts:
             raise ValueError("--t needs at least one value")

@@ -29,24 +29,15 @@ The first two terms are exactly symmetric; the rank-2 term is added in
 place, by one BLAS syr2k, to the upper triangle only, which is the
 triangle the Cholesky factorization reads.  So a Newton step costs about
 two n x n passes beyond the oracles and the factorization instead of the
-O(n^2 m) triple product.  Where V = alpha I (inside either cone and on
-the axis fallback) the Hessian is (rho alpha) G + S, so a Newton step
-with the G, S and rho alpha of the last factor kept costs one triangular
-solve with that factor and no assembly or factorization.
+O(n^2 m) triple product.  `hessian_upper` is that one assembly, from G
+and S given; `AugEval.hessian` forms them at x, and the solver's Newton
+step (`alm._newton_direction`) keeps them, and the last factor, from
+step to step.
 
-The hand-on rule.  `AugEval(p, x, lam, rho, prev)` is the evaluation
-that follows `prev` along a solve: the next outer iteration at the same
-x, or a line-search trial.  It takes prev's oracle results when prev.x
-is x, and always takes prev's (JPhi, G) pair, (Hess f, <mu, Hess Phi>, S)
-triple and kept Newton factor (rho alpha, factor).  G is formed again
-only when `phi_jac` returns a different array or a writeable one, and S
-only when either Hessian oracle does; for the quadratic and builtin
-problems, which return the same read-only arrays, each is formed once
-per solve.  Forming S again drops the kept factor, and so does forming
-G again unless the factor's rho alpha is 0, so a kept factor is that of
-(rho alpha) G + S for the G and S held, and a step reuses it exactly
-when its rho alpha is the kept one.  Nothing is cached on the problem,
-which may be shared between concurrent solves.
+The hand-on rule.  `AugEval(p, x, lam, rho, prev)` takes prev's oracle
+results when prev.x is x: the next outer iteration evaluates the same x
+at a new (lam, rho) without calling an oracle again.  Nothing is cached
+on the problem, which may be shared between concurrent solves.
 """
 
 from __future__ import annotations
@@ -81,21 +72,53 @@ def _kkt_residual(phi, jac, fgrad, lam) -> float:
     return math.sqrt(grad_l @ grad_l) + math.sqrt(gap @ gap)
 
 
+def curvature(f_hess, phi_hess) -> np.ndarray:
+    """S = sym(Hess f + <mu, Hess Phi>) from the two Hessian oracle
+    results, as a new array."""
+    S = np.add(f_hess, phi_hess, dtype=float)
+    S = S + S.T
+    S *= 0.5
+    return S
+
+
+def hessian_upper(rho: float, parts, jac, G, S) -> np.ndarray:
+    """A new array whose upper triangle is that of the generalized
+    Hessian (rho alpha) G + S + rho B C B': the triangle `alm.cho_factor`
+    reads.  Its strict lower triangle lacks the rank-2 term.
+
+    parts is the (alpha, u, r) of V at the shifted point
+    (`cone._polar_jacobian_parts`), with V = alpha I + [e0, (0, u)] C
+    [e0, (0, u)]', C = (1/2) [[r, -1], [-1, r]], and B = [JPhi[0],
+    JPhi[1:]' u]; G = JPhi' JPhi is read only where alpha is nonzero.
+    The penalty term is absent inside Q and rho G inside -Q and on the
+    axis fallback with y0 < 0.
+    """
+    alpha, u, r = parts
+    if alpha:
+        H = (rho * alpha) * G
+        H += S
+    else:
+        H = S.copy()
+    if u is not None:
+        Bt = np.stack((jac[0], jac[1:].T @ u))
+        C = (0.5 * rho) * np.array([[r, -1.0], [-1.0, r]])
+        # 0.5 (B (C B') + (C B')' B') = B C B' into the lower triangle
+        # of the Fortran-ordered view H.T, which is H's upper triangle
+        dsyr2k(0.5, Bt, C @ Bt, beta=1.0, c=H.T, trans=1, lower=1, overwrite_c=1)
+    return H
+
+
 class AugEval:
-    """The augmented Lagrangian at x for fixed (lam, rho), following
-    `prev` by the module's hand-on rule.
+    """The augmented Lagrangian at x for fixed (lam, rho), taking prev's
+    oracle results by the module's hand-on rule.
 
     Oracle results (phi, f, jac, fgrad) are computed once and shared with
     every quantity derived at x.  `jac`, `fgrad` and `grad_x` are None
-    until `complete` runs.  `gram` is the (JPhi, G) pair, `curv` the
-    (Hess f, <mu, Hess Phi>, S) triple and `chol` the kept Newton factor
-    (rho alpha, factor), each None until formed; `parts` is the
-    (alpha, u, r) of V at the shifted point, None until the first
-    Hessian or `newton_key`.  Nothing here writes into an oracle result.
+    until `complete` runs.  Nothing here writes into an oracle result.
     """
 
     __slots__ = ("p", "x", "lam", "rho", "phi", "f", "jac", "fgrad", "shifted",
-                 "polar_proj", "value", "grad_x", "gram", "curv", "parts", "chol")
+                 "polar_proj", "value", "grad_x")
 
     def __init__(self, p: SocpProblem, x, lam, rho: float, prev: AugEval | None = None):
         """Value-only evaluation."""
@@ -108,9 +131,7 @@ class AugEval:
         # (rho/2) dist^2(Phi + lam/rho; Q) = ||polar||^2 / (2 rho)
         self.value = float(self.f + (polar @ polar - lam @ lam) / (2.0 * rho))
         self.jac, self.fgrad = (prev.jac, prev.fgrad) if same else (None, None)
-        self.gram, self.curv, self.chol = ((None, None, None) if prev is None
-                                           else (prev.gram, prev.curv, prev.chol))
-        self.grad_x, self.parts = None, None
+        self.grad_x = None
 
     def complete(self) -> "AugEval":
         """Add JPhi(x), grad f(x) and grad_x (once); returns self."""
@@ -126,75 +147,19 @@ class AugEval:
     def grad_lam(self) -> np.ndarray:
         return (self.polar_proj - self.lam) / self.rho
 
-    def hessian_upper(self) -> np.ndarray:
-        """A new array whose upper triangle is that of the generalized
-        Hessian of x -> L_rho(x, lam) at x: the triangle `alm.cho_factor`
-        reads.  Its strict lower triangle lacks the rank-2 term.
+    def hessian(self) -> np.ndarray:
+        """Generalized Hessian of x -> L_rho(x, lam) at x, exactly
+        symmetric: the upper triangle of `hessian_upper`, mirrored, with
+        G and S formed here.
 
         H = Hess_xx L(x, mu) + rho * JPhi(x)' V JPhi(x) with mu the polar
         projection of the shifted point and V a generalized Jacobian of
-        Pi_{-Q} there (the cone module's selection).  With V = alpha I +
-        [e0, (0, u)] C [e0, (0, u)]', H = (rho alpha) G + S + rho B C B'
-        with G = JPhi' JPhi, S = sym(Hess f + <mu, Hess Phi>) and
-        B = [JPhi[0], JPhi[1:]' u].  The penalty term is absent inside Q
-        and rho G inside -Q and on the axis fallback with y0 < 0.  The
-        Hessian oracles are called on the first call only.
+        Pi_{-Q} there (the cone module's selection).
         """
-        alpha, u, r = self._penalty_parts()
-        jac, S = self.jac, self.curv[2]
-        if alpha:
-            H = (self.rho * alpha) * self.gram[1]
-            H += S
-        else:
-            H = S.copy()
-        if u is not None:
-            Bt = np.stack((jac[0], jac[1:].T @ u))
-            C = (0.5 * self.rho) * np.array([[r, -1.0], [-1.0, r]])
-            # 0.5 (B (C B') + (C B')' B') = B C B' into the lower triangle
-            # of the Fortran-ordered view H.T, which is H's upper triangle
-            dsyr2k(0.5, Bt, C @ Bt, beta=1.0, c=H.T, trans=1, lower=1, overwrite_c=1)
-        return H
-
-    def newton_key(self):
-        """rho alpha where V = alpha I at the shifted point, which with
-        the G and S held fixes the Hessian (rho alpha) G + S; None outside
-        both cones, where the Hessian also has the rank-2 term."""
-        alpha, u, _ = self._penalty_parts()
-        return None if u is not None else self.rho * alpha
-
-    def _penalty_parts(self):
-        """(alpha, u, r) of V at the shifted point, computed once per
-        evaluation, with S and, where alpha is nonzero, the Gram pair
-        brought up to date for it."""
-        if self.parts is None:
-            jac = self.complete().jac
-            self._update_curvature()
-            self.parts = _polar_jacobian_parts(self.shifted)
-            if self.parts[0] and (self.gram is None or self.gram[0] is not jac
-                                  or jac.flags.writeable):
-                self.gram = (jac, jac.T @ jac)
-                if self.chol is not None and self.chol[0]:
-                    self.chol = None
-        return self.parts
-
-    def _update_curvature(self):
-        """Keep `curv` unless either Hessian oracle returns a different
-        array or a writeable one; then form S = sym(Hess f(x) +
-        <mu, Hess Phi(x)>) again and drop the kept factor."""
-        f_hess = self.p.f_hess(self.x)
-        phi_hess = self.p.phi_hess_contract(self.x, self.polar_proj)
-        c = self.curv
-        if (c is None or c[0] is not f_hess or c[1] is not phi_hess
-                or f_hess.flags.writeable or phi_hess.flags.writeable):
-            S = np.add(f_hess, phi_hess, dtype=float)
-            S = S + S.T
-            S *= 0.5
-            self.curv, self.chol = (f_hess, phi_hess, S), None
-
-    def hessian(self) -> np.ndarray:
-        """Generalized Hessian of x -> L_rho(x, lam) at x, exactly
-        symmetric: the upper triangle of `hessian_upper`, mirrored."""
-        T = self.hessian_upper()
+        jac = self.complete().jac
+        S = curvature(self.p.f_hess(self.x), self.p.phi_hess_contract(self.x, self.polar_proj))
+        parts = _polar_jacobian_parts(self.shifted)
+        T = hessian_upper(self.rho, parts, jac, jac.T @ jac if parts[0] else None, S)
         return np.triu(T) + np.triu(T, 1).T
 
     def kkt_residual(self, lam) -> float:
@@ -207,8 +172,7 @@ def hessian_lagrangian(p: SocpProblem, xbar, lam_bar) -> np.ndarray:
     """Symmetric Hessian of the ordinary Lagrangian in x."""
     x = np.asarray(xbar, dtype=float)
     lam = np.asarray(lam_bar, dtype=float)
-    H = p.f_hess(x) + p.phi_hess_contract(x, lam)
-    return 0.5 * (H + H.T)
+    return curvature(p.f_hess(x), p.phi_hess_contract(x, lam))
 
 
 def lagrangian_l(p: SocpProblem, x, lam):

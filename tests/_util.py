@@ -81,6 +81,13 @@ def writeable_twin(p):
     return dataclasses.replace(p, phi_jac=lambda x: np.array(p.phi_jac(x)))
 
 
+def fresh_twin(p):
+    """p with phi_jac and f_hess returning fresh writeable copies, so that
+    no Newton step can reuse a factor: G and S are new arrays at every
+    evaluation."""
+    return dataclasses.replace(writeable_twin(p), f_hess=lambda x: np.array(p.f_hess(x)))
+
+
 def rewritten_twin(p, oracle):
     """p with the named one-argument oracle writing every result into one
     writeable buffer, rewritten in place at the next call."""

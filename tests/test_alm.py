@@ -20,7 +20,7 @@ from socalm.cone import _classify, classify, project_q
 from socalm.lagrangian import AugEval, aug_lagrangian, residual
 from socalm.model import _read_only, quadratic_problem
 
-from _util import counted, writeable_twin
+from _util import counted, fresh_twin, writeable_twin
 
 
 def perturbed_start(p, scale, seed):
@@ -418,14 +418,15 @@ def test_newton_direction_matches_the_reference_doubling_loop(H, attempts, monke
                  np.zeros(2), 1.0).complete()
     assert ev.grad_x.tobytes() == g.tobytes()
     calls = counted_factorizations(monkeypatch)
-    d = alm._newton_direction(ev)
+    state = alm.NewtonState()
+    d = alm._newton_direction(ev, state)
     ref, ref_attempts = reference_direction(H, g)
     if attempts == 80:
-        assert d is None and ref is None and ev.chol is None
+        assert d is None and ref is None and state.chol is None
     else:
         assert d.tobytes() == ref.tobytes()
         # the kept factor is the one the direction was solved with
-        assert alm.cho_solve(ev.chol[1], -g).tobytes() == d.tobytes()
+        assert alm.cho_solve(state.chol[1], -g).tobytes() == d.tobytes()
     assert len(calls) == ref_attempts == attempts
 
 
@@ -457,13 +458,6 @@ def test_solve_ends_in_inner_failure_on_a_bad_newton_step(newton_solve, message,
     _, trace = solve(builtin("projection"), np.zeros(3), np.zeros(3))
     assert trace.status is AlmStatus.INNER_FAILURE
     assert trace.message.startswith(message)
-
-
-def fresh_twin(p):
-    """p with phi_jac and f_hess returning fresh writeable copies, so that
-    no Newton step can reuse a factor: G and S are new arrays at every
-    evaluation."""
-    return dataclasses.replace(writeable_twin(p), f_hess=lambda x: np.array(p.f_hess(x)))
 
 
 def solve_bytes(point, trace):
@@ -527,19 +521,18 @@ def test_a_factor_without_the_penalty_term_outlives_a_new_gram_matrix(monkeypatc
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, 0)
     x = np.zeros(3)
 
-    def evaluation(shifted, prev):
+    def evaluation(shifted):
         lam = np.array(shifted) - p.phi_value(x)
-        return AugEval(p, x.copy(), lam, 1.0, prev).complete()
+        return AugEval(p, x.copy(), lam, 1.0).complete()
 
     calls = counted_factorizations(monkeypatch)
-    inside = evaluation([2.0, 0.5, 0.0], None)
-    d = alm._newton_direction(inside)
-    outside = evaluation([0.5, 2.0, 0.0], inside)
-    alm._newton_direction(outside)
-    assert outside.gram is not None and outside.chol is inside.chol
-    again = evaluation([3.0, 0.0, 1.0], outside)
+    state = alm.NewtonState()
+    d = alm._newton_direction(evaluation([2.0, 0.5, 0.0]), state)
+    kept = state.chol
+    alm._newton_direction(evaluation([0.5, 2.0, 0.0]), state)
+    assert state.gram is not None and state.chol is kept
     # inside Q the polar projection is 0: the same gradient, the same step
-    assert alm._newton_direction(again).tobytes() == d.tobytes()
+    assert alm._newton_direction(evaluation([3.0, 0.0, 1.0]), state).tobytes() == d.tobytes()
     assert len(calls) == 2
 
 

@@ -272,6 +272,11 @@ def test_wrong_start_length_exit_two(argv, capsys):
      "--lambda=0,0,0"],
     ["check", "sosc", "--problem", "builtin:example_3_2", "--x=1e200,0", "--lambda=-1,1,0"],
     ["check", "sosc", "--problem", "builtin:projection", "--x=nan,0,0", "--lambda=inf,0,0"],
+    # example32 is a table of example_3_2 alone
+    ["check", "example32", "--problem", "builtin:projection", "--t", "0.5"],
+    ["check", "example32", "--problem", "builtin:scaled_quadratic", "--seed", "3", "--t", "0.5"],
+    ["check", "growth", "--problem", "builtin:projection", "--rho-list="],
+    ["check", "example32", "--problem", "builtin:example_3_2", "--t="],
 ])
 def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     report = tmp_path / "report.json"

@@ -3,13 +3,13 @@ KKT residual, checked against finite differences and the fixed-point
 characterization of KKT pairs."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import LinAlgError
 
 from socalm import ConeRegion, SocpProblem, alm, builtin, generate_planted, solve
 from socalm.cone import classify, jacobian_project_polar, project_q
@@ -17,7 +17,8 @@ from socalm.lagrangian import (AugEval, aug_hessian, aug_lagrangian, lagrangian_
                                residual)
 from socalm.model import _read_only
 
-from _util import SHIFTED, constant_phi_problem, fd_grad, fd_jac, writeable_twin
+from _util import (SHIFTED, constant_phi_problem, fd_grad, fd_jac, fresh_twin,
+                   writeable_twin)
 
 
 BUILTINS = [
@@ -284,6 +285,21 @@ def test_structured_hessian_equals_dense_triple_product(seed, n, m, nonlinear, c
     assert np.abs(H - dense).max() <= 1e-12 * scale
 
 
+def factored_in_step(ev, state):
+    """Copies of the matrices alm._newton_direction(ev, state) hands to
+    alm.cho_factor, in order: none where a kept factor serves, else H and
+    then H + mu I for each regularized attempt."""
+    cho_factor, factored = alm.cho_factor, []
+
+    def factor(A):
+        factored.append(A.copy())
+        return cho_factor(A)
+
+    with mock.patch.object(alm, "cho_factor", factor):
+        alm._newton_direction(ev, state)
+    return factored
+
+
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
        nonlinear=st.booleans(), case=st.sampled_from(list(SHIFTED)),
@@ -292,9 +308,9 @@ def test_structured_hessian_equals_dense_triple_product(seed, n, m, nonlinear, c
 def test_solver_triangle_is_the_upper_triangle_of_the_hessian(seed, n, m, nonlinear, case,
                                                                log_rho, log_a, c, g):
     """The triangle the Newton step factors is that of the exactly
-    symmetric hessian(), also when G and S are handed on from another
-    evaluation, and it is built again with the same bits after a
-    factorization has overwritten it."""
+    symmetric hessian(), also when G and S are kept from a step at
+    another point, and each regularized attempt builds it again with the
+    same bits after a factorization has overwritten it."""
     if nonlinear:
         p = _nonlinear_problem(n, m, seed)
     else:
@@ -304,23 +320,23 @@ def test_solver_triangle_is_the_upper_triangle_of_the_hessian(seed, n, m, nonlin
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
     rho = 10.0 ** log_rho
-    start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0)
-    start.hessian_upper()
-    lam = _eval_with_shift(p, case, x, rho, 10.0 ** log_a, w, c, g).lam
-    ev = AugEval(p, x, lam, rho, start)
-    T = ev.hessian_upper()
+    # outside both cones: G and S are formed and no factor is kept
+    state = alm.NewtonState()
+    alm._newton_direction(_eval_with_shift(p, ConeRegion.OUTSIDE, x0, rho, 1.0, w, 0.0, 1.0),
+                          state)
+    curv = state.curv
+    ev = _eval_with_shift(p, case, x, rho, 10.0 ** log_a, w, c, g)
+    factored = factored_in_step(ev, state)
     if not nonlinear:  # read-only oracle results: S is formed once
-        assert ev.curv is start.curv
-    H = aug_hessian(p, x, lam, rho)
+        assert state.curv is curv
+    H = aug_hessian(p, x, ev.lam, rho)
     assert np.array_equal(H, H.T)
-    assert np.array_equal(np.triu(T), np.triu(H))
     assert np.array_equal(ev.hessian(), H)
-    kept = T.copy()
-    try:
-        alm.cho_factor(T)
-    except LinAlgError:
-        pass
-    assert np.array_equal(ev.hessian_upper(), kept)
+    assert np.array_equal(np.triu(factored[0]), np.triu(H))
+    for k, A in enumerate(factored[1:]):
+        expected = factored[0].copy()
+        expected.flat[::n + 1] += alm.MU0 * 2.0 ** k
+        assert np.array_equal(A, expected)
 
 
 @settings(max_examples=40)
@@ -329,9 +345,10 @@ def test_solver_triangle_is_the_upper_triangle_of_the_hessian(seed, n, m, nonlin
        in_place=st.booleans())
 def test_curvature_follows_a_hessian_buffer_rewritten_in_place(seed, n, m, case, oracle,
                                                                in_place):
-    """S is formed again when a Hessian oracle returns a writeable array,
-    whether a fresh one or one buffer rewritten in place, while the other
-    oracle returns its one read-only array."""
+    """S is formed again, and the kept factor dropped, when a Hessian
+    oracle returns a writeable array, whether a fresh one or one buffer
+    rewritten in place, while the other oracle returns its one read-only
+    array."""
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((n, n))
     P = _read_only(R @ R.T + np.eye(n))
@@ -357,13 +374,14 @@ def test_curvature_follows_a_hessian_buffer_rewritten_in_place(seed, n, m, case,
     x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
-    start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0)
-    start.hessian()
+    state = alm.NewtonState()
+    alm._newton_direction(
+        _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0), state)
+    curv = state.curv
     ev = _eval_with_shift(p, case, x1, 1.0, 1.0, w, 0.3, 1.0)
-    ev = AugEval(p, x1, ev.lam, 1.0, start)
-    H = ev.hessian()
-    assert ev.curv is not start.curv
-    assert np.array_equal(H, aug_hessian(ref, x1, ev.lam, 1.0))
+    factored = factored_in_step(ev, state)
+    assert state.curv is not curv
+    assert np.array_equal(np.triu(factored[0]), np.triu(aug_hessian(ref, x1, ev.lam, 1.0)))
 
 
 @settings(max_examples=40)
@@ -377,20 +395,22 @@ def test_gram_matrix_reuse_matches_a_writeable_jacobian(seed, n, m, case, log_rh
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
     rho = 10.0 ** log_rho
-    hessians = []
+    directions = []
     for q in (p, twin):
-        # the Gram pair of an evaluation at x0 (inside -Q, where G is
-        # used) is handed to the evaluation at x1, as the line search does
-        start = _eval_with_shift(q, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0)
-        start.hessian()
+        # the Gram pair of a step at x0 (inside -Q, where G is used) is
+        # kept for the step at x1, as the next inner iteration does
+        state = alm.NewtonState()
+        alm._newton_direction(
+            _eval_with_shift(q, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0), state)
+        gram = state.gram
         ev = _eval_with_shift(q, case, x1, rho, 1.0, w, 0.3, 1.0)
-        ev = AugEval(q, x1, ev.lam, rho, start).complete()
-        hessians.append(ev.hessian())
+        d = alm._newton_direction(ev, state)
+        directions.append(None if d is None else d.tobytes())
         if q is p:  # one read-only Jacobian: G is never formed again
-            assert ev.gram is start.gram
+            assert state.gram is gram
         elif case in USES_GRAM:  # formed again from this Jacobian
-            assert ev.gram is not start.gram and ev.gram[0] is ev.jac
-    assert np.array_equal(hessians[0], hessians[1])
+            assert state.gram is not gram and state.gram[0] is ev.jac
+    assert directions[0] == directions[1]
 
 
 @settings(max_examples=40)
@@ -409,11 +429,12 @@ def test_gram_matrix_follows_a_jacobian_buffer_rewritten_in_place(seed, n, m, ca
     x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
-    start = _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0)
-    start.hessian()
+    state = alm.NewtonState()
+    alm._newton_direction(
+        _eval_with_shift(p, ConeRegion.INTERIOR_POLAR, x0, 1.0, 1.0, w, 0.0, 1.0), state)
     ev = _eval_with_shift(p, case, x1, 1.0, 1.0, w, 0.3, 1.0)
-    H = AugEval(p, x1, ev.lam, 1.0, start).hessian()
-    assert np.array_equal(H, aug_hessian(base, x1, ev.lam, 1.0))
+    factored = factored_in_step(ev, state)
+    assert np.array_equal(np.triu(factored[0]), np.triu(aug_hessian(base, x1, ev.lam, 1.0)))
 
 
 @settings(max_examples=20)
@@ -421,11 +442,15 @@ def test_gram_matrix_follows_a_jacobian_buffer_rewritten_in_place(seed, n, m, ca
        region=st.sampled_from([ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
                                ConeRegion.INTERIOR_Q]))
 def test_solve_with_a_writeable_jacobian_is_identical(seed, n, m, region):
+    """A solve that reuses G, S and factors has the bits of one whose
+    twins form G (writeable_twin) or G, S and every factor (fresh_twin)
+    again at every step."""
     p = generate_planted(n, m, region, seed)
-    results = [solve(q, np.zeros(n), np.zeros(m + 1)) for q in (p, writeable_twin(p))]
-    (pt_a, tr_a), (pt_b, tr_b) = results
-    assert tr_a.status is tr_b.status
-    assert tr_a.sigmas == tr_b.sigmas and tr_a.values == tr_b.values
-    assert tr_a.inner_iters == tr_b.inner_iters
-    assert pt_a.x.tobytes() == pt_b.x.tobytes()
-    assert pt_a.lam.tobytes() == pt_b.lam.tobytes()
+    pt_a, tr_a = solve(p, np.zeros(n), np.zeros(m + 1))
+    for twin in (writeable_twin(p), fresh_twin(p)):
+        pt_b, tr_b = solve(twin, np.zeros(n), np.zeros(m + 1))
+        assert tr_a.status is tr_b.status
+        assert tr_a.sigmas == tr_b.sigmas and tr_a.values == tr_b.values
+        assert tr_a.inner_iters == tr_b.inner_iters
+        assert pt_a.x.tobytes() == pt_b.x.tobytes()
+        assert pt_a.lam.tobytes() == pt_b.lam.tobytes()
