@@ -345,8 +345,8 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     at a new iterate; that iterate is the last trace row, with a NaN
     value.  The penalty is raised by rho_growth, capped at rho_max,
     whenever the residual fails to halve.  A non-finite start (x0,
-    lambda0 or the shifted point there) raises NonFiniteError, a
-    ValueError.  No floating-point warning is printed:
+    lambda0, or the shifted point or the KKT residual there) raises
+    NonFiniteError, a ValueError.  No floating-point warning is printed:
     every overflow or invalid value surfaces as one of these outcomes.
 
     Each outer iteration reuses the inner solve's final evaluation: its
@@ -363,6 +363,8 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     trace = AlmTrace()
     ev, state = AugEval(p, x, lam, rho), NewtonState()
     sigma = ev.kkt_residual(lam)
+    if not math.isfinite(sigma):
+        raise NonFiniteError(f"non-finite KKT residual {sigma} at the start")
     for k in range(cfg.max_outer + 1):
         converged = sigma <= cfg.outer_tol
         if converged or k == cfg.max_outer:

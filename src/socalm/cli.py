@@ -37,20 +37,25 @@ def _parse_float_list(text: str):
 
 
 def _load_problem(args) -> SocpProblem:
+    """The problem of --problem with the parameters --a, --n, --m, --region
+    and --seed, none of which a problem file takes.  `check` and `rate`
+    also seed their sampling with --seed, so they hand it only to
+    builtin:scaled_quadratic, the one problem that takes a seed; `solve`
+    samples nothing and hands it to every problem."""
     spec = args.problem
+    params = {key: getattr(args, key) for key in ("a", "n", "m", "seed", "region")
+              if getattr(args, key) is not None}
+    if args.command != "solve" and spec != "builtin:scaled_quadratic":
+        params.pop("seed", None)
     if spec.startswith("builtin:"):
-        name = spec[len("builtin:"):]
-        params = {}
-        if getattr(args, "a", None) is not None:
-            params["a"] = _parse_vector(args.a)
-        for key in ("n", "m", "seed", "region"):
-            value = getattr(args, key, None)
-            if value is not None and (key != "seed" or name == "scaled_quadratic"):
-                params[key] = value
+        if "a" in params:
+            params["a"] = _parse_vector(params["a"])
         try:
-            return builtin(name, **params)
+            return builtin(spec[len("builtin:"):], **params)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from exc
+    if params:
+        raise ValueError(f"a problem file takes no {', '.join('--' + key for key in params)}")
     try:
         return load_problem(spec)
     except (OSError, ValueError) as exc:
@@ -106,11 +111,10 @@ def _write_trace_csv(path, trace: alm.AlmTrace, problem: SocpProblem) -> None:
     header = ["k", "sigma", "eps_k", "rho_k", "inner_iters", "grad_norm", "value"]
     columns = [range(len(trace)), trace.sigmas, trace.epss, trace.rhos, trace.inner_iters,
                trace.grad_norms, trace.values]
-    sol = problem.known_solution
-    if sol is not None:
+    if problem.known_solution is not None:
         header += ["dist_x", "dist_lambda"]
-        columns += [[float(np.linalg.norm(x - sol.x)) for x in trace.xs],
-                    [diagnostics.dist_to_multiplier_set(problem, lam) for lam in trace.lams]]
+        columns += zip(*(diagnostics.dist_to_known_pair(problem, x, lam)
+                         for x, lam in zip(trace.xs, trace.lams)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -148,6 +152,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Run `check <name>`.  Each check is its own subcommand with only the
+    flags it reads besides the problem flags and --report: sosc and
+    dualqual read --x and --lambda; growth --rho-list, --x-samples and
+    --lambda-samples; errorbound --radius and --samples; example32 --t.
+    --seed seeds the sampling of sosc, growth and errorbound."""
     problem = _load_problem(args)
 
     if args.check == "example32":
@@ -205,6 +214,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    if args.offset is not None and args.x0 and args.lambda0:
+        raise ValueError("--offset moves no start: --x0 and --lambda0 are both given")
     problem = _load_problem(args)
     rho_list = _parse_float_list(args.rho_list)
     if not rho_list:
@@ -215,7 +226,7 @@ def cmd_rate(args) -> int:
         raise ValueError("rate estimation needs a problem with a known solution")
     rng = np.random.default_rng(args.seed or 0)
     step = rng.standard_normal(problem.n + problem.m + 1)
-    step *= args.offset / np.linalg.norm(step)
+    step *= (1e-2 if args.offset is None else args.offset) / np.linalg.norm(step)
     x0, lam0 = _start(args, problem, sol.x + step[:problem.n], sol.lam + step[problem.n:])
 
     rows = []
@@ -238,7 +249,19 @@ def cmd_rate(args) -> int:
     return 0 if all(row["status"] == converged for row in rows) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated flag and raises each
+    usage error as a ValueError, for `main` to report on one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_problem_args(parser) -> None:
+    """The flags of every command: the problem, its parameters and the report."""
     parser.add_argument("--problem", required=True,
                         help="path to a JSON problem file or builtin:<name>")
     parser.add_argument("--a", help="cone point for builtin:projection (comma-separated)")
@@ -247,14 +270,16 @@ def _add_problem_args(parser) -> None:
     parser.add_argument("--region", help="region for builtin:scaled_quadratic "
                                          "(InteriorQ, BoundaryQNonzero, Zero)")
     parser.add_argument("--seed", type=int, help="seed (problem generation and sampling)")
+    parser.add_argument("--report", help="write the JSON report here")
 
 
-def _add_solver_args(parser) -> None:
+def _add_solver_args(parser, rule) -> None:
     """The problem flags and the solver flags of `solve` and `rate`; the
-    defaults are those of `alm.AlmConfig`."""
+    defaults are those of `alm.AlmConfig`.  --eps-eta goes to `rule`, the
+    parser or a group of flags that exclude each other."""
     _add_problem_args(parser)
-    parser.add_argument("--eps-eta", dest="eps_eta", type=float, default=alm.Proportional.eta,
-                        help="inner tolerance as a fraction of the residual")
+    rule.add_argument("--eps-eta", dest="eps_eta", type=float, default=alm.Proportional.eta,
+                      help="inner tolerance as a fraction of the residual")
     parser.add_argument("--tol", type=float, default=alm.AlmConfig.outer_tol,
                         help="outer residual tolerance")
     parser.add_argument("--max-outer", dest="max_outer", type=int,
@@ -262,52 +287,56 @@ def _add_solver_args(parser) -> None:
     parser.add_argument("--x0", help="starting primal point (default: zeros for solve, "
                                      "--offset from the known solution for rate)")
     parser.add_argument("--lambda0", help="starting multiplier (default: as for --x0)")
-    parser.add_argument("--report", help="write the JSON report here")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
-    `main` call in it; each parse returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    `main` call in it; each parse returns a fresh namespace.  Each check is
+    a subcommand of `check` that takes only the flags it reads."""
+    parser = _Parser(
         prog="socalm",
         description="Augmented Lagrangian method and second-order diagnostics "
                     "for second-order cone programs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve_p = sub.add_parser("solve", help="run the ALM on a problem")
-    _add_solver_args(solve_p)
+    rule = solve_p.add_mutually_exclusive_group()
+    _add_solver_args(solve_p, rule)
     solve_p.add_argument("--rho0", type=float, default=alm.AlmConfig.rho0)
     solve_p.add_argument("--rho-growth", dest="rho_growth", type=float,
                          default=alm.AlmConfig.rho_growth)
     solve_p.add_argument("--rho-max", dest="rho_max", type=float,
                          default=alm.AlmConfig.rho_max)
-    solve_p.add_argument("--exact", action="store_true",
-                         help="solve inner problems to the machine floor")
+    rule.add_argument("--exact", action="store_true",
+                      help="solve inner problems to the machine floor")
     solve_p.add_argument("--trace", help="write the per-iteration CSV here")
     solve_p.set_defaults(func=cmd_solve)
 
     check_p = sub.add_parser("check", help="run a certificate or diagnostic")
-    check_p.add_argument("check", choices=["sosc", "dualqual", "growth",
-                                           "errorbound", "example32"])
-    _add_problem_args(check_p)
-    check_p.add_argument("--x", help="primal point (defaults to the known solution)")
-    check_p.add_argument("--lambda", dest="lam", help="multiplier at the point")
-    check_p.add_argument("--rho-list", dest="rho_list", default="1,10,100",
-                         help="penalties for the growth check")
-    check_p.add_argument("--x-samples", dest="x_samples", type=int, default=100)
-    check_p.add_argument("--lambda-samples", dest="lambda_samples", type=int, default=5)
-    check_p.add_argument("--radius", type=float, default=1e-2)
-    check_p.add_argument("--samples", type=int, default=200)
-    check_p.add_argument("--t", default="0.8", help="parameters for check example32")
-    check_p.add_argument("--report", help="write the JSON report here")
     check_p.set_defaults(func=cmd_check)
+    checks = check_p.add_subparsers(dest="check", required=True)
+    check = {name: checks.add_parser(name) for name in
+             ("sosc", "dualqual", "growth", "errorbound", "example32")}
+    for check_q in check.values():
+        _add_problem_args(check_q)
+    for name in ("sosc", "dualqual"):
+        check[name].add_argument("--x", help="primal point (defaults to the known solution)")
+        check[name].add_argument("--lambda", dest="lam", help="multiplier at the point")
+    check["growth"].add_argument("--rho-list", dest="rho_list", default="1,10,100",
+                                 help="penalties, in the order they are tried")
+    check["growth"].add_argument("--x-samples", dest="x_samples", type=int, default=100)
+    check["growth"].add_argument("--lambda-samples", dest="lambda_samples", type=int,
+                                 default=5)
+    check["errorbound"].add_argument("--radius", type=float, default=1e-2)
+    check["errorbound"].add_argument("--samples", type=int, default=200)
+    check["example32"].add_argument("--t", default="0.8", help="comma-separated t in (0, 1)")
 
     rate_p = sub.add_parser("rate", help="estimate linear rates for several penalties")
-    _add_solver_args(rate_p)
+    _add_solver_args(rate_p, rate_p)
     rate_p.add_argument("--rho-list", dest="rho_list", required=True)
-    rate_p.add_argument("--offset", type=float, default=1e-2,
-                        help="distance of the seeded start from the known solution")
+    rate_p.add_argument("--offset", type=float, help="distance of the seeded start from "
+                                                      "the known solution (default 0.01)")
     rate_p.add_argument("--out", help="write the per-penalty CSV table here")
     rate_p.set_defaults(func=cmd_rate)
 
@@ -317,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.  This is the one place
     that maps an exception to an exit code: a ValueError (NonFiniteError
-    included) or an OSError (an output that cannot be written) is a
-    usage error, 2, reported on one `error:` line."""
+    and every argparse usage error included) or an OSError (an output
+    that cannot be written) is a usage error, 2, reported on one `error:`
+    line; --help prints the usage and returns 0."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already; normalize others
-        return int(exc.code) if exc.code is not None else 2
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # argparse exits only after printing --help
+            return 0
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve
-from .cone import _project_polar_rows, _project_q_rows
+from .cone import _norm, _project_polar_rows, _project_q_rows
 from .lagrangian import NonFiniteError, lagrangian_l
 from .model import SocpProblem, builtin
 from .variational import check_sosc
@@ -55,7 +55,8 @@ def dist_to_multiplier_set(p: SocpProblem, lam):
 
     Supports the two structures the cone geometry produces: a single
     multiplier, or a ray recorded as a direction on the problem.  lam is
-    one vector (a float) or the rows of a (k, m+1) array (one per row).
+    one vector (a float, scaled where its square overflows as in
+    `cone._norm`) or the rows of a (k, m+1) array (one per row).
     """
     sol = _require_solution(p)
     lam = np.asarray(lam, dtype=float)
@@ -65,8 +66,15 @@ def dist_to_multiplier_set(p: SocpProblem, lam):
         d = np.asarray(p.multiplier_ray, dtype=float)
         coef = np.maximum(0.0, np.vecdot(lam, d) / (d @ d))
         diff = lam - coef[..., None] * d
-    dist = np.sqrt(np.vecdot(diff, diff))
-    return dist if dist.ndim else float(dist)
+    return _norm(diff) if diff.ndim == 1 else np.sqrt(np.vecdot(diff, diff))
+
+
+@np.errstate(over="ignore")  # _norm detects an overflowing square
+def dist_to_known_pair(p: SocpProblem, x, lam) -> Tuple[float, float]:
+    """(||x - xbar||, dist(lam; L)) of one iterate to the known solution,
+    both finite for a finite iterate: a norm whose square overflows is
+    scaled by the largest entry (`cone._norm`)."""
+    return _norm(x - _require_solution(p).x), dist_to_multiplier_set(p, lam)
 
 
 def _ball_rows(rng, k: int, dim: int, radius: float) -> np.ndarray:
@@ -238,8 +246,9 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
             if not np.isfinite(shifted).all():
                 raise NonFiniteError("non-finite shifted point rho*Phi(x)+lam")
             polar = _project_polar_rows(shifted)
-            # L_rho = f + (||polar||^2 - ||lam||^2) / (2 rho), as in AugEval
-            vals = fs + (np.vecdot(polar, polar) - lam @ lam) / (2.0 * rho)
+            # L_rho = f + (||polar||^2 - ||lam||^2) / (2 rho), as in AugEval; halved
+            # after the division, since 2 rho overflows for rho near the largest float
+            vals = fs + (np.vecdot(polar, polar) - lam @ lam) / rho / 2.0
             per_lam.append(float(np.fmin.reduce((vals - f_bar) / r2, initial=math.inf)))
         return min(per_lam)
 
@@ -265,8 +274,7 @@ def estimate_rate(trace, p: SocpProblem) -> Tuple[List[float], float]:
     _require_solution(p)
     if len(trace) < 3:
         raise ValueError("trace needs at least 3 iterations to estimate a rate")
-    dists = [float(np.linalg.norm(x - p.known_solution.x)) + dist_to_multiplier_set(p, lam)
-             for x, lam in zip(trace.xs, trace.lams)]
+    dists = [sum(dist_to_known_pair(p, x, lam)) for x, lam in zip(trace.xs, trace.lams)]
     qs = [dists[k + 1] / dists[k]
           for k in range(len(dists) - 1)
           if dists[k] > 1e-14 and dists[k + 1] > 1e-14]

@@ -71,6 +71,16 @@ def test_inner_solve_rejects_bad_arguments():
         inner_solve(p, np.zeros(2), 1.0, np.zeros(2), -1e-8)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: inner_solve(builtin("interior_trivial"), np.zeros(2), 1.0, np.zeros(2), 1e-8,
+                         max_inner=-1), "max_inner must be nonnegative"),
+    (lambda: update_multiplier([1.0, 2.0, 0.0], np.zeros(3), 0.0), "rho_k must be positive"),
+], ids=["inner_solve-max_inner", "update_multiplier-rho_k"])
+def test_entry_points_reject_a_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_update_multiplier_examples():
     # scaled interior value with zero multiplier projects to zero
     assert_allclose(update_multiplier([10.0, 1.0, 0.0], np.zeros(3), 5.0), np.zeros(3))
@@ -298,6 +308,13 @@ def test_shift_overflow_after_penalty_increase_is_inner_failure():
     assert point.x.tobytes() == trace.xs[-1].tobytes()
     assert point.lam.tobytes() == trace.lams[-1].tobytes()
     assert np.isfinite(trace.sigmas).all()
+
+
+def test_start_whose_kkt_residual_overflows_raises():
+    """At x0 = (1e200, 0, 0) the residual of projection is inf: the solve
+    stops before its first iteration instead of running max_outer empty ones."""
+    with pytest.raises(alm.NonFiniteError, match="non-finite KKT residual inf at the start"):
+        solve(builtin("projection"), [1e200, 0.0, 0.0], np.zeros(3))
 
 
 def test_non_finite_start_raises():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -238,6 +239,63 @@ def test_wrong_start_length_exit_two(argv, capsys):
     assert err.count("\n") == 1
 
 
+E32 = ["--problem", "builtin:example_3_2"]
+# the flags each check reads, besides the problem flags and --report
+READS = {"sosc": ("--x", "--lambda"), "dualqual": ("--x", "--lambda"),
+         "growth": ("--rho-list", "--x-samples", "--lambda-samples"),
+         "errorbound": ("--radius", "--samples"), "example32": ("--t",)}
+VALUES = {"--x": "0,0", "--lambda": "-1,1,0", "--rho-list": "5", "--x-samples": "3",
+          "--lambda-samples": "2", "--radius": "0.01", "--samples": "20", "--t": "0.5"}
+# stands for a problem file holding builtin:projection, written by the test
+PROBLEM_FILE = "<projection.json>"
+
+# (an argv the parser accepts, a flag that the command would not read there)
+UNREAD_FLAGS = [(["check", name, *E32], f"{flag}={VALUES[flag]}")
+                for name in READS for flag in VALUES if flag not in READS[name]] + [
+    *[(["solve", "--problem", PROBLEM_FILE], flag)
+      for flag in ("--a=0,2,0", "--n=3", "--m=2", "--region=Zero", "--seed=3")],
+    (["check", "sosc", "--problem", PROBLEM_FILE, "--seed=3"], "--a=0,2,0"),
+    (["rate", "--problem", PROBLEM_FILE, "--rho-list=10", "--seed=3"], "--n=3"),
+    (["solve", "--problem", "builtin:projection", "--exact"], "--eps-eta=0.5"),
+    (["solve", "--problem", "builtin:projection", "--eps-eta=0.5"], "--exact"),
+    (["solve", "--problem", "builtin:projection"], "--seed=3"),
+    (["solve", "--problem", "builtin:example_3_2"], "--seed=3"),
+    (["rate", "--problem", "builtin:projection", "--rho-list=10", "--seed=3",
+      "--x0=1,1,0", "--lambda0=-1,1,0"], "--offset=0.1"),
+]
+
+
+def _with_problem_file(argv, tmp_path):
+    path = tmp_path / "projection.json"
+    path.write_text('{"builtin": "projection"}')
+    return [str(path) if arg == PROBLEM_FILE else arg for arg in argv]
+
+
+@pytest.mark.parametrize("argv, flag", UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_is_the_only_fault(argv, flag, tmp_path, capsys):
+    """Each argv runs (exit 0 or 1); the flag added to it exits 2 on one
+    `error:` line that names the flag (a builtin names its parameter)."""
+    argv = _with_problem_file(argv, tmp_path)
+    assert run_cli(*argv) in (0, 1)
+    capsys.readouterr()
+    assert run_cli(*argv, flag) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    name = flag.split("=")[0].removeprefix("--")
+    assert re.search(rf"\b{name}\b", captured.err) and captured.out == ""
+
+
+@pytest.mark.parametrize("name", READS)
+def test_each_check_accepts_and_lists_only_its_own_flags(name, capsys):
+    flags = [f"{flag}={VALUES[flag]}" for flag in READS[name]]
+    assert run_cli("check", name, *E32, *flags) in (0, 1)
+    capsys.readouterr()
+    assert run_cli("check", name, "--help") == 0
+    listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--problem", "--a", "--n", "--m", "--region", "--seed",
+                      "--report", *READS[name]}
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--problem", "builtin:projection", "--rho0", "0"],
     ["solve", "--problem", "builtin:projection", "--eps-eta", "1.5"],
@@ -277,8 +335,19 @@ def test_wrong_start_length_exit_two(argv, capsys):
     ["check", "example32", "--problem", "builtin:scaled_quadratic", "--seed", "3", "--t", "0.5"],
     ["check", "growth", "--problem", "builtin:projection", "--rho-list="],
     ["check", "example32", "--problem", "builtin:example_3_2", "--t="],
-])
+    # a start whose KKT residual overflows
+    ["solve", "--problem", "builtin:projection", "--x0", "1e200,0,0"],
+    ["rate", "--problem", "builtin:projection", "--rho-list", "10", "--offset", "1e200"],
+    # argparse's own usage errors
+    ["solve"],
+    ["check", "nope", "--problem", "builtin:projection"],
+    ["check", "--problem", "builtin:projection"],
+    ["solve", "--problem", "builtin:scaled_quadratic", "--n", "abc"],
+    ["solve", "--problem", "builtin:projection", "--x", "0,2,0"],  # no abbreviated --x0
+    ["check", "growth", "--problem", "builtin:projection", "--x", "5"],
+] + [argv + [flag] for argv, flag in UNREAD_FLAGS])
 def test_invalid_settings_exit_two(argv, tmp_path, capsys):
+    argv = _with_problem_file(argv, tmp_path)
     report = tmp_path / "report.json"
     assert run_cli(*argv, "--report", str(report)) == 2
     captured = capsys.readouterr()
@@ -417,6 +486,27 @@ def test_check_growth_divides_by_the_realized_step(a, code, out, capsys):
     else:
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+
+def test_check_growth_at_the_largest_penalty(capsys):
+    """2 rho overflows at rho = 1e308; the value is halved after the
+    division by rho, so no sampled row turns into NaN and no warning shows."""
+    assert run_cli("check", "growth", "--problem", "builtin:projection",
+                   "--rho-list", "1e308") == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("growth ell_hat=") and captured.err == ""
+
+
+def test_distances_of_a_multiplier_whose_square_overflows(tmp_path, capsys):
+    """||lam||^2 overflows at lambda0 = (-1e200, 0): the trace's dist_lambda
+    and rate's contraction factor stay finite, and no warning shows."""
+    trace = tmp_path / "far.csv"
+    far = ["--problem", "builtin:interior_trivial", "--lambda0=-1e200,0"]
+    assert run_cli("solve", *far, "--trace", str(trace)) == 1
+    with trace.open() as fh:
+        assert {row["dist_lambda"] for row in csv.DictReader(fh)} == {"1e+200"}
+    assert run_cli("rate", *far, "--rho-list", "10") == 1
+    assert capsys.readouterr().out.endswith("q_geomean=1.000000e+00\n")
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypatch):

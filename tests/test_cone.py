@@ -179,6 +179,11 @@ def test_in_normal_cone_examples():
         cone.in_normal_cone([0.0, 0.0, 0.0], [0.0, 2.0, 0.0])  # base not in Q
 
 
+def test_in_normal_cone_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cone.in_normal_cone([0.0, 0.0], [1.0, 0.5, 0.0])
+
+
 @pytest.mark.parametrize("y, region, expected", [
     ([2e160, 1e160, 0.0], ConeRegion.INTERIOR_Q, [2e160, 1e160, 0.0]),
     ([-2e160, 1e160, 0.0], ConeRegion.INTERIOR_POLAR, [0.0, 0.0, 0.0]),

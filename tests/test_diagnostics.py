@@ -12,7 +12,8 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Proportional, builtin,
                     example32_ratio, generate_planted, solvability_estimate, solve,
                     verify_error_bound)
 from socalm.cli import main
-from socalm.diagnostics import _ball_rows, _multiplier_samples
+from socalm.alm import AlmTrace
+from socalm.diagnostics import _ball_rows, _multiplier_samples, dist_to_known_pair
 from socalm.lagrangian import AugEval, residual
 
 from _util import counted, negative_curvature_problem, rewritten_twin, uniform_ball
@@ -35,6 +36,26 @@ def test_dist_to_multiplier_set_ray_case():
         lam_t = np.array([-1.0, t, math.sqrt(1.0 - t * t)])
         expected = math.sqrt((3.0 - 2.0 * t - t * t) / 2.0)
         assert dist_to_multiplier_set(p, lam_t) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("problem", [generate_planted(4, 2, ConeRegion.ZERO, seed=1),
+                                     builtin("example_3_2")], ids=["point", "ray"])
+def test_dist_to_known_pair_is_numpy_norm_bit_for_bit(problem):
+    """Where no square overflows, both distances are the bits of numpy's
+    norm of x - xbar and of the multiplier set's row path."""
+    sol, rng = problem.known_solution, np.random.default_rng(4)
+    for scale in 10.0 ** np.arange(-8, 9, 4):
+        x = sol.x + scale * rng.standard_normal(problem.n)
+        lam = sol.lam + scale * rng.standard_normal(problem.m + 1)
+        rows = dist_to_multiplier_set(problem, np.vstack([lam, lam]))
+        assert dist_to_known_pair(problem, x, lam) == (float(np.linalg.norm(x - sol.x)),
+                                                       float(rows[0]))
+
+
+def test_dist_to_known_pair_scales_a_square_that_overflows():
+    p = builtin("interior_trivial")
+    assert dist_to_known_pair(p, np.array([3e200, 4e200]), np.array([-1e200, 0.0])) == (
+        pytest.approx(5e200, rel=1e-15), 1e200)
 
 
 def test_dist_requires_known_solution():
@@ -134,6 +155,14 @@ def test_estimate_rate_requires_iterations():
         estimate_rate(trace, p)
 
 
+def test_estimate_rate_on_a_trace_at_the_solution_is_empty():
+    p = builtin("projection")
+    trace = AlmTrace()
+    for _ in range(3):
+        trace.append(p.known_solution.x, p.known_solution.lam, 10.0, 0.0, 0.0, 0, 0.0, 0.0)
+    assert estimate_rate(trace, p) == ([], 0.0)
+
+
 def test_estimate_rate_linear_regime():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
     rng = np.random.default_rng(42)
@@ -156,6 +185,10 @@ def test_solvability_estimate_stable():
     assert 0.0 < wide < math.inf
     assert 0.0 < narrow < math.inf
     assert 0.1 <= wide / narrow <= 10.0
+
+
+def test_solvability_estimate_at_radius_zero_samples_no_multiplier():
+    assert solvability_estimate(builtin("projection"), 10.0, 5, seed=1, radius=0.0) == 0.0
 
 
 def test_solvability_estimate_not_applicable_without_sosc():

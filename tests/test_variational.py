@@ -81,6 +81,25 @@ def test_critical_cone_rejects_a_base_point_outside_q_in_the_tolerance_band():
     assert not report.holds and report.modulus == pytest.approx(-1.0)
 
 
+HYPERPLANE_PAIR = ([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: critical_cone([1.0, 1.0], [-1.0, 1.0, 0.0]), "dimension mismatch"),
+    (lambda p: dist2_critical(critical_cone(*HYPERPLANE_PAIR), [1.0, 0.0]),
+     "dimension mismatch with the critical cone"),
+    (lambda p: quad_form_q(p, *HYPERPLANE_PAIR, 0.0, [1.0, 0.0, 0.0]), "rho must be positive"),
+    (lambda p: d2_aug_lagrangian(p, *HYPERPLANE_PAIR, -1.0, [1.0, 0.0, 0.0]),
+     "rho must be positive"),
+    (lambda p: difference_quotient_oracle(p, *HYPERPLANE_PAIR, 1.0, [1.0, 0.0, 0.0], 0.0),
+     "t must be positive"),
+], ids=["critical_cone", "dist2_critical", "quad_form_q", "d2_aug_lagrangian",
+        "difference_quotient_oracle"])
+def test_second_order_tools_reject_a_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(builtin("projection"))
+
+
 def test_dist2_examples():
     hyper = critical_cone([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0])
     assert dist2_critical(hyper, [1.0, 1.0, 0.0]) == 0.0
@@ -434,6 +453,18 @@ def test_dual_qualification_hyperplane_with_a_nontrivial_kernel():
     holds, witness = check_dual_qualification(p, np.zeros(1), lam)
     assert not holds
     assert_allclose(witness, lam / np.linalg.norm(lam))
+
+
+def test_dual_qualification_ray_whose_kernel_lies_in_the_boundary_hyperplane():
+    # Phi(x) = (x1, x2, 0): ker J' is the third axis, orthogonal to the
+    # ray direction (1, 1, 0) of the vertex pair with lam = (-1, 1, 0)
+    p = quadratic_problem(np.eye(2), [1.0, -1.0], 0.0, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                          np.zeros(3))
+    lam = np.array([-1.0, 1.0, 0.0])
+    assert critical_cone(p.phi_value(np.zeros(2)), lam).case is CriticalConeCase.RAY
+    holds, witness = check_dual_qualification(p, np.zeros(2), lam)
+    assert not holds
+    assert_allclose(np.abs(witness), [0.0, 0.0, 1.0])
 
 
 def test_dual_qualification_rank_deficient_vertex():
