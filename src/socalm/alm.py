@@ -7,6 +7,15 @@ backtracking), then projects the shifted constraint value onto the polar
 cone to update the multiplier.  The penalty starts at rho0 and never
 decreases; it grows, up to rho_max, only when the KKT residual fails to
 halve.
+
+The Newton step (`_newton_direction`) solves with the generalized
+Hessian H = S + rho JPhi' V JPhi in one of two ways.  The dense path
+assembles and factors H, or reuses the kept factor where V = alpha I;
+its directions are bit for bit those of factoring every step.  At large
+n, where S and JPhi repeat and S is positive definite, the solve moves
+to the (m+1)-dimensional multiplier space (`MultiplierForm`), whose
+directions equal the dense ones up to rounding.  Either way a solve is
+deterministic at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from typing import List, Optional, Union
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dsyr2k
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .cone import _polar_jacobian_parts, as_cone_vec
 from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
@@ -150,10 +160,12 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     strict lower triangle.  LAPACK is called directly: scipy's
     `cho_factor` and `cho_solve` wrappers convert and check their input
     first, which costs more than the factorization at n <= 20.  This and
-    `cho_solve` stay module-level functions that `_newton_direction`
-    looks up by name, so that a profiler or the benchmark's tracer
+    `cho_solve` stay module-level functions that the Newton step looks up
+    by name, so that a profiler or the benchmark's tracer
     (`perfbench/tracer.py`) can wrap them in place and count raised
-    calls as failed factorizations.
+    calls as failed factorizations: every factorization of the step goes
+    through them, the n x n ones of the dense path and of S, and the
+    (m+1) x (m+1) ones of the multiplier-space path.
     """
     c, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
@@ -162,21 +174,118 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
 
 
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b from the factor c = cho_factor(A) (LAPACK potrs)."""
-    return dpotrs(c, b, lower=1)[0]
+    """Solve A X = b from the factor c = cho_factor(A): two triangular
+    solves (LAPACK trtrs), L^-T (L^-1 b), for b a vector or a matrix of
+    right-hand sides.  OpenBLAS's potrs takes up to 4x longer with one
+    right-hand side at n = 400; at n <= 20 it is faster by about 1 us."""
+    return dtrtrs(c, dtrtrs(c, b, lower=1)[0], lower=1, trans=1)[0]
+
+
+# Smallest n at which a solve takes the multiplier-space step.  Timed on
+# one BLAS thread at m + 1 = n/2 + 1 (S = R'R + I, Gaussian JPhi), a step
+# outside both cones takes about 10% less than the dense one at n = 100,
+# so its set-up (1.4 dense steps) is paid back only after 6 to 14 steps,
+# about a whole solve; at n = 150 it takes 35-60% less and the set-up is
+# paid back after 2 to 6 steps, from n = 200 on after about 4 (a step
+# takes 0.46-0.51 against 1.4-1.5 ms at n = 400).
+REDUCED_MIN_N = 150
+
+
+def _setup_flops(n: int, m1: int) -> float:
+    """Flops of forming S = LL', W = L^-1 JPhi' and K = W'W."""
+    return n ** 3 / 3 + n * n * m1 + n * m1 * m1 / 2
+
+
+class MultiplierForm:
+    """The Newton matrix H = S + rho JPhi' V JPhi solved in the
+    (m+1)-dimensional multiplier space, from S = LL', W = L^-1 JPhi'
+    (n x (m+1)) and K = W'W, formed once for one S and JPhi.
+
+    Where V is positive semidefinite, rho V = U U with U = sqrt(rho) V^1/2,
+    and H = L (I + (WU)(WU)') L'.  Sherman-Morrison-Woodbury then
+    gives, with z = L^-1 (-g),
+
+        d = H^-1 (-g) = L^-T (z - W U A^-1 U W'z),   A = I + U K U,
+
+    one factorization of the (m+1) x (m+1) matrix A and no n x n one.
+    Outside both cones, V has the eigenvalues 1 on a = (e0 - w)/sqrt 2,
+    0 on b = (e0 + w)/sqrt 2 (w = (0, u)) and alpha on the rest
+    (`cone._polar_jacobian_parts`), so U = s I + P Gamma P' with
+    s = sqrt(rho alpha), P = [a, b] and Gamma = diag(sqrt(rho) - s, -s),
+    and A = I + s^2 K + a rank-4 term, added by one BLAS syr2k to the
+    triangle `cho_factor` reads.  Where V = alpha I, A = I + rho alpha K
+    and its factor is kept under the key rho alpha; inside Q, d = -S^-1 g.
+    Where alpha < 0 (the classification band beyond the boundary of Q)
+    V is indefinite and `direction` returns None.  The construction
+    raises LinAlgError when S is not positive definite.  The
+    factorizations and the solves with A go through the module-level
+    `cho_factor` and `cho_solve`.
+    """
+
+    __slots__ = ("jac", "L", "W", "K", "chol")
+
+    def __init__(self, S: np.ndarray, jac: np.ndarray):
+        self.L = L = cho_factor(S.copy())
+        self.W = W = dtrtrs(L, jac.T, lower=1)[0]
+        self.jac, self.K, self.chol = jac, W.T @ W, None
+
+    def direction(self, rho: float, parts, grad: np.ndarray):
+        """The Newton direction -H^-1 grad for V = parts at the penalty
+        rho; None where alpha < 0, A does not factor or the direction is
+        not finite, which leaves the step to the dense path."""
+        alpha, u, _ = parts
+        if alpha < 0.0:
+            return None
+        L, W, K = self.L, self.W, self.K
+        z = dtrtrs(L, -grad, lower=1)[0]
+        key = rho * alpha
+        if u is None and not key:
+            return dtrtrs(L, z, lower=1, trans=1)[0]
+        t = W.T @ z
+        if u is None and self.chol is not None and self.chol[0] == key:
+            c = self.chol[1]
+        else:
+            A = key * K
+            if u is not None:
+                s, h = math.sqrt(key), math.sqrt(0.5)
+                Pt = np.zeros((2, K.shape[0]))
+                Pt[:, 0], Pt[0, 1:], Pt[1, 1:] = h, -h * u, h * u
+                Xt = np.array([[math.sqrt(rho) - s], [-s]]) * Pt
+                Qt = Pt @ K
+                # U K U = s^2 K + X Y' + Y X' with X = P Gamma, Y = s K P + X (P'KP)/2
+                Yt = s * Qt + 0.5 * (Qt @ Pt.T) @ Xt
+                dsyr2k(1.0, Xt, Yt, beta=1.0, c=A.T, trans=1, lower=1, overwrite_c=1)
+            A.flat[::A.shape[0] + 1] += 1.0
+            try:
+                c = cho_factor(A)
+            except LinAlgError:
+                return None
+            if u is None:
+                self.chol = (key, c)
+        if u is None:
+            q = key * cho_solve(c, t)
+        else:
+            # U v = s v + X P'v
+            Uq = cho_solve(c, s * t + (Pt @ t) @ Xt)
+            q = s * Uq + (Pt @ Uq) @ Xt
+        d = dtrtrs(L, z - W @ q, lower=1, trans=1)[0]
+        return d if np.isfinite(d).all() else None
 
 
 class NewtonState:
     """The Newton data one solve keeps from step to step: the Gram pair
     (JPhi, G = JPhi' JPhi), the curvature triple (Hess f, <mu, Hess Phi>,
-    S = sym(Hess f + <mu, Hess Phi>)) and the kept factor (rho alpha,
-    Cholesky factor of (rho alpha) G + S), each None until formed.
+    S = sym(Hess f + <mu, Hess Phi>)), the kept dense factor (rho alpha,
+    Cholesky factor of (rho alpha) G + S), each None until formed; the
+    pair (JPhi, flops) of the dense steps outside both cones taken on
+    that JPhi and the S held; and the `MultiplierForm` of S and JPhi,
+    None until formed and False where S is not positive definite.
     `_newton_direction` alone reads and writes them."""
 
-    __slots__ = ("gram", "curv", "chol")
+    __slots__ = ("gram", "curv", "chol", "spent", "reduced")
 
     def __init__(self):
-        self.gram = self.curv = self.chol = None
+        self.gram = self.curv = self.chol = self.spent = self.reduced = None
 
 
 def _newton_direction(ev: AugEval, state: NewtonState):
@@ -201,6 +310,16 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     factor found is kept.  Each attempt is one call of the module-level
     `cho_factor`, looked up by name so that a wrapper installed on the
     module (the benchmark's tracer) sees it.
+
+    At n >= REDUCED_MIN_N, with S and JPhi read-only and repeated and
+    m + 1 < n, the step moves to the multiplier space (`MultiplierForm`)
+    once the dense steps outside both cones taken on that S and JPhi have
+    cost the flops of forming it (3 steps at m + 1 = n/2), so that solves
+    with only a step or two outside both cones, such as the planted Zero
+    and InteriorQ ones, never form it.  From then on every step is solved
+    there, until S or JPhi is formed again; a step it cannot solve takes
+    the dense path, and so does every step where S is not positive
+    definite.
     """
     p, x, jac = ev.p, ev.x, ev.complete().jac
     f_hess, phi_hess = p.f_hess(x), p.phi_hess_contract(x, ev.polar_proj)
@@ -209,7 +328,21 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     if (curv is None or curv[0] is not f_hess or curv[1] is not phi_hess
             or f_hess.flags.writeable or phi_hess.flags.writeable):
         state.curv = curv = (f_hess, phi_hess, curvature(f_hess, phi_hess))
-        state.chol = None
+        state.chol = state.spent = state.reduced = None
+    red = state.reduced
+    if red and red.jac is not jac:
+        state.reduced = red = None
+    m1, n = jac.shape
+    if (red is None and u is not None and state.spent is not None
+            and state.spent[0] is jac and state.spent[1] >= _setup_flops(n, m1)):
+        try:
+            state.reduced = red = MultiplierForm(curv[2], jac)
+        except LinAlgError:
+            state.reduced = red = False
+    if red:
+        d = red.direction(ev.rho, parts, ev.grad_x)
+        if d is not None:
+            return d
     gram = state.gram
     if alpha and (gram is None or gram[0] is not jac or jac.flags.writeable):
         state.gram = gram = (jac, jac.T @ jac)
@@ -218,6 +351,12 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     key = None if u is not None else ev.rho * alpha
     if state.chol is not None and state.chol[0] == key:
         return cho_solve(state.chol[1], -ev.grad_x)
+    # S formed again resets spent, and one step costs less than the
+    # set-up, so only a repeated S and a read-only, repeated JPhi pay for it
+    if (u is not None and red is None and n >= REDUCED_MIN_N and m1 < n
+            and not jac.flags.writeable):
+        spent = state.spent[1] if state.spent is not None and state.spent[0] is jac else 0.0
+        state.spent = (jac, spent + n ** 3 / 3)
     G, S = gram[1] if alpha else None, curv[2]
     H = hessian_upper(ev.rho, parts, jac, G, S)
     # the strict lower triangle is finite wherever the upper one is

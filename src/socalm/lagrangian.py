@@ -32,7 +32,10 @@ two n x n passes beyond the oracles and the factorization instead of the
 O(n^2 m) triple product.  `hessian_upper` is that one assembly, from G
 and S given; `AugEval.hessian` forms them at x, and the solver's Newton
 step (`alm._newton_direction`) keeps them, and the last factor, from
-step to step.
+step to step.  At large n the solver assembles no n x n matrix once a
+solve has paid for the multiplier-space form of S and JPhi
+(`alm.MultiplierForm`); its directions solve the same system up to
+rounding.
 
 The hand-on rule.  `AugEval(p, x, lam, rho, prev)` takes prev's oracle
 results when prev.x is x: the next outer iteration evaluates the same x

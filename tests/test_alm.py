@@ -3,6 +3,7 @@ trace invariants."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from socalm.cone import _classify, classify, project_q
 from socalm.lagrangian import AugEval, aug_lagrangian, residual
 from socalm.model import _read_only, quadratic_problem
 
-from _util import counted, fresh_twin, writeable_twin
+from _util import counted, fresh_twin, rewritten_twin, writeable_twin
 
 
 def perturbed_start(p, scale, seed):
@@ -358,6 +359,12 @@ def test_solver_trace_properties(seed, size, region, log_scale, rho0, rho_growth
         assert trace.message
 
 
+def triangular_solves(L, b):
+    """L^-T (L^-1 b) through scipy's wrapper, from the lower triangle of L."""
+    y = scipy.linalg.solve_triangular(L, b, lower=True)
+    return scipy.linalg.solve_triangular(L.T, y, lower=False)
+
+
 def random_spd(n, seed):
     """An exactly symmetric positive definite matrix."""
     M = np.random.default_rng(seed).standard_normal((n, n))
@@ -374,7 +381,7 @@ def test_cholesky_equals_scipy_bitwise(n):
     assert np.shares_memory(c, work)
     ref = scipy.linalg.cho_factor(A, lower=True)
     assert c.tobytes() == ref[0].tobytes()
-    assert alm.cho_solve(c, b).tobytes() == scipy.linalg.cho_solve(ref, b).tobytes()
+    assert alm.cho_solve(c, b).tobytes() == triangular_solves(ref[0], b).tobytes()
 
 
 def test_cholesky_raises_on_indefinite_matrix():
@@ -398,7 +405,7 @@ def reference_direction(H, g):
         A = H.copy()
         np.fill_diagonal(A, H.diagonal() + mu)
         try:
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), -g), attempt
+            return triangular_solves(scipy.linalg.cho_factor(A, lower=True)[0], -g), attempt
         except scipy.linalg.LinAlgError:
             mu = alm.MU0 if mu == 0.0 else 2.0 * mu
     return None, 80
@@ -625,3 +632,195 @@ def test_dispatch_free_norms_equal_numpy_bitwise(v):
         else:
             assert math.isfinite(got)
             assert got == pytest.approx(math.hypot(*w), rel=1e-14)
+
+
+def phi_zero_problem(n, m, seed):
+    """The planted (n, m) BoundaryQNonzero problem of the seed with b
+    replaced so that Phi(0) = 0: at x = 0 the shifted point is lam."""
+    p = generate_planted(n, m, ConeRegion.BOUNDARY_Q_NONZERO, seed)
+    x0 = np.zeros(n)
+    return quadratic_problem(p.f_hess(x0), p.f_grad(x0), 0.0, p.phi_jac(x0), np.zeros(m + 1))
+
+
+# shifted points (y0, v): on both boundaries (r = +-1 exactly, alpha = 0
+# and 1), in the classification band beyond them (alpha slightly
+# negative, or slightly above 1), outside both cones, and inside Q and -Q
+SIDES = {
+    "r=+1": lambda v, c, delta: np.linalg.norm(v),
+    "r=-1": lambda v, c, delta: -np.linalg.norm(v),
+    "band+": lambda v, c, delta: np.linalg.norm(v) * (1.0 + delta),
+    "band-": lambda v, c, delta: -np.linalg.norm(v) * (1.0 + delta),
+    "outside": lambda v, c, delta: c * np.linalg.norm(v),
+    "Q": lambda v, c, delta: 2.0 * np.linalg.norm(v),
+    "-Q": lambda v, c, delta: -2.0 * np.linalg.norm(v),
+}
+
+
+def factor_sizes(calls):
+    return [A.shape[0] for A in calls]
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**16), dims=st.sampled_from([(3, 1), (5, 2), (8, 4), (12, 7)]),
+       side=st.sampled_from(list(SIDES)), c=st.floats(-0.99, 0.99),
+       delta=st.floats(1e-15, 1e-12), log_rho=st.floats(-1.0, 8.0), log_a=st.floats(-2.0, 2.0))
+@example(seed=0, dims=(5, 2), side="band+", c=0.0, delta=1e-12, log_rho=8.0, log_a=0.0)
+def test_multiplier_form_direction_equals_the_dense_one(seed, dims, side, c, delta, log_rho,
+                                                        log_a):
+    """The multiplier-space direction d agrees with the dense one through
+    the Newton matrix: ||H (d - d_dense)|| <= 1e-12 ||H|| ||d_dense||.
+    (d - d_dense itself is up to cond(H) times that, about rho * 1e-16
+    relative, as between any two backward-stable solvers.)  Where
+    alpha < 0, V is indefinite, the form gives no direction and the step
+    takes the dense path: the dense direction bit for bit, with no
+    (m+1) x (m+1) factorization."""
+    n, m = dims
+    p = phi_zero_problem(n, m, seed)
+    v = np.random.default_rng(seed).standard_normal(m) * 10.0 ** log_a
+    rho, lam = 10.0 ** log_rho, np.r_[SIDES[side](v, c, delta), v]
+    ev = AugEval(p, np.zeros(n), lam, rho).complete()
+    assert ev.shifted.tobytes() == lam.tobytes()
+    parts = alm._polar_jacobian_parts(ev.shifted)
+    state = alm.NewtonState()
+    dense = alm._newton_direction(ev, state)   # n < REDUCED_MIN_N: the dense path
+    assert state.reduced is None
+    form = alm.MultiplierForm(state.curv[2], ev.jac)
+    d = form.direction(rho, parts, ev.grad_x)
+    if parts[0] >= 0.0:
+        H = ev.hessian()
+        gap = np.linalg.norm(H @ (d - dense))
+        assert gap <= 1e-12 * np.linalg.norm(H, 2) * np.linalg.norm(dense)
+        return
+    assert d is None
+    calls = []
+    cho_factor = alm.cho_factor
+
+    def factor(A):
+        calls.append(A.shape[0])
+        return cho_factor(A)
+
+    state.reduced, state.chol = form, None
+    with mock.patch.object(alm, "cho_factor", factor):
+        fallback = alm._newton_direction(ev, state)
+    assert calls and set(calls) == {n}
+    assert fallback.tobytes() == dense.tobytes()
+
+
+def test_a_multiplier_form_keeps_the_factor_of_its_last_key(monkeypatch):
+    """Where V = alpha I the form keeps the factor of I + rho alpha K: a
+    step with the kept rho alpha factors nothing and gives the bits of a
+    new form, a step outside both cones leaves the kept factor alone, and
+    a new rho alpha is factored again."""
+    p = phi_zero_problem(12, 7, 3)
+    x = np.zeros(12)
+    S, jac, g = p.f_hess(x), p.phi_jac(x), np.random.default_rng(3).standard_normal(12)
+    u = np.full(7, 7 ** -0.5)
+    calls = counted_factorizations(monkeypatch)
+    form = alm.MultiplierForm(S, jac)
+    inside = (1.0, None, None)
+    for rho, parts, factored in [(10.0, inside, 1), (10.0, (0.3, u, 0.4), 1), (10.0, inside, 0),
+                                 (100.0, inside, 1)]:
+        fresh = alm.MultiplierForm(S, jac).direction(rho, parts, g)
+        calls.clear()
+        assert form.direction(rho, parts, g).tobytes() == fresh.tobytes()
+        assert factor_sizes(calls) == [8] * factored
+
+
+def path_log(monkeypatch):
+    """(steps, builds): per Newton step, whether V had a rank-2 term (a
+    step outside both cones) and whether the step was solved in the
+    multiplier space; and the number of MultiplierForm constructions,
+    raised ones included."""
+    steps, builds = [], []
+    parts_of, init = alm._polar_jacobian_parts, alm.MultiplierForm.__init__
+    direction = alm.MultiplierForm.direction
+
+    def parts(y):
+        out = parts_of(y)
+        steps.append([out[1] is not None, False])
+        return out
+
+    def build(self, S, jac):
+        builds.append(S.shape[0])
+        init(self, S, jac)
+
+    def reduced(self, rho, parts, grad):
+        d = direction(self, rho, parts, grad)
+        steps[-1][1] = d is not None
+        return d
+
+    monkeypatch.setattr(alm, "_polar_jacobian_parts", parts)
+    monkeypatch.setattr(alm.MultiplierForm, "__init__", build)
+    monkeypatch.setattr(alm.MultiplierForm, "direction", reduced)
+    return steps, builds
+
+
+def test_the_multiplier_form_starts_where_the_dense_steps_cost_its_setup(monkeypatch):
+    """Above the size gate, a BoundaryQNonzero solve takes dense steps
+    until those outside both cones have cost the flops of the set-up,
+    factors S once and solves every later step in the multiplier space,
+    in the outer and Newton steps of the dense solve and within the
+    benchmark's distance (1e-3) of the planted pair."""
+    n, m1 = 160, 41
+    assert n >= alm.REDUCED_MIN_N
+    p = generate_planted(n, m1 - 1, ConeRegion.BOUNDARY_Q_NONZERO, 2)
+    x0, lam0 = np.zeros(n), np.zeros(m1)
+    calls = counted_factorizations(monkeypatch)
+    steps, builds = path_log(monkeypatch)
+    point, trace = solve(p, x0, lam0)
+    assert trace.status is AlmStatus.CONVERGED
+    first = [reduced for _, reduced in steps].index(True)
+    assert all(reduced for _, reduced in steps[first:])
+    assert builds == [n] and steps[first][0]
+    # the dense steps outside both cones before the first reduced step
+    # paid for the set-up, and one fewer would not have
+    paid = sum(outside for outside, _ in steps[:first])
+    assert (paid - 1) * n ** 3 / 3 < alm._setup_flops(n, m1) <= paid * n ** 3 / 3
+    # dense factorizations, then S, then only (m+1) x (m+1) ones
+    sizes = factor_sizes(calls)
+    start = sizes.index(m1)
+    assert set(sizes[:start]) == {n} and set(sizes[start:]) == {m1}
+    sol = p.known_solution
+    assert np.linalg.norm(point.x - sol.x) + np.linalg.norm(point.lam - sol.lam) <= 1e-3
+    monkeypatch.setattr(alm, "REDUCED_MIN_N", n + 1)
+    calls.clear()
+    _, dense = solve(p, x0, lam0)
+    assert set(factor_sizes(calls)) == {n}
+    assert len(dense) == len(trace) and dense.inner_iters == trace.inner_iters
+
+
+@pytest.mark.parametrize("case", ["below the gate", "example_3_2", "projection", "writeable_twin",
+                                  "fresh_twin", "rewritten_twin", "indefinite S"])
+def test_the_dense_path_serves_where_the_multiplier_form_does_not(case, monkeypatch):
+    """Below the size gate, where S or JPhi is a new or writeable array at
+    each step (example_3_2, the twins; the rewritten twin's JPhi is one
+    writeable array, written again at each call), where m + 1 = n (projection) and
+    where S is not positive definite, every factorization is n x n.  The
+    set-up is made free, and the gate is 1 in all but the first case, so
+    that nothing else keeps these solves on the dense path."""
+    monkeypatch.setattr(alm, "_setup_flops", lambda n, m1: 0.0)
+    if case == "below the gate":
+        p = generate_planted(alm.REDUCED_MIN_N - 1, 40, ConeRegion.BOUNDARY_Q_NONZERO, 2)
+    else:
+        monkeypatch.setattr(alm, "REDUCED_MIN_N", 1)
+        p = generate_planted(20, 5, ConeRegion.BOUNDARY_Q_NONZERO, 2)
+    if case in ("example_3_2", "projection"):
+        p = builtin(case)
+    elif case == "writeable_twin":
+        p = writeable_twin(p)
+    elif case == "fresh_twin":
+        p = fresh_twin(p)
+    elif case == "rewritten_twin":
+        p = rewritten_twin(p, "phi_jac")
+    elif case == "indefinite S":
+        shifted_down = _read_only(p.f_hess(np.zeros(p.n)) - 30.0 * np.eye(p.n))
+        p = dataclasses.replace(p, f_hess=lambda x: shifted_down)
+    calls = counted_factorizations(monkeypatch)
+    steps, builds = path_log(monkeypatch)
+    x0 = np.array([0.5, 0.5]) if case == "example_3_2" else np.zeros(p.n)
+    solve(p, x0, np.zeros(p.m + 1), AlmConfig(max_outer=10))
+    assert sum(outside for outside, _ in steps) >= 2
+    assert not any(reduced for _, reduced in steps)
+    assert set(factor_sizes(calls)) == {p.n}
+    # S is factored once, and fails; the solve does not try again
+    assert builds == ([p.n] if case == "indefinite S" else [])
