@@ -12,10 +12,11 @@ The Newton step (`_newton_direction`) solves with the generalized
 Hessian H = S + rho JPhi' V JPhi in one of two ways.  The dense path
 assembles and factors H, or reuses the kept factor where V = alpha I;
 its directions are bit for bit those of factoring every step.  At large
-n, where S and JPhi repeat and S is positive definite, the solve moves
-to the (m+1)-dimensional multiplier space (`MultiplierForm`), whose
-directions equal the dense ones up to rounding.  Either way a solve is
-deterministic at a fixed BLAS thread count.
+n, where S and JPhi repeat and S is positive definite, the steps
+outside both cones move to the (m+1)-dimensional multiplier space
+(`MultiplierForm`), whose directions equal the dense ones up to
+rounding.  Either way a solve is deterministic at a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -197,9 +198,10 @@ def _setup_flops(n: int, m1: int) -> float:
 
 
 class MultiplierForm:
-    """The Newton matrix H = S + rho JPhi' V JPhi solved in the
-    (m+1)-dimensional multiplier space, from S = LL', W = L^-1 JPhi'
-    (n x (m+1)) and K = W'W, formed once for one S and JPhi.
+    """The Newton matrix H = S + rho JPhi' V JPhi of a step outside both
+    cones solved in the (m+1)-dimensional multiplier space, from S = LL',
+    W = L^-1 JPhi' (n x (m+1)) and K = W'W, formed once for one S and
+    JPhi.
 
     Where V is positive semidefinite, rho V = U U with U = sqrt(rho) V^1/2,
     and H = L (I + (WU)(WU)') L'.  Sherman-Morrison-Woodbury then
@@ -213,79 +215,67 @@ class MultiplierForm:
     (`cone._polar_jacobian_parts`), so U = s I + P Gamma P' with
     s = sqrt(rho alpha), P = [a, b] and Gamma = diag(sqrt(rho) - s, -s),
     and A = I + s^2 K + a rank-4 term, added by one BLAS syr2k to the
-    triangle `cho_factor` reads.  Where V = alpha I, A = I + rho alpha K
-    and its factor is kept under the key rho alpha; inside Q, d = -S^-1 g.
-    Where alpha < 0 (the classification band beyond the boundary of Q)
-    V is indefinite and `direction` returns None.  The construction
-    raises LinAlgError when S is not positive definite.  The
-    factorizations and the solves with A go through the module-level
-    `cho_factor` and `cho_solve`.
+    triangle `cho_factor` reads.  Where alpha < 0 (the classification
+    band beyond the boundary of Q) V is indefinite and `direction`
+    returns None.  The construction raises LinAlgError when S is not
+    positive definite.  The factorizations and the solves with A go
+    through the module-level `cho_factor` and `cho_solve`.
     """
 
-    __slots__ = ("jac", "L", "W", "K", "chol")
+    __slots__ = ("L", "W", "K")
 
     def __init__(self, S: np.ndarray, jac: np.ndarray):
         self.L = L = cho_factor(S.copy())
         self.W = W = dtrtrs(L, jac.T, lower=1)[0]
-        self.jac, self.K, self.chol = jac, W.T @ W, None
+        self.K = W.T @ W
 
     def direction(self, rho: float, parts, grad: np.ndarray):
-        """The Newton direction -H^-1 grad for V = parts at the penalty
-        rho; None where alpha < 0, A does not factor or the direction is
-        not finite, which leaves the step to the dense path."""
+        """The Newton direction -H^-1 grad for V = parts, with its rank-2
+        term (u is not None), at the penalty rho; None where alpha < 0, A
+        does not factor or the direction is not finite, which leaves the
+        step to the dense path."""
         alpha, u, _ = parts
         if alpha < 0.0:
             return None
         L, W, K = self.L, self.W, self.K
         z = dtrtrs(L, -grad, lower=1)[0]
-        key = rho * alpha
-        if u is None and not key:
-            return dtrtrs(L, z, lower=1, trans=1)[0]
         t = W.T @ z
-        if u is None and self.chol is not None and self.chol[0] == key:
-            c = self.chol[1]
-        else:
-            A = key * K
-            if u is not None:
-                s, h = math.sqrt(key), math.sqrt(0.5)
-                Pt = np.zeros((2, K.shape[0]))
-                Pt[:, 0], Pt[0, 1:], Pt[1, 1:] = h, -h * u, h * u
-                Xt = np.array([[math.sqrt(rho) - s], [-s]]) * Pt
-                Qt = Pt @ K
-                # U K U = s^2 K + X Y' + Y X' with X = P Gamma, Y = s K P + X (P'KP)/2
-                Yt = s * Qt + 0.5 * (Qt @ Pt.T) @ Xt
-                dsyr2k(1.0, Xt, Yt, beta=1.0, c=A.T, trans=1, lower=1, overwrite_c=1)
-            A.flat[::A.shape[0] + 1] += 1.0
-            try:
-                c = cho_factor(A)
-            except LinAlgError:
-                return None
-            if u is None:
-                self.chol = (key, c)
-        if u is None:
-            q = key * cho_solve(c, t)
-        else:
-            # U v = s v + X P'v
-            Uq = cho_solve(c, s * t + (Pt @ t) @ Xt)
-            q = s * Uq + (Pt @ Uq) @ Xt
+        s2 = rho * alpha
+        A = s2 * K
+        s, h = math.sqrt(s2), math.sqrt(0.5)
+        Pt = np.zeros((2, K.shape[0]))
+        Pt[:, 0], Pt[0, 1:], Pt[1, 1:] = h, -h * u, h * u
+        Xt = np.array([[math.sqrt(rho) - s], [-s]]) * Pt
+        Qt = Pt @ K
+        # U K U = s^2 K + X Y' + Y X' with X = P Gamma, Y = s K P + X (P'KP)/2
+        Yt = s * Qt + 0.5 * (Qt @ Pt.T) @ Xt
+        dsyr2k(1.0, Xt, Yt, beta=1.0, c=A.T, trans=1, lower=1, overwrite_c=1)
+        A.flat[::A.shape[0] + 1] += 1.0
+        try:
+            c = cho_factor(A)
+        except LinAlgError:
+            return None
+        # U v = s v + X P'v
+        Uq = cho_solve(c, s * t + (Pt @ t) @ Xt)
+        q = s * Uq + (Pt @ Uq) @ Xt
         d = dtrtrs(L, z - W @ q, lower=1, trans=1)[0]
         return d if np.isfinite(d).all() else None
 
 
 class NewtonState:
-    """The Newton data one solve keeps from step to step: the Gram pair
-    (JPhi, G = JPhi' JPhi), the curvature triple (Hess f, <mu, Hess Phi>,
-    S = sym(Hess f + <mu, Hess Phi>)), the kept dense factor (rho alpha,
-    Cholesky factor of (rho alpha) G + S), each None until formed; the
-    pair (JPhi, flops) of the dense steps outside both cones taken on
-    that JPhi and the S held; and the `MultiplierForm` of S and JPhi,
-    None until formed and False where S is not positive definite.
+    """The Newton data one solve keeps from step to step: the curvature
+    triple (Hess f, <mu, Hess Phi>, S = sym(Hess f + <mu, Hess Phi>)) and
+    the JPhi of the last step, and what is formed from that S and JPhi:
+    the Gram matrix G = JPhi' JPhi, the kept dense factor (rho alpha,
+    Cholesky factor of (rho alpha) G + S) and the `MultiplierForm`, each
+    None until formed, and the flops spent on dense steps outside both
+    cones, None where S and JPhi never move to the multiplier space.
     `_newton_direction` alone reads and writes them."""
 
-    __slots__ = ("gram", "curv", "chol", "spent", "reduced")
+    __slots__ = ("curv", "jac", "G", "chol", "spent", "reduced")
 
     def __init__(self):
-        self.gram = self.curv = self.chol = self.spent = self.reduced = None
+        self.curv = self.jac = self.G = self.chol = self.spent = self.reduced = None
 
 
 def _newton_direction(ev: AugEval, state: NewtonState):
@@ -296,68 +286,64 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     non-finite Hessian.
 
     H = (rho alpha) G + S + rho B C B' (`lagrangian.hessian_upper`) is
-    built from the G and S held in state.  S is formed again when either
-    Hessian oracle returns a different array or a writeable one, and G
-    under the same rule for `phi_jac` where alpha is nonzero; for the
-    quadratic and builtin problems, which return the same read-only
-    arrays, each is formed once per solve.  Forming S again drops the
-    kept factor, and so does forming G again unless the factor's rho
-    alpha is 0, so the kept factor is that of (rho alpha) G + S for the G
-    and S held.  Where V = alpha I with that rho alpha, d is solved with
-    the kept factor and nothing is assembled or factored.  Otherwise H is
-    assembled and factored in place; each regularized attempt assembles
-    it again and adds mu to the diagonal, and where V = alpha I the
-    factor found is kept.  Each attempt is one call of the module-level
-    `cho_factor`, looked up by name so that a wrapper installed on the
-    module (the benchmark's tracer) sees it.
+    built from the S and JPhi held in state, and the G formed from that
+    JPhi where alpha is nonzero.  S is formed again when either Hessian
+    oracle returns a different array or a writeable one, and JPhi is
+    new under the same rule for `phi_jac`; for the quadratic and builtin
+    problems, which return the same read-only arrays, each is held for
+    the whole solve.  A new S or JPhi drops everything formed from the
+    old ones: G, the kept factor, the spent flops and the multiplier
+    form.  Where V = alpha I with the kept factor's rho alpha, d is
+    solved with that factor and nothing is assembled or factored.
+    Otherwise H is assembled and factored in place; each regularized
+    attempt assembles it again and adds mu to the diagonal, and where
+    V = alpha I the factor found is kept.  Each attempt is one call of
+    the module-level `cho_factor`, looked up by name so that a wrapper
+    installed on the module (the benchmark's tracer) sees it.
 
     At n >= REDUCED_MIN_N, with S and JPhi read-only and repeated and
-    m + 1 < n, the step moves to the multiplier space (`MultiplierForm`)
-    once the dense steps outside both cones taken on that S and JPhi have
+    m + 1 < n, steps outside both cones move to the multiplier space
+    (`MultiplierForm`) once the dense ones taken on that S and JPhi have
     cost the flops of forming it (3 steps at m + 1 = n/2), so that solves
     with only a step or two outside both cones, such as the planted Zero
-    and InteriorQ ones, never form it.  From then on every step is solved
-    there, until S or JPhi is formed again; a step it cannot solve takes
-    the dense path, and so does every step where S is not positive
-    definite.
+    and InteriorQ ones, never form it.  From then on every step outside
+    both cones is solved there, until S or JPhi is new; a step it cannot
+    solve, every step where V = alpha I and every step where S is not
+    positive definite take the dense path.
     """
     p, x, jac = ev.p, ev.x, ev.complete().jac
     f_hess, phi_hess = p.f_hess(x), p.phi_hess_contract(x, ev.polar_proj)
     parts = alpha, u, _ = _polar_jacobian_parts(ev.shifted)
+    m1, n = jac.shape
     curv = state.curv
     if (curv is None or curv[0] is not f_hess or curv[1] is not phi_hess
             or f_hess.flags.writeable or phi_hess.flags.writeable):
         state.curv = curv = (f_hess, phi_hess, curvature(f_hess, phi_hess))
-        state.chol = state.spent = state.reduced = None
-    red = state.reduced
-    if red and red.jac is not jac:
-        state.reduced = red = None
-    m1, n = jac.shape
-    if (red is None and u is not None and state.spent is not None
-            and state.spent[0] is jac and state.spent[1] >= _setup_flops(n, m1)):
-        try:
-            state.reduced = red = MultiplierForm(curv[2], jac)
-        except LinAlgError:
-            state.reduced = red = False
-    if red:
-        d = red.direction(ev.rho, parts, ev.grad_x)
-        if d is not None:
-            return d
-    gram = state.gram
-    if alpha and (gram is None or gram[0] is not jac or jac.flags.writeable):
-        state.gram = gram = (jac, jac.T @ jac)
-        if state.chol is not None and state.chol[0]:
-            state.chol = None
+        state.jac = None   # drops, below, what the old S formed
+    if state.jac is not jac or jac.flags.writeable:
+        # one step costs less than the set-up, so only a repeated S and a
+        # read-only, repeated JPhi can pay for it
+        state.jac, state.G, state.chol, state.reduced = jac, None, None, None
+        state.spent = 0.0 if n >= REDUCED_MIN_N and m1 < n and not jac.flags.writeable else None
+    if u is not None:
+        if (state.reduced is None and state.spent is not None
+                and state.spent >= _setup_flops(n, m1)):
+            try:
+                state.reduced = MultiplierForm(curv[2], jac)
+            except LinAlgError:
+                state.spent = None
+        if state.reduced is not None:
+            d = state.reduced.direction(ev.rho, parts, ev.grad_x)
+            if d is not None:
+                return d
+        elif state.spent is not None:
+            state.spent += n ** 3 / 3
+    if alpha and state.G is None:
+        state.G = jac.T @ jac
     key = None if u is not None else ev.rho * alpha
     if state.chol is not None and state.chol[0] == key:
         return cho_solve(state.chol[1], -ev.grad_x)
-    # S formed again resets spent, and one step costs less than the
-    # set-up, so only a repeated S and a read-only, repeated JPhi pay for it
-    if (u is not None and red is None and n >= REDUCED_MIN_N and m1 < n
-            and not jac.flags.writeable):
-        spent = state.spent[1] if state.spent is not None and state.spent[0] is jac else 0.0
-        state.spent = (jac, spent + n ** 3 / 3)
-    G, S = gram[1] if alpha else None, curv[2]
+    G, S = state.G, curv[2]
     H = hessian_upper(ev.rho, parts, jac, G, S)
     # the strict lower triangle is finite wherever the upper one is
     if not np.isfinite(H).all():

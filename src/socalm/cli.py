@@ -3,8 +3,8 @@ diagnostics, write traces and reports.
 
 Exit codes: 0 converged / check passed, 1 algorithmic failure or a
 failing check, 2 usage or parse error.  Vectors on the command line are
-comma-separated decimals; identical arguments and seeds produce
-bit-identical CSV and JSON outputs.
+comma-separated decimals with no empty entry; identical arguments and
+seeds produce bit-identical CSV and JSON outputs.
 """
 
 from __future__ import annotations
@@ -26,8 +26,13 @@ from .variational import (check_dual_qualification, check_sosc, critical_pair,
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    """The comma-separated decimals of text; an empty entry, and so an
+    empty text, is a usage error."""
+    parts = text.split(",")
+    if "" in parts:
+        raise ValueError(f"could not parse vector {text!r}: empty entry")
     try:
-        return np.array([float(part) for part in text.split(",") if part != ""])
+        return np.array([float(part) for part in parts])
     except ValueError as exc:
         raise ValueError(f"could not parse vector {text!r}: {exc}") from exc
 
@@ -79,9 +84,9 @@ def _point(args, problem: SocpProblem):
 
 def _start(args, problem: SocpProblem, x0, lam0):
     """Start point of a solve: --x0 and --lambda0 where given, else x0 and lam0."""
-    if args.x0:
+    if args.x0 is not None:
         x0 = _parse_vector(args.x0)
-    if args.lambda0:
+    if args.lambda0 is not None:
         lam0 = _parse_vector(args.lambda0)
     if x0.shape != (problem.n,) or lam0.shape != (problem.m + 1,):
         raise ValueError(f"start point dimensions do not match problem "
@@ -165,8 +170,6 @@ def cmd_check(args) -> int:
             raise ValueError(f"check example32 takes --problem builtin:example_3_2 only, "
                              f"not {args.problem!r}")
         ts = _parse_float_list(args.t)
-        if not ts:
-            raise ValueError("--t needs at least one value")
         rows = []
         for t in ts:
             dist2, grad2, ratio = diagnostics.example32_ratio(t)
@@ -214,12 +217,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    if args.offset is not None and args.x0 and args.lambda0:
+    if args.offset is not None and args.x0 is not None and args.lambda0 is not None:
         raise ValueError("--offset moves no start: --x0 and --lambda0 are both given")
     problem = _load_problem(args)
     rho_list = _parse_float_list(args.rho_list)
-    if not rho_list:
-        raise ValueError("--rho-list needs at least one value")
     configs = [_alm_config(args, rho, 1.0, rho) for rho in rho_list]
     sol = problem.known_solution
     if sol is None:

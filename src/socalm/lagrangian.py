@@ -32,10 +32,11 @@ two n x n passes beyond the oracles and the factorization instead of the
 O(n^2 m) triple product.  `hessian_upper` is that one assembly, from G
 and S given; `AugEval.hessian` forms them at x, and the solver's Newton
 step (`alm._newton_direction`) keeps them, and the last factor, from
-step to step.  At large n the solver assembles no n x n matrix once a
-solve has paid for the multiplier-space form of S and JPhi
-(`alm.MultiplierForm`); its directions solve the same system up to
-rounding.
+step to step.  At large n a step outside both cones assembles no n x n
+matrix once a solve has paid for the multiplier-space form of S and
+JPhi (`alm.MultiplierForm`), whose directions solve the same system up
+to rounding; a step where V = alpha I is assembled and factored as
+above, or solved with the kept factor.
 
 The hand-on rule.  `AugEval(p, x, lam, rho, prev)` takes prev's oracle
 results when prev.x is x: the next outer iteration evaluates the same x
@@ -131,8 +132,13 @@ class AugEval:
         self.shifted, polar = shift(self.phi, lam, rho)
         self.polar_proj = polar
         self.f = prev.f if same else p.f_value(x)
-        # (rho/2) dist^2(Phi + lam/rho; Q) = ||polar||^2 / (2 rho)
-        self.value = float(self.f + (polar @ polar - lam @ lam) / (2.0 * rho))
+        # (rho/2) dist^2(Phi + lam/rho; Q) - ||lam||^2/(2 rho) = (||polar||^2
+        # - ||lam||^2) / (2 rho); where a square overflows, the difference
+        # of squares is factored
+        gap = polar @ polar - lam @ lam
+        if not math.isfinite(gap):
+            gap = (polar - lam) @ (polar + lam)
+        self.value = float(self.f + gap / (2.0 * rho))
         self.jac, self.fgrad = (prev.jac, prev.fgrad) if same else (None, None)
         self.grad_x = None
 
@@ -187,6 +193,7 @@ def lagrangian_l(p: SocpProblem, x, lam):
     return value, grad_x, hessian_lagrangian(p, x, lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing square is detected
 def aug_lagrangian(p: SocpProblem, x, lam, rho: float) -> AugEval:
     """Evaluate the augmented Lagrangian and its first derivatives."""
     if rho <= 0:

@@ -541,7 +541,8 @@ def test_a_gram_matrix_formed_again_drops_the_kept_factor(monkeypatch):
 
 def test_a_factor_without_the_penalty_term_outlives_a_new_gram_matrix(monkeypatch):
     """Inside Q the Newton matrix is S alone, so the factor kept there
-    still serves after a step outside both cones has formed G."""
+    still serves after a step outside both cones has formed G from the
+    same JPhi."""
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, 0)
     x = np.zeros(3)
 
@@ -554,7 +555,7 @@ def test_a_factor_without_the_penalty_term_outlives_a_new_gram_matrix(monkeypatc
     d = alm._newton_direction(evaluation([2.0, 0.5, 0.0]), state)
     kept = state.chol
     alm._newton_direction(evaluation([0.5, 2.0, 0.0]), state)
-    assert state.gram is not None and state.chol is kept
+    assert state.G is not None and state.chol is kept
     # inside Q the polar projection is 0: the same gradient, the same step
     assert alm._newton_direction(evaluation([3.0, 0.0, 1.0]), state).tobytes() == d.tobytes()
     assert len(calls) == 2
@@ -667,31 +668,35 @@ def factor_sizes(calls):
 @example(seed=0, dims=(5, 2), side="band+", c=0.0, delta=1e-12, log_rho=8.0, log_a=0.0)
 def test_multiplier_form_direction_equals_the_dense_one(seed, dims, side, c, delta, log_rho,
                                                         log_a):
-    """The multiplier-space direction d agrees with the dense one through
-    the Newton matrix: ||H (d - d_dense)|| <= 1e-12 ||H|| ||d_dense||.
-    (d - d_dense itself is up to cond(H) times that, about rho * 1e-16
-    relative, as between any two backward-stable solvers.)  Where
-    alpha < 0, V is indefinite, the form gives no direction and the step
-    takes the dense path: the dense direction bit for bit, with no
-    (m+1) x (m+1) factorization."""
+    """Where V has its rank-2 term, the multiplier-space direction d
+    agrees with the dense one through the Newton matrix:
+    ||H (d - d_dense)|| <= 1e-12 ||H|| ||d_dense||.  (d - d_dense itself
+    is up to cond(H) times that, about rho * 1e-16 relative, as between
+    any two backward-stable solvers.)  Where alpha < 0, V is indefinite
+    and the form gives no direction; there, and inside Q and -Q, where
+    V = alpha I, the step takes the dense path though the form is held:
+    the dense direction bit for bit, with no (m+1) x (m+1)
+    factorization, and with one n x n one where V = alpha I."""
     n, m = dims
     p = phi_zero_problem(n, m, seed)
     v = np.random.default_rng(seed).standard_normal(m) * 10.0 ** log_a
     rho, lam = 10.0 ** log_rho, np.r_[SIDES[side](v, c, delta), v]
     ev = AugEval(p, np.zeros(n), lam, rho).complete()
     assert ev.shifted.tobytes() == lam.tobytes()
-    parts = alm._polar_jacobian_parts(ev.shifted)
+    alpha, u, _ = parts = alm._polar_jacobian_parts(ev.shifted)
+    assert (u is None) is (side in ("Q", "-Q"))
     state = alm.NewtonState()
     dense = alm._newton_direction(ev, state)   # n < REDUCED_MIN_N: the dense path
     assert state.reduced is None
     form = alm.MultiplierForm(state.curv[2], ev.jac)
-    d = form.direction(rho, parts, ev.grad_x)
-    if parts[0] >= 0.0:
-        H = ev.hessian()
-        gap = np.linalg.norm(H @ (d - dense))
-        assert gap <= 1e-12 * np.linalg.norm(H, 2) * np.linalg.norm(dense)
-        return
-    assert d is None
+    if u is not None:
+        d = form.direction(rho, parts, ev.grad_x)
+        if alpha >= 0.0:
+            H = ev.hessian()
+            gap = np.linalg.norm(H @ (d - dense))
+            assert gap <= 1e-12 * np.linalg.norm(H, 2) * np.linalg.norm(dense)
+            return
+        assert d is None
     calls = []
     cho_factor = alm.cho_factor
 
@@ -703,27 +708,40 @@ def test_multiplier_form_direction_equals_the_dense_one(seed, dims, side, c, del
     with mock.patch.object(alm, "cho_factor", factor):
         fallback = alm._newton_direction(ev, state)
     assert calls and set(calls) == {n}
+    if u is None:
+        assert calls == [n]
     assert fallback.tobytes() == dense.tobytes()
 
 
-def test_a_multiplier_form_keeps_the_factor_of_its_last_key(monkeypatch):
-    """Where V = alpha I the form keeps the factor of I + rho alpha K: a
-    step with the kept rho alpha factors nothing and gives the bits of a
-    new form, a step outside both cones leaves the kept factor alone, and
-    a new rho alpha is factored again."""
-    p = phi_zero_problem(12, 7, 3)
-    x = np.zeros(12)
-    S, jac, g = p.f_hess(x), p.phi_jac(x), np.random.default_rng(3).standard_normal(12)
-    u = np.full(7, 7 ** -0.5)
+def test_a_step_inside_minus_q_after_the_switch_is_dense_and_keeps_its_factor(monkeypatch):
+    """Above the size gate, once steps outside both cones have moved to
+    the multiplier space, a step inside -Q (V = I) factors rho G + S
+    (n x n) and gives the bits of a step from a fresh state; the next
+    step inside -Q at the same rho factors nothing and gives the bits of
+    a fresh state too."""
+    n, m = alm.REDUCED_MIN_N + 10, 40
+    p = phi_zero_problem(n, m, 5)
+    rng = np.random.default_rng(5)
+
+    def evaluation(y0_over_norm):
+        v = rng.standard_normal(m)
+        return AugEval(p, np.zeros(n), np.r_[y0_over_norm * np.linalg.norm(v), v],
+                       10.0).complete()
+
+    state = alm.NewtonState()
+    for _ in range(4):   # outside both cones
+        alm._newton_direction(evaluation(0.2), state)
+    form = state.reduced
+    assert form is not None
     calls = counted_factorizations(monkeypatch)
-    form = alm.MultiplierForm(S, jac)
-    inside = (1.0, None, None)
-    for rho, parts, factored in [(10.0, inside, 1), (10.0, (0.3, u, 0.4), 1), (10.0, inside, 0),
-                                 (100.0, inside, 1)]:
-        fresh = alm.MultiplierForm(S, jac).direction(rho, parts, g)
+    for factored in ([n], []):
+        ev = evaluation(-2.0)
+        d = alm._newton_direction(ev, state)
+        assert factor_sizes(calls) == factored
+        assert state.reduced is form
         calls.clear()
-        assert form.direction(rho, parts, g).tobytes() == fresh.tobytes()
-        assert factor_sizes(calls) == [8] * factored
+        assert d.tobytes() == alm._newton_direction(ev, alm.NewtonState()).tobytes()
+        calls.clear()
 
 
 def path_log(monkeypatch):

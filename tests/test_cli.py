@@ -335,6 +335,17 @@ def test_each_check_accepts_and_lists_only_its_own_flags(name, capsys):
     ["check", "example32", "--problem", "builtin:scaled_quadratic", "--seed", "3", "--t", "0.5"],
     ["check", "growth", "--problem", "builtin:projection", "--rho-list="],
     ["check", "example32", "--problem", "builtin:example_3_2", "--t="],
+    # an empty vector entry, or an empty vector flag
+    ["solve", "--problem", "builtin:projection", "--x0=1,,2,0"],
+    ["solve", "--problem", "builtin:projection", "--x0="],
+    ["solve", "--problem", "builtin:projection", "--lambda0="],
+    ["solve", "--problem", "builtin:projection", "--a=0,2,0,"],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10", "--x0="],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10", "--lambda0="],
+    ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", ",10"],
+    ["check", "example32", "--problem", "builtin:example_3_2", "--t=0.5,"],
+    ["check", "sosc", "--problem", "builtin:projection", "--a", "2,1,0", "--x=2,1,0",
+     "--lambda=0,,0,0"],
     # a start whose KKT residual overflows
     ["solve", "--problem", "builtin:projection", "--x0", "1e200,0,0"],
     ["rate", "--problem", "builtin:projection", "--rho-list", "10", "--offset", "1e200"],
@@ -498,13 +509,16 @@ def test_check_growth_at_the_largest_penalty(capsys):
 
 
 def test_distances_of_a_multiplier_whose_square_overflows(tmp_path, capsys):
-    """||lam||^2 overflows at lambda0 = (-1e200, 0): the trace's dist_lambda
-    and rate's contraction factor stay finite, and no warning shows."""
+    """||lam||^2 overflows at lambda0 = (-1e200, 0): the trace's values,
+    its dist_lambda and rate's contraction factor stay finite, and no
+    warning shows."""
     trace = tmp_path / "far.csv"
     far = ["--problem", "builtin:interior_trivial", "--lambda0=-1e200,0"]
     assert run_cli("solve", *far, "--trace", str(trace)) == 1
     with trace.open() as fh:
-        assert {row["dist_lambda"] for row in csv.DictReader(fh)} == {"1e+200"}
+        rows = list(csv.DictReader(fh))
+    assert {row["dist_lambda"] for row in rows} == {"1e+200"}
+    assert all(math.isfinite(float(row["value"])) for row in rows)
     assert run_cli("rate", *far, "--rho-list", "10") == 1
     assert capsys.readouterr().out.endswith("q_geomean=1.000000e+00\n")
 

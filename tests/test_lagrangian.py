@@ -73,6 +73,14 @@ def test_aug_value_feasible_zero_multiplier():
         assert abs(ev.value - p.f_value(x)) <= 1e-14
 
 
+def test_aug_value_where_a_squared_norm_overflows():
+    """||lam||^2 and ||polar||^2 overflow inside -Q, where polar = lam:
+    the value factors their difference and is f, with no warning."""
+    p = builtin("projection")
+    ev = aug_lagrangian(p, np.zeros(3), np.array([-1e200, 1e199, 0.0]), 10.0)
+    assert ev.value == p.f_value(np.zeros(3)) == 2.0
+
+
 def test_aug_grad_lambda_identity():
     p = builtin("scaled_quadratic", seed=4)
     rng = np.random.default_rng(2)
@@ -397,19 +405,20 @@ def test_gram_matrix_reuse_matches_a_writeable_jacobian(seed, n, m, case, log_rh
     rho = 10.0 ** log_rho
     directions = []
     for q in (p, twin):
-        # the Gram pair of a step at x0 (inside -Q, where G is used) is
+        # the JPhi and G of a step at x0 (inside -Q, where G is used) are
         # kept for the step at x1, as the next inner iteration does
         state = alm.NewtonState()
         alm._newton_direction(
             _eval_with_shift(q, ConeRegion.INTERIOR_POLAR, x0, rho, 1.0, w, 0.0, 1.0), state)
-        gram = state.gram
+        G = state.G
         ev = _eval_with_shift(q, case, x1, rho, 1.0, w, 0.3, 1.0)
         d = alm._newton_direction(ev, state)
         directions.append(None if d is None else d.tobytes())
         if q is p:  # one read-only Jacobian: G is never formed again
-            assert state.gram is gram
-        elif case in USES_GRAM:  # formed again from this Jacobian
-            assert state.gram is not gram and state.gram[0] is ev.jac
+            assert state.G is G
+        else:  # a writeable Jacobian drops G; it is formed again where used
+            assert state.jac is ev.jac
+            assert state.G is not G and (state.G is None) is (case not in USES_GRAM)
     assert directions[0] == directions[1]
 
 
