@@ -2,11 +2,11 @@
 penalty scheduling and a per-iteration trace.
 
 Each outer iteration minimizes the augmented Lagrangian in x down to a
-gradient tolerance eps_k (regularized semismooth Newton with Armijo
-backtracking), then projects the shifted constraint value onto the polar
-cone to update the multiplier.  The penalty starts at rho0 and never
-decreases; it grows, up to rho_max, only when the KKT residual fails to
-halve.
+gradient tolerance eps_k or the gradient's rounding floor (regularized
+semismooth Newton with Armijo backtracking), then projects the shifted
+constraint value onto the polar cone to update the multiplier.  The
+penalty starts at rho0 and never decreases; it grows, up to rho_max,
+only when the KKT residual fails to halve.
 
 The Newton step (`_newton_direction`) solves with the generalized
 Hessian H = S + rho JPhi' V JPhi in one of two ways.  The dense path
@@ -31,14 +31,14 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .cone import _polar_jacobian_parts, as_cone_vec
+from .cone import _norm, _polar_jacobian_parts, as_cone_vec
 from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
 from .model import KktPoint, SocpProblem
 
 
 @dataclass(frozen=True)
 class Exact:
-    """Inner solves down to the machine floor (1e-13) every iteration."""
+    """Inner solves down to the gradient's rounding floor (`_grad_floor`)."""
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,8 @@ class Proportional:
             raise ValueError("eta must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class FixedSequence:
-    """Explicit eps_k values; the last entry repeats when exhausted."""
+EpsRule = Union[Exact, Proportional]
 
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise ValueError("need at least one tolerance value")
-        if not all(v >= 0.0 for v in self.values):
-            raise ValueError("tolerance values must be nonnegative")
-
-
-EpsRule = Union[Exact, Proportional, FixedSequence]
-
-GRAD_FLOOR = 1e-13        # inner tolerances below this are raised to it
 MU0 = 1e-8                # initial Newton regularization
 ARMIJO = 1e-4             # sufficient-decrease constant
 BACKTRACK = 0.5           # step shrink factor
@@ -134,7 +119,7 @@ class AlmTrace:
     grad_norms: List[float] = field(default_factory=list)
     values: List[float] = field(default_factory=list)
     status: Optional[AlmStatus] = None
-    message: str = ""   # why the run stopped early (InnerFailure)
+    message: str = ""   # why the run stopped early (InnerFailure, or a fixed point)
 
     def append(self, x, lam, rho, eps, sigma, inner, grad_norm, value):
         self.xs.append(np.array(x, dtype=float))
@@ -365,9 +350,19 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     return cho_solve(c, -ev.grad_x)
 
 
+def _grad_floor(ev: AugEval) -> float:
+    """Rounding error of grad_x = grad f + JPhi' Pi_{-Q}(rho Phi + lam) at the complete
+    ev: 4 eps (||grad f|| + ||JPhi||_F (rho (||JPhi||_F ||x|| + ||Phi||) + ||lam||))."""
+    jac_norm = _norm(ev.jac.ravel())
+    return 4.0 * EPS * (_norm(ev.fgrad) + jac_norm * (
+        ev.rho * (jac_norm * _norm(ev.x) + _norm(ev.phi)) + _norm(ev.lam)))
+
+
 def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
     """Minimize x -> L_rho(x, lam) from the evaluation ev at the start,
-    with Newton steps that keep their G, S and factor in state.
+    with Newton steps that keep their G, S and factor in state, until
+    ||grad|| <= eps_k or, tested only after a full Newton step that failed
+    to halve it, ||grad|| <= `_grad_floor` (a floor stop: grad_norm > eps_k).
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
     point is evaluated once, and a line-search trial only by value.  A
@@ -375,15 +370,17 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
     search ends the solve with InnerFailure.
     """
     p, lam, rho = ev.p, ev.lam, ev.rho
-    floor = max(eps_k, GRAD_FLOOR)
     ev.complete()
+    halved = math.inf   # half the ||grad|| before a full step, else inf
     for it in range(max_inner + 1):
         x = ev.x
         grad_norm = math.sqrt(ev.grad_x @ ev.grad_x)
-        if grad_norm <= floor:
+        if grad_norm <= eps_k:
             return ev, grad_norm, it
         if not math.isfinite(grad_norm):
             raise InnerFailure(f"non-finite gradient (iteration {it})", x, grad_norm, it)
+        if grad_norm > halved and grad_norm <= _grad_floor(ev):
+            return ev, grad_norm, it
         if it == max_inner:
             raise InnerFailure(
                 f"inner solve stalled at ||grad||={grad_norm:.3e} after {it} iterations",
@@ -412,14 +409,15 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
             raise InnerFailure(
                 f"line search failed at ||grad||={grad_norm:.3e} (iteration {it})",
                 x, grad_norm, it)
+        halved = 0.5 * grad_norm if step == 1.0 else math.inf
         ev = cand.complete()
     raise AssertionError("unreachable")
 
 
 def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
                 max_inner: int = 200):
-    """Minimize x -> L_rho(x, lambda_k) until its gradient norm is below
-    max(eps_k, GRAD_FLOOR), in at most max_inner Newton steps.
+    """Minimize x -> L_rho(x, lambda_k) until its gradient norm is at most
+    eps_k or at its rounding floor, in at most max_inner Newton steps.
 
     Returns (x, grad_norm, iters).  The step is regularized Newton on the
     generalized Hessian with Armijo backtracking on the value; a step that
@@ -450,13 +448,8 @@ def update_multiplier(phi_x_next, lambda_k, rho_k: float) -> np.ndarray:
     return shift(phi, lam, rho_k)[1]
 
 
-def _eps_for(rule: EpsRule, k: int, sigma: float) -> float:
-    if isinstance(rule, Exact):
-        return 0.0
-    if isinstance(rule, Proportional):
-        return rule.eta * sigma
-    values = rule.values
-    return values[k] if k < len(values) else values[-1]
+def _eps_for(rule: EpsRule, sigma: float) -> float:
+    return 0.0 if isinstance(rule, Exact) else rule.eta * sigma
 
 
 @np.errstate(all="ignore")
@@ -464,15 +457,18 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     """Run the ALM from (x0, lambda0); returns (KktPoint, AlmTrace).
 
     Stops when the KKT residual drops to cfg.outer_tol (Converged), the
-    outer budget is exhausted (MaxIterations) or an inner solve fails
-    (InnerFailure, with the partial trace and trace.message), including
-    on a non-finite oracle result and on a shifted point that overflows
-    at a new iterate; that iterate is the last trace row, with a NaN
-    value.  The penalty is raised by rho_growth, capped at rho_max,
-    whenever the residual fails to halve.  A non-finite start (x0,
-    lambda0, or the shifted point or the KKT residual there) raises
-    NonFiniteError, a ValueError.  No floating-point warning is printed:
-    every overflow or invalid value surfaces as one of these outcomes.
+    outer budget is exhausted or an outer iteration, which would then
+    repeat, leaves x, lam and rho unchanged (MaxIterations, the second with
+    trace.message), or an inner solve fails (InnerFailure, with the
+    partial trace and trace.message), including on a non-finite oracle
+    result and on a shifted point that overflows at a new iterate; that
+    iterate is the last trace row, with a NaN value.  The penalty is
+    raised by rho_growth, capped at rho_max, whenever the residual fails
+    to halve, except after an inner solve that stopped at its rounding
+    floor and moved (x, lam).  A non-finite start (x0, lambda0, or the
+    shifted point or the KKT residual there) raises NonFiniteError, a
+    ValueError.  No floating-point warning is printed: every overflow or
+    invalid value surfaces as one of these outcomes.
 
     Each outer iteration reuses the inner solve's final evaluation: its
     polar projection is the multiplier update, its oracle results give
@@ -492,11 +488,11 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
         raise NonFiniteError(f"non-finite KKT residual {sigma} at the start")
     for k in range(cfg.max_outer + 1):
         converged = sigma <= cfg.outer_tol
-        if converged or k == cfg.max_outer:
+        if converged or k == cfg.max_outer or trace.message:
             trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value)
             trace.status = AlmStatus.CONVERGED if converged else AlmStatus.MAX_ITERATIONS
             break
-        eps_k = _eps_for(cfg.eps_rule, k, sigma)
+        eps_k = _eps_for(cfg.eps_rule, sigma)
         try:
             end, grad_norm, iters = _inner_solve(ev, state, eps_k, cfg.max_inner)
         except InnerFailure as failure:
@@ -507,8 +503,13 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
         trace.append(x, lam, rho, eps_k, sigma, iters, grad_norm, ev.value)
         lam_next = end.polar_proj
         sigma_next = end.kkt_residual(lam_next)
-        if sigma_next > 0.5 * sigma:
-            rho = min(cfg.rho_max, rho * cfg.rho_growth)
+        # sigma is unchanged wherever (x, lam) is, and cheaper to compare
+        still = sigma_next == sigma and np.array_equal(end.x, x) and np.array_equal(lam_next, lam)
+        raised = min(cfg.rho_max, rho * cfg.rho_growth)
+        if still and raised == rho:
+            trace.message = f"outer iteration {k} left x, lambda and rho={rho:g} unchanged"
+        if sigma_next > 0.5 * sigma and (grad_norm <= eps_k or still):
+            rho = raised
         x, lam, sigma = end.x, lam_next, sigma_next
         try:
             ev = AugEval(p, x, lam, rho, end)

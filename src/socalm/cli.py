@@ -233,7 +233,7 @@ def cmd_rate(args) -> int:
     rows = []
     for rho, cfg in zip(rho_list, configs):
         _, trace = alm.solve(problem, x0, lam0, cfg)
-        q_geomean = diagnostics.estimate_rate(trace, problem)[1] if len(trace) >= 3 else 0.0
+        q_geomean = diagnostics.estimate_rate(trace, problem)[1] if len(trace) >= 2 else 0.0
         rows.append({"rho": rho, "status": trace.status.value,
                      "outer_iters": len(trace) - 1,
                      "sigma_final": trace.sigmas[-1], "q_geomean": q_geomean})

@@ -196,7 +196,7 @@ def _multiplier_samples(p: SocpProblem, count: int, rng) -> List[np.ndarray]:
     return [sol.lam.copy()] + [c * d for c in cs]
 
 
-@np.errstate(over="ignore")  # the row kernels detect an overflowing squared norm
+@np.errstate(over="ignore", invalid="ignore")  # overflows are detected, NaN quotients skipped
 def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
                    lambda_samples: int, seed: int) -> GrowthReport:
     """Sampled second-order growth certificate for the augmented Lagrangian.
@@ -209,7 +209,8 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
     as a minimum over the multipliers it is uniform iff ell_hat > 0.
     x - xbar is the step that xbar + step realizes in floating point;
     sampled points it moves by less than 1e-12 are dropped, and a radius
-    at which none is left raises ValueError.
+    at which none is left raises ValueError, as does one at which no
+    quotient is finite (the values overflow), which would pass vacuously.
     """
     sol = _require_solution(p)
     if not rho_list:
@@ -249,7 +250,10 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
             # L_rho = f + (||polar||^2 - ||lam||^2) / (2 rho), as in AugEval; halved
             # after the division, since 2 rho overflows for rho near the largest float
             vals = fs + (np.vecdot(polar, polar) - lam @ lam) / rho / 2.0
-            per_lam.append(float(np.fmin.reduce((vals - f_bar) / r2, initial=math.inf)))
+            quotients = (vals - f_bar) / r2
+            if not np.isfinite(quotients).any():
+                raise ValueError(f"no sampled growth quotient at radius {gamma:g} is finite")
+            per_lam.append(float(np.fmin.reduce(quotients, initial=math.inf)))
         return min(per_lam)
 
     best = None  # (ell, rho, gamma)
@@ -269,11 +273,11 @@ def estimate_rate(trace, p: SocpProblem) -> Tuple[List[float], float]:
     q_k compares ||x - xbar|| + dist(lam; L) at consecutive iterates;
     ratios touching the numerical floor (either side below 1e-14) are
     dropped.  The geometric mean is taken over the last half of the
-    surviving ratios; an empty list yields 0 (immediate convergence).
+    surviving ratios (one from 2 rows); an empty list yields 0.
     """
     _require_solution(p)
-    if len(trace) < 3:
-        raise ValueError("trace needs at least 3 iterations to estimate a rate")
+    if len(trace) < 2:
+        raise ValueError("trace needs at least 2 iterations to estimate a rate")
     dists = [sum(dist_to_known_pair(p, x, lam)) for x, lam in zip(trace.xs, trace.lams)]
     qs = [dists[k + 1] / dists[k]
           for k in range(len(dists) - 1)

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, FixedSequence,
-                    InnerFailure, Proportional, builtin, generate_planted,
-                    inner_solve, solve, update_multiplier)
+from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, InnerFailure, Proportional,
+                    builtin, generate_planted, inner_solve, solve, update_multiplier)
 from socalm import alm
 from socalm.cone import _classify, classify, project_q
 from socalm.lagrangian import AugEval, aug_lagrangian, residual
@@ -118,11 +117,6 @@ def test_config_validation():
         AlmConfig(outer_tol=0.0)
     with pytest.raises(ValueError):
         Proportional(1.5)
-    with pytest.raises(ValueError):
-        FixedSequence(())
-    for values in ((1e-4, float("nan")), (-1e-4,)):
-        with pytest.raises(ValueError):
-            FixedSequence(values)
 
 
 def test_solve_starting_at_solution_stops_immediately():
@@ -219,15 +213,45 @@ def test_exact_rule_reaches_machine_floor():
         assert trace.grad_norms[k] <= 1e-13
 
 
-def test_fixed_sequence_rule():
-    p = builtin("projection", a=(0.0, 2.0, 0.0))
-    cfg = AlmConfig(rho0=10.0, eps_rule=FixedSequence((1e-4, 1e-6, 1e-8)),
-                    outer_tol=1e-9, max_outer=40)
-    _, trace = solve(p, np.array([0.1, 0.9, 0.05]), np.array([-0.9, 1.1, 0.0]), cfg)
+@pytest.mark.parametrize("region", [ConeRegion.ZERO, ConeRegion.BOUNDARY_Q_NONZERO,
+                                    ConeRegion.INTERIOR_Q])
+def test_exact_rule_converges_where_the_rounding_floor_exceeds_1e_13(region):
+    """At (50, 25) the gradient's rounding floor lies above 1e-13: an
+    inner solve asked for Exact stops at the floor worked out at its
+    iterate, and the solve converges."""
+    p = builtin("scaled_quadratic", seed=1, n=50, m=25, region=region)
+    _, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1), AlmConfig(eps_rule=Exact()))
     assert trace.status is AlmStatus.CONVERGED
-    assert trace.epss[0] == 1e-4 and trace.epss[1] == 1e-6
-    for k in range(2, len(trace) - 1):
-        assert trace.epss[k] == 1e-8
+    assert all(eps == 0.0 for eps in trace.epss)
+
+
+@pytest.mark.parametrize("seed", [29, 158])
+def test_vertex_solves_that_reach_the_rounding_floor_converge(seed):
+    """On these planted (3, 2) Zero problems eps_k = 0.1 sigma falls below
+    the gradient's rounding floor at rho = 1e6: the inner solve stops at
+    the floor, rho is held there, and the multiplier updates converge."""
+    p = generate_planted(3, 2, ConeRegion.ZERO, seed)
+    cfg = AlmConfig(rho0=10.0, eps_rule=Proportional(0.1), outer_tol=1e-9)
+    _, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1), cfg)
+    assert trace.status is AlmStatus.CONVERGED
+    floor_stops = [k for k in range(len(trace) - 1) if trace.grad_norms[k] > trace.epss[k]]
+    assert floor_stops
+    assert all(trace.rhos[k + 1] == trace.rhos[k] for k in floor_stops)
+
+
+def test_solve_stops_where_an_outer_iteration_changes_nothing():
+    """rho Phi + lam rounds back to lam = (-1e200, 0) at every rho: once
+    rho reaches rho_max the iteration is a fixed point, and the solve ends
+    there instead of spending max_outer iterations."""
+    p = builtin("interior_trivial")
+    _, trace = solve(p, np.zeros(p.n), np.array([-1e200, 0.0]), AlmConfig())
+    assert trace.status is AlmStatus.MAX_ITERATIONS
+    assert trace.message == "outer iteration 7 left x, lambda and rho=1e+08 unchanged"
+    assert trace.rhos == [10.0 ** (k + 1) for k in range(8)] + [1e8]
+    # the same stop at a fixed rho ends the first iteration
+    cfg = AlmConfig(rho_growth=1.0)
+    _, trace = solve(p, np.zeros(p.n), np.array([-1e200, 0.0]), cfg)
+    assert trace.status is AlmStatus.MAX_ITERATIONS and len(trace) == 2
 
 
 def test_penalty_growth_when_residual_stalls():

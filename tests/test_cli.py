@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from socalm import AlmConfig, Exact, FixedSequence, Proportional, alm, builtin, solve
+from socalm import AlmConfig, Exact, Proportional, alm, builtin, solve
 from socalm import cli
 from socalm.cli import _write_trace_csv, main
 from socalm.lagrangian import residual
@@ -408,7 +408,7 @@ def test_shift_overflow_after_penalty_increase_exit_one(tmp_path, capsys):
     assert rows[-1]["rho_k"] == "1e+300" and rows[-1]["value"] == "nan"
 
 
-RULES = {rule.__name__: rule for rule in (Exact, Proportional, FixedSequence)}
+RULES = {rule.__name__: rule for rule in (Exact, Proportional)}
 
 
 @pytest.mark.parametrize("flags, expected", [
@@ -499,6 +499,19 @@ def test_check_growth_divides_by_the_realized_step(a, code, out, capsys):
         assert captured.err.startswith("error: ")
 
 
+def test_check_growth_where_every_value_overflows(capsys):
+    """f overflows near a = (0, 2e200, 0), so no sampled quotient is
+    finite: a usage error on one line, not a modulus of inf, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("check", "growth", "--problem", "builtin:projection",
+                       "--a", "0,2e200,0", "--rho-list", "1")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: no sampled growth quotient")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_check_growth_at_the_largest_penalty(capsys):
     """2 rho overflows at rho = 1e308; the value is halved after the
     division by rho, so no sampled row turns into NaN and no warning shows."""
@@ -511,16 +524,31 @@ def test_check_growth_at_the_largest_penalty(capsys):
 def test_distances_of_a_multiplier_whose_square_overflows(tmp_path, capsys):
     """||lam||^2 overflows at lambda0 = (-1e200, 0): the trace's values,
     its dist_lambda and rate's contraction factor stay finite, and no
-    warning shows."""
+    warning shows.  rho Phi + lam rounds back to lam at every rho, so the
+    solve ends once an iteration at rho_max changes nothing."""
     trace = tmp_path / "far.csv"
     far = ["--problem", "builtin:interior_trivial", "--lambda0=-1e200,0"]
     assert run_cli("solve", *far, "--trace", str(trace)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("status=MaxIterations")
+    assert captured.err == "failure: outer iteration 7 left x, lambda and rho=1e+08 unchanged\n"
     with trace.open() as fh:
         rows = list(csv.DictReader(fh))
+    assert len(rows) <= 10
     assert {row["dist_lambda"] for row in rows} == {"1e+200"}
     assert all(math.isfinite(float(row["value"])) for row in rows)
     assert run_cli("rate", *far, "--rho-list", "10") == 1
     assert capsys.readouterr().out.endswith("q_geomean=1.000000e+00\n")
+
+
+def test_rate_reports_the_ratio_of_a_one_iteration_run(capsys):
+    """A run cut after one outer iteration has one measured ratio, and
+    rate reports it rather than a contraction of 0."""
+    assert run_cli("rate", "--problem", "builtin:scaled_quadratic", "--seed", "1",
+                   "--rho-list", "10", "--max-outer", "1") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("rho=10 status=MaxIterations iters=1 ")
+    assert 0.0 < float(out.split("q_geomean=")[1]) < 1.0
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypatch):

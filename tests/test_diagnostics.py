@@ -163,6 +163,15 @@ def test_estimate_rate_on_a_trace_at_the_solution_is_empty():
     assert estimate_rate(trace, p) == ([], 0.0)
 
 
+def test_estimate_rate_from_two_rows_is_their_one_ratio():
+    p = builtin("projection")
+    sol = p.known_solution
+    trace = AlmTrace()
+    for scale in (0.5, 0.125):
+        trace.append(sol.x + scale, sol.lam, 10.0, 0.0, 0.0, 0, 0.0, 0.0)
+    assert estimate_rate(trace, p) == ([0.25], 0.25)
+
+
 def test_estimate_rate_linear_regime():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
     rng = np.random.default_rng(42)
