@@ -2,10 +2,10 @@
 constants, second-order growth, subproblem stability and linear rates.
 
 Every sampler is seeded and records its sample counts, so reports are
-reproducible bit for bit.  A sample is drawn row by row in the
-generator's order, the oracles are called once per sampled point, and the
-rest is reduced over all rows at once, so a constant can differ from a
-one-point-at-a-time evaluation in its last bits (about 1e-14 relative).
+reproducible bit for bit.  A ball is drawn in one call, the oracles are
+called once per sampled point, and the rest is reduced over all rows at
+once, so a constant can differ from a one-point-at-a-time evaluation in
+its last bits (about 1e-14 relative).
 These checks are evidence, not proofs: they bound constants over finite
 samples and flag instability heuristically.
 """
@@ -79,15 +79,12 @@ def dist_to_known_pair(p: SocpProblem, x, lam) -> Tuple[float, float]:
 
 def _ball_rows(rng, k: int, dim: int, radius: float) -> np.ndarray:
     """k uniform draws from the ball of the given radius around the origin,
-    as the rows of a (k, dim) array.  Each row draws a normal direction and
-    then, unless that is zero (the zero row), one uniform for its length."""
-    rows, scale = np.empty((k, dim)), np.zeros(k)
-    for i, row in enumerate(rows):
-        rng.standard_normal(out=row)
-        nrm = math.sqrt(row @ row)
-        if nrm > 0.0:
-            scale[i] = radius * rng.random() ** (1.0 / dim) / nrm
-    rows *= scale[:, None]
+    as the rows of a (k, dim) array: k normal directions, then k uniforms
+    for their lengths.  A zero direction gives the zero row."""
+    rows = rng.standard_normal((k, dim))
+    nrm = np.sqrt(np.vecdot(rows, rows))
+    rows *= np.divide(radius * rng.random(k) ** (1.0 / dim), nrm,
+                      out=np.zeros(k), where=nrm > 0.0)[:, None]
     return rows
 
 
@@ -296,21 +293,23 @@ def solvability_estimate(p: SocpProblem, rho: float, lambda_samples: int, seed: 
     Solves the inner problem to tight tolerance for multipliers sampled
     around the known one and reports sup ||x(lam) - xbar|| / ||lam - lambar||.
     Returns NaN when the sufficiency certificate does not hold (the
-    estimate is then meaningless); inner failures propagate.
+    estimate is then meaningless); inner failures propagate.  Sampled
+    multipliers within 1e-14 of lambar are dropped; ValueError if none is
+    left, the sample is empty or the radius is not positive and finite.
     """
     sol = _require_solution(p)
-    report = check_sosc(p, sol.x, sol.lam)
-    if not report.holds:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if lambda_samples < 1:
+        raise ValueError("lambda_samples must be at least 1")
+    if not check_sosc(p, sol.x, sol.lam).holds:
         return float("nan")
-    rng = np.random.default_rng(seed)
-    sup = 0.0
-    for lam in sol.lam + _ball_rows(rng, lambda_samples, p.m + 1, radius):
-        gap = float(np.linalg.norm(lam - sol.lam))
-        if gap < 1e-14:
-            continue
-        x_lam, _, _ = inner_solve(p, lam, rho, sol.x, 1e-10, max_inner=400)
-        ratio = float(np.linalg.norm(x_lam - sol.x)) / gap
-        if not math.isfinite(ratio):
-            raise AssertionError("unbounded subproblem solution ratio")
-        sup = max(sup, ratio)
-    return sup
+    lams = sol.lam + _ball_rows(np.random.default_rng(seed), lambda_samples, p.m + 1, radius)
+    lams = lams[np.linalg.norm(lams - sol.lam, axis=1) >= 1e-14]
+    if not len(lams):
+        raise ValueError(f"no sampled multiplier of radius {radius:g} moves lambar by 1e-14")
+    xs = np.array([inner_solve(p, lam, rho, sol.x, 1e-10, max_inner=400)[0] for lam in lams])
+    ratios = np.linalg.norm(xs - sol.x, axis=1) / np.linalg.norm(lams - sol.lam, axis=1)
+    if not np.isfinite(ratios).all():
+        raise AssertionError("unbounded subproblem solution ratio")
+    return float(ratios.max())

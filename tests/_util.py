@@ -49,14 +49,17 @@ def fd_jac(fun, x, h=1e-6):
     return out
 
 
-def uniform_ball(rng, dim, radius):
-    """One uniform draw from the ball around the origin, one point at a
-    time: the reference for the diagnostics' row sampler."""
-    g = rng.standard_normal(dim)
-    nrm = np.linalg.norm(g)
-    if nrm == 0.0:
-        return np.zeros(dim)
-    return (radius * rng.random() ** (1.0 / dim) / nrm) * g
+def uniform_ball(rng, k, dim, radius):
+    """k uniform draws from the ball around the origin, scaled one row at a
+    time: the reference for the diagnostics' row sampler.  All k normal
+    directions are drawn first, then the k uniforms for their lengths; a
+    zero direction gives the zero point."""
+    normals, lengths = rng.standard_normal((k, dim)), rng.random(k)
+    points = []
+    for g, u in zip(normals, lengths):
+        nrm = np.linalg.norm(g)
+        points.append(np.zeros(dim) if nrm == 0.0 else (radius * u ** (1.0 / dim) / nrm) * g)
+    return points
 
 
 ORACLES = ("f_value", "f_grad", "f_hess", "phi_value", "phi_jac", "phi_hess_contract")

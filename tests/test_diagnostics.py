@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socalm import (AlmConfig, AlmStatus, ConeRegion, Proportional, builtin,
                     certify_growth, dist_to_multiplier_set, estimate_rate,
@@ -197,7 +199,20 @@ def test_solvability_estimate_stable():
 
 
 def test_solvability_estimate_at_radius_zero_samples_no_multiplier():
-    assert solvability_estimate(builtin("projection"), 10.0, 5, seed=1, radius=0.0) == 0.0
+    with pytest.raises(ValueError, match="radius"):
+        solvability_estimate(builtin("projection"), 10.0, 5, seed=1, radius=0.0)
+
+
+@pytest.mark.parametrize("lambda_samples, radius, match", [
+    (0, 1e-2, "lambda_samples"), (-3, 1e-2, "lambda_samples"),
+    (5, -1e-2, "radius"), (5, math.inf, "radius"), (5, math.nan, "radius"),
+    (5, 1e-20, "moves lambar"),
+])
+def test_solvability_estimate_rejects_samples_that_pass_on_nothing(lambda_samples, radius,
+                                                                   match):
+    with pytest.raises(ValueError, match=match):
+        solvability_estimate(builtin("projection"), 10.0, lambda_samples, seed=1,
+                             radius=radius)
 
 
 def test_solvability_estimate_not_applicable_without_sosc():
@@ -255,7 +270,7 @@ def test_kappa2_matches_lipschitz_bound_locally():
 
 def _kappa_sups_one_point_at_a_time(p, radius, samples, rng):
     sol = p.known_solution
-    draws = [uniform_ball(rng, p.n + p.m + 1, radius) for _ in range(samples)]
+    draws = uniform_ball(rng, samples, p.n + p.m + 1, radius)
     points = [(sol.x + step[:p.n], sol.lam + step[p.n:]) for step in draws]
     if p.hard_path is not None:
         points += [p.hard_path(scale) for scale in (radius, radius / 2.0, radius / 4.0)]
@@ -283,8 +298,7 @@ def _growth_one_point_at_a_time(p, rho_list, x_samples, lambda_samples, seed):
     sol = p.known_solution
     rng = np.random.default_rng(seed)
     radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
-    x_steps = {gamma: [uniform_ball(rng, p.n, gamma) for _ in range(x_samples)]
-               for gamma in radii}
+    x_steps = {gamma: uniform_ball(rng, x_samples, p.n, gamma) for gamma in radii}
     lams = _multiplier_samples(p, lambda_samples, rng)
     f_bar = p.f_value(sol.x)
 
@@ -338,16 +352,21 @@ def _close(a, b):
     return abs(a - b) <= 1e-12 * abs(b)
 
 
+def _assert_same_draws(rows, draws):
+    # one row's norm and the norms of all rows at once may round apart
+    np.testing.assert_allclose(rows, draws, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 @pytest.mark.parametrize("case", SAMPLER_CASES, ids=lambda c: "-".join(map(str, c)))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_batched_samplers_match_one_point_at_a_time(case, seed):
-    """Same draws bit for bit, same verdicts, constants within 1e-12."""
+    """Same draws to rounding, same verdicts, constants within 1e-12."""
     p = _sampler_problem(case, seed)
     dim = p.n + p.m + 1
     draws, (kappa1, kappa2, failed) = _error_bound_one_point_at_a_time(p, 1e-2, 60, seed)
     rng = np.random.default_rng(seed)
     rows = np.vstack([_ball_rows(rng, 60, dim, 1e-2), _ball_rows(rng, 60, dim, 1e-3)])
-    assert rows.tobytes() == draws.tobytes()
+    _assert_same_draws(rows, draws)
     rep = verify_error_bound(p, 1e-2, 60, seed)
     assert rep.failed == failed
     assert _close(rep.kappa1_hat, kappa1) and _close(rep.kappa2_hat, kappa2)
@@ -358,7 +377,7 @@ def test_batched_samplers_match_one_point_at_a_time(case, seed):
     rng = np.random.default_rng(seed)
     rows = np.vstack([_ball_rows(rng, 40, p.n, gamma) for gamma in (0.2, 0.1, 0.05, 0.025,
                                                                     0.0125)])
-    assert rows.tobytes() == draws.tobytes()
+    _assert_same_draws(rows, draws)
     assert [v.tobytes() for v in _multiplier_samples(p, 4, rng)] == [v.tobytes() for v in lams]
     rep = certify_growth(p, rho_list, 40, 4, seed)
     assert (rep.rho_used, rep.gamma_hat, rep.multiplier_samples, rep.uniform) == \
@@ -375,29 +394,52 @@ def test_samplers_keep_each_result_of_an_oracle_that_rewrites_one_buffer(oracle)
             == certify_growth(p, [1.0, 10.0], 60, 5, seed=3))
 
 
-class _ZeroFirstNormal:
-    """Generator stand-in whose first normal draw is the zero vector."""
+class _ZeroRows:
+    """Generator stand-in whose normal draw has the given rows set to zero."""
 
-    def __init__(self, seed):
-        self.rng, self.uniforms, self.first = np.random.default_rng(seed), 0, True
+    def __init__(self, seed, zero_rows=(0,)):
+        self.rng, self.zero_rows = np.random.default_rng(seed), list(zero_rows)
 
-    def standard_normal(self, size=None, out=None):
-        out = self.rng.standard_normal(size, out=out)
-        if self.first:
-            out[...] = 0.0
-            self.first = False
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        out[self.zero_rows] = 0.0
         return out
 
-    def random(self):
-        self.uniforms += 1
-        return self.rng.random()
+    def random(self, size):
+        return self.rng.random(size)
 
 
-def test_zero_normal_draw_gives_the_zero_row_and_no_radius_draw():
-    rows, gen = _ball_rows(_ZeroFirstNormal(3), 5, 4, 0.5), _ZeroFirstNormal(3)
-    ref = np.array([uniform_ball(gen, 4, 0.5) for _ in range(5)])
-    assert rows.tobytes() == ref.tobytes()
-    assert np.all(rows[0] == 0.0) and gen.uniforms == 4
+def test_zero_normal_draw_gives_the_zero_row():
+    rows = _ball_rows(_ZeroRows(3), 5, 4, 0.5)
+    _assert_same_draws(rows, np.array(uniform_ball(_ZeroRows(3), 5, 4, 0.5)))
+    assert np.all(rows[0] == 0.0) and np.all(np.linalg.norm(rows[1:], axis=1) > 0.0)
+
+
+@settings(max_examples=200)
+@given(k=st.integers(0, 40), dim=st.integers(1, 40),
+       radius=st.floats(1e-100, 1e100), seed=st.integers(0, 2**32 - 1),
+       zero_rows=st.sets(st.integers(0, 39), max_size=5))
+def test_ball_rows_lie_in_the_ball_and_repeat_by_seed(k, dim, radius, seed, zero_rows):
+    rows = _ball_rows(np.random.default_rng(seed), k, dim, radius)
+    assert rows.shape == (k, dim)
+    # 8 eps: the rounding of a row's scale and of its computed norm
+    assert np.all(np.linalg.norm(rows, axis=1) <= radius * (1.0 + 8.0 * np.finfo(float).eps))
+    assert rows.tobytes() == _ball_rows(np.random.default_rng(seed), k, dim, radius).tobytes()
+    zero_rows = sorted(i for i in zero_rows if i < k)
+    zeroed = _ball_rows(_ZeroRows(seed, zero_rows), k, dim, radius)
+    kept = np.setdiff1d(np.arange(k), zero_rows)
+    assert np.all(zeroed[zero_rows] == 0.0)
+    assert zeroed[kept].tobytes() == rows[kept].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 31])
+def test_ball_rows_are_uniform_in_the_radius(dim):
+    """Half the volume of a ball lies within radius 2**(-1/dim): the share
+    of 4,000 rows there is 1/2 to within 4 binomial standard deviations."""
+    k, radius = 4000, 0.3
+    rows = _ball_rows(np.random.default_rng(dim), k, dim, radius)
+    inner = np.count_nonzero(np.linalg.norm(rows, axis=1) <= radius * 2.0 ** (-1.0 / dim))
+    assert abs(inner - k / 2) <= 4.0 * math.sqrt(k / 4)
 
 
 @pytest.mark.parametrize("problem, hard_points", [
