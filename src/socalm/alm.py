@@ -31,7 +31,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .cone import _norm, _polar_jacobian_parts, as_cone_vec
+from .cone import _finite, _nonnegative, _norm, _polar_jacobian_parts, _positive, as_cone_vec
 from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
 from .model import KktPoint, SocpProblem
 
@@ -75,17 +75,15 @@ class AlmConfig:
     max_inner: int = 200      # Newton steps per inner solve
 
     def __post_init__(self):
+        _positive("rho0", self.rho0)
         # written as `not <valid>` so that a NaN setting is rejected too
-        if not 0.0 < self.rho0 < math.inf:
-            raise ValueError(f"rho0 must be positive and finite, got {self.rho0!r}")
         if not self.rho_growth >= 1.0:
             raise ValueError(f"rho_growth must be >= 1, got {self.rho_growth!r}")
         if not self.rho_max >= self.rho0:
             raise ValueError(f"rho_max must be >= rho0, got {self.rho_max!r}")
-        if not 0.0 < self.outer_tol < math.inf:
-            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol!r}")
-        if self.max_outer < 0 or self.max_inner < 0:
-            raise ValueError("max_outer and max_inner must be nonnegative")
+        _positive("outer_tol", self.outer_tol)
+        _nonnegative("max_outer", self.max_outer)
+        _nonnegative("max_inner", self.max_inner)
 
 
 class AlmStatus(enum.Enum):
@@ -423,28 +421,23 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
     generalized Hessian with Armijo backtracking on the value; a step that
     is not a descent direction ends the solve with InnerFailure.
     """
-    if eps_k < 0:
-        raise ValueError("eps_k must be nonnegative")
-    if rho_k <= 0:
-        raise ValueError("rho_k must be positive")
-    if max_inner < 0:
-        raise ValueError("max_inner must be nonnegative")
-    p.check_dims(x_start, lambda_k)
-    lam = np.asarray(lambda_k, dtype=float)
-    x = np.array(x_start, dtype=float)
-    ev, grad_norm, iters = _inner_solve(AugEval(p, x, lam, rho_k), NewtonState(), eps_k,
+    _nonnegative("eps_k", eps_k)
+    _positive("rho_k", rho_k)
+    _nonnegative("max_inner", max_inner)
+    x, lam = p.check_dims(x_start, lambda_k)
+    ev, grad_norm, iters = _inner_solve(AugEval(p, x.copy(), lam, rho_k), NewtonState(), eps_k,
                                         max_inner)
     return ev.x, grad_norm, iters
 
 
 def update_multiplier(phi_x_next, lambda_k, rho_k: float) -> np.ndarray:
     """Multiplier update: project rho_k * Phi(x_next) + lambda_k onto -Q."""
-    if rho_k <= 0:
-        raise ValueError("rho_k must be positive")
+    _positive("rho_k", rho_k)
     phi = as_cone_vec(phi_x_next)
     lam = np.asarray(lambda_k, dtype=float)
     if lam.shape != phi.shape:
         raise ValueError(f"lambda_k has shape {lam.shape}, Phi(x_next) has {phi.shape}")
+    _finite("lambda_k", lam)
     return shift(phi, lam, rho_k)[1]
 
 
@@ -475,11 +468,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     the residual and start the next inner solve.  One NewtonState serves
     every inner solve, so G, S and a kept factor outlive an outer step.
     """
-    p.check_dims(x0, lambda0)
-    x = np.array(x0, dtype=float)
-    lam = np.array(lambda0, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(lam).all()):
-        raise NonFiniteError("x0 and lambda0 must be finite")
+    x, lam = map(np.copy, p.check_dims(x0, lambda0))
     rho = cfg.rho0
     trace = AlmTrace()
     ev, state = AugEval(p, x, lam, rho), NewtonState()

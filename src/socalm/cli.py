@@ -69,14 +69,11 @@ def _load_problem(args) -> SocpProblem:
 
 def _point(args, problem: SocpProblem):
     """Reference point for the check commands: explicit flags (both of
-    them, finite) win over the problem's known solution."""
+    them) win over the problem's known solution."""
     if (args.x is None) != (args.lam is None):
         raise ValueError("--x and --lambda must be given together")
     if args.x is not None:
-        x, lam = _parse_vector(args.x), _parse_vector(args.lam)
-        if not (np.isfinite(x).all() and np.isfinite(lam).all()):
-            raise ValueError("--x and --lambda must be finite")
-        return x, lam
+        return _parse_vector(args.x), _parse_vector(args.lam)
     if problem.known_solution is None:
         raise ValueError("problem has no known solution; pass --x and --lambda")
     return problem.known_solution.x, problem.known_solution.lam

@@ -5,6 +5,12 @@ y = (y0, yr) with ||yr|| <= y0.  Vectors are plain 1-D numpy arrays of
 length m+1; the first entry is the "time" component y0 and the rest is
 the "space" block yr.  Everything here is a pure function of its inputs.
 
+The package's argument rules live here; every public function applies them
+once, at its entry.  Penalties, steps, radii and the outer tolerance are
+positive and finite, other tolerances and iteration budgets nonnegative,
+counts at least their floor (1 for samples, n and m) and points finite.
+NaN fails each; a ValueError (`NonFiniteError` for a point) names the argument.
+
 The public kernels validate their input through `as_cone_vec`.  Only
 where an internal caller needs it (the solver's hot path, which checks
 each evaluated point once, and the certificates) does a kernel have an
@@ -40,6 +46,30 @@ class ConeRegion(enum.Enum):
     OUTSIDE = "Outside"
 
 
+class NonFiniteError(ValueError):
+    """A given point or an evaluated value has a NaN or infinite entry."""
+
+
+def _positive(name: str, value) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _nonnegative(name: str, value) -> None:
+    if not value >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
+def _at_least(name: str, value, floor: int) -> None:
+    if not value >= floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
+
+
+def _finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} must be finite")
+
+
 def as_cone_vec(y) -> np.ndarray:
     """Validate and return y as a float array of length m+1 >= 2.
 
@@ -49,8 +79,7 @@ def as_cone_vec(y) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"cone vector must be 1-D with length >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cone vector has non-finite entries")
+    _finite("cone vector", arr)
     return arr
 
 
@@ -85,8 +114,7 @@ def classify(y, tol: float = TAU_CONE) -> ConeRegion:
     The six regions are decided from the signs of ||yr|| - y0 and
     ||yr|| + y0 against tol * max(1, ||y||); exactly one region matches.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _nonnegative("tol", tol)
     return _classify(as_cone_vec(y), tol)[0]
 
 
@@ -225,8 +253,8 @@ def in_normal_cone(lam, y, tol: float = 1e-10) -> bool:
     Uses the characterization lam in N_Q(y) iff project_q(y + lam) = y.
     Raises if y itself is farther than tol from Q.
     """
-    lam = as_cone_vec(lam)
-    y = as_cone_vec(y)
+    _nonnegative("tol", tol)
+    lam, y = as_cone_vec(lam), as_cone_vec(y)
     if lam.size != y.size:
         raise ValueError("dimension mismatch between lam and y")
     return _in_normal_cone(lam, y, tol)

@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve
-from .cone import _norm, _project_polar_rows, _project_q_rows
+from .cone import _at_least, _norm, _positive, _project_polar_rows, _project_q_rows
 from .lagrangian import NonFiniteError, lagrangian_l
 from .model import SocpProblem, builtin
 from .variational import check_sosc
@@ -146,10 +146,8 @@ def verify_error_bound(p: SocpProblem, radius: float, samples: int, seed: int) -
     Phi(x) + lam (NonFiniteError); no floating-point warning is printed.
     """
     _require_solution(p)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    _positive("radius", radius)
+    _at_least("samples", samples, 1)
     rng = np.random.default_rng(seed)
     kappa1, kappa2 = _kappa_sups(p, radius, samples, rng)
     kappa1_small, _ = _kappa_sups(p, radius / 10.0, samples, rng)
@@ -212,10 +210,10 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
     sol = _require_solution(p)
     if not rho_list:
         raise ValueError("rho_list must not be empty")
-    if not all(0.0 < rho < math.inf for rho in rho_list):
-        raise ValueError("rho must be positive and finite")
-    if x_samples < 1 or lambda_samples < 1:
-        raise ValueError("x_samples and lambda_samples must be at least 1")
+    for rho in rho_list:
+        _positive("rho", rho)
+    _at_least("x_samples", x_samples, 1)
+    _at_least("lambda_samples", lambda_samples, 1)
     rng = np.random.default_rng(seed)
     radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
     x_steps = {gamma: _ball_rows(rng, x_samples, p.n, gamma) for gamma in radii}
@@ -294,14 +292,12 @@ def solvability_estimate(p: SocpProblem, rho: float, lambda_samples: int, seed: 
     around the known one and reports sup ||x(lam) - xbar|| / ||lam - lambar||.
     Returns NaN when the sufficiency certificate does not hold (the
     estimate is then meaningless); inner failures propagate.  Sampled
-    multipliers within 1e-14 of lambar are dropped; ValueError if none is
-    left, the sample is empty or the radius is not positive and finite.
+    multipliers within 1e-14 of lambar are dropped; ValueError if none is left.
     """
     sol = _require_solution(p)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if lambda_samples < 1:
-        raise ValueError("lambda_samples must be at least 1")
+    _positive("rho", rho)
+    _positive("radius", radius)
+    _at_least("lambda_samples", lambda_samples, 1)
     if not check_sosc(p, sol.x, sol.lam).holds:
         return float("nan")
     lams = sol.lam + _ball_rows(np.random.default_rng(seed), lambda_samples, p.m + 1, radius)

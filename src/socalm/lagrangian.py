@@ -51,12 +51,8 @@ import math
 import numpy as np
 from scipy.linalg.blas import dsyr2k
 
-from .cone import _polar_jacobian_parts, _project_polar, _project_q
+from .cone import NonFiniteError, _polar_jacobian_parts, _positive, _project_polar, _project_q
 from .model import SocpProblem
-
-
-class NonFiniteError(ValueError):
-    """An evaluated point produced a NaN or infinite value."""
 
 
 def shift(phi: np.ndarray, lam: np.ndarray, rho: float):
@@ -178,10 +174,8 @@ class AugEval:
 
 
 def hessian_lagrangian(p: SocpProblem, xbar, lam_bar) -> np.ndarray:
-    """Symmetric Hessian of the ordinary Lagrangian in x."""
-    x = np.asarray(xbar, dtype=float)
-    lam = np.asarray(lam_bar, dtype=float)
-    return curvature(p.f_hess(x), p.phi_hess_contract(x, lam))
+    """Symmetric Hessian of the ordinary Lagrangian in x at checked float arrays."""
+    return curvature(p.f_hess(xbar), p.phi_hess_contract(xbar, lam_bar))
 
 
 def lagrangian_l(p: SocpProblem, x, lam):
@@ -196,8 +190,7 @@ def lagrangian_l(p: SocpProblem, x, lam):
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing square is detected
 def aug_lagrangian(p: SocpProblem, x, lam, rho: float) -> AugEval:
     """Evaluate the augmented Lagrangian and its first derivatives."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _positive("rho", rho)
     return AugEval(p, *p.check_dims(x, lam), rho).complete()
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cone import ConeRegion, as_cone_vec, project_q, tilde
+from .cone import ConeRegion, _at_least, _finite, as_cone_vec, project_q, tilde
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,16 @@ class SocpProblem:
     hard_path: Optional[Callable[[float], tuple]] = None
 
     def check_dims(self, x, lam=None):
-        """(x, lam) as float arrays of checked shapes; lam may be None."""
+        """(x, lam) as finite float arrays of checked shapes; lam may be None."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"primal point must have shape ({self.n},), got {x.shape}")
+        _finite("primal point", x)
         if lam is not None:
             lam = np.asarray(lam, dtype=float)
             if lam.shape != (self.m + 1,):
                 raise ValueError(f"multiplier must have shape ({self.m + 1},), got {lam.shape}")
+            _finite("multiplier", lam)
         return x, lam
 
 
@@ -194,8 +196,8 @@ def generate_planted(n: int, m: int, region: ConeRegion, seed: int) -> SocpProbl
     that Phi(xbar) lands in the requested region and q so that the pair
     is stationary.  Deterministic per seed.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    _at_least("n", n, 1)
+    _at_least("m", m, 1)
     if region not in (ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO):
         raise ValueError(f"unsupported region {region}")
     rng = np.random.default_rng(seed)

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .cone import (ConeRegion, _classify, _in_normal_cone, _project_polar_rows, _tilde,
-                   as_cone_vec, project_polar)
+from .cone import (ConeRegion, _classify, _positive, _project_polar_rows, _tilde, as_cone_vec,
+                   in_normal_cone, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, hessian_lagrangian
 from .model import SocpProblem
 
@@ -66,11 +66,8 @@ def critical_cone(phi_xbar, lambda_bar) -> CriticalCone:
     approximate KKT data lands in the intended case; a pair no case fits
     raises ValueError.
     """
-    phi = as_cone_vec(phi_xbar)
-    lam = as_cone_vec(lambda_bar)
-    if lam.size != phi.size:
-        raise ValueError("dimension mismatch between lam and y")
-    if not _in_normal_cone(lam, phi, CONE_TOL):
+    phi, lam = as_cone_vec(phi_xbar), as_cone_vec(lambda_bar)
+    if not in_normal_cone(lam, phi, CONE_TOL):
         raise ValueError("multiplier is not in the normal cone at the base point")
     region_phi = _classify(phi, CONE_TOL)[0]
     region_lam = _classify(lam, CONE_TOL)[0]
@@ -177,8 +174,7 @@ def quad_form_q(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
     Equals <w, Hess_xx L w> plus, in the hyperplane case (boundary point,
     nonzero multiplier), the rho-weighted tangential curvature of the cone.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _positive("rho", rho)
     x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
     return _quad_form(p, x, lam, w, J, critical_cone(phi, lam), rho)
 
@@ -189,8 +185,7 @@ def d2_aug_lagrangian(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
     quad_form_q plus rho times the squared distance of JPhi(xbar) w to
     the critical cone; always finite.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _positive("rho", rho)
     x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
     K = critical_cone(phi, lam)
     return _quad_form(p, x, lam, w, J, K, rho) + rho * dist2_critical(K, J @ w)
@@ -202,10 +197,8 @@ def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) 
     [L_rho(x + t w, lam) - L_rho(x, lam) - t <grad_x L_rho(x, lam), w>] / (t^2 / 2).
     Serves as the independent oracle for d2_aug_lagrangian as t -> 0.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
+    _positive("t", t)
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
     base = aug_lagrangian(p, x, lam, rho)
     ahead = aug_lagrangian(p, x + t * w, lam, rho)
     return (ahead.value - base.value - t * float(base.grad_x @ w)) / (0.5 * t * t)

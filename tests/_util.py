@@ -3,9 +3,12 @@ oracle call counting and a couple of hand-rolled problems used across
 modules."""
 
 import dataclasses
+import functools
+import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from socalm import ConeRegion, KktPoint, SocpProblem
 from socalm.cone import TAU_CONE
@@ -159,3 +162,26 @@ def constant_phi_problem(value, name="constant_phi"):
         phi_hess_contract=lambda x, lam: np.zeros((n, n)),
         name=name,
     )
+
+
+# The values each argument rule rejects (`socalm.cone`), NaN included.
+BAD_PENALTIES = (0.0, -1.0, math.nan, math.inf)   # also steps and radii
+BAD_TOLERANCES = (-1.0, math.nan)
+# what the finite-point rule says of each kind of point
+PRIMAL, MULTIPLIER = "primal point must be finite", "multiplier must be finite"
+CONE_VECTOR = "cone vector must be finite"
+
+
+def nan_at(point, i=0):
+    """A float copy of point with NaN as entry i."""
+    out = np.array(point, dtype=float)
+    out[i] = math.nan
+    return out
+
+
+def rejected(entry, argument, values, call, message):
+    """Table rows (call bound to each value, message) with the id
+    entry-argument-value ("nan" for a point); call takes the value first."""
+    return [pytest.param(functools.partial(call, value), message,
+                         id=f"{entry}-{argument}-{'nan' if np.ndim(value) else value}")
+            for value in values]

@@ -17,10 +17,11 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, InnerFailure, Propo
                     builtin, generate_planted, inner_solve, solve, update_multiplier)
 from socalm import alm
 from socalm.cone import _classify, classify, project_q
-from socalm.lagrangian import AugEval, aug_lagrangian, residual
+from socalm.lagrangian import AugEval, aug_hessian, aug_lagrangian, lagrangian_l, residual
 from socalm.model import _read_only, quadratic_problem
 
-from _util import counted, fresh_twin, rewritten_twin, writeable_twin
+from _util import (BAD_PENALTIES, BAD_TOLERANCES, CONE_VECTOR, MULTIPLIER, PRIMAL, counted,
+                   fresh_twin, nan_at, rejected, rewritten_twin, writeable_twin)
 
 
 def perturbed_start(p, scale, seed):
@@ -71,11 +72,57 @@ def test_inner_solve_rejects_bad_arguments():
         inner_solve(p, np.zeros(2), 1.0, np.zeros(2), -1e-8)
 
 
+TRIVIAL = builtin("interior_trivial")  # n = 2, m = 1
+Z2, Z3, PHI = np.zeros(2), np.zeros(3), [1.0, 2.0, 0.0]
+
+
+def _inner(lam=Z2, rho=1.0, x=Z2, eps=1e-8, max_inner=200):
+    return inner_solve(TRIVIAL, lam, rho, x, eps, max_inner=max_inner)
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: inner_solve(builtin("interior_trivial"), np.zeros(2), 1.0, np.zeros(2), 1e-8,
-                         max_inner=-1), "max_inner must be nonnegative"),
-    (lambda: update_multiplier([1.0, 2.0, 0.0], np.zeros(3), 0.0), "rho_k must be positive"),
-], ids=["inner_solve-max_inner", "update_multiplier-rho_k"])
+    pytest.param(lambda: _inner(max_inner=-1), "max_inner must be nonnegative",
+                 id="inner_solve-max_inner"),
+    pytest.param(lambda: update_multiplier(PHI, Z3, 0.0), "rho_k must be positive",
+                 id="update_multiplier-rho_k"),
+    *rejected("inner_solve", "rho_k", BAD_PENALTIES, lambda v: _inner(rho=v),
+              "rho_k must be positive"),
+    *rejected("inner_solve", "eps_k", BAD_TOLERANCES, lambda v: _inner(eps=v),
+              "eps_k must be nonnegative"),
+    *rejected("inner_solve", "max_inner", [math.nan], lambda v: _inner(max_inner=v),
+              "max_inner must be nonnegative"),
+    *rejected("inner_solve", "x_start", [nan_at(Z2)], lambda v: _inner(x=v), PRIMAL),
+    *rejected("inner_solve", "lambda_k", [nan_at(Z2)], lambda v: _inner(lam=v), MULTIPLIER),
+    *rejected("update_multiplier", "rho_k", BAD_PENALTIES[1:],
+              lambda v: update_multiplier(PHI, Z3, v), "rho_k must be positive"),
+    *rejected("update_multiplier", "phi_x_next", [nan_at(PHI)],
+              lambda v: update_multiplier(v, Z3, 1.0), CONE_VECTOR),
+    *rejected("update_multiplier", "lambda_k", [nan_at(Z3)],
+              lambda v: update_multiplier(PHI, v, 1.0), "lambda_k must be finite"),
+    *rejected("solve", "x0", [nan_at(Z2)], lambda v: solve(TRIVIAL, v, Z2), PRIMAL),
+    *rejected("solve", "lambda0", [nan_at(Z2)], lambda v: solve(TRIVIAL, Z2, v), MULTIPLIER),
+    *rejected("AlmConfig", "rho0", BAD_PENALTIES, lambda v: AlmConfig(rho0=v),
+              "rho0 must be positive"),
+    *rejected("AlmConfig", "outer_tol", BAD_PENALTIES, lambda v: AlmConfig(outer_tol=v),
+              "outer_tol must be positive"),
+    *rejected("AlmConfig", "max_outer", (-1, math.nan), lambda v: AlmConfig(max_outer=v),
+              "max_outer must be nonnegative"),
+    *rejected("AlmConfig", "max_inner", (-1, math.nan), lambda v: AlmConfig(max_inner=v),
+              "max_inner must be nonnegative"),
+    *rejected("aug_lagrangian", "rho", BAD_PENALTIES,
+              lambda v: aug_lagrangian(TRIVIAL, Z2, Z2, v), "rho must be positive"),
+    *rejected("aug_hessian", "rho", BAD_PENALTIES,
+              lambda v: aug_hessian(TRIVIAL, Z2, Z2, v), "rho must be positive"),
+    *rejected("aug_lagrangian", "x", [nan_at(Z2)],
+              lambda v: aug_lagrangian(TRIVIAL, v, Z2, 1.0), PRIMAL),
+    *rejected("aug_lagrangian", "lam", [nan_at(Z2)],
+              lambda v: aug_lagrangian(TRIVIAL, Z2, v, 1.0), MULTIPLIER),
+    *rejected("lagrangian_l", "x", [nan_at(Z2)], lambda v: lagrangian_l(TRIVIAL, v, Z2), PRIMAL),
+    *rejected("lagrangian_l", "lam", [nan_at(Z2)],
+              lambda v: lagrangian_l(TRIVIAL, Z2, v), MULTIPLIER),
+    *rejected("residual", "x", [nan_at(Z2)], lambda v: residual(TRIVIAL, v, Z2), PRIMAL),
+    *rejected("residual", "lam", [nan_at(Z2)], lambda v: residual(TRIVIAL, Z2, v), MULTIPLIER),
+])
 def test_entry_points_reject_a_bad_argument(call, message):
     with pytest.raises(ValueError, match=message):
         call()

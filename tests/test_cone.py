@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from socalm import cone
 from socalm.cone import ConeRegion
 
-from _util import SHIFTED, fd_jac
+from _util import BAD_TOLERANCES, CONE_VECTOR, SHIFTED, fd_jac, nan_at, rejected
 
 
 def test_classify_examples():
@@ -41,6 +41,28 @@ def test_classify_rejects_bad_input():
         cone.classify([1.0])  # m = 0 is not supported
     with pytest.raises(ValueError):
         cone.classify([1.0, 0.0], tol=-1.0)
+
+
+Y = [1.0, 0.5, 0.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    *rejected("classify", "tol", BAD_TOLERANCES, lambda v: cone.classify([1.0, 0.0, 0.0], v),
+              "tol must be nonnegative"),
+    *rejected("in_normal_cone", "tol", BAD_TOLERANCES,
+              lambda v: cone.in_normal_cone([0.0, 0.0, 0.0], Y, v), "tol must be nonnegative"),
+    *rejected("in_normal_cone", "lam", [nan_at(Y)], lambda v: cone.in_normal_cone(v, Y),
+              CONE_VECTOR),
+    *rejected("in_normal_cone", "y", [nan_at(Y)], lambda v: cone.in_normal_cone(Y, v),
+              CONE_VECTOR),
+    *[row for name in ("tilde", "classify", "project_q", "project_polar",
+                       "jacobian_project_polar")
+      for row in rejected(name, "y", [nan_at(Y, 1)], getattr(cone, name),
+                          CONE_VECTOR)],
+])
+def test_kernels_reject_a_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_project_q_examples():

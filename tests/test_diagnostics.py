@@ -18,7 +18,8 @@ from socalm.alm import AlmTrace
 from socalm.diagnostics import _ball_rows, _multiplier_samples, dist_to_known_pair
 from socalm.lagrangian import AugEval, residual
 
-from _util import counted, negative_curvature_problem, rewritten_twin, uniform_ball
+from _util import (BAD_PENALTIES, counted, negative_curvature_problem, rejected,
+                   rewritten_twin, uniform_ball)
 
 
 def test_dist_to_multiplier_set_point_case():
@@ -246,6 +247,20 @@ def test_growth_rejects_empty_samples(x_samples, lambda_samples):
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
     with pytest.raises(ValueError, match="samples"):
         certify_growth(p, [1.0], x_samples, lambda_samples, seed=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # every penalty of the list is checked, not only the first
+    *rejected("certify_growth", "rho", BAD_PENALTIES,
+              lambda v: certify_growth(builtin("projection"), [1.0, v], 20, 1, seed=1),
+              "rho must be positive"),
+    *rejected("solvability_estimate", "rho", BAD_PENALTIES,
+              lambda v: solvability_estimate(builtin("projection"), v, 5, seed=1),
+              "rho must be positive"),
+])
+def test_sampled_diagnostics_reject_a_bad_penalty(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("radius", [0.0, -1e-2, math.inf, math.nan])

@@ -20,7 +20,8 @@ from socalm.variational import (CriticalConeCase, _minimize_on_sphere, _reduced_
                                 difference_quotient_oracle, dist2_critical,
                                 multiplier_calmness, quad_form_q)
 
-from _util import constant_phi_problem, counted, negative_curvature_problem, vertex_problem
+from _util import (BAD_PENALTIES, CONE_VECTOR, MULTIPLIER, PRIMAL, constant_phi_problem,
+                   counted, nan_at, negative_curvature_problem, rejected, vertex_problem)
 
 
 def test_critical_cone_case_table():
@@ -82,19 +83,74 @@ def test_critical_cone_rejects_a_base_point_outside_q_in_the_tolerance_band():
 
 
 HYPERPLANE_PAIR = ([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0])
+X, LAM = HYPERPLANE_PAIR
+W = [1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda p: critical_cone([1.0, 1.0], [-1.0, 1.0, 0.0]), "dimension mismatch"),
-    (lambda p: dist2_critical(critical_cone(*HYPERPLANE_PAIR), [1.0, 0.0]),
-     "dimension mismatch with the critical cone"),
-    (lambda p: quad_form_q(p, *HYPERPLANE_PAIR, 0.0, [1.0, 0.0, 0.0]), "rho must be positive"),
-    (lambda p: d2_aug_lagrangian(p, *HYPERPLANE_PAIR, -1.0, [1.0, 0.0, 0.0]),
-     "rho must be positive"),
-    (lambda p: difference_quotient_oracle(p, *HYPERPLANE_PAIR, 1.0, [1.0, 0.0, 0.0], 0.0),
-     "t must be positive"),
-], ids=["critical_cone", "dist2_critical", "quad_form_q", "d2_aug_lagrangian",
-        "difference_quotient_oracle"])
+    pytest.param(lambda p: critical_cone([1.0, 1.0], [-1.0, 1.0, 0.0]), "dimension mismatch",
+                 id="critical_cone"),
+    pytest.param(lambda p: dist2_critical(critical_cone(*HYPERPLANE_PAIR), [1.0, 0.0]),
+                 "dimension mismatch with the critical cone", id="dist2_critical"),
+    pytest.param(lambda p: quad_form_q(p, *HYPERPLANE_PAIR, 0.0, W), "rho must be positive",
+                 id="quad_form_q"),
+    pytest.param(lambda p: d2_aug_lagrangian(p, *HYPERPLANE_PAIR, -1.0, W),
+                 "rho must be positive", id="d2_aug_lagrangian"),
+    pytest.param(lambda p: difference_quotient_oracle(p, *HYPERPLANE_PAIR, 1.0, W, 0.0),
+                 "t must be positive", id="difference_quotient_oracle"),
+    *rejected("quad_form_q", "rho", BAD_PENALTIES[1:],
+              lambda v, p: quad_form_q(p, X, LAM, v, W), "rho must be positive"),
+    *rejected("d2_aug_lagrangian", "rho", (0.0, math.nan, math.inf),
+              lambda v, p: d2_aug_lagrangian(p, X, LAM, v, W), "rho must be positive"),
+    *rejected("difference_quotient_oracle", "t", BAD_PENALTIES[1:],
+              lambda v, p: difference_quotient_oracle(p, X, LAM, 1.0, W, v),
+              "t must be positive"),
+    *rejected("difference_quotient_oracle", "rho", BAD_PENALTIES,
+              lambda v, p: difference_quotient_oracle(p, X, LAM, v, W, 1e-3),
+              "rho must be positive"),
+    # one NaN entry in each point argument
+    *rejected("quad_form_q", "xbar", [nan_at(X)],
+              lambda v, p: quad_form_q(p, v, LAM, 1.0, W), PRIMAL),
+    *rejected("quad_form_q", "lambda_bar", [nan_at(LAM)],
+              lambda v, p: quad_form_q(p, X, v, 1.0, W), MULTIPLIER),
+    *rejected("quad_form_q", "w", [nan_at(W)],
+              lambda v, p: quad_form_q(p, X, LAM, 1.0, v), PRIMAL),
+    *rejected("d2_aug_lagrangian", "xbar", [nan_at(X)],
+              lambda v, p: d2_aug_lagrangian(p, v, LAM, 1.0, W), PRIMAL),
+    *rejected("d2_aug_lagrangian", "lambda_bar", [nan_at(LAM)],
+              lambda v, p: d2_aug_lagrangian(p, X, v, 1.0, W), MULTIPLIER),
+    *rejected("d2_aug_lagrangian", "w", [nan_at(W)],
+              lambda v, p: d2_aug_lagrangian(p, X, LAM, 1.0, v), PRIMAL),
+    *rejected("difference_quotient_oracle", "x", [nan_at(X)],
+              lambda v, p: difference_quotient_oracle(p, v, LAM, 1.0, W, 1e-3), PRIMAL),
+    *rejected("difference_quotient_oracle", "lam", [nan_at(LAM)],
+              lambda v, p: difference_quotient_oracle(p, X, v, 1.0, W, 1e-3), MULTIPLIER),
+    *rejected("difference_quotient_oracle", "w", [nan_at(W)],
+              lambda v, p: difference_quotient_oracle(p, X, LAM, 1.0, v, 1e-3), PRIMAL),
+    *rejected("check_sosc", "xbar", [nan_at(X)], lambda v, p: check_sosc(p, v, LAM), PRIMAL),
+    *rejected("check_sosc", "lambda_bar", [nan_at(LAM)],
+              lambda v, p: check_sosc(p, X, v), MULTIPLIER),
+    *rejected("check_dual_qualification", "xbar", [nan_at(X)],
+              lambda v, p: check_dual_qualification(p, v, LAM), PRIMAL),
+    *rejected("check_dual_qualification", "lambda_bar", [nan_at(LAM)],
+              lambda v, p: check_dual_qualification(p, X, v), MULTIPLIER),
+    *rejected("multiplier_calmness", "xbar", [nan_at(X)],
+              lambda v, p: multiplier_calmness(p, v, LAM, False), PRIMAL),
+    *rejected("multiplier_calmness", "lambda_bar", [nan_at(LAM)],
+              lambda v, p: multiplier_calmness(p, X, v, False), MULTIPLIER),
+    *rejected("critical_cone", "phi_xbar", [nan_at(X)],
+              lambda v, p: critical_cone(v, LAM), CONE_VECTOR),
+    *rejected("critical_cone", "lambda_bar", [nan_at(LAM)],
+              lambda v, p: critical_cone(X, v), CONE_VECTOR),
+    *rejected("d2_indicator_q", "phi_xbar", [nan_at(X)],
+              lambda v, p: d2_indicator_q(v, LAM, W), CONE_VECTOR),
+    *rejected("d2_indicator_q", "lambda_bar", [nan_at(LAM)],
+              lambda v, p: d2_indicator_q(X, v, W), CONE_VECTOR),
+    *rejected("d2_indicator_q", "w", [nan_at(W)],
+              lambda v, p: d2_indicator_q(X, LAM, v), CONE_VECTOR),
+    *rejected("dist2_critical", "v", [nan_at(W)],
+              lambda v, p: dist2_critical(critical_cone(X, LAM), v), CONE_VECTOR),
+])
 def test_second_order_tools_reject_a_bad_argument(call, message):
     with pytest.raises(ValueError, match=message):
         call(builtin("projection"))
