@@ -1,8 +1,8 @@
 """Augmented Lagrangian method and second-order variational diagnostics
 for second-order cone programs."""
 
-from .alm import (AlmConfig, AlmStatus, AlmTrace, EpsRule, Exact, InnerFailure,
-                  Proportional, inner_solve, solve, update_multiplier)
+from .alm import (AlmConfig, AlmStatus, AlmTrace, InnerFailure, Proportional, inner_solve,
+                  solve, update_multiplier)
 from .cone import (ConeRegion, classify, in_normal_cone, jacobian_project_polar,
                    project_polar, project_q, tilde)
 from .diagnostics import (ErrorBoundReport, GrowthReport, certify_growth,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlmConfig", "AlmStatus", "AlmTrace", "AugEval", "ConeRegion", "CriticalCone",
-    "CriticalConeCase", "EpsRule", "ErrorBoundReport", "Exact", "GrowthReport",
+    "CriticalConeCase", "ErrorBoundReport", "GrowthReport",
     "InnerFailure", "KktPoint", "NonFiniteError", "Proportional", "SocpProblem",
     "SoscReport", "aug_hessian", "aug_lagrangian", "builtin", "certify_growth",
     "check_dual_qualification", "check_sosc", "classify", "critical_cone",

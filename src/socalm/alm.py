@@ -2,11 +2,12 @@
 penalty scheduling and a per-iteration trace.
 
 Each outer iteration minimizes the augmented Lagrangian in x down to a
-gradient tolerance eps_k or the gradient's rounding floor (regularized
-semismooth Newton with Armijo backtracking), then projects the shifted
-constraint value onto the polar cone to update the multiplier.  The
-penalty starts at rho0 and never decreases; it grows, up to rho_max,
-only when the KKT residual fails to halve.
+gradient tolerance eps_k = eta sigma_k (`Proportional`; eta = 0 is the
+exact method) or the gradient's rounding floor (regularized semismooth
+Newton with Armijo backtracking), then projects the shifted constraint
+value onto the polar cone to update the multiplier.  The penalty starts
+at rho0 and never decreases; it grows, up to rho_max, only when the KKT
+residual fails to halve.
 
 The Newton step (`_newton_direction`) solves with the generalized
 Hessian H = S + rho JPhi' V JPhi in one of two ways.  The dense path
@@ -24,36 +25,32 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .cone import _finite, _nonnegative, _norm, _polar_jacobian_parts, _positive, as_cone_vec
+from .cone import (_finite, _integer, _nonnegative, _norm, _polar_jacobian_parts, _positive,
+                   as_cone_vec)
 from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
 from .model import KktPoint, SocpProblem
 
 
 @dataclass(frozen=True)
-class Exact:
-    """Inner solves down to the gradient's rounding floor (`_grad_floor`)."""
-
-
-@dataclass(frozen=True)
 class Proportional:
     """eps_k = eta * sigma_k; keeps the tolerance a fixed fraction of the
-    residual, which is what the linear-rate analysis consumes."""
+    residual, which is what the linear-rate analysis consumes.  eta = 0 is
+    the exact method: each inner solve runs to the gradient's rounding
+    floor (`_grad_floor`)."""
 
     eta: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
+        if not 0.0 <= self.eta < 1.0:
+            raise ValueError(f"eta must lie in [0, 1), got {self.eta!r}")
 
-
-EpsRule = Union[Exact, Proportional]
 
 MU0 = 1e-8                # initial Newton regularization
 ARMIJO = 1e-4             # sufficient-decrease constant
@@ -69,7 +66,7 @@ class AlmConfig:
     rho0: float = 10.0
     rho_growth: float = 10.0
     rho_max: float = 1e8
-    eps_rule: EpsRule = Proportional(0.1)
+    eps_rule: Proportional = Proportional(0.1)
     outer_tol: float = 1e-9
     max_outer: int = 100
     max_inner: int = 200      # Newton steps per inner solve
@@ -83,7 +80,9 @@ class AlmConfig:
             raise ValueError(f"rho_max must be >= rho0, got {self.rho_max!r}")
         _positive("outer_tol", self.outer_tol)
         _nonnegative("max_outer", self.max_outer)
+        _integer("max_outer", self.max_outer)
         _nonnegative("max_inner", self.max_inner)
+        _integer("max_inner", self.max_inner)
 
 
 class AlmStatus(enum.Enum):
@@ -424,6 +423,7 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
     _nonnegative("eps_k", eps_k)
     _positive("rho_k", rho_k)
     _nonnegative("max_inner", max_inner)
+    _integer("max_inner", max_inner)
     x, lam = p.check_dims(x_start, lambda_k)
     ev, grad_norm, iters = _inner_solve(AugEval(p, x.copy(), lam, rho_k), NewtonState(), eps_k,
                                         max_inner)
@@ -439,10 +439,6 @@ def update_multiplier(phi_x_next, lambda_k, rho_k: float) -> np.ndarray:
         raise ValueError(f"lambda_k has shape {lam.shape}, Phi(x_next) has {phi.shape}")
     _finite("lambda_k", lam)
     return shift(phi, lam, rho_k)[1]
-
-
-def _eps_for(rule: EpsRule, sigma: float) -> float:
-    return 0.0 if isinstance(rule, Exact) else rule.eta * sigma
 
 
 @np.errstate(all="ignore")
@@ -469,7 +465,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     every inner solve, so G, S and a kept factor outlive an outer step.
     """
     x, lam = map(np.copy, p.check_dims(x0, lambda0))
-    rho = cfg.rho0
+    rho, eta = cfg.rho0, cfg.eps_rule.eta
     trace = AlmTrace()
     ev, state = AugEval(p, x, lam, rho), NewtonState()
     sigma = ev.kkt_residual(lam)
@@ -481,7 +477,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
             trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value)
             trace.status = AlmStatus.CONVERGED if converged else AlmStatus.MAX_ITERATIONS
             break
-        eps_k = _eps_for(cfg.eps_rule, sigma)
+        eps_k = eta * sigma if eta else 0.0   # not 0 * inf where sigma overflows
         try:
             end, grad_norm, iters = _inner_solve(ev, state, eps_k, cfg.max_inner)
         except InnerFailure as failure:

@@ -79,15 +79,13 @@ def _point(args, problem: SocpProblem):
     return problem.known_solution.x, problem.known_solution.lam
 
 
-def _start(args, problem: SocpProblem, x0, lam0):
-    """Start point of a solve: --x0 and --lambda0 where given, else x0 and lam0."""
+def _start(args, x0, lam0):
+    """Start point of a solve: --x0 and --lambda0 where given, else x0 and
+    lam0; `alm.solve` checks its shape."""
     if args.x0 is not None:
         x0 = _parse_vector(args.x0)
     if args.lambda0 is not None:
         lam0 = _parse_vector(args.lambda0)
-    if x0.shape != (problem.n,) or lam0.shape != (problem.m + 1,):
-        raise ValueError(f"start point dimensions do not match problem "
-                         f"(n={problem.n}, m+1={problem.m + 1})")
     return x0, lam0
 
 
@@ -124,23 +122,21 @@ def _write_trace_csv(path, trace: alm.AlmTrace, problem: SocpProblem) -> None:
 
 
 def _alm_config(args, rho0: float, rho_growth: float, rho_max: float) -> alm.AlmConfig:
-    rule = alm.Exact() if getattr(args, "exact", False) else alm.Proportional(args.eps_eta)
-    return alm.AlmConfig(rho0=rho0, rho_growth=rho_growth, rho_max=rho_max, eps_rule=rule,
-                         outer_tol=args.tol, max_outer=args.max_outer)
+    return alm.AlmConfig(rho0=rho0, rho_growth=rho_growth, rho_max=rho_max,
+                         eps_rule=alm.Proportional(args.eps_eta), outer_tol=args.tol,
+                         max_outer=args.max_outer)
 
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
     cfg = _alm_config(args, args.rho0, args.rho_growth, args.rho_max)
-    x0, lam0 = _start(args, problem, np.zeros(problem.n), np.zeros(problem.m + 1))
+    x0, lam0 = _start(args, np.zeros(problem.n), np.zeros(problem.m + 1))
     point, trace = alm.solve(problem, x0, lam0, cfg)
     _write_trace_csv(args.trace, trace, problem)
-    config = dataclasses.asdict(cfg)
-    config["eps_rule"]["kind"] = type(cfg.eps_rule).__name__
     _write_json(args.report, {
         "command": "solve",
         "problem": problem.name,
-        "config": config,
+        "config": dataclasses.asdict(cfg),
         "status": trace.status.value,
         "iters": len(trace) - 1,
         "sigma": trace.sigmas[-1],
@@ -225,7 +221,7 @@ def cmd_rate(args) -> int:
     rng = np.random.default_rng(args.seed or 0)
     step = rng.standard_normal(problem.n + problem.m + 1)
     step *= (1e-2 if args.offset is None else args.offset) / np.linalg.norm(step)
-    x0, lam0 = _start(args, problem, sol.x + step[:problem.n], sol.lam + step[problem.n:])
+    x0, lam0 = _start(args, sol.x + step[:problem.n], sol.lam + step[problem.n:])
 
     rows = []
     for rho, cfg in zip(rho_list, configs):
@@ -271,13 +267,13 @@ def _add_problem_args(parser) -> None:
     parser.add_argument("--report", help="write the JSON report here")
 
 
-def _add_solver_args(parser, rule) -> None:
+def _add_solver_args(parser) -> None:
     """The problem flags and the solver flags of `solve` and `rate`; the
-    defaults are those of `alm.AlmConfig`.  --eps-eta goes to `rule`, the
-    parser or a group of flags that exclude each other."""
+    defaults are those of `alm.AlmConfig`."""
     _add_problem_args(parser)
-    rule.add_argument("--eps-eta", dest="eps_eta", type=float, default=alm.Proportional.eta,
-                      help="inner tolerance as a fraction of the residual")
+    parser.add_argument("--eps-eta", dest="eps_eta", type=float, default=alm.Proportional.eta,
+                        help="inner tolerance as a fraction of the residual (0: exact "
+                             "inner solves, to the gradient's rounding floor)")
     parser.add_argument("--tol", type=float, default=alm.AlmConfig.outer_tol,
                         help="outer residual tolerance")
     parser.add_argument("--max-outer", dest="max_outer", type=int,
@@ -299,15 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve_p = sub.add_parser("solve", help="run the ALM on a problem")
-    rule = solve_p.add_mutually_exclusive_group()
-    _add_solver_args(solve_p, rule)
+    _add_solver_args(solve_p)
     solve_p.add_argument("--rho0", type=float, default=alm.AlmConfig.rho0)
     solve_p.add_argument("--rho-growth", dest="rho_growth", type=float,
                          default=alm.AlmConfig.rho_growth)
     solve_p.add_argument("--rho-max", dest="rho_max", type=float,
                          default=alm.AlmConfig.rho_max)
-    rule.add_argument("--exact", action="store_true",
-                      help="solve inner problems to the machine floor")
     solve_p.add_argument("--trace", help="write the per-iteration CSV here")
     solve_p.set_defaults(func=cmd_solve)
 
@@ -331,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     check["example32"].add_argument("--t", default="0.8", help="comma-separated t in (0, 1)")
 
     rate_p = sub.add_parser("rate", help="estimate linear rates for several penalties")
-    _add_solver_args(rate_p, rate_p)
+    _add_solver_args(rate_p)
     rate_p.add_argument("--rho-list", dest="rho_list", required=True)
     rate_p.add_argument("--offset", type=float, help="distance of the seeded start from "
                                                       "the known solution (default 0.01)")

@@ -7,9 +7,10 @@ the "space" block yr.  Everything here is a pure function of its inputs.
 
 The package's argument rules live here; every public function applies them
 once, at its entry.  Penalties, steps, radii and the outer tolerance are
-positive and finite, other tolerances and iteration budgets nonnegative,
-counts at least their floor (1 for samples, n and m) and points finite.
-NaN fails each; a ValueError (`NonFiniteError` for a point) names the argument.
+positive and finite, other tolerances nonnegative, iteration budgets
+nonnegative integers, counts integers at least their floor (1 for samples,
+n and m) and points finite.  NaN fails each; a ValueError (`NonFiniteError`
+for a point) names the argument.
 
 The public kernels validate their input through `as_cone_vec`.  Only
 where an internal caller needs it (the solver's hot path, which checks
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -63,6 +65,12 @@ def _nonnegative(name: str, value) -> None:
 def _at_least(name: str, value, floor: int) -> None:
     if not value >= floor:
         raise ValueError(f"{name} must be at least {floor}, got {value!r}")
+    _integer(name, value)
+
+
+def _integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite(name: str, arr: np.ndarray) -> None:

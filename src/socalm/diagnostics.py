@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve
-from .cone import _at_least, _norm, _positive, _project_polar_rows, _project_q_rows
+from .cone import _at_least, _finite, _norm, _positive, _project_polar_rows, _project_q_rows
 from .lagrangian import NonFiniteError, lagrangian_l
 from .model import SocpProblem, builtin
 from .variational import check_sosc
@@ -56,10 +56,12 @@ def dist_to_multiplier_set(p: SocpProblem, lam):
     Supports the two structures the cone geometry produces: a single
     multiplier, or a ray recorded as a direction on the problem.  lam is
     one vector (a float, scaled where its square overflows as in
-    `cone._norm`) or the rows of a (k, m+1) array (one per row).
+    `cone._norm`) or the rows of a (k, m+1) array (one per row); a
+    non-finite entry raises NonFiniteError.
     """
     sol = _require_solution(p)
     lam = np.asarray(lam, dtype=float)
+    _finite("multiplier", lam)
     if p.multiplier_ray is None:
         diff = lam - sol.lam
     else:

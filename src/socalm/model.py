@@ -13,13 +13,12 @@ problems with a known KKT pair in a requested cone region.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cone import ConeRegion, _at_least, _finite, as_cone_vec, project_q, tilde
+from .cone import ConeRegion, _at_least, _finite, _integer, as_cone_vec, project_q, tilde
 
 
 @dataclass(frozen=True)
@@ -261,8 +260,7 @@ def builtin(name: str, **params) -> SocpProblem:
         raise ValueError(f"builtin problem {name!r} takes no parameter "
                          f"{', '.join(unknown)} (it takes: {', '.join(accepted) or 'none'})")
     for key in sorted(set(params) & {"n", "m", "seed"}):
-        if isinstance(params[key], bool) or not isinstance(params[key], numbers.Integral):
-            raise ValueError(f"parameter {key!r} must be an integer, got {params[key]!r}")
+        _integer(f"parameter {key!r}", params[key])
     return make(**params)
 
 

@@ -12,9 +12,8 @@ import time
 
 import numpy as np
 
-from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, Proportional, builtin,
-                    certify_growth, generate_planted, in_normal_cone, solve,
-                    verify_error_bound)
+from socalm import (AlmConfig, AlmStatus, ConeRegion, Proportional, builtin, certify_growth,
+                    generate_planted, in_normal_cone, solve, verify_error_bound)
 from socalm import cone
 from socalm.diagnostics import estimate_rate, example32_ratio
 from socalm.lagrangian import aug_hessian, aug_lagrangian, residual
@@ -275,7 +274,7 @@ def test_criterion_7_alm_rate():
         band = q2 / q_geomean
         assert 0.3 <= band <= 0.7
 
-        _, trace_exact = run(RATE_RHO, Exact())
+        _, trace_exact = run(RATE_RHO, Proportional(0.0))
         assert trace_exact.status is AlmStatus.CONVERGED
         assert len(trace_exact) - 1 <= iters
         details.append(f"{p.name}: it={iters} q={q_geomean:.3f} band={band:.2f}")

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from socalm import (AlmConfig, AlmStatus, ConeRegion, Exact, InnerFailure, Proportional,
-                    builtin, generate_planted, inner_solve, solve, update_multiplier)
+from socalm import (AlmConfig, AlmStatus, ConeRegion, InnerFailure, Proportional, builtin,
+                    generate_planted, inner_solve, solve, update_multiplier)
 from socalm import alm
 from socalm.cone import _classify, classify, project_q
 from socalm.lagrangian import AugEval, aug_hessian, aug_lagrangian, lagrangian_l, residual
@@ -91,6 +91,8 @@ def _inner(lam=Z2, rho=1.0, x=Z2, eps=1e-8, max_inner=200):
               "eps_k must be nonnegative"),
     *rejected("inner_solve", "max_inner", [math.nan], lambda v: _inner(max_inner=v),
               "max_inner must be nonnegative"),
+    *rejected("inner_solve", "max_inner", (math.inf, 2.5, True), lambda v: _inner(max_inner=v),
+              "max_inner must be an integer"),
     *rejected("inner_solve", "x_start", [nan_at(Z2)], lambda v: _inner(x=v), PRIMAL),
     *rejected("inner_solve", "lambda_k", [nan_at(Z2)], lambda v: _inner(lam=v), MULTIPLIER),
     *rejected("update_multiplier", "rho_k", BAD_PENALTIES[1:],
@@ -109,6 +111,12 @@ def _inner(lam=Z2, rho=1.0, x=Z2, eps=1e-8, max_inner=200):
               "max_outer must be nonnegative"),
     *rejected("AlmConfig", "max_inner", (-1, math.nan), lambda v: AlmConfig(max_inner=v),
               "max_inner must be nonnegative"),
+    *rejected("AlmConfig", "max_outer", (2.5, math.inf), lambda v: AlmConfig(max_outer=v),
+              "max_outer must be an integer"),
+    *rejected("AlmConfig", "max_inner", (2.5, math.inf), lambda v: AlmConfig(max_inner=v),
+              "max_inner must be an integer"),
+    *rejected("Proportional", "eta", (-0.1, 1.0, math.nan, math.inf),
+              lambda v: AlmConfig(eps_rule=Proportional(v)), r"eta must lie in \[0, 1\)"),
     *rejected("aug_lagrangian", "rho", BAD_PENALTIES,
               lambda v: aug_lagrangian(TRIVIAL, Z2, Z2, v), "rho must be positive"),
     *rejected("aug_hessian", "rho", BAD_PENALTIES,
@@ -253,7 +261,7 @@ def test_solve_inner_failure_partial_trace():
 
 def test_exact_rule_reaches_machine_floor():
     p = builtin("projection", a=(0.0, 2.0, 0.0))
-    cfg = AlmConfig(rho0=10.0, eps_rule=Exact(), outer_tol=1e-9, max_outer=40)
+    cfg = AlmConfig(rho0=10.0, eps_rule=Proportional(0.0), outer_tol=1e-9, max_outer=40)
     _, trace = solve(p, np.array([0.1, 0.9, 0.05]), np.array([-0.9, 1.1, 0.0]), cfg)
     assert trace.status is AlmStatus.CONVERGED
     for k in range(len(trace) - 1):
@@ -264,10 +272,11 @@ def test_exact_rule_reaches_machine_floor():
                                     ConeRegion.INTERIOR_Q])
 def test_exact_rule_converges_where_the_rounding_floor_exceeds_1e_13(region):
     """At (50, 25) the gradient's rounding floor lies above 1e-13: an
-    inner solve asked for Exact stops at the floor worked out at its
+    exact inner solve (eta = 0) stops at the floor worked out at its
     iterate, and the solve converges."""
     p = builtin("scaled_quadratic", seed=1, n=50, m=25, region=region)
-    _, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1), AlmConfig(eps_rule=Exact()))
+    _, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1),
+                     AlmConfig(eps_rule=Proportional(0.0)))
     assert trace.status is AlmStatus.CONVERGED
     assert all(eps == 0.0 for eps in trace.epss)
 

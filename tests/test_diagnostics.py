@@ -18,8 +18,8 @@ from socalm.alm import AlmTrace
 from socalm.diagnostics import _ball_rows, _multiplier_samples, dist_to_known_pair
 from socalm.lagrangian import AugEval, residual
 
-from _util import (BAD_PENALTIES, counted, negative_curvature_problem, rejected,
-                   rewritten_twin, uniform_ball)
+from _util import (BAD_PENALTIES, MULTIPLIER, counted, nan_at, negative_curvature_problem,
+                   rejected, rewritten_twin, uniform_ball)
 
 
 def test_dist_to_multiplier_set_point_case():
@@ -257,8 +257,26 @@ def test_growth_rejects_empty_samples(x_samples, lambda_samples):
     *rejected("solvability_estimate", "rho", BAD_PENALTIES,
               lambda v: solvability_estimate(builtin("projection"), v, 5, seed=1),
               "rho must be positive"),
+    # sample counts are integers
+    *rejected("verify_error_bound", "samples", (2.5, True),
+              lambda v: verify_error_bound(builtin("projection"), 1e-2, v, 1),
+              "samples must be an integer"),
+    *rejected("certify_growth", "x_samples", [2.5],
+              lambda v: certify_growth(builtin("projection"), [1.0], v, 1, seed=1),
+              "x_samples must be an integer"),
+    *rejected("certify_growth", "lambda_samples", [2.5],
+              lambda v: certify_growth(builtin("projection"), [1.0], 20, v, seed=1),
+              "lambda_samples must be an integer"),
+    *rejected("solvability_estimate", "lambda_samples", [2.5],
+              lambda v: solvability_estimate(builtin("projection"), 10.0, v, seed=1),
+              "lambda_samples must be an integer"),
+    # a multiplier, one vector or the rows of an array, is finite
+    *rejected("dist_to_multiplier_set", "lam", [nan_at([0.0, 0.0, 0.0])],
+              lambda v: dist_to_multiplier_set(builtin("projection"), v), MULTIPLIER),
+    *rejected("dist_to_multiplier_set", "lam_rows", [[np.zeros(3), nan_at(np.zeros(3), 2)]],
+              lambda v: dist_to_multiplier_set(builtin("example_3_2"), v), MULTIPLIER),
 ])
-def test_sampled_diagnostics_reject_a_bad_penalty(call, message):
+def test_diagnostics_reject_a_bad_argument(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -166,6 +166,10 @@ def test_planted_deterministic_per_seed():
 def test_planted_rejects_bad_arguments():
     with pytest.raises(ValueError):
         generate_planted(0, 2, ConeRegion.INTERIOR_Q, seed=0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        generate_planted(2.5, 2, ConeRegion.INTERIOR_Q, seed=0)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        generate_planted(3, 2.5, ConeRegion.INTERIOR_Q, seed=0)
     with pytest.raises(ValueError):
         generate_planted(3, 2, ConeRegion.OUTSIDE, seed=0)
 
