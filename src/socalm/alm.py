@@ -185,9 +185,9 @@ class MultiplierForm:
     W = L^-1 JPhi' (n x (m+1)) and K = W'W, formed once for one S and
     JPhi.
 
-    Where V is positive semidefinite, rho V = U U with U = sqrt(rho) V^1/2,
-    and H = L (I + (WU)(WU)') L'.  Sherman-Morrison-Woodbury then
-    gives, with z = L^-1 (-g),
+    Since 0 <= V <= I, rho V = U U with U = sqrt(rho) V^1/2, and
+    H = L (I + (WU)(WU)') L'.  Sherman-Morrison-Woodbury then gives, with
+    z = L^-1 (-g),
 
         d = H^-1 (-g) = L^-T (z - W U A^-1 U W'z),   A = I + U K U,
 
@@ -197,11 +197,9 @@ class MultiplierForm:
     (`cone._polar_jacobian_parts`), so U = s I + P Gamma P' with
     s = sqrt(rho alpha), P = [a, b] and Gamma = diag(sqrt(rho) - s, -s),
     and A = I + s^2 K + a rank-4 term, added by one BLAS syr2k to the
-    triangle `cho_factor` reads.  Where alpha < 0 (the classification
-    band beyond the boundary of Q) V is indefinite and `direction`
-    returns None.  The construction raises LinAlgError when S is not
-    positive definite.  The factorizations and the solves with A go
-    through the module-level `cho_factor` and `cho_solve`.
+    triangle `cho_factor` reads.  The construction raises LinAlgError
+    when S is not positive definite.  The factorizations and the solves
+    with A go through the module-level `cho_factor` and `cho_solve`.
     """
 
     __slots__ = ("L", "W", "K")
@@ -213,12 +211,10 @@ class MultiplierForm:
 
     def direction(self, rho: float, parts, grad: np.ndarray):
         """The Newton direction -H^-1 grad for V = parts, with its rank-2
-        term (u is not None), at the penalty rho; None where alpha < 0, A
-        does not factor or the direction is not finite, which leaves the
-        step to the dense path."""
+        term (u is not None), at the penalty rho; None where A does not
+        factor or the direction is not finite, which leaves the step to
+        the dense path."""
         alpha, u, _ = parts
-        if alpha < 0.0:
-            return None
         L, W, K = self.L, self.W, self.K
         z = dtrtrs(L, -grad, lower=1)[0]
         t = W.T @ z
@@ -358,8 +354,10 @@ def _grad_floor(ev: AugEval) -> float:
 def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
     """Minimize x -> L_rho(x, lam) from the evaluation ev at the start,
     with Newton steps that keep their G, S and factor in state, until
-    ||grad|| <= eps_k or, tested only after a full Newton step that failed
-    to halve it, ||grad|| <= `_grad_floor` (a floor stop: grad_norm > eps_k).
+    ||grad|| <= eps_k or ||grad|| <= `_grad_floor` (a floor stop:
+    grad_norm > eps_k).  The floor is tested at every iteration where
+    eps_k = 0, and otherwise only after a full Newton step that failed to
+    halve ||grad||.
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
     point is evaluated once, and a line-search trial only by value.  A
@@ -376,7 +374,7 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
             return ev, grad_norm, it
         if not math.isfinite(grad_norm):
             raise InnerFailure(f"non-finite gradient (iteration {it})", x, grad_norm, it)
-        if grad_norm > halved and grad_norm <= _grad_floor(ev):
+        if (grad_norm > halved or not eps_k) and grad_norm <= _grad_floor(ev):
             return ev, grad_norm, it
         if it == max_inner:
             raise InnerFailure(
@@ -454,10 +452,12 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     iterate is the last trace row, with a NaN value.  The penalty is
     raised by rho_growth, capped at rho_max, whenever the residual fails
     to halve, except after an inner solve that stopped at its rounding
-    floor and moved (x, lam).  A non-finite start (x0, lambda0, or the
-    shifted point or the KKT residual there) raises NonFiniteError, a
-    ValueError.  No floating-point warning is printed: every overflow or
-    invalid value surfaces as one of these outcomes.
+    floor short of a positive eps_k and moved (x, lam); in the exact
+    method (eps_k = 0) the inner solves test that floor at every
+    iteration.  A non-finite start (x0, lambda0, or the shifted point or
+    the KKT residual there) raises NonFiniteError, a ValueError.  No
+    floating-point warning is printed: every overflow or invalid value
+    surfaces as one of these outcomes.
 
     Each outer iteration reuses the inner solve's final evaluation: its
     polar projection is the multiplier update, its oracle results give
@@ -493,7 +493,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
         raised = min(cfg.rho_max, rho * cfg.rho_growth)
         if still and raised == rho:
             trace.message = f"outer iteration {k} left x, lambda and rho={rho:g} unchanged"
-        if sigma_next > 0.5 * sigma and (grad_norm <= eps_k or still):
+        if sigma_next > 0.5 * sigma and (grad_norm <= eps_k or not eps_k or still):
             rho = raised
         x, lam, sigma = end.x, lam_next, sigma_next
         try:

@@ -19,7 +19,9 @@ unchecked twin (leading underscore) that expects a finite float vector of
 length >= 2; the `_*_rows` twins take the rows of a (k, m+1) array.  The
 generalized Jacobian of the polar projection is also available by
 structure (`_polar_jacobian_parts`: a multiple of the identity plus a
-rank-2 term), from which the dense matrix is built.
+rank-2 term), from which the dense matrix is built.  The projections and
+that Jacobian split y by exact comparisons of ||yr|| with +-y0; only
+`classify` has a tolerance.
 
 Norms are finite for every finite vector: where the square of a norm
 overflows, the kernels scale by the largest entry (`_norm`).  The public
@@ -35,7 +37,7 @@ import numbers
 
 import numpy as np
 
-# Absolute classification tolerance, scaled by max(1, ||y||).
+# `classify`'s default absolute tolerance, scaled by max(1, ||y||).
 TAU_CONE = 1e-12
 
 
@@ -123,28 +125,26 @@ def classify(y, tol: float = TAU_CONE) -> ConeRegion:
     ||yr|| + y0 against tol * max(1, ||y||); exactly one region matches.
     """
     _nonnegative("tol", tol)
-    return _classify(as_cone_vec(y), tol)[0]
+    return _classify(as_cone_vec(y), tol)
 
 
-def _classify(y: np.ndarray, tol: float):
-    """(region, ||y||, ||yr||): the region with the two norms it is
-    decided from."""
+def _classify(y: np.ndarray, tol: float) -> ConeRegion:
     nrm = _norm(y)
-    rnorm = _norm(y[1:])
     t = tol * max(1.0, nrm)
     if nrm <= t:
-        return ConeRegion.ZERO, nrm, rnorm
+        return ConeRegion.ZERO
+    rnorm = _norm(y[1:])
     a = rnorm - y[0]  # <= 0 inside Q
     b = rnorm + y[0]  # <= 0 inside -Q
     if a < -t:
-        return ConeRegion.INTERIOR_Q, nrm, rnorm
+        return ConeRegion.INTERIOR_Q
     if a <= t:
-        return ConeRegion.BOUNDARY_Q_NONZERO, nrm, rnorm
+        return ConeRegion.BOUNDARY_Q_NONZERO
     if b < -t:
-        return ConeRegion.INTERIOR_POLAR, nrm, rnorm
+        return ConeRegion.INTERIOR_POLAR
     if b <= t:
-        return ConeRegion.BOUNDARY_POLAR_NONZERO, nrm, rnorm
-    return ConeRegion.OUTSIDE, nrm, rnorm
+        return ConeRegion.BOUNDARY_POLAR_NONZERO
+    return ConeRegion.OUTSIDE
 
 
 @np.errstate(over="ignore")
@@ -204,15 +204,14 @@ def _project_polar_rows(Y: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def jacobian_project_polar(y) -> np.ndarray:
-    """A generalized Jacobian of the polar projection at y.
+    """A generalized Jacobian V of the polar projection at y, 0 <= V <= I.
 
-    Identity inside -Q, zero inside Q, and the smooth-Jacobian block
-    matrix elsewhere.  On the cone boundaries the limit from the outside
-    region is returned, which keeps semismooth Newton steps reproducible;
-    when ||yr|| <= TAU_CONE the formula degenerates and the adjacent
-    interior-region matrix is used instead.  The region split is made by
-    `_polar_jacobian_parts`, which also gives the matrix's
-    identity-plus-rank-2 structure to the Hessian assembly.
+    Identity inside -Q, zero inside Q and at y = 0, and the smooth-Jacobian
+    block matrix elsewhere.  On the cone boundaries the limit from the
+    outside region is returned, which keeps semismooth Newton steps
+    reproducible.  The region split is made by `_polar_jacobian_parts`,
+    which also gives the matrix's identity-plus-rank-2 structure to the
+    Hessian assembly.
     """
     y = as_cone_vec(y)
     alpha, u, r = _polar_jacobian_parts(y)
@@ -229,27 +228,23 @@ def _polar_jacobian_parts(y: np.ndarray):
     """The generalized Jacobian V of the polar projection at y, returned
     by structure as (alpha, u, r).
 
-    When u is None, V = alpha I and r is None too: alpha = 1 inside -Q,
-    0 inside Q, and on the axis fallback (||yr|| <= TAU_CONE max(1, ||y||))
-    the value of the adjacent interior.  Otherwise (outside both cones
-    and, as their outside limit, on the boundaries) u = yr / ||yr||,
-    r = y0 / ||yr||, alpha = (1 - r)/2 and
+    The region is decided by the comparisons `_project_q` makes.  When u
+    is None, V = alpha I and r is None too: alpha = 1 inside -Q and 0
+    inside Q and at y = 0.  Otherwise (outside both cones and, as their
+    outside limit, on the boundaries) u = yr / ||yr||, r = y0 / ||yr|| in
+    [-1, 1], alpha = (1 - r)/2 in [0, 1] and
 
         V = alpha I + [e0, (0, u)] C [e0, (0, u)]',  C = (1/2) [[r, -1], [-1, r]],
 
     an identity-plus-rank-2 matrix (Kanzow, Ferenczi and Fukushima, SIAM
-    J. Optim. 20, 2009).  This is the one place where the region split and
-    the kink selection are decided.
+    J. Optim. 20, 2009) with eigenvalues alpha, 0 and 1.  This is the one
+    place where the kink selection is decided.
     """
-    region, nrm, rnorm = _classify(y, TAU_CONE)
-    if region is ConeRegion.INTERIOR_POLAR:
+    rnorm = _norm(y[1:])
+    if rnorm < -y[0]:
         return 1.0, None, None
-    if region is ConeRegion.INTERIOR_Q:
+    if rnorm < y[0] or rnorm == 0.0:
         return 0.0, None, None
-    if rnorm <= TAU_CONE * max(1.0, nrm):
-        # y ~ (y0, 0): the outside region is not adjacent, fall back to
-        # the interior selection on either side of the axis.
-        return (0.0 if y[0] >= 0 else 1.0), None, None
     r = y[0] / rnorm
     return 0.5 * (1.0 - r), y[1:] / rnorm, r
 

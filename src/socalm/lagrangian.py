@@ -90,8 +90,7 @@ def hessian_upper(rho: float, parts, jac, G, S) -> np.ndarray:
     (`cone._polar_jacobian_parts`), with V = alpha I + [e0, (0, u)] C
     [e0, (0, u)]', C = (1/2) [[r, -1], [-1, r]], and B = [JPhi[0],
     JPhi[1:]' u]; G = JPhi' JPhi is read only where alpha is nonzero.
-    The penalty term is absent inside Q and rho G inside -Q and on the
-    axis fallback with y0 < 0.
+    The penalty term is absent inside Q and at y = 0, and rho G inside -Q.
     """
     alpha, u, r = parts
     if alpha:
@@ -130,11 +129,12 @@ class AugEval:
         self.f = prev.f if same else p.f_value(x)
         # (rho/2) dist^2(Phi + lam/rho; Q) - ||lam||^2/(2 rho) = (||polar||^2
         # - ||lam||^2) / (2 rho); where a square overflows, the difference
-        # of squares is factored
+        # of squares is factored, and it is halved after the division,
+        # since 2 rho overflows for rho near the largest float
         gap = polar @ polar - lam @ lam
         if not math.isfinite(gap):
             gap = (polar - lam) @ (polar + lam)
-        self.value = float(self.f + gap / (2.0 * rho))
+        self.value = float(self.f + gap / rho / 2.0)
         self.jac, self.fgrad = (prev.jac, prev.fgrad) if same else (None, None)
         self.grad_x = None
 

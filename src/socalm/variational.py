@@ -69,8 +69,8 @@ def critical_cone(phi_xbar, lambda_bar) -> CriticalCone:
     phi, lam = as_cone_vec(phi_xbar), as_cone_vec(lambda_bar)
     if not in_normal_cone(lam, phi, CONE_TOL):
         raise ValueError("multiplier is not in the normal cone at the base point")
-    region_phi = _classify(phi, CONE_TOL)[0]
-    region_lam = _classify(lam, CONE_TOL)[0]
+    region_phi = _classify(phi, CONE_TOL)
+    region_lam = _classify(lam, CONE_TOL)
     if region_phi is ConeRegion.INTERIOR_Q:
         return CriticalCone(CriticalConeCase.FULL_SPACE, None, phi, lam)
     if region_phi is ConeRegion.BOUNDARY_Q_NONZERO:

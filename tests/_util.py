@@ -15,8 +15,9 @@ from socalm.cone import TAU_CONE
 
 # Shifted points y = (y0, a w), ||w|| = 1, in each region of the cone
 # module's case split; c in (-0.9, 0.9) and g >= 0.1 keep them clear of
-# the classification tolerance.  The two axis points have ||yr|| below
-# TAU_CONE on a cone boundary, where V falls back to 0 (y0 > 0) or I.
+# the classification tolerance.  The two axis points, within TAU_CONE of
+# the vertex, lie inside Q and -Q, where V is 0 and I; `classify` puts
+# them on the boundaries of Q and -Q.
 SHIFTED = {
     ConeRegion.INTERIOR_Q: lambda a, w, c, g: np.r_[a * (1.0 + g), a * w],
     ConeRegion.BOUNDARY_Q_NONZERO: lambda a, w, c, g: np.r_[a, a * w],

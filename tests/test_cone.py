@@ -108,13 +108,19 @@ def test_projection_is_nonexpansive():
 
 
 def test_jacobian_interior_cases():
-    assert_allclose(cone.jacobian_project_polar([-3.0, 1.0, 0.0]), np.eye(3))
-    assert_allclose(cone.jacobian_project_polar([3.0, 1.0, 0.0]), np.zeros((3, 3)))
+    # also within classify's tolerance of a boundary, where the projection
+    # is still differentiable
+    for y0 in (-3.0, -1.0 - 1e-13):
+        assert_allclose(cone.jacobian_project_polar([y0, 1.0, 0.0]), np.eye(3))
+    for y0 in (3.0, 1.0 + 1e-13):
+        assert_allclose(cone.jacobian_project_polar([y0, 1.0, 0.0]), np.zeros((3, 3)))
 
 
 def test_jacobian_outside_closed_form():
     expected = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert_allclose(cone.jacobian_project_polar([0.0, 2.0, 0.0]), expected, atol=1e-15)
+    # also within classify's tolerance of the vertex
+    for y1 in (2.0, 1e-13):
+        assert_allclose(cone.jacobian_project_polar([0.0, y1, 0.0]), expected, atol=1e-15)
 
 
 def test_jacobian_boundary_selection_is_the_outside_limit():
@@ -123,7 +129,7 @@ def test_jacobian_boundary_selection_is_the_outside_limit():
     J = cone.jacobian_project_polar([1.0, 1.0, 0.0])
     expected = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     assert_allclose(J, expected, atol=1e-15)
-    # degenerate axis points fall back to the adjacent interior selection
+    # the vertex takes the selection of Q, the axis below it that of -Q
     assert_allclose(cone.jacobian_project_polar([0.0, 0.0, 0.0]), np.zeros((3, 3)))
     assert_allclose(cone.jacobian_project_polar([-1e-15, 0.0, 0.0]), np.eye(3))
 
@@ -313,7 +319,14 @@ def test_project_q_is_homogeneous_and_agrees_with_classify(seed, m, log_a, log_t
     """Pi_Q(t y) = t Pi_Q(y) for t > 0; inside Q the projection is y,
     inside -Q it is 0, within the classification tolerance of the
     boundary of Q (of -Q) it lies within that tolerance of y (of 0), and
-    outside both cones it is a nonzero point of the boundary of Q."""
+    outside both cones it is a nonzero point of the boundary of Q.
+
+    The polar Jacobian V is homogeneous of degree 0: V(s y) = V(y) for
+    the power of two s nearest below t, whose scaling is exact (rounding
+    t y can move a boundary point to either side of the projection's
+    test), and its spectrum lies in [0, 1] up to the eigensolver's
+    rounding, which reaches 2.4e-15 on the m-fold eigenvalue 1 on the
+    boundary of -Q."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
@@ -323,10 +336,15 @@ def test_project_q_is_homogeneous_and_agrees_with_classify(seed, m, log_a, log_t
     tol = cone.TAU_CONE * max(1.0, a)
     rows += [make(a, w, nudge * tol) for make in NEAR_BOUNDARY.values()]
     t = 10.0 ** log_t
+    s = 2.0 ** math.floor(math.log2(t))
     for y in rows:
         p = cone.project_q(y)
         ynorm = float(np.linalg.norm(y))
         assert np.linalg.norm(cone.project_q(t * y) - t * p) <= 1e-14 * t * ynorm
+        V = cone.jacobian_project_polar(y)
+        assert np.array_equal(cone.jacobian_project_polar(s * y), V)
+        eigs = np.linalg.eigvalsh(V)
+        assert eigs.min() >= -1e-14 and eigs.max() <= 1.0 + 1e-14
         region = cone.classify(y)
         bound = cone.TAU_CONE * max(1.0, ynorm)
         if region is ConeRegion.INTERIOR_Q:

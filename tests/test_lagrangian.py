@@ -81,6 +81,14 @@ def test_aug_value_where_a_squared_norm_overflows():
     assert ev.value == p.f_value(np.zeros(3)) == 2.0
 
 
+def test_aug_value_where_twice_the_penalty_overflows():
+    """At rho = 1e308, 2 rho overflows: the penalty term is halved after
+    the division by rho, and dist^2(Phi; Q) rho / 2 = 0.25 is kept."""
+    p = builtin("projection")
+    ev = aug_lagrangian(p, np.array([0.0, 1e-154, 0.0]), np.zeros(3), 1e308)
+    assert ev.value == 2.25
+
+
 def test_aug_grad_lambda_identity():
     p = builtin("scaled_quadratic", seed=4)
     rng = np.random.default_rng(2)
