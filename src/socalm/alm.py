@@ -1,13 +1,15 @@
 """Augmented Lagrangian method: inexact inner solves, multiplier updates,
 penalty scheduling and a per-iteration trace.
 
-Each outer iteration minimizes the augmented Lagrangian in x down to a
-gradient tolerance eps_k = eta sigma_k (`Proportional`; eta = 0 is the
-exact method) or the gradient's rounding floor (regularized semismooth
-Newton with Armijo backtracking), then projects the shifted constraint
-value onto the polar cone to update the multiplier.  The penalty starts
-at rho0 and never decreases; it grows, up to rho_max, only when the KKT
-residual fails to halve.
+Each outer iteration minimizes the augmented Lagrangian in x
+(regularized semismooth Newton with Armijo backtracking) until the
+gradient norm is at most eps_k = eta sigma_k (`Proportional`) or at most
+its rounding floor, whichever is larger; one rule, tested at every
+Newton iteration, serves every eta, and eta = 0, the exact method, is
+the case where only the floor stops.  It then projects the shifted
+constraint value onto the polar cone to update the multiplier.  The
+penalty starts at rho0 and never decreases; it grows, up to rho_max,
+only when the KKT residual fails to halve.
 
 The Newton step (`_newton_direction`) solves with the generalized
 Hessian H = S + rho JPhi' V JPhi in one of two ways.  The dense path
@@ -43,7 +45,7 @@ class Proportional:
     """eps_k = eta * sigma_k; keeps the tolerance a fixed fraction of the
     residual, which is what the linear-rate analysis consumes.  eta = 0 is
     the exact method: each inner solve runs to the gradient's rounding
-    floor (`_grad_floor`)."""
+    floor (`_inner_solve`)."""
 
     eta: float = 0.1
 
@@ -56,7 +58,7 @@ MU0 = 1e-8                # initial Newton regularization
 ARMIJO = 1e-4             # sufficient-decrease constant
 BACKTRACK = 0.5           # step shrink factor
 MAX_LINESEARCH = 60       # backtracking steps per Newton step
-EPS = np.finfo(float).eps  # machine epsilon, scales the Armijo noise allowance
+EPS = np.finfo(float).eps  # machine epsilon, scales the Armijo noise allowance and the floor
 
 
 @dataclass(frozen=True)
@@ -343,21 +345,19 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     return cho_solve(c, -ev.grad_x)
 
 
-def _grad_floor(ev: AugEval) -> float:
-    """Rounding error of grad_x = grad f + JPhi' Pi_{-Q}(rho Phi + lam) at the complete
-    ev: 4 eps (||grad f|| + ||JPhi||_F (rho (||JPhi||_F ||x|| + ||Phi||) + ||lam||))."""
-    jac_norm = _norm(ev.jac.ravel())
-    return 4.0 * EPS * (_norm(ev.fgrad) + jac_norm * (
-        ev.rho * (jac_norm * _norm(ev.x) + _norm(ev.phi)) + _norm(ev.lam)))
-
-
 def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
     """Minimize x -> L_rho(x, lam) from the evaluation ev at the start,
     with Newton steps that keep their G, S and factor in state, until
-    ||grad|| <= eps_k or ||grad|| <= `_grad_floor` (a floor stop:
-    grad_norm > eps_k).  The floor is tested at every iteration where
-    eps_k = 0, and otherwise only after a full Newton step that failed to
-    halve ||grad||.
+    ||grad|| <= eps_k or ||grad|| is at most its rounding floor (a floor
+    stop: grad_norm > eps_k), both tested at every iteration for every
+    eps_k >= 0; eps_k = 0 is the exact method.  The floor is the rounding
+    error of grad_x = grad f + JPhi' Pi_{-Q}(rho Phi + lam),
+
+        4 eps (||grad f|| + ||JPhi||_F (rho (||JPhi||_F ||x|| + ||Phi||) + ||lam||)),
+
+    with ||lam|| formed once per solve and ||JPhi||_F again only where
+    JPhi is a different array or a writeable one (`_newton_direction`'s
+    rule), so each test costs three vector norms.
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
     point is evaluated once, and a line-search trial only by value.  A
@@ -366,15 +366,16 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
     """
     p, lam, rho = ev.p, ev.lam, ev.rho
     ev.complete()
-    halved = math.inf   # half the ||grad|| before a full step, else inf
+    lam_norm, jac, jac_norm = _norm(lam), None, 0.0
     for it in range(max_inner + 1):
         x = ev.x
-        grad_norm = math.sqrt(ev.grad_x @ ev.grad_x)
-        if grad_norm <= eps_k:
-            return ev, grad_norm, it
+        grad_norm = math.sqrt(ev.grad_x.dot(ev.grad_x))
         if not math.isfinite(grad_norm):
             raise InnerFailure(f"non-finite gradient (iteration {it})", x, grad_norm, it)
-        if (grad_norm > halved or not eps_k) and grad_norm <= _grad_floor(ev):
+        if ev.jac is not jac or jac.flags.writeable:
+            jac, jac_norm = ev.jac, _norm(ev.jac.ravel())
+        if grad_norm <= eps_k or grad_norm <= 4.0 * EPS * (_norm(ev.fgrad) + jac_norm * (
+                rho * (jac_norm * _norm(x) + _norm(ev.phi)) + lam_norm)):
             return ev, grad_norm, it
         if it == max_inner:
             raise InnerFailure(
@@ -384,7 +385,7 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
             d = _newton_direction(ev, state)
         except NonFiniteError as exc:
             raise InnerFailure(f"{exc} (iteration {it})", x, grad_norm, it) from exc
-        slope = math.nan if d is None else float(ev.grad_x @ d)
+        slope = math.nan if d is None else float(ev.grad_x.dot(d))
         if not slope < 0.0:
             raise InnerFailure(f"no Newton descent direction (iteration {it})", x, grad_norm, it)
         # allowance for roundoff in the value: near the minimum the true
@@ -404,7 +405,6 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
             raise InnerFailure(
                 f"line search failed at ||grad||={grad_norm:.3e} (iteration {it})",
                 x, grad_norm, it)
-        halved = 0.5 * grad_norm if step == 1.0 else math.inf
         ev = cand.complete()
     raise AssertionError("unreachable")
 
@@ -412,7 +412,8 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
 def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
                 max_inner: int = 200):
     """Minimize x -> L_rho(x, lambda_k) until its gradient norm is at most
-    eps_k or at its rounding floor, in at most max_inner Newton steps.
+    max(eps_k, its rounding floor), tested at every iteration, in at most
+    max_inner Newton steps; eps_k = 0 stops at the floor.
 
     Returns (x, grad_norm, iters).  The step is regularized Newton on the
     generalized Hessian with Armijo backtracking on the value; a step that
@@ -452,12 +453,12 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     iterate is the last trace row, with a NaN value.  The penalty is
     raised by rho_growth, capped at rho_max, whenever the residual fails
     to halve, except after an inner solve that stopped at its rounding
-    floor short of a positive eps_k and moved (x, lam); in the exact
-    method (eps_k = 0) the inner solves test that floor at every
-    iteration.  A non-finite start (x0, lambda0, or the shifted point or
-    the KKT residual there) raises NonFiniteError, a ValueError.  No
-    floating-point warning is printed: every overflow or invalid value
-    surfaces as one of these outcomes.
+    floor short of a positive eps_k and moved (x, lam).  Every inner solve
+    stops at max(eps_k, its rounding floor), whatever eta; with eta = 0
+    (the exact method) eps_k is 0.  A non-finite start (x0, lambda0, or
+    the shifted point or the KKT residual there) raises NonFiniteError, a
+    ValueError.  No floating-point warning is printed: every overflow or
+    invalid value surfaces as one of these outcomes.
 
     Each outer iteration reuses the inner solve's final evaluation: its
     polar projection is the multiplier update, its oracle results give

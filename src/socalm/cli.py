@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import alm, diagnostics
+from .cone import _nonnegative
 from .model import SocpProblem, builtin, load_problem
 from .variational import (check_dual_qualification, check_sosc, critical_pair,
                           multiplier_calmness)
@@ -218,6 +219,7 @@ def cmd_rate(args) -> int:
     sol = problem.known_solution
     if sol is None:
         raise ValueError("rate estimation needs a problem with a known solution")
+    _nonnegative("seed", args.seed or 0)
     rng = np.random.default_rng(args.seed or 0)
     step = rng.standard_normal(problem.n + problem.m + 1)
     step *= (1e-2 if args.offset is None else args.offset) / np.linalg.norm(step)

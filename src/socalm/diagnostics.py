@@ -20,7 +20,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve
-from .cone import _at_least, _finite, _norm, _positive, _project_polar_rows, _project_q_rows
+from .cone import (_at_least, _finite, _integer, _nonnegative, _norm, _positive,
+                   _project_polar_rows, _project_q_rows)
 from .lagrangian import NonFiniteError, lagrangian_l
 from .model import SocpProblem, builtin
 from .variational import check_sosc
@@ -150,6 +151,8 @@ def verify_error_bound(p: SocpProblem, radius: float, samples: int, seed: int) -
     _require_solution(p)
     _positive("radius", radius)
     _at_least("samples", samples, 1)
+    _integer("seed", seed)
+    _nonnegative("seed", seed)
     rng = np.random.default_rng(seed)
     kappa1, kappa2 = _kappa_sups(p, radius, samples, rng)
     kappa1_small, _ = _kappa_sups(p, radius / 10.0, samples, rng)
@@ -216,6 +219,8 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
         _positive("rho", rho)
     _at_least("x_samples", x_samples, 1)
     _at_least("lambda_samples", lambda_samples, 1)
+    _integer("seed", seed)
+    _nonnegative("seed", seed)
     rng = np.random.default_rng(seed)
     radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
     x_steps = {gamma: _ball_rows(rng, x_samples, p.n, gamma) for gamma in radii}
@@ -300,6 +305,8 @@ def solvability_estimate(p: SocpProblem, rho: float, lambda_samples: int, seed: 
     _positive("rho", rho)
     _positive("radius", radius)
     _at_least("lambda_samples", lambda_samples, 1)
+    _integer("seed", seed)
+    _nonnegative("seed", seed)
     if not check_sosc(p, sol.x, sol.lam).holds:
         return float("nan")
     lams = sol.lam + _ball_rows(np.random.default_rng(seed), lambda_samples, p.m + 1, radius)

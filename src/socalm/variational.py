@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .cone import (ConeRegion, _classify, _positive, _project_polar_rows, _tilde, as_cone_vec,
-                   in_normal_cone, project_polar)
+from .cone import (ConeRegion, _classify, _integer, _nonnegative, _positive, _project_polar_rows,
+                   _tilde, as_cone_vec, in_normal_cone, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, hessian_lagrangian
 from .model import SocpProblem
 
@@ -316,6 +316,8 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
     and falls back to a sampled, non-certifying penalty sweep
     (`_whole_cone_search`, seeded by `seed`; SampledPenalty).
     """
+    _integer("seed", seed)
+    _nonnegative("seed", seed)
     x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
     res = _kkt_residual(phi, J, p.f_grad(x), lam)
     if not res <= KKT_TOL * max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(lam))):

@@ -11,19 +11,28 @@ import numpy as np
 import pytest
 
 from socalm import ConeRegion, KktPoint, SocpProblem
-from socalm.cone import TAU_CONE
+from socalm.cone import TAU_CONE, _norm
+
+
+@np.errstate(over="ignore")  # `_norm` detects an overflowing square by forming it
+def _on_boundary(sign, v):
+    """(sign ||v||, v), with ||v|| as the cone kernels compute it."""
+    return np.r_[sign * _norm(v), v]
+
 
 # Shifted points y = (y0, a w), ||w|| = 1, in each region of the cone
 # module's case split; c in (-0.9, 0.9) and g >= 0.1 keep them clear of
-# the classification tolerance.  The two axis points, within TAU_CONE of
-# the vertex, lie inside Q and -Q, where V is 0 and I; `classify` puts
-# them on the boundaries of Q and -Q.
+# the classification tolerance.  The boundary points take y0 = +-||a w||
+# as the kernels compute it, so that the projection's exact comparisons
+# put them on the boundary rather than strictly inside Q or -Q.  The
+# two axis points, within TAU_CONE of the vertex, lie inside Q and -Q,
+# where V is 0 and I; `classify` puts them on the boundaries of Q and -Q.
 SHIFTED = {
     ConeRegion.INTERIOR_Q: lambda a, w, c, g: np.r_[a * (1.0 + g), a * w],
-    ConeRegion.BOUNDARY_Q_NONZERO: lambda a, w, c, g: np.r_[a, a * w],
+    ConeRegion.BOUNDARY_Q_NONZERO: lambda a, w, c, g: _on_boundary(1.0, a * w),
     ConeRegion.ZERO: lambda a, w, c, g: np.zeros(w.size + 1),
     ConeRegion.INTERIOR_POLAR: lambda a, w, c, g: np.r_[-a * (1.0 + g), a * w],
-    ConeRegion.BOUNDARY_POLAR_NONZERO: lambda a, w, c, g: np.r_[-a, a * w],
+    ConeRegion.BOUNDARY_POLAR_NONZERO: lambda a, w, c, g: _on_boundary(-1.0, a * w),
     ConeRegion.OUTSIDE: lambda a, w, c, g: np.r_[c * a, a * w],
     "axis+": lambda a, w, c, g: np.r_[1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
     "axis-": lambda a, w, c, g: np.r_[-1.2 * TAU_CONE, 0.5 * TAU_CONE * w],
@@ -168,6 +177,7 @@ def constant_phi_problem(value, name="constant_phi"):
 # The values each argument rule rejects (`socalm.cone`), NaN included.
 BAD_PENALTIES = (0.0, -1.0, math.nan, math.inf)   # also steps and radii
 BAD_TOLERANCES = (-1.0, math.nan)
+BAD_SEEDS = (None, True, 1.5, -1)  # None would seed from the OS, a new draw every call
 # what the finite-point rule says of each kind of point
 PRIMAL, MULTIPLIER = "primal point must be finite", "multiplier must be finite"
 CONE_VECTOR = "cone vector must be finite"

@@ -281,20 +281,35 @@ def test_exact_rule_converges_where_the_rounding_floor_exceeds_1e_13(region):
     assert all(eps == 0.0 for eps in trace.epss)
 
 
-def test_exact_inner_solve_stops_at_the_floor_of_a_degenerate_minimizer():
+@pytest.mark.parametrize("eps_k", [0.0, 1e-300])
+def test_exact_inner_solve_stops_at_the_floor_of_a_degenerate_minimizer(eps_k):
     """At lam = 0 example_3_2's inner minimizer is degenerate: each full
-    Newton step cuts ||grad|| by about 0.3, so no step fails to halve it.
-    An exact inner solve (eps_k = 0) tests the rounding floor at every
-    iteration and stops there well inside its budget, and the exact ALM
+    Newton step cuts ||grad|| by about 0.3, so Newton converges linearly
+    and ||grad|| reaches its rounding floor long before a tiny eps_k.
+    Every inner solve tests the floor at every iteration, so the exact one
+    (eps_k = 0) and one whose positive eps_k lies below the floor both
+    stop there well inside their budget, and the ALM with eta = eps_k
     converges from every seeded start."""
     p = builtin("example_3_2")
-    _, grad_norm, iters = inner_solve(p, np.zeros(3), 10.0, [2.0, 1.0], 0.0)
-    assert 0.0 < grad_norm <= 1e-20 and iters < 100
+    _, grad_norm, iters = inner_solve(p, np.zeros(3), 10.0, [2.0, 1.0], eps_k)
+    assert eps_k < grad_norm <= 1e-20 and iters < 100
     rng = np.random.default_rng(0)
-    cfg = AlmConfig(eps_rule=Proportional(0.0))
+    cfg = AlmConfig(eps_rule=Proportional(eps_k))
     for _ in range(200):
         _, trace = solve(p, rng.standard_normal(2), np.zeros(3), cfg)
         assert trace.status is AlmStatus.CONVERGED
+
+
+def test_rounding_floor_follows_a_jacobian_rewritten_in_place():
+    """The floor's ||JPhi||_F is formed again wherever JPhi is writeable:
+    an example_3_2 whose JPhi, which moves with x, is one buffer rewritten
+    at each call stops where the one with fresh arrays does, bit for bit.
+    From x = (2, 1) ||JPhi||_F falls from 4.2 to sqrt(2), so a floor kept
+    from the start would stop the solve at another iteration."""
+    p = builtin("example_3_2")
+    x, grad_norm, iters = inner_solve(p, np.zeros(3), 10.0, [2.0, 1.0], 0.0)
+    twin = inner_solve(rewritten_twin(p, "phi_jac"), np.zeros(3), 10.0, [2.0, 1.0], 0.0)
+    assert twin[1:] == (grad_norm, iters) and np.array_equal(twin[0], x)
 
 
 @pytest.mark.parametrize("region", [ConeRegion.ZERO, ConeRegion.BOUNDARY_Q_NONZERO,

@@ -367,6 +367,19 @@ def test_invalid_settings_exit_two(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "builtin:scaled_quadratic"],
+    ["check", "sosc", "--problem", "builtin:projection"],
+    ["check", "errorbound", "--problem", "builtin:projection"],
+    ["rate", "--problem", "builtin:example_3_2", "--rho-list", "10"],
+])
+def test_a_negative_seed_exit_two(argv, capsys):
+    assert run_cli(*argv, "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["solve", "--problem", "builtin:projection", "--n", "7", "--region", "Zero"],
     ["check", "sosc", "--problem", "builtin:example_3_2", "--a", "1,0,0"],
     ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10", "--a", "1,0,0"],

@@ -18,8 +18,8 @@ from socalm.alm import AlmTrace
 from socalm.diagnostics import _ball_rows, _multiplier_samples, dist_to_known_pair
 from socalm.lagrangian import AugEval, residual
 
-from _util import (BAD_PENALTIES, MULTIPLIER, counted, nan_at, negative_curvature_problem,
-                   rejected, rewritten_twin, uniform_ball)
+from _util import (BAD_PENALTIES, BAD_SEEDS, MULTIPLIER, counted, nan_at,
+                   negative_curvature_problem, rejected, rewritten_twin, uniform_ball)
 
 
 def test_dist_to_multiplier_set_point_case():
@@ -270,6 +270,13 @@ def test_growth_rejects_empty_samples(x_samples, lambda_samples):
     *rejected("solvability_estimate", "lambda_samples", [2.5],
               lambda v: solvability_estimate(builtin("projection"), 10.0, v, seed=1),
               "lambda_samples must be an integer"),
+    # a seed is a nonnegative integer
+    *rejected("verify_error_bound", "seed", BAD_SEEDS,
+              lambda v: verify_error_bound(builtin("projection"), 1e-2, 5, v), "seed must be"),
+    *rejected("certify_growth", "seed", BAD_SEEDS,
+              lambda v: certify_growth(builtin("projection"), [1.0], 20, 1, v), "seed must be"),
+    *rejected("solvability_estimate", "seed", BAD_SEEDS,
+              lambda v: solvability_estimate(builtin("projection"), 10.0, 5, v), "seed must be"),
     # a multiplier, one vector or the rows of an array, is finite
     *rejected("dist_to_multiplier_set", "lam", [nan_at([0.0, 0.0, 0.0])],
               lambda v: dist_to_multiplier_set(builtin("projection"), v), MULTIPLIER),

@@ -12,7 +12,7 @@ from socalm import (ConeRegion, builtin, generate_planted, in_normal_cone, load_
 from socalm.cone import classify, tilde
 from socalm.lagrangian import lagrangian_l, residual
 
-from _util import fd_grad, fd_jac
+from _util import BAD_SEEDS, fd_grad, fd_jac, rejected
 
 
 def all_reference_problems():
@@ -172,6 +172,14 @@ def test_planted_rejects_bad_arguments():
         generate_planted(3, 2.5, ConeRegion.INTERIOR_Q, seed=0)
     with pytest.raises(ValueError):
         generate_planted(3, 2, ConeRegion.OUTSIDE, seed=0)
+
+
+@pytest.mark.parametrize("call, message", rejected(
+    "generate_planted", "seed", BAD_SEEDS,
+    lambda v: generate_planted(3, 2, ConeRegion.INTERIOR_Q, v), "seed must be"))
+def test_planted_rejects_a_bad_seed(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_load_problem_builtin_dispatch(tmp_path):

@@ -20,8 +20,9 @@ from socalm.variational import (CriticalConeCase, _minimize_on_sphere, _reduced_
                                 difference_quotient_oracle, dist2_critical,
                                 multiplier_calmness, quad_form_q)
 
-from _util import (BAD_PENALTIES, CONE_VECTOR, MULTIPLIER, PRIMAL, constant_phi_problem,
-                   counted, nan_at, negative_curvature_problem, rejected, vertex_problem)
+from _util import (BAD_PENALTIES, BAD_SEEDS, CONE_VECTOR, MULTIPLIER, PRIMAL,
+                   constant_phi_problem, counted, nan_at, negative_curvature_problem, rejected,
+                   vertex_problem)
 
 
 def test_critical_cone_case_table():
@@ -150,6 +151,8 @@ W = [1.0, 0.0, 0.0]
               lambda v, p: d2_indicator_q(X, LAM, v), CONE_VECTOR),
     *rejected("dist2_critical", "v", [nan_at(W)],
               lambda v, p: dist2_critical(critical_cone(X, LAM), v), CONE_VECTOR),
+    *rejected("check_sosc", "seed", BAD_SEEDS, lambda v, p: check_sosc(p, X, LAM, seed=v),
+              "seed must be"),
 ])
 def test_second_order_tools_reject_a_bad_argument(call, message):
     with pytest.raises(ValueError, match=message):
