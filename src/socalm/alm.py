@@ -34,7 +34,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .cone import (_finite, _integer, _nonnegative, _norm, _polar_jacobian_parts, _positive,
+from .cone import (_at_least, _finite, _nonnegative, _norm, _polar_jacobian_parts, _positive,
                    as_cone_vec)
 from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
 from .model import KktPoint, SocpProblem
@@ -81,10 +81,8 @@ class AlmConfig:
         if not self.rho_max >= self.rho0:
             raise ValueError(f"rho_max must be >= rho0, got {self.rho_max!r}")
         _positive("outer_tol", self.outer_tol)
-        _nonnegative("max_outer", self.max_outer)
-        _integer("max_outer", self.max_outer)
-        _nonnegative("max_inner", self.max_inner)
-        _integer("max_inner", self.max_inner)
+        _at_least("max_outer", self.max_outer)
+        _at_least("max_inner", self.max_inner)
 
 
 class AlmStatus(enum.Enum):
@@ -421,8 +419,7 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
     """
     _nonnegative("eps_k", eps_k)
     _positive("rho_k", rho_k)
-    _nonnegative("max_inner", max_inner)
-    _integer("max_inner", max_inner)
+    _at_least("max_inner", max_inner)
     x, lam = p.check_dims(x_start, lambda_k)
     ev, grad_norm, iters = _inner_solve(AugEval(p, x.copy(), lam, rho_k), NewtonState(), eps_k,
                                         max_inner)

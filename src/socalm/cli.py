@@ -151,11 +151,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Run `check <name>`.  Each check is its own subcommand with only the
-    flags it reads besides the problem flags and --report: sosc and
-    dualqual read --x and --lambda; growth --rho-list, --x-samples and
-    --lambda-samples; errorbound --radius and --samples; example32 --t.
-    --seed seeds the sampling of sosc, growth and errorbound."""
+    """Run `check <name>`, a subcommand with only its own flags besides the
+    problem flags and --report; --seed seeds what sosc, growth and errorbound sample."""
     problem = _load_problem(args)
 
     if args.check == "example32":
@@ -183,10 +180,9 @@ def cmd_check(args) -> int:
         code = 1 if r.failed else 0
     elif args.check == "growth":
         r = diagnostics.certify_growth(problem, _parse_float_list(args.rho_list),
-                                       args.x_samples, args.lambda_samples, args.seed or 0)
+                                       args.lambda_samples, args.seed or 0)
         fields = dataclasses.asdict(r)
-        line = (f"growth ell_hat={r.ell_hat:.6e} gamma_hat={r.gamma_hat:g} "
-                f"rho={r.rho_used:g} uniform={r.uniform}")
+        line = f"growth ell_hat={r.ell_hat:.6e} rho={r.rho_used:g} uniform={r.uniform}"
         code = 0 if r.ell_hat > 0 else 1
     elif args.check == "sosc":
         x, lam = _point(args, problem)
@@ -318,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         check[name].add_argument("--lambda", dest="lam", help="multiplier at the point")
     check["growth"].add_argument("--rho-list", dest="rho_list", default="1,10,100",
                                  help="penalties, in the order they are tried")
-    check["growth"].add_argument("--x-samples", dest="x_samples", type=int, default=100)
     check["growth"].add_argument("--lambda-samples", dest="lambda_samples", type=int,
                                  default=5)
     check["errorbound"].add_argument("--radius", type=float, default=1e-2)

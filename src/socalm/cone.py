@@ -64,10 +64,13 @@ def _nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
-def _at_least(name: str, value, floor: int) -> None:
-    if not value >= floor:
-        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
+def _at_least(name: str, value, floor: int = 0) -> None:
+    """An integer (tested first, so that None fails it too) at least floor."""
     _integer(name, value)
+    if floor == 0:
+        _nonnegative(name, value)
+    elif not value >= floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
 
 
 def _integer(name: str, value) -> None:

@@ -1,18 +1,15 @@
-"""Empirical verification of the quantitative claims: error-bound
-constants, second-order growth, subproblem stability and linear rates.
+"""Verification of the quantitative claims: error-bound constants,
+second-order growth, subproblem stability and linear rates.
 
-Every sampler is seeded and records its sample counts, so reports are
-reproducible bit for bit.  A ball is drawn in one call, the oracles are
-called once per sampled point, and the rest is reduced over all rows at
-once, so a constant can differ from a one-point-at-a-time evaluation in
-its last bits (about 1e-14 relative).
-These checks are evidence, not proofs: they bound constants over finite
-samples and flag instability heuristically.
+The growth modulus is exact, one eigenvalue per multiplier.  The other
+checks sample, seeded, so reports repeat bit for bit: a ball is drawn in
+one call, the oracles are called once per sampled point and the rest is
+reduced over all rows at once.  They are evidence, not proofs: they
+bound constants over finite samples and flag instability heuristically.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -20,11 +17,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve
-from .cone import (_at_least, _finite, _integer, _nonnegative, _norm, _positive,
-                   _project_polar_rows, _project_q_rows)
+from .cone import _at_least, _finite, _norm, _positive, _project_q_rows
 from .lagrangian import NonFiniteError, lagrangian_l
 from .model import SocpProblem, builtin
-from .variational import check_sosc
+from .variational import _growth_pair, _kkt_data, check_sosc
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,6 @@ class ErrorBoundReport:
 class GrowthReport:
     rho_used: float
     ell_hat: float
-    gamma_hat: float
     multiplier_samples: int
     uniform: bool
 
@@ -151,8 +146,7 @@ def verify_error_bound(p: SocpProblem, radius: float, samples: int, seed: int) -
     _require_solution(p)
     _positive("radius", radius)
     _at_least("samples", samples, 1)
-    _integer("seed", seed)
-    _nonnegative("seed", seed)
+    _at_least("seed", seed)
     rng = np.random.default_rng(seed)
     kappa1, kappa2 = _kappa_sups(p, radius, samples, rng)
     kappa1_small, _ = _kappa_sups(p, radius / 10.0, samples, rng)
@@ -184,89 +178,44 @@ def example32_ratio(t: float) -> Tuple[float, float, float]:
     return dist2, grad2, dist2 / grad2
 
 
-def _multiplier_samples(p: SocpProblem, count: int, rng) -> List[np.ndarray]:
+def _multiplier_samples(p: SocpProblem, count: int, seed: int) -> List[np.ndarray]:
     sol = p.known_solution
     if p.multiplier_ray is None or count <= 1:
         return [sol.lam.copy()]
+    rng = np.random.default_rng(seed)
     d = np.asarray(p.multiplier_ray, dtype=float)
-    d_norm = float(np.linalg.norm(d))
     c_bar = max(0.0, float(sol.lam @ d) / float(d @ d))
-    eps = max(0.5 * float(np.linalg.norm(sol.lam)), 0.25) / d_norm
+    eps = max(0.5 * float(np.linalg.norm(sol.lam)), 0.25) / float(np.linalg.norm(d))
     cs = np.maximum(0.0, c_bar + rng.uniform(-eps, eps, count - 1))
     return [sol.lam.copy()] + [c * d for c in cs]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflows are detected, NaN quotients skipped
-def certify_growth(p: SocpProblem, rho_list: Sequence[float], x_samples: int,
-                   lambda_samples: int, seed: int) -> GrowthReport:
-    """Sampled second-order growth certificate for the augmented Lagrangian.
+@np.errstate(all="ignore")
+def certify_growth(p: SocpProblem, rho_list: Sequence[float], lambda_samples: int,
+                   seed: int) -> GrowthReport:
+    """Exact second-order growth certificate for the augmented Lagrangian.
 
-    For each penalty value the growth modulus is the smallest sampled
-    value of (L_rho(x, lam) - f(xbar)) / ||x - xbar||^2 over shrinking
-    balls around xbar and over multipliers near the known one (the whole
-    segment when the multiplier set is a ray).  Over (penalty, radius) in
-    order, the first positive modulus is reported, else the first largest;
-    as a minimum over the multipliers it is uniform iff ell_hat > 0.
-    x - xbar is the step that xbar + step realizes in floating point;
-    sampled points it moves by less than 1e-12 are dropped, and a radius
-    at which none is left raises ValueError, as does one at which no
-    quotient is finite (the values overflow), which would pass vacuously.
-    """
+    The modulus at rho is the largest ell with L_rho(xbar + w, lam) >=
+    f(xbar) + (ell - o(1)) |w|^2 (`variational._growth_pair`), minimized
+    over the known multiplier and, on a multiplier ray, lambda_samples - 1
+    seeded points of it, so uniform iff ell_hat > 0.  Over rho_list in
+    order the first positive one is reported, else the first largest.  A
+    known pair that is not a KKT pair raises ValueError."""
     sol = _require_solution(p)
     if not rho_list:
         raise ValueError("rho_list must not be empty")
     for rho in rho_list:
         _positive("rho", rho)
-    _at_least("x_samples", x_samples, 1)
     _at_least("lambda_samples", lambda_samples, 1)
-    _integer("seed", seed)
-    _nonnegative("seed", seed)
-    rng = np.random.default_rng(seed)
-    radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
-    x_steps = {gamma: _ball_rows(rng, x_samples, p.n, gamma) for gamma in radii}
-    lams = _multiplier_samples(p, lambda_samples, rng)
-    f_bar = p.f_value(sol.x)
-    evaluated = {}  # gamma -> (squared step norms, Phi and f at xbar + step)
-
-    def modulus_at(rho, gamma):
-        if gamma not in evaluated:
-            xs = sol.x + x_steps[gamma]
-            # the step xbar + step realizes, which rounding shrinks where
-            # xbar is large against the radius
-            realized = xs - sol.x
-            r2 = np.vecdot(realized, realized)
-            kept = r2 >= 1e-24
-            if not kept.any():
-                raise ValueError(f"no sampled step of radius {gamma:g} moves xbar: its entries "
-                                 "are too large for the radius")
-            xs = xs[kept]
-            evaluated[gamma] = (r2[kept], _oracle_rows(p.phi_value, xs, (p.m + 1,)),
-                                _oracle_rows(p.f_value, xs, ()))
-        r2, phis, fs = evaluated[gamma]
-        per_lam = []
-        for lam in lams:
-            shifted = rho * phis + lam
-            if not np.isfinite(shifted).all():
-                raise NonFiniteError("non-finite shifted point rho*Phi(x)+lam")
-            polar = _project_polar_rows(shifted)
-            # L_rho = f + (||polar||^2 - ||lam||^2) / (2 rho), as in AugEval; halved
-            # after the division, since 2 rho overflows for rho near the largest float
-            vals = fs + (np.vecdot(polar, polar) - lam @ lam) / rho / 2.0
-            quotients = (vals - f_bar) / r2
-            if not np.isfinite(quotients).any():
-                raise ValueError(f"no sampled growth quotient at radius {gamma:g} is finite")
-            per_lam.append(float(np.fmin.reduce(quotients, initial=math.inf)))
-        return min(per_lam)
-
-    best = None  # (ell, rho, gamma)
-    for rho, gamma in itertools.product(rho_list, radii):
-        ell = modulus_at(rho, gamma)
-        if best is None or ell > best[0]:
-            best = (ell, rho, gamma)
-        if ell > 0.0:
+    _at_least("seed", seed)
+    pairs = [_kkt_data(p, sol.x, lam) for lam in _multiplier_samples(p, lambda_samples, seed)]
+    moduli = []  # (ell, rho) up to the first positive ell
+    for rho in rho_list:
+        moduli.append((min(_growth_pair(*pair, rho)[0] for pair in pairs), rho))
+        if moduli[-1][0] > 0.0:
             break
-    ell_hat, rho_used, gamma_hat = best
-    return GrowthReport(float(rho_used), ell_hat, float(gamma_hat), len(lams), ell_hat > 0.0)
+    ell_hat, rho_used = max(moduli, key=lambda item: item[0])  # the first largest
+    return GrowthReport(float(rho_used), ell_hat, len(pairs), ell_hat > 0.0)
 
 
 def estimate_rate(trace, p: SocpProblem) -> Tuple[List[float], float]:
@@ -305,8 +254,7 @@ def solvability_estimate(p: SocpProblem, rho: float, lambda_samples: int, seed: 
     _positive("rho", rho)
     _positive("radius", radius)
     _at_least("lambda_samples", lambda_samples, 1)
-    _integer("seed", seed)
-    _nonnegative("seed", seed)
+    _at_least("seed", seed)
     if not check_sosc(p, sol.x, sol.lam).holds:
         return float("nan")
     lams = sol.lam + _ball_rows(np.random.default_rng(seed), lambda_samples, p.m + 1, radius)

@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cone import (ConeRegion, _at_least, _finite, _integer, _nonnegative, as_cone_vec, project_q,
-                   tilde)
+from .cone import ConeRegion, _at_least, _finite, _integer, as_cone_vec, project_q, tilde
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,7 @@ def generate_planted(n: int, m: int, region: ConeRegion, seed: int) -> SocpProbl
     """
     _at_least("n", n, 1)
     _at_least("m", m, 1)
-    _integer("seed", seed)
-    _nonnegative("seed", seed)
+    _at_least("seed", seed)
     if region not in (ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO):
         raise ValueError(f"unsupported region {region}")
     rng = np.random.default_rng(seed)

@@ -1,5 +1,5 @@
 """Second-order variational objects: critical cones, second subderivatives,
-sufficiency certificates and the dual qualification test.
+sufficiency certificates, the growth modulus and the dual qualification test.
 
 The critical cone to Q at a feasible point for a normal direction is one
 of six exactly-representable sets, enumerated from the joint location of
@@ -13,14 +13,15 @@ plus a brute-force difference-quotient oracle used to cross-check them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import svd
 
-from .cone import (ConeRegion, _classify, _integer, _nonnegative, _positive, _project_polar_rows,
-                   _tilde, as_cone_vec, in_normal_cone, project_polar)
+from .cone import (ConeRegion, _at_least, _classify, _norm, _positive,
+                   _project_polar_rows, _tilde, as_cone_vec, in_normal_cone, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, hessian_lagrangian
 from .model import SocpProblem
 
@@ -32,6 +33,7 @@ MEMBER_TOL = 1e-10  # distance to the critical cone that counts as membership
 STARTS = 64         # sphere-search starts per penalty
 RHO0 = 1.0          # first penalty of the sphere search, doubled up to
 DOUBLINGS = 8       # DOUBLINGS times
+EPS = np.finfo(float).eps
 
 
 class CriticalConeCase(enum.Enum):
@@ -134,11 +136,6 @@ def critical_pair(p: SocpProblem, xbar, lambda_bar):
     return x, lam, J, critical_cone(phi, lam)
 
 
-def _curvature(K: CriticalCone) -> float:
-    """||lam|| / ||Phi(xbar)||, the cone's curvature in the Hyperplane case."""
-    return float(np.linalg.norm(K.multiplier) / np.linalg.norm(K.base_point))
-
-
 def d2_indicator_q(phi_xbar, lambda_bar, w) -> float:
     """Second subderivative of the indicator of Q at phi_xbar for lambda_bar.
 
@@ -151,21 +148,28 @@ def d2_indicator_q(phi_xbar, lambda_bar, w) -> float:
     if np.sqrt(dist2_critical(K, w)) > MEMBER_TOL:
         return float("inf")
     if K.case is CriticalConeCase.HYPERPLANE:
-        return float(_curvature(K) * (w[1:] @ w[1:] - w[0] ** 2))
+        return _norm(K.multiplier) / _norm(K.base_point) * float(w[1:] @ w[1:] - w[0] ** 2)
     return 0.0
 
 
-def _quad_form(p: SocpProblem, x, lam, w, J, K: CriticalCone, rho: float) -> float:
-    base = float(w @ hessian_lagrangian(p, x, lam) @ w)
-    if K.case is not CriticalConeCase.HYPERPLANE:
-        return base
-    v = J @ w
-    lam_r = lam[1:]
-    lam_norm = np.linalg.norm(lam)
-    phi_norm = np.linalg.norm(K.base_point)
-    coeff = rho * lam_norm / (rho * phi_norm + lam_norm)
-    tang = v[1:] @ v[1:] - (lam_r @ v[1:]) ** 2 / (lam_r @ lam_r)
-    return base + float(coeff * tang)
+def _penalty_split(K: CriticalCone, H, J, rho: float):
+    """(H0, B), with B None where no penalty is left: w'H0w is `quad_form_q`,
+    and outside the whole cone min_{|w| = 1} d2 L_rho(xbar, lam; w) is
+    lambda_min(H0 + rho B'B) (HalfSpace and Ray: on w or -w, the less
+    penalized).  Every norm is scaled where its square overflows."""
+    if K.case is CriticalConeCase.HYPERPLANE:
+        lam_norm = _norm(K.multiplier)
+        # rho ||lam|| / (rho ||Phi|| + ||lam||): the indicator's curvature at rho = inf
+        coeff = lam_norm / (_norm(K.base_point) + lam_norm / rho)
+        u = K.multiplier[1:] / _norm(K.multiplier[1:])
+        tang = J[1:] - np.outer(u, u @ J[1:])  # the part of J[1:] across lam[1:]
+        return H + coeff * (tang.T @ tang), (K.multiplier / lam_norm @ J)[None]
+    if K.case is CriticalConeCase.ZERO_ONLY:
+        return H, J
+    if K.case is CriticalConeCase.RAY:
+        d = K.vector / np.abs(K.vector).max()  # d'd cannot overflow
+        return H, (np.eye(d.size) - np.outer(d, d) / (d @ d)) @ J
+    return H, None
 
 
 def quad_form_q(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
@@ -176,7 +180,8 @@ def quad_form_q(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
     """
     _positive("rho", rho)
     x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
-    return _quad_form(p, x, lam, w, J, critical_cone(phi, lam), rho)
+    H0 = _penalty_split(critical_cone(phi, lam), hessian_lagrangian(p, x, lam), J, rho)[0]
+    return float(w @ H0 @ w)
 
 
 def d2_aug_lagrangian(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
@@ -188,7 +193,8 @@ def d2_aug_lagrangian(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
     _positive("rho", rho)
     x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
     K = critical_cone(phi, lam)
-    return _quad_form(p, x, lam, w, J, K, rho) + rho * dist2_critical(K, J @ w)
+    H0 = _penalty_split(K, hessian_lagrangian(p, x, lam), J, rho)[0]
+    return float(w @ H0 @ w) + rho * dist2_critical(K, J @ w)
 
 
 def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) -> float:
@@ -216,14 +222,6 @@ class SoscReport:
     rho_used: float
     method: str
     certificate_detail: str
-
-
-def _reduced_min_eig(S: np.ndarray, basis: np.ndarray) -> float:
-    """Smallest eigenvalue of basis' S basis (basis columns orthonormal)."""
-    reduced = basis.T @ S @ basis
-    if not np.isfinite(reduced).all():
-        raise ValueError("sufficiency form has non-finite entries")
-    return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -263,21 +261,74 @@ def _minimize_on_sphere(fun_grad, points: np.ndarray, iters: int = 200) -> np.nd
     return val
 
 
-def _sosc_form(K: CriticalCone, H, J, n: int):
-    """(form, orthonormal basis of span C) for the critical cone C; outside the whole
-    cone span C = C u -C, on which the even form has the same minimum as on C."""
-    if K.case in (CriticalConeCase.FULL_SPACE, CriticalConeCase.HALF_SPACE):
-        return H, np.eye(n)
-    if K.case is CriticalConeCase.ZERO_ONLY:
-        return H, null_space(J)
-    if K.case is CriticalConeCase.HYPERPLANE:
-        # rho -> infinity limit of the penalized form: the indicator's curvature
-        sign = np.r_[-1.0, np.ones(J.shape[0] - 1)]
-        return (H + _curvature(K) * (J.T @ (sign[:, None] * J)),
-                null_space((J.T @ K.vector)[None]))
-    d = K.vector  # Ray: C u -C = {w : Jw in span d}
-    proj_perp = np.eye(J.shape[0]) - np.outer(d, d) / (d @ d)
-    return H, null_space(proj_perp @ J)
+def _kernel_split(B: np.ndarray):
+    """(kernel, rows, s): orthonormal column bases of ker B and of B's row
+    space, and B's singular values on the latter (`null_space`'s rank rule)."""
+    _, s, vh = svd(B)
+    rank = np.count_nonzero(s > s.max(initial=0.0) * EPS * max(B.shape))
+    return vh[rank:].T, vh[:rank].T, s[:rank]
+
+
+def _bottom_pair(H0, B, rho: float):
+    """(lambda_min(H0 + rho B'B), a unit eigenvector), from one `eigh` unless
+    ker B is nontrivial and rho sigma_min(B)^2 > 4 ||H0||_F, where rho B'B
+    would swamp H0 in rounding.  There, with H0 = [[A00, A01], [A10, A11]]
+    on ker B and B's row space and G = (rho diag(sigma)^2)^(-1/2), it is the
+    fixed point of s <- lambda_min(A00 - A01 G (I + G (A11 - s I) G)^-1 G A10)
+    from s = lambda_min(A00), the rho = inf value; a step contracts by 1/4."""
+    if B is not None:
+        kernel, rows, sigma = _kernel_split(B)
+        h, k = float(np.linalg.norm(H0)), kernel.shape[1]
+        if k and sigma.size and sigma[-1] ** 2 > 4.0 * h / rho:
+            g = 1.0 / (math.sqrt(rho) * sigma)
+            basis = np.hstack([kernel, rows])
+            A = basis.T @ H0 @ basis
+            C, T = g[:, None] * A[k:, :k], g[:, None] * A[k:, k:] * g + np.eye(g.size)
+            s = np.linalg.eigvalsh(A[:k, :k])[0]
+            for _ in range(60):
+                Y = np.linalg.solve(T - np.diag(s * g * g), C)
+                vals, vecs = np.linalg.eigh(A[:k, :k] - C.T @ Y)
+                s, done = vals[0], abs(vals[0] - s) <= EPS * h
+                if done:
+                    break
+            w = kernel @ vecs[:, 0] - rows @ (g * (Y @ vecs[:, 0]))
+            return float(s), w / np.linalg.norm(w)
+        H0 = H0 + rho * (B.T @ B)
+    if not np.isfinite(H0).all():
+        raise ValueError("growth form has non-finite entries")
+    vals, vecs = np.linalg.eigh(H0)
+    return float(vals[0]), vecs[:, 0]
+
+
+@np.errstate(all="ignore")  # a b whose G(b) overflows reads as past the maximum
+def _growth_pair(H, J, K: CriticalCone, rho: float):
+    """(ell, w): the growth modulus 0.5 min_{|w| = 1} d2 L_rho(xbar, lam; w)
+    at a KKT pair and a unit w at which w or -w attains it.  On the whole
+    cone, 2 ell = max_{b >= 0} lambda_min(H - b J0 J0' + b/(1 + 2b/rho) Jr'Jr),
+    J0 and Jr the rows of J: the S-lemma dual of min w'Hw + rho |Jw - z|^2
+    over |w| = 1, z in Q, exact as three quadratic forms in n + m + 1 >= 3
+    variables have a convex joint range (Polyak, JOTA 99, 1998); it is
+    concave in b, so the sign of its slope at the bottom eigenvector bisects b."""
+    if K.case is not CriticalConeCase.WHOLE_CONE_Q:
+        val, w = _bottom_pair(*_penalty_split(K, H, J, rho), rho)
+        return 0.5 * val, w
+    J0, Jr = np.outer(J[0], J[0]), J[1:].T @ J[1:]
+
+    def at(b):
+        scale = 1.0 + 2.0 * b / rho
+        vals, vecs = np.linalg.eigh(H - b * J0 + (b / scale) * Jr)
+        v = J @ vecs[:, 0]
+        return 0.5 * float(vals[0]), vecs[:, 0], v[1:] @ v[1:] > (scale * v[0]) ** 2
+
+    rising = at(0.0)
+    # the bit patterns of the floats b in [0, inf] are ordered as integers, so
+    # 63 halvings of their range put b within one ulp of the maximum at any scale
+    lo, hi = 0, 0x7FF0000000000000 if rising[2] else 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        trial = at(float(np.int64(mid).view(np.float64)))
+        lo, hi, rising = (mid, hi, trial) if trial[2] else (lo, mid, rising)
+    return rising[:2]
 
 
 def _whole_cone_search(H, J, seed: int) -> SoscReport:
@@ -306,36 +357,44 @@ def _whole_cone_search(H, J, seed: int) -> SoscReport:
                       f"up to rho={rho:g} ({STARTS} starts, non-certifying)")
 
 
+def _kkt_data(p: SocpProblem, xbar, lambda_bar):
+    """(Hess_xx L, JPhi, critical cone) of a KKT pair, else ValueError."""
+    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
+    res = _kkt_residual(phi, J, p.f_grad(x), lam)
+    if not res <= KKT_TOL * max(1.0, _norm(x), _norm(lam)):
+        raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
+    H = hessian_lagrangian(p, x, lam)
+    if not np.isfinite(H).all():
+        raise ValueError("Hessian of the Lagrangian has non-finite entries")
+    return H, J, critical_cone(phi, lam)
+
+
 @np.errstate(all="ignore")
 def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
     """Certify the second-order sufficient condition at a KKT pair.
 
     Outside the whole cone the modulus is one exact eigenvalue of the
-    (limit) curvature form on the span of the critical cone (ExactEigen).
-    The vertex case with zero multiplier is a genuine copositivity problem
-    and falls back to a sampled, non-certifying penalty sweep
-    (`_whole_cone_search`, seeded by `seed`; SampledPenalty).
+    rho = inf form of `_penalty_split` on ker B, the span of the critical
+    cone (ExactEigen).  The vertex case with zero multiplier is a genuine
+    copositivity problem and falls back to a sampled, non-certifying
+    penalty sweep (`_whole_cone_search`, seeded by `seed`; SampledPenalty).
     """
-    _integer("seed", seed)
-    _nonnegative("seed", seed)
-    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
-    res = _kkt_residual(phi, J, p.f_grad(x), lam)
-    if not res <= KKT_TOL * max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(lam))):
-        raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
-    H = hessian_lagrangian(p, x, lam)
-    if not np.isfinite(H).all():
-        raise ValueError("Hessian of the Lagrangian has non-finite entries")
-    K = critical_cone(phi, lam)
+    _at_least("seed", seed)
+    H, J, K = _kkt_data(p, xbar, lambda_bar)
     if K.case is CriticalConeCase.WHOLE_CONE_Q:
         return _whole_cone_search(H, J, seed)
 
-    S, B = _sosc_form(K, H, J, p.n)
-    if B.shape[1] == 0:
+    S, B = _penalty_split(K, H, J, math.inf)
+    Z = np.eye(p.n) if B is None else _kernel_split(B)[0]  # orthonormal basis of ker B
+    if Z.shape[1] == 0:
         return SoscReport(True, float("inf"), float("inf"), "ExactEigen",
                           f"critical subspace is trivial ({K.case.value})")
-    modulus = _reduced_min_eig(S, B)
+    reduced = Z.T @ S @ Z
+    if not np.isfinite(reduced).all():
+        raise ValueError("sufficiency form has non-finite entries")
+    modulus = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
     return SoscReport(modulus > TOL, modulus, float("inf"), "ExactEigen",
-                      f"{K.case.value}: min eigenvalue on a {B.shape[1]}-dim subspace of R^{p.n}")
+                      f"{K.case.value}: min eigenvalue on a {Z.shape[1]}-dim subspace of R^{p.n}")
 
 
 def _kernel_tol(J: np.ndarray, v: np.ndarray) -> float:
@@ -362,7 +421,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     if K.case is CriticalConeCase.FULL_SPACE:
         return True, None  # polar is {0}
 
-    kernel = null_space(J.T)  # subspace of R^(m+1)
+    kernel = _kernel_split(J.T)[0]  # subspace of R^(m+1)
     if kernel.shape[1] == 0:
         return True, None
 

@@ -89,10 +89,10 @@ def _inner(lam=Z2, rho=1.0, x=Z2, eps=1e-8, max_inner=200):
               "rho_k must be positive"),
     *rejected("inner_solve", "eps_k", BAD_TOLERANCES, lambda v: _inner(eps=v),
               "eps_k must be nonnegative"),
-    *rejected("inner_solve", "max_inner", [math.nan], lambda v: _inner(max_inner=v),
-              "max_inner must be nonnegative"),
-    *rejected("inner_solve", "max_inner", (math.inf, 2.5, True), lambda v: _inner(max_inner=v),
-              "max_inner must be an integer"),
+    # a budget is tested for being an integer before its range, so NaN,
+    # None and a string are rejected by name rather than by a TypeError
+    *rejected("inner_solve", "max_inner", (math.nan, math.inf, 2.5, True, None),
+              lambda v: _inner(max_inner=v), "max_inner must be an integer"),
     *rejected("inner_solve", "x_start", [nan_at(Z2)], lambda v: _inner(x=v), PRIMAL),
     *rejected("inner_solve", "lambda_k", [nan_at(Z2)], lambda v: _inner(lam=v), MULTIPLIER),
     *rejected("update_multiplier", "rho_k", BAD_PENALTIES[1:],
@@ -107,14 +107,14 @@ def _inner(lam=Z2, rho=1.0, x=Z2, eps=1e-8, max_inner=200):
               "rho0 must be positive"),
     *rejected("AlmConfig", "outer_tol", BAD_PENALTIES, lambda v: AlmConfig(outer_tol=v),
               "outer_tol must be positive"),
-    *rejected("AlmConfig", "max_outer", (-1, math.nan), lambda v: AlmConfig(max_outer=v),
+    *rejected("AlmConfig", "max_outer", [-1], lambda v: AlmConfig(max_outer=v),
               "max_outer must be nonnegative"),
-    *rejected("AlmConfig", "max_inner", (-1, math.nan), lambda v: AlmConfig(max_inner=v),
+    *rejected("AlmConfig", "max_inner", [-1], lambda v: AlmConfig(max_inner=v),
               "max_inner must be nonnegative"),
-    *rejected("AlmConfig", "max_outer", (2.5, math.inf), lambda v: AlmConfig(max_outer=v),
-              "max_outer must be an integer"),
-    *rejected("AlmConfig", "max_inner", (2.5, math.inf), lambda v: AlmConfig(max_inner=v),
-              "max_inner must be an integer"),
+    *rejected("AlmConfig", "max_outer", (2.5, math.inf, math.nan, None),
+              lambda v: AlmConfig(max_outer=v), "max_outer must be an integer"),
+    *rejected("AlmConfig", "max_inner", (2.5, math.inf, math.nan, "3"),
+              lambda v: AlmConfig(max_inner=v), "max_inner must be an integer"),
     *rejected("Proportional", "eta", (-0.1, 1.0, math.nan, math.inf),
               lambda v: AlmConfig(eps_rule=Proportional(v)), r"eta must lie in \[0, 1\)"),
     *rejected("aug_lagrangian", "rho", BAD_PENALTIES,

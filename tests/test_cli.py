@@ -240,9 +240,10 @@ def test_wrong_start_length_exit_two(argv, capsys):
 
 
 E32 = ["--problem", "builtin:example_3_2"]
-# the flags each check reads, besides the problem flags and --report
+# the flags each check reads, besides the problem flags and --report;
+# --x-samples, a flag no command reads, is rejected by every check
 READS = {"sosc": ("--x", "--lambda"), "dualqual": ("--x", "--lambda"),
-         "growth": ("--rho-list", "--x-samples", "--lambda-samples"),
+         "growth": ("--rho-list", "--lambda-samples"),
          "errorbound": ("--radius", "--samples"), "example32": ("--t",)}
 VALUES = {"--x": "0,0", "--lambda": "-1,1,0", "--rho-list": "5", "--x-samples": "3",
           "--lambda-samples": "2", "--radius": "0.01", "--samples": "20", "--t": "0.5"}
@@ -251,7 +252,8 @@ PROBLEM_FILE = "<projection.json>"
 
 # (an argv the parser accepts, a flag that the command would not read there)
 UNREAD_FLAGS = [(["check", name, *E32], f"{flag}={VALUES[flag]}")
-                for name in READS for flag in VALUES if flag not in READS[name]] + [
+                for name in READS for flag in VALUES
+                if flag not in READS[name] and (name, flag) != ("growth", "--x-samples")] + [
     *[(["solve", "--problem", PROBLEM_FILE], flag)
       for flag in ("--a=0,2,0", "--n=3", "--m=2", "--region=Zero", "--seed=3")],
     (["check", "sosc", "--problem", PROBLEM_FILE, "--seed=3"], "--a=0,2,0"),
@@ -261,6 +263,8 @@ UNREAD_FLAGS = [(["check", name, *E32], f"{flag}={VALUES[flag]}")
     (["solve", "--problem", "builtin:example_3_2"], "--seed=3"),
     (["rate", "--problem", "builtin:projection", "--rho-list=10", "--seed=3",
       "--x0=1,1,0", "--lambda0=-1,1,0"], "--offset=0.1"),
+    # the --x-samples row of growth, listed apart from the rows above
+    (["check", "growth", *E32], "--x-samples=3"),
 ]
 
 
@@ -306,8 +310,8 @@ def test_each_check_accepts_and_lists_only_its_own_flags(name, capsys):
     ["solve", "--problem", "builtin:projection", "--max-outer", "-1"],
     ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list=-1"],
     ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10,nan"],
-    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--x-samples", "0"],
-    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--x-samples", "-1"],
+    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--lambda-samples", "-1"],
+    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--lambda-samples", "1.5"],
     ["check", "growth", "--problem", "builtin:scaled_quadratic", "--lambda-samples", "0"],
     ["check", "growth", "--problem", "builtin:scaled_quadratic", "--rho-list", "1,inf"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "0"],
@@ -472,9 +476,21 @@ def test_check_a_point_whose_squared_norm_overflows(command, line, capsys):
     assert captured.out.splitlines() == [line] and captured.err == ""
 
 
+@pytest.mark.parametrize("a", ["0,2,0", "0,2e160,0", "0,2e200,0", "-2e160,2e160,0"])
+def test_check_sosc_where_the_cone_norms_overflow(a, capsys):
+    """The Hyperplane and Ray forms scale every cone norm whose square
+    overflows: modulus 1 at every scale of a, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("check", "sosc", "--problem", "builtin:projection", f"--a={a}")
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == "sosc holds=True modulus=1.000000e+00 method=ExactEigen\n"
+
+
 def test_check_growth_where_a_sample_row_norm_overflows(capsys):
-    """The growth samples near a = (2e160, 1e160, 0) have squared norms
-    that overflow; their projections stay finite, with no warning."""
+    """At a = (2e160, 1e160, 0) the squared norms overflow; the modulus
+    stays finite, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli("check", "growth", "--problem", "builtin:projection",
@@ -490,14 +506,20 @@ def test_check_growth_where_a_sample_row_norm_overflows(capsys):
     ("2e10,1e10,0", 0, "ell_hat=5.000000e-01"),
     ("2e100,1e100,0", 0, "ell_hat=5.000000e-01"),
     ("2e160,1e160,0", 0, "ell_hat=5.000000e-01"),
-    # no sampled step moves xbar at all: no growth can be measured
-    ("2e100,1e100,1e100", 2, ""),
+    # every entry of xbar lies far above a unit step
+    ("2e100,1e100,1e100", 0, "ell_hat=5.000000e-01"),
+    # the Hyperplane, Ray and whole-cone cases, the first two where the
+    # squares of the cone norms overflow
+    ("0,2,0", 0, "ell_hat=5.000000e-01"),
+    ("0,2e160,0", 0, "ell_hat=5.000000e-01"),
+    ("-2e160,2e160,0", 0, "ell_hat=5.000000e-01"),
+    ("0,0,0", 0, "ell_hat=5.000000e-01"),
 ])
 def test_check_growth_divides_by_the_realized_step(a, code, out, capsys):
-    """The projection problem grows with modulus 1/2 at every scale of a;
-    where rounding absorbs part of a step into xbar the quotient uses
-    what is left of it."""
-    assert run_cli("check", "growth", "--problem", "builtin:projection", "--a", a,
+    """The projection problem grows with modulus 1/2 at every scale of a.
+    The modulus is exact, not a quotient over steps that rounding could
+    absorb into a large xbar."""
+    assert run_cli("check", "growth", "--problem", "builtin:projection", f"--a={a}",
                    "--rho-list", "1") == code
     captured = capsys.readouterr()
     if code == 0:
@@ -508,25 +530,24 @@ def test_check_growth_divides_by_the_realized_step(a, code, out, capsys):
 
 
 def test_check_growth_where_every_value_overflows(capsys):
-    """f overflows near a = (0, 2e200, 0), so no sampled quotient is
-    finite: a usage error on one line, not a modulus of inf, and no warning."""
+    """f overflows near a = (0, 2e200, 0), but the exact modulus reads no
+    value of f: it is 1/2, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli("check", "growth", "--problem", "builtin:projection",
                        "--a", "0,2e200,0", "--rho-list", "1")
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: no sampled growth quotient")
-    assert len(captured.err.splitlines()) == 1
+    assert code == 0 and captured.err == ""
+    assert captured.out.split()[1] == "ell_hat=5.000000e-01"
 
 
 def test_check_growth_at_the_largest_penalty(capsys):
-    """2 rho overflows at rho = 1e308; the value is halved after the
-    division by rho, so no sampled row turns into NaN and no warning shows."""
+    """At rho = 1e308 the penalty term rho B'B would swamp the Hessian in
+    rounding; the Schur complement on ker B keeps the modulus at 1/2."""
     assert run_cli("check", "growth", "--problem", "builtin:projection",
                    "--rho-list", "1e308") == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith("growth ell_hat=") and captured.err == ""
+    assert captured.out.startswith("growth ell_hat=5.000000e-01 ") and captured.err == ""
 
 
 def test_distances_of_a_multiplier_whose_square_overflows(tmp_path, capsys):
@@ -578,7 +599,7 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypa
         (["check", "sosc", *e32, "--seed", "5", "--report", report], 0),
         (["check", "dualqual", *e32], 1),
         (["check", "example32", *e32, "--t", "0.3,0.6"], 0),
-        (["check", "growth", *e32, "--rho-list", "5", "--x-samples", "3"], 0),
+        (["check", "growth", *e32, "--rho-list", "5", "--lambda-samples", "3"], 0),
         (["solve", "--problem", "builtin:projection", "--a", "0,2,0", "--eps-eta", "0",
           "--rho0", "100", "--report", report], 0),
         (["solve", "--problem", "builtin:projection", "--a", "0,2,0"], 0),

@@ -15,8 +15,8 @@ from socalm import (AlmConfig, AlmStatus, ConeRegion, Proportional, builtin,
                     verify_error_bound)
 from socalm.cli import main
 from socalm.alm import AlmTrace
-from socalm.diagnostics import _ball_rows, _multiplier_samples, dist_to_known_pair
-from socalm.lagrangian import AugEval, residual
+from socalm.diagnostics import _ball_rows, dist_to_known_pair
+from socalm.lagrangian import residual
 
 from _util import (BAD_PENALTIES, BAD_SEEDS, MULTIPLIER, counted, nan_at,
                    negative_curvature_problem, rejected, rewritten_twin, uniform_ball)
@@ -109,20 +109,20 @@ def test_error_bound_degenerate_report():
 
 def test_growth_positive_on_planted_sosc_problem():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
-    rep = certify_growth(p, [1.0, 10.0], 60, 1, seed=3)
+    rep = certify_growth(p, [1.0, 10.0], 1, seed=3)
     assert rep.ell_hat > 0.0
     assert rep.uniform
 
 
 def test_growth_negative_without_sosc():
     neg = negative_curvature_problem()
-    rep = certify_growth(neg, [1.0, 1e2, 1e4, 1e6], 60, 1, seed=3)
+    rep = certify_growth(neg, [1.0, 1e2, 1e4, 1e6], 1, seed=3)
     assert rep.ell_hat <= 0.0
     assert not rep.uniform
 
 
 def test_growth_uniform_on_multiplier_ray():
-    rep = certify_growth(builtin("example_3_2"), [1.0, 10.0, 100.0], 60, 5, seed=3)
+    rep = certify_growth(builtin("example_3_2"), [1.0, 10.0, 100.0], 5, seed=3)
     assert rep.ell_hat > 0.0
     assert rep.multiplier_samples == 5
     assert rep.uniform
@@ -130,7 +130,7 @@ def test_growth_uniform_on_multiplier_ray():
 
 def test_growth_monotone_in_rho():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=2)
-    ells = [certify_growth(p, [rho], 40, 1, seed=5).ell_hat for rho in (0.5, 1.0, 4.0, 16.0)]
+    ells = [certify_growth(p, [rho], 1, seed=5).ell_hat for rho in (0.5, 1.0, 4.0, 16.0)]
     for a, b in zip(ells, ells[1:]):
         assert b >= a - 1e-10
 
@@ -228,8 +228,8 @@ def test_reports_serialize(tmp_path):
     eb_path, gr_path = tmp_path / "eb.json", tmp_path / "gr.json"
     main(["check", "errorbound", *problem, "--radius", "1e-2", "--samples", "50",
           "--report", str(eb_path)])
-    main(["check", "growth", *problem, "--rho-list", "1", "--x-samples", "20",
-          "--lambda-samples", "1", "--report", str(gr_path)])
+    main(["check", "growth", *problem, "--rho-list", "1", "--lambda-samples", "1",
+          "--report", str(gr_path)])
     eb = json.loads(eb_path.read_text())
     assert set(eb) == {"command", "problem",
                        "kappa1_hat", "kappa2_hat", "ball_radius", "samples", "failed"}
@@ -237,35 +237,33 @@ def test_reports_serialize(tmp_path):
                   **dataclasses.asdict(verify_error_bound(p, 1e-2, 50, seed=1))}
     gr = json.loads(gr_path.read_text())
     assert set(gr) == {"command", "problem",
-                       "rho_used", "ell_hat", "gamma_hat", "multiplier_samples", "uniform"}
+                       "rho_used", "ell_hat", "multiplier_samples", "uniform"}
     assert gr == {"command": "check growth", "problem": "scaled_quadratic_1",
-                  **dataclasses.asdict(certify_growth(p, [1.0], 20, 1, seed=1))}
+                  **dataclasses.asdict(certify_growth(p, [1.0], 1, seed=1))}
 
 
-@pytest.mark.parametrize("x_samples, lambda_samples", [(0, 1), (-2, 1), (20, 0)])
-def test_growth_rejects_empty_samples(x_samples, lambda_samples):
+@pytest.mark.parametrize("lambda_samples", [0, -2])
+def test_growth_rejects_empty_samples(lambda_samples):
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
-    with pytest.raises(ValueError, match="samples"):
-        certify_growth(p, [1.0], x_samples, lambda_samples, seed=1)
+    with pytest.raises(ValueError, match="lambda_samples must be at least 1"):
+        certify_growth(p, [1.0], lambda_samples, seed=1)
 
 
 @pytest.mark.parametrize("call, message", [
     # every penalty of the list is checked, not only the first
     *rejected("certify_growth", "rho", BAD_PENALTIES,
-              lambda v: certify_growth(builtin("projection"), [1.0, v], 20, 1, seed=1),
+              lambda v: certify_growth(builtin("projection"), [1.0, v], 1, seed=1),
               "rho must be positive"),
     *rejected("solvability_estimate", "rho", BAD_PENALTIES,
               lambda v: solvability_estimate(builtin("projection"), v, 5, seed=1),
               "rho must be positive"),
-    # sample counts are integers
-    *rejected("verify_error_bound", "samples", (2.5, True),
+    # sample counts are integers, tested before their range, so that
+    # None and a string are rejected by name rather than by a TypeError
+    *rejected("verify_error_bound", "samples", (2.5, True, None, "2"),
               lambda v: verify_error_bound(builtin("projection"), 1e-2, v, 1),
               "samples must be an integer"),
-    *rejected("certify_growth", "x_samples", [2.5],
-              lambda v: certify_growth(builtin("projection"), [1.0], v, 1, seed=1),
-              "x_samples must be an integer"),
-    *rejected("certify_growth", "lambda_samples", [2.5],
-              lambda v: certify_growth(builtin("projection"), [1.0], 20, v, seed=1),
+    *rejected("certify_growth", "lambda_samples", (2.5, None, "2"),
+              lambda v: certify_growth(builtin("projection"), [1.0], v, seed=1),
               "lambda_samples must be an integer"),
     *rejected("solvability_estimate", "lambda_samples", [2.5],
               lambda v: solvability_estimate(builtin("projection"), 10.0, v, seed=1),
@@ -274,7 +272,7 @@ def test_growth_rejects_empty_samples(x_samples, lambda_samples):
     *rejected("verify_error_bound", "seed", BAD_SEEDS,
               lambda v: verify_error_bound(builtin("projection"), 1e-2, 5, v), "seed must be"),
     *rejected("certify_growth", "seed", BAD_SEEDS,
-              lambda v: certify_growth(builtin("projection"), [1.0], 20, 1, v), "seed must be"),
+              lambda v: certify_growth(builtin("projection"), [1.0], 1, v), "seed must be"),
     *rejected("solvability_estimate", "seed", BAD_SEEDS,
               lambda v: solvability_estimate(builtin("projection"), 10.0, 5, v), "seed must be"),
     # a multiplier, one vector or the rows of an array, is finite
@@ -305,8 +303,8 @@ def test_kappa2_matches_lipschitz_bound_locally():
     assert rep.kappa2_hat <= 1e3
 
 
-# The per-point samplers the batched ones replaced, kept as the reference:
-# one draw, one residual or one augmented-Lagrangian value at a time.
+# The per-point sampler the batched one replaced, kept as the reference:
+# one draw and one residual at a time.
 
 def _kappa_sups_one_point_at_a_time(p, radius, samples, rng):
     sol = p.known_solution
@@ -334,47 +332,6 @@ def _error_bound_one_point_at_a_time(p, radius, samples, seed):
     return np.array(draws + draws_small), (kappa1, kappa2, failed)
 
 
-def _growth_one_point_at_a_time(p, rho_list, x_samples, lambda_samples, seed):
-    sol = p.known_solution
-    rng = np.random.default_rng(seed)
-    radii = [0.2, 0.1, 0.05, 0.025, 0.0125]
-    x_steps = {gamma: uniform_ball(rng, x_samples, p.n, gamma) for gamma in radii}
-    lams = _multiplier_samples(p, lambda_samples, rng)
-    f_bar = p.f_value(sol.x)
-
-    def moduli_at(rho, gamma):
-        per_lam = []
-        for lam in lams:
-            worst = math.inf
-            for step in x_steps[gamma]:
-                x = sol.x + step
-                realized = x - sol.x
-                r2 = float(realized @ realized)
-                if r2 < 1e-24:
-                    continue
-                worst = min(worst, (AugEval(p, x, lam, rho).value - f_bar) / r2)
-            per_lam.append(worst)
-        return per_lam
-
-    best = None
-    for rho in rho_list:
-        chosen = None
-        for gamma in radii:
-            per_lam = moduli_at(rho, gamma)
-            ell = min(per_lam)
-            if ell > 0.0:
-                chosen = (rho, gamma, ell, all(v > 0.0 for v in per_lam))
-                break
-            if chosen is None or ell > chosen[2]:
-                chosen = (rho, gamma, ell, False)
-        if best is None or chosen[2] > best[2]:
-            best = chosen
-        if best[2] > 0.0:
-            break
-    draws = np.array([step for gamma in radii for step in x_steps[gamma]])
-    return draws, lams, best
-
-
 SAMPLER_CASES = [
     *[("planted", n, m, region) for n, m in ((3, 2), (20, 10))
       for region in (ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO, ConeRegion.INTERIOR_Q)],
@@ -400,7 +357,7 @@ def _assert_same_draws(rows, draws):
 @pytest.mark.parametrize("case", SAMPLER_CASES, ids=lambda c: "-".join(map(str, c)))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_batched_samplers_match_one_point_at_a_time(case, seed):
-    """Same draws to rounding, same verdicts, constants within 1e-12."""
+    """Same draws to rounding, same verdict, constants within 1e-12."""
     p = _sampler_problem(case, seed)
     dim = p.n + p.m + 1
     draws, (kappa1, kappa2, failed) = _error_bound_one_point_at_a_time(p, 1e-2, 60, seed)
@@ -411,27 +368,14 @@ def test_batched_samplers_match_one_point_at_a_time(case, seed):
     assert rep.failed == failed
     assert _close(rep.kappa1_hat, kappa1) and _close(rep.kappa2_hat, kappa2)
 
-    rho_list = [1.0, 10.0, 100.0]
-    draws, lams, (rho, gamma, ell, uniform) = _growth_one_point_at_a_time(p, rho_list, 40, 4,
-                                                                         seed)
-    rng = np.random.default_rng(seed)
-    rows = np.vstack([_ball_rows(rng, 40, p.n, gamma) for gamma in (0.2, 0.1, 0.05, 0.025,
-                                                                    0.0125)])
-    _assert_same_draws(rows, draws)
-    assert [v.tobytes() for v in _multiplier_samples(p, 4, rng)] == [v.tobytes() for v in lams]
-    rep = certify_growth(p, rho_list, 40, 4, seed)
-    assert (rep.rho_used, rep.gamma_hat, rep.multiplier_samples, rep.uniform) == \
-        (rho, gamma, len(lams), uniform)
-    assert _close(rep.ell_hat, ell)
-
 
 @pytest.mark.parametrize("oracle", ["phi_value", "phi_jac", "f_grad"])
 def test_samplers_keep_each_result_of_an_oracle_that_rewrites_one_buffer(oracle):
     p = builtin("example_3_2")
     twin = rewritten_twin(p, oracle)
     assert verify_error_bound(twin, 1e-2, 200, 0) == verify_error_bound(p, 1e-2, 200, 0)
-    assert (certify_growth(twin, [1.0, 10.0], 60, 5, seed=3)
-            == certify_growth(p, [1.0, 10.0], 60, 5, seed=3))
+    assert (certify_growth(twin, [1.0, 10.0], 5, seed=3)
+            == certify_growth(p, [1.0, 10.0], 5, seed=3))
 
 
 class _ZeroRows:
@@ -491,19 +435,3 @@ def test_error_bound_evaluates_each_sampled_point_once(problem, hard_points):
     verify_error_bound(p, 1e-2, 50, seed=4)
     points = 2 * (50 + hard_points)  # both radii, each with the hard path
     assert calls == {"phi_value": points, "phi_jac": points, "f_grad": points}
-
-
-@pytest.mark.parametrize("problem, rho_list, lambda_samples", [
-    (negative_curvature_problem(), [1.0, 1e2, 1e4, 1e6], 1),   # every radius of every rho
-    (builtin("example_3_2"), [1e-3, 1.0, 10.0, 100.0], 5),
-    (generate_planted(20, 10, ConeRegion.BOUNDARY_Q_NONZERO, 1), [1.0, 10.0], 1),
-])
-def test_growth_evaluates_each_step_once_per_visited_radius(problem, rho_list,
-                                                            lambda_samples):
-    p, calls = counted(problem)
-    certify_growth(p, rho_list, 30, lambda_samples, seed=2)
-    assert set(calls) == {"phi_value", "f_value"}
-    assert calls["phi_value"] == calls["f_value"] - 1  # and f(xbar) once
-    assert calls["phi_value"] in (30, 60, 90, 120, 150)  # 30 steps per radius, 5 radii
-    if problem.name == "negative_curvature":
-        assert calls["phi_value"] == 150

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
-from socalm import ConeRegion, builtin, generate_planted, quadratic_problem
+from socalm import ConeRegion, builtin, certify_growth, generate_planted, quadratic_problem
 from socalm.cone import _project_polar_rows
-from socalm.variational import (CriticalConeCase, _minimize_on_sphere, _reduced_min_eig,
-                                _sosc_form,
+from socalm.variational import (CriticalCone, CriticalConeCase, _growth_pair, _kkt_data,
+                                _minimize_on_sphere, _penalty_split,
                                 check_dual_qualification, check_sosc, critical_cone,
                                 d2_aug_lagrangian, d2_indicator_q,
                                 difference_quotient_oracle, dist2_critical,
@@ -335,6 +335,9 @@ def test_check_sosc_rejects_non_kkt():
     p = builtin("projection", a=(0.0, 2.0, 0.0))
     with pytest.raises(ValueError):
         check_sosc(p, np.array([5.0, 0.0, 0.0]), np.zeros(3))
+    # ||x||^2 overflows: the tolerance scales by ||x||, not by inf
+    with pytest.raises(ValueError, match="not a KKT pair"):
+        check_sosc(p, np.array([1e200, 0.0, 0.0]), np.zeros(3))
 
 
 def test_check_sosc_rejects_a_nan_gradient():
@@ -411,6 +414,12 @@ def _span_case_pair(case, P, A, rng):
 SPAN_CASES = ["FullSpace", "HalfSpace", "Hyperplane", "ZeroOnly", "Ray"]
 
 
+def _min_eig(S, basis):
+    """Smallest eigenvalue of basis' S basis, symmetrized as `check_sosc` does."""
+    reduced = basis.T @ S @ basis
+    return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+
+
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
        case=st.sampled_from(SPAN_CASES))
@@ -424,16 +433,26 @@ def test_sosc_modulus_is_attained_on_the_critical_cone(seed, n, m, case):
     assert K.case.value == case
     report = check_sosc(p, x, lam)
     assert report.method == "ExactEigen" and report.holds == (report.modulus > 1e-8)
-    S, basis = _sosc_form(K, p.f_hess(x), A, n)
+    # the rho = inf form of the penalty split, on ker B = span of the cone
+    S, B = _penalty_split(K, p.f_hess(x), A, math.inf)
+    basis = np.eye(n) if B is None else null_space(B)
     if basis.shape[1] == 0:
         assert report.modulus == math.inf
         return
-    assert report.modulus == _reduced_min_eig(S, basis)
+    assert report.modulus == _min_eig(S, basis)
+    if case == "Hyperplane":
+        # the indicator's curvature (||v_r||^2 - v_0^2) ||lam|| / ||Phi||
+        # at v = Aw agrees with the tangential form on ker B to rounding
+        phi = p.phi_value(x)
+        curv = np.linalg.norm(lam) / np.linalg.norm(phi)
+        S_sign = p.f_hess(x) + curv * (A.T @ (np.r_[-1.0, np.ones(m)][:, None] * A))
+        scale = max(1.0, float(np.linalg.norm(S, 2)))
+        assert abs(_min_eig(S_sign, basis) - report.modulus) <= 1e-12 * scale
     if case in ("HalfSpace", "Ray"):
         # the halfspace's boundary and the ray's origin are subspaces of the span
         piece = null_space((A.T @ K.vector)[None]) if case == "HalfSpace" else null_space(A)
         if piece.shape[1] > 0:
-            piece_min = _reduced_min_eig(S, piece)
+            piece_min = _min_eig(S, piece)
             assert report.modulus <= piece_min + 1e-12 * max(1.0, abs(piece_min))
     # the bottom eigenvector, up to sign, is a witness in the critical cone
     reduced = basis.T @ S @ basis
@@ -466,12 +485,93 @@ def test_sosc_modulus_scales_with_the_hessian_without_cone_curvature(seed, n, m,
 
 
 def test_check_sosc_rejects_an_overflowing_form():
-    # finite data whose Hyperplane curvature term J' diag(-1, 1, 1) J overflows
+    # finite data whose Hyperplane curvature term, the tangential part of
+    # J'J, overflows
     A = 1e155 * np.eye(3)
     lam = np.array([-1.0, 1.0, 0.0])
     p = quadratic_problem(np.eye(3), -A.T @ lam, 0.0, A, [1.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="sufficiency form has non-finite entries"):
         check_sosc(p, np.zeros(3), lam)
+
+
+# The growth modulus ell(rho) = 0.5 min_{|w| = 1} d2_aug_lagrangian(w).
+
+GROWTH_RHOS = [10.0 ** k for k in range(0, 15, 2)] + [1e300]
+GROWTH_KINDS = [(n, m, region) for n, m in ((3, 2), (4, 4), (20, 10))
+                for region in (ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO,
+                               ConeRegion.ZERO)] + ["example_3_2", "whole_cone"]
+
+
+def _growth_instance(kind, seed):
+    """(problem, x, lam): a KKT pair of the kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "example_3_2":  # a point of the multiplier ray, 0 (the whole cone) included
+        p = builtin("example_3_2")
+        return p, p.known_solution.x, rng.choice([0.0, rng.uniform(0.1, 3.0)]) * p.multiplier_ray
+    if kind == "whole_cone":  # Phi(xbar) = 0, lam = 0 and an indefinite Hessian
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        R = rng.standard_normal((n, n))
+        P = R + R.T + rng.uniform(-1.0, 3.0) * np.eye(n)
+        A, x = rng.standard_normal((m + 1, n)), rng.standard_normal(n)
+        return quadratic_problem(P, -P @ x, 0.0, A, -A @ x), x, np.zeros(m + 1)
+    p = generate_planted(*kind, seed)
+    return p, p.known_solution.x, p.known_solution.lam
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**20), kind=st.sampled_from(GROWTH_KINDS))
+def test_growth_modulus_is_exact_and_nondecreasing(seed, kind):
+    """ell bounds half of d2 at sampled unit w, its unit w attains it (w or
+    -w), it does not decrease in rho and at rho = 1e300 it is half the
+    exact SOSC modulus; P = R'R + I gives ell >= 1/2."""
+    p, x, lam = _growth_instance(kind, seed)
+    H, J, K = _kkt_data(p, x, lam)
+    rng = np.random.default_rng(seed + 1)
+    ells = []
+    for rho in GROWTH_RHOS:
+        ell, w = _growth_pair(H, J, K, rho)
+        ells.append(ell)
+        tol = 1e-12 * (np.linalg.norm(H) + rho * np.linalg.norm(J) ** 2)
+        for v in rng.standard_normal((10, p.n)):
+            v /= np.linalg.norm(v)
+            assert ell <= 0.5 * d2_aug_lagrangian(p, x, lam, rho, v) + tol
+        if rho <= 1e14:  # beyond, rho times the rounding of Jw swamps d2
+            attained = 0.5 * min(d2_aug_lagrangian(p, x, lam, rho, s * w) for s in (1.0, -1.0))
+            assert abs(attained - ell) <= 1e-9 * max(1.0, abs(ell))
+        if isinstance(kind, tuple):
+            assert ell >= 0.5 - 1e-12
+    scale = 1e-12 * max(1.0, float(np.linalg.norm(H)))
+    assert all(b >= a - scale * max(1.0, abs(a)) for a, b in zip(ells, ells[1:]))
+    report = check_sosc(p, x, lam)
+    if report.method == "ExactEigen" and math.isfinite(report.modulus):
+        assert abs(ells[-1] - 0.5 * report.modulus) <= 1e-9 * max(1.0, abs(report.modulus))
+
+
+def test_growth_modulus_on_the_whole_cone_in_closed_form():
+    """H = diag(-1, 3) and Jw = (w1, w0, 0), which maps the negative axis
+    outside Q and -Q: G(b) = diag(-1 + b/(1 + 2b/rho), 3 - b), whose two
+    eigenvalues cross at the maximum, b = sqrt(29) - 3 at rho = 10.  The
+    modulus rises from below lambda_min(H)/2 = -1/2 at small rho to the
+    S-lemma value max_b lambda_min(H + b diag(1, -1))/2 = 1/2."""
+    H = np.diag([-1.0, 3.0])
+    J = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    K = CriticalCone(CriticalConeCase.WHOLE_CONE_Q, None, np.zeros(3), np.zeros(3))
+    ells = [_growth_pair(H, J, K, rho)[0] for rho in (1e-3, 10.0, 1e300)]
+    assert -0.5 < ells[0] < 0.0
+    assert ells[1] == pytest.approx(0.5 * (6.0 - math.sqrt(29.0)), rel=1e-12)
+    assert ells[2] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_growth_modulus_pins():
+    """Planted (20,10) Zero seed 1 at rho = 10 is 0.5 lambda_min(P + 10 A'A);
+    example_3_2 at its known multiplier is 1."""
+    p = generate_planted(20, 10, ConeRegion.ZERO, 1)
+    sol = p.known_solution
+    A, P = p.phi_jac(sol.x), p.f_hess(sol.x)
+    rep = certify_growth(p, [10.0], 1, seed=0)
+    assert rep.ell_hat == pytest.approx(1.578867051780, rel=1e-9)
+    assert rep.ell_hat == pytest.approx(0.5 * np.linalg.eigvalsh(P + 10.0 * A.T @ A)[0], rel=1e-12)
+    assert certify_growth(builtin("example_3_2"), [1.0], 1, seed=0).ell_hat == pytest.approx(1.0)
 
 def test_dual_qualification_cases():
     e32 = builtin("example_3_2")
