@@ -11,6 +11,18 @@ constraint value onto the polar cone to update the multiplier.  The
 penalty starts at rho0 and never decreases; it grows, up to rho_max,
 only when the KKT residual fails to halve.
 
+Near a strictly complementary pair the outer map lam -> Pi_{-Q}(rho
+Phi(x(lam)) + lam) is a contraction at a fixed rho, and where it is slow
+the next inner solve is shifted by its type-II Anderson extrapolation
+instead (Walker and Ni, SIAM J. Numer. Anal. 49, 2011): from the last
+memory + 1 pairs (g - s, g) of the steps at the current rho, s the shift
+an inner solve used and g its polar projection, the shift g_k - dG gamma
+with gamma the least-squares solution of dF gamma = g_k - s_k (dF, dG the
+differences of consecutive g - s and g).  Only the shift moves: the
+reported multiplier is always the projection g_k, which lies in -Q, and
+the residual and the penalty rule are those of the plain ALM, which is
+memory = 0.
+
 The Newton step (`_newton_direction`) solves with the generalized
 Hessian H = S + rho JPhi' V JPhi in one of two ways.  The dense path
 assembles and factors H, or reuses the kept factor where V = alpha I;
@@ -59,11 +71,13 @@ ARMIJO = 1e-4             # sufficient-decrease constant
 BACKTRACK = 0.5           # step shrink factor
 MAX_LINESEARCH = 60       # backtracking steps per Newton step
 EPS = np.finfo(float).eps  # machine epsilon, scales the Armijo noise allowance and the floor
+SLOW = 0.25               # residual ratio above which the next shift is extrapolated
 
 
 @dataclass(frozen=True)
 class AlmConfig:
-    """Penalty schedule, inner-tolerance rule and iteration budgets."""
+    """Penalty schedule, inner-tolerance rule, iteration budgets and the
+    number of differences the extrapolated shift keeps (0: the plain ALM)."""
 
     rho0: float = 10.0
     rho_growth: float = 10.0
@@ -72,6 +86,7 @@ class AlmConfig:
     outer_tol: float = 1e-9
     max_outer: int = 100
     max_inner: int = 200      # Newton steps per inner solve
+    memory: int = 5           # Anderson differences kept at one rho
 
     def __post_init__(self):
         _positive("rho0", self.rho0)
@@ -83,6 +98,7 @@ class AlmConfig:
         _positive("outer_tol", self.outer_tol)
         _at_least("max_outer", self.max_outer)
         _at_least("max_inner", self.max_inner)
+        _at_least("memory", self.memory)
 
 
 class AlmStatus(enum.Enum):
@@ -105,10 +121,15 @@ class InnerFailure(RuntimeError):
 @dataclass
 class AlmTrace:
     """Per-iteration history; row k describes the iterate (x_k, lam_k)
-    and the controls of the step taken from it (zeros on the last row)."""
+    and the controls of the step taken from it (zeros on the last row).
+    shifts[k] is the multiplier row k's inner solve was shifted by, lam_k
+    unless that shift was extrapolated; values[k] is L_rho at (x_k,
+    shifts[k]), and lams[k + 1] the projection of rho_k Phi(x_{k+1}) +
+    shifts[k]."""
 
     xs: List[np.ndarray] = field(default_factory=list)
     lams: List[np.ndarray] = field(default_factory=list)
+    shifts: List[np.ndarray] = field(default_factory=list)
     rhos: List[float] = field(default_factory=list)
     epss: List[float] = field(default_factory=list)
     sigmas: List[float] = field(default_factory=list)
@@ -118,9 +139,11 @@ class AlmTrace:
     status: Optional[AlmStatus] = None
     message: str = ""   # why the run stopped early (InnerFailure, or a fixed point)
 
-    def append(self, x, lam, rho, eps, sigma, inner, grad_norm, value):
+    def append(self, x, lam, rho, eps, sigma, inner, grad_norm, value, shift=None):
+        """Add a row; shift None is lam."""
         self.xs.append(np.array(x, dtype=float))
         self.lams.append(np.array(lam, dtype=float))
+        self.shifts.append(self.lams[-1] if shift is None else np.array(shift, dtype=float))
         self.rhos.append(float(rho))
         self.epss.append(float(eps))
         self.sigmas.append(float(sigma))
@@ -437,6 +460,21 @@ def update_multiplier(phi_x_next, lambda_k, rho_k: float) -> np.ndarray:
     return shift(phi, lam, rho_k)[1]
 
 
+def _anderson_shift(history) -> np.ndarray:
+    """The type-II Anderson point g_k - dG gamma of the pairs (f, ||f||, g),
+    f = g - s, in history, oldest first: gamma is the least-squares
+    solution, of least norm, of dF gamma = f_k, and dF, dG hold the
+    differences of consecutive f and g.  g_k itself where a difference or
+    the point is not finite."""
+    g = history[-1][2]
+    dF = np.diff([f for f, _, _ in history], axis=0)
+    if not np.isfinite(dF).all():  # LAPACK would print to stderr
+        return g
+    gamma = np.linalg.lstsq(dF.T, history[-1][0], rcond=None)[0]
+    point = g - gamma @ np.diff([g for _, _, g in history], axis=0)
+    return point if np.isfinite(point).all() else g
+
+
 @np.errstate(all="ignore")
 def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     """Run the ALM from (x0, lambda0); returns (KktPoint, AlmTrace).
@@ -457,6 +495,17 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     ValueError.  No floating-point warning is printed: every overflow or
     invalid value surfaces as one of these outcomes.
 
+    The multiplier shift.  Each step at the current rho adds its pair
+    (g - s, g), s the shift of its inner solve and g the updated
+    multiplier, to a history of the last cfg.memory + 1.  Where a step was
+    slow (sigma_{k+1} > SLOW sigma_k) and did not converge, and at least
+    two pairs are held, the next inner solve is shifted by the Anderson
+    point (`_anderson_shift`), or by g where that point is not finite or
+    the shifted point overflows there.  The history is cleared where rho
+    changes, after a floor stop, after an inner solve of no step and where
+    ||g - s|| grows.  With cfg.memory = 0 every shift is the multiplier:
+    the plain ALM.
+
     Each outer iteration reuses the inner solve's final evaluation: its
     polar projection is the multiplier update, its oracle results give
     the residual and start the next inner solve.  One NewtonState serves
@@ -466,24 +515,26 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     rho, eta = cfg.rho0, cfg.eps_rule.eta
     trace = AlmTrace()
     ev, state = AugEval(p, x, lam, rho), NewtonState()
+    history = []   # (g - s, ||g - s||, g) of the last steps at rho, oldest first
     sigma = ev.kkt_residual(lam)
     if not math.isfinite(sigma):
         raise NonFiniteError(f"non-finite KKT residual {sigma} at the start")
     for k in range(cfg.max_outer + 1):
         converged = sigma <= cfg.outer_tol
         if converged or k == cfg.max_outer or trace.message:
-            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value)
+            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, ev.value, ev.lam)
             trace.status = AlmStatus.CONVERGED if converged else AlmStatus.MAX_ITERATIONS
             break
         eps_k = eta * sigma if eta else 0.0   # not 0 * inf where sigma overflows
         try:
             end, grad_norm, iters = _inner_solve(ev, state, eps_k, cfg.max_inner)
         except InnerFailure as failure:
-            trace.append(x, lam, rho, eps_k, sigma, failure.iters, failure.grad_norm, ev.value)
+            trace.append(x, lam, rho, eps_k, sigma, failure.iters, failure.grad_norm, ev.value,
+                         ev.lam)
             trace.status = AlmStatus.INNER_FAILURE
             trace.message = str(failure)
             break
-        trace.append(x, lam, rho, eps_k, sigma, iters, grad_norm, ev.value)
+        trace.append(x, lam, rho, eps_k, sigma, iters, grad_norm, ev.value, ev.lam)
         lam_next = end.polar_proj
         sigma_next = end.kkt_residual(lam_next)
         # sigma is unchanged wherever (x, lam) is, and cheaper to compare
@@ -491,15 +542,36 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
         raised = min(cfg.rho_max, rho * cfg.rho_growth)
         if still and raised == rho:
             trace.message = f"outer iteration {k} left x, lambda and rho={rho:g} unchanged"
+        rho_k = rho
         if sigma_next > 0.5 * sigma and (grad_norm <= eps_k or not eps_k or still):
             rho = raised
+        shift_next = lam_next
+        if cfg.memory:
+            resid = lam_next - ev.lam
+            resid_norm = _norm(resid)
+            # a new rho, a floor stop, no Newton step or a growing ||g - s||
+            if (rho != rho_k or grad_norm > eps_k > 0.0 or not iters
+                    or history and resid_norm > history[-1][1]):
+                history.clear()
+            if rho == rho_k:
+                history.append((resid, resid_norm, lam_next))
+                del history[:-cfg.memory - 1]
+            if sigma_next > SLOW * sigma and sigma_next > cfg.outer_tol and len(history) >= 2:
+                shift_next = _anderson_shift(history)
         x, lam, sigma = end.x, lam_next, sigma_next
-        try:
-            ev = AugEval(p, x, lam, rho, end)
-        except NonFiniteError as exc:
-            # the value at the new (lam, rho) is what overflowed
-            trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, math.nan)
-            trace.status = AlmStatus.INNER_FAILURE
-            trace.message = f"{exc} at outer iteration {k + 1} (rho={rho:g})"
-            break
+        ev = None
+        if shift_next is not lam:
+            try:
+                ev = AugEval(p, x, shift_next, rho, end)
+            except NonFiniteError:
+                pass   # shifted by lam below
+        if ev is None:
+            try:
+                ev = AugEval(p, x, lam, rho, end)
+            except NonFiniteError as exc:
+                # the value at the new (lam, rho) is what overflowed
+                trace.append(x, lam, rho, 0.0, sigma, 0, 0.0, math.nan)
+                trace.status = AlmStatus.INNER_FAILURE
+                trace.message = f"{exc} at outer iteration {k + 1} (rho={rho:g})"
+                break
     return KktPoint(x, lam), trace

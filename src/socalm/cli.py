@@ -122,10 +122,11 @@ def _write_trace_csv(path, trace: alm.AlmTrace, problem: SocpProblem) -> None:
         writer.writerows(zip(*columns))
 
 
-def _alm_config(args, rho0: float, rho_growth: float, rho_max: float) -> alm.AlmConfig:
+def _alm_config(args, rho0: float, rho_growth: float, rho_max: float,
+                **fields) -> alm.AlmConfig:
     return alm.AlmConfig(rho0=rho0, rho_growth=rho_growth, rho_max=rho_max,
                          eps_rule=alm.Proportional(args.eps_eta), outer_tol=args.tol,
-                         max_outer=args.max_outer)
+                         max_outer=args.max_outer, **fields)
 
 
 def cmd_solve(args) -> int:
@@ -211,7 +212,8 @@ def cmd_rate(args) -> int:
         raise ValueError("--offset moves no start: --x0 and --lambda0 are both given")
     problem = _load_problem(args)
     rho_list = _parse_float_list(args.rho_list)
-    configs = [_alm_config(args, rho, 1.0, rho) for rho in rho_list]
+    # the plain ALM (memory 0), whose rate at a fixed rho the paper proves
+    configs = [_alm_config(args, rho, 1.0, rho, memory=0) for rho in rho_list]
     sol = problem.known_solution
     if sol is None:
         raise ValueError("rate estimation needs a problem with a known solution")

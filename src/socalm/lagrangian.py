@@ -69,7 +69,7 @@ def _kkt_residual(phi, jac, fgrad, lam) -> float:
     if not np.isfinite(pushed).all():
         raise NonFiniteError("non-finite point Phi(x)+lam")
     gap = phi - _project_q(pushed)
-    return math.sqrt(grad_l @ grad_l) + math.sqrt(gap @ gap)
+    return math.sqrt(grad_l.dot(grad_l)) + math.sqrt(gap.dot(gap))
 
 
 def curvature(f_hess, phi_hess) -> np.ndarray:
@@ -131,9 +131,9 @@ class AugEval:
         # - ||lam||^2) / (2 rho); where a square overflows, the difference
         # of squares is factored, and it is halved after the division,
         # since 2 rho overflows for rho near the largest float
-        gap = polar @ polar - lam @ lam
+        gap = polar.dot(polar) - lam.dot(lam)
         if not math.isfinite(gap):
-            gap = (polar - lam) @ (polar + lam)
+            gap = (polar - lam).dot(polar + lam)
         self.value = float(self.f + gap / rho / 2.0)
         self.jac, self.fgrad = (prev.jac, prev.fgrad) if same else (None, None)
         self.grad_x = None

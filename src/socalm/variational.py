@@ -91,8 +91,11 @@ def critical_cone(phi_xbar, lambda_bar) -> CriticalCone:
                      f"and a multiplier in {region_lam.value}")
 
 
+@np.errstate(over="ignore")  # `_norm` detects an overflowing square by forming it
 def dist2_critical(K: CriticalCone, v) -> float:
-    """Exact squared Euclidean distance from v to the critical cone."""
+    """Exact squared Euclidean distance from v to the critical cone; a
+    normal is scaled to unit length first (`_norm`), so that its square
+    cannot overflow."""
     v = as_cone_vec(v)
     if v.size != K.base_point.size:
         raise ValueError("dimension mismatch with the critical cone")
@@ -101,11 +104,9 @@ def dist2_critical(K: CriticalCone, v) -> float:
     if K.case is CriticalConeCase.ZERO_ONLY:
         return float(v @ v)
     if K.case is CriticalConeCase.HYPERPLANE:
-        u = K.vector
-        return float((u @ v) ** 2 / (u @ u))
+        return float((K.vector / _norm(K.vector) @ v) ** 2)
     if K.case is CriticalConeCase.HALF_SPACE:
-        u = K.vector
-        return float(max(0.0, u @ v) ** 2 / (u @ u))
+        return float(max(0.0, K.vector / _norm(K.vector) @ v) ** 2)
     if K.case is CriticalConeCase.RAY:
         d = K.vector
         return float(max(0.0, v @ v - max(0.0, d @ v) ** 2 / (d @ d)))
@@ -152,6 +153,7 @@ def d2_indicator_q(phi_xbar, lambda_bar, w) -> float:
     return 0.0
 
 
+@np.errstate(over="ignore")  # `_norm` detects an overflowing square by forming it
 def _penalty_split(K: CriticalCone, H, J, rho: float):
     """(H0, B), with B None where no penalty is left: w'H0w is `quad_form_q`,
     and outside the whole cone min_{|w| = 1} d2 L_rho(xbar, lam; w) is

@@ -155,6 +155,22 @@ def test_rate_table(tmp_path):
     assert qs[0] > qs[1] > qs[2]
 
 
+def test_rate_runs_the_plain_alm(monkeypatch):
+    """Each rate solve runs at memory 0, the method whose rate the paper
+    proves, whatever AlmConfig's default."""
+    built = []
+    real_solve = alm.solve
+
+    def spy(p, x0, lam0, cfg):
+        built.append(cfg)
+        return real_solve(p, x0, lam0, cfg)
+
+    monkeypatch.setattr(alm, "solve", spy)
+    assert run_cli("rate", "--problem", "builtin:scaled_quadratic", "--seed", "1",
+                   "--rho-list", "10,100") == 0
+    assert [cfg.memory for cfg in built] == [0, 0]
+
+
 def test_rate_empty_rho_list_exit_two():
     assert run_cli("rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "") == 2
 
@@ -407,7 +423,12 @@ def test_unwritable_output_path_exit_two(flag, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_shift_overflow_after_penalty_increase_exit_one(tmp_path, capsys):
+def test_shift_overflow_after_penalty_increase_exit_one(tmp_path, capsys, monkeypatch):
+    # the plain ALM (memory 0) raises the penalty to 1e300 and overflows;
+    # the extrapolated shift converges in 3 iterations
+    real_solve = alm.solve
+    monkeypatch.setattr(alm, "solve", lambda p, x0, lam0, cfg:
+                        real_solve(p, x0, lam0, dataclasses.replace(cfg, memory=0)))
     report = tmp_path / "report.json"
     trace = tmp_path / "trace.csv"
     code = run_cli("solve", "--problem", "builtin:projection", "--a", "0,1e10,0",

@@ -54,6 +54,23 @@ def test_critical_cone_case_table():
     assert critical_cone([0.0, 0.0, 0.0], [-1e300, 1e300, 0.0]).case is CriticalConeCase.RAY
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e200])
+def test_second_subderivative_squares_through_scaled_norms(scale):
+    """At a = (0, 2 scale, 0) projection's pair is scale (1, 1, 0) and
+    scale (-1, 1, 0): the Hyperplane normal's square overflows from scale
+    1e160 on, yet the second subderivative is that of scale 1, with no
+    floating-point warning."""
+    p = builtin("projection", a=(0.0, 2.0 * scale, 0.0))
+    sol = p.known_solution
+    assert d2_aug_lagrangian(p, sol.x, sol.lam, 1.0, [1.0, 0.5, 0.2]) == 1.435
+    for case, lam in ((CriticalConeCase.HYPERPLANE, sol.lam), (CriticalConeCase.HALF_SPACE,
+                                                              np.zeros(3))):
+        K = critical_cone(sol.x, lam)
+        assert K.case is case
+        assert dist2_critical(K, [-1.0, 1.0, 0.0]) == pytest.approx(2.0, rel=1e-15)
+
+
 def test_critical_cone_requires_normal_direction():
     with pytest.raises(ValueError):
         critical_cone([2.0, 1.0, 0.0], [1.0, 0.0, 0.0])  # interior, nonzero lam
