@@ -44,10 +44,12 @@ def _parse_float_list(text: str):
 
 def _load_problem(args) -> SocpProblem:
     """The problem of --problem with the parameters --a, --n, --m, --region
-    and --seed, none of which a problem file takes.  `check` and `rate`
-    also seed their sampling with --seed, so they hand it only to
-    builtin:scaled_quadratic, the one problem that takes a seed; `solve`
-    samples nothing and hands it to every problem."""
+    and --seed, none of which a problem file takes.  --seed is checked
+    here, once for every command.  `check` and `rate` also seed their
+    sampling with --seed, so they hand it only to builtin:scaled_quadratic,
+    the one problem that takes a seed; `solve` samples nothing and hands it
+    to every problem."""
+    _nonnegative("seed", args.seed or 0)
     spec = args.problem
     params = {key: getattr(args, key) for key in ("a", "n", "m", "seed", "region")
               if getattr(args, key) is not None}
@@ -153,7 +155,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     """Run `check <name>`, a subcommand with only its own flags besides the
-    problem flags and --report; --seed seeds what sosc, growth and errorbound sample."""
+    problem flags and --report; --seed seeds what growth and errorbound sample."""
     problem = _load_problem(args)
 
     if args.check == "example32":
@@ -187,7 +189,7 @@ def cmd_check(args) -> int:
         code = 0 if r.ell_hat > 0 else 1
     elif args.check == "sosc":
         x, lam = _point(args, problem)
-        r = check_sosc(problem, x, lam, seed=args.seed or 0)
+        r = check_sosc(problem, x, lam)
         fields = dataclasses.asdict(r)
         line = f"sosc holds={r.holds} modulus={r.modulus:.6e} method={r.method}"
         code = 0 if r.holds else 1
@@ -217,7 +219,6 @@ def cmd_rate(args) -> int:
     sol = problem.known_solution
     if sol is None:
         raise ValueError("rate estimation needs a problem with a known solution")
-    _nonnegative("seed", args.seed or 0)
     rng = np.random.default_rng(args.seed or 0)
     step = rng.standard_normal(problem.n + problem.m + 1)
     step *= (1e-2 if args.offset is None else args.offset) / np.linalg.norm(step)

@@ -16,7 +16,7 @@ The public kernels validate their input through `as_cone_vec`.  Only
 where an internal caller needs it (the solver's hot path, which checks
 each evaluated point once, and the certificates) does a kernel have an
 unchecked twin (leading underscore) that expects a finite float vector of
-length >= 2; the `_*_rows` twins take the rows of a (k, m+1) array.  The
+length >= 2; `_project_q_rows` takes the rows of a (k, m+1) array.  The
 generalized Jacobian of the polar projection is also available by
 structure (`_polar_jacobian_parts`: a multiple of the identity plus a
 rank-2 term), from which the dense matrix is built.  The projections and
@@ -200,11 +200,6 @@ def _project_q_rows(Y: np.ndarray) -> np.ndarray:
     out[outside, 0] = coef
     out[outside, 1:] = (coef / rnorm[outside])[:, None] * Y[outside, 1:]
     return out
-
-
-def _project_polar_rows(Y: np.ndarray) -> np.ndarray:
-    """`_project_polar` applied to every row of a finite (k, m+1) array."""
-    return Y - _project_q_rows(Y)
 
 
 @np.errstate(over="ignore")

@@ -208,7 +208,7 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float], lambda_samples: in
         _positive("rho", rho)
     _at_least("lambda_samples", lambda_samples, 1)
     _at_least("seed", seed)
-    pairs = [_kkt_data(p, sol.x, lam) for lam in _multiplier_samples(p, lambda_samples, seed)]
+    pairs = _kkt_data(p, sol.x, _multiplier_samples(p, lambda_samples, seed))
     moduli = []  # (ell, rho) up to the first positive ell
     for rho in rho_list:
         moduli.append((min(_growth_pair(*pair, rho)[0] for pair in pairs), rho))

@@ -8,6 +8,9 @@ place that makes the split.  On top of it sit closed-form squared
 distances, the second subderivative of the cone indicator, the penalized
 quadratic form and the second subderivative of the augmented Lagrangian,
 plus a brute-force difference-quotient oracle used to cross-check them.
+Every minimum over the unit sphere is exact linear algebra: an eigenvalue
+of a penalty split, or on the whole cone Q the S-lemma search of
+`_growth_pair`, which the sufficiency check and the growth modulus share.
 """
 
 from __future__ import annotations
@@ -20,18 +23,17 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import svd
 
-from .cone import (ConeRegion, _at_least, _classify, _norm, _positive,
-                   _project_polar_rows, _tilde, as_cone_vec, in_normal_cone, project_polar)
-from .lagrangian import _kkt_residual, aug_lagrangian, hessian_lagrangian
+from .cone import (ConeRegion, _classify, _norm, _positive, _tilde, as_cone_vec,
+                   in_normal_cone, project_polar)
+from .lagrangian import _kkt_residual, aug_lagrangian, curvature, hessian_lagrangian
 from .model import SocpProblem
 
-# Tolerances and the size of the whole-cone sphere search.
+# Tolerances and the penalties of the whole-cone sufficiency sweep.
 CONE_TOL = 1e-8     # normal-cone test and region split of a KKT pair
 KKT_TOL = 1e-8      # relative KKT residual check_sosc accepts
 TOL = 1e-8          # certificate threshold: moduli, eigenvalues, the whole-ray test
 MEMBER_TOL = 1e-10  # distance to the critical cone that counts as membership
-STARTS = 64         # sphere-search starts per penalty
-RHO0 = 1.0          # first penalty of the sphere search, doubled up to
+RHO0 = 1.0          # first penalty of the whole-cone sweep, doubled up to
 DOUBLINGS = 8       # DOUBLINGS times
 EPS = np.finfo(float).eps
 
@@ -218,49 +220,17 @@ def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) 
 
 @dataclass(frozen=True)
 class SoscReport:
-    """check_sosc's verdict, holds iff modulus > TOL; method ExactEigen or SampledPenalty."""
+    """check_sosc's verdict, holds iff modulus > TOL.  ExactEigen: an exact
+    eigenvalue at rho = inf, so either verdict certifies.  SampledPenalty
+    (the whole cone Q): the exact minimum of w'Hw + rho dist^2(Jw; Q) on the
+    unit sphere at the first penalty RHO0 2^j that makes it exceed TOL, a
+    certificate since it bounds w'Hw wherever Jw lies in Q, else at the
+    last, j = DOUBLINGS - 1, which proves nothing: a larger rho might."""
     holds: bool
     modulus: float
     rho_used: float
     method: str
     certificate_detail: str
-
-
-def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", A, B)
-
-
-def _minimize_on_sphere(fun_grad, points: np.ndarray, iters: int = 200) -> np.ndarray:
-    """Projected gradient descent on the unit sphere from each row of
-    `points` (k, dim), all rows in one lockstep batch; returns the final
-    value of each row.  fun_grad maps unit rows (j, dim) to values (j,)
-    and gradients (j, dim), and is called on the running rows only.  Each
-    row has its own step: a strict decrease is accepted and doubles it
-    (capped at 1), anything else halves it; a row stops at a tangential
-    gradient norm <= 1e-14, a step <= 1e-16 or after `iters` moves.
-    """
-    W = points / np.linalg.norm(points, axis=1, keepdims=True)
-    val, grad = fun_grad(W)
-    step = np.ones(W.shape[0])
-    moves = np.zeros(W.shape[0], dtype=int)
-    # gradient on the sphere: remove the radial component
-    tang = grad - _rowdot(grad, W)[:, None] * W
-    running = (np.linalg.norm(tang, axis=1) > 1e-14) & (iters > 0)
-    while running.any():
-        idx = np.flatnonzero(running)
-        cand = W[idx] - step[idx, None] * tang[idx]
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cand_val, cand_grad = fun_grad(cand)
-        accept = cand_val < val[idx] - 1e-16
-        acc, rej = idx[accept], idx[~accept]
-        W[acc], val[acc], grad[acc] = cand[accept], cand_val[accept], cand_grad[accept]
-        step[acc] = np.minimum(step[acc] * 2.0, 1.0)
-        moves[acc] += 1
-        tang[acc] = grad[acc] - _rowdot(grad[acc], W[acc])[:, None] * W[acc]
-        running[acc] = (moves[acc] < iters) & (np.linalg.norm(tang[acc], axis=1) > 1e-14)
-        step[rej] *= 0.5
-        running[rej] = step[rej] > 1e-16
-    return val
 
 
 def _kernel_split(B: np.ndarray):
@@ -333,58 +303,49 @@ def _growth_pair(H, J, K: CriticalCone, rho: float):
     return rising[:2]
 
 
-def _whole_cone_search(H, J, seed: int) -> SoscReport:
-    """Sampled, non-certifying sufficiency test on the whole cone Q:
-    copositivity of <w, H w> + rho dist^2(Jw; Q).  At each penalty
-    RHO0 * 2^j, one seeded block of STARTS normal starts descends on the
-    unit sphere as a lockstep batch (`_minimize_on_sphere`)."""
-    rng = np.random.default_rng(seed)
-
-    def objective(W, rho):
-        polar = _project_polar_rows(W @ J.T)
-        HW = W @ H
-        return (_rowdot(W, HW) + rho * _rowdot(polar, polar),
-                2.0 * HW + (2.0 * rho) * (polar @ J))
-
-    for j in range(DOUBLINGS):
-        rho = RHO0 * (2.0 ** j)
-        best = float(_minimize_on_sphere(lambda W: objective(W, rho),
-                                         rng.standard_normal((STARTS, H.shape[0]))).min())
-        if best > TOL:
-            return SoscReport(True, best, rho, "SampledPenalty",
-                              f"WholeConeQ: sampled sphere minimum {best:.3e} at "
-                              f"rho={rho:g} ({STARTS} starts, non-certifying)")
-    return SoscReport(False, best, rho, "SampledPenalty",
-                      f"WholeConeQ: sampled sphere minimum stayed <= {TOL:.1e} "
-                      f"up to rho={rho:g} ({STARTS} starts, non-certifying)")
-
-
-def _kkt_data(p: SocpProblem, xbar, lambda_bar):
-    """(Hess_xx L, JPhi, critical cone) of a KKT pair, else ValueError."""
-    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
-    res = _kkt_residual(phi, J, p.f_grad(x), lam)
-    if not res <= KKT_TOL * max(1.0, _norm(x), _norm(lam)):
-        raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
-    H = hessian_lagrangian(p, x, lam)
-    if not np.isfinite(H).all():
-        raise ValueError("Hessian of the Lagrangian has non-finite entries")
-    return H, J, critical_cone(phi, lam)
+def _kkt_data(p: SocpProblem, xbar, lams):
+    """[(Hess_xx L, JPhi, critical cone)] of the KKT pairs (xbar, lam) for
+    lam in lams, else ValueError.  Each oracle but phi_hess_contract is
+    called once at xbar, and f_hess only after every pair passed the KKT test."""
+    x, lam, _, phi, J = _pair(p, xbar, lams[0])
+    lams = [lam] + [p.check_dims(x, other)[1] for other in lams[1:]]
+    grad = p.f_grad(x)
+    for lam in lams:
+        res = _kkt_residual(phi, J, grad, lam)
+        if not res <= KKT_TOL * max(1.0, _norm(x), _norm(lam)):
+            raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
+    f_hess, out = p.f_hess(x), []
+    for lam in lams:
+        H = curvature(f_hess, p.phi_hess_contract(x, lam))
+        if not np.isfinite(H).all():
+            raise ValueError("Hessian of the Lagrangian has non-finite entries")
+        out.append((H, J, critical_cone(phi, lam)))
+    return out
 
 
 @np.errstate(all="ignore")
-def check_sosc(p: SocpProblem, xbar, lambda_bar, seed: int = 0) -> SoscReport:
+def check_sosc(p: SocpProblem, xbar, lambda_bar) -> SoscReport:
     """Certify the second-order sufficient condition at a KKT pair.
 
     Outside the whole cone the modulus is one exact eigenvalue of the
     rho = inf form of `_penalty_split` on ker B, the span of the critical
     cone (ExactEigen).  The vertex case with zero multiplier is a genuine
-    copositivity problem and falls back to a sampled, non-certifying
-    penalty sweep (`_whole_cone_search`, seeded by `seed`; SampledPenalty).
+    copositivity problem: its modulus is the exact penalized sphere minimum
+    2 `_growth_pair` at the penalties RHO0 2^j in turn, up to the first
+    that exceeds TOL (SampledPenalty; see `SoscReport`).
     """
-    _at_least("seed", seed)
-    H, J, K = _kkt_data(p, xbar, lambda_bar)
+    [(H, J, K)] = _kkt_data(p, xbar, [lambda_bar])
     if K.case is CriticalConeCase.WHOLE_CONE_Q:
-        return _whole_cone_search(H, J, seed)
+        for j in range(DOUBLINGS):
+            rho = RHO0 * (2.0 ** j)
+            modulus = 2.0 * _growth_pair(H, J, K, rho)[0]
+            if modulus > TOL:
+                return SoscReport(True, modulus, rho, "SampledPenalty",
+                                  f"WholeConeQ: penalized sphere minimum {modulus:.3e} "
+                                  f"at rho={rho:g} (S-lemma, certifying)")
+        return SoscReport(False, modulus, rho, "SampledPenalty",
+                          f"WholeConeQ: penalized sphere minimum stayed <= {TOL:.1e} "
+                          f"up to rho={rho:g} (sampled penalties, non-certifying)")
 
     S, B = _penalty_split(K, H, J, math.inf)
     Z = np.eye(p.n) if B is None else _kernel_split(B)[0]  # orthonormal basis of ker B

@@ -391,6 +391,8 @@ def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     ["check", "sosc", "--problem", "builtin:projection"],
     ["check", "errorbound", "--problem", "builtin:projection"],
     ["rate", "--problem", "builtin:example_3_2", "--rho-list", "10"],
+    ["check", "dualqual", "--problem", "builtin:projection"],
+    ["check", "example32", "--problem", "builtin:example_3_2"],
 ])
 def test_a_negative_seed_exit_two(argv, capsys):
     assert run_cli(*argv, "--seed", "-1") == 2

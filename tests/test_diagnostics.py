@@ -128,6 +128,18 @@ def test_growth_uniform_on_multiplier_ray():
     assert rep.uniform
 
 
+def test_growth_calls_each_oracle_at_xbar_once():
+    """Five multipliers of example_3_2's ray: phi_hess_contract runs once
+    per multiplier and every other oracle once; the modulus is the one it
+    had with one set of oracle calls per multiplier."""
+    p, calls = counted(builtin("example_3_2"))
+    rep = certify_growth(p, [1.0, 10.0, 100.0], 5, seed=3)
+    assert (rep.rho_used, rep.uniform) == (1.0, True)
+    assert rep.ell_hat == pytest.approx(0.5856491671436244, rel=1e-14)
+    assert dict(calls) == {"phi_value": 1, "phi_jac": 1, "f_grad": 1, "f_hess": 1,
+                           "phi_hess_contract": 5}
+
+
 def test_growth_monotone_in_rho():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=2)
     ells = [certify_growth(p, [rho], 1, seed=5).ell_hat for rho in (0.5, 1.0, 4.0, 16.0)]
