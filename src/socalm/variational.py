@@ -8,9 +8,10 @@ place that makes the split.  On top of it sit closed-form squared
 distances, the second subderivative of the cone indicator, the penalized
 quadratic form and the second subderivative of the augmented Lagrangian,
 plus a brute-force difference-quotient oracle used to cross-check them.
-Every minimum over the unit sphere is exact linear algebra: an eigenvalue
-of a penalty split, or on the whole cone Q the S-lemma search of
-`_growth_pair`, which the sufficiency check and the growth modulus share.
+Every minimum over the unit sphere is exact linear algebra in one place,
+`_growth_pair`: an eigenvalue of a penalty split, or on the whole cone Q
+an S-lemma search.  The growth modulus reads it at finite penalties and
+the sufficiency check at rho = inf.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from .cone import (ConeRegion, _classify, _norm, _positive, _tilde, as_cone_vec,
 from .lagrangian import _kkt_residual, aug_lagrangian, curvature, hessian_lagrangian
 from .model import SocpProblem
 
-# Tolerances and the penalties of the whole-cone sufficiency sweep.
+# Tolerances.
 CONE_TOL = 1e-8     # normal-cone test and region split of a KKT pair
 KKT_TOL = 1e-8      # relative KKT residual check_sosc accepts
 TOL = 1e-8          # certificate threshold: moduli, eigenvalues, the whole-ray test
 MEMBER_TOL = 1e-10  # distance to the critical cone that counts as membership
-RHO0 = 1.0          # first penalty of the whole-cone sweep, doubled up to
-DOUBLINGS = 8       # DOUBLINGS times
 EPS = np.finfo(float).eps
 
 
@@ -220,12 +219,9 @@ def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) 
 
 @dataclass(frozen=True)
 class SoscReport:
-    """check_sosc's verdict, holds iff modulus > TOL.  ExactEigen: an exact
-    eigenvalue at rho = inf, so either verdict certifies.  SampledPenalty
-    (the whole cone Q): the exact minimum of w'Hw + rho dist^2(Jw; Q) on the
-    unit sphere at the first penalty RHO0 2^j that makes it exceed TOL, a
-    certificate since it bounds w'Hw wherever Jw lies in Q, else at the
-    last, j = DOUBLINGS - 1, which proves nothing: a larger rho might."""
+    """check_sosc's verdict, holds iff modulus > TOL: an exact minimum at
+    rho_used = inf, so either verdict certifies.  The method is ExactEigen,
+    or on the whole cone Q SampledPenalty, the name the benchmark gates on."""
     holds: bool
     modulus: float
     rho_used: float
@@ -233,25 +229,38 @@ class SoscReport:
     certificate_detail: str
 
 
+def _floor(s: np.ndarray, shape) -> float:
+    """`null_space`'s rank rule: below it |s| counts as 0 in a `shape` matrix."""
+    return float(np.abs(s).max(initial=0.0)) * EPS * max(shape)
+
+
 def _kernel_split(B: np.ndarray):
     """(kernel, rows, s): orthonormal column bases of ker B and of B's row
-    space, and B's singular values on the latter (`null_space`'s rank rule)."""
+    space, and B's singular values on the latter."""
     _, s, vh = svd(B)
-    rank = np.count_nonzero(s > s.max(initial=0.0) * EPS * max(B.shape))
+    rank = np.count_nonzero(s > _floor(s, B.shape))
     return vh[rank:].T, vh[:rank].T, s[:rank]
 
 
 def _bottom_pair(H0, B, rho: float):
-    """(lambda_min(H0 + rho B'B), a unit eigenvector), from one `eigh` unless
-    ker B is nontrivial and rho sigma_min(B)^2 > 4 ||H0||_F, where rho B'B
-    would swamp H0 in rounding.  There, with H0 = [[A00, A01], [A10, A11]]
-    on ker B and B's row space and G = (rho diag(sigma)^2)^(-1/2), it is the
-    fixed point of s <- lambda_min(A00 - A01 G (I + G (A11 - s I) G)^-1 G A10)
-    from s = lambda_min(A00), the rho = inf value; a step contracts by 1/4."""
+    """(lambda_min(H0 + rho B'B), a unit eigenvector), from one `eigh`; at
+    rho = inf, of the symmetrized H0 on ker B: all of R^n where B = 0, and
+    +inf where ker B = {0}.  A finite rho with ker B nontrivial and
+    rho sigma_min(B)^2 > 4 ||H0||_F would swamp H0 in rounding: there, with
+    H0 = [[A00, A01], [A10, A11]] on ker B and B's row space and
+    G = (rho diag(sigma)^2)^(-1/2), it is the fixed point of
+    s <- lambda_min(A00 - A01 G (I + G (A11 - s I) G)^-1 G A10) from
+    s = lambda_min(A00), the rho = inf value; a step contracts by 1/4."""
+    basis = None
     if B is not None:
         kernel, rows, sigma = _kernel_split(B)
         h, k = float(np.linalg.norm(H0)), kernel.shape[1]
-        if k and sigma.size and sigma[-1] ** 2 > 4.0 * h / rho:
+        if rho == math.inf:
+            if not k:
+                return math.inf, rows[:, 0]
+            reduced = kernel.T @ H0 @ kernel
+            basis, H0 = kernel, 0.5 * (reduced + reduced.T)
+        elif k and sigma.size and sigma[-1] ** 2 > 4.0 * h / rho:
             g = 1.0 / (math.sqrt(rho) * sigma)
             basis = np.hstack([kernel, rows])
             A = basis.T @ H0 @ basis
@@ -265,11 +274,12 @@ def _bottom_pair(H0, B, rho: float):
                     break
             w = kernel @ vecs[:, 0] - rows @ (g * (Y @ vecs[:, 0]))
             return float(s), w / np.linalg.norm(w)
-        H0 = H0 + rho * (B.T @ B)
+        else:
+            H0 = H0 + rho * (B.T @ B)
     if not np.isfinite(H0).all():
         raise ValueError("growth form has non-finite entries")
     vals, vecs = np.linalg.eigh(H0)
-    return float(vals[0]), vecs[:, 0]
+    return float(vals[0]), vecs[:, 0] if basis is None else basis @ vecs[:, 0]
 
 
 @np.errstate(all="ignore")  # a b whose G(b) overflows reads as past the maximum
@@ -280,11 +290,20 @@ def _growth_pair(H, J, K: CriticalCone, rho: float):
     J0 and Jr the rows of J: the S-lemma dual of min w'Hw + rho |Jw - z|^2
     over |w| = 1, z in Q, exact as three quadratic forms in n + m + 1 >= 3
     variables have a convex joint range (Polyak, JOTA 99, 1998); it is
-    concave in b, so the sign of its slope at the bottom eigenvector bisects b."""
+    concave in b, so the sign of its slope at the bottom eigenvector bisects b.
+    At rho = inf, with M = Jr'Jr - J0 J0', the minimum is over w'Mw <= 0 (Jw
+    in Q or -Q): ker M where M is semidefinite, else exact for any n by the
+    two-form S-lemma (Polik and Terlaky, SIAM Review 49, 2007)."""
     if K.case is not CriticalConeCase.WHOLE_CONE_Q:
         val, w = _bottom_pair(*_penalty_split(K, H, J, rho), rho)
         return 0.5 * val, w
     J0, Jr = np.outer(J[0], J[0]), J[1:].T @ J[1:]
+    if rho == math.inf:
+        M = Jr - J0
+        spectrum = np.linalg.eigvalsh(M)
+        if spectrum[0] >= -_floor(spectrum, M.shape):  # semidefinite: w'Mw <= 0 on ker M
+            val, w = _bottom_pair(H, M, rho)
+            return 0.5 * val, w
 
     def at(b):
         scale = 1.0 + 2.0 * b / rho
@@ -325,39 +344,17 @@ def _kkt_data(p: SocpProblem, xbar, lams):
 
 @np.errstate(all="ignore")
 def check_sosc(p: SocpProblem, xbar, lambda_bar) -> SoscReport:
-    """Certify the second-order sufficient condition at a KKT pair.
-
-    Outside the whole cone the modulus is one exact eigenvalue of the
-    rho = inf form of `_penalty_split` on ker B, the span of the critical
-    cone (ExactEigen).  The vertex case with zero multiplier is a genuine
-    copositivity problem: its modulus is the exact penalized sphere minimum
-    2 `_growth_pair` at the penalties RHO0 2^j in turn, up to the first
-    that exceeds TOL (SampledPenalty; see `SoscReport`).
-    """
+    """Certify the second-order sufficient condition at a KKT pair: the
+    modulus is 2 `_growth_pair` at rho = inf, the exact minimum of the
+    sufficiency form over unit w with Jw in the critical cone, so either
+    verdict certifies (an eigenvalue on the cone's span, or on the whole
+    cone Q the S-lemma value of a copositivity problem)."""
     [(H, J, K)] = _kkt_data(p, xbar, [lambda_bar])
-    if K.case is CriticalConeCase.WHOLE_CONE_Q:
-        for j in range(DOUBLINGS):
-            rho = RHO0 * (2.0 ** j)
-            modulus = 2.0 * _growth_pair(H, J, K, rho)[0]
-            if modulus > TOL:
-                return SoscReport(True, modulus, rho, "SampledPenalty",
-                                  f"WholeConeQ: penalized sphere minimum {modulus:.3e} "
-                                  f"at rho={rho:g} (S-lemma, certifying)")
-        return SoscReport(False, modulus, rho, "SampledPenalty",
-                          f"WholeConeQ: penalized sphere minimum stayed <= {TOL:.1e} "
-                          f"up to rho={rho:g} (sampled penalties, non-certifying)")
-
-    S, B = _penalty_split(K, H, J, math.inf)
-    Z = np.eye(p.n) if B is None else _kernel_split(B)[0]  # orthonormal basis of ker B
-    if Z.shape[1] == 0:
-        return SoscReport(True, float("inf"), float("inf"), "ExactEigen",
-                          f"critical subspace is trivial ({K.case.value})")
-    reduced = Z.T @ S @ Z
-    if not np.isfinite(reduced).all():
-        raise ValueError("sufficiency form has non-finite entries")
-    modulus = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
-    return SoscReport(modulus > TOL, modulus, float("inf"), "ExactEigen",
-                      f"{K.case.value}: min eigenvalue on a {Z.shape[1]}-dim subspace of R^{p.n}")
+    modulus = 2.0 * _growth_pair(H, J, K, math.inf)[0]
+    method = "SampledPenalty" if K.case is CriticalConeCase.WHOLE_CONE_Q else "ExactEigen"
+    return SoscReport(modulus > TOL, modulus, math.inf, method,
+                      f"{K.case.value}: exact minimum over unit w in R^{p.n} "
+                      "with Jw in the critical cone")
 
 
 def _kernel_tol(J: np.ndarray, v: np.ndarray) -> float:

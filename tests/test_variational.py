@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
 from socalm import ConeRegion, builtin, certify_growth, generate_planted, quadratic_problem
-from socalm.variational import (DOUBLINGS, RHO0, TOL, CriticalCone, CriticalConeCase,
+from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
                                 _growth_pair, _kkt_data, _penalty_split,
                                 check_dual_qualification, check_sosc, critical_cone,
                                 d2_aug_lagrangian, d2_indicator_q,
@@ -421,6 +421,7 @@ def _span_case_pair(case, P, A, rng):
         "Hyperplane": (np.r_[r, r * u], t * np.r_[-1.0, u]),
         "ZeroOnly": (zero, t * np.r_[-2.0, u]),
         "Ray": (zero, t * np.r_[-1.0, u]),
+        "WholeConeQ": (zero, zero),
     }[case]
     return quadratic_problem(P, -A.T @ lam, 0.0, A, b), lam
 
@@ -453,7 +454,7 @@ def test_sosc_modulus_is_attained_on_the_critical_cone(seed, n, m, case):
     if basis.shape[1] == 0:
         assert report.modulus == math.inf
         return
-    assert report.modulus == _min_eig(S, basis)
+    assert report.modulus == pytest.approx(_min_eig(S, basis), rel=1e-12)
     if case == "Hyperplane":
         # the indicator's curvature (||v_r||^2 - v_0^2) ||lam|| / ||Phi||
         # at v = Aw agrees with the tangential form on ker B to rounding
@@ -480,22 +481,27 @@ def test_sosc_modulus_is_attained_on_the_critical_cone(seed, n, m, case):
 
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
-       case=st.sampled_from(["FullSpace", "HalfSpace", "ZeroOnly", "Ray"]),
+       case=st.sampled_from(["FullSpace", "HalfSpace", "ZeroOnly", "Ray", "WholeConeQ"]),
        log_c=st.floats(-3.0, 3.0))
 def test_sosc_modulus_scales_with_the_hessian_without_cone_curvature(seed, n, m, case,
                                                                        log_c):
+    """H -> cH scales the modulus by c, and J -> cJ, which leaves the
+    critical cone's span (or, on the whole cone, {w : Jw in Q or -Q}) as it
+    is, leaves the verdict unchanged."""
     c = 10.0 ** log_c
     R = np.random.default_rng(seed).standard_normal((n, n))
     A = np.random.default_rng(seed + 1).standard_normal((m + 1, n))
-    moduli = []
-    for P in (R + R.T, c * (R + R.T)):
-        p, lam = _span_case_pair(case, P, A, np.random.default_rng(seed + 2))
-        moduli.append(check_sosc(p, np.zeros(n), lam).modulus)
+    reports = []
+    for P, J in ((R + R.T, A), (c * (R + R.T), A), (R + R.T, c * A)):
+        p, lam = _span_case_pair(case, P, J, np.random.default_rng(seed + 2))
+        reports.append(check_sosc(p, np.zeros(n), lam))
+    moduli = [r.modulus for r in reports]
     if math.isinf(moduli[0]):
         assert moduli[1] == math.inf
     else:
         scale = c * max(1.0, float(np.linalg.norm(R + R.T, 2)))
         assert abs(moduli[1] - c * moduli[0]) <= 1e-12 * scale
+    assert reports[2].holds == reports[0].holds
 
 
 def test_check_sosc_rejects_an_overflowing_form():
@@ -504,7 +510,7 @@ def test_check_sosc_rejects_an_overflowing_form():
     A = 1e155 * np.eye(3)
     lam = np.array([-1.0, 1.0, 0.0])
     p = quadratic_problem(np.eye(3), -A.T @ lam, 0.0, A, [1.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="sufficiency form has non-finite entries"):
+    with pytest.raises(ValueError, match="growth form has non-finite entries"):
         check_sosc(p, np.zeros(3), lam)
 
 
@@ -557,7 +563,7 @@ def test_growth_modulus_is_exact_and_nondecreasing(seed, kind):
     scale = 1e-12 * max(1.0, float(np.linalg.norm(H)))
     assert all(b >= a - scale * max(1.0, abs(a)) for a, b in zip(ells, ells[1:]))
     report = check_sosc(p, x, lam)
-    if report.method == "ExactEigen" and math.isfinite(report.modulus):
+    if math.isfinite(report.modulus):
         assert abs(ells[-1] - 0.5 * report.modulus) <= 1e-9 * max(1.0, abs(report.modulus))
 
 
@@ -600,42 +606,83 @@ def _whole_cone_pair(rng, n, m, shift):
 @settings(max_examples=80)
 @given(seed=st.integers(0, 2**20), n=st.integers(1, 6), m=st.integers(1, 4),
        shift=st.floats(-4.0, 1.0))
-def test_whole_cone_sosc_sweeps_the_exact_penalized_minimum(seed, n, m, shift):
-    """The whole-cone modulus is 2 ell(rho_used), the exact minimum of
-    w'Hw + rho dist^2(Jw; Q) on the unit sphere, at the first swept penalty
-    where it exceeds TOL (at the last penalty where none does), and no
-    sampled unit w goes below it."""
+def test_whole_cone_sosc_bounds_every_penalty_and_the_cone(seed, n, m, shift):
+    """The whole-cone modulus is the minimum of w'Hw over unit w with Jw in
+    Q or -Q (w'Mw <= 0, M = Jr'Jr - J0 J0'): the exact penalized minimum
+    at a finite rho lies below it, and no sampled w of that set goes below."""
     rng = np.random.default_rng(seed)
     p, x, lam = _whole_cone_pair(rng, n, m, shift)
     report = check_sosc(p, x, lam)
     [(H, J, K)] = _kkt_data(p, x, [lam])
     assert K.case is CriticalConeCase.WHOLE_CONE_Q
-    assert report.method == "SampledPenalty"
-    rhos = [RHO0 * 2.0 ** j for j in range(DOUBLINGS)]
-    minima = {rho: 2.0 * _growth_pair(H, J, K, rho)[0] for rho in rhos}
-    positive = [rho for rho in rhos if minima[rho] > TOL]
-    assert report.rho_used == (positive[0] if positive else rhos[-1])
-    assert report.holds == bool(positive)
-    assert report.modulus == minima[report.rho_used]
-    tol = 1e-12 * (np.linalg.norm(H) + report.rho_used * np.linalg.norm(J) ** 2)
-    for w in rng.standard_normal((10, n)):
+    assert (report.method, report.rho_used) == ("SampledPenalty", math.inf)
+    assert report.holds == (report.modulus > TOL)
+    for rho in (1.0, 128.0, 1e6):
+        tol = 1e-12 * (np.linalg.norm(H) + rho * np.linalg.norm(J) ** 2)
+        assert 2.0 * _growth_pair(H, J, K, rho)[0] <= report.modulus + tol
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(H)))
+    for w in rng.standard_normal((200, n)):
         w /= np.linalg.norm(w)
-        assert report.modulus <= d2_aug_lagrangian(p, x, lam, report.rho_used, w) + tol
+        v = J @ w
+        if v[1:] @ v[1:] <= v[0] ** 2:
+            assert w @ H @ w >= report.modulus - tol
+
+
+def _whole_cone_problem(P, A):
+    """The quadratic 0.5 x'Px with Phi(x) = Ax: at x = 0, lam = 0 the
+    critical cone is the whole cone Q."""
+    A = np.asarray(A, dtype=float)
+    return quadratic_problem(P, np.zeros(A.shape[1]), 0.0, A, np.zeros(A.shape[0]))
+
+
+H_BRANCH = np.array([[2.0, 1.0], [1.0, -3.0]])
+
+
+@pytest.mark.parametrize("P, A, modulus", [
+    # M = I: no w != 0 has Jw in Q or -Q, so the condition holds vacuously
+    (-1000.0 * np.eye(2), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], math.inf),
+    # M = 0: Jw = w0 (1, 1, 0) lies on the boundary of Q or -Q for every w
+    (H_BRANCH, [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], np.linalg.eigvalsh(H_BRANCH)[0]),
+    # M = diag(1, 0): Jw lies in Q or -Q only on ker M = span(e2)
+    (H_BRANCH, [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], -3.0),
+    # M = diag(1, -1): the closed form of the growth modulus at rho = inf
+    (np.diag([-1.0, 3.0]), [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], 1.0),
+], ids=["definite", "zero", "semidefinite", "indefinite"])
+def test_whole_cone_sosc_on_each_branch_of_m(P, A, modulus):
+    report = check_sosc(_whole_cone_problem(P, A), np.zeros(2), np.zeros(3))
+    assert (report.method, report.rho_used) == ("SampledPenalty", math.inf)
+    assert report.modulus == pytest.approx(modulus, rel=1e-12)
+    assert report.holds == (modulus > TOL)
+
+
+def test_bottom_pair_at_an_infinite_penalty():
+    """B = 0 leaves H0 unpenalized at any rho, rho = inf included; at
+    rho = inf a trivial ker B leaves no direction, so the minimum is +inf."""
+    H0 = np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 1.0]])
+    vals, vecs = np.linalg.eigh(H0)
+    for rho in (1.0, math.inf):
+        val, w = _bottom_pair(H0, np.zeros((2, 3)), rho)
+        assert val == pytest.approx(vals[0], rel=1e-12)
+        assert abs(w @ vecs[:, 0]) == pytest.approx(1.0, rel=1e-12)
+    val, w = _bottom_pair(H0, np.eye(3), math.inf)
+    assert val == math.inf and np.linalg.norm(w) == pytest.approx(1.0)
 
 
 def test_whole_cone_sosc_where_the_sphere_search_stopped_short():
     """Planted (20,10) whole-cone quadratic with P = R'R - 2I: SOSC fails,
-    and the modulus at rho = 128 is the exact minimum -1.58077026187, which
-    a witness attains.  A 64-start sphere search capped at 200 moves
-    reported -1.5625 there; 5,000 moves reached -1.5808."""
+    with modulus -1.580140214925 at rho = inf.  The exact penalized minimum
+    at rho = 128, where a penalty sweep stopped, is -1.58077026187, which a
+    witness attains; a 64-start sphere search capped at 200 moves had
+    reported -1.5625 there."""
     p, x, lam = _whole_cone_pair(np.random.default_rng(4), 20, 10, -2.0)
     report = check_sosc(p, x, lam)
-    assert (report.holds, report.rho_used, report.method) == (False, 128.0, "SampledPenalty")
-    assert report.modulus == pytest.approx(-1.58077026187, rel=1e-11)
+    assert (report.holds, report.rho_used, report.method) == (False, math.inf, "SampledPenalty")
+    assert report.modulus == pytest.approx(-1.580140214925, rel=1e-11)
     [(H, J, K)] = _kkt_data(p, x, [lam])
-    w = _growth_pair(H, J, K, 128.0)[1]
+    ell, w = _growth_pair(H, J, K, 128.0)
+    assert 2.0 * ell == pytest.approx(-1.58077026187, rel=1e-11)
     attained = min(d2_aug_lagrangian(p, x, lam, 128.0, s * w) for s in (1.0, -1.0))
-    assert attained == pytest.approx(report.modulus, rel=1e-9)
+    assert attained == pytest.approx(2.0 * ell, rel=1e-9)
 
 
 def test_dual_qualification_cases():
