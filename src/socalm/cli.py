@@ -337,16 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.  This is the one place
     that maps an exception to an exit code: a ValueError (NonFiniteError
-    and every argparse usage error included) or an OSError (an output
-    that cannot be written) is a usage error, 2, reported on one `error:`
-    line; --help prints the usage and returns 0."""
+    and every argparse usage error included), an OSError (an unwritable
+    output) or a MemoryError (a sample too large to allocate) is a usage
+    error, 2, reported on one `error:` line; --help prints the usage and returns 0."""
     try:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit:  # argparse exits only after printing --help
             return 0
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

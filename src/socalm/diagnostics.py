@@ -1,11 +1,9 @@
 """Verification of the quantitative claims: error-bound constants,
-second-order growth, subproblem stability and linear rates.
+second-order growth, subproblem solvability and linear rates.
 
-The growth modulus is exact, one eigenvalue per multiplier.  The other
-checks sample, seeded, so reports repeat bit for bit: a ball is drawn in
-one call, the oracles are called once per sampled point and the rest is
-reduced over all rows at once.  They are evidence, not proofs: they
-bound constants over finite samples and flag instability heuristically.
+Growth and solvability are exact linear algebra at the known KKT pair.  The
+error bound samples a seeded ball, drawn in one call, with one oracle call
+per point and all rows reduced at once: evidence, not proof.
 """
 
 from __future__ import annotations
@@ -16,11 +14,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .alm import inner_solve
-from .cone import _at_least, _finite, _norm, _positive, _project_q_rows
+from .alm import inner_solve  # noqa: F401 -- like check_sosc, kept for perfbench/tracer.py to wrap
+from .cone import _at_least, _finite, _norm, _positive, _project_q_rows, jacobian_project_polar
 from .lagrangian import NonFiniteError, lagrangian_l
 from .model import SocpProblem, builtin
-from .variational import _growth_pair, _kkt_data, check_sosc
+from .variational import TOL, CriticalConeCase, _growth_pair, _kkt_data, check_sosc  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -240,29 +238,29 @@ def estimate_rate(trace, p: SocpProblem) -> Tuple[List[float], float]:
     return qs, geomean
 
 
-def solvability_estimate(p: SocpProblem, rho: float, lambda_samples: int, seed: int,
-                         radius: float = 1e-2) -> float:
-    """Empirical Lipschitz modulus of the subproblem solution map.
-
-    Solves the inner problem to tight tolerance for multipliers sampled
-    around the known one and reports sup ||x(lam) - xbar|| / ||lam - lambar||.
-    Returns NaN when the sufficiency certificate does not hold (the
-    estimate is then meaningless); inner failures propagate.  Sampled
-    multipliers within 1e-14 of lambar are dropped; ValueError if none is left.
-    """
+def solvability_estimate(p: SocpProblem, rho: float) -> float:
+    """Exact Lipschitz modulus of the subproblem solution map lam -> x(lam) at
+    the known KKT pair: max ||(H + rho J'VJ)^-1 J'V||_2 over the pieces V of
+    Pi_{-Q}'s derivative at y = rho Phi(xbar) + lambar.  V_out, its limit from
+    outside both cones, is the piece of a Hyperplane and a HalfSpace (whose
+    other, 0, adds nothing); ZeroOnly has I, a Ray both, FullSpace none (0.0).
+    A piece's dlam form a half-space holding v or -v, v its top singular
+    vector: the modulus is attained.  NaN unless 2 ell(rho) > TOL, which makes
+    each H + rho J'VJ positive definite; so NaN wherever `check_sosc` fails, as
+    ell(rho) <= ell(inf).  ValueError on the whole cone Q (y = 0): infinitely many pieces."""
     sol = _require_solution(p)
     _positive("rho", rho)
-    _positive("radius", radius)
-    _at_least("lambda_samples", lambda_samples, 1)
-    _at_least("seed", seed)
-    if not check_sosc(p, sol.x, sol.lam).holds:
-        return float("nan")
-    lams = sol.lam + _ball_rows(np.random.default_rng(seed), lambda_samples, p.m + 1, radius)
-    lams = lams[np.linalg.norm(lams - sol.lam, axis=1) >= 1e-14]
-    if not len(lams):
-        raise ValueError(f"no sampled multiplier of radius {radius:g} moves lambar by 1e-14")
-    xs = np.array([inner_solve(p, lam, rho, sol.x, 1e-10, max_inner=400)[0] for lam in lams])
-    ratios = np.linalg.norm(xs - sol.x, axis=1) / np.linalg.norm(lams - sol.lam, axis=1)
-    if not np.isfinite(ratios).all():
-        raise AssertionError("unbounded subproblem solution ratio")
-    return float(ratios.max())
+    [(H, J, K)] = _kkt_data(p, sol.x, [sol.lam])
+    if K.case is CriticalConeCase.WHOLE_CONE_Q:
+        raise ValueError("at y = 0 (whole cone Q) the solution map has infinitely many pieces")
+    if not 2.0 * _growth_pair(H, J, K, rho)[0] > TOL:
+        return math.nan
+    pieces = [np.eye(p.m + 1)] if K.case is CriticalConeCase.ZERO_ONLY else []  # FullSpace: none
+    if K.case is CriticalConeCase.HYPERPLANE:
+        pieces = [jacobian_project_polar(rho * K.base_point + K.multiplier)]
+    elif K.case in (CriticalConeCase.HALF_SPACE, CriticalConeCase.RAY):
+        d = K.vector / _norm(K.vector)  # V_out from the normal: y may round to either side
+        P, eye = np.outer(d, d), np.eye(d.size)
+        pieces = [P] if K.case is CriticalConeCase.HALF_SPACE else [eye - P, eye]
+    return max((float(np.linalg.norm(np.linalg.solve(H + rho * (J.T @ V @ J), J.T @ V), 2))
+                for V in pieces), default=0.0)

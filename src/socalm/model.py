@@ -181,6 +181,8 @@ def _projection_problem(a=(0.0, 2.0, 0.0)) -> SocpProblem:
 
 def _interior_trivial(n: int = 2, m: int = 1) -> SocpProblem:
     """f(x) = ||x||^2 / 2 with a constant, strictly feasible Phi = e0."""
+    _at_least("n", n, 1)
+    _at_least("m", m, 1)
     e0 = np.zeros(m + 1)
     e0[0] = 1.0
     return quadratic_problem(np.eye(n), np.zeros(n), 0.0, np.zeros((m + 1, n)), e0,
@@ -250,8 +252,8 @@ def builtin(name: str, **params) -> SocpProblem:
     Supported names: example_3_2, projection (param a, default (0, 2, 0)),
     interior_trivial (params n, m), scaled_quadratic (params seed, n, m,
     region -- a seeded planted quadratic).  An unknown name raises
-    KeyError; a parameter the problem does not take, or a non-integer
-    n, m or seed, raises ValueError.
+    KeyError; a parameter the problem does not take, a non-integer
+    n, m or seed, or an n or m below 1, raises ValueError.
     """
     if not isinstance(name, str) or name not in _BUILTINS:
         raise KeyError(f"unknown builtin problem {name!r}")

@@ -333,6 +333,10 @@ def test_each_check_accepts_and_lists_only_its_own_flags(name, capsys):
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "0"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "-1"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--samples", "0"],
+    # 2^55 rows of 6 entries ask for 1.5 EiB, past any x86-64 address space
+    # yet within numpy's size limit: the allocation fails at once, touching no memory
+    ["check", "errorbound", "--problem", "builtin:projection", "--samples",
+     str(2 ** 55)],
     # every sampled residual and distance overflows, or falls below 1e-15
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--seed", "1",
      "--radius", "1e300"],
@@ -384,6 +388,27 @@ def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not report.exists()
+
+
+@pytest.mark.parametrize("check", ["sosc", "growth"])
+@pytest.mark.parametrize("params, message", [
+    (["--n", "0"], "n must be at least 1, got 0"),
+    (["--m", "0"], "m must be at least 1, got 0"),
+    (["--n", "-1"], "n must be at least 1, got -1"),
+    ("file", "n must be at least 1, got 0"),
+], ids=["n0", "m0", "n-1", "file-n0"])
+def test_interior_trivial_without_a_dimension_exit_two(check, params, message, tmp_path,
+                                                       capsys):
+    if params == "file":
+        path = tmp_path / "p.json"
+        path.write_text('{"builtin": "interior_trivial", "params": {"n": 0}}')
+        problem = ["--problem", str(path)]
+    else:
+        problem = ["--problem", "builtin:interior_trivial", *params]
+    assert run_cli("check", check, *problem) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socalm import (AlmConfig, AlmStatus, ConeRegion, Proportional, builtin,
-                    certify_growth, dist_to_multiplier_set, estimate_rate,
-                    example32_ratio, generate_planted, solvability_estimate, solve,
+from socalm import (AlmConfig, AlmStatus, ConeRegion, KktPoint, Proportional, builtin,
+                    certify_growth, check_sosc, diagnostics, dist_to_multiplier_set,
+                    estimate_rate, example32_ratio, generate_planted, inner_solve,
+                    jacobian_project_polar, quadratic_problem, solvability_estimate, solve,
                     verify_error_bound)
 from socalm.cli import main
 from socalm.alm import AlmTrace
+from socalm.cone import _norm
 from socalm.diagnostics import _ball_rows, dist_to_known_pair
 from socalm.lagrangian import residual
+from socalm.variational import _kkt_data
 
 from _util import (BAD_PENALTIES, BAD_SEEDS, MULTIPLIER, counted, nan_at,
                    negative_curvature_problem, rejected, rewritten_twin, uniform_ball)
@@ -202,34 +205,122 @@ def test_estimate_rate_linear_regime():
     assert geomean <= 0.5
 
 
-def test_solvability_estimate_stable():
-    p = builtin("projection", a=(0.0, 2.0, 0.0))
-    wide = solvability_estimate(p, 10.0, 50, seed=1)
-    narrow = solvability_estimate(p, 10.0, 50, seed=1, radius=1e-3)
-    assert 0.0 < wide < math.inf
-    assert 0.0 < narrow < math.inf
-    assert 0.1 <= wide / narrow <= 10.0
+# The exact solvability modulus against the inner solver: along the top
+# singular direction of the largest piece the subproblem solution attains
+# it, and no sampled multiplier exceeds it.
+
+def _zero_only_pair():
+    """A ZeroOnly pair (Phi(xbar) = 0, lambar inside -Q) with P = diag(-1, 1)
+    and J'J = I: sufficiency holds (ker J = 0), but H + rho J'J = diag(rho - 1,
+    rho + 1) is positive definite only for rho > 1; at rho = 10 the modulus is
+    ||diag(1/9, 1/11) J'|| = 1/9."""
+    A, lam = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([-2.0, 0.5, 0.0])
+    return quadratic_problem(np.diag([-1.0, 1.0]), -A.T @ lam, 0.0, A, np.zeros(3),
+                             name="zero_only", known_solution=KktPoint(np.zeros(2), lam))
 
 
-def test_solvability_estimate_at_radius_zero_samples_no_multiplier():
-    with pytest.raises(ValueError, match="radius"):
-        solvability_estimate(builtin("projection"), 10.0, 5, seed=1, radius=0.0)
+SOLVABILITY_PROBLEMS = [
+    *[builtin("projection", a=a)
+      for a in ((0.0, 2.0, 0.0), (1.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (-2.0, 1.0, 0.0))],
+    builtin("example_3_2"),
+    *[generate_planted(n, m, region, seed=1) for n, m in ((3, 2), (20, 10))
+      for region in (ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO, ConeRegion.INTERIOR_Q)],
+]
+SOLVABILITY_CASES = [pytest.param(p, rho, id=f"{p.name}-{p.n}-{i}-rho{rho:g}")
+                     for i, p in enumerate(SOLVABILITY_PROBLEMS) for rho in (1.0, 10.0)]
+SOLVABILITY_CASES.append(pytest.param(_zero_only_pair(), 10.0, id="zero_only-rho10"))
 
 
-@pytest.mark.parametrize("lambda_samples, radius, match", [
-    (0, 1e-2, "lambda_samples"), (-3, 1e-2, "lambda_samples"),
-    (5, -1e-2, "radius"), (5, math.inf, "radius"), (5, math.nan, "radius"),
-    (5, 1e-20, "moves lambar"),
-])
-def test_solvability_estimate_rejects_samples_that_pass_on_nothing(lambda_samples, radius,
-                                                                   match):
-    with pytest.raises(ValueError, match=match):
-        solvability_estimate(builtin("projection"), 10.0, lambda_samples, seed=1,
-                             radius=radius)
+def _reference_pieces(p, rho):
+    """(H + rho J'VJ)^-1 J'V on each piece V, with V_out taken from
+    `jacobian_project_polar` at y itself: on these problems a boundary y
+    lies exactly on the boundary, where it returns the outside limit."""
+    sol = p.known_solution
+    [(H, J, K)] = _kkt_data(p, sol.x, [sol.lam])
+    y, eye = rho * K.base_point + K.multiplier, np.eye(p.m + 1)
+    pieces = {"FullSpace": [], "ZeroOnly": [eye], "Hyperplane": [jacobian_project_polar(y)],
+              "HalfSpace": [jacobian_project_polar(y)],
+              "Ray": [jacobian_project_polar(y), eye]}[K.case.value]
+    return [np.linalg.solve(H + rho * (J.T @ V @ J), J.T @ V) for V in pieces]
 
 
-def test_solvability_estimate_not_applicable_without_sosc():
-    assert math.isnan(solvability_estimate(negative_curvature_problem(), 10.0, 5, seed=1))
+def _solution_ratio(p, rho, dlam):
+    """||x(lambar + dlam) - xbar|| / ||dlam||, x from an exact inner solve."""
+    sol = p.known_solution
+    x = inner_solve(p, sol.lam + dlam, rho, sol.x, 0.0)[0]
+    return float(np.linalg.norm(x - sol.x) / np.linalg.norm(dlam))
+
+
+@pytest.mark.parametrize("p, rho", SOLVABILITY_CASES)
+def test_solvability_modulus_is_attained_by_the_inner_solve(p, rho):
+    """Along +-v at t = 1e-6, v the top singular vector of the largest
+    piece, the better inner-solve ratio is the modulus to 1e-5 relative."""
+    modulus = solvability_estimate(p, rho)
+    pieces = _reference_pieces(p, rho)
+    norms = [np.linalg.norm(D, 2) for D in pieces]
+    assert modulus == pytest.approx(max(norms, default=0.0), rel=1e-12, abs=0.0)
+    if not pieces:  # FullSpace: x(lam) = xbar near lambar
+        assert modulus == 0.0
+        return
+    v = np.linalg.svd(pieces[int(np.argmax(norms))])[2][0]
+    best = max(_solution_ratio(p, rho, sign * 1e-6 * v) for sign in (1.0, -1.0))
+    assert best == pytest.approx(modulus, rel=1e-5)
+
+
+@pytest.mark.parametrize("p, rho", SOLVABILITY_CASES)
+def test_no_sampled_multiplier_exceeds_the_solvability_modulus(p, rho):
+    modulus = solvability_estimate(p, rho)
+    steps = uniform_ball(np.random.default_rng(5), 200, p.m + 1, 1e-3)
+    assert max(_solution_ratio(p, rho, step) for step in steps) <= modulus * (1.0 + 1e-6)
+
+
+def test_solvability_estimate_samples_nothing(monkeypatch):
+    """The modulus reads each oracle once at xbar; it draws no random number
+    and calls no inner solve."""
+    expected = [solvability_estimate(p, 10.0) for p in SOLVABILITY_PROBLEMS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solvability_estimate sampled")
+
+    monkeypatch.setattr(diagnostics, "inner_solve", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert [solvability_estimate(p, 10.0) for p in SOLVABILITY_PROBLEMS] == expected
+    p, calls = counted(builtin("example_3_2"))
+    solvability_estimate(p, 10.0)
+    assert dict(calls) == {"phi_value": 1, "phi_jac": 1, "f_grad": 1, "f_hess": 1,
+                           "phi_hess_contract": 1}
+
+
+def test_solvability_estimate_not_applicable_without_growth():
+    """NaN unless the growth modulus at rho is positive: without sufficiency
+    at any rho, and on the ZeroOnly pair below its growth threshold rho = 1."""
+    assert math.isnan(solvability_estimate(negative_curvature_problem(), 10.0))
+    p = _zero_only_pair()
+    assert check_sosc(p, p.known_solution.x, p.known_solution.lam).holds
+    assert math.isnan(solvability_estimate(p, 0.5))
+    assert solvability_estimate(p, 10.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+
+
+def test_solvability_estimate_on_the_whole_cone_raises():
+    with pytest.raises(ValueError, match="infinitely many pieces"):
+        solvability_estimate(builtin("projection", a=(0.0, 0.0, 0.0)), 10.0)
+
+
+@pytest.mark.parametrize("rho", [0.3, 7.0, 1e3])
+def test_solvability_on_a_boundary_does_not_depend_on_rounding(rho):
+    """Projection onto Q from a point a on its boundary: a HalfSpace pair, H =
+    J = I, whose one nonzero piece P/(1 + rho) has norm 1/(1 + rho).  For
+    some a the shifted point y = rho xbar + lambar rounds strictly inside Q,
+    where the Jacobian at y is 0; the pieces come from the cone's normal, so
+    the modulus does not drop to 0 there."""
+    rng, inside = np.random.default_rng(11), 0
+    for _ in range(40):
+        r = rng.standard_normal(4)
+        p = builtin("projection", a=np.r_[_norm(r), r])
+        sol = p.known_solution
+        inside += not jacobian_project_polar(rho * sol.x + sol.lam).any()
+        assert solvability_estimate(p, rho) == pytest.approx(1.0 / (1.0 + rho), rel=1e-12)
+    assert inside > 0
 
 
 def test_reports_serialize(tmp_path):
@@ -267,7 +358,7 @@ def test_growth_rejects_empty_samples(lambda_samples):
               lambda v: certify_growth(builtin("projection"), [1.0, v], 1, seed=1),
               "rho must be positive"),
     *rejected("solvability_estimate", "rho", BAD_PENALTIES,
-              lambda v: solvability_estimate(builtin("projection"), v, 5, seed=1),
+              lambda v: solvability_estimate(builtin("projection"), v),
               "rho must be positive"),
     # sample counts are integers, tested before their range, so that
     # None and a string are rejected by name rather than by a TypeError
@@ -277,16 +368,11 @@ def test_growth_rejects_empty_samples(lambda_samples):
     *rejected("certify_growth", "lambda_samples", (2.5, None, "2"),
               lambda v: certify_growth(builtin("projection"), [1.0], v, seed=1),
               "lambda_samples must be an integer"),
-    *rejected("solvability_estimate", "lambda_samples", [2.5],
-              lambda v: solvability_estimate(builtin("projection"), 10.0, v, seed=1),
-              "lambda_samples must be an integer"),
     # a seed is a nonnegative integer
     *rejected("verify_error_bound", "seed", BAD_SEEDS,
               lambda v: verify_error_bound(builtin("projection"), 1e-2, 5, v), "seed must be"),
     *rejected("certify_growth", "seed", BAD_SEEDS,
               lambda v: certify_growth(builtin("projection"), [1.0], 1, v), "seed must be"),
-    *rejected("solvability_estimate", "seed", BAD_SEEDS,
-              lambda v: solvability_estimate(builtin("projection"), 10.0, 5, v), "seed must be"),
     # a multiplier, one vector or the rows of an array, is finite
     *rejected("dist_to_multiplier_set", "lam", [nan_at([0.0, 0.0, 0.0])],
               lambda v: dist_to_multiplier_set(builtin("projection"), v), MULTIPLIER),

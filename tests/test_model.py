@@ -87,6 +87,17 @@ def test_builtin_integer_parameters_must_be_integers(key, value, tmp_path):
     assert builtin(name, **{key: np.int64(3)}).name.startswith(name)
 
 
+@pytest.mark.parametrize("name", ["interior_trivial", "scaled_quadratic"])
+@pytest.mark.parametrize("key, value", [("n", 0), ("m", 0), ("n", -1)])
+def test_builtin_dimensions_are_at_least_one(name, key, value, tmp_path):
+    with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
+        builtin(name, **{key: value})
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"builtin": name, "params": {key: value}}))
+    with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
+        load_problem(path)
+
+
 def test_load_problem_unknown_builtin_is_a_value_error(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"builtin": "nonsense"}))
