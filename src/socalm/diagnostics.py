@@ -2,8 +2,9 @@
 second-order growth, subproblem solvability and linear rates.
 
 Growth and solvability are exact linear algebra at the known KKT pair.  The
-error bound samples a seeded ball, drawn in one call, with one oracle call
-per point and all rows reduced at once: evidence, not proof.
+error bound samples a seeded ball, drawn in one call, evaluates it with one
+oracle call per point (or one stacked product where the oracle has a row
+form) and reduces all rows at once: evidence, not proof.
 """
 
 from __future__ import annotations
@@ -85,8 +86,13 @@ def _ball_rows(rng, k: int, dim: int, radius: float) -> np.ndarray:
 
 
 def _oracle_rows(oracle, xs, shape) -> np.ndarray:
-    """oracle(x) for each row x of xs, written into one new array as it
-    returns: an oracle may hand back one buffer that it rewrites."""
+    """oracle(x) for each row x of xs as one new array: oracle.rows(xs)
+    where the oracle has that row form (`SocpProblem`), which equals the
+    per-row results bit for bit; else one call per row, each result
+    written into the array as it returns, since an oracle may hand back
+    one buffer that it rewrites."""
+    if hasattr(oracle, "rows"):
+        return oracle.rows(xs)
     rows = np.empty((len(xs),) + shape)
     for i, x in enumerate(xs):
         rows[i] = oracle(x)

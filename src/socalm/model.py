@@ -43,6 +43,12 @@ class SocpProblem:
     may return the same read-only array on every call (the quadratic and
     builtin problems do so for constant Jacobians and Hessians); the
     solver and the diagnostics never write into an oracle result.
+
+    phi_value and f_grad may carry a `rows` attribute: rows(X) for a (k, n)
+    array X returns the (k, m+1) or (k, n) array of oracle(x) for each row
+    x of X, equal row for row to the oracle, bit for bit.  It is optional
+    and read only by the error-bound sampler (`diagnostics._oracle_rows`);
+    a wrapper of an oracle has no `rows` and is sampled one row at a time.
     """
 
     n: int
@@ -86,7 +92,11 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> S
     """Problem with f(x) = x'Px/2 + q'x + c and Phi(x) = Ax + b.
 
     f_hess, phi_jac and phi_hess_contract return the same read-only
-    arrays P, A and 0 on every call.  Non-finite data raises ValueError.
+    arrays P, A and 0 on every call.  phi_value and f_grad carry `rows`
+    (see `SocpProblem`): one stacked product over all rows, a matrix-vector
+    product per row as the oracle makes it, so each row rounds as the
+    oracle does (a single matrix product X @ A.T may not).  Non-finite data
+    raises ValueError.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -111,12 +121,21 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> S
     P = _read_only(0.5 * (P + P.T))
     _read_only(A)
     zero_h = _read_only(np.zeros((n, n)))
+
+    def f_grad(x):
+        return P @ x + q
+
+    def phi_value(x):
+        return A @ x + b
+
+    f_grad.rows = lambda xs: np.matmul(P, xs[:, :, None])[:, :, 0] + q
+    phi_value.rows = lambda xs: np.matmul(A, xs[:, :, None])[:, :, 0] + b
     return SocpProblem(
         n=n, m=m,
         f_value=lambda x: float(0.5 * x @ P @ x + q @ x + c),
-        f_grad=lambda x: P @ x + q,
+        f_grad=f_grad,
         f_hess=lambda x: P,
-        phi_value=lambda x: A @ x + b,
+        phi_value=phi_value,
         phi_jac=lambda x: A,
         phi_hess_contract=lambda x, lam: zero_h,
         name=name,
@@ -295,6 +314,8 @@ def load_problem(path) -> SocpProblem:
             return builtin(data["builtin"], **params)
         except KeyError as exc:
             raise ValueError(f"field 'builtin': {exc.args[0]}") from exc
+        except TypeError as exc:  # a parameter of the wrong JSON type
+            raise ValueError(f"field 'params': {exc}") from exc
     if "quadratic" in data:
         spec = data["quadratic"]
         if not isinstance(spec, dict):

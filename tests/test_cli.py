@@ -707,6 +707,8 @@ QUADRATIC = '"q": [0, 0], "A": [[1, 0], [0, 1], [0, 0]], "b": [0, 0, 0]'
     ('{"quadratic": ', "invalid JSON"),
     ('[1, 2]', "must hold a JSON object"),
     ('{"builtin": "projection", "params": [0, 2, 0]}', "'params' must be an object"),
+    ('{"builtin": "projection", "params": {"a": {"x": 1}}}', "field 'params': float()"),
+    ('{"builtin": "projection", "params": {"a": null}}', "cone vector must be 1-D"),
     ('{"quadratic": [1, 2]}', "'quadratic' must be an object"),
     ('{"quadratic": {"P": [[1, 0], [0, 1]], "q": [0, 0], "b": [0, 0, 0]}}',
      "'quadratic.A' is missing"),

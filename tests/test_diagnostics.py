@@ -1,14 +1,19 @@
 """Error-bound, growth, rate and solvability diagnostics."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import socalm
 from socalm import (AlmConfig, AlmStatus, ConeRegion, KktPoint, Proportional, builtin,
                     certify_growth, check_sosc, diagnostics, dist_to_multiplier_set,
                     estimate_rate, example32_ratio, generate_planted, inner_solve,
@@ -533,3 +538,66 @@ def test_error_bound_evaluates_each_sampled_point_once(problem, hard_points):
     verify_error_bound(p, 1e-2, 50, seed=4)
     points = 2 * (50 + hard_points)  # both radii, each with the hard path
     assert calls == {"phi_value": points, "phi_jac": points, "f_grad": points}
+
+
+ROW_FORM_CASES = [(n, m, region) for n, m in ((3, 2), (20, 10), (100, 50))
+                  for region in (ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                 ConeRegion.INTERIOR_Q)]
+
+
+def _raising(rows):
+    """A one-argument oracle that raises when called, with the row form rows."""
+    def refuse(x):
+        raise AssertionError("the per-row oracle was called")
+    refuse.rows = rows
+    return refuse
+
+
+@pytest.mark.parametrize("case", ROW_FORM_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2].value}")
+def test_error_bound_from_row_forms_equals_the_per_row_report(case):
+    """The stacked products (quadratic_problem's row forms) and one oracle
+    call per row (the counted twin, which has none) give the same report,
+    bit for bit; a twin whose oracles raise shows the row forms are used."""
+    p = generate_planted(*case, seed=1)
+    twin, calls = counted(p)
+    rep = verify_error_bound(p, 1e-2, 200, seed=2)
+    assert rep == verify_error_bound(twin, 1e-2, 200, seed=2)
+    assert calls["phi_value"] == calls["f_grad"] == 400
+    batched = dataclasses.replace(p, phi_value=_raising(p.phi_value.rows),
+                                  f_grad=_raising(p.f_grad.rows))
+    assert verify_error_bound(batched, 1e-2, 200, seed=2) == rep
+
+
+def test_a_replaced_oracle_is_sampled_per_row():
+    """An oracle swapped in by dataclasses.replace has no row form: it is
+    called once per sampled point, and the old oracle's row form is not."""
+    p = generate_planted(20, 10, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
+    shift = np.linspace(0.5, 1.5, p.m + 1)
+    calls = []
+
+    def shifted(x):
+        calls.append(x)
+        return p.phi_value(x) + shift
+
+    rep = verify_error_bound(dataclasses.replace(p, phi_value=shifted), 1e-2, 50, seed=4)
+    assert len(calls) == 100
+    shifted_rows = _raising(lambda xs: p.phi_value.rows(xs) + shift)
+    assert rep == verify_error_bound(dataclasses.replace(p, phi_value=shifted_rows),
+                                     1e-2, 50, seed=4)
+    assert rep != verify_error_bound(p, 1e-2, 50, seed=4)
+
+
+def test_check_errorbound_report_is_pinned_byte_for_byte(tmp_path):
+    """The report of planted (100,50) Zero seed 1 hashes to the bytes the
+    per-row sampler wrote (numpy 2.4 and its OpenBLAS).  It runs the console
+    entry in a fresh interpreter with BLAS on one thread, as the rounding of
+    the sampler's matrix products depends on the thread count."""
+    report = tmp_path / "errorbound.json"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.path.dirname(socalm.__path__[0])}
+    subprocess.run([sys.executable, "-m", "socalm.cli", "check", "errorbound", "--problem",
+                    "builtin:scaled_quadratic", "--seed", "1", "--n", "100", "--m", "50",
+                    "--region", "Zero", "--report", str(report)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    assert (hashlib.sha256(report.read_bytes()).hexdigest()
+            == "3a099fbcf6591b07d5e8c6c9281793f68fe168f2d451395872ba3b94714af6a6")

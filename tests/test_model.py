@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from socalm import (ConeRegion, builtin, generate_planted, in_normal_cone, load_problem,
@@ -283,3 +285,49 @@ def test_quadratic_oracle_arrays_are_read_only():
             out[0, 0] = 5.0
     A[0, 0] = 2.0  # the caller's array stays writable and is not shared
     assert p.phi_jac(x)[0, 0] == 1.0
+
+
+ROW_FORM_CASES = [*[(n, m, region) for n, m in ((1, 1), (3, 2), (20, 10), (100, 50))
+                    for region in (ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                   ConeRegion.INTERIOR_Q)],
+                  "interior_trivial", "file"]
+
+
+def _row_form_problem(case, tmp_path_factory):
+    if case == "interior_trivial":
+        return builtin("interior_trivial", n=4, m=3)
+    if case == "file":
+        rng = np.random.default_rng(5)
+        path = tmp_path_factory.mktemp("rows") / "q.json"
+        path.write_text(json.dumps({"quadratic": {
+            "P": (rng.standard_normal((4, 4)) + 4.0 * np.eye(4)).tolist(),
+            "q": rng.standard_normal(4).tolist(), "c": 1.5,
+            "A": rng.standard_normal((3, 4)).tolist(), "b": rng.standard_normal(3).tolist()}}))
+        return load_problem(path)
+    return generate_planted(*case, seed=1)
+
+
+@pytest.mark.parametrize("case", ROW_FORM_CASES,
+                         ids=lambda c: c if isinstance(c, str) else f"{c[0]}-{c[1]}-{c[2].value}")
+@pytest.mark.parametrize("k", [1, 2, 203])
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_quadratic_row_forms_equal_the_oracles_bit_for_bit(case, k, seed, scale,
+                                                          tmp_path_factory):
+    """phi_value.rows and f_grad.rows give each row's oracle value, bit for
+    bit: one stacked matrix-vector product per row, as the oracle makes it."""
+    p = _row_form_problem(case, tmp_path_factory)
+    xs = scale * np.random.default_rng(seed).standard_normal((k, p.n))
+    for oracle in (p.phi_value, p.f_grad):
+        rows = oracle.rows(xs)
+        assert rows.tobytes() == np.array([oracle(x) for x in xs]).tobytes()
+        assert rows.flags.writeable and not np.shares_memory(rows, xs)
+
+
+def test_only_the_quadratic_oracles_have_a_row_form():
+    assert not any(hasattr(getattr(builtin(name), o), "rows")
+                   for name in ("example_3_2", "projection")
+                   for o in ("f_value", "f_grad", "f_hess", "phi_value", "phi_jac",
+                             "phi_hess_contract"))
+    p = builtin("scaled_quadratic", seed=3)  # a renamed copy keeps the row forms
+    assert hasattr(p.phi_value, "rows") and hasattr(p.f_grad, "rows")
