@@ -9,7 +9,8 @@ Newton iteration, serves every eta, and eta = 0, the exact method, is
 the case where only the floor stops.  It then projects the shifted
 constraint value onto the polar cone to update the multiplier.  The
 penalty starts at rho0 and never decreases; it grows, up to rho_max,
-only when the KKT residual fails to halve.
+after each outer step that fails to cut the KKT residual to FAST times
+its old value, since the outer map contracts faster at a larger rho.
 
 Near a strictly complementary pair the outer map lam -> Pi_{-Q}(rho
 Phi(x(lam)) + lam) is a contraction at a fixed rho, and where it is slow
@@ -72,6 +73,7 @@ BACKTRACK = 0.5           # step shrink factor
 MAX_LINESEARCH = 60       # backtracking steps per Newton step
 EPS = np.finfo(float).eps  # machine epsilon, scales the Armijo noise allowance and the floor
 SLOW = 0.25               # residual ratio above which the next shift is extrapolated
+FAST = 0.1                # residual ratio above which the penalty is raised
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class AlmConfig:
 
     rho0: float = 10.0
     rho_growth: float = 10.0
-    rho_max: float = 1e8
+    rho_max: float = 1e5
     eps_rule: Proportional = Proportional(0.1)
     outer_tol: float = 1e-9
     max_outer: int = 100
@@ -486,9 +488,14 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     partial trace and trace.message), including on a non-finite oracle
     result and on a shifted point that overflows at a new iterate; that
     iterate is the last trace row, with a NaN value.  The penalty is
-    raised by rho_growth, capped at rho_max, whenever the residual fails
-    to halve, except after an inner solve that stopped at its rounding
-    floor short of a positive eps_k and moved (x, lam).  Every inner solve
+    raised by rho_growth, capped at rho_max, whenever a step fails to cut
+    the residual to FAST times its old value (sigma_{k+1} > FAST sigma_k),
+    except after an inner solve that stopped at its rounding floor short
+    of a positive eps_k and moved (x, lam), and where one more step at the
+    measured ratio would reach the tolerance (sigma_{k+1}^2 / sigma_k <=
+    cfg.outer_tol): a raise there can leave every later inner solve at its
+    rounding floor.  The default rho_max = 1e5 keeps that floor below
+    outer_tol on ill-conditioned vertex problems.  Every inner solve
     stops at max(eps_k, its rounding floor), whatever eta; with eta = 0
     (the exact method) eps_k is 0.  A non-finite start (x0, lambda0, or
     the shifted point or the KKT residual there) raises NonFiniteError, a
@@ -543,7 +550,9 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
         if still and raised == rho:
             trace.message = f"outer iteration {k} left x, lambda and rho={rho:g} unchanged"
         rho_k = rho
-        if sigma_next > 0.5 * sigma and (grad_norm <= eps_k or not eps_k or still):
+        # raise on a step that is not fast, unless one more at its ratio would converge
+        if (sigma_next > FAST * sigma and sigma_next * sigma_next / sigma > cfg.outer_tol
+                and (grad_norm <= eps_k or not eps_k or still)):
             rho = raised
         shift_next = lam_next
         if cfg.memory:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import alm, diagnostics
-from .cone import _nonnegative
+from .cone import _nonnegative, _positive
 from .model import SocpProblem, builtin, load_problem
 from .variational import (check_dual_qualification, check_sosc, critical_pair,
                           multiplier_calmness)
@@ -210,8 +210,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    if args.offset is not None and args.x0 is not None and args.lambda0 is not None:
-        raise ValueError("--offset moves no start: --x0 and --lambda0 are both given")
+    if args.offset is not None:
+        if args.x0 is not None and args.lambda0 is not None:
+            raise ValueError("--offset moves no start: --x0 and --lambda0 are both given")
+        _positive("offset", args.offset)
     problem = _load_problem(args)
     rho_list = _parse_float_list(args.rho_list)
     # the plain ALM (memory 0), whose rate at a fixed rho the paper proves

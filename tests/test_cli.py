@@ -390,6 +390,25 @@ def test_invalid_settings_exit_two(argv, tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--problem", "builtin:projection", "--rho-list", "10", f"--offset={offset}"],
+     f"offset must be positive and finite, got {float(offset)!r}")
+    for offset in ("0", "-1", "nan", "inf")] + [
+    (["solve", "--problem", "builtin:projection", "--rho0", "1e6"],
+     "rho_max must be >= rho0, got 100000.0"),
+])
+def test_a_setting_out_of_range_is_named(argv, message, capsys):
+    """A rate run from no distance is no contraction: --offset must be
+    positive and finite.  The default rho_max is 1e5, so a larger --rho0
+    needs its --rho-max, and runs with it."""
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    if argv[0] == "solve":
+        assert run_cli(*argv, "--rho-max", "1e6") == 0
+        assert capsys.readouterr().out.startswith("status=Converged ")
+
+
 @pytest.mark.parametrize("check", ["sosc", "growth"])
 @pytest.mark.parametrize("params, message", [
     (["--n", "0"], "n must be at least 1, got 0"),
@@ -608,7 +627,7 @@ def test_distances_of_a_multiplier_whose_square_overflows(tmp_path, capsys):
     assert run_cli("solve", *far, "--trace", str(trace)) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("status=MaxIterations")
-    assert captured.err == "failure: outer iteration 7 left x, lambda and rho=1e+08 unchanged\n"
+    assert captured.err == "failure: outer iteration 4 left x, lambda and rho=100000 unchanged\n"
     with trace.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) <= 10
