@@ -45,10 +45,10 @@ def _parse_float_list(text: str):
 def _load_problem(args) -> SocpProblem:
     """The problem of --problem with the parameters --a, --n, --m, --region
     and --seed, none of which a problem file takes.  --seed is checked
-    here, once for every command.  `check` and `rate` also seed their
-    sampling with --seed, so they hand it only to builtin:scaled_quadratic,
-    the one problem that takes a seed; `solve` samples nothing and hands it
-    to every problem."""
+    here, once for every command.  `check errorbound` and `rate` also seed
+    their sampling with --seed, so `check` and `rate` hand it only to
+    builtin:scaled_quadratic, the one problem that takes a seed; `solve`
+    samples nothing and hands it to every problem."""
     _nonnegative("seed", args.seed or 0)
     spec = args.problem
     params = {key: getattr(args, key) for key in ("a", "n", "m", "seed", "region")
@@ -155,7 +155,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     """Run `check <name>`, a subcommand with only its own flags besides the
-    problem flags and --report; --seed seeds what growth and errorbound sample."""
+    problem flags and --report; --seed seeds errorbound's sample."""
     problem = _load_problem(args)
 
     if args.check == "example32":
@@ -182,8 +182,7 @@ def cmd_check(args) -> int:
                 f"kappa2_hat={r.kappa2_hat:.6e} failed={r.failed}")
         code = 1 if r.failed else 0
     elif args.check == "growth":
-        r = diagnostics.certify_growth(problem, _parse_float_list(args.rho_list),
-                                       args.lambda_samples, args.seed or 0)
+        r = diagnostics.certify_growth(problem, _parse_float_list(args.rho_list))
         fields = dataclasses.asdict(r)
         line = f"growth ell_hat={r.ell_hat:.6e} rho={r.rho_used:g} uniform={r.uniform}"
         code = 0 if r.ell_hat > 0 else 1
@@ -319,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         check[name].add_argument("--lambda", dest="lam", help="multiplier at the point")
     check["growth"].add_argument("--rho-list", dest="rho_list", default="1,10,100",
                                  help="penalties, in the order they are tried")
-    check["growth"].add_argument("--lambda-samples", dest="lambda_samples", type=int,
-                                 default=5)
     check["errorbound"].add_argument("--radius", type=float, default=1e-2)
     check["errorbound"].add_argument("--samples", type=int, default=200)
     check["example32"].add_argument("--t", default="0.8", help="comma-separated t in (0, 1)")

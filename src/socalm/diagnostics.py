@@ -1,10 +1,11 @@
 """Verification of the quantitative claims: error-bound constants,
 second-order growth, subproblem solvability and linear rates.
 
-Growth and solvability are exact linear algebra at the known KKT pair.  The
-error bound samples a seeded ball, drawn in one call, evaluates it with one
-oracle call per point (or one stacked product where the oracle has a row
-form) and reduces all rows at once: evidence, not proof.
+Growth and solvability are exact linear algebra at the known KKT pair
+(growth also at the two ends of a multiplier ray).  The error bound
+samples a seeded ball, drawn in one call, evaluates it with one oracle
+call per point (or one stacked product where the oracle has a row form)
+and reduces all rows at once: evidence, not proof.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class ErrorBoundReport:
 class GrowthReport:
     rho_used: float
     ell_hat: float
-    multiplier_samples: int
+    multipliers: int    # 1, or 3 on a multiplier ray: lambar and the ray's two ends
     uniform: bool
 
 
@@ -182,37 +183,33 @@ def example32_ratio(t: float) -> Tuple[float, float, float]:
     return dist2, grad2, dist2 / grad2
 
 
-def _multiplier_samples(p: SocpProblem, count: int, seed: int) -> List[np.ndarray]:
-    sol = p.known_solution
-    if p.multiplier_ray is None or count <= 1:
-        return [sol.lam.copy()]
-    rng = np.random.default_rng(seed)
-    d = np.asarray(p.multiplier_ray, dtype=float)
-    c_bar = max(0.0, float(sol.lam @ d) / float(d @ d))
-    eps = max(0.5 * float(np.linalg.norm(sol.lam)), 0.25) / float(np.linalg.norm(d))
-    cs = np.maximum(0.0, c_bar + rng.uniform(-eps, eps, count - 1))
-    return [sol.lam.copy()] + [c * d for c in cs]
-
-
 @np.errstate(all="ignore")
-def certify_growth(p: SocpProblem, rho_list: Sequence[float], lambda_samples: int,
-                   seed: int) -> GrowthReport:
-    """Exact second-order growth certificate for the augmented Lagrangian.
+def certify_growth(p: SocpProblem, rho_list: Sequence[float]) -> GrowthReport:
+    """Exact uniform second-order growth certificate for the augmented Lagrangian.
 
     The modulus at rho is the largest ell with L_rho(xbar + w, lam) >=
     f(xbar) + (ell - o(1)) |w|^2 (`variational._growth_pair`), minimized
-    over the known multiplier and, on a multiplier ray, lambda_samples - 1
-    seeded points of it, so uniform iff ell_hat > 0.  Over rho_list in
-    order the first positive one is reported, else the first largest.  A
-    known pair that is not a KKT pair raises ValueError."""
+    over the known multiplier and, on a multiplier ray lam = c d, over c in
+    [c_lo, c_hi] = c_bar +- max(0.5 ||lambar||, 0.25) / ||d||, c_lo clipped
+    at 0; so uniform iff ell_hat > 0.  That minimum is at an end: for c > 0
+    the critical-cone case and penalty rows are fixed, the Hessian is affine
+    in c and a Hyperplane's curvature weight concave, so 2 ell(c) is the
+    least eigenvalue of a concave matrix family, concave in c; at c = 0 the
+    critical cone only grows.  Over rho_list in order the first positive
+    modulus is reported, else the first largest.  A known pair that is not
+    a KKT pair raises ValueError."""
     sol = _require_solution(p)
     if not rho_list:
         raise ValueError("rho_list must not be empty")
     for rho in rho_list:
         _positive("rho", rho)
-    _at_least("lambda_samples", lambda_samples, 1)
-    _at_least("seed", seed)
-    pairs = _kkt_data(p, sol.x, _multiplier_samples(p, lambda_samples, seed))
+    lams = [sol.lam]
+    if p.multiplier_ray is not None:
+        d = np.asarray(p.multiplier_ray, dtype=float)
+        c_bar = max(0.0, float(sol.lam @ d) / float(d @ d))
+        eps = max(0.5 * float(np.linalg.norm(sol.lam)), 0.25) / float(np.linalg.norm(d))
+        lams += [max(0.0, c_bar - eps) * d, (c_bar + eps) * d]
+    pairs = _kkt_data(p, sol.x, lams)
     moduli = []  # (ell, rho) up to the first positive ell
     for rho in rho_list:
         moduli.append((min(_growth_pair(*pair, rho)[0] for pair in pairs), rho))

@@ -220,11 +220,10 @@ def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) 
 @dataclass(frozen=True)
 class SoscReport:
     """check_sosc's verdict, holds iff modulus > TOL: an exact minimum at
-    rho_used = inf, so either verdict certifies.  The method is ExactEigen,
+    rho = inf, so either verdict certifies.  The method is ExactEigen,
     or on the whole cone Q SampledPenalty, the name the benchmark gates on."""
     holds: bool
     modulus: float
-    rho_used: float
     method: str
     certificate_detail: str
 
@@ -352,7 +351,7 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar) -> SoscReport:
     [(H, J, K)] = _kkt_data(p, xbar, [lambda_bar])
     modulus = 2.0 * _growth_pair(H, J, K, math.inf)[0]
     method = "SampledPenalty" if K.case is CriticalConeCase.WHOLE_CONE_Q else "ExactEigen"
-    return SoscReport(modulus > TOL, modulus, math.inf, method,
+    return SoscReport(modulus > TOL, modulus, method,
                       f"{K.case.value}: exact minimum over unit w in R^{p.n} "
                       "with Jw in the critical cone")
 

@@ -228,7 +228,7 @@ def test_criterion_6_growth_characterization_sampled():
             sphere_min = min(sphere_min, d2_aug_lagrangian(p, sol.x, sol.lam, rho, w))
         assert sphere_min > 0.0
         min_positive = min(min_positive, sphere_min)
-        growth = certify_growth(p, [1.0, 10.0], 1, seed=seed)
+        growth = certify_growth(p, [1.0, 10.0])
         assert growth.ell_hat > 0.0
 
     neg = negative_curvature_problem()
@@ -242,7 +242,7 @@ def test_criterion_6_growth_characterization_sampled():
             worst = min(worst, d2_aug_lagrangian(neg, np.zeros(2), np.zeros(3), rho, w))
         neg_minima.append(worst)
     assert all(v <= 0.0 for v in neg_minima)
-    growth_neg = certify_growth(neg, [1.0, 1e2, 1e4, 1e6], 1, seed=1)
+    growth_neg = certify_growth(neg, [1.0, 1e2, 1e4, 1e6])
     assert growth_neg.ell_hat <= 0.0
     elapsed = time.perf_counter() - started
     _report("criterion 6 (growth characterization)", elapsed < 60.0,

@@ -134,6 +134,23 @@ def test_check_growth_and_errorbound(tmp_path):
                    "--seed", "3") == 0
 
 
+@pytest.mark.parametrize("seed", ["0", "4", "1000"])
+def test_check_growth_on_a_ray_reads_no_seed(seed, tmp_path, capsys):
+    """growth reads example_3_2's ray at its two ends and samples nothing,
+    so --seed changes no byte of the report."""
+    reports = []
+    for argv in ([], ["--seed", seed]):
+        path = tmp_path / f"growth{len(argv)}.json"
+        assert run_cli("check", "growth", "--problem", "builtin:example_3_2", *argv,
+                       "--report", str(path)) == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0]) == {"command": "check growth", "problem": "example_3_2",
+                                      "rho_used": 1.0, "ell_hat": 0.5, "multipliers": 3,
+                                      "uniform": True}
+    assert capsys.readouterr().out == "growth ell_hat=5.000000e-01 rho=1 uniform=True\n" * 2
+
+
 def test_solve_exact_mode(tmp_path):
     report = tmp_path / "exact.json"
     code = run_cli("solve", "--problem", "builtin:projection", "--a", "0,2,0",
@@ -257,12 +274,13 @@ def test_wrong_start_length_exit_two(argv, capsys):
 
 E32 = ["--problem", "builtin:example_3_2"]
 # the flags each check reads, besides the problem flags and --report;
-# --x-samples, a flag no command reads, is rejected by every check
+# --x-samples and --lambda-samples, flags no command reads since growth
+# stopped sampling, are rejected by every check
 READS = {"sosc": ("--x", "--lambda"), "dualqual": ("--x", "--lambda"),
-         "growth": ("--rho-list", "--lambda-samples"),
+         "growth": ("--rho-list",),
          "errorbound": ("--radius", "--samples"), "example32": ("--t",)}
 VALUES = {"--x": "0,0", "--lambda": "-1,1,0", "--rho-list": "5", "--x-samples": "3",
-          "--lambda-samples": "2", "--radius": "0.01", "--samples": "20", "--t": "0.5"}
+          "--lambda-samples": "3", "--radius": "0.01", "--samples": "20", "--t": "0.5"}
 # stands for a problem file holding builtin:projection, written by the test
 PROBLEM_FILE = "<projection.json>"
 
@@ -326,9 +344,6 @@ def test_each_check_accepts_and_lists_only_its_own_flags(name, capsys):
     ["solve", "--problem", "builtin:projection", "--max-outer", "-1"],
     ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list=-1"],
     ["rate", "--problem", "builtin:scaled_quadratic", "--rho-list", "10,nan"],
-    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--lambda-samples", "-1"],
-    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--lambda-samples", "1.5"],
-    ["check", "growth", "--problem", "builtin:scaled_quadratic", "--lambda-samples", "0"],
     ["check", "growth", "--problem", "builtin:scaled_quadratic", "--rho-list", "1,inf"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "0"],
     ["check", "errorbound", "--problem", "builtin:scaled_quadratic", "--radius", "-1"],
@@ -666,7 +681,7 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypa
         (["check", "sosc", *e32, "--seed", "5", "--report", report], 0),
         (["check", "dualqual", *e32], 1),
         (["check", "example32", *e32, "--t", "0.3,0.6"], 0),
-        (["check", "growth", *e32, "--rho-list", "5", "--lambda-samples", "3"], 0),
+        (["check", "growth", *e32, "--rho-list", "5"], 0),
         (["solve", "--problem", "builtin:projection", "--a", "0,2,0", "--eps-eta", "0",
           "--rho0", "100", "--report", report], 0),
         (["solve", "--problem", "builtin:projection", "--a", "0,2,0"], 0),
@@ -701,8 +716,9 @@ def test_every_report_is_strict_json(argv, tmp_path, capsys):
     assert run_cli(*argv, "--report", str(report)) in (0, 1)
     capsys.readouterr()
     payload = json.loads(report.read_text(), parse_constant=_reject_constant)
-    if argv[:2] == ["check", "sosc"]:
-        assert payload["rho_used"] is None  # exact certificates use no penalty (inf)
+    if argv[:2] == ["check", "sosc"]:  # the exact certificate names no penalty
+        assert set(payload) == {"command", "problem", "holds", "modulus", "method",
+                                "certificate_detail"}
     if argv[0] == "solve":
         assert payload["config"]["rho_max"] is None
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socalm
-from socalm import (AlmConfig, AlmStatus, ConeRegion, KktPoint, Proportional, builtin,
-                    certify_growth, check_sosc, diagnostics, dist_to_multiplier_set,
+from socalm import (AlmConfig, AlmStatus, ConeRegion, KktPoint, Proportional, SocpProblem,
+                    builtin, certify_growth, check_sosc, diagnostics, dist_to_multiplier_set,
                     estimate_rate, example32_ratio, generate_planted, inner_solve,
                     jacobian_project_polar, quadratic_problem, solvability_estimate, solve,
                     verify_error_bound)
@@ -24,7 +25,7 @@ from socalm.alm import AlmTrace
 from socalm.cone import _norm
 from socalm.diagnostics import _ball_rows, dist_to_known_pair
 from socalm.lagrangian import residual
-from socalm.variational import _kkt_data
+from socalm.variational import _growth_pair, _kkt_data
 
 from _util import (BAD_PENALTIES, BAD_SEEDS, MULTIPLIER, counted, nan_at,
                    negative_curvature_problem, rejected, rewritten_twin, uniform_ball)
@@ -117,40 +118,100 @@ def test_error_bound_degenerate_report():
 
 def test_growth_positive_on_planted_sosc_problem():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
-    rep = certify_growth(p, [1.0, 10.0], 1, seed=3)
+    rep = certify_growth(p, [1.0, 10.0])
     assert rep.ell_hat > 0.0
     assert rep.uniform
 
 
 def test_growth_negative_without_sosc():
     neg = negative_curvature_problem()
-    rep = certify_growth(neg, [1.0, 1e2, 1e4, 1e6], 1, seed=3)
+    rep = certify_growth(neg, [1.0, 1e2, 1e4, 1e6])
     assert rep.ell_hat <= 0.0
     assert not rep.uniform
 
 
-def test_growth_uniform_on_multiplier_ray():
-    rep = certify_growth(builtin("example_3_2"), [1.0, 10.0, 100.0], 5, seed=3)
-    assert rep.ell_hat > 0.0
-    assert rep.multiplier_samples == 5
-    assert rep.uniform
+@pytest.mark.parametrize("rho", [1.0, 10.0, 100.0, 1e6])
+def test_growth_uniform_on_multiplier_ray(rho):
+    """example_3_2's multipliers c (-1, 1, 0), c in [0.5, 1.5] around lambar
+    (c = 1): the penalty acts on no direction of the critical ray, so
+    ell(c) = min(c, 1) at every rho and the minimum 0.5 is the low end's."""
+    rep = certify_growth(builtin("example_3_2"), [rho])
+    assert (rep.ell_hat, rep.rho_used, rep.multipliers, rep.uniform) == (0.5, rho, 3, True)
 
 
 def test_growth_calls_each_oracle_at_xbar_once():
-    """Five multipliers of example_3_2's ray: phi_hess_contract runs once
-    per multiplier and every other oracle once; the modulus is the one it
-    had with one set of oracle calls per multiplier."""
+    """lambar and the two ends of example_3_2's ray: phi_hess_contract runs
+    once per multiplier and every other oracle once."""
     p, calls = counted(builtin("example_3_2"))
-    rep = certify_growth(p, [1.0, 10.0, 100.0], 5, seed=3)
+    rep = certify_growth(p, [1.0, 10.0, 100.0])
     assert (rep.rho_used, rep.uniform) == (1.0, True)
-    assert rep.ell_hat == pytest.approx(0.5856491671436244, rel=1e-14)
+    assert rep.ell_hat == pytest.approx(0.5, rel=1e-14)
     assert dict(calls) == {"phi_value": 1, "phi_jac": 1, "f_grad": 1, "f_hess": 1,
-                           "phi_hess_contract": 5}
+                           "phi_hess_contract": 3}
+
+
+def test_growth_where_the_ray_interval_reaches_zero():
+    """A known multiplier 0.1 (-1, 1, 0) puts the low end at c = 0, where
+    the critical cone is all of Q and example_3_2's curvature in x1, 2c,
+    is gone: the modulus is 0, as its limit from c > 0 is."""
+    p = builtin("example_3_2")
+    p = dataclasses.replace(p, known_solution=KktPoint(np.zeros(2), 0.1 * p.multiplier_ray))
+    rep = certify_growth(p, [1.0, 100.0])
+    assert (rep.ell_hat, rep.rho_used, rep.multipliers, rep.uniform) == (0.0, 1.0, 3, False)
+
+
+def test_growth_takes_the_problem_and_penalties_only():
+    assert list(inspect.signature(certify_growth).parameters) == ["p", "rho_list"]
+    with pytest.raises(ValueError, match="rho_list must not be empty"):
+        certify_growth(builtin("example_3_2"), [])
+
+
+def _ray_family(F, G, a, c_bar):
+    """f = x'Fx/2 and Phi = (a'x - x'Gx/2, a'x, 0) at xbar = 0, example_3_2
+    for F = diag(0, 2), G = diag(2, 0) and a = e2: the multiplier set is
+    the ray R_+ d, d = (-1, 1, 0), and at lam = c d the Hessian of the
+    Lagrangian is F + cG.  The known multiplier is c_bar d."""
+    n, d = a.size, np.array([-1.0, 1.0, 0.0])
+    return SocpProblem(
+        n=n, m=2, f_value=lambda x: 0.5 * float(x @ F @ x), f_grad=lambda x: F @ x,
+        f_hess=lambda x: F,
+        phi_value=lambda x: np.array([a @ x - 0.5 * x @ G @ x, a @ x, 0.0]),
+        phi_jac=lambda x: np.vstack([a - G @ x, a, np.zeros(n)]),
+        phi_hess_contract=lambda x, lam: -lam[0] * G,
+        name="ray_family", known_solution=KktPoint(np.zeros(n), c_bar * d), multiplier_ray=d)
+
+
+@pytest.mark.parametrize("rho", [1.0, 100.0])
+def test_growth_on_a_ray_is_its_minimum_over_the_interval(rho):
+    """On the ray family with F = R'R + I and G = +-(S + S'), certify_growth
+    equals the least modulus of a 101-point grid of [c_lo, c_hi], which it
+    reads only at the two ends; the drawn examples put that least modulus
+    at the low end in some and at the high end in others."""
+    ends = set()
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**20), n=st.integers(1, 5), c_bar=st.floats(0.05, 3.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def check(seed, n, c_bar, sign):
+        rng = np.random.default_rng(seed)
+        R, S = rng.standard_normal((2, n, n))
+        p = _ray_family(R.T @ R + np.eye(n), sign * (S + S.T), rng.standard_normal(n), c_bar)
+        d = p.multiplier_ray
+        eps = max(0.5 * float(np.linalg.norm(c_bar * d)), 0.25) / float(np.linalg.norm(d))
+        grid = np.linspace(max(0.0, c_bar - eps), c_bar + eps, 101)
+        pairs = _kkt_data(p, np.zeros(n), grid[:, None] * d)
+        ells = [_growth_pair(*pair, rho)[0] for pair in pairs]
+        assert certify_growth(p, [rho]).ell_hat == pytest.approx(min(ells), rel=1e-12)
+        if ells[0] != ells[-1]:
+            ends.add("low" if ells[0] < ells[-1] else "high")
+
+    check()
+    assert ends == {"low", "high"}
 
 
 def test_growth_monotone_in_rho():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=2)
-    ells = [certify_growth(p, [rho], 1, seed=5).ell_hat for rho in (0.5, 1.0, 4.0, 16.0)]
+    ells = [certify_growth(p, [rho]).ell_hat for rho in (0.5, 1.0, 4.0, 16.0)]
     for a, b in zip(ells, ells[1:]):
         assert b >= a - 1e-10
 
@@ -336,8 +397,7 @@ def test_reports_serialize(tmp_path):
     eb_path, gr_path = tmp_path / "eb.json", tmp_path / "gr.json"
     main(["check", "errorbound", *problem, "--radius", "1e-2", "--samples", "50",
           "--report", str(eb_path)])
-    main(["check", "growth", *problem, "--rho-list", "1", "--lambda-samples", "1",
-          "--report", str(gr_path)])
+    main(["check", "growth", *problem, "--rho-list", "1", "--report", str(gr_path)])
     eb = json.loads(eb_path.read_text())
     assert set(eb) == {"command", "problem",
                        "kappa1_hat", "kappa2_hat", "ball_radius", "samples", "failed"}
@@ -345,22 +405,15 @@ def test_reports_serialize(tmp_path):
                   **dataclasses.asdict(verify_error_bound(p, 1e-2, 50, seed=1))}
     gr = json.loads(gr_path.read_text())
     assert set(gr) == {"command", "problem",
-                       "rho_used", "ell_hat", "multiplier_samples", "uniform"}
+                       "rho_used", "ell_hat", "multipliers", "uniform"}
     assert gr == {"command": "check growth", "problem": "scaled_quadratic_1",
-                  **dataclasses.asdict(certify_growth(p, [1.0], 1, seed=1))}
-
-
-@pytest.mark.parametrize("lambda_samples", [0, -2])
-def test_growth_rejects_empty_samples(lambda_samples):
-    p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
-    with pytest.raises(ValueError, match="lambda_samples must be at least 1"):
-        certify_growth(p, [1.0], lambda_samples, seed=1)
+                  **dataclasses.asdict(certify_growth(p, [1.0]))}
 
 
 @pytest.mark.parametrize("call, message", [
     # every penalty of the list is checked, not only the first
     *rejected("certify_growth", "rho", BAD_PENALTIES,
-              lambda v: certify_growth(builtin("projection"), [1.0, v], 1, seed=1),
+              lambda v: certify_growth(builtin("projection"), [1.0, v]),
               "rho must be positive"),
     *rejected("solvability_estimate", "rho", BAD_PENALTIES,
               lambda v: solvability_estimate(builtin("projection"), v),
@@ -370,14 +423,9 @@ def test_growth_rejects_empty_samples(lambda_samples):
     *rejected("verify_error_bound", "samples", (2.5, True, None, "2"),
               lambda v: verify_error_bound(builtin("projection"), 1e-2, v, 1),
               "samples must be an integer"),
-    *rejected("certify_growth", "lambda_samples", (2.5, None, "2"),
-              lambda v: certify_growth(builtin("projection"), [1.0], v, seed=1),
-              "lambda_samples must be an integer"),
     # a seed is a nonnegative integer
     *rejected("verify_error_bound", "seed", BAD_SEEDS,
               lambda v: verify_error_bound(builtin("projection"), 1e-2, 5, v), "seed must be"),
-    *rejected("certify_growth", "seed", BAD_SEEDS,
-              lambda v: certify_growth(builtin("projection"), [1.0], 1, v), "seed must be"),
     # a multiplier, one vector or the rows of an array, is finite
     *rejected("dist_to_multiplier_set", "lam", [nan_at([0.0, 0.0, 0.0])],
               lambda v: dist_to_multiplier_set(builtin("projection"), v), MULTIPLIER),
@@ -477,8 +525,7 @@ def test_samplers_keep_each_result_of_an_oracle_that_rewrites_one_buffer(oracle)
     p = builtin("example_3_2")
     twin = rewritten_twin(p, oracle)
     assert verify_error_bound(twin, 1e-2, 200, 0) == verify_error_bound(p, 1e-2, 200, 0)
-    assert (certify_growth(twin, [1.0, 10.0], 5, seed=3)
-            == certify_growth(p, [1.0, 10.0], 5, seed=3))
+    assert certify_growth(twin, [1.0, 10.0]) == certify_growth(p, [1.0, 10.0])
 
 
 class _ZeroRows:
