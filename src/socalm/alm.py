@@ -32,7 +32,7 @@ n, where S and JPhi repeat and S is positive definite, the steps
 outside both cones move to the (m+1)-dimensional multiplier space
 (`MultiplierForm`), whose directions equal the dense ones up to
 rounding.  Either way a solve is deterministic at a fixed BLAS thread
-count.
+count.  LAPACK's potrf and trtrs and BLAS's syr2k come from `_lapack`.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.blas import dsyr2k
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from numpy.linalg import LinAlgError
 
+from ._lapack import dpotrf, dsyr2k, dtrtrs
 from .cone import (_at_least, _finite, _nonnegative, _norm, _polar_jacobian_parts, _positive,
                    as_cone_vec)
 from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
@@ -165,11 +164,11 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     LAPACK reads A's transpose, a Fortran-ordered view of a C-ordered A,
     and of that only the lower triangle, which is A's upper triangle; the
     returned factor is that view, whose strict upper triangle keeps A's
-    strict lower triangle.  LAPACK is called directly: scipy's
-    `cho_factor` and `cho_solve` wrappers convert and check their input
-    first, which costs more than the factorization at n <= 20.  This and
-    `cho_solve` stay module-level functions that the Newton step looks up
-    by name, so that a profiler or the benchmark's tracer
+    strict lower triangle.  LAPACK is called directly, through the potrf
+    of `_lapack`: the high-level Cholesky wrappers convert and check
+    their input first, which costs more than the factorization at
+    n <= 20.  This and `cho_solve` stay module-level functions that the
+    Newton step looks up by name, so that a profiler or the benchmark's tracer
     (`perfbench/tracer.py`) can wrap them in place and count raised
     calls as failed factorizations: every factorization of the step goes
     through them, the n x n ones of the dense path and of S, and the

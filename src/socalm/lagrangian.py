@@ -49,8 +49,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import dsyr2k
 
+from ._lapack import dsyr2k
 from .cone import NonFiniteError, _polar_jacobian_parts, _positive, _project_polar, _project_q
 from .model import SocpProblem
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import svd
+from numpy.linalg import LinAlgError
 
+from ._lapack import dgesdd, dgesdd_lwork
 from .cone import (ConeRegion, _classify, _norm, _positive, _tilde, as_cone_vec,
                    in_normal_cone, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, curvature, hessian_lagrangian
@@ -235,8 +236,19 @@ def _floor(s: np.ndarray, shape) -> float:
 
 def _kernel_split(B: np.ndarray):
     """(kernel, rows, s): orthonormal column bases of ker B and of B's row
-    space, and B's singular values on the latter."""
-    _, s, vh = svd(B)
+    space, and B's singular values on the latter.  The SVD is LAPACK's
+    gesdd from `_lapack`, with full U and V' and the workspace its query
+    returns (its size can change the rounding); a non-finite B raises
+    ValueError."""
+    B = np.asarray_chkfinite(B)
+    work, info = dgesdd_lwork(*B.shape, compute_uv=1, full_matrices=1)
+    if info:
+        raise ValueError(f"gesdd workspace query failed: {info}")
+    _, s, vh, info = dgesdd(B, compute_uv=1, lwork=int(work), full_matrices=1)
+    if info > 0:
+        raise LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
     rank = np.count_nonzero(s > _floor(s, B.shape))
     return vh[rank:].T, vh[:rank].T, s[:rank]
 
