@@ -25,14 +25,16 @@ the residual and the penalty rule are those of the plain ALM, which is
 memory = 0.
 
 The Newton step (`_newton_direction`) solves with the generalized
-Hessian H = S + rho JPhi' V JPhi in one of two ways.  The dense path
-assembles and factors H, or reuses the kept factor where V = alpha I;
-its directions are bit for bit those of factoring every step.  At large
-n, where S and JPhi repeat and S is positive definite, the steps
-outside both cones move to the (m+1)-dimensional multiplier space
-(`MultiplierForm`), whose directions equal the dense ones up to
-rounding.  Either way a solve is deterministic at a fixed BLAS thread
-count.  LAPACK's potrf and trtrs and BLAS's syr2k come from `_lapack`.
+Hessian H = S + rho JPhi' V JPhi in one of two spaces.  At large n, where
+S and JPhi are the same read-only arrays at every step, S is positive
+definite and m + 1 < n, every step is solved in the (m+1)-dimensional
+multiplier space (`MultiplierForm`), whose directions equal the dense
+ones up to rounding, and no n x n matrix but S is factored.  Elsewhere,
+and for a step the form cannot solve, the dense path assembles and
+factors H, or reuses the kept factor where V = alpha I; its directions
+are bit for bit those of factoring every step.  Either way a solve is
+deterministic at a fixed BLAS thread count.  LAPACK's potrf and trtrs
+and BLAS's syr2k come from `_lapack`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from numpy.linalg import LinAlgError
 from ._lapack import dpotrf, dsyr2k, dtrtrs
 from .cone import (_at_least, _finite, _nonnegative, _norm, _polar_jacobian_parts, _positive,
                    as_cone_vec)
-from .lagrangian import AugEval, NonFiniteError, curvature, hessian_upper, shift
+from .lagrangian import AugEval, NonFiniteError, _gap_norm, curvature, hessian_upper, shift
 from .model import KktPoint, SocpProblem
 
 
@@ -188,26 +190,30 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dtrtrs(c, dtrtrs(c, b, lower=1)[0], lower=1, trans=1)[0]
 
 
-# Smallest n at which a solve takes the multiplier-space step.  Timed on
-# one BLAS thread at m + 1 = n/2 + 1 (S = R'R + I, Gaussian JPhi), a step
-# outside both cones takes about 10% less than the dense one at n = 100,
-# so its set-up (1.4 dense steps) is paid back only after 6 to 14 steps,
-# about a whole solve; at n = 150 it takes 35-60% less and the set-up is
-# paid back after 2 to 6 steps, from n = 200 on after about 4 (a step
-# takes 0.46-0.51 against 1.4-1.5 ms at n = 400).
+# Smallest n at which a solve takes its Newton steps in the multiplier
+# space.  Timed on one BLAS thread of a shared 2-core x86-64 host at
+# m + 1 = n/2 + 1 (S = R'R + I, Gaussian JPhi), a step outside both cones
+# takes 0.05 against 0.05 ms at n = 100, 0.07 against 0.11 at n = 150
+# and 0.30 against 1.0 at n = 400; a step inside -Q or Q with its kept
+# factor takes about twice (-Q) or once (Q) the dense one's 0.01-0.04
+# ms; and the set-up beyond the factor of S (W and K, about two dense
+# steps outside both cones at n = 400) replaces the Gram matrix and a
+# dense factorization at each new rho.  Whole planted solves (mean of 6
+# seeds) in the multiplier space over solves on the dense path take 0.98
+# (BoundaryQNonzero), 1.21 (Zero) and 1.35 (InteriorQ) at n = 100; 0.90,
+# 1.12 and 1.23 at n = 150; 0.76, 1.07 and 1.04 at n = 200; 0.58, 1.05
+# and 1.12 at n = 400.  So the gate is where a solve with steps outside
+# both cones gains, and from where the others lose at most about a
+# quarter.
 REDUCED_MIN_N = 150
 
 
-def _setup_flops(n: int, m1: int) -> float:
-    """Flops of forming S = LL', W = L^-1 JPhi' and K = W'W."""
-    return n ** 3 / 3 + n * n * m1 + n * m1 * m1 / 2
-
-
 class MultiplierForm:
-    """The Newton matrix H = S + rho JPhi' V JPhi of a step outside both
-    cones solved in the (m+1)-dimensional multiplier space, from S = LL',
-    W = L^-1 JPhi' (n x (m+1)) and K = W'W, formed once for one S and
-    JPhi.
+    """The Newton matrix H = S + rho JPhi' V JPhi solved in the
+    (m+1)-dimensional multiplier space, from S = LL', W = L^-1 JPhi'
+    (n x (m+1)) and K = W'W, formed once for one S and JPhi: L when the
+    form is built, W and K at the first step with V nonzero, so that a
+    solve whose steps all lie inside Q (V = 0) factors S and nothing else.
 
     Since 0 <= V <= I, rho V = U U with U = sqrt(rho) V^1/2, and
     H = L (I + (WU)(WU)') L'.  Sherman-Morrison-Woodbury then gives, with
@@ -216,51 +222,67 @@ class MultiplierForm:
         d = H^-1 (-g) = L^-T (z - W U A^-1 U W'z),   A = I + U K U,
 
     one factorization of the (m+1) x (m+1) matrix A and no n x n one.
-    Outside both cones, V has the eigenvalues 1 on a = (e0 - w)/sqrt 2,
-    0 on b = (e0 + w)/sqrt 2 (w = (0, u)) and alpha on the rest
-    (`cone._polar_jacobian_parts`), so U = s I + P Gamma P' with
-    s = sqrt(rho alpha), P = [a, b] and Gamma = diag(sqrt(rho) - s, -s),
-    and A = I + s^2 K + a rank-4 term, added by one BLAS syr2k to the
-    triangle `cho_factor` reads.  The construction raises LinAlgError
-    when S is not positive definite.  The factorizations and the solves
-    with A go through the module-level `cho_factor` and `cho_solve`.
+    Where V = alpha I (inside Q or -Q), U = s I with s = sqrt(rho alpha):
+    at alpha = 0, H = S and d = L^-T z factors nothing; otherwise A =
+    I + s^2 K is factored once per s^2 and kept, as the dense path keeps
+    its factor.  Outside both cones, V has the eigenvalues 1 on a =
+    (e0 - w)/sqrt 2, 0 on b = (e0 + w)/sqrt 2 (w = (0, u)) and alpha on
+    the rest (`cone._polar_jacobian_parts`), so U = s I + P Gamma P' with
+    P = [a, b] and Gamma = diag(sqrt(rho) - s, -s), and A = I + s^2 K + a
+    rank-4 term, added by one BLAS syr2k to the triangle `cho_factor`
+    reads.  The construction raises LinAlgError when S is not positive
+    definite.  The factorizations and the solves with A go through the
+    module-level `cho_factor` and `cho_solve`.
     """
 
-    __slots__ = ("L", "W", "K")
+    __slots__ = ("L", "jac", "W", "K", "chol")
 
     def __init__(self, S: np.ndarray, jac: np.ndarray):
-        self.L = L = cho_factor(S.copy())
-        self.W = W = dtrtrs(L, jac.T, lower=1)[0]
-        self.K = W.T @ W
+        self.L = cho_factor(S.copy())
+        self.jac, self.W, self.K = jac, None, None
+        self.chol = None   # (s^2, Cholesky factor of I + s^2 K) of the last V = alpha I step
 
     def direction(self, rho: float, parts, grad: np.ndarray):
-        """The Newton direction -H^-1 grad for V = parts, with its rank-2
-        term (u is not None), at the penalty rho; None where A does not
-        factor or the direction is not finite, which leaves the step to
-        the dense path."""
+        """The Newton direction -H^-1 grad for V = parts at the penalty
+        rho; None where A does not factor or the direction is not finite,
+        which leaves the step to the dense path."""
         alpha, u, _ = parts
-        L, W, K = self.L, self.W, self.K
+        L = self.L
         z = dtrtrs(L, -grad, lower=1)[0]
-        t = W.T @ z
         s2 = rho * alpha
-        A = s2 * K
-        s, h = math.sqrt(s2), math.sqrt(0.5)
-        Pt = np.zeros((2, K.shape[0]))
-        Pt[:, 0], Pt[0, 1:], Pt[1, 1:] = h, -h * u, h * u
-        Xt = np.array([[math.sqrt(rho) - s], [-s]]) * Pt
-        Qt = Pt @ K
-        # U K U = s^2 K + X Y' + Y X' with X = P Gamma, Y = s K P + X (P'KP)/2
-        Yt = s * Qt + 0.5 * (Qt @ Pt.T) @ Xt
-        dsyr2k(1.0, Xt, Yt, beta=1.0, c=A.T, trans=1, lower=1, overwrite_c=1)
-        A.flat[::A.shape[0] + 1] += 1.0
-        try:
-            c = cho_factor(A)
-        except LinAlgError:
-            return None
-        # U v = s v + X P'v
-        Uq = cho_solve(c, s * t + (Pt @ t) @ Xt)
-        q = s * Uq + (Pt @ Uq) @ Xt
-        d = dtrtrs(L, z - W @ q, lower=1, trans=1)[0]
+        if self.W is None and (u is not None or s2):
+            W = dtrtrs(L, self.jac.T, lower=1)[0]
+            self.W, self.K = W, W.T @ W
+        W, K = self.W, self.K
+        if u is not None:
+            t = W.T @ z
+            A = s2 * K
+            s, h = math.sqrt(s2), math.sqrt(0.5)
+            Pt = np.zeros((2, K.shape[0]))
+            Pt[:, 0], Pt[0, 1:], Pt[1, 1:] = h, -h * u, h * u
+            Xt = np.array([[math.sqrt(rho) - s], [-s]]) * Pt
+            Qt = Pt @ K
+            # U K U = s^2 K + X Y' + Y X' with X = P Gamma, Y = s K P + X (P'KP)/2
+            Yt = s * Qt + 0.5 * (Qt @ Pt.T) @ Xt
+            dsyr2k(1.0, Xt, Yt, beta=1.0, c=A.T, trans=1, lower=1, overwrite_c=1)
+            A.flat[::A.shape[0] + 1] += 1.0
+            try:
+                c = cho_factor(A)
+            except LinAlgError:
+                return None
+            # U v = s v + X P'v
+            Uq = cho_solve(c, s * t + (Pt @ t) @ Xt)
+            z -= W @ (s * Uq + (Pt @ Uq) @ Xt)
+        elif s2:   # V = alpha I with alpha > 0; at alpha = 0, H = S
+            if self.chol is None or self.chol[0] != s2:
+                A = s2 * K
+                A.flat[::A.shape[0] + 1] += 1.0
+                try:
+                    self.chol = (s2, cho_factor(A))
+                except LinAlgError:
+                    return None
+            z -= W @ (s2 * cho_solve(self.chol[1], W.T @ z))
+        d = dtrtrs(L, z, lower=1, trans=1)[0]
         return d if np.isfinite(d).all() else None
 
 
@@ -268,16 +290,15 @@ class NewtonState:
     """The Newton data one solve keeps from step to step: the curvature
     triple (Hess f, <mu, Hess Phi>, S = sym(Hess f + <mu, Hess Phi>)) and
     the JPhi of the last step, and what is formed from that S and JPhi:
-    the Gram matrix G = JPhi' JPhi, the kept dense factor (rho alpha,
-    Cholesky factor of (rho alpha) G + S) and the `MultiplierForm`, each
-    None until formed, and the flops spent on dense steps outside both
-    cones, None where S and JPhi never move to the multiplier space.
+    the `MultiplierForm` where it applies, and for the dense path the
+    Gram matrix G = JPhi' JPhi and the kept dense factor (rho alpha,
+    Cholesky factor of (rho alpha) G + S), each None until formed.
     `_newton_direction` alone reads and writes them."""
 
-    __slots__ = ("curv", "jac", "G", "chol", "spent", "reduced")
+    __slots__ = ("curv", "jac", "G", "chol", "reduced")
 
     def __init__(self):
-        self.curv = self.jac = self.G = self.chol = self.spent = self.reduced = None
+        self.curv = self.jac = self.G = self.chol = self.reduced = None
 
 
 def _newton_direction(ev: AugEval, state: NewtonState):
@@ -287,35 +308,35 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     attempts; None when every attempt fails.  Raises NonFiniteError on a
     non-finite Hessian.
 
-    H = (rho alpha) G + S + rho B C B' (`lagrangian.hessian_upper`) is
-    built from the S and JPhi held in state, and the G formed from that
-    JPhi where alpha is nonzero.  S is formed again when either Hessian
-    oracle returns a different array or a writeable one, and JPhi is
-    new under the same rule for `phi_jac`; for the quadratic and builtin
-    problems, which return the same read-only arrays, each is held for
-    the whole solve.  A new S or JPhi drops everything formed from the
-    old ones: G, the kept factor, the spent flops and the multiplier
-    form.  Where V = alpha I with the kept factor's rho alpha, d is
-    solved with that factor and nothing is assembled or factored.
-    Otherwise H is assembled and factored in place; each regularized
-    attempt assembles it again and adds mu to the diagonal, and where
-    V = alpha I the factor found is kept.  Each attempt is one call of
-    the module-level `cho_factor`, looked up by name so that a wrapper
-    installed on the module (the benchmark's tracer) sees it.
+    S is formed again when either Hessian oracle returns a different
+    array or a writeable one, and JPhi is new under the same rule for
+    `phi_jac`; for the quadratic and builtin problems, which return the
+    same read-only arrays, each is held for the whole solve.  A new S or
+    JPhi drops everything formed from the old ones: the multiplier form,
+    G and the kept factor.
 
-    At n >= REDUCED_MIN_N, with S and JPhi read-only and repeated and
-    m + 1 < n, steps outside both cones move to the multiplier space
-    (`MultiplierForm`) once the dense ones taken on that S and JPhi have
-    cost the flops of forming it (3 steps at m + 1 = n/2), so that solves
-    with only a step or two outside both cones, such as the planted Zero
-    and InteriorQ ones, never form it.  From then on every step outside
-    both cones is solved there, until S or JPhi is new; a step it cannot
-    solve, every step where V = alpha I and every step where S is not
-    positive definite take the dense path.
+    At n >= REDUCED_MIN_N, with S and JPhi read-only and m + 1 < n, the
+    step that finds them new builds the `MultiplierForm` of S and JPhi,
+    and every step until they change is solved there: outside both cones
+    with one (m+1) x (m+1) factorization, inside -Q with the factor of
+    I + rho K kept across the steps at one rho, and inside Q with L
+    alone.  Where S is not positive definite the form is not built, and a
+    step it cannot solve takes the dense path.
+
+    The dense path builds H = (rho alpha) G + S + rho B C B'
+    (`lagrangian.hessian_upper`) from the S and JPhi held in state, and
+    the G formed from that JPhi where alpha is nonzero.  Where V = alpha I
+    with the kept factor's rho alpha, d is solved with that factor and
+    nothing is assembled or factored.  Otherwise H is assembled and
+    factored in place; each regularized attempt assembles it again and
+    adds mu to the diagonal, and where V = alpha I the factor found is
+    kept.  Each factorization, dense or not, is one call of the
+    module-level `cho_factor`, looked up by name so that a wrapper
+    installed on the module (the benchmark's tracer) sees it.
     """
     p, x, jac = ev.p, ev.x, ev.complete().jac
     f_hess, phi_hess = p.f_hess(x), p.phi_hess_contract(x, ev.polar_proj)
-    parts = alpha, u, _ = _polar_jacobian_parts(ev.shifted)
+    parts = alpha, u, _ = _polar_jacobian_parts(ev.shifted, ev.rnorm)
     m1, n = jac.shape
     curv = state.curv
     if (curv is None or curv[0] is not f_hess or curv[1] is not phi_hess
@@ -323,23 +344,19 @@ def _newton_direction(ev: AugEval, state: NewtonState):
         state.curv = curv = (f_hess, phi_hess, curvature(f_hess, phi_hess))
         state.jac = None   # drops, below, what the old S formed
     if state.jac is not jac or jac.flags.writeable:
-        # one step costs less than the set-up, so only a repeated S and a
-        # read-only, repeated JPhi can pay for it
         state.jac, state.G, state.chol, state.reduced = jac, None, None, None
-        state.spent = 0.0 if n >= REDUCED_MIN_N and m1 < n and not jac.flags.writeable else None
-    if u is not None:
-        if (state.reduced is None and state.spent is not None
-                and state.spent >= _setup_flops(n, m1)):
+        # the set-up costs more than a dense step, so it is built only for
+        # an S and a JPhi that can repeat
+        if (n >= REDUCED_MIN_N and m1 < n and not (
+                jac.flags.writeable or f_hess.flags.writeable or phi_hess.flags.writeable)):
             try:
                 state.reduced = MultiplierForm(curv[2], jac)
             except LinAlgError:
-                state.spent = None
-        if state.reduced is not None:
-            d = state.reduced.direction(ev.rho, parts, ev.grad_x)
-            if d is not None:
-                return d
-        elif state.spent is not None:
-            state.spent += n ** 3 / 3
+                pass
+    if state.reduced is not None:
+        d = state.reduced.direction(ev.rho, parts, ev.grad_x)
+        if d is not None:
+            return d
     if alpha and state.G is None:
         state.G = jac.T @ jac
     key = None if u is not None else ev.rho * alpha
@@ -347,8 +364,11 @@ def _newton_direction(ev: AugEval, state: NewtonState):
         return cho_solve(state.chol[1], -ev.grad_x)
     G, S = state.G, curv[2]
     H = hessian_upper(ev.rho, parts, jac, G, S)
-    # the strict lower triangle is finite wherever the upper one is
-    if not np.isfinite(H).all():
+    # the strict lower triangle is finite wherever the upper one is; a
+    # finite sum of squares makes every entry finite, so H is tested entry
+    # by entry only where that sum is not finite
+    h = H.ravel()
+    if not h.dot(h) < math.inf and not np.isfinite(h).all():
         raise NonFiniteError("non-finite Hessian")
     mu = 0.0
     for _ in range(80):
@@ -369,7 +389,7 @@ def _newton_direction(ev: AugEval, state: NewtonState):
 
 def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
     """Minimize x -> L_rho(x, lam) from the evaluation ev at the start,
-    with Newton steps that keep their G, S and factor in state, until
+    with Newton steps that keep S and what is formed from it in state, until
     ||grad|| <= eps_k or ||grad|| is at most its rounding floor (a floor
     stop: grad_norm > eps_k), both tested at every iteration for every
     eps_k >= 0; eps_k = 0 is the exact method.  The floor is the rounding
@@ -431,6 +451,7 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
     raise AssertionError("unreachable")
 
 
+@np.errstate(over="ignore")  # an overflowing square is detected
 def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
                 max_inner: int = 200):
     """Minimize x -> L_rho(x, lambda_k) until its gradient norm is at most
@@ -450,15 +471,18 @@ def inner_solve(p: SocpProblem, lambda_k, rho_k: float, x_start, eps_k: float,
     return ev.x, grad_norm, iters
 
 
+@np.errstate(over="ignore")  # an overflowing shift is detected
 def update_multiplier(phi_x_next, lambda_k, rho_k: float) -> np.ndarray:
-    """Multiplier update: project rho_k * Phi(x_next) + lambda_k onto -Q."""
+    """Multiplier update: project rho_k * Phi(x_next) + lambda_k onto -Q;
+    NonFiniteError, with no floating-point warning, where that point is
+    not finite or the norm of its space block overflows."""
     _positive("rho_k", rho_k)
     phi = as_cone_vec(phi_x_next)
     lam = np.asarray(lambda_k, dtype=float)
     if lam.shape != phi.shape:
         raise ValueError(f"lambda_k has shape {lam.shape}, Phi(x_next) has {phi.shape}")
     _finite("lambda_k", lam)
-    return shift(phi, lam, rho_k)[1]
+    return shift(phi, lam, rho_k)[2]
 
 
 def _anderson_shift(history) -> np.ndarray:
@@ -514,8 +538,12 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
 
     Each outer iteration reuses the inner solve's final evaluation: its
     polar projection is the multiplier update, its oracle results give
-    the residual and start the next inner solve.  One NewtonState serves
-    every inner solve, so G, S and a kept factor outlive an outer step.
+    the residual and start the next inner solve.  The residual's gradient
+    term at the new multiplier is the norm of that evaluation's grad_x
+    (grad f + JPhi' lam_{k+1}, the same operands), which the inner solve
+    returned, so only the cone term ||Phi - Pi_Q(Phi + lam_{k+1})|| is
+    formed.  One NewtonState serves every inner solve, so S, the
+    multiplier form, G and a kept factor outlive an outer step.
     """
     x, lam = map(np.copy, p.check_dims(x0, lambda0))
     rho, eta = cfg.rho0, cfg.eps_rule.eta
@@ -542,7 +570,7 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
             break
         trace.append(x, lam, rho, eps_k, sigma, iters, grad_norm, ev.value, ev.lam)
         lam_next = end.polar_proj
-        sigma_next = end.kkt_residual(lam_next)
+        sigma_next = grad_norm + _gap_norm(end.phi, lam_next)
         # sigma is unchanged wherever (x, lam) is, and cheaper to compare
         still = sigma_next == sigma and np.array_equal(end.x, x) and np.array_equal(lam_next, lam)
         raised = min(cfg.rho_max, rho * cfg.rho_growth)

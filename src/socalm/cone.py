@@ -17,14 +17,19 @@ where an internal caller needs it (the solver's hot path, which checks
 each evaluated point once, and the certificates) does a kernel have an
 unchecked twin (leading underscore) that expects a finite float vector of
 length >= 2; `_project_q_rows` takes the rows of a (k, m+1) array.  The
-generalized Jacobian of the polar projection is also available by
-structure (`_polar_jacobian_parts`: a multiple of the identity plus a
-rank-2 term), from which the dense matrix is built.  The projections and
-that Jacobian split y by exact comparisons of ||yr|| with +-y0; only
-`classify` has a tolerance.
+hot path checks a point and forms its space-block norm ||yr|| in one pass
+(`_checked_rnorm`) and hands that norm to the unchecked kernels, which
+otherwise form it themselves.  The generalized Jacobian of the polar
+projection is also available by structure (`_polar_jacobian_parts`: a
+multiple of the identity plus a rank-2 term), from which the dense
+matrix is built.  The projections and that Jacobian split y by exact
+comparisons of ||yr|| with +-y0; only `classify` has a tolerance.
 
-Norms are finite for every finite vector: where the square of a norm
-overflows, the kernels scale by the largest entry (`_norm`).  The public
+Norms are finite for every finite vector whose norm is below the largest
+float: where the square of a norm overflows, the kernels scale by the
+largest entry (`_norm`).  `_checked_rnorm` rejects a point whose ||yr||
+itself overflows, and the projections halve y0 and ||yr|| before adding
+them, so every projection of a point it accepts is finite.  The public
 kernels run with numpy's overflow warning off, since forming that
 square is how the overflow is detected.
 """
@@ -100,15 +105,36 @@ def _norm(v: np.ndarray) -> float:
     """||v|| of a finite 1-D v: sqrt(v.dot(v)), numpy's own `norm`
     computation without its dispatch, bit for bit, whenever the square is
     finite; when it overflows, the norm scaled by the largest absolute
-    entry, which is finite.  `ndarray.dot` gives the bits of `v @ v` at
+    entry, which is finite unless ||v|| itself exceeds the largest float
+    (entries near 1e308).  `ndarray.dot` gives the bits of `v @ v` at
     half its call overhead (0.7 against 1.4 us for 3 to 200 entries on a
-    shared 2-core x86-64 host)."""
+    shared 2-core x86-64 host).  v must be finite: on an infinite entry
+    the scaling divides inf by inf, so a point not yet known to be finite
+    goes through `_checked_rnorm`, which tests before it scales."""
     sq = v.dot(v)
     if sq != math.inf:
         return math.sqrt(sq)
     s = np.abs(v).max()
     w = v / s
     return float(s * math.sqrt(w.dot(w)))
+
+
+def _checked_rnorm(y: np.ndarray, message: str) -> float:
+    """||yr|| of a 1-D float y of length >= 2, bit for bit `_norm(y[1:])`,
+    or NonFiniteError(message) where y has a NaN or infinite entry (the
+    verdict of `np.isfinite(y).all()`) or ||yr|| itself overflows.  A
+    finite yr.dot(yr) and y0 make every entry finite, so y is tested entry
+    by entry only where that square is not finite, which finite entries
+    reach by overflow."""
+    yr = y[1:]
+    sq = yr.dot(yr)
+    if sq < math.inf and math.isfinite(y[0]):
+        return math.sqrt(sq)
+    if sq == math.inf and np.isfinite(y).all():
+        rnorm = _norm(yr)
+        if rnorm < math.inf:
+            return rnorm
+    raise NonFiniteError(message)
 
 
 def tilde(y) -> np.ndarray:
@@ -162,13 +188,21 @@ def project_q(y) -> np.ndarray:
     return _project_q(as_cone_vec(y))
 
 
-def _project_q(y: np.ndarray) -> np.ndarray:
-    rnorm = _norm(y[1:])
+def _project_q(y: np.ndarray, rnorm: float | None = None) -> np.ndarray:
+    """`project_q` of a finite y, with rnorm = ||yr|| where the caller has
+    it.  The boundary point's coefficient (y0 + ||yr||)/2 is formed as
+    y0/2 + ||yr||/2, which cannot overflow.  It has the bits of the
+    direct formula wherever that sum is finite: halving is exact but for
+    |y0| below twice the smallest normal float, and such a y0 lies below
+    half an ulp of ||yr||, which outside both cones is nonzero and so at
+    least about 1e-162."""
+    if rnorm is None:
+        rnorm = _norm(y[1:])
     if rnorm <= y[0]:
         return y.copy()
     if rnorm <= -y[0]:
         return np.zeros_like(y)
-    coef = 0.5 * (y[0] + rnorm)
+    coef = 0.5 * y[0] + 0.5 * rnorm
     out = np.empty_like(y)
     out[0] = coef
     out[1:] = (coef / rnorm) * y[1:]
@@ -177,12 +211,25 @@ def _project_q(y: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def project_polar(y) -> np.ndarray:
-    """Euclidean projection onto -Q, computed as y - project_q(y)."""
+    """Euclidean projection onto -Q, with the bits of y - project_q(y)."""
     return _project_polar(as_cone_vec(y))
 
 
-def _project_polar(y: np.ndarray) -> np.ndarray:
-    return y - _project_q(y)
+def _project_polar(y: np.ndarray, rnorm: float | None = None) -> np.ndarray:
+    """`project_polar` of a finite y, with rnorm = ||yr|| where the caller
+    has it: bit for bit y - _project_q(y), formed directly as zeros inside
+    Q, a copy of y inside -Q and y minus the boundary point elsewhere."""
+    if rnorm is None:
+        rnorm = _norm(y[1:])
+    if rnorm <= y[0]:
+        return np.zeros(y.size)
+    if rnorm <= -y[0]:
+        return y.copy()
+    coef = 0.5 * y[0] + 0.5 * rnorm
+    out = y.copy()
+    out[0] -= coef
+    out[1:] -= (coef / rnorm) * y[1:]
+    return out
 
 
 def _project_q_rows(Y: np.ndarray) -> np.ndarray:
@@ -196,7 +243,7 @@ def _project_q_rows(Y: np.ndarray) -> np.ndarray:
     out = Y.copy()
     out[(rnorm > y0) & (rnorm <= -y0)] = 0.0
     outside = rnorm > np.abs(y0)
-    coef = 0.5 * (y0[outside] + rnorm[outside])
+    coef = 0.5 * y0[outside] + 0.5 * rnorm[outside]   # as in `_project_q`
     out[outside, 0] = coef
     out[outside, 1:] = (coef / rnorm[outside])[:, None] * Y[outside, 1:]
     return out
@@ -224,9 +271,9 @@ def jacobian_project_polar(y) -> np.ndarray:
     return out
 
 
-def _polar_jacobian_parts(y: np.ndarray):
+def _polar_jacobian_parts(y: np.ndarray, rnorm: float | None = None):
     """The generalized Jacobian V of the polar projection at y, returned
-    by structure as (alpha, u, r).
+    by structure as (alpha, u, r); rnorm is ||yr|| where the caller has it.
 
     The region is decided by the comparisons `_project_q` makes.  When u
     is None, V = alpha I and r is None too: alpha = 1 inside -Q and 0
@@ -240,7 +287,8 @@ def _polar_jacobian_parts(y: np.ndarray):
     J. Optim. 20, 2009) with eigenvalues alpha, 0 and 1.  This is the one
     place where the kink selection is decided.
     """
-    rnorm = _norm(y[1:])
+    if rnorm is None:
+        rnorm = _norm(y[1:])
     if rnorm < -y[0]:
         return 1.0, None, None
     if rnorm < y[0] or rnorm == 0.0:

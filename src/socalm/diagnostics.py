@@ -212,7 +212,8 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float]) -> GrowthReport:
     pairs = _kkt_data(p, sol.x, lams)
     moduli = []  # (ell, rho) up to the first positive ell
     for rho in rho_list:
-        moduli.append((min(_growth_pair(*pair, rho)[0] for pair in pairs), rho))
+        ell = min(_growth_pair(*pair, rho, vector=False)[0] for pair in pairs)
+        moduli.append((ell, rho))
         if moduli[-1][0] > 0.0:
             break
     ell_hat, rho_used = max(moduli, key=lambda item: item[0])  # the first largest
@@ -256,7 +257,7 @@ def solvability_estimate(p: SocpProblem, rho: float) -> float:
     [(H, J, K)] = _kkt_data(p, sol.x, [sol.lam])
     if K.case is CriticalConeCase.WHOLE_CONE_Q:
         raise ValueError("at y = 0 (whole cone Q) the solution map has infinitely many pieces")
-    if not 2.0 * _growth_pair(H, J, K, rho)[0] > TOL:
+    if not 2.0 * _growth_pair(H, J, K, rho, vector=False)[0] > TOL:
         return math.nan
     pieces = [np.eye(p.m + 1)] if K.case is CriticalConeCase.ZERO_ONLY else []  # FullSpace: none
     if K.case is CriticalConeCase.HYPERPLANE:

@@ -17,26 +17,32 @@ value, the derivatives, the generalized Hessian and the KKT residual at
 x all come from one call of each oracle.  An evaluation starts
 value-only (Phi and f, which is all a line-search trial needs);
 `complete` adds JPhi(x), grad f(x) and grad_x on acceptance.  The
-shifted point is checked for finiteness once, when it is formed; the
-cone kernels below that check run unchecked.
+shifted point y is checked for finiteness once, when it is formed, in
+the pass that forms its space-block norm ||yr|| (`cone._checked_rnorm`);
+the evaluation keeps that norm, and the polar projection and, at every
+Newton step, the generalized Jacobian's parts are derived from it by the
+unchecked cone kernels, so no later step forms it again.
 
 The generalized Hessian Hess_xx L(x, mu) + rho JPhi' V JPhi, with mu the
 polar projection of the shifted point and V a generalized Jacobian of
 Pi_{-Q} there, is assembled from the structure of V (a multiple alpha of
 the identity plus a rank-2 term) as (rho alpha) G + S + rho B C B', with
 the Gram matrix G = JPhi' JPhi and S = sym(Hess f + <mu, Hess Phi>).
-The first two terms are exactly symmetric; the rank-2 term is added in
-place, by one BLAS syr2k, to the upper triangle only, which is the
-triangle the Cholesky factorization reads.  So a Newton step costs about
-two n x n passes beyond the oracles and the factorization instead of the
-O(n^2 m) triple product.  `hessian_upper` is that one assembly, from G
-and S given; `AugEval.hessian` forms them at x, and the solver's Newton
-step (`alm._newton_direction`) keeps them, and the last factor, from
-step to step.  At large n a step outside both cones assembles no n x n
-matrix once a solve has paid for the multiplier-space form of S and
-JPhi (`alm.MultiplierForm`), whose directions solve the same system up
-to rounding; a step where V = alpha I is assembled and factored as
-above, or solved with the kept factor.
+`curvature` forms S, and hands the oracle's own read-only array back
+where that is S already (a quadratic problem's P, whose contraction is a
+stride-0 zero), so S may be read-only: nothing here or in the solver
+writes into it.  The first two terms are exactly symmetric; the rank-2
+term is added in place, by one BLAS syr2k, to the upper triangle only,
+which is the triangle the Cholesky factorization reads.  So a Newton step
+costs about two n x n passes beyond the oracles and the factorization
+instead of the O(n^2 m) triple product.  `hessian_upper` is that one
+assembly, from G and S given; `AugEval.hessian` forms them at x, and the
+solver's Newton step (`alm._newton_direction`) keeps them, and the last
+factor, from step to step.  At large n, where S and JPhi repeat, no step
+assembles an n x n matrix or forms G: every step is solved in the
+multiplier space of S and JPhi (`alm.MultiplierForm`), whose directions
+solve the same system up to rounding, and this assembly serves only a
+step that form cannot solve.
 
 The hand-on rule.  `AugEval(p, x, lam, rho, prev)` takes prev's oracle
 results when prev.x is x: the next outer iteration evaluates the same x
@@ -51,30 +57,48 @@ import math
 import numpy as np
 
 from ._lapack import dsyr2k
-from .cone import NonFiniteError, _polar_jacobian_parts, _positive, _project_polar, _project_q
+from .cone import (NonFiniteError, _checked_rnorm, _polar_jacobian_parts, _positive,
+                   _project_polar, _project_q)
 from .model import SocpProblem
 
 
 def shift(phi: np.ndarray, lam: np.ndarray, rho: float):
-    """(rho Phi + lam, Pi_{-Q}(rho Phi + lam)); rejects a non-finite shift."""
+    """(y, ||yr||, Pi_{-Q}(y)) for the shifted point y = rho Phi + lam;
+    NonFiniteError where y is not finite or ||yr|| overflows.  The caller
+    turns numpy's overflow warning off (the solver does), since forming
+    ||yr||^2 is how an overflow is detected."""
     shifted = rho * phi + lam
-    if not np.isfinite(shifted).all():
-        raise NonFiniteError("non-finite shifted point rho*Phi(x)+lam")
-    return shifted, _project_polar(shifted)
+    rnorm = _checked_rnorm(shifted, "non-finite shifted point rho*Phi(x)+lam")
+    return shifted, rnorm, _project_polar(shifted, rnorm)
+
+
+def _gap_norm(phi, lam) -> float:
+    """||Phi - Pi_Q(Phi + lam)||, the KKT residual's cone term; rejects,
+    as `shift` does, a Phi + lam that is not finite or the norm of whose
+    space block overflows."""
+    pushed = phi + lam
+    gap = phi - _project_q(pushed, _checked_rnorm(pushed, "non-finite point Phi(x)+lam"))
+    return math.sqrt(gap.dot(gap))
 
 
 def _kkt_residual(phi, jac, fgrad, lam) -> float:
     grad_l = fgrad + jac.T @ lam
-    pushed = phi + lam
-    if not np.isfinite(pushed).all():
-        raise NonFiniteError("non-finite point Phi(x)+lam")
-    gap = phi - _project_q(pushed)
-    return math.sqrt(grad_l.dot(grad_l)) + math.sqrt(gap.dot(gap))
+    return math.sqrt(grad_l.dot(grad_l)) + _gap_norm(phi, lam)
 
 
 def curvature(f_hess, phi_hess) -> np.ndarray:
     """S = sym(Hess f + <mu, Hess Phi>) from the two Hessian oracle
-    results, as a new array."""
+    results.  Where phi_hess is a stride-0 zero (`model.quadratic_problem`'s)
+    and f_hess a read-only float array equal to its transpose, S is
+    f_hess itself, returned unchanged and read-only: no n x n array is
+    formed.  Otherwise S is a new array, (A + A')/2 of the sum A.  Both
+    give the values of the second formula, to the sign of a zero, and
+    the first keeps an entry above half the largest float finite."""
+    if (isinstance(phi_hess, np.ndarray) and phi_hess.strides == (0, 0)
+            and phi_hess.flat[0] == 0.0 and isinstance(f_hess, np.ndarray)
+            and f_hess.dtype == float and f_hess.shape == phi_hess.shape
+            and not f_hess.flags.writeable and np.array_equal(f_hess, f_hess.T)):
+        return f_hess
     S = np.add(f_hess, phi_hess, dtype=float)
     S = S + S.T
     S *= 0.5
@@ -99,7 +123,9 @@ def hessian_upper(rho: float, parts, jac, G, S) -> np.ndarray:
     else:
         H = S.copy()
     if u is not None:
-        Bt = np.stack((jac[0], jac[1:].T @ u))
+        Bt = np.empty((2, jac.shape[1]))
+        Bt[0] = jac[0]
+        Bt[1] = jac[1:].T @ u
         C = (0.5 * rho) * np.array([[r, -1.0], [-1.0, r]])
         # 0.5 (B (C B') + (C B')' B') = B C B' into the lower triangle
         # of the Fortran-ordered view H.T, which is H's upper triangle
@@ -116,7 +142,7 @@ class AugEval:
     until `complete` runs.  Nothing here writes into an oracle result.
     """
 
-    __slots__ = ("p", "x", "lam", "rho", "phi", "f", "jac", "fgrad", "shifted",
+    __slots__ = ("p", "x", "lam", "rho", "phi", "f", "jac", "fgrad", "shifted", "rnorm",
                  "polar_proj", "value", "grad_x")
 
     def __init__(self, p: SocpProblem, x, lam, rho: float, prev: AugEval | None = None):
@@ -124,7 +150,7 @@ class AugEval:
         same = prev is not None and prev.x is x
         self.p, self.x, self.lam, self.rho = p, x, lam, rho
         self.phi = prev.phi if same else p.phi_value(x)
-        self.shifted, polar = shift(self.phi, lam, rho)
+        self.shifted, self.rnorm, polar = shift(self.phi, lam, rho)
         self.polar_proj = polar
         self.f = prev.f if same else p.f_value(x)
         # (rho/2) dist^2(Phi + lam/rho; Q) - ||lam||^2/(2 rho) = (||polar||^2
@@ -163,7 +189,7 @@ class AugEval:
         """
         jac = self.complete().jac
         S = curvature(self.p.f_hess(self.x), self.p.phi_hess_contract(self.x, self.polar_proj))
-        parts = _polar_jacobian_parts(self.shifted)
+        parts = _polar_jacobian_parts(self.shifted, self.rnorm)
         T = hessian_upper(self.rho, parts, jac, jac.T @ jac if parts[0] else None, S)
         return np.triu(T) + np.triu(T, 1).T
 
@@ -174,12 +200,15 @@ class AugEval:
 
 
 def hessian_lagrangian(p: SocpProblem, xbar, lam_bar) -> np.ndarray:
-    """Symmetric Hessian of the ordinary Lagrangian in x at checked float arrays."""
+    """Symmetric Hessian of the ordinary Lagrangian in x at checked float
+    arrays (`curvature`): for a quadratic problem the oracle's read-only P
+    itself, so a caller that writes into it copies it first."""
     return curvature(p.f_hess(xbar), p.phi_hess_contract(xbar, lam_bar))
 
 
 def lagrangian_l(p: SocpProblem, x, lam):
-    """Ordinary Lagrangian: value, x-gradient and x-Hessian."""
+    """Ordinary Lagrangian: value, x-gradient and x-Hessian.  The Hessian
+    is `hessian_lagrangian`'s, read-only for a quadratic problem."""
     x, lam = p.check_dims(x, lam)
     phi = p.phi_value(x)
     value = p.f_value(x) + float(lam @ phi)
@@ -204,7 +233,10 @@ def aug_hessian(p: SocpProblem, x, lam, rho: float) -> np.ndarray:
     return aug_lagrangian(p, x, lam, rho).hessian()
 
 
+@np.errstate(over="ignore")  # an overflowing square is detected
 def residual(p: SocpProblem, x, lam) -> float:
-    """KKT residual ||grad_x L(x, lam)|| + ||Phi(x) - Pi_Q(Phi(x) + lam)||."""
+    """KKT residual ||grad_x L(x, lam)|| + ||Phi(x) - Pi_Q(Phi(x) + lam)||;
+    NonFiniteError where Phi(x) + lam is not finite or the norm of its
+    space block overflows."""
     x, lam = p.check_dims(x, lam)
     return _kkt_residual(p.phi_value(x), p.phi_jac(x), p.f_grad(x), lam)

@@ -91,12 +91,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> SocpProblem:
     """Problem with f(x) = x'Px/2 + q'x + c and Phi(x) = Ax + b.
 
-    f_hess, phi_jac and phi_hess_contract return the same read-only
-    arrays P, A and 0 on every call.  phi_value and f_grad carry `rows`
-    (see `SocpProblem`): one stacked product over all rows, a matrix-vector
-    product per row as the oracle makes it, so each row rounds as the
-    oracle does (a single matrix product X @ A.T may not).  Non-finite data
-    raises ValueError.
+    f_hess, phi_jac and phi_hess_contract return the same read-only arrays
+    P, A and 0 on every call; the 0 is a stride-0 view of one float, which
+    holds no n x n buffer and which `lagrangian.curvature` recognizes,
+    handing P itself to the solver as S.  phi_value and f_grad carry `rows`
+    (see `SocpProblem`): one stacked product over all rows, a
+    matrix-vector product per row as the oracle makes it, so each row
+    rounds as the oracle does (a single matrix product X @ A.T may not).
+    Non-finite data raises ValueError.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -120,7 +122,7 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> S
     m = A.shape[0] - 1
     P = _read_only(0.5 * (P + P.T))
     _read_only(A)
-    zero_h = _read_only(np.zeros((n, n)))
+    zero_h = np.broadcast_to(0.0, (n, n))   # read-only
 
     def f_grad(x):
         return P @ x + q
@@ -184,7 +186,7 @@ def _projection_problem(a=(0.0, 2.0, 0.0)) -> SocpProblem:
     x_star = project_q(a)
     lam_star = a - x_star  # stationarity x - a + lam = 0
     eye = _read_only(np.eye(n))
-    zero = _read_only(np.zeros((n, n)))
+    zero = np.broadcast_to(0.0, (n, n))   # read-only, as quadratic_problem's
     return SocpProblem(
         n=n, m=n - 1,
         f_value=lambda x: float(0.5 * np.sum((x - a) ** 2)),

@@ -234,29 +234,53 @@ def _floor(s: np.ndarray, shape) -> float:
     return float(np.abs(s).max(initial=0.0)) * EPS * max(shape)
 
 
-def _kernel_split(B: np.ndarray):
-    """(kernel, rows, s): orthonormal column bases of ker B and of B's row
-    space, and B's singular values on the latter.  The SVD is LAPACK's
-    gesdd from `_lapack`, with full U and V' and the workspace its query
-    returns (its size can change the rounding); a non-finite B raises
-    ValueError."""
+def _gesdd(B: np.ndarray, compute_uv: int):
+    """(s, V') of B from LAPACK's gesdd in `_lapack`, with full U and V'
+    (compute_uv = 1) or the singular values alone (0, V' a placeholder),
+    and the workspace its query returns (its size can change the
+    rounding); a non-finite B raises ValueError."""
     B = np.asarray_chkfinite(B)
-    work, info = dgesdd_lwork(*B.shape, compute_uv=1, full_matrices=1)
+    work, info = dgesdd_lwork(*B.shape, compute_uv=compute_uv, full_matrices=1)
     if info:
         raise ValueError(f"gesdd workspace query failed: {info}")
-    _, s, vh, info = dgesdd(B, compute_uv=1, lwork=int(work), full_matrices=1)
+    _, s, vh, info = dgesdd(B, compute_uv=compute_uv, lwork=int(work), full_matrices=1)
     if info > 0:
         raise LinAlgError("SVD did not converge")
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
+    return s, vh
+
+
+def _rank(B: np.ndarray) -> int:
+    """The rank of B under `_floor`, from its singular values alone."""
+    s = _gesdd(B, 0)[0]
+    return int(np.count_nonzero(s > _floor(s, B.shape)))
+
+
+def _kernel_split(B: np.ndarray):
+    """(kernel, rows, s): orthonormal column bases of ker B and of B's row
+    space, and B's singular values on the latter, from one full SVD
+    (`_gesdd`)."""
+    s, vh = _gesdd(B, 1)
     rank = np.count_nonzero(s > _floor(s, B.shape))
     return vh[rank:].T, vh[:rank].T, s[:rank]
 
 
-def _bottom_pair(H0, B, rho: float):
-    """(lambda_min(H0 + rho B'B), a unit eigenvector), from one `eigh`; at
-    rho = inf, of the symmetrized H0 on ker B: all of R^n where B = 0, and
-    +inf where ker B = {0}.  A finite rho with ker B nontrivial and
+def _lowest(A, vector: bool):
+    """(lambda_min(A), a unit eigenvector of it); without the vector
+    (None) where vector is False, from `eigvalsh`, which computes no
+    eigenvector and agrees with `eigh` to rounding."""
+    if vector:
+        vals, vecs = np.linalg.eigh(A)
+        return float(vals[0]), vecs[:, 0]
+    return float(np.linalg.eigvalsh(A)[0]), None
+
+
+def _bottom_pair(H0, B, rho: float, vector: bool = True):
+    """(lambda_min(H0 + rho B'B), a unit eigenvector, None where vector is
+    False), from one symmetric eigensolve; at rho = inf, of the
+    symmetrized H0 on ker B: all of R^n where B = 0, and +inf where
+    ker B = {0}.  A finite rho with ker B nontrivial and
     rho sigma_min(B)^2 > 4 ||H0||_F would swamp H0 in rounding: there, with
     H0 = [[A00, A01], [A10, A11]] on ker B and B's row space and
     G = (rho diag(sigma)^2)^(-1/2), it is the fixed point of
@@ -279,22 +303,24 @@ def _bottom_pair(H0, B, rho: float):
             s = np.linalg.eigvalsh(A[:k, :k])[0]
             for _ in range(60):
                 Y = np.linalg.solve(T - np.diag(s * g * g), C)
-                vals, vecs = np.linalg.eigh(A[:k, :k] - C.T @ Y)
-                s, done = vals[0], abs(vals[0] - s) <= EPS * h
-                if done:
+                last = s
+                s, v = _lowest(A[:k, :k] - C.T @ Y, vector)
+                if abs(s - last) <= EPS * h:
                     break
-            w = kernel @ vecs[:, 0] - rows @ (g * (Y @ vecs[:, 0]))
-            return float(s), w / np.linalg.norm(w)
+            if v is None:
+                return s, None
+            w = kernel @ v - rows @ (g * (Y @ v))
+            return s, w / np.linalg.norm(w)
         else:
             H0 = H0 + rho * (B.T @ B)
     if not np.isfinite(H0).all():
         raise ValueError("growth form has non-finite entries")
-    vals, vecs = np.linalg.eigh(H0)
-    return float(vals[0]), vecs[:, 0] if basis is None else basis @ vecs[:, 0]
+    val, v = _lowest(H0, vector)
+    return val, v if v is None or basis is None else basis @ v
 
 
 @np.errstate(all="ignore")  # a b whose G(b) overflows reads as past the maximum
-def _growth_pair(H, J, K: CriticalCone, rho: float):
+def _growth_pair(H, J, K: CriticalCone, rho: float, vector: bool = True):
     """(ell, w): the growth modulus 0.5 min_{|w| = 1} d2 L_rho(xbar, lam; w)
     at a KKT pair and a unit w at which w or -w attains it.  On the whole
     cone, 2 ell = max_{b >= 0} lambda_min(H - b J0 J0' + b/(1 + 2b/rho) Jr'Jr),
@@ -304,16 +330,20 @@ def _growth_pair(H, J, K: CriticalCone, rho: float):
     concave in b, so the sign of its slope at the bottom eigenvector bisects b.
     At rho = inf, with M = Jr'Jr - J0 J0', the minimum is over w'Mw <= 0 (Jw
     in Q or -Q): ker M where M is semidefinite, else exact for any n by the
-    two-form S-lemma (Polik and Terlaky, SIAM Review 49, 2007)."""
+    two-form S-lemma (Polik and Terlaky, SIAM Review 49, 2007).
+
+    With vector False, for callers that read only ell, w is None wherever
+    ell is one eigenvalue, which then comes from `eigvalsh`; the
+    whole-cone bisection steers by its w and returns it anyway."""
     if K.case is not CriticalConeCase.WHOLE_CONE_Q:
-        val, w = _bottom_pair(*_penalty_split(K, H, J, rho), rho)
+        val, w = _bottom_pair(*_penalty_split(K, H, J, rho), rho, vector)
         return 0.5 * val, w
     J0, Jr = np.outer(J[0], J[0]), J[1:].T @ J[1:]
     if rho == math.inf:
         M = Jr - J0
         spectrum = np.linalg.eigvalsh(M)
         if spectrum[0] >= -_floor(spectrum, M.shape):  # semidefinite: w'Mw <= 0 on ker M
-            val, w = _bottom_pair(H, M, rho)
+            val, w = _bottom_pair(H, M, rho, vector)
             return 0.5 * val, w
 
     def at(b):
@@ -361,7 +391,7 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar) -> SoscReport:
     verdict certifies (an eigenvalue on the cone's span, or on the whole
     cone Q the S-lemma value of a copositivity problem)."""
     [(H, J, K)] = _kkt_data(p, xbar, [lambda_bar])
-    modulus = 2.0 * _growth_pair(H, J, K, math.inf)[0]
+    modulus = 2.0 * _growth_pair(H, J, K, math.inf, vector=False)[0]
     method = "SampledPenalty" if K.case is CriticalConeCase.WHOLE_CONE_Q else "ExactEigen"
     return SoscReport(modulus > TOL, modulus, method,
                       f"{K.case.value}: exact minimum over unit w in R^{p.n} "
@@ -392,9 +422,11 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     if K.case is CriticalConeCase.FULL_SPACE:
         return True, None  # polar is {0}
 
-    kernel = _kernel_split(J.T)[0]  # subspace of R^(m+1)
-    if kernel.shape[1] == 0:
+    # the rank first, from the singular values alone: ker JPhi' = {0} is
+    # the common case, and the full SVD would form n x n left vectors
+    if _rank(J.T) == J.shape[0]:
         return True, None
+    kernel = _kernel_split(J.T)[0]  # subspace of R^(m+1)
 
     if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
         # polar is span{u} (hyperplane) or the ray R_+ u (halfspace)

@@ -4,7 +4,7 @@ trace invariants."""
 import dataclasses
 import hashlib
 import math
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from socalm import (AlmConfig, AlmStatus, ConeRegion, InnerFailure, Proportional, builtin,
-                    generate_planted, inner_solve, solve, update_multiplier)
+from socalm import (AlmConfig, AlmStatus, ConeRegion, InnerFailure, NonFiniteError, Proportional,
+                    builtin, generate_planted, inner_solve, solve, update_multiplier)
 from socalm import alm
 from socalm.cone import _norm, classify, project_q
 from socalm.diagnostics import dist_to_multiplier_set
@@ -153,6 +153,71 @@ def test_update_multiplier_examples():
         assert np.linalg.norm(out - sol.lam) <= 1e-12
     # worked projection example
     assert_allclose(update_multiplier([0.0, 2.0, 0.0], np.zeros(3), 1.0), [-1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("phi, rho", [
+    ([1e308, -1e308, 0.0], 1e10),   # rho Phi overflows to +-inf
+    ([0.0, 1e308, 1e308], 10.0),     # and to +inf twice in the space block
+    ([1e300, 0.0, 0.0], 1e300),      # in the time entry only
+])
+def test_update_multiplier_overflow_raises_without_a_warning(phi, rho):
+    """An overflowing shift ends in NonFiniteError under warnings as
+    errors: no overflow warning from rho Phi, and no invalid-value
+    warning from a norm formed over an infinite entry."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="shifted point"):
+            update_multiplier(phi, np.zeros(3), rho)
+
+
+def test_update_multiplier_where_the_squared_norm_overflows():
+    """A finite shift whose squared space norm overflows is projected
+    with the scaled norm, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = update_multiplier([0.0, 1e200, 0.0], np.zeros(3), 1e100)
+    assert_allclose(out, [-5e299, 5e299, 0.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("middle, expected", [
+    (1e300, [-5e306, 3.125e298, 5e306]),
+    (0.0, [-5e306, 0.0, 5e306]),
+])
+def test_update_multiplier_near_overflow_is_finite_without_a_warning(middle, expected):
+    """y0 + ||yr|| overflows for y = (1.5e308, middle, 1.6e308) though the
+    projection is finite: the boundary coefficient is formed as y0/2 +
+    ||yr||/2, so the update is finite (it was -inf and NaN) and prints no
+    overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = update_multiplier([1.5e308, middle, 1.6e308], np.zeros(3), 1.0)
+    assert np.isfinite(out).all()
+    assert_allclose(out, expected, rtol=1e-14)
+
+
+def test_an_overflowing_space_norm_raises_without_a_warning():
+    """Where ||yr|| itself overflows, the multiplier update and the KKT
+    residual raise NonFiniteError (the residual was NaN), with no
+    floating-point warning."""
+    huge = np.array([0.0, 1.7e308, 1.7e308])
+    p = quadratic_problem(np.eye(3), np.zeros(3), 0.0, np.eye(3), np.array([0.0, 1.7e308, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="shifted point"):
+            update_multiplier(huge, np.zeros(3), 1.0)
+        with pytest.raises(NonFiniteError, match=r"point Phi\(x\)\+lam"):
+            residual(p, np.zeros(3), np.array([0.0, 0.0, 1.7e308]))
+
+
+def test_inner_solve_with_a_huge_finite_hessian_prints_no_warning():
+    """Hess f = 1e160 I is finite though the sum of its squares, which the
+    Newton step's finiteness check forms first, overflows: the step is
+    taken with no warning (the suite turns warnings into errors)."""
+    p = quadratic_problem(1e160 * np.eye(2), np.ones(2), 0.0,
+                          np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0, 0.0]))
+    x, grad_norm, iters = inner_solve(p, np.zeros(3), 10.0, np.zeros(2), 0.0)
+    assert iters == 1 and grad_norm == 0.0
+    assert_allclose(x, [-1e-160, -1e-160], rtol=1e-15)
 
 
 def test_update_multiplier_rejects_a_wrong_length_multiplier():
@@ -431,6 +496,32 @@ def test_trace_rows_equal_the_public_functions_exactly(seed, region, n, m):
         lam_next = update_multiplier(p.phi_value(trace.xs[k + 1]), trace.shifts[k],
                                      trace.rhos[k])
         assert lam_next.tobytes() == trace.lams[k + 1].tobytes()
+
+
+SOLVE_SMALL_KINDS = [(n, m, region) for n, m in ((3, 2), (20, 10))
+                     for region in (ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                    ConeRegion.INTERIOR_Q)] + ["projection", "example_3_2"]
+
+
+@pytest.mark.parametrize("kind", SOLVE_SMALL_KINDS, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_residuals_are_the_public_residual_bit_for_bit(kind, seed):
+    """Every row's sigma equals `residual` at (x_k, lam_k) bit for bit: the
+    outer step reuses the inner solve's gradient norm for the residual's
+    gradient term, and that norm has the residual's own bits."""
+    rng = np.random.default_rng(seed)
+    if kind == "projection":
+        p, x0 = builtin("projection", a=2.0 * rng.standard_normal(3)), np.zeros(3)
+    elif kind == "example_3_2":
+        p = builtin("example_3_2")
+        x0 = rng.standard_normal(p.n)
+    else:
+        p = generate_planted(*kind, seed=seed)
+        x0 = np.zeros(p.n)
+    _, trace = solve(p, x0, np.zeros(p.m + 1))
+    assert len(trace) > 1
+    for k in range(len(trace)):
+        assert trace.sigmas[k] == residual(p, trace.xs[k], trace.lams[k])
 
 
 def _trace_digest(trace):
@@ -1028,14 +1119,12 @@ def factor_sizes(calls):
 @example(seed=0, dims=(5, 2), side="band+", c=0.0, delta=1e-12, log_rho=8.0, log_a=0.0)
 def test_multiplier_form_direction_equals_the_dense_one(seed, dims, side, c, delta, log_rho,
                                                         log_a):
-    """Where V has its rank-2 term, the multiplier-space direction d
-    agrees with the dense one through the Newton matrix:
+    """On every side, where V = alpha I (inside Q and -Q, the band sides
+    included) as where it has its rank-2 term, the multiplier-space
+    direction d agrees with the dense one through the Newton matrix:
     ||H (d - d_dense)|| <= 1e-12 ||H|| ||d_dense||.  (d - d_dense itself
     is up to cond(H) times that, about rho * 1e-16 relative, as between
-    any two backward-stable solvers.)  On every side 0 <= alpha <= 1.
-    Inside Q and -Q, the band sides included, V = alpha I and the step
-    takes the dense path though the form is held: the dense direction bit
-    for bit, with one n x n factorization and no (m+1) x (m+1) one."""
+    any two backward-stable solvers.)  On every side 0 <= alpha <= 1."""
     n, m = dims
     p = phi_zero_problem(n, m, seed)
     v = np.random.default_rng(seed).standard_normal(m) * 10.0 ** log_a
@@ -1048,33 +1137,20 @@ def test_multiplier_form_direction_equals_the_dense_one(seed, dims, side, c, del
     state = alm.NewtonState()
     dense = alm._newton_direction(ev, state)   # n < REDUCED_MIN_N: the dense path
     assert state.reduced is None
-    form = alm.MultiplierForm(state.curv[2], ev.jac)
-    if u is not None:
-        d = form.direction(rho, parts, ev.grad_x)
-        H = ev.hessian()
-        gap = np.linalg.norm(H @ (d - dense))
-        assert gap <= 1e-12 * np.linalg.norm(H, 2) * np.linalg.norm(dense)
-        return
-    calls = []
-    cho_factor = alm.cho_factor
-
-    def factor(A):
-        calls.append(A.shape[0])
-        return cho_factor(A)
-
-    state.reduced, state.chol = form, None
-    with mock.patch.object(alm, "cho_factor", factor):
-        fallback = alm._newton_direction(ev, state)
-    assert calls == [n]
-    assert fallback.tobytes() == dense.tobytes()
+    d = alm.MultiplierForm(state.curv[2], ev.jac).direction(rho, parts, ev.grad_x)
+    H = ev.hessian()
+    gap = np.linalg.norm(H @ (d - dense))
+    assert gap <= 1e-12 * np.linalg.norm(H, 2) * np.linalg.norm(dense)
 
 
-def test_a_step_inside_minus_q_after_the_switch_is_dense_and_keeps_its_factor(monkeypatch):
-    """Above the size gate, once steps outside both cones have moved to
-    the multiplier space, a step inside -Q (V = I) factors rho G + S
-    (n x n) and gives the bits of a step from a fresh state; the next
-    step inside -Q at the same rho factors nothing and gives the bits of
-    a fresh state too."""
+def test_steps_inside_q_and_minus_q_are_solved_in_the_multiplier_space(monkeypatch):
+    """Above the size gate the form built at the first step serves the
+    steps inside -Q (V = I) and Q (V = 0) too: the first step inside -Q
+    at a rho factors I + rho K ((m+1) x (m+1)), the second at that rho
+    factors nothing, and a step inside Q factors nothing.  Each gives the
+    bits of a step from a fresh state, and no Gram matrix is formed.  A
+    form first built at a step inside Q holds L alone until the first
+    step with V nonzero forms W and K."""
     n, m = alm.REDUCED_MIN_N + 10, 40
     p = phi_zero_problem(n, m, 5)
     rng = np.random.default_rng(5)
@@ -1085,16 +1161,17 @@ def test_a_step_inside_minus_q_after_the_switch_is_dense_and_keeps_its_factor(mo
                        10.0).complete()
 
     state = alm.NewtonState()
-    for _ in range(4):   # outside both cones
-        alm._newton_direction(evaluation(0.2), state)
+    alm._newton_direction(evaluation(2.0), state)   # inside Q
     form = state.reduced
-    assert form is not None
+    assert form is not None and form.W is None
+    alm._newton_direction(evaluation(0.2), state)   # outside both cones
+    assert state.reduced is form and form.W is not None
     calls = counted_factorizations(monkeypatch)
-    for factored in ([n], []):
-        ev = evaluation(-2.0)
+    for y0_over_norm, factored in ((-2.0, [m + 1]), (-2.0, []), (2.0, [])):
+        ev = evaluation(y0_over_norm)
         d = alm._newton_direction(ev, state)
         assert factor_sizes(calls) == factored
-        assert state.reduced is form
+        assert state.reduced is form and state.G is None and state.chol is None
         calls.clear()
         assert d.tobytes() == alm._newton_direction(ev, alm.NewtonState()).tobytes()
         calls.clear()
@@ -1109,8 +1186,8 @@ def path_log(monkeypatch):
     parts_of, init = alm._polar_jacobian_parts, alm.MultiplierForm.__init__
     direction = alm.MultiplierForm.direction
 
-    def parts(y):
-        out = parts_of(y)
+    def parts(y, rnorm):
+        out = parts_of(y, rnorm)
         steps.append([out[1] is not None, False])
         return out
 
@@ -1129,38 +1206,49 @@ def path_log(monkeypatch):
     return steps, builds
 
 
-def test_the_multiplier_form_starts_where_the_dense_steps_cost_its_setup(monkeypatch):
-    """Above the size gate, a BoundaryQNonzero solve takes dense steps
-    until those outside both cones have cost the flops of the set-up,
-    factors S once and solves every later step in the multiplier space,
-    in the outer and Newton steps of the dense solve and within the
-    benchmark's distance (1e-3) of the planted pair."""
+@pytest.mark.parametrize("region", [ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                    ConeRegion.INTERIOR_Q], ids=lambda r: r.value)
+def test_the_multiplier_form_serves_every_step_of_a_large_solve(region, monkeypatch):
+    """Above the size gate a solve builds the form at its first Newton
+    step, factors S there and solves every step in the multiplier space:
+    each later factorization is (m+1) x (m+1).  It ends within the
+    benchmark's distance (1e-3) of the planted pair, in the outer steps of
+    the dense solve, give or take one."""
     n, m1 = 160, 41
     assert n >= alm.REDUCED_MIN_N
-    p = generate_planted(n, m1 - 1, ConeRegion.BOUNDARY_Q_NONZERO, 2)
+    p = generate_planted(n, m1 - 1, region, 2)
     x0, lam0 = np.zeros(n), np.zeros(m1)
     calls = counted_factorizations(monkeypatch)
     steps, builds = path_log(monkeypatch)
     point, trace = solve(p, x0, lam0)
     assert trace.status is AlmStatus.CONVERGED
-    first = [reduced for _, reduced in steps].index(True)
-    assert all(reduced for _, reduced in steps[first:])
-    assert builds == [n] and steps[first][0]
-    # the dense steps outside both cones before the first reduced step
-    # paid for the set-up, and one fewer would not have
-    paid = sum(outside for outside, _ in steps[:first])
-    assert (paid - 1) * n ** 3 / 3 < alm._setup_flops(n, m1) <= paid * n ** 3 / 3
-    # dense factorizations, then S, then only (m+1) x (m+1) ones
+    assert len(steps) == sum(trace.inner_iters) and all(reduced for _, reduced in steps)
+    assert builds == [n]
     sizes = factor_sizes(calls)
-    start = sizes.index(m1)
-    assert set(sizes[:start]) == {n} and set(sizes[start:]) == {m1}
+    assert sizes[0] == n and set(sizes[1:]) == {m1}
     sol = p.known_solution
     assert np.linalg.norm(point.x - sol.x) + np.linalg.norm(point.lam - sol.lam) <= 1e-3
     monkeypatch.setattr(alm, "REDUCED_MIN_N", n + 1)
     calls.clear()
     _, dense = solve(p, x0, lam0)
     assert set(factor_sizes(calls)) == {n}
-    assert len(dense) == len(trace) and dense.inner_iters == trace.inner_iters
+    assert abs(len(dense) - len(trace)) <= 1
+
+
+@pytest.mark.parametrize("region", [ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                    ConeRegion.INTERIOR_Q], ids=lambda r: r.value)
+def test_a_large_solve_factors_one_n_by_n_matrix(region, monkeypatch):
+    """A planted (400, 200) solve, the benchmark's largest, makes exactly
+    one n x n factorization in every region, of S; its Newton steps
+    factor only (m+1) x (m+1) matrices, and it converges."""
+    n, m = 400, 200
+    p = generate_planted(n, m, region, 1)
+    calls = counted_factorizations(monkeypatch)
+    _, trace = solve(p, np.zeros(n), np.zeros(m + 1))
+    assert trace.status is AlmStatus.CONVERGED
+    sizes = factor_sizes(calls)
+    assert sizes.count(n) == 1 and sizes[0] == n
+    assert set(sizes[1:]) <= {m + 1}
 
 
 @pytest.mark.parametrize("case", ["below the gate", "example_3_2", "projection", "writeable_twin",
@@ -1170,9 +1258,8 @@ def test_the_dense_path_serves_where_the_multiplier_form_does_not(case, monkeypa
     each step (example_3_2, the twins; the rewritten twin's JPhi is one
     writeable array, written again at each call), where m + 1 = n (projection) and
     where S is not positive definite, every factorization is n x n.  The
-    set-up is made free, and the gate is 1 in all but the first case, so
-    that nothing else keeps these solves on the dense path."""
-    monkeypatch.setattr(alm, "_setup_flops", lambda n, m1: 0.0)
+    gate is 1 in all but the first case, so that nothing else keeps these
+    solves on the dense path."""
     if case == "below the gate":
         p = generate_planted(alm.REDUCED_MIN_N - 1, 40, ConeRegion.BOUNDARY_Q_NONZERO, 2)
     else:

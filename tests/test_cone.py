@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -180,11 +180,14 @@ def test_jacobian_matches_central_differences_of_the_projection(seed, m, log_a, 
 @settings(max_examples=300)
 @given(y=arrays(np.float64, st.integers(2, 8), elements=st.floats(-1e6, 1e6)),
        log_t=st.floats(-6.0, 6.0))
+@example(y=np.array([-2.0, -0.0, 1.0]), log_t=0.0)  # a signed zero inside -Q
 def test_vector_kernels_give_the_moreau_decomposition(y, log_t):
     """project_q(y) + project_polar(y) = y, the two parts are orthogonal,
-    and each lies in its cone (Q and -Q), for the public vector kernels."""
+    and each lies in its cone (Q and -Q), for the public vector kernels;
+    project_polar(y) has the bits of y - project_q(y), signed zeros too."""
     y = y * 10.0 ** log_t
     pq, pp = cone.project_q(y), cone.project_polar(y)
+    assert pp.tobytes() == (y - pq).tobytes()
     scale = max(1.0, float(np.linalg.norm(y)))
     assert np.abs(pq + pp - y).max() <= 1e-15 * scale
     assert abs(pq @ pp) <= 1e-14 * scale * scale
@@ -304,6 +307,82 @@ def test_row_kernels_where_the_squared_norm_overflows():
             assert pq.tobytes() == cone._project_q(y).tobytes()
             assert pp.tobytes() == cone._project_polar(y).tobytes()
     assert_allclose(Pq[:2], [[2e160, 1e160, 0.0], [1e160, 1e160, 0.0]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("middle", [1e300, 0.0])
+def test_projections_where_y0_plus_the_space_norm_overflows(middle):
+    """At y = (1.5e308, middle, 1.6e308), outside both cones, y0 + ||yr||
+    overflows though both projections are finite: the vector and the row
+    kernels halve before they add, and give finite, matching results with
+    no warning (the public kernels turn off only the overflow of the
+    squared norm they detect)."""
+    y = np.array([1.5e308, middle, 1.6e308])
+    pq, pp = cone.project_q(y), cone.project_polar(y)
+    assert np.isfinite(pq).all() and np.isfinite(pp).all()
+    assert_allclose(pq, [1.55e308, 0.96875 * middle, 1.55e308], rtol=1e-14)
+    assert pp.tobytes() == (y - pq).tobytes()
+    with np.errstate(over="ignore"):
+        assert cone._project_q_rows(y[None])[0].tobytes() == pq.tobytes()
+
+
+@settings(max_examples=300)
+@given(y0=st.floats(-1e308, 1e308), rnorm=st.floats(0.0, 1.7e308, exclude_min=True),
+       log_scale=st.sampled_from([0.0, -150.0, -300.0, 150.0]))
+@example(y0=5e-324, rnorm=1.0, log_scale=0.0)            # a subnormal y0
+@example(y0=-1.0 + 2.0 ** -52, rnorm=1.0, log_scale=-160.0)
+def test_halved_boundary_coefficient_has_the_bits_of_the_direct_one(y0, rnorm, log_scale):
+    """y0/2 + ||yr||/2 has the bits of (y0 + ||yr||)/2 wherever the sum is
+    finite, for every ||yr|| a norm can take (0 or at least about 1e-162)
+    above |y0|, subnormal y0 included."""
+    scale = 10.0 ** log_scale
+    y0, rnorm = y0 * scale, rnorm * scale
+    assume(rnorm >= 1e-162 and abs(y0) < rnorm < math.inf)
+    direct = 0.5 * (y0 + rnorm)   # Python floats: an overflow is inf, not a warning
+    assume(math.isfinite(direct))
+    assert (0.5 * y0 + 0.5 * rnorm).hex() == direct.hex()
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**20), m=st.integers(1, 6), case=st.sampled_from(list(ROW_CASES)),
+       # beyond 1e154 the squared space norm overflows
+       log_a=st.floats(-3.0, 3.0) | st.floats(150.0, 300.0))
+def test_project_polar_is_y_minus_project_q_bit_for_bit(seed, m, case, log_a):
+    """The polar projection formed directly (zeros inside Q, a copy of y
+    inside -Q) has the bits of y - Pi_Q(y) in every region, on the
+    boundaries, the axes and at zero, with ||yr|| handed in or not."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    y = ROW_CASES[case](10.0 ** log_a, w, rng.uniform(-0.9, 0.9), rng.uniform(0.1, 10.0))
+    with np.errstate(over="ignore"):  # how the kernels detect an overflowing square
+        expected = (y - cone._project_q(y)).tobytes()
+        assert cone._project_polar(y).tobytes() == expected
+        assert cone._project_polar(y, cone._norm(y[1:])).tobytes() == expected
+        assert cone._project_polar(y, cone._checked_rnorm(y, "y")).tobytes() == expected
+
+
+HUGE = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 1e200, -1e160])
+
+
+@settings(max_examples=400)
+@given(y=arrays(np.float64, st.integers(2, 8), elements=st.floats() | HUGE))
+@example(y=np.array([0.0, 1.7e308, 1.7e308]))      # finite, ||yr|| overflows
+@example(y=np.array([0.0, 1e200, -1e200]))          # finite, ||yr||^2 overflows
+@example(y=np.array([1.0, -math.inf, 1e308]))
+@example(y=np.array([math.inf, 0.0, 0.0]))
+@example(y=np.array([math.nan, 1e308, 1e308]))
+@example(y=np.array([0.0, math.nan]))
+def test_checked_rnorm_verdict_is_that_of_isfinite(y):
+    """`_checked_rnorm` returns the bits of `_norm(y[1:])` where
+    `np.isfinite(y).all()` holds and that norm is finite, and raises
+    otherwise: on a NaN or infinite entry, with no invalid-value warning
+    (the suite turns warnings into errors), and where ||yr|| overflows."""
+    with np.errstate(over="ignore"):  # how the kernels detect an overflowing square
+        if np.isfinite(y).all() and math.isfinite(cone._norm(y[1:])):
+            assert cone._checked_rnorm(y, "y").hex() == cone._norm(y[1:]).hex()
+        else:
+            with pytest.raises(cone.NonFiniteError, match="^y$"):
+                cone._checked_rnorm(y, "y")
 
 
 # near-boundary rows: a boundary point of Q or -Q moved by less than the

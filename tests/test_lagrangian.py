@@ -3,18 +3,20 @@ KKT residual, checked against finite differences and the fixed-point
 characterization of KKT pairs."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from socalm import ConeRegion, SocpProblem, alm, builtin, generate_planted, solve
-from socalm.cone import classify, jacobian_project_polar, project_q
-from socalm.lagrangian import (AugEval, aug_hessian, aug_lagrangian, lagrangian_l,
-                               residual)
+from socalm.cone import NonFiniteError, _norm, classify, jacobian_project_polar, project_q
+from socalm.lagrangian import (AugEval, _gap_norm, aug_hessian, aug_lagrangian, curvature,
+                               hessian_lagrangian, lagrangian_l, residual, shift)
 from socalm.model import _read_only
 
 from _util import (SHIFTED, constant_phi_problem, fd_grad, fd_jac, fresh_twin,
@@ -87,6 +89,95 @@ def test_aug_value_where_twice_the_penalty_overflows():
     p = builtin("projection")
     ev = aug_lagrangian(p, np.array([0.0, 1e-154, 0.0]), np.zeros(3), 1e308)
     assert ev.value == 2.25
+
+
+VECTORS = arrays(np.float64, 3, elements=st.floats()
+                 | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 1e200, 0.0]))
+
+
+@settings(max_examples=300)
+@given(phi=VECTORS, lam=VECTORS, rho=st.sampled_from([1.0, 10.0, 1e10, 1e300]))
+@example(phi=np.array([0.0, 1e154, 1e154]), lam=np.zeros(3), rho=10.0)  # ||y||^2 overflows
+@example(phi=np.array([0.0, 1.7e308, 0.0]), lam=np.array([0.0, 0.0, 1.7e308]), rho=1.0)
+@example(phi=np.array([1e308, -1e308, 0.0]), lam=np.zeros(3), rho=1e10)
+def test_shift_and_residual_finiteness_verdicts_are_those_of_isfinite(phi, lam, rho):
+    """The shifted point rho Phi + lam and the residual's Phi + lam are
+    rejected exactly where `np.isfinite(...).all()` is false or the norm
+    of the space block overflows; a kept shift has the bits of
+    y - Pi_Q(y) as its projection, which is finite, and the residual's
+    cone term has the bits of the norm of Phi - Pi_Q(Phi + lam)."""
+    def accepted(y):
+        return np.isfinite(y).all() and math.isfinite(_norm(y[1:]))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the solver
+        shifted = rho * phi + lam
+        if accepted(shifted):
+            y, rnorm, polar = shift(phi, lam, rho)
+            assert y.tobytes() == shifted.tobytes()
+            assert rnorm == _norm(y[1:])
+            assert polar.tobytes() == (y - project_q(y)).tobytes()
+            assert np.isfinite(polar).all()
+        else:
+            with pytest.raises(NonFiniteError, match="shifted point"):
+                shift(phi, lam, rho)
+        if accepted(phi + lam):
+            gap = phi - project_q(phi + lam)
+            # inf where the norm of phi - Pi_Q(phi + lam) overflows
+            assert _gap_norm(phi, lam) == math.sqrt(gap.dot(gap))
+        else:
+            with pytest.raises(NonFiniteError, match=r"point Phi\(x\)\+lam"):
+                _gap_norm(phi, lam)
+
+
+def _curvature_formula(f_hess, phi_hess):
+    """S = (A + A')/2 of A = Hess f + <mu, Hess Phi>, always a new array."""
+    S = np.add(f_hess, phi_hess, dtype=float)
+    S = S + S.T
+    S *= 0.5
+    return S
+
+
+def test_curvature_hands_back_a_quadratic_problems_p():
+    """For a quadratic problem, whose contraction is a stride-0 zero, S is
+    the oracle's read-only P itself: no n x n array is formed, and its
+    values are the formula's."""
+    p = generate_planted(30, 10, ConeRegion.BOUNDARY_Q_NONZERO, 3)
+    x, lam = np.zeros(30), np.ones(11)
+    P, zero = p.f_hess(x), p.phi_hess_contract(x, lam)
+    assert zero.strides == (0, 0) and not zero.flags.writeable
+    assert curvature(P, zero) is P and not P.flags.writeable
+    assert np.array_equal(P, _curvature_formula(P, zero))
+    assert hessian_lagrangian(p, x, lam) is P
+
+
+ENTRY = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0])
+
+
+@settings(max_examples=200)
+@given(f=arrays(np.float64, st.tuples(st.integers(1, 5)).map(lambda t: t * 2), elements=ENTRY),
+       symmetric=st.booleans(), read_only=st.booleans(),
+       phi=st.sampled_from(["stride-0 zero", "stride-0 one", "zeros", "random"]))
+def test_curvature_keeps_the_formulas_bits(f, symmetric, read_only, phi):
+    """Where phi_hess is a stride-0 zero and f_hess a read-only array equal
+    to its transpose, `curvature` returns f_hess itself, whose values are
+    the formula's (to the sign of a zero); everywhere else it returns a
+    new array with the formula's bits."""
+    n = f.shape[0]
+    if symmetric:
+        f = np.triu(f) + np.triu(f, 1).T
+    f.setflags(write=not read_only)
+    rng = np.random.default_rng(n)
+    phi_hess = {"stride-0 zero": np.broadcast_to(0.0, (n, n)),
+                "stride-0 one": np.broadcast_to(1.0, (n, n)),
+                "zeros": np.zeros((n, n)),
+                "random": rng.standard_normal((n, n))}[phi]
+    S = curvature(f, phi_hess)
+    expected = _curvature_formula(f, phi_hess)
+    if phi == "stride-0 zero" and read_only and np.array_equal(f, f.T):
+        assert S is f
+        assert np.array_equal(S, expected)
+    else:
+        assert S is not f and S.tobytes() == expected.tobytes()
 
 
 def test_aug_grad_lambda_identity():

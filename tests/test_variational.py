@@ -13,7 +13,7 @@ from scipy.linalg import null_space
 
 from socalm import ConeRegion, builtin, certify_growth, generate_planted, quadratic_problem
 from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
-                                _growth_pair, _kkt_data, _penalty_split,
+                                _growth_pair, _kernel_split, _kkt_data, _penalty_split, _rank,
                                 check_dual_qualification, check_sosc, critical_cone,
                                 d2_aug_lagrangian, d2_indicator_q,
                                 difference_quotient_oracle, dist2_critical,
@@ -543,7 +543,8 @@ def _growth_instance(kind, seed):
 def test_growth_modulus_is_exact_and_nondecreasing(seed, kind):
     """ell bounds half of d2 at sampled unit w, its unit w attains it (w or
     -w), it does not decrease in rho and at rho = 1e300 it is half the
-    exact SOSC modulus; P = R'R + I gives ell >= 1/2."""
+    exact SOSC modulus; P = R'R + I gives ell >= 1/2.  The value alone
+    (vector=False, from eigvalsh) agrees with it to rounding."""
     p, x, lam = _growth_instance(kind, seed)
     [(H, J, K)] = _kkt_data(p, x, [lam])
     rng = np.random.default_rng(seed + 1)
@@ -552,6 +553,7 @@ def test_growth_modulus_is_exact_and_nondecreasing(seed, kind):
         ell, w = _growth_pair(H, J, K, rho)
         ells.append(ell)
         tol = 1e-12 * (np.linalg.norm(H) + rho * np.linalg.norm(J) ** 2)
+        assert abs(_growth_pair(H, J, K, rho, vector=False)[0] - ell) <= tol
         for v in rng.standard_normal((10, p.n)):
             v /= np.linalg.norm(v)
             assert ell <= 0.5 * d2_aug_lagrangian(p, x, lam, rho, v) + tol
@@ -749,6 +751,22 @@ def test_dual_qualification_rank_deficient_vertex():
     J = p.phi_jac(sol.x)
     assert np.linalg.norm(J.T @ witness) <= 1e-8
 
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**20), rows=st.integers(1, 12), cols=st.integers(1, 12),
+       rank=st.integers(0, 12), log_scale=st.floats(-100.0, 100.0))
+def test_rank_from_singular_values_alone_is_the_kernel_splits(seed, rows, cols, rank, log_scale):
+    """`_rank`, which dualqual reads before any basis, counts the rank of
+    the full SVD's `_kernel_split` on products of Gaussian factors of
+    every rank and scale, so a trivial kernel is decided without forming
+    the n x n left vectors."""
+    rng = np.random.default_rng(seed)
+    k = min(rank, rows, cols)
+    B = 10.0 ** log_scale * rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+    kernel, basis, _ = _kernel_split(B)
+    assert _rank(B) == basis.shape[1] == cols - kernel.shape[1]
+    assert _rank(B.T) == _kernel_split(B.T)[1].shape[1]
 
 
 def test_dual_qualification_and_calmness_share_the_kernel_threshold():
