@@ -29,7 +29,9 @@ Hessian H = S + rho JPhi' V JPhi in one of two spaces.  At large n, where
 S and JPhi are the same read-only arrays at every step, S is positive
 definite and m + 1 < n, every step is solved in the (m+1)-dimensional
 multiplier space (`MultiplierForm`), whose directions equal the dense
-ones up to rounding, and no n x n matrix but S is factored.  Elsewhere,
+ones up to rounding, and no n x n matrix but S is factored.  That gains
+where a solve takes many steps outside both cones, and costs up to a
+quarter of the solve where it takes few (`REDUCED_MIN_N`).  Elsewhere,
 and for a step the form cannot solve, the dense path assembles and
 factors H, or reuses the kept factor where V = alpha I; its directions
 are bit for bit those of factoring every step.  Either way a solve is
@@ -202,9 +204,13 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 # seeds) in the multiplier space over solves on the dense path take 0.98
 # (BoundaryQNonzero), 1.21 (Zero) and 1.35 (InteriorQ) at n = 100; 0.90,
 # 1.12 and 1.23 at n = 150; 0.76, 1.07 and 1.04 at n = 200; 0.58, 1.05
-# and 1.12 at n = 400.  So the gate is where a solve with steps outside
-# both cones gains, and from where the others lose at most about a
-# quarter.
+# and 1.12 at n = 400.  So above the gate a solve with many steps outside
+# both cones (BoundaryQNonzero: 12-17 at n = 200-400) gains, and one with
+# one or two, then steps inside -Q or Q (Zero, InteriorQ), pays up to
+# 23% more than on the dense path: forming W = L^-1 JPhi' alone (1.7 ms at
+# n = 400) costs more than G and one dense factorization.  Every planted
+# kind's first step lies outside both cones, so the first step does not
+# tell the two apart.
 REDUCED_MIN_N = 150
 
 

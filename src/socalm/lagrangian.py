@@ -29,8 +29,8 @@ Pi_{-Q} there, is assembled from the structure of V (a multiple alpha of
 the identity plus a rank-2 term) as (rho alpha) G + S + rho B C B', with
 the Gram matrix G = JPhi' JPhi and S = sym(Hess f + <mu, Hess Phi>).
 `curvature` forms S, and hands the oracle's own read-only array back
-where that is S already (a quadratic problem's P, whose contraction is a
-stride-0 zero), so S may be read-only: nothing here or in the solver
+where that is S already (a quadratic problem's P, whose contraction is
+zero), so S may be read-only: nothing here or in the solver
 writes into it.  The first two terms are exactly symmetric; the rank-2
 term is added in place, by one BLAS syr2k, to the upper triangle only,
 which is the triangle the Cholesky factorization reads.  So a Newton step
@@ -88,16 +88,17 @@ def _kkt_residual(phi, jac, fgrad, lam) -> float:
 
 def curvature(f_hess, phi_hess) -> np.ndarray:
     """S = sym(Hess f + <mu, Hess Phi>) from the two Hessian oracle
-    results.  Where phi_hess is a stride-0 zero (`model.quadratic_problem`'s)
-    and f_hess a read-only float array equal to its transpose, S is
-    f_hess itself, returned unchanged and read-only: no n x n array is
-    formed.  Otherwise S is a new array, (A + A')/2 of the sum A.  Both
-    give the values of the second formula, to the sign of a zero, and
-    the first keeps an entry above half the largest float finite."""
-    if (isinstance(phi_hess, np.ndarray) and phi_hess.strides == (0, 0)
-            and phi_hess.flat[0] == 0.0 and isinstance(f_hess, np.ndarray)
-            and f_hess.dtype == float and f_hess.shape == phi_hess.shape
-            and not f_hess.flags.writeable and np.array_equal(f_hess, f_hess.T)):
+    results.  Where every entry of phi_hess is zero (a quadratic
+    problem's) and f_hess is a read-only float array equal to its
+    transpose, S is f_hess itself, returned unchanged and read-only: no
+    n x n array is formed.  Otherwise S is a new array, (A + A')/2 of the
+    sum A.  Both give the values of the second formula, to the sign of a
+    zero, and the first keeps an entry above half the largest float
+    finite."""
+    if (isinstance(f_hess, np.ndarray) and f_hess.dtype == float
+            and not f_hess.flags.writeable and isinstance(phi_hess, np.ndarray)
+            and f_hess.shape == phi_hess.shape and not phi_hess.any()
+            and np.array_equal(f_hess, f_hess.T)):
         return f_hess
     S = np.add(f_hess, phi_hess, dtype=float)
     S = S + S.T

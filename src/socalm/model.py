@@ -93,8 +93,8 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> S
 
     f_hess, phi_jac and phi_hess_contract return the same read-only arrays
     P, A and 0 on every call; the 0 is a stride-0 view of one float, which
-    holds no n x n buffer and which `lagrangian.curvature` recognizes,
-    handing P itself to the solver as S.  phi_value and f_grad carry `rows`
+    holds no n x n buffer.  `lagrangian.curvature` hands P itself to the
+    solver as S, since the contraction is zero.  phi_value and f_grad carry `rows`
     (see `SocpProblem`): one stacked product over all rows, a
     matrix-vector product per row as the oracle makes it, so each row
     rounds as the oracle does (a single matrix product X @ A.T may not).

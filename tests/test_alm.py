@@ -1212,8 +1212,8 @@ def test_the_multiplier_form_serves_every_step_of_a_large_solve(region, monkeypa
     """Above the size gate a solve builds the form at its first Newton
     step, factors S there and solves every step in the multiplier space:
     each later factorization is (m+1) x (m+1).  It ends within the
-    benchmark's distance (1e-3) of the planted pair, in the outer steps of
-    the dense solve, give or take one."""
+    benchmark's distance (1e-3) of the planted pair, in the outer and
+    Newton steps of the dense solve."""
     n, m1 = 160, 41
     assert n >= alm.REDUCED_MIN_N
     p = generate_planted(n, m1 - 1, region, 2)
@@ -1232,7 +1232,7 @@ def test_the_multiplier_form_serves_every_step_of_a_large_solve(region, monkeypa
     calls.clear()
     _, dense = solve(p, x0, lam0)
     assert set(factor_sizes(calls)) == {n}
-    assert abs(len(dense) - len(trace)) <= 1
+    assert len(dense) == len(trace) and dense.inner_iters == trace.inner_iters
 
 
 @pytest.mark.parametrize("region", [ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,

@@ -156,12 +156,15 @@ ENTRY = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0])
 @settings(max_examples=200)
 @given(f=arrays(np.float64, st.tuples(st.integers(1, 5)).map(lambda t: t * 2), elements=ENTRY),
        symmetric=st.booleans(), read_only=st.booleans(),
-       phi=st.sampled_from(["stride-0 zero", "stride-0 one", "zeros", "random"]))
+       phi=st.sampled_from(["stride-0 zero", "stride-0 one", "zeros", "read-only zeros",
+                            "signed zeros", "one nonzero", "random"]))
 def test_curvature_keeps_the_formulas_bits(f, symmetric, read_only, phi):
-    """Where phi_hess is a stride-0 zero and f_hess a read-only array equal
-    to its transpose, `curvature` returns f_hess itself, whose values are
-    the formula's (to the sign of a zero); everywhere else it returns a
-    new array with the formula's bits."""
+    """Where every entry of phi_hess is zero, however the array is laid out
+    (a stride-0 view, a writeable or read-only buffer, signed zeros), and
+    f_hess is a read-only array equal to its transpose, `curvature`
+    returns f_hess itself, whose values are the formula's (to the sign of
+    a zero); everywhere else it returns a new array with the formula's
+    bits."""
     n = f.shape[0]
     if symmetric:
         f = np.triu(f) + np.triu(f, 1).T
@@ -170,10 +173,18 @@ def test_curvature_keeps_the_formulas_bits(f, symmetric, read_only, phi):
     phi_hess = {"stride-0 zero": np.broadcast_to(0.0, (n, n)),
                 "stride-0 one": np.broadcast_to(1.0, (n, n)),
                 "zeros": np.zeros((n, n)),
+                "read-only zeros": np.zeros((n, n)),
+                "signed zeros": np.where(rng.random((n, n)) < 0.5, -0.0, 0.0),
+                "one nonzero": np.zeros((n, n)),
                 "random": rng.standard_normal((n, n))}[phi]
+    if phi == "read-only zeros":
+        phi_hess.setflags(write=False)
+    elif phi == "one nonzero":
+        phi_hess[n - 1, 0] = 5e-324
     S = curvature(f, phi_hess)
     expected = _curvature_formula(f, phi_hess)
-    if phi == "stride-0 zero" and read_only and np.array_equal(f, f.T):
+    if (phi in ("stride-0 zero", "zeros", "read-only zeros", "signed zeros") and read_only
+            and np.array_equal(f, f.T)):
         assert S is f
         assert np.array_equal(S, expected)
     else:
