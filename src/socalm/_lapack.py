@@ -1,16 +1,17 @@
-"""The five compiled LAPACK and BLAS routines the package calls, loaded
+"""The three compiled LAPACK and BLAS routines of the Newton step, loaded
 from scipy's f2py extension modules without importing `scipy.linalg`.
 
 `import scipy.linalg` costs about 0.23 s and 17 MB per process, mostly
-scipy's array-API layer, for five routines: `dpotrf`, `dtrtrs` and
-`dsyr2k` in the Newton step (`alm`, `lagrangian`), `dgesdd` and its
-workspace query behind the kernel bases of `variational`.  This module
-loads `scipy/linalg/_flapack` and `_fblas` as anonymous extension
-modules: neither enters `sys.modules` and `scipy/linalg/__init__.py`
-never runs.  The functions are the ones `scipy.linalg.lapack` and
-`scipy.linalg.blas` re-export, so every result keeps its bits.  It is the
-only module of the package that names scipy; `tests/test_lapack.py`
-checks that and fails with the missing name if scipy renames a wrapper.
+scipy's array-API layer, for three routines: the in-place Cholesky
+`dpotrf`, the triangular solve `dtrtrs` and the rank-2k update `dsyr2k`
+(`alm`, `lagrangian`).  Every other decomposition of the package is
+numpy's.  This module loads `scipy/linalg/_flapack` and `_fblas` as
+anonymous extension modules: neither enters `sys.modules` and
+`scipy/linalg/__init__.py` never runs.  The functions are the ones
+`scipy.linalg.lapack` and `scipy.linalg.blas` re-export, so every result
+keeps its bits.  It is the only module of the package that names scipy;
+`tests/test_lapack.py` checks that and fails with the missing name if
+scipy renames a wrapper.
 """
 
 import os
@@ -43,5 +44,4 @@ def _extension(name: str):
 
 _flapack, _fblas = _extension("_flapack"), _extension("_fblas")
 dpotrf, dtrtrs = _flapack.dpotrf, _flapack.dtrtrs
-dgesdd, dgesdd_lwork = _flapack.dgesdd, _flapack.dgesdd_lwork
 dsyr2k = _fblas.dsyr2k

@@ -234,12 +234,13 @@ def _project_polar(y: np.ndarray, rnorm: float | None = None) -> np.ndarray:
 
 def _project_q_rows(Y: np.ndarray) -> np.ndarray:
     """`_project_q` applied to every row of a finite (k, m+1) array.  A
-    row whose squared space norm overflows takes `_norm`'s scaled norm;
-    the other rows keep numpy's."""
+    row whose squared space norm overflows takes `_checked_rnorm`'s scaled
+    norm, or NonFiniteError where ||y_r|| itself overflows; the other rows
+    keep numpy's."""
     y0 = Y[:, 0]
     rnorm = np.linalg.norm(Y[:, 1:], axis=1)
     for i in np.flatnonzero(rnorm == math.inf):
-        rnorm[i] = _norm(Y[i, 1:])
+        rnorm[i] = _checked_rnorm(Y[i], "the space norm ||y_r|| of a row overflows")
     out = Y.copy()
     out[(rnorm > y0) & (rnorm <= -y0)] = 0.0
     outside = rnorm > np.abs(y0)

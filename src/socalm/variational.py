@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
-from ._lapack import dgesdd, dgesdd_lwork
 from .cone import (ConeRegion, _classify, _norm, _positive, _tilde, as_cone_vec,
                    in_normal_cone, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, curvature, hessian_lagrangian
@@ -230,38 +228,15 @@ class SoscReport:
 
 
 def _floor(s: np.ndarray, shape) -> float:
-    """`null_space`'s rank rule: below it |s| counts as 0 in a `shape` matrix."""
+    """numpy `matrix_rank`'s rule: below it |s| counts as 0 in a `shape` matrix."""
     return float(np.abs(s).max(initial=0.0)) * EPS * max(shape)
-
-
-def _gesdd(B: np.ndarray, compute_uv: int):
-    """(s, V') of B from LAPACK's gesdd in `_lapack`, with full U and V'
-    (compute_uv = 1) or the singular values alone (0, V' a placeholder),
-    and the workspace its query returns (its size can change the
-    rounding); a non-finite B raises ValueError."""
-    B = np.asarray_chkfinite(B)
-    work, info = dgesdd_lwork(*B.shape, compute_uv=compute_uv, full_matrices=1)
-    if info:
-        raise ValueError(f"gesdd workspace query failed: {info}")
-    _, s, vh, info = dgesdd(B, compute_uv=compute_uv, lwork=int(work), full_matrices=1)
-    if info > 0:
-        raise LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
-    return s, vh
-
-
-def _rank(B: np.ndarray) -> int:
-    """The rank of B under `_floor`, from its singular values alone."""
-    s = _gesdd(B, 0)[0]
-    return int(np.count_nonzero(s > _floor(s, B.shape)))
 
 
 def _kernel_split(B: np.ndarray):
     """(kernel, rows, s): orthonormal column bases of ker B and of B's row
-    space, and B's singular values on the latter, from one full SVD
-    (`_gesdd`)."""
-    s, vh = _gesdd(B, 1)
+    space, and B's singular values on the latter, from one full SVD (numpy's
+    `svd`, rank by `_floor`); a non-finite B raises ValueError."""
+    _, s, vh = np.linalg.svd(np.asarray_chkfinite(B))
     rank = np.count_nonzero(s > _floor(s, B.shape))
     return vh[rank:].T, vh[:rank].T, s[:rank]
 
@@ -424,7 +399,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
 
     # the rank first, from the singular values alone: ker JPhi' = {0} is
     # the common case, and the full SVD would form n x n left vectors
-    if _rank(J.T) == J.shape[0]:
+    if np.linalg.matrix_rank(J.T) == J.shape[0]:
         return True, None
     kernel = _kernel_split(J.T)[0]  # subspace of R^(m+1)
 

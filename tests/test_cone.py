@@ -309,6 +309,36 @@ def test_row_kernels_where_the_squared_norm_overflows():
     assert_allclose(Pq[:2], [[2e160, 1e160, 0.0], [1e160, 1e160, 0.0]], rtol=1e-15)
 
 
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**20), m=st.integers(1, 6), k=st.integers(1, 8),
+       # from 1e300 up to the largest float: rows whose ||y_r|| lies near
+       # the largest float, on either side
+       log_a=st.floats(-3.0, 3.0) | st.floats(300.0, 308.25))
+def test_row_kernel_agrees_with_the_checked_norm_row_by_row(seed, m, k, log_a):
+    """`_project_q_rows` rejects a batch with NonFiniteError exactly where
+    `_checked_rnorm` rejects one of its rows (||y_r|| overflows), and
+    otherwise projects each row as `_project_q` projects it with that
+    norm, with no floating-point warning but the detected overflow of a
+    squared norm."""
+    rng = np.random.default_rng(seed)
+    Y = rng.uniform(-1.0, 1.0, (k, m + 1)) * 10.0 ** log_a
+    with np.errstate(over="ignore"):
+        rnorms = []
+        for y in Y:
+            try:
+                rnorms.append(cone._checked_rnorm(y, "point"))
+            except cone.NonFiniteError:
+                rnorms.append(None)
+        if None in rnorms:
+            with pytest.raises(cone.NonFiniteError, match="overflows"):
+                cone._project_q_rows(Y)
+        kept = [i for i, rnorm in enumerate(rnorms) if rnorm is not None]
+        Pq = cone._project_q_rows(Y[kept])
+        for y, pq, i in zip(Y[kept], Pq, kept):
+            expected = cone._project_q(y, rnorms[i])
+            assert np.abs(pq - expected).max() <= 4 * np.finfo(float).eps * np.abs(y).max()
+
+
 @pytest.mark.parametrize("middle", [1e300, 0.0])
 def test_projections_where_y0_plus_the_space_norm_overflows(middle):
     """At y = (1.5e308, middle, 1.6e308), outside both cones, y0 + ||yr||

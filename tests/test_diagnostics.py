@@ -116,6 +116,18 @@ def test_error_bound_degenerate_report():
             verify_error_bound(p, 1e-2, samples, seed=0)
 
 
+def test_error_bound_rejects_a_sampled_point_whose_space_norm_overflows():
+    """Phi(x) = (0, 1.2e308 + 3e307 x, 1.2e308 + 3e307 x) has finite entries
+    over the unit ball, but ||Phi_r|| passes the largest float for x above
+    about 0.24: the sampler stops with NonFiniteError there instead of
+    skipping the NaN residual of that row."""
+    p = quadratic_problem(np.eye(1), np.zeros(1), 0.0, [[0.0], [3e307], [3e307]],
+                          [0.0, 1.2e308, 1.2e308],
+                          known_solution=KktPoint(np.zeros(1), np.zeros(3)))
+    with pytest.raises(socalm.NonFiniteError, match="overflows"):
+        verify_error_bound(p, 1.0, 50, seed=0)
+
+
 def test_growth_positive_on_planted_sosc_problem():
     p = generate_planted(3, 2, ConeRegion.BOUNDARY_Q_NONZERO, seed=1)
     rep = certify_growth(p, [1.0, 10.0])

@@ -1,6 +1,8 @@
 """The LAPACK and BLAS routines of `socalm._lapack`: the package runs every
-command without importing `scipy.linalg`, and each routine returns the
-bits of the one `scipy.linalg` exports."""
+command without importing `scipy.linalg`, and each routine of the Newton
+step returns the bits of the one `scipy.linalg` exports.  The kernel
+bases of `variational` come from numpy's SVD, checked here by the
+properties the certificates read."""
 
 import json
 import os
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import socalm
 from socalm import _lapack
-from socalm.variational import _floor, _kernel_split
+from socalm.variational import EPS, _kernel_split
 
 # Each command once, with its expected exit code; WHOLE_CONE stands for a
 # problem file whose critical cone at --x and a zero multiplier is all of Q.
@@ -72,7 +74,7 @@ def test_only_lapack_module_names_scipy():
 
 
 @pytest.mark.parametrize("module, names", [
-    (scipy.linalg.lapack, ["dpotrf", "dtrtrs", "dgesdd", "dgesdd_lwork"]),
+    (scipy.linalg.lapack, ["dpotrf", "dtrtrs"]),
     (scipy.linalg.blas, ["dsyr2k"]),
 ])
 def test_scipy_still_exports_each_routine(module, names):
@@ -80,6 +82,12 @@ def test_scipy_still_exports_each_routine(module, names):
     for name in names:
         assert hasattr(module, name), f"{module.__name__} has no {name}"
         assert hasattr(_lapack, name)
+
+
+def test_lapack_holds_only_the_newton_steps_routines():
+    routines = sorted(name for name, value in vars(_lapack).items()
+                      if type(value).__name__ == "fortran")   # f2py's routine type
+    assert routines == ["dpotrf", "dsyr2k", "dtrtrs"]
 
 
 def test_numpy_linalg_error_is_scipys():
@@ -123,14 +131,6 @@ def test_potrf_and_trtrs_match_scipy_bitwise(n, order, seed):
             _same("dtrtrs", c, b, lower=1, trans=trans)
 
 
-@given(sizes, sizes, orders, seeds)
-def test_gesdd_matches_scipy_bitwise(m, n, order, seed):
-    a = _matrix(m, n, order, np.random.default_rng(seed))
-    work, _ = _same("dgesdd_lwork", m, n, compute_uv=1, full_matrices=1)
-    *_, info = _same("dgesdd", a, compute_uv=1, lwork=int(work), full_matrices=1)
-    assert info == 0
-
-
 @given(sizes, st.integers(1, 4), orders, seeds)
 def test_syr2k_matches_scipy_bitwise(n, k, order, seed):
     rng = np.random.default_rng(seed)
@@ -138,23 +138,29 @@ def test_syr2k_matches_scipy_bitwise(n, k, order, seed):
     _same("dsyr2k", 0.5, X, Y, beta=1.0, c=C, trans=1, lower=1)
 
 
-def _reference_split(B):
-    """`_kernel_split` through scipy.linalg.svd."""
-    _, s, vh = scipy.linalg.svd(B)
-    rank = np.count_nonzero(s > _floor(s, B.shape))
-    return vh[rank:].T, vh[:rank].T, s[:rank]
-
-
 @given(sizes, sizes, st.integers(0, 40), orders, seeds)
-def test_kernel_split_matches_scipy_svd_bitwise(m, n, rank, order, seed):
+def test_kernel_split_is_an_orthonormal_split_of_b(m, n, rank, order, seed):
     """Tall, wide and one-row B, of full rank, of rank at most `rank`, and
-    zero."""
+    zero: the kernel and row bases together are an orthonormal basis of
+    R^n, the rank is numpy's `matrix_rank` and the singular values are
+    scipy's to rounding.  B maps the kernel to at most its SVD's backward
+    error plus the dropped singular values, each a multiple of
+    max(m, n) eps ||B||_2, which holds for any LAPACK build."""
     rng = np.random.default_rng(seed)
     rank = min(rank, m, n)
     B = np.asarray(_matrix(m, rank, "C", rng) @ _matrix(rank, n, "C", rng), order=order)
     for case in (B, _matrix(m, n, order, rng), _matrix(1, n, order, rng),
                  np.zeros((m, n), order=order)):
-        assert _bits(_kernel_split(case)) == _bits(_reference_split(case))
+        kernel, rows, s = _kernel_split(case)
+        basis = np.hstack([kernel, rows])
+        bound = 4.0 * max(case.shape) * EPS
+        assert basis.shape == (n, n)
+        assert np.abs(basis.T @ basis - np.eye(n)).max() <= bound
+        reference = scipy.linalg.svd(case, compute_uv=False)
+        top = reference[0]
+        assert np.linalg.norm(case @ kernel, 2) <= bound * top
+        assert s.size == np.linalg.matrix_rank(case)
+        assert np.abs(s - reference[:s.size]).max(initial=0.0) <= bound * top
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

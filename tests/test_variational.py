@@ -13,7 +13,7 @@ from scipy.linalg import null_space
 
 from socalm import ConeRegion, builtin, certify_growth, generate_planted, quadratic_problem
 from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
-                                _growth_pair, _kernel_split, _kkt_data, _penalty_split, _rank,
+                                _growth_pair, _kernel_split, _kkt_data, _penalty_split,
                                 check_dual_qualification, check_sosc, critical_cone,
                                 d2_aug_lagrangian, d2_indicator_q,
                                 difference_quotient_oracle, dist2_critical,
@@ -757,16 +757,16 @@ def test_dual_qualification_rank_deficient_vertex():
 @given(seed=st.integers(0, 2**20), rows=st.integers(1, 12), cols=st.integers(1, 12),
        rank=st.integers(0, 12), log_scale=st.floats(-100.0, 100.0))
 def test_rank_from_singular_values_alone_is_the_kernel_splits(seed, rows, cols, rank, log_scale):
-    """`_rank`, which dualqual reads before any basis, counts the rank of
-    the full SVD's `_kernel_split` on products of Gaussian factors of
-    every rank and scale, so a trivial kernel is decided without forming
-    the n x n left vectors."""
+    """numpy's `matrix_rank`, which dualqual reads before any basis, counts
+    the rank of the full SVD's `_kernel_split` on products of Gaussian
+    factors of every rank and scale, so a trivial kernel is decided
+    without forming the n x n left vectors."""
     rng = np.random.default_rng(seed)
     k = min(rank, rows, cols)
     B = 10.0 ** log_scale * rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
     kernel, basis, _ = _kernel_split(B)
-    assert _rank(B) == basis.shape[1] == cols - kernel.shape[1]
-    assert _rank(B.T) == _kernel_split(B.T)[1].shape[1]
+    assert np.linalg.matrix_rank(B) == basis.shape[1] == cols - kernel.shape[1]
+    assert np.linalg.matrix_rank(B.T) == _kernel_split(B.T)[1].shape[1]
 
 
 def test_dual_qualification_and_calmness_share_the_kernel_threshold():
