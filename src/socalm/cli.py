@@ -222,8 +222,9 @@ def cmd_rate(args) -> int:
         raise ValueError("rate estimation needs a problem with a known solution")
     rng = np.random.default_rng(args.seed or 0)
     step = rng.standard_normal(problem.n + problem.m + 1)
-    step *= (1e-2 if args.offset is None else args.offset) / np.linalg.norm(step)
-    x0, lam0 = _start(args, sol.x + step[:problem.n], sol.lam + step[problem.n:])
+    with np.errstate(over="ignore"):  # a start past the largest float: alm.solve rejects it
+        step *= (1e-2 if args.offset is None else args.offset) / np.linalg.norm(step)
+        x0, lam0 = _start(args, sol.x + step[:problem.n], sol.lam + step[problem.n:])
 
     rows = []
     for rho, cfg in zip(rho_list, configs):

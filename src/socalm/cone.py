@@ -12,25 +12,24 @@ and seeds nonnegative integers, counts integers at least their floor (1
 for samples, n and m) and points finite.  NaN fails each; a ValueError
 (`NonFiniteError` for a point) names the argument.
 
-The public kernels validate their input through `as_cone_vec`.  Only
-where an internal caller needs it (the solver's hot path, which checks
-each evaluated point once, and the certificates) does a kernel have an
-unchecked twin (leading underscore) that expects a finite float vector of
-length >= 2; `_project_q_rows` takes the rows of a (k, m+1) array.  The
-hot path checks a point and forms its space-block norm ||yr|| in one pass
-(`_checked_rnorm`) and hands that norm to the unchecked kernels, which
-otherwise form it themselves.  The generalized Jacobian of the polar
-projection is also available by structure (`_polar_jacobian_parts`: a
-multiple of the identity plus a rank-2 term), from which the dense
-matrix is built.  The projections and that Jacobian split y by exact
-comparisons of ||yr|| with +-y0; only `classify` has a tolerance.
+The public kernels validate their input through `as_cone_vec` and form
+||yr|| once, checked (`_checked_rnorm`).  Where an internal caller
+needs it (the solver's hot path and the certificates), a kernel has an
+unchecked twin (leading underscore) that takes a finite float vector of
+length >= 2 and, where it reads ||yr||, that checked norm;
+`_project_q_rows` checks the rows of a (k, m+1) array itself, and
+`_polar_jacobian_parts` gives the generalized Jacobian of the polar
+projection by structure (identity plus rank 2).  The projections and
+that Jacobian split y by exact comparisons of ||yr|| with +-y0; only
+`classify` and `in_normal_cone` have a tolerance.
 
 Norms are finite for every finite vector whose norm is below the largest
 float: where the square of a norm overflows, the kernels scale by the
-largest entry (`_norm`).  `_checked_rnorm` rejects a point whose ||yr||
-itself overflows, and the projections halve y0 and ||yr|| before adding
-them, so every projection of a point it accepts is finite.  The public
-kernels run with numpy's overflow warning off, since forming that
+largest entry (`_norm`).  A point whose ||yr|| overflows is rejected
+(NonFiniteError), and so is one whose ||y|| scales a tolerance and
+overflows (`_finite_norm`).  The projections halve y0 and ||yr|| before
+adding them, so every projection of an accepted point is finite.  The
+public kernels run with numpy's overflow warning off, since forming that
 square is how the overflow is detected.
 """
 
@@ -44,6 +43,7 @@ import numpy as np
 
 # `classify`'s default absolute tolerance, scaled by max(1, ||y||).
 TAU_CONE = 1e-12
+_RNORM_OVERFLOWS = "the space norm ||y_r|| of a cone vector overflows"
 
 
 class ConeRegion(enum.Enum):
@@ -137,6 +137,14 @@ def _checked_rnorm(y: np.ndarray, message: str) -> float:
     raise NonFiniteError(message)
 
 
+def _finite_norm(v: np.ndarray, message: str) -> float:
+    """`_norm(v)` of a finite v, or NonFiniteError(message) where it overflows."""
+    nrm = _norm(v)
+    if nrm == math.inf:
+        raise NonFiniteError(message)
+    return nrm
+
+
 def tilde(y) -> np.ndarray:
     """Reflection (y0, yr) -> (-y0, yr); an involution."""
     return _tilde(as_cone_vec(y))
@@ -154,13 +162,14 @@ def classify(y, tol: float = TAU_CONE) -> ConeRegion:
 
     The six regions are decided from the signs of ||yr|| - y0 and
     ||yr|| + y0 against tol * max(1, ||y||); exactly one region matches.
+    A y whose norm ||y|| overflows raises NonFiniteError.
     """
     _nonnegative("tol", tol)
     return _classify(as_cone_vec(y), tol)
 
 
 def _classify(y: np.ndarray, tol: float) -> ConeRegion:
-    nrm = _norm(y)
+    nrm = _finite_norm(y, "the norm ||y|| of a cone vector overflows")
     t = tol * max(1.0, nrm)
     if nrm <= t:
         return ConeRegion.ZERO
@@ -185,19 +194,18 @@ def project_q(y) -> np.ndarray:
     Returns y inside Q, 0 inside -Q and otherwise the boundary point
     ((y0 + ||yr||) / 2) * (1, yr / ||yr||).
     """
-    return _project_q(as_cone_vec(y))
+    y = as_cone_vec(y)
+    return _project_q(y, _checked_rnorm(y, _RNORM_OVERFLOWS))
 
 
-def _project_q(y: np.ndarray, rnorm: float | None = None) -> np.ndarray:
-    """`project_q` of a finite y, with rnorm = ||yr|| where the caller has
-    it.  The boundary point's coefficient (y0 + ||yr||)/2 is formed as
-    y0/2 + ||yr||/2, which cannot overflow.  It has the bits of the
-    direct formula wherever that sum is finite: halving is exact but for
-    |y0| below twice the smallest normal float, and such a y0 lies below
-    half an ulp of ||yr||, which outside both cones is nonzero and so at
-    least about 1e-162."""
-    if rnorm is None:
-        rnorm = _norm(y[1:])
+def _project_q(y: np.ndarray, rnorm: float) -> np.ndarray:
+    """`project_q` of a finite y with rnorm = ||yr||.  The boundary
+    point's coefficient (y0 + ||yr||)/2 is formed as y0/2 + ||yr||/2,
+    which cannot overflow.  It has the bits of the direct formula
+    wherever that sum is finite: halving is exact but for |y0| below twice
+    the smallest normal float, and such a y0 lies below half an ulp of
+    ||yr||, which outside both cones is nonzero and so at least about
+    1e-162."""
     if rnorm <= y[0]:
         return y.copy()
     if rnorm <= -y[0]:
@@ -212,15 +220,14 @@ def _project_q(y: np.ndarray, rnorm: float | None = None) -> np.ndarray:
 @np.errstate(over="ignore")
 def project_polar(y) -> np.ndarray:
     """Euclidean projection onto -Q, with the bits of y - project_q(y)."""
-    return _project_polar(as_cone_vec(y))
+    y = as_cone_vec(y)
+    return _project_polar(y, _checked_rnorm(y, _RNORM_OVERFLOWS))
 
 
-def _project_polar(y: np.ndarray, rnorm: float | None = None) -> np.ndarray:
-    """`project_polar` of a finite y, with rnorm = ||yr|| where the caller
-    has it: bit for bit y - _project_q(y), formed directly as zeros inside
-    Q, a copy of y inside -Q and y minus the boundary point elsewhere."""
-    if rnorm is None:
-        rnorm = _norm(y[1:])
+def _project_polar(y: np.ndarray, rnorm: float) -> np.ndarray:
+    """`project_polar` of a finite y with rnorm = ||yr||: bit for bit
+    y - _project_q(y, rnorm), formed directly as zeros inside Q, a copy of
+    y inside -Q and y minus the boundary point elsewhere."""
     if rnorm <= y[0]:
         return np.zeros(y.size)
     if rnorm <= -y[0]:
@@ -262,7 +269,7 @@ def jacobian_project_polar(y) -> np.ndarray:
     Hessian assembly.
     """
     y = as_cone_vec(y)
-    alpha, u, r = _polar_jacobian_parts(y)
+    alpha, u, r = _polar_jacobian_parts(y, _checked_rnorm(y, _RNORM_OVERFLOWS))
     out = alpha * np.eye(y.size)
     if u is not None:
         out[0, 0] = 0.5
@@ -272,9 +279,9 @@ def jacobian_project_polar(y) -> np.ndarray:
     return out
 
 
-def _polar_jacobian_parts(y: np.ndarray, rnorm: float | None = None):
-    """The generalized Jacobian V of the polar projection at y, returned
-    by structure as (alpha, u, r); rnorm is ||yr|| where the caller has it.
+def _polar_jacobian_parts(y: np.ndarray, rnorm: float):
+    """The generalized Jacobian V of the polar projection at a finite y
+    with rnorm = ||yr||, returned by structure as (alpha, u, r).
 
     The region is decided by the comparisons `_project_q` makes.  When u
     is None, V = alpha I and r is None too: alpha = 1 inside -Q and 0
@@ -288,8 +295,6 @@ def _polar_jacobian_parts(y: np.ndarray, rnorm: float | None = None):
     J. Optim. 20, 2009) with eigenvalues alpha, 0 and 1.  This is the one
     place where the kink selection is decided.
     """
-    if rnorm is None:
-        rnorm = _norm(y[1:])
     if rnorm < -y[0]:
         return 1.0, None, None
     if rnorm < y[0] or rnorm == 0.0:
@@ -302,14 +307,19 @@ def _polar_jacobian_parts(y: np.ndarray, rnorm: float | None = None):
 def in_normal_cone(lam, y, tol: float = 1e-10) -> bool:
     """Whether lam lies in the normal cone to Q at y (projection test).
 
-    Uses the characterization lam in N_Q(y) iff project_q(y + lam) = y.
-    Raises if y itself is farther than tol from Q.
+    Uses the characterization lam in N_Q(y) iff project_q(y + lam) = y,
+    with both tests scaled by max(1, ||y||) (the second by ||lam|| too).
+    Raises ValueError if y is farther than tol from Q, after a
+    NonFiniteError where ||y||, ||lam|| or ||(y + lam)_r|| overflows.
     """
     _nonnegative("tol", tol)
     lam, y = as_cone_vec(lam), as_cone_vec(y)
     if lam.size != y.size:
         raise ValueError("dimension mismatch between lam and y")
-    scale = max(1.0, _norm(y))
-    if _norm(y - _project_q(y)) > tol * scale:
+    scale = max(1.0, _finite_norm(y, "the norm ||y|| of the base point overflows"))
+    lam_norm = _finite_norm(lam, "the norm ||lam|| of the multiplier overflows")
+    shifted = y + lam
+    shifted_rnorm = _checked_rnorm(shifted, "the point y + lam overflows")
+    if _norm(y - _project_q(y, _checked_rnorm(y, _RNORM_OVERFLOWS))) > tol * scale:
         raise ValueError("base point is not in the cone within tolerance")
-    return _norm(_project_q(y + lam) - y) <= tol * max(scale, _norm(lam))
+    return _norm(_project_q(shifted, shifted_rnorm) - y) <= tol * max(scale, lam_norm)

@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cone import (ConeRegion, _classify, _norm, _positive, _tilde, as_cone_vec,
-                   in_normal_cone, project_polar)
+from .cone import (ConeRegion, _classify, _finite_norm, _norm, _positive, _tilde,
+                   as_cone_vec, in_normal_cone, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, curvature, hessian_lagrangian
 from .model import SocpProblem
 
@@ -345,9 +345,11 @@ def _kkt_data(p: SocpProblem, xbar, lams):
     x, lam, _, phi, J = _pair(p, xbar, lams[0])
     lams = [lam] + [p.check_dims(x, other)[1] for other in lams[1:]]
     grad = p.f_grad(x)
+    x_norm = _finite_norm(x, "the norm ||x|| of the primal point overflows")
     for lam in lams:
         res = _kkt_residual(phi, J, grad, lam)
-        if not res <= KKT_TOL * max(1.0, _norm(x), _norm(lam)):
+        lam_norm = _finite_norm(lam, "the norm ||lam|| of the multiplier overflows")
+        if not res <= KKT_TOL * max(1.0, x_norm, lam_norm):
             raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
     f_hess, out = p.f_hess(x), []
     for lam in lams:

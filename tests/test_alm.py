@@ -1131,7 +1131,7 @@ def test_multiplier_form_direction_equals_the_dense_one(seed, dims, side, c, del
     rho, lam = 10.0 ** log_rho, np.r_[SIDES[side](v, c, delta), v]
     ev = AugEval(p, np.zeros(n), lam, rho).complete()
     assert ev.shifted.tobytes() == lam.tobytes()
-    alpha, u, _ = parts = alm._polar_jacobian_parts(ev.shifted)
+    alpha, u, _ = parts = alm._polar_jacobian_parts(ev.shifted, ev.rnorm)
     assert (u is None) is (side in ("Q", "-Q", "band+", "band-"))
     assert 0.0 <= alpha <= 1.0
     state = alm.NewtonState()

@@ -570,6 +570,45 @@ def test_check_sosc_where_the_cone_norms_overflow(a, capsys):
     assert captured.out == "sosc holds=True modulus=1.000000e+00 method=ExactEigen\n"
 
 
+# A = 0 and b = (1.7e308, 1.7e308, 0): Phi(x) = b lies on the boundary of Q,
+# and ||b|| overflows
+HUGE_B_FILE = ('{"quadratic": {"P": [[1, 0], [0, 1]], "q": [0, 0], '
+               '"A": [[0, 0], [0, 0], [0, 0]], "b": [1.7e308, 1.7e308, 0]}}')
+PROJECTION = ["--problem", "builtin:projection"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # not a KKT pair: the residual (1.7e308, 1.7e308, 0) was tested against
+    # KKT_TOL ||x|| = inf
+    (["check", "sosc", *PROJECTION, "--x=1.7e308,1.7e308,0", "--lambda=0,0,0"],
+     "the norm ||x|| of the primal point overflows"),
+    # a boundary point of Q was classified Zero, a WholeConeQ case
+    (["check", "sosc", *PROJECTION, "--a=1.7e308,1.7e308,0"],
+     "the norm ||x|| of the primal point overflows"),
+    *[(["check", name, "--problem", "<huge-b.json>", "--x=0,0", "--lambda=0,0,0"],
+       "the norm ||y|| of the base point overflows") for name in ("sosc", "dualqual")],
+    # ||a_r|| overflows: the projection of a was NaN, with a warning
+    *[([*command, *PROJECTION, "--a", "0,1.7e308,1.7e308"],
+       "the space norm ||y_r|| of a cone vector overflows")
+      for command in (["solve"], ["rate", "--rho-list", "1"],
+                      *[["check", name] for name in ("sosc", "dualqual", "growth", "errorbound")])],
+], ids=["sosc-not-a-kkt-pair", "sosc-boundary-a", "sosc-file", "dualqual-file",
+        *[f"{name}-rnorm" for name in ("solve", "rate", "sosc", "dualqual", "growth",
+                                       "errorbound")]])
+def test_a_point_whose_norm_overflows_exit_two(argv, message, tmp_path, capsys):
+    """A point whose ||y_r||, or whose norm a tolerance scales by,
+    overflows is rejected on one `error:` line, with no warning."""
+    path = tmp_path / "huge-b.json"
+    path.write_text(HUGE_B_FILE)
+    argv = [str(path) if arg == "<huge-b.json>" else arg for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_check_growth_where_a_sample_row_norm_overflows(capsys):
     """At a = (2e160, 1e160, 0) the squared norms overflow; the modulus
     stays finite, with no warning."""

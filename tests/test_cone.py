@@ -281,9 +281,9 @@ def test_row_kernels_match_the_vector_kernels(seed, m, k, log_a):
         Pp = Y - Pq
         for y, pq, pp, pq2, pp2 in zip(Y, Pq, Pp, cone._project_q_rows(Pq),
                                        Pp - cone._project_q_rows(Pp)):
-            scale = max(1.0, cone._norm(y))
-            assert np.abs(pq - cone._project_q(y)).max() <= 1e-15 * scale
-            assert np.abs(pp - cone._project_polar(y)).max() <= 1e-15 * scale
+            scale, rnorm = max(1.0, cone._norm(y)), cone._checked_rnorm(y, "y")
+            assert np.abs(pq - cone._project_q(y, rnorm)).max() <= 1e-15 * scale
+            assert np.abs(pp - cone._project_polar(y, rnorm)).max() <= 1e-15 * scale
             # Moreau decomposition: y = pq + pp, pq in Q, pp in -Q, orthogonal
             assert np.abs(pq + pp - y).max() <= 1e-15 * scale
             assert cone._norm(pq[1:]) - pq[0] <= 1e-14 * scale
@@ -304,8 +304,9 @@ def test_row_kernels_where_the_squared_norm_overflows():
         Pq = cone._project_q_rows(Y)
         Pp = Y - Pq
         for y, pq, pp in zip(Y, Pq, Pp):
-            assert pq.tobytes() == cone._project_q(y).tobytes()
-            assert pp.tobytes() == cone._project_polar(y).tobytes()
+            rnorm = cone._checked_rnorm(y, "y")
+            assert pq.tobytes() == cone._project_q(y, rnorm).tobytes()
+            assert pp.tobytes() == cone._project_polar(y, rnorm).tobytes()
     assert_allclose(Pq[:2], [[2e160, 1e160, 0.0], [1e160, 1e160, 0.0]], rtol=1e-15)
 
 
@@ -379,14 +380,14 @@ def test_halved_boundary_coefficient_has_the_bits_of_the_direct_one(y0, rnorm, l
 def test_project_polar_is_y_minus_project_q_bit_for_bit(seed, m, case, log_a):
     """The polar projection formed directly (zeros inside Q, a copy of y
     inside -Q) has the bits of y - Pi_Q(y) in every region, on the
-    boundaries, the axes and at zero, with ||yr|| handed in or not."""
+    boundaries, the axes and at zero, with ||yr|| from `_norm` or from
+    `_checked_rnorm`."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
     y = ROW_CASES[case](10.0 ** log_a, w, rng.uniform(-0.9, 0.9), rng.uniform(0.1, 10.0))
     with np.errstate(over="ignore"):  # how the kernels detect an overflowing square
-        expected = (y - cone._project_q(y)).tobytes()
-        assert cone._project_polar(y).tobytes() == expected
+        expected = (y - cone._project_q(y, cone._norm(y[1:]))).tobytes()
         assert cone._project_polar(y, cone._norm(y[1:])).tobytes() == expected
         assert cone._project_polar(y, cone._checked_rnorm(y, "y")).tobytes() == expected
 
@@ -413,6 +414,101 @@ def test_checked_rnorm_verdict_is_that_of_isfinite(y):
         else:
             with pytest.raises(cone.NonFiniteError, match="^y$"):
                 cone._checked_rnorm(y, "y")
+
+
+# entries up to the largest float but one step short, so that ||y_r|| lies
+# on either side of the largest float
+HUGE_ENTRY = st.floats(-1.7e308, 1.7e308) | st.sampled_from([1.7e308, -1.7e308, 1.2e308,
+                                                             -1.2e308, 1e154, 0.0])
+# finite points whose ||y_r|| overflows, and points on the boundaries of Q
+# and of -Q whose ||y|| overflows
+OVERFLOWING = [[0.0, 1.7e308, 1.7e308], [1.7e308, 1.7e308, 0.0], [-1.7e308, 1.7e308, 0.0]]
+
+
+@st.composite
+def huge_pairs(draw):
+    size = draw(st.integers(2, 5))
+    return tuple(draw(arrays(np.float64, size, elements=HUGE_ENTRY)) for _ in range(2))
+
+
+def _checked_or_none(y):
+    try:
+        return cone._checked_rnorm(y, "y")
+    except cone.NonFiniteError:
+        return None
+
+
+@settings(max_examples=400)
+@given(pair=huge_pairs())
+@example(pair=(np.array(OVERFLOWING[0]), np.array([1.0, 0.0, 0.0])))
+@example(pair=(np.array(OVERFLOWING[1]), np.array([1.0, 0.0, 0.0])))
+@example(pair=(np.array(OVERFLOWING[2]), np.array([1.0, 0.0, 0.0])))
+def test_public_kernels_take_the_checked_norm_or_reject_the_point(pair):
+    """Each public kernel returns the bytes of its twin on `_checked_rnorm`'s
+    ||y_r||, or raises NonFiniteError exactly where `_checked_rnorm` does.
+    `classify` also raises where ||y|| overflows, and `in_normal_cone`
+    where ||y||, ||lam|| or the space norm of y + lam does, at y, at
+    Pi_Q(y) and at the Moreau pair (Pi_-Q(y), Pi_Q(y)), which lies in the
+    normal cone.  No warning escapes: the suite turns warnings into errors."""
+    y, lam = pair
+    with np.errstate(over="ignore"):  # how the kernels detect an overflowing square
+        rnorm, ynorm = _checked_or_none(y), cone._norm(y)
+    if ynorm == math.inf:
+        with pytest.raises(cone.NonFiniteError, match="overflows"):
+            cone.classify(y)
+    else:
+        assert isinstance(cone.classify(y), ConeRegion)
+    kernels = (cone.project_q, cone.project_polar, cone.jacobian_project_polar)
+    if rnorm is None:
+        for kernel in kernels:
+            with pytest.raises(cone.NonFiniteError, match="overflows"):
+                kernel(y)
+        tests = [(lam, y)]
+    else:
+        pq, pp, V = (kernel(y) for kernel in kernels)
+        assert pq.tobytes() == cone._project_q(y, rnorm).tobytes()
+        assert pp.tobytes() == cone._project_polar(y, rnorm).tobytes()
+        alpha, u, r = cone._polar_jacobian_parts(y, rnorm)
+        expected = alpha * np.eye(y.size)
+        if u is not None:  # alpha I + E C E', E = [e0, (0, u)]
+            E = np.zeros((y.size, 2))
+            E[0, 0], E[1:, 1] = 1.0, u
+            expected += E @ (0.5 * np.array([[r, -1.0], [-1.0, r]])) @ E.T
+        assert np.isfinite(V).all()
+        assert_allclose(V, expected, rtol=0.0, atol=1e-15)
+        tests = [(lam, y), (lam, pq), (pp, pq)]
+    for mult, base in tests:
+        with np.errstate(over="ignore"):
+            rejected = (math.inf in (cone._norm(base), cone._norm(mult))
+                        or None in (_checked_or_none(base), _checked_or_none(base + mult)))
+        if rejected:
+            with pytest.raises(cone.NonFiniteError, match="overflows"):
+                cone.in_normal_cone(mult, base)
+            continue
+        try:
+            verdict = cone.in_normal_cone(mult, base)
+        except ValueError as exc:  # the base point lies outside Q
+            assert not isinstance(exc, cone.NonFiniteError) and base is y
+            continue
+        if mult is pp:
+            assert verdict
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cone.project_q(OVERFLOWING[0]),
+    lambda: cone.project_polar(OVERFLOWING[0]),
+    lambda: cone.jacobian_project_polar(OVERFLOWING[0]),
+    *[lambda y=y: cone.classify(y) for y in OVERFLOWING],
+    lambda: cone.in_normal_cone([1.0, 0.0, 0.0], OVERFLOWING[1]),
+    lambda: cone.in_normal_cone([-1.7e308, 1.7e308, 0.0], [0.0, 0.0, 0.0]),
+], ids=["project_q", "project_polar", "jacobian", "classify-rnorm", "classify-boundary-q",
+        "classify-boundary-polar", "normal-cone-y", "normal-cone-lam"])
+def test_a_point_whose_norm_overflows_is_rejected(call):
+    """Where a norm overflows, the projections return no NaN, `classify`
+    calls no point Zero, and `in_normal_cone` accepts no multiplier inside
+    Q: each raises NonFiniteError."""
+    with pytest.raises(cone.NonFiniteError, match="overflows$"):
+        call()
 
 
 # near-boundary rows: a boundary point of Q or -Q moved by less than the
