@@ -26,8 +26,8 @@ memory = 0.
 
 The Newton step (`_newton_direction`) solves with the generalized
 Hessian H = S + rho JPhi' V JPhi in one of two spaces.  At large n, where
-S and JPhi are the same read-only arrays at every step, S is positive
-definite and m + 1 < n, every step is solved in the (m+1)-dimensional
+S and JPhi repeat at every step (the rule in `model.SocpProblem`), S is
+positive definite and m + 1 < n, every step is solved in the (m+1)-dimensional
 multiplier space (`MultiplierForm`), whose directions equal the dense
 ones up to rounding, and no n x n matrix but S is factored.  That gains
 where a solve takes many steps outside both cones, and costs up to a
@@ -53,7 +53,7 @@ from ._lapack import dpotrf, dsyr2k, dtrtrs
 from .cone import (_at_least, _finite, _nonnegative, _norm, _polar_jacobian_parts, _positive,
                    as_cone_vec)
 from .lagrangian import AugEval, NonFiniteError, _gap_norm, curvature, hessian_upper, shift
-from .model import KktPoint, SocpProblem
+from .model import KktPoint, SocpProblem, _held
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ class MultiplierForm:
 class NewtonState:
     """The Newton data one solve keeps from step to step: the curvature
     triple (Hess f, <mu, Hess Phi>, S = sym(Hess f + <mu, Hess Phi>)) and
-    the JPhi of the last step, and what is formed from that S and JPhi:
+    the held JPhi (`model._held`), and what is formed from that S and JPhi:
     the `MultiplierForm` where it applies, and for the dense path the
     Gram matrix G = JPhi' JPhi and the kept dense factor (rho alpha,
     Cholesky factor of (rho alpha) G + S), each None until formed.
@@ -314,10 +314,9 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     attempts; None when every attempt fails.  Raises NonFiniteError on a
     non-finite Hessian.
 
-    S is formed again when either Hessian oracle returns a different
-    array or a writeable one, and JPhi is new under the same rule for
-    `phi_jac`; for the quadratic and builtin problems, which return the
-    same read-only arrays, each is held for the whole solve.  A new S or
+    S is formed again unless both Hessian oracle results repeat the held
+    ones, and JPhi is new unless the `phi_jac` result repeats the held
+    JPhi, by the rule in `model.SocpProblem` (`model._held`).  A new S or
     JPhi drops everything formed from the old ones: the multiplier form,
     G and the kept factor.
 
@@ -345,11 +344,10 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     parts = alpha, u, _ = _polar_jacobian_parts(ev.shifted, ev.rnorm)
     m1, n = jac.shape
     curv = state.curv
-    if (curv is None or curv[0] is not f_hess or curv[1] is not phi_hess
-            or f_hess.flags.writeable or phi_hess.flags.writeable):
+    if curv is None or not (_held(f_hess, curv[0]) and _held(phi_hess, curv[1])):
         state.curv = curv = (f_hess, phi_hess, curvature(f_hess, phi_hess))
         state.jac = None   # drops, below, what the old S formed
-    if state.jac is not jac or jac.flags.writeable:
+    if not _held(jac, state.jac):
         state.jac, state.G, state.chol, state.reduced = jac, None, None, None
         # the set-up costs more than a dense step, so it is built only for
         # an S and a JPhi that can repeat
@@ -403,9 +401,8 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
 
         4 eps (||grad f|| + ||JPhi||_F (rho (||JPhi||_F ||x|| + ||Phi||) + ||lam||)),
 
-    with ||lam|| formed once per solve and ||JPhi||_F again only where
-    JPhi is a different array or a writeable one (`_newton_direction`'s
-    rule), so each test costs three vector norms.
+    with ||lam|| formed once per solve and ||JPhi||_F again only for a
+    new JPhi (`model._held`), so each test costs three vector norms.
 
     Returns (evaluation at the final x, grad_norm, iters); each accepted
     point is evaluated once, and a line-search trial only by value.  A
@@ -420,7 +417,7 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
         grad_norm = math.sqrt(ev.grad_x.dot(ev.grad_x))
         if not math.isfinite(grad_norm):
             raise InnerFailure(f"non-finite gradient (iteration {it})", x, grad_norm, it)
-        if ev.jac is not jac or jac.flags.writeable:
+        if not _held(ev.jac, jac):
             jac, jac_norm = ev.jac, _norm(ev.jac.ravel())
         if grad_norm <= eps_k or grad_norm <= 4.0 * EPS * (_norm(ev.fgrad) + jac_norm * (
                 rho * (jac_norm * _norm(x) + _norm(ev.phi)) + lam_norm)):

@@ -7,10 +7,12 @@ the "space" block yr.  Everything here is a pure function of its inputs.
 
 The package's argument rules live here; every public function applies them
 once, at its entry.  Penalties, steps, radii and the outer tolerance are
-positive and finite, other tolerances nonnegative, iteration budgets
-and seeds nonnegative integers, counts integers at least their floor (1
-for samples, n and m) and points finite.  NaN fails each; a ValueError
-(`NonFiniteError` for a point) names the argument.
+positive and finite, other tolerances nonnegative and finite, iteration
+budgets and seeds nonnegative integers, counts integers at least their
+floor (1 for samples, n and m) and points finite.  NaN fails each; a
+ValueError (`NonFiniteError` for a point) names the argument.  A finite
+tolerance whose product with a norm overflows is only a huge tolerance,
+and stands.
 
 The public kernels validate their input through `as_cone_vec` and form
 ||yr|| once, checked (`_checked_rnorm`).  Where an internal caller
@@ -67,6 +69,8 @@ def _positive(name: str, value) -> None:
 def _nonnegative(name: str, value) -> None:
     if not value >= 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _at_least(name: str, value, floor: int = 0) -> None:

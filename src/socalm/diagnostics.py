@@ -19,7 +19,7 @@ import numpy as np
 from .alm import inner_solve  # noqa: F401 -- like check_sosc, kept for perfbench/tracer.py to wrap
 from .cone import _at_least, _finite, _norm, _positive, _project_q_rows, jacobian_project_polar
 from .lagrangian import NonFiniteError, lagrangian_l
-from .model import SocpProblem, builtin
+from .model import SocpProblem, _held, builtin
 from .variational import TOL, CriticalConeCase, _growth_pair, _kkt_data, check_sosc  # noqa: F401
 
 
@@ -125,13 +125,14 @@ def _kappa_sups(p: SocpProblem, radius: float, samples: int, rng) -> Tuple[float
         xs = np.vstack([xs, [x for x, _ in path]])
         lams = np.vstack([lams, [lam for _, lam in path]])
     phis = _oracle_rows(p.phi_value, xs, (p.m + 1,))
-    # a writeable Jacobian may be one buffer that the next call rewrites
-    jacs = [jac.copy() if jac.flags.writeable else jac for jac in map(p.phi_jac, xs)]
+    # a writeable Jacobian, or a view, may be one buffer that the next call rewrites
+    jacs = [jac.copy() if jac.flags.writeable or jac.base is not None else jac
+            for jac in map(p.phi_jac, xs)]
     fgrads = _oracle_rows(p.f_grad, xs, (p.n,))
     pushed = phis + lams
     if not np.isfinite(pushed).all():
         raise NonFiniteError("non-finite point Phi(x)+lam")
-    shared = all(jac is jacs[0] for jac in jacs)  # then no (k, m+1, n) stack
+    shared = all(_held(jac, jacs[0]) for jac in jacs[1:])  # then no (k, m+1, n) stack
     grads = fgrads + (lams @ jacs[0] if shared else np.einsum("ki,kij->kj", lams, np.array(jacs)))
     sigmas = np.linalg.norm(grads, axis=1) + np.linalg.norm(phis - _project_q_rows(pushed), axis=1)
     dist_sums = np.linalg.norm(xs - sol.x, axis=1) + dist_to_multiplier_set(p, lams)

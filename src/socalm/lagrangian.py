@@ -47,7 +47,8 @@ step that form cannot solve.
 The hand-on rule.  `AugEval(p, x, lam, rho, prev)` takes prev's oracle
 results when prev.x is x: the next outer iteration evaluates the same x
 at a new (lam, rho) without calling an oracle again.  Nothing is cached
-on the problem, which may be shared between concurrent solves.
+on the problem, which may be shared between concurrent solves, and a
+result repeats one from another point only by `model._held`'s rule.
 """
 
 from __future__ import annotations

@@ -39,10 +39,13 @@ class SocpProblem:
 
     phi_hess_contract(x, lam) must return the n x n matrix of second
     derivatives of x -> <lam, Phi(x)>.  Oracles must be pure so that a
-    problem instance can be shared between concurrent solves.  An oracle
-    may return the same read-only array on every call (the quadratic and
-    builtin problems do so for constant Jacobians and Hessians); the
-    solver and the diagnostics never write into an oracle result.
+    problem instance can be shared between concurrent solves; the solver
+    and the diagnostics never write into an oracle result.  One rule
+    (`_held`) says when an f_hess, phi_hess_contract or phi_jac result
+    repeats the held one, so that what was formed from it is kept: it is
+    read-only and is the held array (as the quadratic and builtin problems
+    return), or the held array is read-only too, shares no memory with it
+    (a view of one rewritten buffer does) and equals it entry for entry.
 
     phi_value and f_grad may carry a `rows` attribute: rows(X) for a (k, n)
     array X returns the (k, m+1) or (k, n) array of oracle(x) for each row
@@ -86,6 +89,11 @@ class SocpProblem:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _held(new: np.ndarray, old) -> bool:   # the rule in `SocpProblem`; old None: none held
+    return old is not None and not new.flags.writeable and (new is old or not (
+        old.flags.writeable or np.may_share_memory(new, old)) and np.array_equal(new, old))
 
 
 def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> SocpProblem:

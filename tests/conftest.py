@@ -2,7 +2,8 @@
 derived from each test's source, not drawn at random) and keeps no example
 database, so every run of the suite checks the same cases.  The
 `socalm-fuzz` profile is the same with 20 times the examples, for the
-command-line fuzz (`--hypothesis-profile socalm-fuzz`)."""
+command-line fuzz and the repeated-oracle-result test
+(`--hypothesis-profile socalm-fuzz`)."""
 
 from hypothesis import settings
 

@@ -91,6 +91,8 @@ def _inner(lam=Z2, rho=1.0, x=Z2, eps=1e-8, max_inner=200):
               "rho_k must be positive"),
     *rejected("inner_solve", "eps_k", BAD_TOLERANCES, lambda v: _inner(eps=v),
               "eps_k must be nonnegative"),
+    *rejected("inner_solve", "eps_k", [math.inf], lambda v: _inner(eps=v),
+              "eps_k must be finite"),
     # a budget is tested for being an integer before its range, so NaN,
     # None and a string are rejected by name rather than by a TypeError
     *rejected("inner_solve", "max_inner", (math.nan, math.inf, 2.5, True, None),

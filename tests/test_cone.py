@@ -51,6 +51,12 @@ Y = [1.0, 0.5, 0.0]
               "tol must be nonnegative"),
     *rejected("in_normal_cone", "tol", BAD_TOLERANCES,
               lambda v: cone.in_normal_cone([0.0, 0.0, 0.0], Y, v), "tol must be nonnegative"),
+    # an infinite tolerance would pass every point: (5, 0, 0) is not normal at (1, 0, 0)
+    *rejected("classify", "tol", [math.inf], lambda v: cone.classify([0.0, 1.0, 0.0], v),
+              "tol must be finite"),
+    *rejected("in_normal_cone", "tol", [math.inf],
+              lambda v: cone.in_normal_cone([5.0, 0.0, 0.0], [1.0, 0.0, 0.0], v),
+              "tol must be finite"),
     *rejected("in_normal_cone", "lam", [nan_at(Y)], lambda v: cone.in_normal_cone(v, Y),
               CONE_VECTOR),
     *rejected("in_normal_cone", "y", [nan_at(Y)], lambda v: cone.in_normal_cone(Y, v),
@@ -63,6 +69,13 @@ Y = [1.0, 0.5, 0.0]
 def test_kernels_reject_a_bad_argument(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_finite_tolerance_that_overflows_with_the_norm_stands():
+    """A finite tolerance whose product with ||y|| overflows is a huge
+    tolerance, not an infinite one: every point it covers is within it."""
+    assert cone.classify([0.0, 1e300, 0.0], tol=1e300) is ConeRegion.ZERO
+    assert cone.in_normal_cone([5.0, 0.0, 0.0], [1e300, 0.0, 0.0], tol=1e300)
 
 
 def test_project_q_examples():
