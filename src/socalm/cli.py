@@ -22,8 +22,7 @@ import numpy as np
 from . import alm, diagnostics
 from .cone import _nonnegative, _positive
 from .model import SocpProblem, builtin, load_problem
-from .variational import (check_dual_qualification, check_sosc, critical_pair,
-                          multiplier_calmness)
+from .variational import _kkt_pairs, check_dual_qualification, check_sosc, multiplier_calmness
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -194,7 +193,7 @@ def cmd_check(args) -> int:
         code = 0 if r.holds else 1
     else:  # dualqual
         x, lam = _point(args, problem)
-        pair = critical_pair(problem, x, lam)
+        pair = _kkt_pairs(problem, x, [lam])
         holds, witness = check_dual_qualification(problem, x, lam, pair)
         calmness = multiplier_calmness(problem, x, lam, holds, pair)
         witness = None if witness is None else [float(v) for v in witness]

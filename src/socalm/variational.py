@@ -11,7 +11,9 @@ plus a brute-force difference-quotient oracle used to cross-check them.
 Every minimum over the unit sphere is exact linear algebra in one place,
 `_growth_pair`: an eigenvalue of a penalty split, or on the whole cone Q
 an S-lemma search.  The growth modulus reads it at finite penalties and
-the sufficiency check at rho = inf.
+the sufficiency check at rho = inf.  Every certificate and form at a
+problem's pair, in `diagnostics` too, builds it in `_kkt_pairs`, which
+raises ValueError where it is not a KKT pair; `_kkt_data` adds the Hessian.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from .cone import (ConeRegion, _classify, _finite_norm, _norm, _positive, _tilde,
                    as_cone_vec, in_normal_cone, project_polar)
-from .lagrangian import _kkt_residual, aug_lagrangian, curvature, hessian_lagrangian
+from .lagrangian import _kkt_residual, aug_lagrangian, curvature
+from .lagrangian import hessian_lagrangian  # noqa: F401 -- tests import it from here
 from .model import SocpProblem
 
 # Tolerances.
@@ -115,28 +118,6 @@ def dist2_critical(K: CriticalCone, v) -> float:
     return float(w @ w)
 
 
-def _pair(p: SocpProblem, xbar, lambda_bar, w=None):
-    """(x, lam, w, Phi(x), JPhi(x)): the inputs checked against p's
-    dimensions once, as float arrays, each constraint oracle called once
-    and a non-finite JPhi(x) rejected (`critical_cone` checks Phi(x))."""
-    x, lam = p.check_dims(xbar, lambda_bar)
-    if w is not None:
-        w = p.check_dims(w)[0]
-    phi, J = p.phi_value(x), p.phi_jac(x)
-    if not np.isfinite(J).all():
-        raise ValueError("phi_jac has non-finite entries")
-    return x, lam, w, phi, J
-
-
-@np.errstate(all="ignore")
-def critical_pair(p: SocpProblem, xbar, lambda_bar):
-    """(x, lam, JPhi(x), critical cone) of a KKT pair, from one `_pair`:
-    what `check_dual_qualification` and `multiplier_calmness` read, built
-    once by a caller that runs both."""
-    x, lam, _, phi, J = _pair(p, xbar, lambda_bar)
-    return x, lam, J, critical_cone(phi, lam)
-
-
 def d2_indicator_q(phi_xbar, lambda_bar, w) -> float:
     """Second subderivative of the indicator of Q at phi_xbar for lambda_bar.
 
@@ -179,24 +160,25 @@ def quad_form_q(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
 
     Equals <w, Hess_xx L w> plus, in the hyperplane case (boundary point,
     nonzero multiplier), the rho-weighted tangential curvature of the cone.
+    A pair that is not a KKT pair raises ValueError (`_kkt_pairs`).
     """
     _positive("rho", rho)
-    x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
-    H0 = _penalty_split(critical_cone(phi, lam), hessian_lagrangian(p, x, lam), J, rho)[0]
-    return float(w @ H0 @ w)
+    w = p.check_dims(w)[0]
+    [(H, J, K)] = _kkt_data(p, xbar, [lambda_bar])
+    return float(w @ _penalty_split(K, H, J, rho)[0] @ w)
 
 
 def d2_aug_lagrangian(p: SocpProblem, xbar, lambda_bar, rho: float, w) -> float:
-    """Second subderivative of x -> L_rho(x, lambda_bar) at xbar for 0.
+    """Second subderivative of x -> L_rho(x, lambda_bar) at xbar for 0,
+    at a KKT pair (else ValueError, `_kkt_pairs`).
 
     quad_form_q plus rho times the squared distance of JPhi(xbar) w to
     the critical cone; always finite.
     """
     _positive("rho", rho)
-    x, lam, w, phi, J = _pair(p, xbar, lambda_bar, w)
-    K = critical_cone(phi, lam)
-    H0 = _penalty_split(K, hessian_lagrangian(p, x, lam), J, rho)[0]
-    return float(w @ H0 @ w) + rho * dist2_critical(K, J @ w)
+    w = p.check_dims(w)[0]
+    [(H, J, K)] = _kkt_data(p, xbar, [lambda_bar])
+    return float(w @ _penalty_split(K, H, J, rho)[0] @ w) + rho * dist2_critical(K, J @ w)
 
 
 def difference_quotient_oracle(p: SocpProblem, x, lam, rho: float, w, t: float) -> float:
@@ -338,12 +320,17 @@ def _growth_pair(H, J, K: CriticalCone, rho: float, vector: bool = True):
     return rising[:2]
 
 
-def _kkt_data(p: SocpProblem, xbar, lams):
-    """[(Hess_xx L, JPhi, critical cone)] of the KKT pairs (xbar, lam) for
-    lam in lams, else ValueError.  Each oracle but phi_hess_contract is
-    called once at xbar, and f_hess only after every pair passed the KKT test."""
-    x, lam, _, phi, J = _pair(p, xbar, lams[0])
+@np.errstate(over="ignore")  # `_finite_norm` detects an overflowing norm by forming it
+def _kkt_pairs(p: SocpProblem, xbar, lams):
+    """(x, grad f(x), JPhi(x), [critical cone of (x, lam) for lam in lams])
+    of the KKT pairs (xbar, lam), from one call of phi_value, phi_jac and
+    f_grad; ValueError on a non-finite JPhi(x) and where the KKT residual,
+    NaN included, exceeds KKT_TOL max(1, ||x||, ||lam||)."""
+    x, lam = p.check_dims(xbar, lams[0])
     lams = [lam] + [p.check_dims(x, other)[1] for other in lams[1:]]
+    phi, J = p.phi_value(x), p.phi_jac(x)
+    if not np.isfinite(J).all():
+        raise ValueError("phi_jac has non-finite entries")
     grad = p.f_grad(x)
     x_norm = _finite_norm(x, "the norm ||x|| of the primal point overflows")
     for lam in lams:
@@ -351,12 +338,19 @@ def _kkt_data(p: SocpProblem, xbar, lams):
         lam_norm = _finite_norm(lam, "the norm ||lam|| of the multiplier overflows")
         if not res <= KKT_TOL * max(1.0, x_norm, lam_norm):
             raise ValueError(f"not a KKT pair: residual {res:.3e} exceeds {KKT_TOL:.1e}")
+    return x, grad, J, [critical_cone(phi, lam) for lam in lams]
+
+
+def _kkt_data(p: SocpProblem, xbar, lams):
+    """[(Hess_xx L, JPhi, critical cone)] of `_kkt_pairs`, for the readers
+    of the Hessian: f_hess is called once, after every pair passed."""
+    x, _, J, cones = _kkt_pairs(p, xbar, lams)
     f_hess, out = p.f_hess(x), []
-    for lam in lams:
-        H = curvature(f_hess, p.phi_hess_contract(x, lam))
+    for K in cones:
+        H = curvature(f_hess, p.phi_hess_contract(x, K.multiplier))
         if not np.isfinite(H).all():
             raise ValueError("Hessian of the Lagrangian has non-finite entries")
-        out.append((H, J, critical_cone(phi, lam)))
+        out.append((H, J, K))
     return out
 
 
@@ -383,7 +377,7 @@ def _kernel_tol(J: np.ndarray, v: np.ndarray) -> float:
 @np.errstate(all="ignore")
 def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     """Test whether the polar of the critical cone meets ker JPhi(xbar)'
-    only at the origin.
+    only at the origin, at a KKT pair (else ValueError).
 
     Returns (holds, witness), the witness a unit vector in the
     intersection when the condition fails.  Every case is exact linear
@@ -391,10 +385,10 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     nonzero subspace meets; the whole cone's polar -Q meets span K iff
     M = K[1:]'K[1:] - K[0]K[0]' has an eigenvalue <= TOL (c'Mc is
     ||v_r||^2 - v_0^2 at v = K c), whose eigenvector gives the witness.
-    `pair` is `critical_pair(p, xbar, lambda_bar)` where the caller has
+    `pair` is `_kkt_pairs(p, xbar, [lambda_bar])` where the caller has
     built it; otherwise it is built here.
     """
-    _, lam, J, K = critical_pair(p, xbar, lambda_bar) if pair is None else pair
+    _, _, J, [K] = _kkt_pairs(p, xbar, [lambda_bar]) if pair is None else pair
 
     if K.case is CriticalConeCase.FULL_SPACE:
         return True, None  # polar is {0}
@@ -403,7 +397,6 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     # the common case, and the full SVD would form n x n left vectors
     if np.linalg.matrix_rank(J.T) == J.shape[0]:
         return True, None
-    kernel = _kernel_split(J.T)[0]  # subspace of R^(m+1)
 
     if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
         # polar is span{u} (hyperplane) or the ray R_+ u (halfspace)
@@ -412,12 +405,14 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
             return False, u / np.linalg.norm(u)
         return True, None
 
+    kernel = _kernel_split(J.T)[0]  # subspace of R^(m+1)
     if K.case is CriticalConeCase.ZERO_ONLY:
         # polar is all of R^(m+1): any kernel direction violates the condition
         return False, kernel[:, 0]
 
     if K.case is CriticalConeCase.RAY:
         # polar is the halfspace {v : <K.vector, v> <= 0}
+        lam = K.multiplier
         if np.linalg.norm(J.T @ lam) <= _kernel_tol(J, lam):
             # the multiplier direction itself lies in the halfspace polar
             return False, lam / np.linalg.norm(lam)
@@ -442,27 +437,23 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
 @np.errstate(all="ignore")
 def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool,
                         pair=None) -> str:
-    """Classify the calmness of the multiplier mapping: 'calm',
-    'not_calm' or 'unknown'.
+    """Classify the calmness of the multiplier mapping at a KKT pair (else
+    ValueError): 'calm', 'not_calm' or 'unknown'.
 
     Away from the cone vertex the mapping is always calm (polyhedral
     multiplier sets); at the vertex, strict complementarity or a holding
     dual qualification give calmness, a boundary multiplier whose whole
     ray consists of multipliers is the open configuration and is reported
-    as 'unknown' rather than guessed, as is a zero multiplier.  A
-    non-finite JPhi(x) or gradient raises ValueError.  `pair` is
-    `critical_pair(p, xbar, lambda_bar)` where the caller has built it.
+    as 'unknown' rather than guessed, as is a zero multiplier.  `pair` is
+    `_kkt_pairs(p, xbar, [lambda_bar])` where the caller has built it.
     """
-    x, lam, J, K = critical_pair(p, xbar, lambda_bar) if pair is None else pair
-    case = K.case
+    _, grad, J, [K] = _kkt_pairs(p, xbar, [lambda_bar]) if pair is None else pair
+    case, lam = K.case, K.multiplier
     if duq_holds or case not in (CriticalConeCase.RAY, CriticalConeCase.WHOLE_CONE_Q):
         return "calm"
     if case is CriticalConeCase.RAY:
         tol = _kernel_tol(J, lam)  # the whole ray R_+ lam: J'lam = 0 = grad f
         if not np.linalg.norm(J.T @ lam) <= tol:
             return "not_calm"
-        grad_norm = np.linalg.norm(p.f_grad(x))
-        if not np.isfinite(grad_norm):
-            raise ValueError("f_grad has non-finite entries")
-        return "unknown" if grad_norm <= tol else "not_calm"
+        return "unknown" if np.linalg.norm(grad) <= tol else "not_calm"
     return "unknown"

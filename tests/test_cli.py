@@ -238,6 +238,22 @@ def test_check_sosc_not_a_kkt_pair_exit_two(capsys):
     assert err.count("\n") == 1
 
 
+# projection's a = (0, 2, 0): the first pair has KKT residual 5.1, the
+# second a multiplier in the normal cone that leaves grad_x L = (-1, 1, 0),
+# and the third a residual that overflows
+@pytest.mark.parametrize("x, lam", [("5,1,0", "0,0,0"), ("1,1,0", "-2,2,0"),
+                                    ("1e308,0,0", "0,0,0")])
+def test_check_dualqual_not_a_kkt_pair_exit_two(x, lam, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("check", "dualqual", "--problem", "builtin:projection",
+                       f"--x={x}", f"--lambda={lam}")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: not a KKT pair: residual ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", [["--x", "5,0,0"], ["--lambda", "0,0,0"]])
 def test_check_point_flags_must_come_together(flag, capsys):
     code = run_cli("check", "sosc", "--problem", "builtin:projection", *flag)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from socalm import (ConeRegion, builtin, generate_planted, in_normal_cone, load_problem,
-                    quadratic_problem)
+from socalm import (ConeRegion, builtin, check_sosc, generate_planted, in_normal_cone,
+                    load_problem, quadratic_problem)
 from socalm.cone import classify, tilde
 from socalm.lagrangian import lagrangian_l, residual
 
@@ -163,6 +163,23 @@ def test_planted_residual_by_construction(seed):
     p = generate_planted(4, 3, ConeRegion.BOUNDARY_Q_NONZERO, seed=seed)
     sol = p.known_solution
     assert residual(p, sol.x, sol.lam) <= 1e-10
+
+
+def test_planted_boundary_redraws_a_near_zero_space_part():
+    """At seed 104 the first draw of Phi(xbar)'s space part u has |u| =
+    5.4e-4 < 1e-3; the generator draws it again, and the pair it returns
+    is a KKT pair on the boundary of Q where sufficiency holds."""
+    rng = np.random.default_rng(104)
+    for shape in ((1, 1), (2, 1), 1):   # the draws of R, A and xbar
+        rng.standard_normal(shape)
+    assert np.linalg.norm(rng.standard_normal(1)) < 1e-3
+    p = generate_planted(1, 1, ConeRegion.BOUNDARY_Q_NONZERO, 104)
+    sol = p.known_solution
+    phi = p.phi_value(sol.x)
+    assert classify(phi, 1e-8) is ConeRegion.BOUNDARY_Q_NONZERO
+    assert np.linalg.norm(phi[1:]) >= 1e-3
+    assert residual(p, sol.x, sol.lam) == 0.0
+    assert check_sosc(p, sol.x, sol.lam).holds
 
 
 def test_planted_deterministic_per_seed():

@@ -13,9 +13,9 @@ from scipy.linalg import null_space
 
 from socalm import ConeRegion, builtin, certify_growth, generate_planted, quadratic_problem
 from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
-                                _growth_pair, _kernel_split, _kkt_data, _penalty_split,
-                                check_dual_qualification, check_sosc, critical_cone,
-                                d2_aug_lagrangian, d2_indicator_q,
+                                _growth_pair, _kernel_split, _kkt_data, _kkt_pairs,
+                                _penalty_split, check_dual_qualification, check_sosc,
+                                critical_cone, d2_aug_lagrangian, d2_indicator_q,
                                 difference_quotient_oracle, dist2_critical,
                                 multiplier_calmness, quad_form_q)
 
@@ -847,21 +847,38 @@ def test_multiplier_outside_the_normal_cone_raises(duq_holds):
     # Phi(0) = 0 is the vertex, whose normal cone is -Q; (1, 0, 0) lies in Q
     p = builtin("projection")
     x, lam = np.zeros(3), np.array([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="not in the normal cone"):
+    with pytest.raises(ValueError, match="not a KKT pair"):
         multiplier_calmness(p, x, lam, duq_holds)
-    with pytest.raises(ValueError, match="not in the normal cone"):
+    with pytest.raises(ValueError, match="not a KKT pair"):
         quad_form_q(p, x, lam, 1.0, np.array([0.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("oracle, shape", [("f_grad", (2,)), ("phi_jac", (3, 2))])
 def test_multiplier_calmness_rejects_a_nan_oracle(oracle, shape):
-    # example_3_2 is a Ray whose whole ray consists of multipliers ('unknown')
+    # example_3_2 is a Ray whose whole ray consists of multipliers ('unknown');
+    # a NaN gradient gives a NaN KKT residual, which no tolerance accepts
     base = builtin("example_3_2")
     p = dataclasses.replace(base, **{oracle: lambda x: np.full(shape, np.nan)})
     sol = base.known_solution
     assert multiplier_calmness(base, sol.x, sol.lam, False) == "unknown"
-    with pytest.raises(ValueError, match=f"{oracle} has non-finite"):
+    message = "not a KKT pair" if oracle == "f_grad" else "phi_jac has non-finite"
+    with pytest.raises(ValueError, match=message):
         multiplier_calmness(p, sol.x, sol.lam, False)
+
+
+# projection's a = (0, 2, 0): KKT residual 5.1 at the first pair, and a
+# multiplier in the normal cone with grad_x L = (-1, 1, 0) at the second
+@pytest.mark.parametrize("x, lam", [([5.0, 1.0, 0.0], [0.0, 0.0, 0.0]),
+                                    ([1.0, 1.0, 0.0], [-2.0, 2.0, 0.0])])
+@pytest.mark.parametrize("fn", [
+    lambda p, x, lam: check_dual_qualification(p, x, lam),
+    lambda p, x, lam: multiplier_calmness(p, x, lam, True),
+    lambda p, x, lam: quad_form_q(p, x, lam, 1.0, np.ones(3)),
+    lambda p, x, lam: d2_aug_lagrangian(p, x, lam, 1.0, np.ones(3)),
+], ids=["check_dual_qualification", "multiplier_calmness", "quad_form_q", "d2_aug_lagrangian"])
+def test_pair_readers_reject_a_pair_that_is_not_kkt(fn, x, lam):
+    with pytest.raises(ValueError, match="not a KKT pair"):
+        fn(builtin("projection"), np.array(x), np.array(lam))
 
 
 def _pairs_for_counting():
@@ -886,6 +903,21 @@ def test_one_constraint_evaluation_per_call(fn):
         p, calls = counted(p)
         fn(p, x, lam)
         assert calls["phi_value"] <= 1 and calls["phi_jac"] <= 1, (p.name, dict(calls))
+
+
+def test_dual_qualification_and_calmness_call_no_hessian_oracle():
+    """Neither reads a Hessian: the one KKT-checked pair they share calls
+    f_grad, phi_value and phi_jac once each, and f_hess and
+    phi_hess_contract never."""
+    for p, x, lam in _pairs_for_counting():
+        p, calls = counted(p)
+        pair = _kkt_pairs(p, x, [lam])
+        holds, _ = check_dual_qualification(p, x, lam, pair)
+        multiplier_calmness(p, x, lam, holds, pair)
+        assert calls == {"f_grad": 1, "phi_value": 1, "phi_jac": 1}, (p.name, dict(calls))
+        p, calls = counted(p)
+        multiplier_calmness(p, x, lam, check_dual_qualification(p, x, lam)[0])
+        assert calls == {"f_grad": 2, "phi_value": 2, "phi_jac": 2}, (p.name, dict(calls))
 
 
 def test_dual_qualification_whole_cone_regression():
@@ -921,7 +953,8 @@ def test_dual_qualification_witness_and_scale_invariance(seed, n, m1, ray, log_s
         lam = rng.uniform(0.5, 2.0) * np.r_[-1.0, u / np.linalg.norm(u)]
     verdicts = []
     for scale in (1.0, 10.0 ** log_scale):
-        p = quadratic_problem(np.eye(n), np.zeros(n), 0.0, scale * A, np.zeros(m1))
+        # q = -J'lam makes (0, lam) stationary, so that it is a KKT pair
+        p = quadratic_problem(np.eye(n), -scale * A.T @ lam, 0.0, scale * A, np.zeros(m1))
         holds, witness = check_dual_qualification(p, np.zeros(n), lam)
         verdicts.append(holds)
         if holds:
