@@ -3,13 +3,12 @@ for second-order cone programs."""
 
 from .alm import (AlmConfig, AlmStatus, AlmTrace, InnerFailure, Proportional, inner_solve,
                   solve, update_multiplier)
-from .cone import (ConeRegion, classify, in_normal_cone, jacobian_project_polar,
-                   project_polar, project_q, tilde)
+from .cone import (ConeRegion, NonFiniteError, classify, in_normal_cone,
+                   jacobian_project_polar, project_polar, project_q, tilde)
 from .diagnostics import (ErrorBoundReport, GrowthReport, certify_growth,
                           dist_to_multiplier_set, estimate_rate, example32_ratio,
                           solvability_estimate, verify_error_bound)
-from .lagrangian import (AugEval, NonFiniteError, aug_hessian, aug_lagrangian,
-                         lagrangian_l, residual)
+from .lagrangian import AugEval, aug_hessian, aug_lagrangian, lagrangian_l, residual
 from .model import (KktPoint, SocpProblem, builtin, generate_planted, load_problem,
                     quadratic_problem)
 from .variational import (CriticalCone, CriticalConeCase, SoscReport,

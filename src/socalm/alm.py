@@ -50,9 +50,9 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._lapack import dpotrf, dsyr2k, dtrtrs
-from .cone import (_at_least, _finite, _nonnegative, _norm, _polar_jacobian_parts, _positive,
-                   as_cone_vec)
-from .lagrangian import AugEval, NonFiniteError, _gap_norm, curvature, hessian_upper, shift
+from .cone import (NonFiniteError, _at_least, _finite, _nonnegative, _norm,
+                   _polar_jacobian_parts, _positive, as_cone_vec)
+from .lagrangian import AugEval, _gap_norm, _kkt_residual, curvature, hessian_upper, shift
 from .model import KktPoint, SocpProblem, _held
 
 
@@ -451,7 +451,6 @@ def _inner_solve(ev: AugEval, state: NewtonState, eps_k: float, max_inner: int):
                 f"line search failed at ||grad||={grad_norm:.3e} (iteration {it})",
                 x, grad_norm, it)
         ev = cand.complete()
-    raise AssertionError("unreachable")
 
 
 @np.errstate(over="ignore")  # an overflowing square is detected
@@ -551,9 +550,9 @@ def solve(p: SocpProblem, x0, lambda0, cfg: AlmConfig = AlmConfig()):
     x, lam = map(np.copy, p.check_dims(x0, lambda0))
     rho, eta = cfg.rho0, cfg.eps_rule.eta
     trace = AlmTrace()
-    ev, state = AugEval(p, x, lam, rho), NewtonState()
+    ev, state = AugEval(p, x, lam, rho).complete(), NewtonState()
     history = []   # (g - s, ||g - s||, g) of the last steps at rho, oldest first
-    sigma = ev.kkt_residual(lam)
+    sigma = _kkt_residual(ev.phi, ev.jac, ev.fgrad, lam)
     if not math.isfinite(sigma):
         raise NonFiniteError(f"non-finite KKT residual {sigma} at the start")
     for k in range(cfg.max_outer + 1):

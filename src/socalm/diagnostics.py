@@ -17,8 +17,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve  # noqa: F401 -- like check_sosc, kept for perfbench/tracer.py to wrap
-from .cone import _at_least, _finite, _norm, _positive, _project_q_rows, jacobian_project_polar
-from .lagrangian import NonFiniteError, lagrangian_l
+from .cone import (NonFiniteError, _at_least, _finite, _norm, _positive, _project_q_rows,
+                   jacobian_project_polar)
+from .lagrangian import lagrangian_l
 from .model import SocpProblem, _held, builtin
 from .variational import TOL, CriticalConeCase, _growth_pair, _kkt_data, check_sosc  # noqa: F401
 

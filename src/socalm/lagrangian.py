@@ -13,15 +13,17 @@ Both follow from Pi_{-Q}(rho v) = rho Pi_{-Q}(v).  An `AugEval` is the
 evaluation at one point x for one (lam, rho): it keeps the oracle
 results Phi(x), f(x), JPhi(x) and grad f(x), the shifted point
 rho Phi(x) + lam, its polar projection, the value and grad_x, so the
-value, the derivatives, the generalized Hessian and the KKT residual at
-x all come from one call of each oracle.  An evaluation starts
-value-only (Phi and f, which is all a line-search trial needs);
-`complete` adds JPhi(x), grad f(x) and grad_x on acceptance.  The
-shifted point y is checked for finiteness once, when it is formed, in
-the pass that forms its space-block norm ||yr|| (`cone._checked_rnorm`);
-the evaluation keeps that norm, and the polar projection and, at every
-Newton step, the generalized Jacobian's parts are derived from it by the
-unchecked cone kernels, so no later step forms it again.
+value, the derivatives, the generalized Hessian (`aug_hessian`, the
+solver's Newton step) and the KKT residual (`_kkt_residual` of its
+oracle results, at the solver's start) at x all come from one call of
+each oracle.  An evaluation starts value-only (Phi and f, which is all a
+line-search trial needs); `complete` adds JPhi(x), grad f(x) and grad_x
+on acceptance.  The shifted point y is checked for finiteness once, when
+it is formed, in the pass that forms its space-block norm ||yr||
+(`cone._checked_rnorm`); the evaluation keeps that norm, and the polar
+projection and, at every Newton step, the generalized Jacobian's parts
+are derived from it by the unchecked cone kernels, so no later step
+forms it again.
 
 The generalized Hessian Hess_xx L(x, mu) + rho JPhi' V JPhi, with mu the
 polar projection of the shifted point and V a generalized Jacobian of
@@ -36,7 +38,7 @@ term is added in place, by one BLAS syr2k, to the upper triangle only,
 which is the triangle the Cholesky factorization reads.  So a Newton step
 costs about two n x n passes beyond the oracles and the factorization
 instead of the O(n^2 m) triple product.  `hessian_upper` is that one
-assembly, from G and S given; `AugEval.hessian` forms them at x, and the
+assembly, from G and S given; `aug_hessian` forms them at x, and the
 solver's Newton step (`alm._newton_direction`) keeps them, and the last
 factor, from step to step.  At large n, where S and JPhi repeat, no step
 assembles an n x n matrix or forms G: every step is solved in the
@@ -58,8 +60,7 @@ import math
 import numpy as np
 
 from ._lapack import dsyr2k
-from .cone import (NonFiniteError, _checked_rnorm, _polar_jacobian_parts, _positive,
-                   _project_polar, _project_q)
+from .cone import _checked_rnorm, _polar_jacobian_parts, _positive, _project_polar, _project_q
 from .model import SocpProblem
 
 
@@ -180,42 +181,16 @@ class AugEval:
     def grad_lam(self) -> np.ndarray:
         return (self.polar_proj - self.lam) / self.rho
 
-    def hessian(self) -> np.ndarray:
-        """Generalized Hessian of x -> L_rho(x, lam) at x, exactly
-        symmetric: the upper triangle of `hessian_upper`, mirrored, with
-        G and S formed here.
-
-        H = Hess_xx L(x, mu) + rho * JPhi(x)' V JPhi(x) with mu the polar
-        projection of the shifted point and V a generalized Jacobian of
-        Pi_{-Q} there (the cone module's selection).
-        """
-        jac = self.complete().jac
-        S = curvature(self.p.f_hess(self.x), self.p.phi_hess_contract(self.x, self.polar_proj))
-        parts = _polar_jacobian_parts(self.shifted, self.rnorm)
-        T = hessian_upper(self.rho, parts, jac, jac.T @ jac if parts[0] else None, S)
-        return np.triu(T) + np.triu(T, 1).T
-
-    def kkt_residual(self, lam) -> float:
-        """KKT residual at (x, lam) from the oracle results held here."""
-        self.complete()
-        return _kkt_residual(self.phi, self.jac, self.fgrad, lam)
-
-
-def hessian_lagrangian(p: SocpProblem, xbar, lam_bar) -> np.ndarray:
-    """Symmetric Hessian of the ordinary Lagrangian in x at checked float
-    arrays (`curvature`): for a quadratic problem the oracle's read-only P
-    itself, so a caller that writes into it copies it first."""
-    return curvature(p.f_hess(xbar), p.phi_hess_contract(xbar, lam_bar))
-
 
 def lagrangian_l(p: SocpProblem, x, lam):
     """Ordinary Lagrangian: value, x-gradient and x-Hessian.  The Hessian
-    is `hessian_lagrangian`'s, read-only for a quadratic problem."""
+    is `curvature`'s, symmetric, and for a quadratic problem the oracle's
+    read-only P itself, so a caller that writes into it copies it first."""
     x, lam = p.check_dims(x, lam)
     phi = p.phi_value(x)
     value = p.f_value(x) + float(lam @ phi)
     grad_x = p.f_grad(x) + p.phi_jac(x).T @ lam
-    return value, grad_x, hessian_lagrangian(p, x, lam)
+    return value, grad_x, curvature(p.f_hess(x), p.phi_hess_contract(x, lam))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing square is detected
@@ -226,13 +201,20 @@ def aug_lagrangian(p: SocpProblem, x, lam, rho: float) -> AugEval:
 
 
 def aug_hessian(p: SocpProblem, x, lam, rho: float) -> np.ndarray:
-    """Generalized Hessian of x -> L_rho(x, lam).
+    """Generalized Hessian of x -> L_rho(x, lam), exactly symmetric: the
+    upper triangle of `hessian_upper`, mirrored, with G and S formed here.
 
-    This is the exact Hessian whenever the shifted point avoids the cone
-    boundaries; on a kink the cone module's deterministic selection is
-    inherited.
+    H = Hess_xx L(x, mu) + rho * JPhi(x)' V JPhi(x) with mu the polar
+    projection of the shifted point and V a generalized Jacobian of
+    Pi_{-Q} there (the cone module's selection).  This is the exact
+    Hessian whenever the shifted point avoids the cone boundaries; on a
+    kink the cone module's deterministic selection is inherited.
     """
-    return aug_lagrangian(p, x, lam, rho).hessian()
+    ev = aug_lagrangian(p, x, lam, rho)
+    S = curvature(p.f_hess(ev.x), p.phi_hess_contract(ev.x, ev.polar_proj))
+    parts = _polar_jacobian_parts(ev.shifted, ev.rnorm)
+    T = hessian_upper(rho, parts, ev.jac, ev.jac.T @ ev.jac if parts[0] else None, S)
+    return np.triu(T) + np.triu(T, 1).T
 
 
 @np.errstate(over="ignore")  # an overflowing square is detected

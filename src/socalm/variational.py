@@ -28,7 +28,6 @@ import numpy as np
 from .cone import (ConeRegion, _classify, _finite_norm, _norm, _positive, _tilde,
                    as_cone_vec, in_normal_cone, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, curvature
-from .lagrangian import hessian_lagrangian  # noqa: F401 -- tests import it from here
 from .model import SocpProblem
 
 # Tolerances.

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from socalm import ConeRegion, KktPoint, SocpProblem
+from socalm import ConeRegion, KktPoint, SocpProblem, generate_planted
 from socalm.cone import TAU_CONE, _norm
 
 
@@ -172,6 +172,31 @@ def constant_phi_problem(value, name="constant_phi"):
         phi_hess_contract=lambda x, lam: np.zeros((n, n)),
         name=name,
     )
+
+
+def curved_problem(n, m, region, seed):
+    """`generate_planted(n, m, region, seed)` with a curved constraint
+    Phi(x) = A x + b + (1/2) c * (U (x - xbar))^2, entrywise: U an
+    (m+1) x n Gaussian matrix over sqrt(n) and c half a Gaussian vector.
+    Phi(xbar), JPhi(xbar) and stationarity there do not change, so the
+    planted pair stays a KKT pair.  phi_jac = A + diag(c U (x - xbar)) U
+    and phi_hess_contract = U' diag(lam c) U, a new writeable array at
+    every call."""
+    p = generate_planted(n, m, region, seed)
+    rng = np.random.default_rng([32, seed])
+    U = rng.standard_normal((m + 1, n)) / math.sqrt(n)
+    c = 0.5 * rng.standard_normal(m + 1)
+    x_bar = p.known_solution.x
+    A = p.phi_jac(x_bar)
+
+    def phi_value(x):
+        z = U @ (x - x_bar)
+        return p.phi_value(x) + 0.5 * c * z * z
+
+    return dataclasses.replace(
+        p, name=f"curved_{region.value}_{seed}", phi_value=phi_value,
+        phi_jac=lambda x: A + (c * (U @ (x - x_bar)))[:, None] * U,
+        phi_hess_contract=lambda x, lam: U.T @ ((lam * c)[:, None] * U))
 
 
 # The values each argument rule rejects (`socalm.cone`), NaN included.

@@ -23,7 +23,7 @@ from socalm.lagrangian import AugEval, aug_hessian, aug_lagrangian, lagrangian_l
 from socalm.model import _read_only, quadratic_problem
 
 from _util import (BAD_PENALTIES, BAD_TOLERANCES, CONE_VECTOR, MULTIPLIER, PRIMAL, counted,
-                   fresh_twin, nan_at, rejected, rewritten_twin, writeable_twin)
+                   curved_problem, fresh_twin, nan_at, rejected, rewritten_twin, writeable_twin)
 
 
 def perturbed_start(p, scale, seed):
@@ -435,6 +435,20 @@ def test_planted_totals_pin_the_penalty_rule():
                 outer += len(trace) - 1
                 newton += sum(trace.inner_iters)
     assert (outer, newton) == (351, 447)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("region", [ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO,
+                                    ConeRegion.ZERO])
+def test_curved_problem_converges_to_its_planted_pair(region, seed):
+    """With a curved Phi, S and JPhi change at every Newton step; the
+    solve from zero under the default AlmConfig still converges, within
+    1e-6 of the planted pair."""
+    p = curved_problem(20, 10, region, seed)
+    kkt, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1))
+    assert trace.status is AlmStatus.CONVERGED
+    sol = p.known_solution
+    assert _norm(kkt.x - sol.x) + _norm(kkt.lam - sol.lam) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [29, 158])
@@ -1157,7 +1171,7 @@ def test_multiplier_form_direction_equals_the_dense_one(seed, dims, side, c, del
     dense = alm._newton_direction(ev, state)   # n < REDUCED_MIN_N: the dense path
     assert state.reduced is None
     d = alm.MultiplierForm(state.curv[2], ev.jac).direction(rho, parts, ev.grad_x)
-    H = ev.hessian()
+    H = aug_hessian(p, ev.x, ev.lam, rho)
     gap = np.linalg.norm(H @ (d - dense))
     assert gap <= 1e-12 * np.linalg.norm(H, 2) * np.linalg.norm(dense)
 

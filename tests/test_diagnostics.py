@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ def test_error_bound_rejects_a_sampled_point_whose_space_norm_overflows():
                           known_solution=KktPoint(np.zeros(1), np.zeros(3)))
     with pytest.raises(socalm.NonFiniteError, match="overflows"):
         verify_error_bound(p, 1.0, 50, seed=0)
+
+
+def test_error_bound_rejects_a_sampled_point_that_is_not_finite(capsys):
+    """At a radius near the largest float, Phi(x) + lam overflows at the
+    sampled points: the sampler stops with NonFiniteError, and no
+    floating-point warning is raised or printed on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(socalm.NonFiniteError, match=r"non-finite point Phi\(x\)\+lam"):
+            verify_error_bound(builtin("projection"), 1.7e308, 20, 0)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_growth_positive_on_planted_sosc_problem():

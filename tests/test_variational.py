@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
-from socalm import ConeRegion, builtin, certify_growth, generate_planted, quadratic_problem
+from socalm import (ConeRegion, builtin, certify_growth, generate_planted, lagrangian_l,
+                    quadratic_problem)
 from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
                                 _growth_pair, _kernel_split, _kkt_data, _kkt_pairs,
                                 _penalty_split, check_dual_qualification, check_sosc,
@@ -313,8 +314,7 @@ def test_quad_form_monotone_in_rho_and_lower_bound():
     rng = np.random.default_rng(6)
     for p in (builtin("projection", a=(0.0, 2.0, 0.0)), builtin("scaled_quadratic", seed=1)):
         sol = p.known_solution
-        from socalm.variational import hessian_lagrangian
-        H = hessian_lagrangian(p, sol.x, sol.lam)
+        H = lagrangian_l(p, sol.x, sol.lam)[2]
         for _ in range(25):
             w = rng.standard_normal(p.n)
             r1 = float(10.0 ** rng.uniform(-1, 1))
