@@ -5,13 +5,13 @@ from .alm import (AlmConfig, AlmStatus, AlmTrace, InnerFailure, Proportional, in
                   solve, update_multiplier)
 from .cone import (ConeRegion, NonFiniteError, classify, in_normal_cone,
                    jacobian_project_polar, project_polar, project_q, tilde)
-from .diagnostics import (ErrorBoundReport, GrowthReport, certify_growth,
-                          dist_to_multiplier_set, estimate_rate, example32_ratio,
-                          solvability_estimate, verify_error_bound)
+from .diagnostics import (ErrorBoundReport, certify_growth, dist_to_multiplier_set,
+                          estimate_rate, example32_ratio, solvability_estimate,
+                          verify_error_bound)
 from .lagrangian import AugEval, aug_hessian, aug_lagrangian, lagrangian_l, residual
 from .model import (KktPoint, SocpProblem, builtin, generate_planted, load_problem,
                     quadratic_problem)
-from .variational import (CriticalCone, CriticalConeCase, SoscReport,
+from .variational import (CriticalCone, CriticalConeCase, GrowthReport, SoscReport,
                           check_dual_qualification, check_sosc, critical_cone,
                           d2_aug_lagrangian, d2_indicator_q, dist2_critical,
                           difference_quotient_oracle, multiplier_calmness,

@@ -1,8 +1,8 @@
 """Verification of the quantitative claims: error-bound constants,
 second-order growth, subproblem solvability and linear rates.
 
-Growth and solvability are exact linear algebra at the known KKT pair
-(growth also at the two ends of a multiplier ray).  The error bound
+Growth and solvability are exact linear algebra in `variational`, read at
+the known KKT pair (growth also at the ends of a multiplier ray).  The error bound
 samples a seeded ball, drawn in one call, evaluates it with one oracle
 call per point (or one stacked product where the oracle has a row form)
 and reduces all rows at once: evidence, not proof.
@@ -17,11 +17,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .alm import inner_solve  # noqa: F401 -- like check_sosc, kept for perfbench/tracer.py to wrap
-from .cone import (NonFiniteError, _at_least, _finite, _norm, _positive, _project_q_rows,
-                   jacobian_project_polar)
+from .cone import NonFiniteError, _at_least, _finite, _norm, _positive, _project_q_rows
 from .lagrangian import lagrangian_l
 from .model import SocpProblem, _held, builtin
-from .variational import TOL, CriticalConeCase, _growth_pair, _kkt_data, check_sosc  # noqa: F401
+from .variational import _growth, _solvability, check_sosc  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -31,14 +30,6 @@ class ErrorBoundReport:
     ball_radius: float
     samples: int
     failed: bool        # kappa1 grew by > 10x when the radius shrank 10x
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    rho_used: float
-    ell_hat: float
-    multipliers: int    # 1, or 3 on a multiplier ray: lambar and the ray's two ends
-    uniform: bool
 
 
 def _require_solution(p: SocpProblem):
@@ -186,40 +177,23 @@ def example32_ratio(t: float) -> Tuple[float, float, float]:
 
 
 @np.errstate(all="ignore")
-def certify_growth(p: SocpProblem, rho_list: Sequence[float]) -> GrowthReport:
-    """Exact uniform second-order growth certificate for the augmented Lagrangian.
-
-    The modulus at rho is the largest ell with L_rho(xbar + w, lam) >=
-    f(xbar) + (ell - o(1)) |w|^2 (`variational._growth_pair`), minimized
-    over the known multiplier and, on a multiplier ray lam = c d, over c in
-    [c_lo, c_hi] = c_bar +- max(0.5 ||lambar||, 0.25) / ||d||, c_lo clipped
-    at 0; so uniform iff ell_hat > 0.  That minimum is at an end: for c > 0
-    the critical-cone case and penalty rows are fixed, the Hessian is affine
-    in c and a Hyperplane's curvature weight concave, so 2 ell(c) is the
-    least eigenvalue of a concave matrix family, concave in c; at c = 0 the
-    critical cone only grows.  Over rho_list in order the first positive
-    modulus is reported, else the first largest.  A known pair that is not
-    a KKT pair raises ValueError."""
+def certify_growth(p: SocpProblem, rho_list: Sequence[float]):
+    """Exact uniform second-order growth certificate for the augmented
+    Lagrangian at the known pair, a `GrowthReport` (`variational._growth`):
+    minimized over the known multiplier and, on a multiplier ray lam = c d,
+    over c in [c_lo, c_hi] = c_bar +- max(0.5 ||lambar||, 0.25) / ||d||, c_lo
+    clipped at 0.  That minimum is at an end: for c > 0 the critical-cone case
+    and penalty rows are fixed, the Hessian is affine in c and a Hyperplane's
+    curvature weight concave, so 2 ell(c) is the least eigenvalue of a concave
+    matrix family, concave in c; at c = 0 the critical cone only grows."""
     sol = _require_solution(p)
-    if not rho_list:
-        raise ValueError("rho_list must not be empty")
-    for rho in rho_list:
-        _positive("rho", rho)
     lams = [sol.lam]
     if p.multiplier_ray is not None:
         d = np.asarray(p.multiplier_ray, dtype=float)
         c_bar = max(0.0, float(sol.lam @ d) / float(d @ d))
         eps = max(0.5 * float(np.linalg.norm(sol.lam)), 0.25) / float(np.linalg.norm(d))
         lams += [max(0.0, c_bar - eps) * d, (c_bar + eps) * d]
-    pairs = _kkt_data(p, sol.x, lams)
-    moduli = []  # (ell, rho) up to the first positive ell
-    for rho in rho_list:
-        ell = min(_growth_pair(*pair, rho, vector=False)[0] for pair in pairs)
-        moduli.append((ell, rho))
-        if moduli[-1][0] > 0.0:
-            break
-    ell_hat, rho_used = max(moduli, key=lambda item: item[0])  # the first largest
-    return GrowthReport(float(rho_used), ell_hat, len(pairs), ell_hat > 0.0)
+    return _growth(p, sol.x, lams, rho_list)
 
 
 def estimate_rate(trace, p: SocpProblem) -> Tuple[List[float], float]:
@@ -245,28 +219,7 @@ def estimate_rate(trace, p: SocpProblem) -> Tuple[List[float], float]:
 
 
 def solvability_estimate(p: SocpProblem, rho: float) -> float:
-    """Exact Lipschitz modulus of the subproblem solution map lam -> x(lam) at
-    the known KKT pair: max ||(H + rho J'VJ)^-1 J'V||_2 over the pieces V of
-    Pi_{-Q}'s derivative at y = rho Phi(xbar) + lambar.  V_out, its limit from
-    outside both cones, is the piece of a Hyperplane and a HalfSpace (whose
-    other, 0, adds nothing); ZeroOnly has I, a Ray both, FullSpace none (0.0).
-    A piece's dlam form a half-space holding v or -v, v its top singular
-    vector: the modulus is attained.  NaN unless 2 ell(rho) > TOL, which makes
-    each H + rho J'VJ positive definite; so NaN wherever `check_sosc` fails, as
-    ell(rho) <= ell(inf).  ValueError on the whole cone Q (y = 0): infinitely many pieces."""
+    """Exact Lipschitz modulus of the subproblem solution map at the known
+    KKT pair (`variational._solvability`), NaN where growth at rho fails."""
     sol = _require_solution(p)
-    _positive("rho", rho)
-    [(H, J, K)] = _kkt_data(p, sol.x, [sol.lam])
-    if K.case is CriticalConeCase.WHOLE_CONE_Q:
-        raise ValueError("at y = 0 (whole cone Q) the solution map has infinitely many pieces")
-    if not 2.0 * _growth_pair(H, J, K, rho, vector=False)[0] > TOL:
-        return math.nan
-    pieces = [np.eye(p.m + 1)] if K.case is CriticalConeCase.ZERO_ONLY else []  # FullSpace: none
-    if K.case is CriticalConeCase.HYPERPLANE:
-        pieces = [jacobian_project_polar(rho * K.base_point + K.multiplier)]
-    elif K.case in (CriticalConeCase.HALF_SPACE, CriticalConeCase.RAY):
-        d = K.vector / _norm(K.vector)  # V_out from the normal: y may round to either side
-        P, eye = np.outer(d, d), np.eye(d.size)
-        pieces = [P] if K.case is CriticalConeCase.HALF_SPACE else [eye - P, eye]
-    return max((float(np.linalg.norm(np.linalg.solve(H + rho * (J.T @ V @ J), J.T @ V), 2))
-                for V in pieces), default=0.0)
+    return _solvability(p, sol.x, sol.lam, rho)

@@ -1,5 +1,5 @@
 """Second-order variational objects: critical cones, second subderivatives,
-sufficiency certificates, the growth modulus and the dual qualification test.
+sufficiency certificates, the second-order moduli and the dual qualification test.
 
 The critical cone to Q at a feasible point for a normal direction is one
 of six exactly-representable sets, enumerated from the joint location of
@@ -11,8 +11,8 @@ plus a brute-force difference-quotient oracle used to cross-check them.
 Every minimum over the unit sphere is exact linear algebra in one place,
 `_growth_pair`: an eigenvalue of a penalty split, or on the whole cone Q
 an S-lemma search.  The growth modulus reads it at finite penalties and
-the sufficiency check at rho = inf.  Every certificate and form at a
-problem's pair, in `diagnostics` too, builds it in `_kkt_pairs`, which
+the sufficiency check at rho = inf.  Every certificate, modulus and form
+takes its pair (`diagnostics` supplies the known one) to `_kkt_pairs`, which
 raises ValueError where it is not a KKT pair; `_kkt_data` adds the Hessian.
 """
 
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import (ConeRegion, _classify, _finite_norm, _norm, _positive, _tilde,
-                   as_cone_vec, in_normal_cone, project_polar)
+                   as_cone_vec, in_normal_cone, jacobian_project_polar, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, curvature
 from .model import SocpProblem
 
@@ -208,6 +208,14 @@ class SoscReport:
     certificate_detail: str
 
 
+@dataclass(frozen=True)
+class GrowthReport:
+    rho_used: float
+    ell_hat: float
+    multipliers: int    # 1, or 3 on a multiplier ray: lambar and the ray's two ends
+    uniform: bool
+
+
 def _floor(s: np.ndarray, shape) -> float:
     """numpy `matrix_rank`'s rule: below it |s| counts as 0 in a `shape` matrix."""
     return float(np.abs(s).max(initial=0.0)) * EPS * max(shape)
@@ -366,6 +374,52 @@ def check_sosc(p: SocpProblem, xbar, lambda_bar) -> SoscReport:
     return SoscReport(modulus > TOL, modulus, method,
                       f"{K.case.value}: exact minimum over unit w in R^{p.n} "
                       "with Jw in the critical cone")
+
+
+def _growth(p: SocpProblem, xbar, lams, rho_list) -> GrowthReport:
+    """Growth of L_rho at the KKT pairs (xbar, lam), lam in lams (else ValueError):
+    at rho the least `_growth_pair` ell over them, uniform iff positive.  Over
+    rho_list in order the first positive one is reported, else the first largest."""
+    if not rho_list:
+        raise ValueError("rho_list must not be empty")
+    for rho in rho_list:
+        _positive("rho", rho)
+    pairs = _kkt_data(p, xbar, lams)
+    moduli = []  # (ell, rho) up to the first positive ell
+    for rho in rho_list:
+        moduli.append((min(_growth_pair(*pair, rho, vector=False)[0] for pair in pairs), rho))
+        if moduli[-1][0] > 0.0:
+            break
+    ell_hat, rho_used = max(moduli, key=lambda item: item[0])  # the first largest
+    return GrowthReport(float(rho_used), ell_hat, len(pairs), ell_hat > 0.0)
+
+
+def _solvability(p: SocpProblem, xbar, lam, rho: float) -> float:
+    """Exact Lipschitz modulus of the subproblem solution map lam -> x(lam) at
+    the KKT pair (xbar, lam) (else ValueError): max ||(H + rho J'VJ)^-1 J'V||_2
+    over the pieces V of Pi_{-Q}'s derivative at y = rho Phi(xbar) + lam.
+    V_out, its limit from outside both cones, is the piece of a Hyperplane and
+    a HalfSpace (whose other, 0, adds nothing); ZeroOnly has I, a Ray both,
+    FullSpace none (0.0).  A piece's dlam form a half-space holding v or -v, v
+    its top singular vector: the modulus is attained.  NaN unless 2 ell(rho) >
+    TOL, which makes each H + rho J'VJ positive definite; so NaN wherever
+    `check_sosc` fails, as ell(rho) <= ell(inf).  ValueError on the whole cone
+    Q (y = 0): infinitely many pieces."""
+    _positive("rho", rho)
+    [(H, J, K)] = _kkt_data(p, xbar, [lam])
+    if K.case is CriticalConeCase.WHOLE_CONE_Q:
+        raise ValueError("at y = 0 (whole cone Q) the solution map has infinitely many pieces")
+    if not 2.0 * _growth_pair(H, J, K, rho, vector=False)[0] > TOL:
+        return math.nan
+    pieces = [np.eye(p.m + 1)] if K.case is CriticalConeCase.ZERO_ONLY else []  # FullSpace: none
+    if K.case is CriticalConeCase.HYPERPLANE:
+        pieces = [jacobian_project_polar(rho * K.base_point + K.multiplier)]
+    elif K.case in (CriticalConeCase.HALF_SPACE, CriticalConeCase.RAY):
+        d = K.vector / _norm(K.vector)  # V_out from the normal: y may round to either side
+        P, eye = np.outer(d, d), np.eye(d.size)
+        pieces = [P] if K.case is CriticalConeCase.HALF_SPACE else [eye - P, eye]
+    return max((float(np.linalg.norm(np.linalg.solve(H + rho * (J.T @ V @ J), J.T @ V), 2))
+                for V in pieces), default=0.0)
 
 
 def _kernel_tol(J: np.ndarray, v: np.ndarray) -> float:

@@ -174,10 +174,11 @@ def constant_phi_problem(value, name="constant_phi"):
     )
 
 
-def curved_problem(n, m, region, seed):
+def curved_problem(n, m, region, seed, scale=0.5):
     """`generate_planted(n, m, region, seed)` with a curved constraint
     Phi(x) = A x + b + (1/2) c * (U (x - xbar))^2, entrywise: U an
-    (m+1) x n Gaussian matrix over sqrt(n) and c half a Gaussian vector.
+    (m+1) x n Gaussian matrix over sqrt(n) and c a Gaussian vector times
+    scale.
     Phi(xbar), JPhi(xbar) and stationarity there do not change, so the
     planted pair stays a KKT pair.  phi_jac = A + diag(c U (x - xbar)) U
     and phi_hess_contract = U' diag(lam c) U, a new writeable array at
@@ -185,7 +186,7 @@ def curved_problem(n, m, region, seed):
     p = generate_planted(n, m, region, seed)
     rng = np.random.default_rng([32, seed])
     U = rng.standard_normal((m + 1, n)) / math.sqrt(n)
-    c = 0.5 * rng.standard_normal(m + 1)
+    c = scale * rng.standard_normal(m + 1)
     x_bar = p.known_solution.x
     A = p.phi_jac(x_bar)
 

@@ -1284,6 +1284,43 @@ def test_a_large_solve_factors_one_n_by_n_matrix(region, monkeypatch):
     assert set(sizes[1:]) <= {m + 1}
 
 
+def _copied(p, read_only):
+    """p with its f_hess, phi_jac and phi_hess_contract results copied into
+    new arrays at every call, read-only or writeable."""
+    def copy(oracle):
+        def call(*args):
+            out = np.array(oracle(*args))
+            return _read_only(out) if read_only else out
+        return call
+
+    return dataclasses.replace(p, **{name: copy(getattr(p, name))
+                                     for name in ("f_hess", "phi_jac", "phi_hess_contract")})
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("region", [ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                    ConeRegion.INTERIOR_Q], ids=lambda r: r.value)
+@pytest.mark.parametrize("m", [40, 80])
+def test_read_only_results_that_change_take_the_steps_of_the_dense_path(m, region, seed,
+                                                                       monkeypatch):
+    """A curved problem's S and JPhi change at every Newton step.  Handed
+    back read-only at n = 160 >= REDUCED_MIN_N, they are new at every call:
+    the solve builds the multiplier form and takes the outer and Newton
+    steps of the writeable (dense-path) solve, and both end within 1e-6 of
+    the planted pair."""
+    n = 160
+    p = curved_problem(n, m, region, seed)
+    sol = p.known_solution
+    _, builds = path_log(monkeypatch)
+    points, traces = zip(*(solve(_copied(p, read_only), np.zeros(n), np.zeros(m + 1))
+                           for read_only in (True, False)))
+    assert builds and builds == [n] * len(builds)
+    assert traces[0].status is traces[1].status is AlmStatus.CONVERGED
+    assert len(traces[0]) == len(traces[1]) and traces[0].inner_iters == traces[1].inner_iters
+    for point in points:
+        assert _norm(point.x - sol.x) + _norm(point.lam - sol.lam) <= 1e-6
+
+
 @pytest.mark.parametrize("region, outside", [(ConeRegion.BOUNDARY_Q_NONZERO, True),
                                              (ConeRegion.ZERO, False)],
                          ids=["BoundaryQNonzero", "Zero"])

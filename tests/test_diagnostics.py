@@ -26,7 +26,7 @@ from socalm.alm import AlmTrace
 from socalm.cone import _norm
 from socalm.diagnostics import _ball_rows, dist_to_known_pair
 from socalm.lagrangian import residual
-from socalm.variational import _growth_pair, _kkt_data
+from socalm.variational import _growth, _growth_pair, _kkt_data, _kkt_pairs, _solvability
 
 from _util import (BAD_PENALTIES, BAD_SEEDS, MULTIPLIER, counted, nan_at,
                    negative_curvature_problem, rejected, rewritten_twin, uniform_ball)
@@ -411,6 +411,33 @@ def test_solvability_on_a_boundary_does_not_depend_on_rounding(rho):
         inside += not jacobian_project_polar(rho * sol.x + sol.lam).any()
         assert solvability_estimate(p, rho) == pytest.approx(1.0 / (1.0 + rho), rel=1e-12)
     assert inside > 0
+
+
+# the profile's example count: 100 in the suite, 2,000 under socalm-fuzz (conftest.py)
+@given(size=st.sampled_from([(3, 2), (20, 10)]), seed=st.integers(0, 2**16),
+       region=st.sampled_from([ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO,
+                               ConeRegion.ZERO]))
+def test_the_pair_a_solve_returns_certifies_as_the_planted_one(size, seed, region):
+    """The second-order moduli take any KKT pair: at the (x, lam) a solve
+    from zero returns, the critical-cone case is the planted pair's, and the
+    SOSC modulus, the growth modulus at rho = 10 and the solvability modulus
+    at rho = 10 agree with the planted pair's to 1e-6 relative."""
+    n, m = size
+    p = generate_planted(n, m, region, seed)
+    point, trace = solve(p, np.zeros(n), np.zeros(m + 1))
+    assert trace.status is AlmStatus.CONVERGED
+    x, lam, sol = point.x, point.lam, p.known_solution
+    assert (_kkt_pairs(p, x, [lam])[3][0].case
+            is _kkt_pairs(p, sol.x, [sol.lam])[3][0].case)
+    sosc, sosc_bar = check_sosc(p, x, lam), check_sosc(p, sol.x, sol.lam)
+    assert sosc.holds is sosc_bar.holds
+    assert sosc.modulus == pytest.approx(sosc_bar.modulus, rel=1e-6)
+    growth, growth_bar = _growth(p, x, [lam], [10.0]), certify_growth(p, [10.0])
+    assert (growth.rho_used, growth.multipliers, growth.uniform) == (
+        growth_bar.rho_used, growth_bar.multipliers, growth_bar.uniform)
+    assert growth.ell_hat == pytest.approx(growth_bar.ell_hat, rel=1e-6)
+    assert _solvability(p, x, lam, 10.0) == pytest.approx(solvability_estimate(p, 10.0),
+                                                          rel=1e-6)
 
 
 def test_reports_serialize(tmp_path):

@@ -1,6 +1,6 @@
 """Every name a `socalm` module imports is used by that module's own code,
 so no import is kept only for a test or another module to import from
-there."""
+there; and the critical-cone case split is read in `variational` alone."""
 
 import ast
 import pathlib
@@ -26,3 +26,24 @@ def test_module_uses_every_name_it_imports(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used == KEPT.get(path.stem, set())
+
+
+# the case split and the pair-level forms built on it; `__init__` re-exports the enum
+CASE_SPLIT = {"CriticalConeCase", "_growth_pair", "_kkt_data"}
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.stem != "variational"],
+                         ids=lambda path: path.stem)
+def test_only_variational_names_the_case_split(path):
+    """Every second-order modulus at a pair is decided in `variational`:
+    no other module branches on the critical-cone case or builds a pair's
+    Hessian and cone itself."""
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name for alias in node.names)
+    assert named & CASE_SPLIT == set()

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
 from socalm import (ConeRegion, builtin, certify_growth, generate_planted, lagrangian_l,
-                    quadratic_problem)
+                    quadratic_problem, solvability_estimate)
 from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
                                 _growth_pair, _kernel_split, _kkt_data, _kkt_pairs,
                                 _penalty_split, check_dual_qualification, check_sosc,
@@ -21,8 +21,8 @@ from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pai
                                 multiplier_calmness, quad_form_q)
 
 from _util import (BAD_PENALTIES, CONE_VECTOR, MULTIPLIER, PRIMAL,
-                   constant_phi_problem, counted, nan_at, negative_curvature_problem, rejected,
-                   vertex_problem)
+                   constant_phi_problem, counted, curved_problem, nan_at,
+                   negative_curvature_problem, rejected, vertex_problem)
 
 
 def test_critical_cone_case_table():
@@ -404,6 +404,37 @@ def test_check_sosc_planted_problems():
         assert report.holds
         assert report.modulus > 0.5  # P = R'R + I gives at least unit curvature
 
+
+# (scale, region, seed) of the curved (20, 10) pairs, seeds 0-5 at scales
+# 0.5, 2 and 8, at which the sufficiency condition fails
+CURVED_FAILS = {(2.0, ConeRegion.BOUNDARY_Q_NONZERO, 3), (8.0, ConeRegion.BOUNDARY_Q_NONZERO, 3),
+                (8.0, ConeRegion.BOUNDARY_Q_NONZERO, 5), (8.0, ConeRegion.ZERO, 3),
+                (8.0, ConeRegion.ZERO, 5)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("region", [ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO,
+                                    ConeRegion.ZERO], ids=lambda r: r.value)
+@pytest.mark.parametrize("scale", [0.5, 2.0, 8.0])
+def test_second_order_moduli_of_a_curved_pair_agree(scale, region, seed):
+    """As the curved family's scale grows, its <lam, Hess Phi> term turns the
+    sufficiency condition off at some planted pairs.  Where `check_sosc`
+    holds, growth turns positive at one of rho = 1, 10, 100, 1e4 and the
+    solvability modulus at rho = 10 is finite; where it fails, growth is
+    positive at none of them and solvability is NaN.  At rho = 10 and a unit
+    w, d2_aug_lagrangian agrees with the difference quotient at t = 1e-4
+    to 1e-3 relative."""
+    p = curved_problem(20, 10, region, seed, scale=scale)
+    sol = p.known_solution
+    holds = (scale, region, seed) not in CURVED_FAILS
+    assert check_sosc(p, sol.x, sol.lam).holds is holds
+    assert certify_growth(p, [1.0, 10.0, 100.0, 1e4]).uniform is holds
+    assert math.isfinite(solvability_estimate(p, 10.0)) is holds
+    w = np.random.default_rng(seed).standard_normal(p.n)
+    w /= np.linalg.norm(w)
+    d2 = d2_aug_lagrangian(p, sol.x, sol.lam, 10.0, w)
+    assert difference_quotient_oracle(p, sol.x, sol.lam, 10.0, w, 1e-4) == pytest.approx(
+        d2, rel=1e-3)
 
 
 def _span_case_pair(case, P, A, rng):
