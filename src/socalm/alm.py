@@ -26,17 +26,20 @@ memory = 0.
 
 The Newton step (`_newton_direction`) solves with the generalized
 Hessian H = S + rho JPhi' V JPhi in one of two spaces.  At large n, where
-S and JPhi repeat at every step (the rule in `model.SocpProblem`), S is
-positive definite and m + 1 < n, every step is solved in the (m+1)-dimensional
-multiplier space (`MultiplierForm`), whose directions equal the dense
-ones up to rounding, and no n x n matrix but S is factored.  That gains
-where a solve takes many steps outside both cones, and costs up to a
-quarter of the solve where it takes few (`REDUCED_MIN_N`).  Elsewhere,
-and for a step the form cannot solve, the dense path assembles and
-factors H, or reuses the kept factor where V = alpha I; its directions
-are bit for bit those of factoring every step.  Either way a solve is
-deterministic at a fixed BLAS thread count.  LAPACK's potrf and trtrs
-and BLAS's syr2k come from `_lapack`.
+S and JPhi can repeat (read-only results, the rule in `model.SocpProblem`),
+S is positive definite and m + 1 < n, a solve's first step builds the
+(m+1)-dimensional multiplier-space form (`MultiplierForm`), and every
+step until S or JPhi changes is solved there, with directions equal to
+the dense ones up to rounding and no n x n matrix but S factored.  That
+gains where a solve takes many steps outside both cones, and costs up to
+a quarter of the solve where it takes few (`REDUCED_MIN_N`).  A solve
+builds at most one form: once S or JPhi changes, the rest of it takes
+the dense path, which also takes every step elsewhere and any step the
+form cannot solve.  The dense path assembles and factors H, or reuses
+the kept factor where V = alpha I; its directions are bit for bit those
+of factoring every step.  Either way a solve is deterministic at a fixed
+BLAS thread count.  LAPACK's potrf and trtrs and BLAS's syr2k come from
+`_lapack`.
 """
 
 from __future__ import annotations
@@ -217,9 +220,7 @@ REDUCED_MIN_N = 150
 class MultiplierForm:
     """The Newton matrix H = S + rho JPhi' V JPhi solved in the
     (m+1)-dimensional multiplier space, from S = LL', W = L^-1 JPhi'
-    (n x (m+1)) and K = W'W, formed once for one S and JPhi: L when the
-    form is built, W and K at the first step with V nonzero, so that a
-    solve whose steps all lie inside Q (V = 0) factors S and nothing else.
+    (n x (m+1)) and K = W'W, formed together, once for one S and JPhi.
 
     Since 0 <= V <= I, rho V = U U with U = sqrt(rho) V^1/2, and
     H = L (I + (WU)(WU)') L'.  Sherman-Morrison-Woodbury then gives, with
@@ -241,11 +242,12 @@ class MultiplierForm:
     module-level `cho_factor` and `cho_solve`.
     """
 
-    __slots__ = ("L", "jac", "W", "K", "chol")
+    __slots__ = ("L", "W", "K", "chol")
 
     def __init__(self, S: np.ndarray, jac: np.ndarray):
         self.L = cho_factor(S.copy())
-        self.jac, self.W, self.K = jac, None, None
+        self.W = dtrtrs(self.L, jac.T, lower=1)[0]
+        self.K = self.W.T @ self.W
         self.chol = None   # (s^2, Cholesky factor of I + s^2 K) of the last V = alpha I step
 
     def direction(self, rho: float, parts, grad: np.ndarray):
@@ -256,9 +258,6 @@ class MultiplierForm:
         L = self.L
         z = dtrtrs(L, -grad, lower=1)[0]
         s2 = rho * alpha
-        if self.W is None and (u is not None or s2):
-            W = dtrtrs(L, self.jac.T, lower=1)[0]
-            self.W, self.K = W, W.T @ W
         W, K = self.W, self.K
         if u is not None:
             t = W.T @ z
@@ -294,12 +293,13 @@ class MultiplierForm:
 
 class NewtonState:
     """The Newton data one solve keeps from step to step: the curvature
-    triple (Hess f, <mu, Hess Phi>, S = sym(Hess f + <mu, Hess Phi>)) and
-    the held JPhi (`model._held`), and what is formed from that S and JPhi:
-    the `MultiplierForm` where it applies, and for the dense path the
-    Gram matrix G = JPhi' JPhi and the kept dense factor (rho alpha,
-    Cholesky factor of (rho alpha) G + S), each None until formed.
-    `_newton_direction` alone reads and writes them."""
+    triple (Hess f, <mu, Hess Phi>, S = sym(Hess f + <mu, Hess Phi>)),
+    None before the solve's first step, and the held JPhi (`model._held`),
+    and what is formed from that S and JPhi: the `MultiplierForm` where
+    the first step built one and S and JPhi have not changed since, and
+    for the dense path the Gram matrix G = JPhi' JPhi and the kept dense
+    factor (rho alpha, Cholesky factor of (rho alpha) G + S), each None
+    until formed.  `_newton_direction` alone reads and writes them."""
 
     __slots__ = ("curv", "jac", "G", "chol", "reduced")
 
@@ -320,12 +320,14 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     JPhi drops everything formed from the old ones: the multiplier form,
     G and the kept factor.
 
-    At n >= REDUCED_MIN_N, with S and JPhi read-only and m + 1 < n, the
-    step that finds them new builds the `MultiplierForm` of S and JPhi,
-    and every step until they change is solved there: outside both cones
-    with one (m+1) x (m+1) factorization, inside -Q with the factor of
-    I + rho K kept across the steps at one rho, and inside Q with L
-    alone.  Where S is not positive definite the form is not built, and a
+    At n >= REDUCED_MIN_N, with S and JPhi read-only and m + 1 < n, a
+    solve's first step (state.curv None) builds the `MultiplierForm` of S
+    and JPhi, and every step until they change is solved there: outside
+    both cones with one (m+1) x (m+1) factorization, inside -Q with the
+    factor of I + rho K kept across the steps at one rho, and inside Q
+    with L alone.  No later step builds one, so a solve whose S or JPhi
+    changes pays for one set-up and takes its later steps on the dense
+    path.  Where S is not positive definite the form is not built, and a
     step it cannot solve takes the dense path.
 
     The dense path builds H = (rho alpha) G + S + rho B C B'
@@ -344,14 +346,15 @@ def _newton_direction(ev: AugEval, state: NewtonState):
     parts = alpha, u, _ = _polar_jacobian_parts(ev.shifted, ev.rnorm)
     m1, n = jac.shape
     curv = state.curv
-    if curv is None or not (_held(f_hess, curv[0]) and _held(phi_hess, curv[1])):
+    first = curv is None
+    if first or not (_held(f_hess, curv[0]) and _held(phi_hess, curv[1])):
         state.curv = curv = (f_hess, phi_hess, curvature(f_hess, phi_hess))
         state.jac = None   # drops, below, what the old S formed
     if not _held(jac, state.jac):
         state.jac, state.G, state.chol, state.reduced = jac, None, None, None
-        # the set-up costs more than a dense step, so it is built only for
-        # an S and a JPhi that can repeat
-        if (n >= REDUCED_MIN_N and m1 < n and not (
+        # the set-up costs more than a dense step, so it is built only at
+        # a solve's first step, for an S and a JPhi that can repeat
+        if (first and n >= REDUCED_MIN_N and m1 < n and not (
                 jac.flags.writeable or f_hess.flags.writeable or phi_hess.flags.writeable)):
             try:
                 state.reduced = MultiplierForm(curv[2], jac)

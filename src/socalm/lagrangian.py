@@ -182,6 +182,7 @@ class AugEval:
         return (self.polar_proj - self.lam) / self.rho
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite Hessian is returned as such
 def lagrangian_l(p: SocpProblem, x, lam):
     """Ordinary Lagrangian: value, x-gradient and x-Hessian.  The Hessian
     is `curvature`'s, symmetric, and for a quadratic problem the oracle's
@@ -200,6 +201,7 @@ def aug_lagrangian(p: SocpProblem, x, lam, rho: float) -> AugEval:
     return AugEval(p, *p.check_dims(x, lam), rho).complete()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite Hessian is returned as such
 def aug_hessian(p: SocpProblem, x, lam, rho: float) -> np.ndarray:
     """Generalized Hessian of x -> L_rho(x, lam), exactly symmetric: the
     upper triangle of `hessian_upper`, mirrored, with G and S formed here.

@@ -128,7 +128,7 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> S
         if not np.isfinite(value).all():
             raise ValueError(f"{field} has non-finite entries")
     m = A.shape[0] - 1
-    P = _read_only(0.5 * (P + P.T))
+    P = _read_only(0.5 * P + 0.5 * P.T)   # P + P.T can overflow where P is finite
     _read_only(A)
     zero_h = np.broadcast_to(0.0, (n, n))   # read-only
 

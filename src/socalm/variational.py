@@ -348,6 +348,7 @@ def _kkt_pairs(p: SocpProblem, xbar, lams):
     return x, grad, J, [critical_cone(phi, lam) for lam in lams]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite Hessian is detected
 def _kkt_data(p: SocpProblem, xbar, lams):
     """[(Hess_xx L, JPhi, critical cone)] of `_kkt_pairs`, for the readers
     of the Hessian: f_hess is called once, after every pair passed."""

@@ -91,6 +91,26 @@ def counted(p):
     return dataclasses.replace(p, **{o: wrap(o, getattr(p, o)) for o in ORACLES}), calls
 
 
+def translated(p, t):
+    """p in the variable x - t: every oracle composed with x + t, and the
+    known pair and the points of a hard path moved to (x - t, lam).  The
+    oracles are wrappers, so they carry no `rows`."""
+    t = np.asarray(t, dtype=float)
+    sol, path = p.known_solution, p.hard_path
+
+    def shifted(oracle):
+        return lambda x, *lam: oracle(x + t, *lam)
+
+    def moved(scale):
+        x, lam = path(scale)
+        return x - t, lam
+
+    return dataclasses.replace(
+        p, name=f"{p.name}_translated", **{o: shifted(getattr(p, o)) for o in ORACLES},
+        known_solution=None if sol is None else KktPoint(sol.x - t, sol.lam),
+        hard_path=None if path is None else moved)
+
+
 def writeable_twin(p):
     """p with phi_jac returning a fresh writeable copy on every call, so
     that no evaluation can reuse the Gram matrix of another."""

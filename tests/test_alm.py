@@ -451,6 +451,22 @@ def test_curved_problem_converges_to_its_planted_pair(region, seed):
     assert _norm(kkt.x - sol.x) + _norm(kkt.lam - sol.lam) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("region", [ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO,
+                                    ConeRegion.ZERO])
+def test_a_small_curved_problem_converges_to_its_planted_pair(region, seed):
+    """At (3, 2), the benchmark's smallest size, a curved solve from zero
+    converges within the benchmark's distance (1e-3) of the planted pair.
+    The planted pair need not be the only local minimizer: from zero, 13
+    of the 900 problems of seeds 0-299 converge to another KKT pair, of
+    lower f, where SOSC holds."""
+    p = curved_problem(3, 2, region, seed)
+    kkt, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1))
+    assert trace.status is AlmStatus.CONVERGED
+    sol = p.known_solution
+    assert _norm(kkt.x - sol.x) + _norm(kkt.lam - sol.lam) <= 1e-3
+
+
 @pytest.mark.parametrize("seed", [29, 158])
 def test_vertex_solves_that_reach_the_rounding_floor_converge(seed):
     """On these planted (3, 2) Zero problems eps_k = 0.1 sigma falls below
@@ -1182,8 +1198,7 @@ def test_steps_inside_q_and_minus_q_are_solved_in_the_multiplier_space(monkeypat
     at a rho factors I + rho K ((m+1) x (m+1)), the second at that rho
     factors nothing, and a step inside Q factors nothing.  Each gives the
     bits of a step from a fresh state, and no Gram matrix is formed.  A
-    form first built at a step inside Q holds L alone until the first
-    step with V nonzero forms W and K."""
+    form first built at a step inside Q forms W and K with L."""
     n, m = alm.REDUCED_MIN_N + 10, 40
     p = phi_zero_problem(n, m, 5)
     rng = np.random.default_rng(5)
@@ -1196,7 +1211,7 @@ def test_steps_inside_q_and_minus_q_are_solved_in_the_multiplier_space(monkeypat
     state = alm.NewtonState()
     alm._newton_direction(evaluation(2.0), state)   # inside Q
     form = state.reduced
-    assert form is not None and form.W is None
+    assert form is not None and form.W is not None
     alm._newton_direction(evaluation(0.2), state)   # outside both cones
     assert state.reduced is form and form.W is not None
     calls = counted_factorizations(monkeypatch)
@@ -1321,6 +1336,55 @@ def test_read_only_results_that_change_take_the_steps_of_the_dense_path(m, regio
         assert _norm(point.x - sol.x) + _norm(point.lam - sol.lam) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("region", [ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                    ConeRegion.INTERIOR_Q], ids=lambda r: r.value)
+@pytest.mark.parametrize("m", [40, 80])
+def test_read_only_results_that_change_build_one_form_at_the_first_step(m, region, seed,
+                                                                      monkeypatch):
+    """A curved problem's read-only S and JPhi, new at every Newton step
+    at n = 160, build one multiplier form, at the solve's first step, and
+    no later step factors an (m+1) x (m+1) matrix: once S or JPhi changes,
+    the dense path takes the rest of the solve."""
+    n = 160
+    p = _copied(curved_problem(n, m, region, seed), read_only=True)
+    calls = counted_factorizations(monkeypatch)
+    _, builds = path_log(monkeypatch)
+    direction, steps = alm._newton_direction, []
+
+    def step(ev, state):
+        start = len(calls)
+        d = direction(ev, state)
+        steps.append((len(builds), factor_sizes(calls[start:])))
+        return d
+
+    monkeypatch.setattr(alm, "_newton_direction", step)
+    _, trace = solve(p, np.zeros(n), np.zeros(m + 1))
+    assert trace.status is AlmStatus.CONVERGED
+    assert builds == [n] and steps[0][0] == 1
+    assert len(steps) == sum(trace.inner_iters) > 1
+    assert all(m + 1 not in sizes for _, sizes in steps[1:])
+
+
+@pytest.mark.parametrize("region", [ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO,
+                                    ConeRegion.INTERIOR_Q], ids=lambda r: r.value)
+def test_a_large_curved_problem_converges_from_read_only_and_writeable_results(region):
+    """At (200, 100), with the curved problem's Hessian and Jacobian
+    results handed back read-only (one multiplier form, then the dense
+    path) or writeable (the dense path throughout), the solve from zero
+    converges within 1e-6 of the planted pair in the same outer and Newton
+    steps."""
+    n, m = 200, 100
+    p = curved_problem(n, m, region, 0)
+    sol = p.known_solution
+    points, traces = zip(*(solve(_copied(p, read_only), np.zeros(n), np.zeros(m + 1))
+                           for read_only in (True, False)))
+    assert traces[0].status is traces[1].status is AlmStatus.CONVERGED
+    assert len(traces[0]) == len(traces[1]) and traces[0].inner_iters == traces[1].inner_iters
+    for point in points:
+        assert _norm(point.x - sol.x) + _norm(point.lam - sol.lam) <= 1e-6
+
+
 @pytest.mark.parametrize("region, outside", [(ConeRegion.BOUNDARY_Q_NONZERO, True),
                                              (ConeRegion.ZERO, False)],
                          ids=["BoundaryQNonzero", "Zero"])
@@ -1395,3 +1459,15 @@ def test_the_dense_path_serves_where_the_multiplier_form_does_not(case, monkeypa
     assert set(factor_sizes(calls)) == {p.n}
     # S is factored once, and fails; the solve does not try again
     assert builds == ([p.n] if case == "indefinite S" else [])
+
+
+@pytest.mark.parametrize("gate, builds_form", [(20, True), (21, False)])
+def test_the_size_gate_admits_n_equal_to_it(gate, builds_form, monkeypatch):
+    """The multiplier form serves n >= REDUCED_MIN_N: a planted (20, 5)
+    solve builds it with the gate at 20 and not at 21."""
+    monkeypatch.setattr(alm, "REDUCED_MIN_N", gate)
+    p = generate_planted(20, 5, ConeRegion.BOUNDARY_Q_NONZERO, 2)
+    _, builds = path_log(monkeypatch)
+    _, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1))
+    assert trace.status is AlmStatus.CONVERGED
+    assert builds == ([p.n] if builds_form else [])

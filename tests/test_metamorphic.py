@@ -4,7 +4,9 @@ each of the six critical-cone cases.
 
 - Translation: x -> x - t (q -> q + P t, b -> b + A t, xbar -> xbar - t)
   leaves P, A and lam as they are, so every verdict stays and every
-  constant moves only by rounding.
+  constant moves only by rounding.  The same holds for any problem whose
+  oracles are composed with x + t (`_util.translated`), which the test
+  runs on the curved family too.
 - Scaling: f -> c f and lam -> c lam with c > 0 keep the critical cone;
   L_{c rho}(x, c lam) = c L_rho(x, lam), so the SOSC and growth moduli
   scale by c and the solution map's modulus at c rho by 1/c.  The
@@ -25,11 +27,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socalm import (KktPoint, certify_growth, check_sosc, quadratic_problem,
-                    solvability_estimate, verify_error_bound)
+import pytest
+from socalm import (ConeRegion, KktPoint, certify_growth, check_sosc, lagrangian_l,
+                    quadratic_problem, solvability_estimate, verify_error_bound)
 from socalm.variational import EPS, CriticalConeCase, check_dual_qualification, critical_cone
 
-from _util import _on_boundary
+from _util import _on_boundary, curved_problem, translated
 
 RHO = 10.0
 RADIUS = 1e-2
@@ -65,9 +68,16 @@ def _planted(case, n, m, convex, rng):
 
 
 def _certificates(P, q, A, b, xbar, lam, rho):
+    """`_problem_certificates` of one planted quadratic."""
+    return _problem_certificates(
+        quadratic_problem(P, q, 0.0, A, b, known_solution=KktPoint(xbar, lam)), rho)
+
+
+def _problem_certificates(p, rho):
     """(SOSC report, dualqual verdict, growth report, error-bound report,
-    solvability modulus or None on the whole cone) of one planted problem."""
-    p = quadratic_problem(P, q, 0.0, A, b, known_solution=KktPoint(xbar, lam))
+    solvability modulus or None on the whole cone) of a problem at its
+    known pair."""
+    xbar, lam = p.known_solution.x, p.known_solution.lam
     try:
         solvability = solvability_estimate(p, rho)
     except ValueError:   # the whole cone Q: infinitely many pieces
@@ -108,11 +118,18 @@ def test_translation_keeps_every_verdict_and_constant(case, n, m, convex, seed):
     t = rng.standard_normal(n)
     base = _certificates(P, q, A, b, xbar, lam, RHO)
     moved = _certificates(P, q + P @ t, A, b + A @ t, xbar - t, lam, RHO)
+    _assert_moved_by_rounding(base, moved, P, A, xbar, lam, z, t)
+
+
+def _assert_moved_by_rounding(base, moved, H, A, xbar, lam, z, t):
+    """Certificates of a problem and of its translate by t: every verdict
+    the same and every constant within rounding, for the Lagrangian
+    Hessian H, JPhi = A and Phi = z at the pair (xbar, lam)."""
     assert _verdicts(moved) == _verdicts(base)
     assert moved[3].failed == base[3].failed
 
-    unit = SLACK * (n + m + 1) * EPS
-    sosc_norm, growth_norm = _norms(P, A, lam, z, RHO)
+    unit = SLACK * (H.shape[0] + A.shape[0]) * EPS
+    sosc_norm, growth_norm = _norms(H, A, lam, z, RHO)
     _close(moved[0].modulus, base[0].modulus, unit * sosc_norm)
     _close(moved[2].ell_hat, base[2].ell_hat, unit * growth_norm)
     if base[4] is not None and not math.isnan(base[4]):
@@ -120,11 +137,29 @@ def test_translation_keeps_every_verdict_and_constant(case, n, m, convex, seed):
         _close(moved[4], base[4], unit * condition * base[4])
     # each residual and distance sums terms of at most this size
     size = ((1.0 + np.linalg.norm(xbar) + np.linalg.norm(t))
-            * (np.linalg.norm(P) + np.linalg.norm(A)) + np.linalg.norm(lam))
+            * (np.linalg.norm(H) + np.linalg.norm(A)) + np.linalg.norm(lam))
     errorbound_rtol = SLACK * EPS * size / (RADIUS / 10.0)
     for name in ("kappa1_hat", "kappa2_hat"):
         value = getattr(base[3], name)
         _close(getattr(moved[3], name), value, errorbound_rtol * value)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("region", [ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO,
+                                    ConeRegion.ZERO])
+def test_translation_keeps_every_verdict_and_constant_of_a_curved_problem(region, seed, scale):
+    """The translation rule on the curved family (Phi not affine, its
+    contracted Hessian nonzero), moved by `translated`: the bounds take
+    the Lagrangian Hessian at the pair for P.  SOSC fails at scale 2, seed
+    2, on BoundaryQNonzero and Zero, and holds on the others."""
+    p = curved_problem(6, 3, region, seed, scale=scale)
+    t = np.random.default_rng(seed).standard_normal(p.n)
+    xbar, lam = p.known_solution.x, p.known_solution.lam
+    H = lagrangian_l(p, xbar, lam)[2]
+    _assert_moved_by_rounding(_problem_certificates(p, RHO),
+                              _problem_certificates(translated(p, t), RHO),
+                              H, p.phi_jac(xbar), xbar, lam, p.phi_value(xbar), t)
 
 
 @settings(max_examples=60)

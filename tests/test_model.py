@@ -265,6 +265,37 @@ def test_quadratic_problem_rejects_non_finite_data(field, bad):
         quadratic_problem(**data)
 
 
+def _quadratic_hessian(P):
+    n = len(P)
+    return quadratic_problem(P, np.zeros(n), 0.0, np.eye(n + 1, n), np.zeros(n + 1)).f_hess(
+        np.zeros(n))
+
+
+def test_quadratic_problem_symmetrizes_a_huge_p_without_overflow():
+    """P + P' overflows for a finite P near the largest float; the halves
+    do not, so the Hessian stays finite, with no floating-point warning."""
+    H = _quadratic_hessian(np.array([[1.5e308, 1.0], [3.0, 1.5e308]]))
+    assert H.tolist() == [[1.5e308, 2.0], [2.0, 1.5e308]]
+    assert not H.flags.writeable
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), log_scale=st.floats(-300.0, 300.0),
+       symmetric=st.booleans())
+def test_quadratic_problem_symmetrizes_as_the_sum_where_that_is_finite(seed, n, log_scale,
+                                                                       symmetric):
+    """Wherever 0.5 (P + P') is finite and neither it nor 0.5 P has a
+    subnormal entry, the Hessian has its bits: each halving is exact."""
+    P = np.random.default_rng(seed).standard_normal((n, n)) * 10.0 ** log_scale
+    if symmetric:
+        P = np.triu(P) + np.triu(P, 1).T
+    with np.errstate(over="ignore"):
+        old = 0.5 * (P + P.T)
+    subnormal = [np.abs(a[a != 0.0]) < np.finfo(float).tiny for a in (old, 0.5 * P)]
+    if np.isfinite(old).all() and not any(s.any() for s in subnormal):
+        assert _quadratic_hessian(P).tobytes() == old.tobytes()
+
+
 @pytest.mark.parametrize("data, unknown", [
     ({"builtin": "projection", "parms": {"a": [0.0, 5.0, 0.0]}}, "parms"),
     ({"builtin": "projection", "quadratic": {}}, "quadratic"),

@@ -13,6 +13,7 @@ from scipy.linalg import null_space
 
 from socalm import (ConeRegion, builtin, certify_growth, generate_planted, lagrangian_l,
                     quadratic_problem, solvability_estimate)
+from socalm.lagrangian import aug_hessian
 from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
                                 _growth_pair, _kernel_split, _kkt_data, _kkt_pairs,
                                 _penalty_split, check_dual_qualification, check_sosc,
@@ -543,6 +544,25 @@ def test_check_sosc_rejects_an_overflowing_form():
     p = quadratic_problem(np.eye(3), -A.T @ lam, 0.0, A, [1.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="growth form has non-finite entries"):
         check_sosc(p, np.zeros(3), lam)
+
+
+def test_an_overflowing_lagrangian_hessian_forms_without_a_warning():
+    """Finite Hessian oracles whose sum overflows (1.5e308 I twice): every
+    certificate entry point raises its ValueError, and the two Lagrangian
+    Hessians come back non-finite, with no floating-point warning (an
+    error under the suite's warnings filter)."""
+    base = builtin("example_3_2")
+    huge = 1.5e308 * np.eye(2)
+    p = dataclasses.replace(base, f_hess=lambda x: huge, phi_hess_contract=lambda x, lam: huge)
+    sol, w = p.known_solution, np.ones(2)
+    for call in (lambda: solvability_estimate(p, 10.0), lambda: certify_growth(p, [10.0]),
+                 lambda: check_sosc(p, sol.x, sol.lam),
+                 lambda: quad_form_q(p, sol.x, sol.lam, 10.0, w),
+                 lambda: d2_aug_lagrangian(p, sol.x, sol.lam, 10.0, w)):
+        with pytest.raises(ValueError, match="Hessian of the Lagrangian has non-finite"):
+            call()
+    for H in (lagrangian_l(p, sol.x, sol.lam)[2], aug_hessian(p, sol.x, sol.lam, 10.0)):
+        assert H.shape == (2, 2) and not np.isfinite(H).all()
 
 
 # The growth modulus ell(rho) = 0.5 min_{|w| = 1} d2_aug_lagrangian(w).
