@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import alm, diagnostics
-from .cone import _nonnegative, _positive
+from .cone import _nonnegative, _norm, _positive
 from .model import SocpProblem, builtin, load_problem
 from .variational import _kkt_pairs, check_dual_qualification, check_sosc, multiplier_calmness
 
@@ -222,7 +222,7 @@ def cmd_rate(args) -> int:
     rng = np.random.default_rng(args.seed or 0)
     step = rng.standard_normal(problem.n + problem.m + 1)
     with np.errstate(over="ignore"):  # a start past the largest float: alm.solve rejects it
-        step *= (1e-2 if args.offset is None else args.offset) / np.linalg.norm(step)
+        step *= (1e-2 if args.offset is None else args.offset) / _norm(step)
         x0, lam0 = _start(args, sol.x + step[:problem.n], sol.lam + step[problem.n:])
 
     rows = []

@@ -25,14 +25,13 @@ projection by structure (identity plus rank 2).  The projections and
 that Jacobian split y by exact comparisons of ||yr|| with +-y0; only
 `classify` and `in_normal_cone` have a tolerance.
 
-Norms are finite for every finite vector whose norm is below the largest
-float: where the square of a norm overflows, the kernels scale by the
-largest entry (`_norm`).  A point whose ||yr|| overflows is rejected
-(NonFiniteError), and so is one whose ||y|| scales a tolerance and
-overflows (`_finite_norm`).  The projections halve y0 and ||yr|| before
-adding them, so every projection of an accepted point is finite.  The
-public kernels run with numpy's overflow warning off, since forming that
-square is how the overflow is detected.
+Every vector and Frobenius norm but a residual's (inf where its square
+overflows) is `_norm`, which scales by the largest entry there; every
+symmetrization is `_sym`.  A point whose ||yr|| overflows is rejected
+(NonFiniteError), as is one whose ||y|| scales a tolerance and overflows
+(`_finite_norm`).  The projections halve y0 and ||yr|| before adding them,
+so every projection of an accepted point is finite.  The public kernels
+ignore numpy's overflow warning: forming that square detects the overflow.
 """
 
 from __future__ import annotations
@@ -147,6 +146,13 @@ def _finite_norm(v: np.ndarray, message: str) -> float:
     if nrm == math.inf:
         raise NonFiniteError(message)
     return nrm
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """(a + a')/2 of a square array as a new a/2 + a'/2: finite wherever a is."""
+    h = 0.5 * a
+    h += h.T   # numpy copies h.T first, as it overlaps h
+    return h
 
 
 def tilde(y) -> np.ndarray:

@@ -191,7 +191,7 @@ def certify_growth(p: SocpProblem, rho_list: Sequence[float]):
     if p.multiplier_ray is not None:
         d = np.asarray(p.multiplier_ray, dtype=float)
         c_bar = max(0.0, float(sol.lam @ d) / float(d @ d))
-        eps = max(0.5 * float(np.linalg.norm(sol.lam)), 0.25) / float(np.linalg.norm(d))
+        eps = max(0.5 * _norm(sol.lam), 0.25) / _norm(d)
         lams += [max(0.0, c_bar - eps) * d, (c_bar + eps) * d]
     return _growth(p, sol.x, lams, rho_list)
 

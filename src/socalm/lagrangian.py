@@ -60,7 +60,8 @@ import math
 import numpy as np
 
 from ._lapack import dsyr2k
-from .cone import _checked_rnorm, _polar_jacobian_parts, _positive, _project_polar, _project_q
+from .cone import (_checked_rnorm, _polar_jacobian_parts, _positive, _project_polar, _project_q,
+                   _sym)
 from .model import SocpProblem
 
 
@@ -93,19 +94,15 @@ def curvature(f_hess, phi_hess) -> np.ndarray:
     results.  Where every entry of phi_hess is zero (a quadratic
     problem's) and f_hess is a read-only float array equal to its
     transpose, S is f_hess itself, returned unchanged and read-only: no
-    n x n array is formed.  Otherwise S is a new array, (A + A')/2 of the
-    sum A.  Both give the values of the second formula, to the sign of a
-    zero, and the first keeps an entry above half the largest float
-    finite."""
+    n x n array is formed.  Otherwise S is `cone._sym` of the sum, a new
+    array.  Both keep an entry above half the largest float finite and give
+    the formula's values, to the sign of a zero and a halved subnormal."""
     if (isinstance(f_hess, np.ndarray) and f_hess.dtype == float
             and not f_hess.flags.writeable and isinstance(phi_hess, np.ndarray)
             and f_hess.shape == phi_hess.shape and not phi_hess.any()
             and np.array_equal(f_hess, f_hess.T)):
         return f_hess
-    S = np.add(f_hess, phi_hess, dtype=float)
-    S = S + S.T
-    S *= 0.5
-    return S
+    return _sym(np.add(f_hess, phi_hess, dtype=float))
 
 
 def hessian_upper(rho: float, parts, jac, G, S) -> np.ndarray:

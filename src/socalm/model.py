@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cone import ConeRegion, _at_least, _finite, _integer, as_cone_vec, project_q, tilde
+from .cone import (ConeRegion, _at_least, _finite, _integer, _norm, _sym, as_cone_vec, project_q,
+                   tilde)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> S
     (see `SocpProblem`): one stacked product over all rows, a
     matrix-vector product per row as the oracle makes it, so each row
     rounds as the oracle does (a single matrix product X @ A.T may not).
-    Non-finite data raises ValueError.
+    Non-finite data raises ValueError.  P is kept as `cone._sym(P)`.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -128,7 +129,7 @@ def quadratic_problem(P, q, c, A, b, name="quadratic", known_solution=None) -> S
         if not np.isfinite(value).all():
             raise ValueError(f"{field} has non-finite entries")
     m = A.shape[0] - 1
-    P = _read_only(0.5 * P + 0.5 * P.T)   # P + P.T can overflow where P is finite
+    P = _read_only(_sym(P))
     _read_only(A)
     zero_h = np.broadcast_to(0.0, (n, n))   # read-only
 
@@ -239,20 +240,20 @@ def generate_planted(n: int, m: int, region: ConeRegion, seed: int) -> SocpProbl
 
     if region is ConeRegion.INTERIOR_Q:
         u = rng.standard_normal(m)
-        z = np.concatenate(([np.linalg.norm(u) + 1.0 + abs(rng.standard_normal())], u))
+        z = np.concatenate(([_norm(u) + 1.0 + abs(rng.standard_normal())], u))
         lam_bar = np.zeros(m + 1)
     elif region is ConeRegion.BOUNDARY_Q_NONZERO:
         u = rng.standard_normal(m)
-        while np.linalg.norm(u) < 1e-3:
+        while _norm(u) < 1e-3:
             u = rng.standard_normal(m)
-        z = np.concatenate(([np.linalg.norm(u)], u))
+        z = np.concatenate(([_norm(u)], u))
         t = 0.5 + abs(rng.standard_normal())
         lam_bar = t * tilde(z)
     else:  # vertex: Phi(xbar) = 0, lambar strictly inside -Q
         z = np.zeros(m + 1)
         v = rng.standard_normal(m)
         s = 0.5 + abs(rng.standard_normal())
-        lam_bar = np.concatenate(([-(np.linalg.norm(v) + s)], v))
+        lam_bar = np.concatenate(([-(_norm(v) + s)], v))
 
     b = z - A @ x_bar
     q = -P @ x_bar - A.T @ lam_bar

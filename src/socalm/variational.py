@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cone import (ConeRegion, _classify, _finite_norm, _norm, _positive, _tilde,
+from .cone import (ConeRegion, _classify, _finite_norm, _norm, _positive, _sym, _tilde,
                    as_cone_vec, in_normal_cone, jacobian_project_polar, project_polar)
 from .lagrangian import _kkt_residual, aug_lagrangian, curvature
 from .model import SocpProblem
@@ -253,12 +253,11 @@ def _bottom_pair(H0, B, rho: float, vector: bool = True):
     basis = None
     if B is not None:
         kernel, rows, sigma = _kernel_split(B)
-        h, k = float(np.linalg.norm(H0)), kernel.shape[1]
+        h, k = _norm(H0.ravel(order="K")), kernel.shape[1]
         if rho == math.inf:
             if not k:
                 return math.inf, rows[:, 0]
-            reduced = kernel.T @ H0 @ kernel
-            basis, H0 = kernel, 0.5 * (reduced + reduced.T)
+            basis, H0 = kernel, _sym(kernel.T @ H0 @ kernel)
         elif k and sigma.size and sigma[-1] ** 2 > 4.0 * h / rho:
             g = 1.0 / (math.sqrt(rho) * sigma)
             basis = np.hstack([kernel, rows])
@@ -274,7 +273,7 @@ def _bottom_pair(H0, B, rho: float, vector: bool = True):
             if v is None:
                 return s, None
             w = kernel @ v - rows @ (g * (Y @ v))
-            return s, w / np.linalg.norm(w)
+            return s, w / _norm(w)
         else:
             H0 = H0 + rho * (B.T @ B)
     if not np.isfinite(H0).all():
@@ -424,8 +423,9 @@ def _solvability(p: SocpProblem, xbar, lam, rho: float) -> float:
 
 
 def _kernel_tol(J: np.ndarray, v: np.ndarray) -> float:
-    """TOL max(1, ||J||) ||v||, below which J'v (and grad f for v = lam) is 0."""
-    return TOL * max(1.0, float(np.linalg.norm(J))) * float(np.linalg.norm(v))
+    """TOL max(1, ||J||_F) ||v||, below which J'v (and grad f for v = lam) is 0;
+    ||J||_F is a `_finite_norm`, and v is a checked KKT pair's, of finite norm."""
+    return TOL * max(1.0, _finite_norm(J.ravel(order="K"), "||JPhi||_F overflows")) * _norm(v)
 
 
 @np.errstate(all="ignore")
@@ -455,8 +455,8 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     if K.case in (CriticalConeCase.HYPERPLANE, CriticalConeCase.HALF_SPACE):
         # polar is span{u} (hyperplane) or the ray R_+ u (halfspace)
         u = K.vector
-        if np.linalg.norm(J.T @ u) <= _kernel_tol(J, u):
-            return False, u / np.linalg.norm(u)
+        if _norm(J.T @ u) <= _kernel_tol(J, u):
+            return False, u / _norm(u)
         return True, None
 
     kernel = _kernel_split(J.T)[0]  # subspace of R^(m+1)
@@ -467,15 +467,15 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     if K.case is CriticalConeCase.RAY:
         # polar is the halfspace {v : <K.vector, v> <= 0}
         lam = K.multiplier
-        if np.linalg.norm(J.T @ lam) <= _kernel_tol(J, lam):
+        if _norm(J.T @ lam) <= _kernel_tol(J, lam):
             # the multiplier direction itself lies in the halfspace polar
-            return False, lam / np.linalg.norm(lam)
+            return False, lam / _norm(lam)
         c = -kernel.T @ K.vector
-        c_norm = np.linalg.norm(c)
+        c_norm = _norm(c)
         if c_norm == 0.0:
             return False, kernel[:, 0]  # the kernel lies in the boundary hyperplane
         witness = kernel @ (c / c_norm)
-        return False, witness / np.linalg.norm(witness)
+        return False, witness / _norm(witness)
 
     # WHOLE_CONE_Q: polar is -Q
     M = kernel[1:].T @ kernel[1:] - np.outer(kernel[0], kernel[0])
@@ -485,7 +485,7 @@ def check_dual_qualification(p: SocpProblem, xbar, lambda_bar, pair=None):
     witness = kernel @ eigvecs[:, 0]
     if witness[0] > 0:
         witness = -witness
-    return False, witness / np.linalg.norm(witness)
+    return False, witness / _norm(witness)
 
 
 @np.errstate(all="ignore")
@@ -507,7 +507,7 @@ def multiplier_calmness(p: SocpProblem, xbar, lambda_bar, duq_holds: bool,
         return "calm"
     if case is CriticalConeCase.RAY:
         tol = _kernel_tol(J, lam)  # the whole ray R_+ lam: J'lam = 0 = grad f
-        if not np.linalg.norm(J.T @ lam) <= tol:
+        if not _norm(J.T @ lam) <= tol:
             return "not_calm"
-        return "unknown" if np.linalg.norm(grad) <= tol else "not_calm"
+        return "unknown" if _norm(grad) <= tol else "not_calm"
     return "unknown"

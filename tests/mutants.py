@@ -39,6 +39,11 @@ class Mutant:
     tests: tuple   # pytest node ids, from the repository root
 
 
+# the body of `cone._sym`, which two mutants replace
+_SYM_BODY = ("    h = 0.5 * a\n"
+             "    h += h.T   # numpy copies h.T first, as it overlaps h\n"
+             "    return h")
+
 MUTANTS = (
     Mutant("first-step-gate", "socalm/alm.py",
            "if (first and n >= REDUCED_MIN_N", "if (n >= REDUCED_MIN_N",
@@ -58,9 +63,29 @@ MUTANTS = (
            "def _kkt_data", "def _kkt_data",
            ("tests/test_variational.py::"
             "test_an_overflowing_lagrangian_hessian_forms_without_a_warning",)),
-    Mutant("halved-symmetrization", "socalm/model.py",
-           "0.5 * P + 0.5 * P.T", "0.5 * (P + P.T)",
+    Mutant("halved-symmetrization", "socalm/cone.py",
+           _SYM_BODY, "    return 0.5 * (a + a.T)",
            ("tests/test_model.py::test_quadratic_problem_symmetrizes_a_huge_p_without_overflow",)),
+    Mutant("symmetrization-sum-first", "socalm/cone.py",
+           _SYM_BODY, "    return (a + a.T) * 0.5",
+           ("tests/test_lagrangian.py::"
+            "test_curvature_symmetrizes_a_huge_writeable_hessian_without_overflow",)),
+    Mutant("kernel-tol-scaled-norm", "socalm/variational.py",
+           '_finite_norm(J.ravel(order="K"), "||JPhi||_F overflows")', "float(np.linalg.norm(J))",
+           ("tests/test_cli.py::test_check_dualqual_verdict_does_not_depend_on_the_scale",)),
+    Mutant("f-grad-rows", "socalm/model.py",
+           "f_grad.rows = lambda xs: np.matmul(P, xs[:, :, None])[:, :, 0] + q",
+           "f_grad.rows = lambda xs: xs @ P.T + q",
+           ("tests/test_model.py::test_quadratic_row_forms_equal_the_oracles_bit_for_bit",)),
+    Mutant("ray-identity-piece", "socalm/variational.py", "[eye - P, eye]", "[eye - P]",
+           ("tests/test_diagnostics.py::"
+            "test_solvability_modulus_is_attained_by_the_inner_solve",)),
+    Mutant("rho-max", "socalm/alm.py", "rho_max: float = 1e5", "rho_max: float = 1e6",
+           ("tests/test_alm.py::test_solve_stops_where_an_outer_iteration_changes_nothing",)),
+    Mutant("slow", "socalm/alm.py", "SLOW = 0.25 ", "SLOW = 0.3  ",
+           ("tests/test_alm.py::test_fixed_penalty_totals_pin_the_extrapolation_rule",)),
+    Mutant("armijo-noise", "socalm/alm.py", "noise = 8.0 * EPS", "noise = 16.0 * EPS",
+           ("tests/test_alm.py::test_the_line_search_allows_eight_eps_of_value_noise",)),
     Mutant("held-memory-guard", "socalm/model.py",
            "old.flags.writeable or np.may_share_memory(new, old)", "old.flags.writeable",
            ("tests/test_held.py::test_newton_state_survives_exactly_a_repeated_result",)),

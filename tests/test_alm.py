@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from socalm import (AlmConfig, AlmStatus, ConeRegion, InnerFailure, NonFiniteError, Proportional,
-                    builtin, generate_planted, inner_solve, solve, update_multiplier)
+                    SocpProblem, builtin, generate_planted, inner_solve, solve, update_multiplier)
 from socalm import alm
 from socalm.cone import _norm, classify, project_q
 from socalm.diagnostics import dist_to_multiplier_set
@@ -435,6 +435,48 @@ def test_planted_totals_pin_the_penalty_rule():
                 outer += len(trace) - 1
                 newton += sum(trace.inner_iters)
     assert (outer, newton) == (351, 447)
+
+
+@pytest.mark.parametrize("rho, totals", [(1.0, (626, 664)), (10.0, (415, 500))])
+def test_fixed_penalty_totals_pin_the_extrapolation_rule(rho, totals):
+    """At a fixed penalty (rho_growth = 1) no raise follows a slow step, and
+    the Anderson shift takes almost every one.  So the 60 planted solves
+    from zero, (3, 2) and (20, 10) in all three regions at seeds 0-9, pin
+    SLOW in their outer and Newton totals: SLOW = 0.3 takes 619 and 657
+    at rho = 1, and 445 and 530 at rho = 10."""
+    cfg = AlmConfig(rho0=rho, rho_growth=1.0, rho_max=rho)
+    outer = newton = 0
+    for size in ((3, 2), (20, 10)):
+        for region in (ConeRegion.INTERIOR_Q, ConeRegion.BOUNDARY_Q_NONZERO, ConeRegion.ZERO):
+            for seed in range(10):
+                p = generate_planted(*size, region, seed)
+                _, trace = solve(p, np.zeros(p.n), np.zeros(p.m + 1), cfg)
+                assert trace.status is AlmStatus.CONVERGED, (size, region, seed)
+                outer += len(trace) - 1
+                newton += sum(trace.inner_iters)
+    assert (outer, newton) == totals
+
+
+@pytest.mark.parametrize("excess, accepted", [(6, True), (10, False)])
+def test_the_line_search_allows_eight_eps_of_value_noise(excess, accepted):
+    """A trial value above the Armijo line by at most 8 eps max(1, |value|),
+    the allowance for rounding in the value, is accepted.  f is x^2/2 but
+    at the Newton point 0 of the start 1, where the value oracle returns
+    the line plus `excess` eps.  Accepted, the solve stops there after one
+    step; rejected, it backtracks to 0.5 and has no second step to take."""
+    line = 0.5 + alm.ARMIJO * -1.0
+    p = SocpProblem(
+        n=1, m=1,
+        f_value=lambda x: 0.5 * float(x @ x) if x.any() else line + excess * alm.EPS,
+        f_grad=lambda x: x.copy(), f_hess=lambda x: np.ones((1, 1)),
+        phi_value=lambda x: np.array([1.0, 0.0]), phi_jac=lambda x: np.zeros((2, 1)),
+        phi_hess_contract=lambda x, lam: np.zeros((1, 1)))
+    args = (p, np.zeros(2), 1.0, np.ones(1), 1e-12)
+    if accepted:
+        assert inner_solve(*args, max_inner=1)[0].tolist() == [0.0]
+    else:
+        with pytest.raises(InnerFailure, match="stalled"):
+            inner_solve(*args, max_inner=1)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -107,6 +107,20 @@ def test_check_dualqual_reports_witness(tmp_path, capsys):
     assert payload["multiplier_calmness"] == "unknown"
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_check_dualqual_verdict_does_not_depend_on_the_scale(scale, tmp_path, capsys):
+    """On the boundary of Q, J'u = (-scale, 0) for the hyperplane normal u =
+    lam, far above the kernel threshold TOL ||J||_F ||u||, so the condition
+    holds at scale 1 and at 1e160.  There ||J||_F^2 overflows: numpy's norm
+    made the threshold inf, and the check failed."""
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"quadratic": {
+        "P": [[1.0, 0.0], [0.0, 1.0]], "q": [scale, 0.0], "c": 0.0,
+        "A": [[scale, 0.0], [0.0, 0.0], [scale, 0.0]], "b": [1.0, 1.0, 0.0]}}))
+    code = run_cli("check", "dualqual", "--problem", str(path), "--x", "0,0", "--lambda=-1,1,0")
+    assert (code, capsys.readouterr().out) == (0, "dualqual holds=True calmness=calm\n")
+
+
 def test_check_example32(tmp_path, capsys):
     report = tmp_path / "e32.json"
     code = run_cli("check", "example32", "--problem", "builtin:example_3_2",

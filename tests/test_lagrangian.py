@@ -150,6 +150,18 @@ def test_curvature_hands_back_a_quadratic_problems_p():
     assert lagrangian_l(p, x, lam)[2] is P
 
 
+def test_curvature_symmetrizes_a_huge_writeable_hessian_without_overflow():
+    """A + A' overflows for a finite A near the largest float.  The read-only
+    shortcut hands such an A back as S; the general branch, which a
+    writeable A takes, halves before it adds (`cone._sym`), so it gives the
+    same finite values, with no floating-point warning."""
+    f = np.array([[1.5e308, 1.0], [1.0, 1.5e308]])
+    S = curvature(f, np.zeros((2, 2)))
+    assert S is not f and S.tolist() == f.tolist()
+    f.setflags(write=False)
+    assert curvature(f, np.zeros((2, 2))) is f
+
+
 ENTRY = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0])
 
 

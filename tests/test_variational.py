@@ -13,9 +13,10 @@ from scipy.linalg import null_space
 
 from socalm import (ConeRegion, builtin, certify_growth, generate_planted, lagrangian_l,
                     quadratic_problem, solvability_estimate)
+from socalm.cone import NonFiniteError
 from socalm.lagrangian import aug_hessian
 from socalm.variational import (TOL, CriticalCone, CriticalConeCase, _bottom_pair,
-                                _growth_pair, _kernel_split, _kkt_data, _kkt_pairs,
+                                _growth_pair, _kernel_split, _kernel_tol, _kkt_data, _kkt_pairs,
                                 _penalty_split, check_dual_qualification, check_sosc,
                                 critical_cone, d2_aug_lagrangian, d2_indicator_q,
                                 difference_quotient_oracle, dist2_critical,
@@ -832,6 +833,35 @@ def test_dual_qualification_and_calmness_share_the_kernel_threshold():
     assert not holds
     assert_allclose(witness, lam / np.linalg.norm(lam))
     assert multiplier_calmness(p, x, lam, holds) == "unknown"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_dual_qualification_witness_is_a_unit_vector_at_any_scale(scale):
+    """At a vertex with J'lam = 0 the witness is lam/||lam||.  At lam =
+    1e200 (-1, 1, 0) the square of ||lam|| overflows; `_norm` scales it, so
+    the witness is the unit vector of scale 1, where numpy's norm gave inf
+    and the witness (-0, 0, 0)."""
+    A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    lam = scale * np.array([-1.0, 1.0, 0.0])
+    p = quadratic_problem(np.eye(2), np.zeros(2), 0.0, A, np.zeros(3))
+    holds, witness = check_dual_qualification(p, np.zeros(2), lam)
+    assert not holds
+    assert_allclose(witness, np.array([-1.0, 1.0, 0.0]) / math.sqrt(2.0), rtol=1e-15)
+    assert multiplier_calmness(p, np.zeros(2), lam, holds) == "unknown"
+
+
+def test_kernel_tolerance_scales_a_jacobian_whose_square_overflows():
+    """||J||_F = sqrt(2) 1e160 is finite though its square is not, so the
+    kernel threshold is TOL 2e160 for a v of norm sqrt(2); a J whose norm
+    itself passes the largest float raises (`_finite_norm`).  Its callers
+    ignore the overflow warning of the square, as here."""
+    J = np.array([[1e160, 0.0], [0.0, 0.0], [1e160, 0.0]])
+    with np.errstate(over="ignore"):
+        tol = _kernel_tol(J, np.array([-1.0, 1.0, 0.0]))
+        with pytest.raises(NonFiniteError, match="JPhi"):
+            _kernel_tol(np.full((3, 2), 1e308), np.ones(3))
+    assert math.isclose(tol, TOL * 2e160, rel_tol=1e-15)
+
 
 def test_multiplier_calmness_classification():
     e32 = builtin("example_3_2")
